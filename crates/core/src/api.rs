@@ -396,10 +396,10 @@ pub trait BeagleInstance: Send + Sync {
 
     /// Snapshot this instance's replayable state as a durable
     /// [`crate::checkpoint::Checkpoint`]. `None` unless a journaling layer
-    /// is present (a `CheckpointedInstance` wrapper or a
-    /// [`crate::multi::PartitionedInstance`]); wrappers above such a layer
-    /// forward the call down (the operation queue flushes first, so pending
-    /// work is captured rather than lost).
+    /// answers (a checkpointing [`crate::journal::JournaledInstance`] or a
+    /// [`crate::multi::PartitionedInstance`]). Wrappers forward the call
+    /// down, and an operation queue flushes its pending work when it sees
+    /// it, so a snapshot never runs ahead of the instance's buffers.
     fn checkpoint(&mut self) -> Option<crate::checkpoint::Checkpoint> {
         None
     }

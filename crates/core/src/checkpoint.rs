@@ -43,25 +43,22 @@
 //! temporary sibling file and renames it into place, so a crash mid-write
 //! leaves the previous snapshot intact.
 //!
-//! # The wrapper
+//! # Who answers `checkpoint()`
 //!
-//! [`CheckpointedInstance`] journals every mutating call and answers
-//! [`crate::BeagleInstance::checkpoint`]. The manager installs it as the
-//! *outermost* wrapper when [`crate::InstanceSpec::checkpointed`] is set,
-//! so a snapshot reflects exactly the calls the client made (an inner
-//! operation queue flushes on its own checkpoint forward, and
-//! [`crate::multi::PartitionedInstance`] answers from its failover
-//! journal).
+//! [`JournaledInstance`] answers [`crate::BeagleInstance::checkpoint`] when
+//! [`crate::InstanceSpec::checkpointed`] is set. It is the outermost wrapper
+//! of a managed instance, so a snapshot reflects exactly the calls the
+//! client made (an inner operation queue flushes on the checkpoint forward).
+//! [`crate::multi::PartitionedInstance`] answers from its failover journal.
 
 use std::path::Path;
 
-use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
+use crate::api::InstanceConfig;
 use crate::error::{BeagleError, Result};
 use crate::flags::Flags;
-use crate::journal::StateJournal;
+use crate::journal::{JournaledInstance, StateJournal};
 use crate::manager::ImplementationManager;
-use crate::obs::{self, EventKind, Recorder};
-use crate::ops::Operation;
+use crate::obs::EventKind;
 use crate::spec::InstanceSpec;
 
 /// Magic + version line opening every snapshot.
@@ -75,7 +72,7 @@ pub struct Provenance {
     pub preferences: Flags,
     /// Requirement flags the instance was created with.
     pub requirements: Flags,
-    /// Whether the numerical-rescue wrapper was enabled.
+    /// Whether numerical rescue was enabled.
     pub rescue: bool,
     /// The pinned implementation name, when creation bypassed ranking.
     pub implementation: Option<String>,
@@ -278,26 +275,22 @@ impl Checkpoint {
 
     /// Rebuild a live instance from this snapshot on `manager`: re-create
     /// with the recorded sizing and provenance, replay the journal into it,
-    /// and hand back a [`CheckpointedInstance`] already carrying the
-    /// journal — so the restored instance can itself checkpoint again.
-    pub fn restore(&self, manager: &ImplementationManager) -> Result<CheckpointedInstance> {
+    /// and hand back a checkpointing [`JournaledInstance`] seeded with the
+    /// journal, so the restored instance can itself checkpoint again.
+    pub fn restore(&self, manager: &ImplementationManager) -> Result<JournaledInstance> {
         let mut spec = InstanceSpec::with_config(self.config)
             .prefer(self.provenance.preferences)
-            .require(self.provenance.requirements);
+            .require(self.provenance.requirements)
+            .checkpointed();
         spec.rescue = self.provenance.rescue;
         if let Some(name) = &self.provenance.implementation {
             spec = spec.named(name.clone());
         }
-        let mut inner = manager.create_from_spec(&spec)?;
+        let mut inner = manager.create_unjournaled(&spec)?;
         self.journal
             .replay_slice(inner.as_mut(), &self.config, 0, self.config.pattern_count)?;
-        let mut wrapped = CheckpointedInstance::with_journal(
-            inner,
-            self.config,
-            self.provenance.clone(),
-            self.journal.clone(),
-        );
-        wrapped.recorder.event(EventKind::CheckpointRestored, || {
+        let mut restored = JournaledInstance::with_journal(inner, &spec, self.journal.clone());
+        restored.recorder.event(EventKind::CheckpointRestored, || {
             format!(
                 "config={}x{} ops={} rescue={}",
                 self.config.tip_count,
@@ -306,315 +299,14 @@ impl Checkpoint {
                 self.provenance.rescue
             )
         });
-        Ok(wrapped)
-    }
-}
-
-/// The journaling wrapper behind [`crate::InstanceSpec::checkpointed`]:
-/// records every mutating call in a [`StateJournal`] and snapshots it (with
-/// sizing and provenance) on [`BeagleInstance::checkpoint`]. All calls are
-/// forwarded unchanged, so wrapping is semantically invisible.
-pub struct CheckpointedInstance {
-    inner: Box<dyn BeagleInstance>,
-    config: InstanceConfig,
-    provenance: Provenance,
-    journal: StateJournal,
-    recorder: Recorder,
-}
-
-impl CheckpointedInstance {
-    /// Wrap `inner`, journaling from a clean slate.
-    pub fn new(
-        inner: Box<dyn BeagleInstance>,
-        config: InstanceConfig,
-        provenance: Provenance,
-    ) -> Self {
-        Self::with_journal(inner, config, provenance, StateJournal::new())
-    }
-
-    /// Wrap `inner` with pre-seeded state (the restore path: the journal of
-    /// the snapshot being restored).
-    pub fn with_journal(
-        inner: Box<dyn BeagleInstance>,
-        config: InstanceConfig,
-        provenance: Provenance,
-        journal: StateJournal,
-    ) -> Self {
-        let recorder = Recorder::new(inner.statistics().is_some());
-        Self {
-            inner,
-            config,
-            provenance,
-            journal,
-            recorder,
-        }
-    }
-
-    /// The wrapped instance (checkpoint bookkeeping is discarded).
-    pub fn into_inner(self) -> Box<dyn BeagleInstance> {
-        self.inner
-    }
-}
-
-impl BeagleInstance for CheckpointedInstance {
-    fn details(&self) -> &InstanceDetails {
-        self.inner.details()
-    }
-
-    fn config(&self) -> &InstanceConfig {
-        self.inner.config()
-    }
-
-    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
-        self.journal.record_tip_states(tip, states);
-        self.inner.set_tip_states(tip, states)
-    }
-
-    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
-        self.journal.record_tip_partials(tip, partials);
-        self.inner.set_tip_partials(tip, partials)
-    }
-
-    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
-        self.journal.record_partials(buffer, partials);
-        self.inner.set_partials(buffer, partials)
-    }
-
-    fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
-        self.inner.get_partials(buffer)
-    }
-
-    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
-        self.journal.record_pattern_weights(weights);
-        self.inner.set_pattern_weights(weights)
-    }
-
-    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
-        self.journal.record_frequencies(index, frequencies);
-        self.inner.set_state_frequencies(index, frequencies)
-    }
-
-    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
-        self.journal.record_category_rates(rates);
-        self.inner.set_category_rates(rates)
-    }
-
-    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
-        self.journal.record_category_weights(index, weights);
-        self.inner.set_category_weights(index, weights)
-    }
-
-    fn set_eigen_decomposition(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) -> Result<()> {
-        self.journal
-            .record_eigen(index, vectors, inverse_vectors, values);
-        self.inner
-            .set_eigen_decomposition(index, vectors, inverse_vectors, values)
-    }
-
-    fn update_transition_matrices(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        self.journal
-            .record_matrix_updates(eigen_index, matrix_indices, branch_lengths);
-        self.inner
-            .update_transition_matrices(eigen_index, matrix_indices, branch_lengths)
-    }
-
-    fn update_transition_derivatives(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        d1_indices: &[usize],
-        d2_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        // Derivative matrices are scratch outputs for branch optimization;
-        // the primary matrices are journaled above, which is what replay
-        // needs.
-        self.journal
-            .record_matrix_updates(eigen_index, matrix_indices, branch_lengths);
-        self.inner.update_transition_derivatives(
-            eigen_index,
-            matrix_indices,
-            d1_indices,
-            d2_indices,
-            branch_lengths,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn integrate_edge_derivatives(
-        &mut self,
-        parent: BufferId,
-        child: BufferId,
-        matrix: BufferId,
-        d1_matrix: BufferId,
-        d2_matrix: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<(f64, f64, f64)> {
-        self.inner.integrate_edge_derivatives(
-            parent,
-            child,
-            matrix,
-            d1_matrix,
-            d2_matrix,
-            category_weights,
-            frequencies,
-            scaling,
-        )
-    }
-
-    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
-        self.journal.record_matrix(index, matrix);
-        self.inner.set_transition_matrix(index, matrix)
-    }
-
-    fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
-        self.inner.get_transition_matrix(index)
-    }
-
-    fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
-        self.journal.record_operations(operations);
-        self.inner.update_partials(operations)
-    }
-
-    fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-        for level in levels {
-            self.journal.record_operations(level);
-        }
-        self.inner.update_partials_by_levels(levels)
-    }
-
-    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
-        self.journal.record_scale_reset(cumulative);
-        self.inner.reset_scale_factors(cumulative)
-    }
-
-    fn accumulate_scale_factors(
-        &mut self,
-        scale_indices: &[usize],
-        cumulative: usize,
-    ) -> Result<()> {
-        self.journal
-            .record_scale_accumulation(scale_indices, cumulative);
-        self.inner
-            .accumulate_scale_factors(scale_indices, cumulative)
-    }
-
-    fn integrate_root(
-        &mut self,
-        root: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<f64> {
-        self.inner
-            .integrate_root(root, category_weights, frequencies, scaling)
-    }
-
-    fn integrate_edge(
-        &mut self,
-        parent: BufferId,
-        child: BufferId,
-        matrix: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<f64> {
-        self.inner.integrate_edge(
-            parent,
-            child,
-            matrix,
-            category_weights,
-            frequencies,
-            scaling,
-        )
-    }
-
-    fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
-        self.inner.get_site_log_likelihoods()
-    }
-
-    fn wait_for_computation(&mut self) -> Result<()> {
-        self.inner.wait_for_computation()
-    }
-
-    fn simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.simulated_time()
-    }
-
-    fn peek_simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.peek_simulated_time()
-    }
-
-    fn reset_simulated_time(&mut self) {
-        self.inner.reset_simulated_time()
-    }
-
-    fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
-        self.inner.queue_stats()
-    }
-
-    fn statistics(&self) -> Option<obs::InstanceStats> {
-        let mut stats = self.inner.statistics()?;
-        if let Some(own) = self.recorder.stats() {
-            stats.merge(&own);
-        }
-        Some(stats)
-    }
-
-    fn take_journal(&mut self) -> Vec<obs::Event> {
-        obs::merge_journals(self.inner.take_journal(), self.recorder.take_journal())
-    }
-
-    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
-        self.inner.set_deadline(deadline);
-    }
-
-    fn checkpoint(&mut self) -> Option<Checkpoint> {
-        // Inner layers with pending work (an operation queue) flush on this
-        // forward; their own snapshot is discarded in favour of ours, which
-        // covers the whole stack.
-        self.inner.checkpoint();
-        let ckpt = Checkpoint {
-            config: self.config,
-            provenance: self.provenance.clone(),
-            journal: self.journal.clone(),
-        };
-        self.recorder.event(EventKind::CheckpointSaved, || {
-            format!(
-                "config={}x{} ops={}",
-                self.config.tip_count,
-                self.config.pattern_count,
-                self.journal.operations().len()
-            )
-        });
-        Some(ckpt)
-    }
-
-    fn set_incremental(&mut self, enabled: bool) {
-        self.inner.set_incremental(enabled);
-    }
-
-    fn memo_stats(&self) -> Option<crate::memo::MemoStats> {
-        self.inner.memo_stats()
+        Ok(restored)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::Operation;
 
     fn sample() -> Checkpoint {
         let mut journal = StateJournal::new();

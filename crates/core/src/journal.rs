@@ -1,8 +1,5 @@
-//! A replayable journal of instance state, the substrate for failover.
+//! The replayable state journal and the one wrapper that keeps it.
 //!
-//! Fault-tolerant wrappers ([`crate::multi::PartitionedInstance`], the
-//! numerical-rescue layer) need to rebuild an instance from scratch after a
-//! device dies, or to re-run the partials traversal with scaling enabled.
 //! The BEAGLE API is a flat buffer machine, so the client-visible state of
 //! an instance is exactly the sequence of `set_*` / `update_*` calls that
 //! produced it. [`StateJournal`] records the *latest* value of every such
@@ -17,10 +14,40 @@
 //! standard BEAGLE client pattern (descendants updated before ancestors);
 //! clients that interleave reads with partial rewrites of the same
 //! destination would need full-history replay, which no caller does.
+//!
+//! # The journaling layer
+//!
+//! [`JournaledInstance`] is the only wrapper of a managed, non-partitioned
+//! instance that keeps a journal. The manager installs it outermost,
+//! above any operation queue, whenever the spec asks for numerical rescue
+//! or for checkpoints, and it records every mutating call the client
+//! makes. The journal then serves both:
+//!
+//! * **Numerical rescue** (`spec.rescue`). Deep trees and many rate
+//!   categories underflow partials, and an unscaled root or edge
+//!   integration then yields NaN, −∞ or
+//!   [`crate::BeagleError::NumericalFailure`]. The wrapper re-runs the
+//!   journaled traversal with per-destination rescaling, accumulates the
+//!   factors into a reserved cumulative buffer (the last scale index), and
+//!   integrates again before surfacing any error. This needs one scale
+//!   buffer per internal destination plus the reserved slot, which
+//!   [`crate::InstanceConfig::for_tree`] provides. Because the journal also
+//!   sees `set_partials`, a buffer the client overwrote is never recomputed.
+//! * **Checkpoints** (`spec.checkpoint`).
+//!   [`BeagleInstance::checkpoint`] snapshots the journal with the sizing
+//!   and provenance as a durable [`Checkpoint`]. Without `spec.checkpoint`
+//!   it answers `None`.
+//!
+//! [`crate::multi::PartitionedInstance`] keeps its own full-problem
+//! journal, because its failover replays pattern slices of it into
+//! rebuilt children.
 
-use crate::api::{BeagleInstance, InstanceConfig};
-use crate::error::Result;
+use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
+use crate::checkpoint::{Checkpoint, Provenance};
+use crate::error::{BeagleError, Result};
+use crate::obs::{self, EventKind, Recorder};
 use crate::ops::Operation;
+use crate::spec::InstanceSpec;
 use std::collections::BTreeMap;
 
 /// One eigen system as recorded: `(vectors, inverse_vectors, values)`.
@@ -252,7 +279,7 @@ impl StateJournal {
     }
 
     /// Rebuild a journal from lines produced by [`Self::encode_into`].
-    /// Errors are strings (the checkpoint layer wraps them into
+    /// Errors are strings ([`Checkpoint::decode`] wraps them into
     /// [`crate::BeagleError::CheckpointCorrupt`]).
     pub fn decode_lines(lines: &[&str]) -> std::result::Result<Self, String> {
         fn parse<T: std::str::FromStr>(
@@ -447,6 +474,376 @@ impl StateJournal {
     }
 }
 
+/// The journaling wrapper the manager installs when a spec asks for
+/// numerical rescue or checkpoints (see the module docs). It records every
+/// mutating call in the instance's [`StateJournal`] and otherwise forwards
+/// calls unchanged, so wrapping is semantically invisible until an unscaled
+/// integration fails or a snapshot is requested.
+pub struct JournaledInstance {
+    inner: Box<dyn BeagleInstance>,
+    journal: StateJournal,
+    rescue: bool,
+    /// Sizing and provenance written into snapshots; `None` unless the spec
+    /// asked for checkpoints.
+    snapshot: Option<(InstanceConfig, Provenance)>,
+    pub(crate) recorder: Recorder,
+}
+
+impl JournaledInstance {
+    /// Wrap `inner`, created from `spec`, journaling from a clean slate.
+    pub(crate) fn new(inner: Box<dyn BeagleInstance>, spec: &InstanceSpec) -> Self {
+        Self::with_journal(inner, spec, StateJournal::new())
+    }
+
+    /// Wrap `inner`, whose state `journal` already describes (the restore
+    /// path: a snapshot's journal, replayed into `inner`).
+    pub(crate) fn with_journal(
+        inner: Box<dyn BeagleInstance>,
+        spec: &InstanceSpec,
+        journal: StateJournal,
+    ) -> Self {
+        let snapshot = spec.checkpoint.then(|| {
+            let provenance = Provenance {
+                preferences: spec.preferences,
+                requirements: spec.requirements,
+                rescue: spec.rescue,
+                implementation: spec.implementation.clone(),
+            };
+            (spec.config, provenance)
+        });
+        // Journal obs events iff the wrapped instance is recording.
+        let recorder = Recorder::new(inner.statistics().is_some());
+        Self {
+            inner,
+            journal,
+            rescue: spec.rescue,
+            snapshot,
+            recorder,
+        }
+    }
+
+    /// The reserved cumulative scale buffer, if the configuration leaves
+    /// room for rescue: every recorded destination needs its own scale
+    /// buffer below the reserved one.
+    fn rescue_cumulative(&self) -> Option<usize> {
+        let reserved = self.inner.config().scale_buffer_count.checked_sub(1)?;
+        let ops = self.journal.operations();
+        (reserved > 0 && !ops.is_empty() && ops.iter().all(|op| op.destination < reserved))
+            .then_some(reserved)
+    }
+
+    /// Run `integrate` with the client's `scaling`. When rescue is on and an
+    /// unscaled integration fails numerically, re-run the journaled
+    /// traversal with per-destination rescaling, accumulate the factors
+    /// into the reserved cumulative buffer, and integrate again against it.
+    /// `what` names the integration in events and errors.
+    fn integrate_rescued(
+        &mut self,
+        scaling: ScalingMode,
+        what: impl Fn() -> String,
+        integrate: impl Fn(&mut dyn BeagleInstance, ScalingMode) -> Result<f64>,
+    ) -> Result<f64> {
+        let first = integrate(self.inner.as_mut(), scaling);
+        let failed = match &first {
+            Ok(v) => !v.is_finite(),
+            Err(e) => matches!(e, BeagleError::NumericalFailure(_)),
+        };
+        if !self.rescue || scaling != ScalingMode::None || !failed {
+            return first;
+        }
+        let Some(cumulative) = self.rescue_cumulative() else {
+            return first;
+        };
+        let ops = self.journal.operations();
+        self.recorder.event(EventKind::RescueTriggered, || {
+            format!("{} failed numerically; rescaling {} ops", what(), ops.len())
+        });
+        let scaled: Vec<Operation> = ops
+            .iter()
+            .map(|op| op.with_scaling(op.destination))
+            .collect();
+        let indices: Vec<usize> = scaled.iter().map(|op| op.destination).collect();
+        self.inner.update_partials(&scaled)?;
+        self.inner.reset_scale_factors(cumulative)?;
+        self.inner.accumulate_scale_factors(&indices, cumulative)?;
+        let rescued = integrate(self.inner.as_mut(), ScalingMode::cumulative(cumulative))?;
+        if !rescued.is_finite() {
+            return Err(BeagleError::NumericalFailure(format!(
+                "{}: log-likelihood {rescued} even after automatic rescaling",
+                what()
+            )));
+        }
+        self.recorder.event(EventKind::RescueSucceeded, || {
+            format!("{}: log-likelihood {rescued} after rescaling", what())
+        });
+        Ok(rescued)
+    }
+}
+
+impl BeagleInstance for JournaledInstance {
+    fn details(&self) -> &InstanceDetails {
+        self.inner.details()
+    }
+
+    fn config(&self) -> &InstanceConfig {
+        self.inner.config()
+    }
+
+    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
+        self.journal.record_tip_states(tip, states);
+        self.inner.set_tip_states(tip, states)
+    }
+
+    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
+        self.journal.record_tip_partials(tip, partials);
+        self.inner.set_tip_partials(tip, partials)
+    }
+
+    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
+        self.journal.record_partials(buffer, partials);
+        self.inner.set_partials(buffer, partials)
+    }
+
+    fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
+        self.inner.get_partials(buffer)
+    }
+
+    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
+        self.journal.record_pattern_weights(weights);
+        self.inner.set_pattern_weights(weights)
+    }
+
+    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
+        self.journal.record_frequencies(index, frequencies);
+        self.inner.set_state_frequencies(index, frequencies)
+    }
+
+    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
+        self.journal.record_category_rates(rates);
+        self.inner.set_category_rates(rates)
+    }
+
+    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
+        self.journal.record_category_weights(index, weights);
+        self.inner.set_category_weights(index, weights)
+    }
+
+    fn set_eigen_decomposition(
+        &mut self,
+        index: usize,
+        vectors: &[f64],
+        inverse_vectors: &[f64],
+        values: &[f64],
+    ) -> Result<()> {
+        self.journal
+            .record_eigen(index, vectors, inverse_vectors, values);
+        self.inner
+            .set_eigen_decomposition(index, vectors, inverse_vectors, values)
+    }
+
+    fn update_transition_matrices(
+        &mut self,
+        eigen_index: usize,
+        matrix_indices: &[usize],
+        branch_lengths: &[f64],
+    ) -> Result<()> {
+        self.journal
+            .record_matrix_updates(eigen_index, matrix_indices, branch_lengths);
+        self.inner
+            .update_transition_matrices(eigen_index, matrix_indices, branch_lengths)
+    }
+
+    fn update_transition_derivatives(
+        &mut self,
+        eigen_index: usize,
+        matrix_indices: &[usize],
+        d1_indices: &[usize],
+        d2_indices: &[usize],
+        branch_lengths: &[f64],
+    ) -> Result<()> {
+        // Derivative matrices are scratch outputs for branch optimization;
+        // replay needs only the primary matrices.
+        self.journal
+            .record_matrix_updates(eigen_index, matrix_indices, branch_lengths);
+        self.inner.update_transition_derivatives(
+            eigen_index,
+            matrix_indices,
+            d1_indices,
+            d2_indices,
+            branch_lengths,
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn integrate_edge_derivatives(
+        &mut self,
+        parent: BufferId,
+        child: BufferId,
+        matrix: BufferId,
+        d1_matrix: BufferId,
+        d2_matrix: BufferId,
+        category_weights: BufferId,
+        frequencies: BufferId,
+        scaling: ScalingMode,
+    ) -> Result<(f64, f64, f64)> {
+        self.inner.integrate_edge_derivatives(
+            parent,
+            child,
+            matrix,
+            d1_matrix,
+            d2_matrix,
+            category_weights,
+            frequencies,
+            scaling,
+        )
+    }
+
+    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
+        self.journal.record_matrix(index, matrix);
+        self.inner.set_transition_matrix(index, matrix)
+    }
+
+    fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
+        self.inner.get_transition_matrix(index)
+    }
+
+    fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
+        self.journal.record_operations(operations);
+        self.inner.update_partials(operations)
+    }
+
+    fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
+        for level in levels {
+            self.journal.record_operations(level);
+        }
+        self.inner.update_partials_by_levels(levels)
+    }
+
+    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
+        self.journal.record_scale_reset(cumulative);
+        self.inner.reset_scale_factors(cumulative)
+    }
+
+    fn accumulate_scale_factors(
+        &mut self,
+        scale_indices: &[usize],
+        cumulative: usize,
+    ) -> Result<()> {
+        self.journal
+            .record_scale_accumulation(scale_indices, cumulative);
+        self.inner
+            .accumulate_scale_factors(scale_indices, cumulative)
+    }
+
+    fn integrate_root(
+        &mut self,
+        root: BufferId,
+        category_weights: BufferId,
+        frequencies: BufferId,
+        scaling: ScalingMode,
+    ) -> Result<f64> {
+        self.integrate_rescued(
+            scaling,
+            || format!("root integration at buffer {root}"),
+            |inner, scaling| inner.integrate_root(root, category_weights, frequencies, scaling),
+        )
+    }
+
+    fn integrate_edge(
+        &mut self,
+        parent: BufferId,
+        child: BufferId,
+        matrix: BufferId,
+        category_weights: BufferId,
+        frequencies: BufferId,
+        scaling: ScalingMode,
+    ) -> Result<f64> {
+        self.integrate_rescued(
+            scaling,
+            || format!("edge integration {parent}->{child}"),
+            |inner, scaling| {
+                inner.integrate_edge(
+                    parent,
+                    child,
+                    matrix,
+                    category_weights,
+                    frequencies,
+                    scaling,
+                )
+            },
+        )
+    }
+
+    fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
+        self.inner.get_site_log_likelihoods()
+    }
+
+    fn wait_for_computation(&mut self) -> Result<()> {
+        self.inner.wait_for_computation()
+    }
+
+    fn simulated_time(&self) -> Option<std::time::Duration> {
+        self.inner.simulated_time()
+    }
+
+    fn reset_simulated_time(&mut self) {
+        self.inner.reset_simulated_time()
+    }
+
+    fn peek_simulated_time(&self) -> Option<std::time::Duration> {
+        self.inner.peek_simulated_time()
+    }
+
+    fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
+        self.inner.queue_stats()
+    }
+
+    fn statistics(&self) -> Option<obs::InstanceStats> {
+        let mut stats = self.inner.statistics()?;
+        if let Some(own) = self.recorder.stats() {
+            stats.merge(&own);
+        }
+        Some(stats)
+    }
+
+    fn take_journal(&mut self) -> Vec<obs::Event> {
+        obs::merge_journals(self.inner.take_journal(), self.recorder.take_journal())
+    }
+
+    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
+        self.inner.set_deadline(deadline);
+    }
+
+    fn checkpoint(&mut self) -> Option<Checkpoint> {
+        // An inner operation queue flushes its pending work on this forward.
+        // Nothing below keeps a journal, so its own answer is always `None`.
+        self.inner.checkpoint();
+        let (config, provenance) = self.snapshot.as_ref()?;
+        let journal = &self.journal;
+        self.recorder.event(EventKind::CheckpointSaved, || {
+            format!(
+                "config={}x{} ops={}",
+                config.tip_count,
+                config.pattern_count,
+                journal.operations().len()
+            )
+        });
+        Some(Checkpoint {
+            config: *config,
+            provenance: provenance.clone(),
+            journal: journal.clone(),
+        })
+    }
+
+    fn set_incremental(&mut self, enabled: bool) {
+        self.inner.set_incremental(enabled);
+    }
+
+    fn memo_stats(&self) -> Option<crate::memo::MemoStats> {
+        self.inner.memo_stats()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,6 +929,139 @@ mod tests {
             .unwrap()
             .operations()
             .is_empty());
+    }
+
+    use crate::flags::Flags;
+    use std::sync::{Arc, Mutex};
+
+    /// A back-end whose unscaled root integration underflows to −∞ and
+    /// which logs every partials write, computed (`op:`) or direct (`set:`).
+    struct Underflowing {
+        details: InstanceDetails,
+        config: InstanceConfig,
+        writes: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl BeagleInstance for Underflowing {
+        fn details(&self) -> &InstanceDetails {
+            &self.details
+        }
+        fn config(&self) -> &InstanceConfig {
+            &self.config
+        }
+        fn set_tip_states(&mut self, _: usize, _: &[u32]) -> Result<()> {
+            Ok(())
+        }
+        fn set_tip_partials(&mut self, _: usize, _: &[f64]) -> Result<()> {
+            Ok(())
+        }
+        fn set_partials(&mut self, buffer: usize, _: &[f64]) -> Result<()> {
+            self.writes.lock().unwrap().push(format!("set:{buffer}"));
+            Ok(())
+        }
+        fn get_partials(&self, _: usize) -> Result<Vec<f64>> {
+            Ok(vec![])
+        }
+        fn set_pattern_weights(&mut self, _: &[f64]) -> Result<()> {
+            Ok(())
+        }
+        fn set_state_frequencies(&mut self, _: usize, _: &[f64]) -> Result<()> {
+            Ok(())
+        }
+        fn set_category_rates(&mut self, _: &[f64]) -> Result<()> {
+            Ok(())
+        }
+        fn set_category_weights(&mut self, _: usize, _: &[f64]) -> Result<()> {
+            Ok(())
+        }
+        fn set_eigen_decomposition(
+            &mut self,
+            _: usize,
+            _: &[f64],
+            _: &[f64],
+            _: &[f64],
+        ) -> Result<()> {
+            Ok(())
+        }
+        fn update_transition_matrices(&mut self, _: usize, _: &[usize], _: &[f64]) -> Result<()> {
+            Ok(())
+        }
+        fn set_transition_matrix(&mut self, _: usize, _: &[f64]) -> Result<()> {
+            Ok(())
+        }
+        fn get_transition_matrix(&self, _: usize) -> Result<Vec<f64>> {
+            Ok(vec![])
+        }
+        fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
+            let mut writes = self.writes.lock().unwrap();
+            writes.extend(operations.iter().map(|o| format!("op:{}", o.destination)));
+            Ok(())
+        }
+        fn reset_scale_factors(&mut self, _: usize) -> Result<()> {
+            Ok(())
+        }
+        fn accumulate_scale_factors(&mut self, _: &[usize], _: usize) -> Result<()> {
+            Ok(())
+        }
+        fn integrate_root(
+            &mut self,
+            _: BufferId,
+            _: BufferId,
+            _: BufferId,
+            scaling: ScalingMode,
+        ) -> Result<f64> {
+            Ok(if scaling == ScalingMode::None {
+                f64::NEG_INFINITY
+            } else {
+                -42.0
+            })
+        }
+        fn integrate_edge(
+            &mut self,
+            _: BufferId,
+            _: BufferId,
+            _: BufferId,
+            _: BufferId,
+            _: BufferId,
+            _: ScalingMode,
+        ) -> Result<f64> {
+            Ok(-42.0)
+        }
+        fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
+            Ok(vec![])
+        }
+    }
+
+    /// Rescue re-runs only the operations whose results the client still
+    /// holds: a buffer overwritten by `set_partials` after its operation
+    /// ran keeps the client's data.
+    #[test]
+    fn rescue_never_recomputes_a_buffer_the_client_overwrote() {
+        let config = InstanceConfig::for_tree(4, 10, 4, 1);
+        let writes = Arc::new(Mutex::new(Vec::new()));
+        let mock = Underflowing {
+            details: InstanceDetails {
+                implementation_name: "mock".into(),
+                resource_name: "mock".into(),
+                flags: Flags::NONE,
+                thread_count: 1,
+            },
+            config,
+            writes: writes.clone(),
+        };
+        let spec = InstanceSpec::with_config(config);
+        let mut inst = JournaledInstance::new(Box::new(mock), &spec);
+        inst.update_partials(&[op(4, 0, 1), op(5, 4, 2)]).unwrap();
+        inst.set_partials(4, &[0.5; 40]).unwrap();
+        let lnl = inst
+            .integrate_root(BufferId(5), BufferId(0), BufferId(0), ScalingMode::None)
+            .unwrap();
+        assert_eq!(lnl, -42.0, "the rescued, scaled integration answers");
+        assert_eq!(
+            *writes.lock().unwrap(),
+            ["op:4", "op:5", "set:4", "op:5"],
+            "the rescue re-run touches destination 5 only"
+        );
     }
 
     #[test]

@@ -45,19 +45,18 @@ pub mod ops;
 pub mod pool;
 pub mod queue;
 pub mod real;
-pub mod rescue;
 pub mod resource;
 pub mod spec;
 pub mod wire;
 
 pub use api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
 pub use balance::{BalancerConfig, LoadBalancer, PATTERN_STRIDE};
-pub use checkpoint::{Checkpoint, CheckpointedInstance};
+pub use checkpoint::Checkpoint;
 pub use deadline::Deadline;
 pub use error::{BeagleError, DeviceErrorKind, Result};
 pub use flags::Flags;
 pub use health::{BreakerConfig, BreakerState, HealthRegistry, Outcome, ResourceId};
-pub use journal::StateJournal;
+pub use journal::{JournaledInstance, StateJournal};
 pub use manager::{ImplementationFactory, ImplementationManager, ResourceBenchmark};
 pub use memo::{MemoInstance, MemoStats, INCREMENTAL_DISABLE_ENV};
 pub use multi::{ChildSelection, PartitionedInstance, RetryPolicy};

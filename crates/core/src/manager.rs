@@ -13,10 +13,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::api::{BeagleInstance, BufferId, InstanceConfig, ScalingMode};
-use crate::checkpoint::{CheckpointedInstance, Provenance};
 use crate::error::{BeagleError, Result};
 use crate::flags::Flags;
 use crate::health::{BreakerConfig, HealthRegistry, Outcome};
+use crate::journal::JournaledInstance;
 use crate::memo;
 use crate::multi::{ChildSelection, PartitionedInstance};
 use crate::ops::Operation;
@@ -149,15 +149,36 @@ impl ImplementationManager {
     ///   `BEAGLE_FORCE_SCALAR` environment variable still overrides —
     ///   see [`crate::spec`] for the precedence rules).
     ///
-    /// Unless `spec.rescue` is false, the result is wrapped in a
-    /// [`crate::rescue::RescueInstance`] (outside any queue layer, so
-    /// deferred batches still get numerical rescue at the integration
-    /// points). Named and ranked creation therefore get byte-identical
-    /// wrapping. Unless disabled (`spec.incremental == Some(false)` or the
+    /// When `spec.rescue` (the default) or `spec.checkpoint` is set, the
+    /// result is wrapped in a [`JournaledInstance`], outermost and so above
+    /// any queue layer: deferred batches still get numerical rescue at the
+    /// integration points, and snapshots see exactly the client's calls.
+    /// Named and ranked creation therefore get byte-identical wrapping.
+    /// Unless disabled (`spec.incremental == Some(false)` or the
     /// `BEAGLE_INCREMENTAL_DISABLE` environment variable), the raw back-end
     /// is first wrapped in the [`crate::memo::MemoInstance`] incremental
     /// layer, innermost so every other wrapper's traffic flows through it.
     pub fn create_from_spec(&self, spec: &InstanceSpec) -> Result<Box<dyn BeagleInstance>> {
+        let inst = self.create_unjournaled(spec)?;
+        let mut inst: Box<dyn BeagleInstance> = if spec.rescue || spec.checkpoint {
+            Box::new(JournaledInstance::new(inst, spec))
+        } else {
+            inst
+        };
+        if spec.deadline.is_some() {
+            inst.set_deadline(spec.deadline);
+        }
+        Ok(inst)
+    }
+
+    /// The stack [`Self::create_from_spec`] builds below the journaling
+    /// layer: the selected back-end with its memo and queue layers.
+    /// Checkpoint restore replays a snapshot's journal into it before
+    /// wrapping it with that journal.
+    pub(crate) fn create_unjournaled(
+        &self,
+        spec: &InstanceSpec,
+    ) -> Result<Box<dyn BeagleInstance>> {
         spec.config.validate()?;
         let manager_bits = Flags::COMPUTATION_SYNCH
             | Flags::COMPUTATION_ASYNCH
@@ -243,8 +264,8 @@ impl ImplementationManager {
         };
 
         // The memoization layer sits directly above the raw back-end —
-        // below the queue, rescue and checkpoint wrappers — so deferred
-        // flushes, rescue re-runs and journal replays all pass through it
+        // below the queue and journaling wrappers — so deferred flushes,
+        // rescue re-runs and journal replays all pass through it
         // with their real call shapes. When disabled it is not installed at
         // all, so `BEAGLE_INCREMENTAL_DISABLE=1` reproduces baseline
         // timings exactly, not just baseline bits.
@@ -255,33 +276,11 @@ impl ImplementationManager {
             raw
         };
 
-        let inst: Box<dyn BeagleInstance> = if asynch {
+        Ok(if asynch {
             Box::new(crate::queue::QueuedInstance::new(raw))
         } else {
             raw
-        };
-        let inst: Box<dyn BeagleInstance> = if spec.rescue {
-            Box::new(crate::rescue::RescueInstance::new(inst))
-        } else {
-            inst
-        };
-        // The checkpoint layer is outermost so its journal sees exactly the
-        // calls the client made (queued work flushes on snapshot).
-        let mut inst: Box<dyn BeagleInstance> = if spec.checkpoint {
-            let provenance = Provenance {
-                preferences: spec.preferences,
-                requirements: spec.requirements,
-                rescue: spec.rescue,
-                implementation: spec.implementation.clone(),
-            };
-            Box::new(CheckpointedInstance::new(inst, spec.config, provenance))
-        } else {
-            inst
-        };
-        if spec.deadline.is_some() {
-            inst.set_deadline(spec.deadline);
-        }
-        Ok(inst)
+        })
     }
 
     /// Find the best implementation for `config` given requirements and
@@ -307,7 +306,7 @@ impl ImplementationManager {
     ///
     /// Thin wrapper over [`Self::create_from_spec`]: named creation gets
     /// the *same* wrapper stack as ranked creation, including the
-    /// numerical-rescue layer. (Historically this path skipped rescue;
+    /// journaling layer that does numerical rescue. (Historically this path skipped rescue;
     /// harnesses that need raw back-end semantics should build an
     /// [`InstanceSpec`] with `without_rescue()`.)
     pub fn create_instance_by_name(
@@ -951,7 +950,7 @@ mod tests {
             priority: 0,
         }));
         // By-name creation funnels through create_from_spec, so it now gets
-        // the rescue layer and the queue layer exactly like ranked creation.
+        // the journaling layer and the queue layer exactly like ranked creation.
         let ranked = InstanceSpec::with_config(cfg())
             .queued()
             .instantiate(&m)

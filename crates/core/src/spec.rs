@@ -14,8 +14,8 @@
 //! ```
 //!
 //! The spec funnels into [`ImplementationManager::create_from_spec`], the
-//! single place where the wrapper stack (operation queue, numerical rescue)
-//! is assembled — so named creation and ranked creation get byte-identical
+//! single place where the wrapper stack (memo, operation queue, journaling
+//! layer) is assembled — so named creation and ranked creation get byte-identical
 //! wrapping. The older `create_instance` / `create_instance_by_name` entry
 //! points survive as thin wrappers over the same path.
 //!
@@ -58,8 +58,8 @@ pub struct InstanceSpec {
     pub requirements: Flags,
     /// Pin creation to this exact implementation name instead of ranking.
     pub implementation: Option<String>,
-    /// Wrap the instance in the automatic numerical-rescue layer
-    /// (default: true).
+    /// Rescue numerically failed unscaled integrations in the journaling
+    /// layer ([`crate::journal::JournaledInstance`]) (default: true).
     pub rescue: bool,
     /// Per-launch watchdog budget; `None` leaves back-ends on the driver
     /// default ([`Deadline::DRIVER_DEFAULT`]).
@@ -67,9 +67,9 @@ pub struct InstanceSpec {
     /// Transient-fault retry policy for failover layers created from this
     /// spec; `None` uses [`RetryPolicy::default`].
     pub retry: Option<RetryPolicy>,
-    /// Wrap the instance in a journaling checkpoint layer
-    /// ([`crate::checkpoint::CheckpointedInstance`]) so
-    /// [`BeagleInstance::checkpoint`] can snapshot it (default: false).
+    /// Let [`BeagleInstance::checkpoint`] snapshot the instance through its
+    /// journaling layer ([`crate::journal::JournaledInstance`]) (default:
+    /// false).
     pub checkpoint: bool,
     /// Split the problem across up to this many benchmark-ranked resources
     /// as an adaptively balanced [`crate::multi::PartitionedInstance`]
@@ -143,7 +143,8 @@ impl InstanceSpec {
         self.prefer(Flags::COMPUTATION_ASYNCH)
     }
 
-    /// Skip the automatic numerical-rescue wrapper. Escape hatch for
+    /// Skip automatic numerical rescue (and, unless checkpointed, the
+    /// journaling layer that does it). Escape hatch for
     /// harnesses that need raw back-end semantics (e.g. tests asserting
     /// that an unscaled underflow surfaces as a `NumericalFailure`).
     pub fn without_rescue(mut self) -> Self {
@@ -166,8 +167,8 @@ impl InstanceSpec {
         self
     }
 
-    /// Wrap the instance in a journaling checkpoint layer so
-    /// [`BeagleInstance::checkpoint`] returns durable snapshots.
+    /// Make the instance's journaling layer answer
+    /// [`BeagleInstance::checkpoint`] with durable snapshots.
     pub fn checkpointed(mut self) -> Self {
         self.checkpoint = true;
         self

@@ -10,9 +10,8 @@
 //! before any scheduler interleaving could expose it.
 
 use beagle_core::pool::PoolHandle;
-use beagle_core::rescue::RescueInstance;
 use beagle_core::{
-    BeagleInstance, CheckpointedInstance, InstancePool, Lane, MemoInstance, PartitionedInstance,
+    BeagleInstance, InstancePool, JournaledInstance, Lane, MemoInstance, PartitionedInstance,
     PoolError, PoolStats, QueuedInstance, SessionRequest, Ticket,
 };
 
@@ -32,8 +31,7 @@ fn backends_are_send_sync() {
 #[test]
 fn wrappers_are_send_sync() {
     assert_send_sync::<QueuedInstance>();
-    assert_send_sync::<RescueInstance>();
-    assert_send_sync::<CheckpointedInstance>();
+    assert_send_sync::<JournaledInstance>();
     assert_send_sync::<MemoInstance>();
     assert_send_sync::<PartitionedInstance>();
 }

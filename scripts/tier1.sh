@@ -12,7 +12,8 @@
 #                             and the failover fixtures in BOTH queue modes
 #                             (COMPUTATION_SYNCH and COMPUTATION_ASYNCH)
 #   tests/failover .......... fault matrix: device loss, transient kernel/copy
-#                             faults, corruption, creation fallback, rescue
+#                             faults, corruption, creation fallback, rescue,
+#                             rescue x checkpoint through one shared journal
 #   tests/multi_device ...... partitioned instances across device sets
 #   tests/balance ........... adaptive load balancing differentials: backend x
 #                             precision x scaling bit-exactness vs a single
@@ -37,7 +38,8 @@
 #                             mid-run worker eviction (device loss -> requeue
 #                             -> rebuild, breaker opens)
 #   tests/send_sync ......... compile-time Send + Sync audit of every backend,
-#                             wrapper layer, and the pool's public types
+#                             wrapper layer (memo, queue, journaled,
+#                             partitioned), and the pool's public types
 #   tests/serve ............. likelihood-service differentials: TCP and Unix
 #                             loopback bit-identical to in-process across
 #                             backend x precision, mid-session eviction,
@@ -50,6 +52,9 @@
 #                             run), circuit breakers steering creation and
 #                             benchmarking, durable checkpoint save/load/
 #                             restore with corruption detection
+#   stackbench (own workspace) stack benchmark unit + smoke tests: the
+#                             quantile rule, the correctness checker, and a
+#                             tiny run of every workload against the library
 # Plus a short seeded soak (scripts/soak.sh): randomized hang/stall/loss
 # plans under a watchdog, periodic checkpoint round-trips, zero lost
 # operations required.
@@ -77,6 +82,9 @@ cargo test -q -p beagle-mcmc --test remote
 # round-trip sessions through a real socket, bit-compare against a local
 # instance, then drain. Exercises the full WIRE-v1 stack end to end.
 cargo run -q --release -p beagle-server --bin beagle-serve -- --self-test 3
+# The stack benchmark is its own workspace, so `--workspace` does not build
+# it; its tests catch library changes that would break the benchmark.
+cargo test -q --offline --manifest-path stackbench/Cargo.toml
 cargo clippy --workspace -- -D warnings
 # Formatting gate for first-party crates only: the vendored stand-ins under
 # vendor/ keep their upstream-ish style and are deliberately excluded.

@@ -6,7 +6,7 @@
 
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
 use beagle::core::multi::PartitionedInstance;
-use beagle::core::{BufferId, Flags, InstanceSpec, ScalingMode};
+use beagle::core::{BeagleInstance, BufferId, Event, EventKind, Flags, InstanceSpec, ScalingMode};
 use beagle::harness::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
 
 fn problem() -> Problem {
@@ -110,18 +110,24 @@ fn creation_falls_back_when_preferred_device_is_dead() {
     assert!((lnl - oracle).abs() < 1e-6);
 }
 
-/// Deep-tree underflow in single precision: the unscaled integration hits
-/// −∞, automatic rescue re-runs the traversal with per-pattern rescaling,
-/// and the result matches an explicitly scaled evaluation.
-#[test]
-fn numerical_rescue_recovers_deep_tree_underflow() {
-    let p = Problem::generate(&Scenario {
+/// A 120-taxon tree deep enough to underflow single-precision partials
+/// without scaling.
+fn deep_tree() -> Problem {
+    Problem::generate(&Scenario {
         model: ModelKind::Nucleotide,
         taxa: 120,
         patterns: 300,
         categories: 4,
         seed: 13,
-    });
+    })
+}
+
+/// Deep-tree underflow in single precision: the unscaled integration hits
+/// −∞, automatic rescue re-runs the traversal with per-pattern rescaling,
+/// and the result matches an explicitly scaled evaluation.
+#[test]
+fn numerical_rescue_recovers_deep_tree_underflow() {
+    let p = deep_tree();
     let manager = full_manager();
     let prefs = Flags::PRECISION_SINGLE;
     let reqs = Flags::PRECISION_SINGLE;
@@ -178,5 +184,49 @@ fn numerical_rescue_recovers_deep_tree_underflow() {
     assert!(
         rel < 1e-5,
         "rescued {rescued} vs explicitly scaled {scaled}"
+    );
+}
+
+/// Rescue and checkpoints share one journal: a checkpointed instance that
+/// needs rescue to evaluate snapshots only the client's unscaled calls, and
+/// the snapshot restores in a fresh manager to the bit-identical rescued
+/// likelihood, rescuing again on the way.
+#[test]
+fn rescued_checkpoint_restores_bit_exactly_and_rescues_again() {
+    let p = deep_tree();
+    let spec = InstanceSpec::with_config(p.config())
+        .prefer(Flags::PRECISION_SINGLE)
+        .require(Flags::PRECISION_SINGLE)
+        .checkpointed()
+        .with_stats();
+    let rescued =
+        |journal: Vec<Event>| journal.iter().any(|e| e.kind == EventKind::RescueSucceeded);
+
+    let mut inst = spec.instantiate(&full_manager()).unwrap();
+    p.load(inst.as_mut());
+    let lnl = p.evaluate(inst.as_mut(), false);
+    assert!(lnl.is_finite(), "rescue must recover: {lnl}");
+    assert!(rescued(inst.take_journal()), "the evaluation needed rescue");
+    let ckpt = inst
+        .checkpoint()
+        .expect("a checkpointed spec must snapshot");
+    assert!(
+        ckpt.journal
+            .operations()
+            .iter()
+            .all(|op| op.dest_scale_write.is_none()),
+        "the snapshot holds the client's unscaled traversal, not the rescue re-run"
+    );
+
+    let mut restored = ckpt.restore(&full_manager()).unwrap();
+    let lnl_restored = p.evaluate(&mut restored, false);
+    assert_eq!(
+        lnl.to_bits(),
+        lnl_restored.to_bits(),
+        "restored {lnl_restored} must be bit-identical to {lnl}"
+    );
+    assert!(
+        rescued(restored.take_journal()),
+        "the restored instance rescues too"
     );
 }
