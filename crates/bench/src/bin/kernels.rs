@@ -1,5 +1,6 @@
 //! Kernel-level microbenchmark: GFLOPS and ns/pattern for each partials
-//! kernel × state count × precision × dispatch path, written as
+//! kernel × state count × precision × dispatch path, plus GFLOPS and
+//! µs/matrix for the shared transition-matrix kernel, written as
 //! `BENCH_kernels.json` (for `scripts/bench.sh`) and printed as a table.
 //!
 //! Unlike the table/figure binaries this measures the kernels in isolation —
@@ -11,7 +12,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use beagle_core::buffers::InstanceBuffers;
 use beagle_core::real::Real;
+use beagle_core::InstanceConfig;
 use beagle_cpu::simd::{DispatchKind, DispatchReal};
 use beagle_cpu::{host_fma_available, kernels};
 
@@ -35,13 +38,21 @@ fn quick_mode() -> bool {
     std::env::var("BENCH_QUICK").is_ok_and(|v| v != "0")
 }
 
+/// Transition-matrix exponentiation: `2·s³` flops (one multiply and one add
+/// per `U⁻¹` element per output row) for each rate category.
+fn matrix_flops(s: usize) -> f64 {
+    2.0 * (s * s * s) as f64
+}
+
 struct Row {
     kernel: &'static str,
     states: usize,
     precision: &'static str,
     path: &'static str,
     gflops: f64,
-    ns_per_pattern: f64,
+    /// Time per work unit: `("ns_per_pattern", ns)` for the partials-side
+    /// kernels, `("us_per_matrix", µs)` for transition matrices.
+    time: (&'static str, f64),
 }
 
 /// Time `body` (which performs `flops` floating-point ops per call) with
@@ -102,7 +113,7 @@ fn bench_precision<T: DispatchReal>(
                 precision,
                 path: table.path,
                 gflops,
-                ns_per_pattern: ns,
+                time: ("ns_per_pattern", ns),
             });
             let (gflops, ns) = measure(n_pat, sp_flops(s) * n_pat as f64, || {
                 (table.states_partials)(&mut dest, &s1, &c2, &m1, &m2, s, sp);
@@ -113,7 +124,7 @@ fn bench_precision<T: DispatchReal>(
                 precision,
                 path: table.path,
                 gflops,
-                ns_per_pattern: ns,
+                time: ("ns_per_pattern", ns),
             });
             let (gflops, ns) = measure(n_pat, ss_flops(s) * n_pat as f64, || {
                 (table.states_states)(&mut dest, &s1, &s2, &m1, &m2, s, sp);
@@ -124,7 +135,7 @@ fn bench_precision<T: DispatchReal>(
                 precision,
                 path: table.path,
                 gflops,
-                ns_per_pattern: ns,
+                time: ("ns_per_pattern", ns),
             });
             // Rescaling: max pass + apply pass + finish, one category block.
             let scale_flops = (2 * sp * n_pat) as f64;
@@ -141,7 +152,7 @@ fn bench_precision<T: DispatchReal>(
                 precision,
                 path: table.path,
                 gflops,
-                ns_per_pattern: ns,
+                time: ("ns_per_pattern", ns),
             });
             // Root integration over one category.
             let freqs = fill::<T>(5, sp);
@@ -160,9 +171,43 @@ fn bench_precision<T: DispatchReal>(
                 precision,
                 path: table.path,
                 gflops,
-                ns_per_pattern: ns,
+                time: ("ns_per_pattern", ns),
             });
         }
+    }
+}
+
+/// `InstanceBuffers::update_transition_matrices`, the one matrix kernel
+/// every back-end shares: 16 branch lengths × 4 rate categories from an
+/// arbitrary dense eigen system, in the padded layout the CPU back-ends use.
+fn bench_matrices<T: Real>(precision: &'static str, rows: &mut Vec<Row>) {
+    const MATRICES: usize = 16;
+    const CATEGORIES: usize = 4;
+    for s in [4usize, 20, 61] {
+        let config = InstanceConfig {
+            matrix_buffer_count: MATRICES,
+            ..InstanceConfig::for_tree(4, 1, s, CATEGORIES)
+        };
+        let mut bufs = InstanceBuffers::<T>::new_padded(config, T::SIMD_LANES).unwrap();
+        let values: Vec<f64> = fill::<f64>(8, s).iter().map(|x| -2.0 * x).collect();
+        bufs.set_eigen_decomposition(0, &fill(6, s * s), &fill(7, s * s), &values)
+            .unwrap();
+        bufs.set_category_rates(&[0.1, 0.6, 1.2, 2.1]).unwrap();
+        let indices: Vec<usize> = (0..MATRICES).collect();
+        let lengths: Vec<f64> = (0..MATRICES).map(|i| 0.01 + 0.05 * i as f64).collect();
+        let flops = matrix_flops(s) * (CATEGORIES * MATRICES) as f64;
+        let (gflops, ns) = measure(MATRICES, flops, || {
+            bufs.update_transition_matrices(0, &indices, &lengths)
+                .unwrap();
+        });
+        rows.push(Row {
+            kernel: "transition_matrices",
+            states: s,
+            precision,
+            path: "row-form",
+            gflops,
+            time: ("us_per_matrix", ns / 1e3),
+        });
     }
 }
 
@@ -177,16 +222,18 @@ fn main() {
     let mut rows = Vec::new();
     bench_precision::<f64>("double", &paths, &mut rows);
     bench_precision::<f32>("single", &paths, &mut rows);
+    bench_matrices::<f64>("double", &mut rows);
+    bench_matrices::<f32>("single", &mut rows);
 
     println!("== kernel microbenchmarks ==");
     println!(
-        "{:<18} {:>6} {:>7} {:>9} {:>10} {:>12}",
-        "kernel", "states", "prec", "path", "GFLOPS", "ns/pattern"
+        "{:<19} {:>6} {:>7} {:>9} {:>10} {:>12}  unit",
+        "kernel", "states", "prec", "path", "GFLOPS", "time"
     );
     for r in &rows {
         println!(
-            "{:<18} {:>6} {:>7} {:>9} {:>10.2} {:>12.2}",
-            r.kernel, r.states, r.precision, r.path, r.gflops, r.ns_per_pattern
+            "{:<19} {:>6} {:>7} {:>9} {:>10.2} {:>12.2}  {}",
+            r.kernel, r.states, r.precision, r.path, r.gflops, r.time.1, r.time.0
         );
     }
 
@@ -213,13 +260,14 @@ fn main() {
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"kernel\": \"{}\", \"states\": {}, \"precision\": \"{}\", \"path\": \"{}\", \"gflops\": {:.4}, \"ns_per_pattern\": {:.4}}}{}",
+            "    {{\"kernel\": \"{}\", \"states\": {}, \"precision\": \"{}\", \"path\": \"{}\", \"gflops\": {:.4}, \"{}\": {:.4}}}{}",
             r.kernel,
             r.states,
             r.precision,
             r.path,
             r.gflops,
-            r.ns_per_pattern,
+            r.time.0,
+            r.time.1,
             if i + 1 == rows.len() { "" } else { "," }
         );
     }

@@ -300,6 +300,16 @@ impl<T: Real> InstanceBuffers<T> {
         Ok(())
     }
 
+    /// Fail unless the (in-range) eigen buffer `index` has been set.
+    fn check_eigen_set(&self, index: usize) -> Result<()> {
+        if self.eigens[index].values.len() != self.config.state_count {
+            return Err(BeagleError::InvalidConfiguration(format!(
+                "eigen buffer {index} has not been set"
+            )));
+        }
+        Ok(())
+    }
+
     /// The shared transition-matrix kernel: `P(rate_c · t) = U e^{Λ rate_c t} U⁻¹`
     /// for every listed matrix buffer, computed in `f64` and narrowed to `T`.
     pub fn update_transition_matrices(
@@ -310,35 +320,22 @@ impl<T: Real> InstanceBuffers<T> {
     ) -> Result<()> {
         self.check_index("eigen buffer", eigen_index, self.eigens.len())?;
         self.check_len("branch lengths", branch_lengths.len(), matrix_indices.len())?;
-        let s = self.config.state_count;
-        let eig = self.eigens[eigen_index].clone();
-        if eig.values.len() != s {
-            return Err(BeagleError::InvalidConfiguration(format!(
-                "eigen buffer {eigen_index} has not been set"
-            )));
-        }
-        let sp = self.state_stride;
+        self.check_eigen_set(eigen_index)?;
+        let (s, sp) = (self.config.state_count, self.state_stride);
+        let eig = &self.eigens[eigen_index];
+        let (mut exps, mut row) = (vec![0.0; s], vec![0.0; s]);
         for (&m, &t) in matrix_indices.iter().zip(branch_lengths) {
             self.check_index("matrix buffer", m, self.matrices.len())?;
-            let rates = self.category_rates.clone();
-            let mat = &mut self.matrices[m];
-            for (c, &rate) in rates.iter().enumerate() {
-                let exps: Vec<f64> = eig.values.iter().map(|&l| (l * rate * t).exp()).collect();
-                let block = &mut mat[c * s * sp..(c + 1) * s * sp];
-                for i in 0..s {
-                    for j in 0..s {
-                        let mut acc = 0.0;
-                        for k in 0..s {
-                            acc +=
-                                eig.vectors[i * s + k] * exps[k] * eig.inverse_vectors[k * s + j];
-                        }
-                        // Round-off can leave tiny negatives; clamp so the
-                        // likelihood kernels only ever see probabilities.
-                        block[i * sp + j] = T::from_f64(acc.max(0.0));
-                    }
-                    // Padding columns must stay exact zeros.
-                    block[i * sp + s..(i + 1) * sp].fill(T::ZERO);
+            let blocks = self.matrices[m].chunks_exact_mut(s * sp);
+            for (block, &rate) in blocks.zip(&self.category_rates) {
+                for (e, &l) in exps.iter_mut().zip(&eig.values) {
+                    *e = (l * rate * t).exp();
                 }
+                // Round-off can leave tiny negatives; clamp so the
+                // likelihood kernels only ever see probabilities.
+                spectral_block(block, &eig.inverse_vectors, &mut row, true, |i, k| {
+                    eig.vectors[i * s + k] * exps[k]
+                });
             }
         }
         Ok(())
@@ -368,13 +365,10 @@ impl<T: Real> InstanceBuffers<T> {
         self.check_len("branch lengths", branch_lengths.len(), matrix_indices.len())?;
         self.check_len("d1 indices", d1_indices.len(), matrix_indices.len())?;
         self.check_len("d2 indices", d2_indices.len(), matrix_indices.len())?;
-        let s = self.config.state_count;
-        let eig = self.eigens[eigen_index].clone();
-        if eig.values.len() != s {
-            return Err(BeagleError::InvalidConfiguration(format!(
-                "eigen buffer {eigen_index} has not been set"
-            )));
-        }
+        self.check_eigen_set(eigen_index)?;
+        let (s, sp) = (self.config.state_count, self.state_stride);
+        let eig = &self.eigens[eigen_index];
+        let (mut exps, mut powers, mut row) = (vec![0.0; s], vec![0.0; s], vec![0.0; s]);
         for (((&m, &d1), &d2), &t) in matrix_indices
             .iter()
             .zip(d1_indices)
@@ -389,31 +383,21 @@ impl<T: Real> InstanceBuffers<T> {
                     "probability and derivative buffers must be distinct".into(),
                 ));
             }
-            let rates = self.category_rates.clone();
-            let sp = self.state_stride;
-            for (c, &rate) in rates.iter().enumerate() {
+            for (c, &rate) in self.category_rates.iter().enumerate() {
                 // Spectral weights for the three matrices.
-                let exps: Vec<f64> = eig.values.iter().map(|&l| (l * rate * t).exp()).collect();
-                for (order, target) in [(0u32, m), (1, d1), (2, d2)] {
-                    let block_start = c * s * sp;
-                    for i in 0..s {
-                        for j in 0..s {
-                            let mut acc = 0.0;
-                            for k in 0..s {
-                                let w = (rate * eig.values[k]).powi(order as i32);
-                                acc += eig.vectors[i * s + k]
-                                    * w
-                                    * exps[k]
-                                    * eig.inverse_vectors[k * s + j];
-                            }
-                            // Probabilities are clamped; derivatives may be
-                            // legitimately negative.
-                            let v = if order == 0 { acc.max(0.0) } else { acc };
-                            self.matrices[target][block_start + i * sp + j] = T::from_f64(v);
-                        }
-                        self.matrices[target][block_start + i * sp + s..block_start + (i + 1) * sp]
-                            .fill(T::ZERO);
+                for (e, &l) in exps.iter_mut().zip(&eig.values) {
+                    *e = (l * rate * t).exp();
+                }
+                for (order, target) in [(0, m), (1, d1), (2, d2)] {
+                    for (p, &l) in powers.iter_mut().zip(&eig.values) {
+                        *p = (rate * l).powi(order);
                     }
+                    let block = &mut self.matrices[target][c * s * sp..(c + 1) * s * sp];
+                    // Probabilities are clamped; derivatives may be
+                    // legitimately negative.
+                    spectral_block(block, &eig.inverse_vectors, &mut row, order == 0, |i, k| {
+                        eig.vectors[i * s + k] * powers[k] * exps[k]
+                    });
                 }
             }
         }
@@ -601,6 +585,37 @@ impl<T: Real> InstanceBuffers<T> {
         } else {
             panic!("operand buffer {buffer} not initialized (check_operation missed it)");
         }
+    }
+}
+
+/// Fill one `[s][stride]` category block with `Σ_k a(i, k) · U⁻¹[k, j]`,
+/// one row at a time: for row `i`, add `a(i, k) · U⁻¹[k, ·]` over the
+/// contiguous row `U⁻¹[k, ·]` for ascending `k`, then narrow to `T`
+/// (flooring negatives at zero when `clamp`) and zero the pad columns.
+/// `row` is `s`-long `f64` scratch. Each element gets the same unfused
+/// products added in the same order as the textbook `i, j, k` dot-product
+/// loop, so the bits are the same; the `j` loop just carries no dependency
+/// and vectorizes.
+fn spectral_block<T: Real>(
+    block: &mut [T],
+    inverse_vectors: &[f64],
+    row: &mut [f64],
+    clamp: bool,
+    a: impl Fn(usize, usize) -> f64,
+) {
+    let s = row.len();
+    for (i, out) in block.chunks_exact_mut(block.len() / s).enumerate() {
+        row.fill(0.0);
+        for (k, inverse_row) in inverse_vectors.chunks_exact(s).enumerate() {
+            let w = a(i, k);
+            for (r, &v) in row.iter_mut().zip(inverse_row) {
+                *r += w * v;
+            }
+        }
+        for (o, &r) in out.iter_mut().zip(row.iter()) {
+            *o = T::from_f64(if clamp { r.max(0.0) } else { r });
+        }
+        out[s..].fill(T::ZERO);
     }
 }
 
@@ -795,6 +810,271 @@ mod tests {
         padded.set_state_frequencies(0, &[0.2, 0.3, 0.5]).unwrap();
         assert_eq!(padded.frequencies[0].len(), 4);
         assert_eq!(padded.frequencies[0][3], 0.0);
+    }
+
+    /// The textbook `i, j, k` triple loop the row-form kernel replaced, kept
+    /// as the bit-exactness oracle. Returns how many elements the clamp
+    /// floored, so fixtures can show they exercise it.
+    fn reference_matrices<T: Real>(
+        b: &mut InstanceBuffers<T>,
+        eigen_index: usize,
+        matrix_indices: &[usize],
+        branch_lengths: &[f64],
+    ) -> Result<usize> {
+        b.check_index("eigen buffer", eigen_index, b.eigens.len())?;
+        b.check_len("branch lengths", branch_lengths.len(), matrix_indices.len())?;
+        let s = b.config.state_count;
+        let eig = b.eigens[eigen_index].clone();
+        if eig.values.len() != s {
+            return Err(BeagleError::InvalidConfiguration(format!(
+                "eigen buffer {eigen_index} has not been set"
+            )));
+        }
+        let sp = b.state_stride;
+        let mut clamped = 0;
+        for (&m, &t) in matrix_indices.iter().zip(branch_lengths) {
+            b.check_index("matrix buffer", m, b.matrices.len())?;
+            let rates = b.category_rates.clone();
+            let mat = &mut b.matrices[m];
+            for (c, &rate) in rates.iter().enumerate() {
+                let exps: Vec<f64> = eig.values.iter().map(|&l| (l * rate * t).exp()).collect();
+                let block = &mut mat[c * s * sp..(c + 1) * s * sp];
+                for i in 0..s {
+                    for j in 0..s {
+                        let mut acc = 0.0;
+                        for k in 0..s {
+                            acc +=
+                                eig.vectors[i * s + k] * exps[k] * eig.inverse_vectors[k * s + j];
+                        }
+                        clamped += usize::from(acc < 0.0);
+                        block[i * sp + j] = T::from_f64(acc.max(0.0));
+                    }
+                    block[i * sp + s..(i + 1) * sp].fill(T::ZERO);
+                }
+            }
+        }
+        Ok(clamped)
+    }
+
+    /// The triple-loop derivative kernel the row-form one replaced, with
+    /// `(rate·λ_k)^order` evaluated inside the `j` loop as it was.
+    fn reference_derivatives<T: Real>(
+        b: &mut InstanceBuffers<T>,
+        eigen_index: usize,
+        matrix_indices: &[usize],
+        d1_indices: &[usize],
+        d2_indices: &[usize],
+        branch_lengths: &[f64],
+    ) -> Result<()> {
+        b.check_index("eigen buffer", eigen_index, b.eigens.len())?;
+        b.check_len("branch lengths", branch_lengths.len(), matrix_indices.len())?;
+        b.check_len("d1 indices", d1_indices.len(), matrix_indices.len())?;
+        b.check_len("d2 indices", d2_indices.len(), matrix_indices.len())?;
+        let s = b.config.state_count;
+        let eig = b.eigens[eigen_index].clone();
+        if eig.values.len() != s {
+            return Err(BeagleError::InvalidConfiguration(format!(
+                "eigen buffer {eigen_index} has not been set"
+            )));
+        }
+        for (((&m, &d1), &d2), &t) in matrix_indices
+            .iter()
+            .zip(d1_indices)
+            .zip(d2_indices)
+            .zip(branch_lengths)
+        {
+            for idx in [m, d1, d2] {
+                b.check_index("matrix buffer", idx, b.matrices.len())?;
+            }
+            if m == d1 || m == d2 || d1 == d2 {
+                return Err(BeagleError::InvalidConfiguration(
+                    "probability and derivative buffers must be distinct".into(),
+                ));
+            }
+            let rates = b.category_rates.clone();
+            let sp = b.state_stride;
+            for (c, &rate) in rates.iter().enumerate() {
+                let exps: Vec<f64> = eig.values.iter().map(|&l| (l * rate * t).exp()).collect();
+                for (order, target) in [(0u32, m), (1, d1), (2, d2)] {
+                    let block_start = c * s * sp;
+                    for i in 0..s {
+                        for j in 0..s {
+                            let mut acc = 0.0;
+                            for k in 0..s {
+                                let w = (rate * eig.values[k]).powi(order as i32);
+                                acc += eig.vectors[i * s + k]
+                                    * w
+                                    * exps[k]
+                                    * eig.inverse_vectors[k * s + j];
+                            }
+                            let v = if order == 0 { acc.max(0.0) } else { acc };
+                            b.matrices[target][block_start + i * sp + j] = T::from_f64(v);
+                        }
+                        b.matrices[target][block_start + i * sp + s..block_start + (i + 1) * sp]
+                            .fill(T::ZERO);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Deterministic values in `[-1, 1)`.
+    fn noise(seed: u64, len: usize) -> Vec<f64> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 2000) as f64 / 1000.0 - 1.0
+            })
+            .collect()
+    }
+
+    /// Two eigen systems per state count: F81 with unequal frequencies
+    /// (`U = Π^{-1/2} H`, `U⁻¹ = H Π^{1/2}` for the Householder reflection
+    /// `H` taking `e_0` to `√π`), whose near-zero entries come out as
+    /// round-off of either sign; and an arbitrary one (independent `U`,
+    /// `U⁻¹`, spread eigenvalues) with large signed sums.
+    fn eigen_fixtures(s: usize) -> [(Vec<f64>, Vec<f64>, Vec<f64>); 2] {
+        let total: f64 = (0..s).map(|i| (1 + i % 3) as f64).sum();
+        let root: Vec<f64> = (0..s)
+            .map(|i| ((1 + i % 3) as f64 / total).sqrt())
+            .collect();
+        let mut u: Vec<f64> = root.iter().map(|r| -r).collect();
+        u[0] += 1.0;
+        let uu: f64 = u.iter().map(|x| x * x).sum();
+        let h = |i: usize, j: usize| f64::from(u8::from(i == j)) - 2.0 * u[i] * u[j] / uu;
+        let vectors = (0..s * s).map(|ij| h(ij / s, ij % s) / root[ij / s]);
+        let inverse = (0..s * s).map(|ij| h(ij / s, ij % s) * root[ij % s]);
+        let mut f81 = vec![-1.0; s];
+        f81[0] = 0.0;
+        let spread: Vec<f64> = noise(s as u64 + 3, s)
+            .iter()
+            .map(|x| 2.0 * x - 2.0)
+            .collect();
+        [
+            (vectors.collect(), inverse.collect(), f81),
+            (noise(s as u64, s * s), noise(s as u64 + 1, s * s), spread),
+        ]
+    }
+
+    /// Buffers in the three layouts the back-ends use (f64 dense, f64
+    /// padded to 4 lanes, f32 padded to 8 lanes), with matrices pre-filled
+    /// with garbage so pad zeroing shows.
+    fn kernel_fixture<T: Real>(s: usize, lanes: usize) -> InstanceBuffers<T> {
+        let mut b =
+            InstanceBuffers::<T>::new_padded(InstanceConfig::for_tree(8, 3, s, 4), lanes).unwrap();
+        b.set_category_rates(&[0.0, 0.3, 1.0, 2.7]).unwrap();
+        for m in b.matrices.iter_mut() {
+            m.fill(T::from_f64(7.5));
+        }
+        b
+    }
+
+    fn bits<T: Real>(b: &InstanceBuffers<T>) -> Vec<Vec<u64>> {
+        b.matrices
+            .iter()
+            .map(|m| m.iter().map(|x| x.to_f64().to_bits()).collect())
+            .collect()
+    }
+
+    const LENGTHS: [f64; 4] = [0.0, 1e-8, 0.1, 5.0];
+
+    fn assert_row_form_bit_exact<T: Real>(lanes: usize) {
+        for s in [4, 20, 61] {
+            for (fixture, (u, inv, values)) in eigen_fixtures(s).into_iter().enumerate() {
+                let mut new = kernel_fixture::<T>(s, lanes);
+                new.set_eigen_decomposition(0, &u, &inv, &values).unwrap();
+                let mut old = new.clone();
+                new.update_transition_matrices(0, &[3, 0, 7, 14], &LENGTHS)
+                    .unwrap();
+                let clamped = reference_matrices(&mut old, 0, &[3, 0, 7, 14], &LENGTHS).unwrap();
+                assert!(clamped > 0, "s={s} fixture {fixture} never clamps");
+                assert_eq!(bits(&new), bits(&old), "P, s={s} fixture {fixture}");
+
+                let (m, d1, d2) = ([0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 14]);
+                new.update_transition_derivatives(0, &m, &d1, &d2, &LENGTHS)
+                    .unwrap();
+                reference_derivatives(&mut old, 0, &m, &d1, &d2, &LENGTHS).unwrap();
+                assert_eq!(
+                    bits(&new),
+                    bits(&old),
+                    "P, P', P'', s={s} fixture {fixture}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_form_matrices_are_bit_identical_to_the_triple_loop() {
+        assert_row_form_bit_exact::<f64>(1);
+        assert_row_form_bit_exact::<f64>(4);
+        assert_row_form_bit_exact::<f32>(8);
+    }
+
+    #[test]
+    fn row_form_error_paths_match_the_triple_loop() {
+        let [_, (u, inv, values)] = eigen_fixtures(20);
+        let mut new = kernel_fixture::<f32>(20, 8);
+        let mut old = new.clone();
+        let unset = format!("{:?}", new.update_transition_matrices(0, &[1], &[0.1]));
+        assert!(unset.contains("has not been set"), "{unset}");
+        assert_eq!(
+            unset,
+            format!(
+                "{:?}",
+                reference_matrices(&mut old, 0, &[1], &[0.1]).map(|_| ())
+            )
+        );
+        assert_eq!(
+            format!(
+                "{:?}",
+                new.update_transition_derivatives(0, &[1], &[2], &[3], &[0.1])
+            ),
+            format!(
+                "{:?}",
+                reference_derivatives(&mut old, 0, &[1], &[2], &[3], &[0.1])
+            ),
+        );
+
+        new.set_eigen_decomposition(0, &u, &inv, &values).unwrap();
+        old.set_eigen_decomposition(0, &u, &inv, &values).unwrap();
+        let untouched = bits(&new);
+        // A bad index part-way through: the earlier matrices are written,
+        // the later ones are not.
+        let (idx, len) = ([1, 2, 99, 3], [0.1, 0.2, 0.3, 0.4]);
+        let err = format!("{:?}", new.update_transition_matrices(0, &idx, &len));
+        assert!(err.contains("OutOfRange"), "{err}");
+        assert_eq!(
+            err,
+            format!(
+                "{:?}",
+                reference_matrices(&mut old, 0, &idx, &len).map(|_| ())
+            )
+        );
+        assert_eq!(bits(&new), bits(&old));
+        assert_ne!(bits(&new)[2], untouched[2]);
+        assert_eq!(bits(&new)[3], untouched[3]);
+
+        // Derivatives: a bad index, then an aliased triple, part-way.
+        for (m, d1, d2) in [([4, 5], [6, 99], [7, 8]), ([9, 10], [11, 12], [13, 10])] {
+            let err = format!(
+                "{:?}",
+                new.update_transition_derivatives(0, &m, &d1, &d2, &len[..2])
+            );
+            assert!(err.starts_with("Err("), "{err}");
+            let reference = reference_derivatives(&mut old, 0, &m, &d1, &d2, &len[..2]);
+            assert_eq!(err, format!("{reference:?}"));
+            assert_eq!(bits(&new), bits(&old));
+            assert_ne!(bits(&new)[m[0]], untouched[m[0]], "first triple written");
+            assert_eq!(
+                bits(&new)[m[1]],
+                untouched[m[1]],
+                "second triple not written"
+            );
+        }
     }
 
     #[test]

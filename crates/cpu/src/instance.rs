@@ -825,13 +825,20 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
         d2_indices: &[usize],
         branch_lengths: &[f64],
     ) -> Result<()> {
-        self.bufs.update_transition_derivatives(
+        let sw = self.recorder.start();
+        let r = self.bufs.update_transition_derivatives(
             eigen_index,
             matrix_indices,
             d1_indices,
             d2_indices,
             branch_lengths,
-        )
+        );
+        // Three matrices (P, dP/dt, d²P/dt²) per branch.
+        let items = 3 * matrix_indices.len();
+        let bytes = (items * self.bufs.padded_matrix_len() * std::mem::size_of::<T>()) as u64;
+        self.recorder
+            .finish(sw, KernelClass::TransitionMatrices, items as u64, bytes);
+        r
     }
 
     fn integrate_edge_derivatives(

@@ -10,10 +10,12 @@
 //! different implementation after its first worker died.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use beagle_accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
 use beagle_core::{
-    BufferId, Flags, ImplementationManager, InstanceSpec, Lane, PoolBuilder, SessionRequest,
+    BeagleError, BreakerConfig, BufferId, DeviceErrorKind, Flags, ImplementationManager,
+    InstanceSpec, Lane, PoolBuilder, SessionRequest,
 };
 use genomictest::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
 
@@ -146,18 +148,47 @@ fn pooled_matches_serial_across_backends_precisions_and_queue_modes() {
 
 #[test]
 fn pooled_sessions_survive_mid_run_worker_eviction_bit_identically() {
-    // The Radeon worker's device dies permanently partway through the run:
-    // whatever session is on it fails with a permanent fault, the worker is
-    // evicted (breaker trips), the session requeues onto another worker, and
-    // every ticket still resolves to the bit-exact serial result.
-    let reference = serial_bits(&full_manager(), &base_spec().named("CPU-serial"));
-
+    // The Radeon device dies permanently partway through a session: the
+    // session fails with a permanent fault, the worker is evicted (breaker
+    // trips), the session requeues onto another worker, and every ticket
+    // still resolves to the bit-exact serial result.
+    //
+    // Placement must not decide whether the fault fires, so every worker
+    // starts on Radeon (each instance has its own fault counter) and the
+    // fault sits inside the first session any of them runs. Breakers stay
+    // open for the whole test, so the final `Open` check cannot race the
+    // cooldown and no rebuild lands back on the dead device.
+    const FAULT_CALL: u64 = 18;
     let faults = FaultDirectory::new().with_plan(
         catalog::radeon_r9_nano().name,
-        FaultPlan::new(7).with_fault(FaultKind::DeviceLost, false, Schedule::AtCall(40)),
+        FaultPlan::new(7).with_fault(FaultKind::DeviceLost, false, Schedule::AtCall(FAULT_CALL)),
     );
+    // Why `FAULT_CALL`: a fresh Radeon worker, created the way the pool
+    // creates one, reaches it within any single session.
+    let probe = full_manager_with_faults(&faults);
+    for seed in 0..SESSIONS as u64 {
+        let mut inst = base_spec().named(RADEON).instantiate(&probe).unwrap();
+        let err = session(seed).evaluate(inst.as_mut()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                BeagleError::Device {
+                    kind: DeviceErrorKind::DeviceLost,
+                    ..
+                }
+            ),
+            "call {FAULT_CALL} must fall inside session {seed}: {err:?}"
+        );
+    }
+
+    let reference = serial_bits(&full_manager(), &base_spec().named("CPU-serial"));
+
     let manager = full_manager_with_faults(&faults);
-    let (pooled, stats) = pooled_bits(&manager, &base_spec(), &[RADEON, "CPU-serial"], 2);
+    manager.set_breaker_config(BreakerConfig {
+        cooldown: Duration::from_secs(3600),
+        ..BreakerConfig::default()
+    });
+    let (pooled, stats) = pooled_bits(&manager, &base_spec(), &[RADEON], 2);
 
     assert_eq!(pooled, reference, "eviction must not change any result");
     assert!(

@@ -3,7 +3,9 @@
 #
 # Writes at the repo root:
 #   BENCH_kernels.json  GFLOPS + ns/pattern for every kernel x state-count x
-#                       precision x dispatch path available on this host
+#                       precision x dispatch path available on this host, and
+#                       GFLOPS + us/matrix for the shared transition-matrix
+#                       kernel (s = 4, 20, 61 x f64/f32)
 #   BENCH_obs.json      instrumentation overhead (stats on vs off, bit-exact)
 #                       and the benchmark_resources ranking of every
 #                       registered implementation

@@ -80,6 +80,38 @@ fn statistics_cover_the_kernel_classes_that_ran() {
     assert!(inst.take_journal().is_empty(), "take_journal drains");
 }
 
+/// Derivative updates are accounted like matrix updates on CPU and device
+/// back-ends alike: one `TransitionMatrices` call, three matrices (P, dP/dt,
+/// d²P/dt²) per branch.
+#[test]
+fn transition_derivatives_are_counted_on_every_backend() {
+    if !obs_compiled_in() {
+        return;
+    }
+    let p = problem();
+    let cuda = format!("CUDA ({})", catalog::quadro_p5000().name);
+    for name in ["CPU-serial", "CPU-SSE", cuda.as_str()] {
+        let mut inst = InstanceSpec::with_config(p.config())
+            .named(name)
+            .with_stats()
+            .instantiate(&full_manager())
+            .unwrap();
+        p.load(inst.as_mut());
+        let before = *inst
+            .statistics()
+            .unwrap()
+            .counter(KernelClass::TransitionMatrices);
+        inst.update_transition_derivatives(0, &[0, 1], &[2, 3], &[4, 5], &[0.1, 0.2])
+            .unwrap();
+        let after = *inst
+            .statistics()
+            .unwrap()
+            .counter(KernelClass::TransitionMatrices);
+        assert_eq!(after.calls - before.calls, 1, "{name}");
+        assert_eq!(after.items - before.items, 6, "{name}");
+    }
+}
+
 /// The merged journal of a queued, fault-injected, multi-device run tells
 /// the story in causal order: dispatch selection first, level batches
 /// before the flush that submitted them, operation begin before end, and
