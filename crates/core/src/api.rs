@@ -178,7 +178,28 @@ pub struct InstanceDetails {
 /// against it by the compile-time audit in `tests/send_sync.rs`; an
 /// implementation needing interior mutability must use a lock, not
 /// `RefCell`/`Cell`.
+///
+/// # Wrappers
+///
+/// Layers such as the memo, the operation queue and the journaling layer
+/// wrap another instance. A wrapper returns that instance from
+/// [`Self::wrapped`] / [`Self::wrapped_mut`] and overrides only what it
+/// changes: every method with a default forwards to the wrapped instance
+/// when there is one, and gives a plain back-end's answer when there is
+/// not. The required methods have no default, so every layer states its
+/// data plane explicitly. A wrapper whose inner instance sits behind a lock
+/// returns `None` from `wrapped` and overrides the `&self` methods itself.
 pub trait BeagleInstance: Send + Sync {
+    /// The instance this one wraps, if it is a wrapper layer.
+    fn wrapped(&self) -> Option<&dyn BeagleInstance> {
+        None
+    }
+
+    /// Mutable access to the instance this one wraps, if any.
+    fn wrapped_mut(&mut self) -> Option<&mut dyn BeagleInstance> {
+        None
+    }
+
     /// Implementation and resource description.
     fn details(&self) -> &InstanceDetails;
 
@@ -238,16 +259,25 @@ pub trait BeagleInstance: Send + Sync {
     /// derivative kernels return [`crate::BeagleError::Unsupported`].
     fn update_transition_derivatives(
         &mut self,
-        _eigen_index: usize,
-        _matrix_indices: &[usize],
-        _d1_indices: &[usize],
-        _d2_indices: &[usize],
-        _branch_lengths: &[f64],
+        eigen_index: usize,
+        matrix_indices: &[usize],
+        d1_indices: &[usize],
+        d2_indices: &[usize],
+        branch_lengths: &[f64],
     ) -> Result<()> {
-        Err(crate::error::BeagleError::Unsupported(format!(
-            "transition-matrix derivatives on {}",
-            self.details().implementation_name
-        )))
+        match self.wrapped_mut() {
+            Some(inner) => inner.update_transition_derivatives(
+                eigen_index,
+                matrix_indices,
+                d1_indices,
+                d2_indices,
+                branch_lengths,
+            ),
+            None => Err(BeagleError::Unsupported(format!(
+                "transition-matrix derivatives on {}",
+                self.details().implementation_name
+            ))),
+        }
     }
 
     /// Edge log-likelihood together with its first and second derivatives
@@ -257,19 +287,31 @@ pub trait BeagleInstance: Send + Sync {
     #[allow(clippy::too_many_arguments)]
     fn integrate_edge_derivatives(
         &mut self,
-        _parent: BufferId,
-        _child: BufferId,
-        _matrix: BufferId,
-        _d1_matrix: BufferId,
-        _d2_matrix: BufferId,
-        _category_weights: BufferId,
-        _frequencies: BufferId,
-        _scaling: ScalingMode,
+        parent: BufferId,
+        child: BufferId,
+        matrix: BufferId,
+        d1_matrix: BufferId,
+        d2_matrix: BufferId,
+        category_weights: BufferId,
+        frequencies: BufferId,
+        scaling: ScalingMode,
     ) -> Result<(f64, f64, f64)> {
-        Err(crate::error::BeagleError::Unsupported(format!(
-            "edge derivatives on {}",
-            self.details().implementation_name
-        )))
+        match self.wrapped_mut() {
+            Some(inner) => inner.integrate_edge_derivatives(
+                parent,
+                child,
+                matrix,
+                d1_matrix,
+                d2_matrix,
+                category_weights,
+                frequencies,
+                scaling,
+            ),
+            None => Err(BeagleError::Unsupported(format!(
+                "edge derivatives on {}",
+                self.details().implementation_name
+            ))),
+        }
     }
 
     /// Directly set a transition matrix (`categories × states × states`,
@@ -289,7 +331,10 @@ pub trait BeagleInstance: Send + Sync {
     /// [`crate::ops::dependency_levels`]). Back-ends override this to submit
     /// each level as one batch — a single stream submission on accelerators,
     /// a single pool dispatch on threaded CPUs. The default just replays the
-    /// levels in order, which is always correct.
+    /// levels in order through [`Self::update_partials`], which is always
+    /// correct; unlike the other defaults it does not forward to a wrapped
+    /// instance, so a wrapper that changes `update_partials` sees every
+    /// level.
     fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
         for level in levels {
             self.update_partials(level)?;
@@ -335,9 +380,11 @@ pub trait BeagleInstance: Send + Sync {
     /// Per-pattern site log-likelihoods from the most recent root/edge call.
     fn get_site_log_likelihoods(&self) -> Result<Vec<f64>>;
 
-    /// Block until asynchronous device work is done (no-op on CPU).
+    /// Block until all deferred and asynchronous work below this instance
+    /// is done (no-op on a CPU back-end).
     fn wait_for_computation(&mut self) -> Result<()> {
-        Ok(())
+        self.wrapped_mut()
+            .map_or(Ok(()), |inner| inner.wait_for_computation())
     }
 
     /// For simulated accelerator back-ends: total modeled device time since
@@ -345,80 +392,91 @@ pub trait BeagleInstance: Send + Sync {
     /// back-ends measured with the wall clock (all CPU implementations and
     /// the OpenCL-x86 device).
     fn simulated_time(&self) -> Option<std::time::Duration> {
-        None
+        self.wrapped()?.simulated_time()
     }
 
     /// Reset the simulated device clock (no-op for wall-clock back-ends).
-    fn reset_simulated_time(&mut self) {}
+    fn reset_simulated_time(&mut self) {
+        if let Some(inner) = self.wrapped_mut() {
+            inner.reset_simulated_time();
+        }
+    }
 
-    /// Read the simulated clock **without side effects**. For most
-    /// back-ends this is [`Self::simulated_time`]; deferred-execution
-    /// wrappers override it to skip the flush that `simulated_time`
-    /// performs, so the value may lag until the queue drains. The
-    /// partitioned parent uses this to time each child around a call
-    /// without perturbing its execution mode (see
+    /// Read the simulated clock **without side effects**. For a back-end
+    /// this is [`Self::simulated_time`]; a deferred-execution wrapper skips
+    /// the flush that `simulated_time` performs, so the value may lag until
+    /// the queue drains. The partitioned parent uses this to time each
+    /// child around a call without perturbing its execution mode (see
     /// [`crate::multi::PartitionedInstance`]).
     fn peek_simulated_time(&self) -> Option<std::time::Duration> {
-        self.simulated_time()
+        match self.wrapped() {
+            Some(inner) => inner.peek_simulated_time(),
+            None => self.simulated_time(),
+        }
     }
 
     /// Operation-queue and eigen-cache counters, when this instance (or one
-    /// it wraps) defers execution through a [`crate::queue::QueuedInstance`].
-    /// `None` for eager instances.
+    /// below it) defers execution through a [`crate::queue::QueuedInstance`].
+    /// `None` for eager instances. Never flushes pending work.
     fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
-        None
+        self.wrapped()?.queue_stats()
     }
 
     /// Per-kernel timing/counter statistics (see [`crate::obs`]). `None`
     /// unless the instance was created with [`Flags::INSTANCE_STATS`] (or
     /// `InstanceSpec::with_stats`), or when built with the `obs-disabled`
-    /// feature. Wrapper instances (queue, rescue, partitioned) merge their
-    /// own counters with the wrapped instance's.
+    /// feature. A layer with its own recorder merges it in.
     fn statistics(&self) -> Option<obs::InstanceStats> {
-        None
+        self.wrapped()?.statistics()
     }
 
     /// Drain this instance's event journal (oldest first; see
-    /// [`crate::obs::Event`]). Empty unless statistics are enabled. Wrapper
-    /// instances merge the journals of every layer into sequence order.
+    /// [`crate::obs::Event`]). Empty unless statistics are enabled. Layers
+    /// merge their journals into sequence order.
     fn take_journal(&mut self) -> Vec<obs::Event> {
-        Vec::new()
+        self.wrapped_mut()
+            .map_or_else(Vec::new, |inner| inner.take_journal())
     }
 
     /// Set (or clear) the per-launch watchdog budget. Back-ends with a
     /// watchdog cancel any launch that stalls past the budget and report
     /// [`BeagleError::Timeout`]; with `None` they fall back to the driver
-    /// default ([`crate::deadline::Deadline::DRIVER_DEFAULT`]). Wrapper
-    /// instances forward the deadline to every layer below; back-ends
-    /// without stall modes (the CPU implementations) ignore it, which this
-    /// default implements.
-    fn set_deadline(&mut self, _deadline: Option<crate::deadline::Deadline>) {}
+    /// default ([`crate::deadline::Deadline::DRIVER_DEFAULT`]). Back-ends
+    /// without stall modes (the CPU implementations) ignore it.
+    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
+        if let Some(inner) = self.wrapped_mut() {
+            inner.set_deadline(deadline);
+        }
+    }
 
     /// Snapshot this instance's replayable state as a durable
     /// [`crate::checkpoint::Checkpoint`]. `None` unless a journaling layer
     /// answers (a checkpointing [`crate::journal::JournaledInstance`] or a
-    /// [`crate::multi::PartitionedInstance`]). Wrappers forward the call
-    /// down, and an operation queue flushes its pending work when it sees
-    /// it, so a snapshot never runs ahead of the instance's buffers.
+    /// [`crate::multi::PartitionedInstance`]). An operation queue flushes
+    /// its pending work when it sees the call, so a snapshot never runs
+    /// ahead of the instance's buffers.
     fn checkpoint(&mut self) -> Option<crate::checkpoint::Checkpoint> {
-        None
+        self.wrapped_mut()?.checkpoint()
     }
 
     /// Enable or disable incremental re-computation (operation memoization,
     /// see [`crate::memo::MemoInstance`]) at runtime. When disabled the memo
     /// layer keeps its epoch bookkeeping current but never skips work, so
-    /// toggling is always safe mid-run. Wrappers forward the call to every
-    /// layer below; instances without a memo layer ignore it, which this
-    /// default implements. Throughput harnesses that time repeated identical
+    /// toggling is always safe mid-run. Instances without a memo layer
+    /// ignore it. Throughput harnesses that time repeated identical
     /// traversals call `set_incremental(false)` so they measure real kernels.
-    fn set_incremental(&mut self, _enabled: bool) {}
+    fn set_incremental(&mut self, enabled: bool) {
+        if let Some(inner) = self.wrapped_mut() {
+            inner.set_incremental(enabled);
+        }
+    }
 
     /// Skip/hit counters from the incremental memoization layer, when one is
-    /// installed below this instance (see [`crate::memo::MemoStats`]).
-    /// `None` otherwise. Like [`Self::peek_simulated_time`], deferred
-    /// wrappers forward this without flushing pending work.
+    /// installed at or below this instance (see [`crate::memo::MemoStats`]).
+    /// `None` otherwise. Like [`Self::peek_simulated_time`], never flushes
+    /// pending work.
     fn memo_stats(&self) -> Option<crate::memo::MemoStats> {
-        None
+        self.wrapped()?.memo_stats()
     }
 }
 

@@ -581,6 +581,14 @@ impl JournaledInstance {
 }
 
 impl BeagleInstance for JournaledInstance {
+    fn wrapped(&self) -> Option<&dyn BeagleInstance> {
+        Some(self.inner.as_ref())
+    }
+
+    fn wrapped_mut(&mut self) -> Option<&mut dyn BeagleInstance> {
+        Some(self.inner.as_mut())
+    }
+
     fn details(&self) -> &InstanceDetails {
         self.inner.details()
     }
@@ -674,30 +682,6 @@ impl BeagleInstance for JournaledInstance {
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn integrate_edge_derivatives(
-        &mut self,
-        parent: BufferId,
-        child: BufferId,
-        matrix: BufferId,
-        d1_matrix: BufferId,
-        d2_matrix: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<(f64, f64, f64)> {
-        self.inner.integrate_edge_derivatives(
-            parent,
-            child,
-            matrix,
-            d1_matrix,
-            d2_matrix,
-            category_weights,
-            frequencies,
-            scaling,
-        )
-    }
-
     fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
         self.journal.record_matrix(index, matrix);
         self.inner.set_transition_matrix(index, matrix)
@@ -778,26 +762,6 @@ impl BeagleInstance for JournaledInstance {
         self.inner.get_site_log_likelihoods()
     }
 
-    fn wait_for_computation(&mut self) -> Result<()> {
-        self.inner.wait_for_computation()
-    }
-
-    fn simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.simulated_time()
-    }
-
-    fn reset_simulated_time(&mut self) {
-        self.inner.reset_simulated_time()
-    }
-
-    fn peek_simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.peek_simulated_time()
-    }
-
-    fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
-        self.inner.queue_stats()
-    }
-
     fn statistics(&self) -> Option<obs::InstanceStats> {
         let mut stats = self.inner.statistics()?;
         if let Some(own) = self.recorder.stats() {
@@ -808,10 +772,6 @@ impl BeagleInstance for JournaledInstance {
 
     fn take_journal(&mut self) -> Vec<obs::Event> {
         obs::merge_journals(self.inner.take_journal(), self.recorder.take_journal())
-    }
-
-    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
-        self.inner.set_deadline(deadline);
     }
 
     fn checkpoint(&mut self) -> Option<Checkpoint> {
@@ -833,14 +793,6 @@ impl BeagleInstance for JournaledInstance {
             provenance: provenance.clone(),
             journal: journal.clone(),
         })
-    }
-
-    fn set_incremental(&mut self, enabled: bool) {
-        self.inner.set_incremental(enabled);
-    }
-
-    fn memo_stats(&self) -> Option<crate::memo::MemoStats> {
-        self.inner.memo_stats()
     }
 }
 

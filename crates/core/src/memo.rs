@@ -119,22 +119,27 @@ impl MemoStats {
     }
 }
 
-/// Directly-set buffer content, kept verbatim for exact dedup comparison.
-#[derive(Clone, Debug, PartialEq)]
-enum DirectContent {
-    TipStates(Vec<u32>),
-    TipPartials(Vec<u64>),
-    Partials(Vec<u64>),
+/// The buffer a `set_*` call writes, named by the call: tip states, tip
+/// partials and full partials all write the partials space, but equal bits
+/// from two of them are different content.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum SetTarget {
+    TipStates(usize),
+    TipPartials(usize),
+    Partials(usize),
+    Matrix(usize),
+    Eigen(usize),
+    Frequencies(usize),
+    CategoryWeights(usize),
+    CategoryRates,
+    PatternWeights,
 }
-
-/// Bit patterns of one eigen system: (vectors, inverse vectors, values).
-type EigenBits = (Vec<u64>, Vec<u64>, Vec<u64>);
 
 /// How a partials destination got its current content.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum PartialsSig {
-    /// Set directly; the bits live in `partials_content`.
-    Direct,
+    /// Set directly by this call; the bits live in `partials_content`.
+    Direct(SetTarget),
     /// Produced by `op` when its inputs had these epochs.
     Op {
         op: Operation,
@@ -184,8 +189,15 @@ struct IntegrationSig {
     scale_epoch: u64,
 }
 
-fn bits(data: &[f64]) -> Vec<u64> {
-    data.iter().map(|x| x.to_bits()).collect()
+/// The bit pattern of `data` in `u32` words, the unit of every stored
+/// `set_*` copy (tip states are `u32`s already).
+fn bits(data: &[f64]) -> impl Iterator<Item = u32> + '_ {
+    data.iter().flat_map(|x| split(x.to_bits()))
+}
+
+/// The low and high halves of `word`.
+fn split(word: u64) -> [u32; 2] {
+    [word as u32, (word >> 32) as u32]
 }
 
 fn epoch_at(v: &[u64], i: usize) -> u64 {
@@ -219,32 +231,36 @@ pub struct MemoInstance {
 
     partials_epoch: Vec<u64>,
     partials_sig: Vec<Option<PartialsSig>>,
-    partials_content: Vec<Option<DirectContent>>,
+    partials_content: Vec<Option<Vec<u32>>>,
 
     matrix_epoch: Vec<u64>,
     matrix_sig: Vec<Option<MatrixSig>>,
-    matrix_content: Vec<Option<Vec<u64>>>,
+    matrix_content: Vec<Option<Vec<u32>>>,
 
     eigen_epoch: Vec<u64>,
-    eigen_content: Vec<Option<EigenBits>>,
+    eigen_content: Vec<Option<Vec<u32>>>,
 
     freq_epoch: Vec<u64>,
-    freq_content: Vec<Option<Vec<u64>>>,
+    freq_content: Vec<Option<Vec<u32>>>,
 
     catw_epoch: Vec<u64>,
-    catw_content: Vec<Option<Vec<u64>>>,
+    catw_content: Vec<Option<Vec<u32>>>,
 
-    rates_epoch: u64,
-    rates_content: Option<Vec<u64>>,
+    // One-buffer spaces, kept as vectors so every `set_*` commits alike.
+    rates_epoch: Vec<u64>,
+    rates_content: Vec<Option<Vec<u32>>>,
 
-    pattern_weights_epoch: u64,
-    pattern_weights_content: Option<Vec<u64>>,
+    pattern_weights_epoch: Vec<u64>,
+    pattern_weights_content: Vec<Option<Vec<u32>>>,
 
     scale_epoch: Vec<u64>,
     scale_sig: Vec<Option<ScaleSig>>,
     pending_resets: BTreeSet<usize>,
 
     last_integration: Option<(IntegrationSig, f64)>,
+
+    /// The words of the `set_*` call in flight (see `set_direct`).
+    scratch: Vec<u32>,
 
     stats: MemoStats,
     recorder: Recorder,
@@ -271,14 +287,15 @@ impl MemoInstance {
             freq_content: Vec::new(),
             catw_epoch: Vec::new(),
             catw_content: Vec::new(),
-            rates_epoch: 0,
-            rates_content: None,
-            pattern_weights_epoch: 0,
-            pattern_weights_content: None,
+            rates_epoch: Vec::new(),
+            rates_content: Vec::new(),
+            pattern_weights_epoch: Vec::new(),
+            pattern_weights_content: Vec::new(),
             scale_epoch: vec![0; cfg.scale_buffer_count],
             scale_sig: Vec::new(),
             pending_resets: BTreeSet::new(),
             last_integration: None,
+            scratch: Vec::new(),
             stats: MemoStats {
                 enabled: true,
                 ..MemoStats::default()
@@ -292,21 +309,93 @@ impl MemoInstance {
         self.clock
     }
 
-    /// Invalidate a partials destination after a failed or unknown write.
-    fn poison_partials(&mut self, dest: usize) {
+    /// The epoch and stored content of the buffer `target` writes.
+    fn direct_slot(&mut self, target: SetTarget) -> (&mut u64, &mut Option<Vec<u32>>) {
+        let (epochs, contents, i) = match target {
+            SetTarget::TipStates(i) | SetTarget::TipPartials(i) | SetTarget::Partials(i) => {
+                (&mut self.partials_epoch, &mut self.partials_content, i)
+            }
+            SetTarget::Matrix(i) => (&mut self.matrix_epoch, &mut self.matrix_content, i),
+            SetTarget::Eigen(i) => (&mut self.eigen_epoch, &mut self.eigen_content, i),
+            SetTarget::Frequencies(i) => (&mut self.freq_epoch, &mut self.freq_content, i),
+            SetTarget::CategoryWeights(i) => (&mut self.catw_epoch, &mut self.catw_content, i),
+            SetTarget::CategoryRates => (&mut self.rates_epoch, &mut self.rates_content, 0),
+            SetTarget::PatternWeights => (
+                &mut self.pattern_weights_epoch,
+                &mut self.pattern_weights_content,
+                0,
+            ),
+        };
+        if i >= epochs.len() {
+            epochs.resize(i + 1, 0);
+        }
+        (&mut epochs[i], slot(contents, i))
+    }
+
+    /// Whether `target`'s stored content is still what a `set_*` wrote.
+    /// Partials and matrix buffers are also written by derived results,
+    /// which replace their `Direct` signature.
+    fn holds_direct(&self, target: SetTarget) -> bool {
+        match target {
+            SetTarget::TipStates(i) | SetTarget::TipPartials(i) | SetTarget::Partials(i) => {
+                get_slot(&self.partials_sig, i) == Some(&PartialsSig::Direct(target))
+            }
+            SetTarget::Matrix(i) => get_slot(&self.matrix_sig, i) == Some(&MatrixSig::Direct),
+            _ => true,
+        }
+    }
+
+    /// Record a forwarded write to `target`: a new epoch either way, with
+    /// the written bits (`Some`) or with nothing (`None`: the call failed,
+    /// so the buffer's content is unknown and nothing reading it may be
+    /// skipped).
+    fn commit_direct(&mut self, target: SetTarget, content: Option<Vec<u32>>) {
         let e = self.tick();
-        bump_at(&mut self.partials_epoch, dest, e);
-        *slot(&mut self.partials_sig, dest) = None;
-        *slot(&mut self.partials_content, dest) = None;
+        let stored = content.is_some();
+        match target {
+            SetTarget::TipStates(i) | SetTarget::TipPartials(i) | SetTarget::Partials(i) => {
+                *slot(&mut self.partials_sig, i) = stored.then_some(PartialsSig::Direct(target));
+            }
+            SetTarget::Matrix(i) => {
+                *slot(&mut self.matrix_sig, i) = stored.then_some(MatrixSig::Direct);
+            }
+            _ => {}
+        }
+        let (epoch, stored_content) = self.direct_slot(target);
+        *epoch = e;
+        *stored_content = content;
         self.last_integration = None;
     }
 
-    fn poison_matrix(&mut self, index: usize) {
-        let e = self.tick();
-        bump_at(&mut self.matrix_epoch, index, e);
-        *slot(&mut self.matrix_sig, index) = None;
-        *slot(&mut self.matrix_content, index) = None;
-        self.last_integration = None;
+    /// The one `set_*` path: skip the call when `target` already holds
+    /// bit-identical `words`, otherwise forward it and commit the outcome.
+    /// The words go into a reused scratch buffer and compare as one slice,
+    /// so a deduplicated call allocates nothing.
+    fn set_direct(
+        &mut self,
+        target: SetTarget,
+        words: impl Iterator<Item = u32>,
+        forward: impl FnOnce(&mut dyn BeagleInstance) -> Result<()>,
+    ) -> Result<()> {
+        let mut payload = std::mem::take(&mut self.scratch);
+        payload.clear();
+        payload.extend(words);
+        let same =
+            self.holds_direct(target) && self.direct_slot(target).1.as_ref() == Some(&payload);
+        let result = if same {
+            self.stats.sets_deduped += 1;
+            if self.enabled {
+                Ok(())
+            } else {
+                forward(self.inner.as_mut())
+            }
+        } else {
+            let result = forward(self.inner.as_mut());
+            self.commit_direct(target, result.is_ok().then(|| payload.clone()));
+            result
+        };
+        self.scratch = payload;
+        result
     }
 
     fn poison_scale(&mut self, index: usize) {
@@ -425,11 +514,77 @@ impl MemoInstance {
     /// Invalidate every destination of a failed forwarded submission.
     fn poison_ops(&mut self, commits: &[(Operation, PartialsSig, u64, Option<u64>)]) {
         for (op, _, _, _) in commits {
-            self.poison_partials(op.destination);
+            self.commit_direct(SetTarget::Partials(op.destination), None);
             if let Some(s) = op.dest_scale_write {
                 self.poison_scale(s);
             }
         }
+    }
+
+    /// The signature of a root integration at `parent` (`edge` is `None`)
+    /// or of an edge integration to `(child, matrix)`. Lands any deferred
+    /// reset of the cumulative scale buffer first.
+    fn integration_sig(
+        &mut self,
+        parent: BufferId,
+        edge: Option<(BufferId, BufferId)>,
+        category_weights: BufferId,
+        frequencies: BufferId,
+        scaling: ScalingMode,
+    ) -> Result<IntegrationSig> {
+        let scale_epoch = match scaling {
+            ScalingMode::None => 0,
+            ScalingMode::Cumulative(c) => {
+                self.flush_resets_among(&[c.0])?;
+                epoch_at(&self.scale_epoch, c.0)
+            }
+        };
+        // A root integration reads no child or matrix: out-of-range indices
+        // give them epoch 0.
+        let (child, matrix) = edge.map_or((usize::MAX, usize::MAX), |(c, m)| (c.0, m.0));
+        Ok(IntegrationSig {
+            edge: edge.is_some(),
+            buffers: [parent.0, child, matrix],
+            part_epochs: [
+                epoch_at(&self.partials_epoch, parent.0),
+                epoch_at(&self.partials_epoch, child),
+            ],
+            matrix_epoch: epoch_at(&self.matrix_epoch, matrix),
+            catw: (
+                category_weights.0,
+                epoch_at(&self.catw_epoch, category_weights.0),
+            ),
+            freq: (frequencies.0, epoch_at(&self.freq_epoch, frequencies.0)),
+            pattern_weights_epoch: epoch_at(&self.pattern_weights_epoch, 0),
+            scaling,
+            scale_epoch,
+        })
+    }
+
+    /// Answer an integration from the cached value when `sig` matches the
+    /// last one; otherwise run `integrate` and cache a finite result.
+    fn integrate_memoized(
+        &mut self,
+        sig: IntegrationSig,
+        what: impl FnOnce() -> String,
+        integrate: impl FnOnce(&mut dyn BeagleInstance) -> Result<f64>,
+    ) -> Result<f64> {
+        if let Some((cached, value)) = &self.last_integration {
+            if self.enabled && cached == &sig {
+                let v = *value;
+                self.stats.integrations_skipped += 1;
+                self.recorder
+                    .event(EventKind::IncrementalSkip, || format!("{} -> {v}", what()));
+                return Ok(v);
+            }
+        }
+        self.stats.integrations_computed += 1;
+        let r = integrate(self.inner.as_mut());
+        self.last_integration = match &r {
+            Ok(v) if v.is_finite() => Some((sig, *v)),
+            _ => None,
+        };
+        r
     }
 
     fn skip_event(&mut self, what: &str, skipped: u64, total: usize) {
@@ -441,15 +596,17 @@ impl MemoInstance {
             });
         }
     }
-
-    /// Dedup a small `set_*` payload: returns `true` when the stored
-    /// content is bit-identical (caller may skip the forward when enabled).
-    fn dedup_hit(stored: &Option<Vec<u64>>, new_bits: &[u64]) -> bool {
-        stored.as_deref() == Some(new_bits)
-    }
 }
 
 impl BeagleInstance for MemoInstance {
+    fn wrapped(&self) -> Option<&dyn BeagleInstance> {
+        Some(self.inner.as_ref())
+    }
+
+    fn wrapped_mut(&mut self) -> Option<&mut dyn BeagleInstance> {
+        Some(self.inner.as_mut())
+    }
+
     fn details(&self) -> &InstanceDetails {
         self.inner.details()
     }
@@ -459,78 +616,21 @@ impl BeagleInstance for MemoInstance {
     }
 
     fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
-        let content = DirectContent::TipStates(states.to_vec());
-        if get_slot(&self.partials_content, tip) == Some(&content) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_tip_states(tip, states);
-        }
-        match self.inner.set_tip_states(tip, states) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.partials_epoch, tip, e);
-                *slot(&mut self.partials_sig, tip) = Some(PartialsSig::Direct);
-                *slot(&mut self.partials_content, tip) = Some(content);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.poison_partials(tip);
-                Err(e)
-            }
-        }
+        self.set_direct(SetTarget::TipStates(tip), states.iter().copied(), |inner| {
+            inner.set_tip_states(tip, states)
+        })
     }
 
     fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
-        let content = DirectContent::TipPartials(bits(partials));
-        if get_slot(&self.partials_content, tip) == Some(&content) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_tip_partials(tip, partials);
-        }
-        match self.inner.set_tip_partials(tip, partials) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.partials_epoch, tip, e);
-                *slot(&mut self.partials_sig, tip) = Some(PartialsSig::Direct);
-                *slot(&mut self.partials_content, tip) = Some(content);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.poison_partials(tip);
-                Err(e)
-            }
-        }
+        self.set_direct(SetTarget::TipPartials(tip), bits(partials), |inner| {
+            inner.set_tip_partials(tip, partials)
+        })
     }
 
     fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
-        let content = DirectContent::Partials(bits(partials));
-        if get_slot(&self.partials_content, buffer) == Some(&content) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_partials(buffer, partials);
-        }
-        match self.inner.set_partials(buffer, partials) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.partials_epoch, buffer, e);
-                *slot(&mut self.partials_sig, buffer) = Some(PartialsSig::Direct);
-                *slot(&mut self.partials_content, buffer) = Some(content);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.poison_partials(buffer);
-                Err(e)
-            }
-        }
+        self.set_direct(SetTarget::Partials(buffer), bits(partials), |inner| {
+            inner.set_partials(buffer, partials)
+        })
     }
 
     fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
@@ -538,107 +638,27 @@ impl BeagleInstance for MemoInstance {
     }
 
     fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
-        let b = bits(weights);
-        if Self::dedup_hit(&self.pattern_weights_content, &b) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_pattern_weights(weights);
-        }
-        match self.inner.set_pattern_weights(weights) {
-            Ok(()) => {
-                self.pattern_weights_epoch = self.tick();
-                self.pattern_weights_content = Some(b);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.pattern_weights_epoch = self.tick();
-                self.pattern_weights_content = None;
-                self.last_integration = None;
-                Err(e)
-            }
-        }
+        self.set_direct(SetTarget::PatternWeights, bits(weights), |inner| {
+            inner.set_pattern_weights(weights)
+        })
     }
 
     fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
-        let b = bits(frequencies);
-        if get_slot(&self.freq_content, index).is_some_and(|c| c == &b) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_state_frequencies(index, frequencies);
-        }
-        match self.inner.set_state_frequencies(index, frequencies) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.freq_epoch, index, e);
-                *slot(&mut self.freq_content, index) = Some(b);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                let t = self.tick();
-                bump_at(&mut self.freq_epoch, index, t);
-                *slot(&mut self.freq_content, index) = None;
-                self.last_integration = None;
-                Err(e)
-            }
-        }
+        self.set_direct(SetTarget::Frequencies(index), bits(frequencies), |inner| {
+            inner.set_state_frequencies(index, frequencies)
+        })
     }
 
     fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
-        let b = bits(rates);
-        if Self::dedup_hit(&self.rates_content, &b) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_category_rates(rates);
-        }
-        match self.inner.set_category_rates(rates) {
-            Ok(()) => {
-                self.rates_epoch = self.tick();
-                self.rates_content = Some(b);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.rates_epoch = self.tick();
-                self.rates_content = None;
-                self.last_integration = None;
-                Err(e)
-            }
-        }
+        self.set_direct(SetTarget::CategoryRates, bits(rates), |inner| {
+            inner.set_category_rates(rates)
+        })
     }
 
     fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
-        let b = bits(weights);
-        if get_slot(&self.catw_content, index).is_some_and(|c| c == &b) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_category_weights(index, weights);
-        }
-        match self.inner.set_category_weights(index, weights) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.catw_epoch, index, e);
-                *slot(&mut self.catw_content, index) = Some(b);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                let t = self.tick();
-                bump_at(&mut self.catw_epoch, index, t);
-                *slot(&mut self.catw_content, index) = None;
-                self.last_integration = None;
-                Err(e)
-            }
-        }
+        self.set_direct(SetTarget::CategoryWeights(index), bits(weights), |inner| {
+            inner.set_category_weights(index, weights)
+        })
     }
 
     fn set_eigen_decomposition(
@@ -648,35 +668,16 @@ impl BeagleInstance for MemoInstance {
         inverse_vectors: &[f64],
         values: &[f64],
     ) -> Result<()> {
-        let content = (bits(vectors), bits(inverse_vectors), bits(values));
-        if get_slot(&self.eigen_content, index) == Some(&content) {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self
-                .inner
-                .set_eigen_decomposition(index, vectors, inverse_vectors, values);
-        }
-        match self
-            .inner
-            .set_eigen_decomposition(index, vectors, inverse_vectors, values)
-        {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.eigen_epoch, index, e);
-                *slot(&mut self.eigen_content, index) = Some(content);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                let t = self.tick();
-                bump_at(&mut self.eigen_epoch, index, t);
-                *slot(&mut self.eigen_content, index) = None;
-                self.last_integration = None;
-                Err(e)
-            }
-        }
+        // Leading part lengths keep a differently split call from matching.
+        let words = split(vectors.len() as u64)
+            .into_iter()
+            .chain(split(inverse_vectors.len() as u64))
+            .chain(bits(vectors))
+            .chain(bits(inverse_vectors))
+            .chain(bits(values));
+        self.set_direct(SetTarget::Eigen(index), words, |inner| {
+            inner.set_eigen_decomposition(index, vectors, inverse_vectors, values)
+        })
     }
 
     fn update_transition_matrices(
@@ -694,6 +695,7 @@ impl BeagleInstance for MemoInstance {
             );
         }
         let eigen_epoch = epoch_at(&self.eigen_epoch, eigen_index);
+        let rates_epoch = epoch_at(&self.rates_epoch, 0);
         let mut fwd_idx = Vec::new();
         let mut fwd_len = Vec::new();
         let mut sigs = Vec::new();
@@ -702,7 +704,7 @@ impl BeagleInstance for MemoInstance {
             let sig = MatrixSig::Derived {
                 eigen_index,
                 eigen_epoch,
-                rates_epoch: self.rates_epoch,
+                rates_epoch,
                 t_bits: t.to_bits(),
             };
             if self.enabled && get_slot(&self.matrix_sig, idx) == Some(&sig) {
@@ -740,7 +742,7 @@ impl BeagleInstance for MemoInstance {
             }
             Err(e) => {
                 for (idx, _) in sigs {
-                    self.poison_matrix(idx);
+                    self.commit_direct(SetTarget::Matrix(idx), None);
                 }
                 Err(e)
             }
@@ -765,7 +767,7 @@ impl BeagleInstance for MemoInstance {
             branch_lengths,
         );
         for &idx in matrix_indices.iter().chain(d1_indices).chain(d2_indices) {
-            self.poison_matrix(idx);
+            self.commit_direct(SetTarget::Matrix(idx), None);
         }
         r
     }
@@ -801,30 +803,9 @@ impl BeagleInstance for MemoInstance {
     }
 
     fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
-        let b = bits(matrix);
-        if get_slot(&self.matrix_sig, index) == Some(&MatrixSig::Direct)
-            && get_slot(&self.matrix_content, index).is_some_and(|c| c == &b)
-        {
-            self.stats.sets_deduped += 1;
-            if self.enabled {
-                return Ok(());
-            }
-            return self.inner.set_transition_matrix(index, matrix);
-        }
-        match self.inner.set_transition_matrix(index, matrix) {
-            Ok(()) => {
-                let e = self.tick();
-                bump_at(&mut self.matrix_epoch, index, e);
-                *slot(&mut self.matrix_sig, index) = Some(MatrixSig::Direct);
-                *slot(&mut self.matrix_content, index) = Some(b);
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                self.poison_matrix(index);
-                Err(e)
-            }
-        }
+        self.set_direct(SetTarget::Matrix(index), bits(matrix), |inner| {
+            inner.set_transition_matrix(index, matrix)
+        })
     }
 
     fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
@@ -989,50 +970,12 @@ impl BeagleInstance for MemoInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        let scale_epoch = match scaling {
-            ScalingMode::None => 0,
-            ScalingMode::Cumulative(c) => {
-                self.flush_resets_among(&[c.0])?;
-                epoch_at(&self.scale_epoch, c.0)
-            }
-        };
-        let sig = IntegrationSig {
-            edge: false,
-            buffers: [root.0, usize::MAX, usize::MAX],
-            part_epochs: [epoch_at(&self.partials_epoch, root.0), 0],
-            matrix_epoch: 0,
-            catw: (
-                category_weights.0,
-                epoch_at(&self.catw_epoch, category_weights.0),
-            ),
-            freq: (frequencies.0, epoch_at(&self.freq_epoch, frequencies.0)),
-            pattern_weights_epoch: self.pattern_weights_epoch,
-            scaling,
-            scale_epoch,
-        };
-        if self.enabled {
-            if let Some((cached, value)) = &self.last_integration {
-                if cached == &sig {
-                    let v = *value;
-                    self.stats.integrations_skipped += 1;
-                    if self.recorder.is_enabled() {
-                        self.recorder.event(EventKind::IncrementalSkip, || {
-                            format!("root integration at buffer {root} -> {v}")
-                        });
-                    }
-                    return Ok(v);
-                }
-            }
-        }
-        self.stats.integrations_computed += 1;
-        let r = self
-            .inner
-            .integrate_root(root, category_weights, frequencies, scaling);
-        self.last_integration = match &r {
-            Ok(v) if v.is_finite() => Some((sig, *v)),
-            _ => None,
-        };
-        r
+        let sig = self.integration_sig(root, None, category_weights, frequencies, scaling)?;
+        self.integrate_memoized(
+            sig,
+            || format!("root integration at buffer {root}"),
+            |inner| inner.integrate_root(root, category_weights, frequencies, scaling),
+        )
     }
 
     fn integrate_edge(
@@ -1044,82 +987,26 @@ impl BeagleInstance for MemoInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        let scale_epoch = match scaling {
-            ScalingMode::None => 0,
-            ScalingMode::Cumulative(c) => {
-                self.flush_resets_among(&[c.0])?;
-                epoch_at(&self.scale_epoch, c.0)
-            }
-        };
-        let sig = IntegrationSig {
-            edge: true,
-            buffers: [parent.0, child.0, matrix.0],
-            part_epochs: [
-                epoch_at(&self.partials_epoch, parent.0),
-                epoch_at(&self.partials_epoch, child.0),
-            ],
-            matrix_epoch: epoch_at(&self.matrix_epoch, matrix.0),
-            catw: (
-                category_weights.0,
-                epoch_at(&self.catw_epoch, category_weights.0),
-            ),
-            freq: (frequencies.0, epoch_at(&self.freq_epoch, frequencies.0)),
-            pattern_weights_epoch: self.pattern_weights_epoch,
-            scaling,
-            scale_epoch,
-        };
-        if self.enabled {
-            if let Some((cached, value)) = &self.last_integration {
-                if cached == &sig {
-                    let v = *value;
-                    self.stats.integrations_skipped += 1;
-                    if self.recorder.is_enabled() {
-                        self.recorder.event(EventKind::IncrementalSkip, || {
-                            format!("edge integration {parent}->{child} -> {v}")
-                        });
-                    }
-                    return Ok(v);
-                }
-            }
-        }
-        self.stats.integrations_computed += 1;
-        let r = self.inner.integrate_edge(
-            parent,
-            child,
-            matrix,
-            category_weights,
-            frequencies,
-            scaling,
-        );
-        self.last_integration = match &r {
-            Ok(v) if v.is_finite() => Some((sig, *v)),
-            _ => None,
-        };
-        r
+        let edge = Some((child, matrix));
+        let sig = self.integration_sig(parent, edge, category_weights, frequencies, scaling)?;
+        self.integrate_memoized(
+            sig,
+            || format!("edge integration {parent}->{child}"),
+            |inner| {
+                inner.integrate_edge(
+                    parent,
+                    child,
+                    matrix,
+                    category_weights,
+                    frequencies,
+                    scaling,
+                )
+            },
+        )
     }
 
     fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
         self.inner.get_site_log_likelihoods()
-    }
-
-    fn wait_for_computation(&mut self) -> Result<()> {
-        self.inner.wait_for_computation()
-    }
-
-    fn simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.simulated_time()
-    }
-
-    fn reset_simulated_time(&mut self) {
-        self.inner.reset_simulated_time()
-    }
-
-    fn peek_simulated_time(&self) -> Option<std::time::Duration> {
-        self.inner.peek_simulated_time()
-    }
-
-    fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
-        self.inner.queue_stats()
     }
 
     fn statistics(&self) -> Option<obs::InstanceStats> {
@@ -1136,14 +1023,6 @@ impl BeagleInstance for MemoInstance {
 
     fn take_journal(&mut self) -> Vec<obs::Event> {
         obs::merge_journals(self.inner.take_journal(), self.recorder.take_journal())
-    }
-
-    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
-        self.inner.set_deadline(deadline);
-    }
-
-    fn checkpoint(&mut self) -> Option<crate::checkpoint::Checkpoint> {
-        self.inner.checkpoint()
     }
 
     fn set_incremental(&mut self, enabled: bool) {

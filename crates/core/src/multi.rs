@@ -904,6 +904,71 @@ impl PartitionedInstance {
         // to every surviving child, completing this fan-out.
         self.evict_and_rebuild(i, e)
     }
+
+    /// Run a root or edge integration on every child, gather the site
+    /// log-likelihoods, and reduce them to the total. Integration is not
+    /// journaled (it writes no instance state), so on eviction the whole
+    /// reduction restarts against the rebuilt children. Bounded: every
+    /// round either returns or evicts.
+    fn integrate_children(
+        &mut self,
+        integrate: impl Fn(&mut dyn BeagleInstance) -> Result<f64>,
+    ) -> Result<f64> {
+        'round: for _ in 0..=self.parts.len() {
+            let mut observations: Vec<(usize, Duration)> = Vec::with_capacity(self.parts.len());
+            for i in 0..self.parts.len() {
+                let retry = self.retry;
+                let before = self.retry_counts[i];
+                // Peek so a queued child's pending batch flushes *inside*
+                // the timed integrate below, not here.
+                let sim0 = self.parts[i].peek_simulated_time();
+                let t0 = Instant::now();
+                let r = Self::call_with_retry(
+                    retry,
+                    &mut self.rng,
+                    &mut self.retry_counts[i],
+                    self.parts[i].as_mut(),
+                    |p| integrate(p).map(drop),
+                );
+                let wall = t0.elapsed();
+                let retries = self.retry_counts[i] - before;
+                if retries > 0 {
+                    self.recorder.event(EventKind::FailoverRetry, || {
+                        format!("child={i} retries={retries} ok={}", r.is_ok())
+                    });
+                }
+                if let Err(e) = r {
+                    if !is_evictable(&e) {
+                        return Err(e);
+                    }
+                    self.evict_and_rebuild(i, e)?;
+                    continue 'round;
+                }
+                if retries == 0 {
+                    // Integration flushes any queued work, so for queued
+                    // children this sample carries the batch's real cost.
+                    let elapsed = self.parts[i]
+                        .peek_simulated_time()
+                        .zip(sim0)
+                        .map(|(t1, t0)| t1.saturating_sub(t0))
+                        .filter(|d| !d.is_zero())
+                        .unwrap_or(wall);
+                    observations.push((i, elapsed));
+                }
+                let resource = self.parts[i].details().implementation_name.clone();
+                self.note_health(&resource, Outcome::Success);
+                let (p0, p1) = self.ranges[i];
+                self.site_lnl[p0..p1].copy_from_slice(&self.parts[i].get_site_log_likelihoods()?);
+            }
+            // Reduce before any migration: the per-range precision casts
+            // must match the children that produced these site values.
+            let total = self.reduce_total();
+            self.observe_batch(observations);
+            self.maybe_rebalance();
+            return Ok(total);
+        }
+        unreachable!("eviction loop is bounded by the child count");
+    }
 }
 
 impl BeagleInstance for PartitionedInstance {
@@ -1161,66 +1226,7 @@ impl BeagleInstance for PartitionedInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        // Integration is not journaled (it writes no instance state), so on
-        // eviction the whole reduction restarts against the rebuilt
-        // children. Bounded: every round either returns or evicts.
-        'round: for _ in 0..=self.parts.len() {
-            let mut observations: Vec<(usize, Duration)> = Vec::with_capacity(self.parts.len());
-            for i in 0..self.parts.len() {
-                let retry = self.retry;
-                let before = self.retry_counts[i];
-                // Peek so a queued child's pending batch flushes *inside*
-                // the timed integrate below, not here.
-                let sim0 = self.parts[i].peek_simulated_time();
-                let t0 = Instant::now();
-                let r = Self::call_with_retry(
-                    retry,
-                    &mut self.rng,
-                    &mut self.retry_counts[i],
-                    self.parts[i].as_mut(),
-                    |p| {
-                        p.integrate_root(root, category_weights, frequencies, scaling)?;
-                        Ok(())
-                    },
-                );
-                let wall = t0.elapsed();
-                let retries = self.retry_counts[i] - before;
-                if retries > 0 {
-                    self.recorder.event(EventKind::FailoverRetry, || {
-                        format!("child={i} retries={retries} ok={}", r.is_ok())
-                    });
-                }
-                if let Err(e) = r {
-                    if !is_evictable(&e) {
-                        return Err(e);
-                    }
-                    self.evict_and_rebuild(i, e)?;
-                    continue 'round;
-                }
-                if retries == 0 {
-                    // Integration flushes any queued work, so for queued
-                    // children this sample carries the batch's real cost.
-                    let elapsed = self.parts[i]
-                        .peek_simulated_time()
-                        .zip(sim0)
-                        .map(|(t1, t0)| t1.saturating_sub(t0))
-                        .filter(|d| !d.is_zero())
-                        .unwrap_or(wall);
-                    observations.push((i, elapsed));
-                }
-                let resource = self.parts[i].details().implementation_name.clone();
-                self.note_health(&resource, Outcome::Success);
-                let (p0, p1) = self.ranges[i];
-                self.site_lnl[p0..p1].copy_from_slice(&self.parts[i].get_site_log_likelihoods()?);
-            }
-            // Reduce before any migration: the per-range precision casts
-            // must match the children that produced these site values.
-            let total = self.reduce_total();
-            self.observe_batch(observations);
-            self.maybe_rebalance();
-            return Ok(total);
-        }
-        unreachable!("eviction loop is bounded by the child count");
+        self.integrate_children(|p| p.integrate_root(root, category_weights, frequencies, scaling))
     }
 
     fn integrate_edge(
@@ -1232,66 +1238,16 @@ impl BeagleInstance for PartitionedInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        'round: for _ in 0..=self.parts.len() {
-            let mut observations: Vec<(usize, Duration)> = Vec::with_capacity(self.parts.len());
-            for i in 0..self.parts.len() {
-                let retry = self.retry;
-                let before = self.retry_counts[i];
-                // Peek so a queued child's pending batch flushes *inside*
-                // the timed integrate below, not here.
-                let sim0 = self.parts[i].peek_simulated_time();
-                let t0 = Instant::now();
-                let r = Self::call_with_retry(
-                    retry,
-                    &mut self.rng,
-                    &mut self.retry_counts[i],
-                    self.parts[i].as_mut(),
-                    |p| {
-                        p.integrate_edge(
-                            parent,
-                            child,
-                            matrix,
-                            category_weights,
-                            frequencies,
-                            scaling,
-                        )?;
-                        Ok(())
-                    },
-                );
-                let wall = t0.elapsed();
-                let retries = self.retry_counts[i] - before;
-                if retries > 0 {
-                    self.recorder.event(EventKind::FailoverRetry, || {
-                        format!("child={i} retries={retries} ok={}", r.is_ok())
-                    });
-                }
-                if let Err(e) = r {
-                    if !is_evictable(&e) {
-                        return Err(e);
-                    }
-                    self.evict_and_rebuild(i, e)?;
-                    continue 'round;
-                }
-                if retries == 0 {
-                    let elapsed = self.parts[i]
-                        .peek_simulated_time()
-                        .zip(sim0)
-                        .map(|(t1, t0)| t1.saturating_sub(t0))
-                        .filter(|d| !d.is_zero())
-                        .unwrap_or(wall);
-                    observations.push((i, elapsed));
-                }
-                let resource = self.parts[i].details().implementation_name.clone();
-                self.note_health(&resource, Outcome::Success);
-                let (p0, p1) = self.ranges[i];
-                self.site_lnl[p0..p1].copy_from_slice(&self.parts[i].get_site_log_likelihoods()?);
-            }
-            let total = self.reduce_total();
-            self.observe_batch(observations);
-            self.maybe_rebalance();
-            return Ok(total);
-        }
-        unreachable!("eviction loop is bounded by the child count");
+        self.integrate_children(|p| {
+            p.integrate_edge(
+                parent,
+                child,
+                matrix,
+                category_weights,
+                frequencies,
+                scaling,
+            )
+        })
     }
 
     fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
@@ -1384,16 +1340,35 @@ impl BeagleInstance for PartitionedInstance {
     }
 
     fn memo_stats(&self) -> Option<crate::memo::MemoStats> {
-        let mut agg: Option<crate::memo::MemoStats> = None;
-        for p in &self.parts {
-            if let Some(s) = p.memo_stats() {
-                match &mut agg {
-                    Some(a) => a.merge(&s),
-                    None => agg = Some(s),
-                }
+        self.parts
+            .iter()
+            .filter_map(|p| p.memo_stats())
+            .reduce(|mut agg, s| {
+                agg.merge(&s);
+                agg
+            })
+    }
+
+    fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
+        self.parts
+            .iter()
+            .filter_map(|p| p.queue_stats())
+            .reduce(|mut agg, s| {
+                agg.merge(&s);
+                agg
+            })
+    }
+
+    fn wait_for_computation(&mut self) -> Result<()> {
+        // A rebuild replays the journal into fresh children, which may queue
+        // the replay; wait again until a round completes without eviction.
+        loop {
+            let evictions = self.evictions;
+            self.fan_out_recorded(|_, _, part| part.wait_for_computation())?;
+            if self.evictions == evictions {
+                return Ok(());
             }
         }
-        agg
     }
 }
 

@@ -81,6 +81,22 @@ pub struct QueueStats {
     pub eigen_cache_evictions: u64,
 }
 
+impl QueueStats {
+    /// Fold another child's counters into this one (used by
+    /// [`crate::multi::PartitionedInstance`] to aggregate across children).
+    pub fn merge(&mut self, other: &QueueStats) {
+        self.flushes += other.flushes;
+        self.batches_submitted += other.batches_submitted;
+        self.levels_submitted += other.levels_submitted;
+        self.ops_enqueued += other.ops_enqueued;
+        self.ops_submitted += other.ops_submitted;
+        self.eigen_cache_hits += other.eigen_cache_hits;
+        self.eigen_cache_misses += other.eigen_cache_misses;
+        self.eigen_cache_invalidations += other.eigen_cache_invalidations;
+        self.eigen_cache_evictions += other.eigen_cache_evictions;
+    }
+}
+
 /// Default bound on cached transition matrices. An MCMC run proposes a new
 /// branch length almost every iteration; without a cap the cache would grow
 /// with the chain. 1024 codon-model f64 matrices ≈ 30 MB.
@@ -493,12 +509,26 @@ impl QueuedInstance {
         self.state.into_inner().inner
     }
 
+    /// Flush pending work, then hand out the inner instance for a call
+    /// that demands a result.
+    fn flushed(&mut self) -> Result<&mut dyn BeagleInstance> {
+        let st = self.state.get_mut();
+        st.flush()?;
+        Ok(st.inner.as_mut())
+    }
+
     fn enqueue(&mut self, item: Pending) {
         self.state.get_mut().pending.push(item);
     }
 }
 
 impl BeagleInstance for QueuedInstance {
+    // No `wrapped()`: the inner instance sits behind the lock, so the `&self`
+    // control methods below read it themselves.
+    fn wrapped_mut(&mut self) -> Option<&mut dyn BeagleInstance> {
+        Some(self.state.get_mut().inner.as_mut())
+    }
+
     fn details(&self) -> &InstanceDetails {
         &self.details
     }
@@ -603,9 +633,7 @@ impl BeagleInstance for QueuedInstance {
     ) -> Result<()> {
         // Derivative matrices are not cached (three coupled outputs per
         // branch); flush so prior eigen/rate updates are visible, then run.
-        let st = self.state.get_mut();
-        st.flush()?;
-        st.inner.update_transition_derivatives(
+        self.flushed()?.update_transition_derivatives(
             eigen_index,
             matrix_indices,
             d1_indices,
@@ -625,9 +653,7 @@ impl BeagleInstance for QueuedInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<(f64, f64, f64)> {
-        let st = self.state.get_mut();
-        st.flush()?;
-        st.inner.integrate_edge_derivatives(
+        self.flushed()?.integrate_edge_derivatives(
             parent,
             child,
             matrix,
@@ -685,9 +711,7 @@ impl BeagleInstance for QueuedInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        let st = self.state.get_mut();
-        st.flush()?;
-        st.inner
+        self.flushed()?
             .integrate_root(root, category_weights, frequencies, scaling)
     }
 
@@ -700,9 +724,7 @@ impl BeagleInstance for QueuedInstance {
         frequencies: BufferId,
         scaling: ScalingMode,
     ) -> Result<f64> {
-        let st = self.state.get_mut();
-        st.flush()?;
-        st.inner.integrate_edge(
+        self.flushed()?.integrate_edge(
             parent,
             child,
             matrix,
@@ -719,9 +741,7 @@ impl BeagleInstance for QueuedInstance {
     }
 
     fn wait_for_computation(&mut self) -> Result<()> {
-        let st = self.state.get_mut();
-        st.flush()?;
-        st.inner.wait_for_computation()
+        self.flushed()?.wait_for_computation()
     }
 
     fn simulated_time(&self) -> Option<std::time::Duration> {
@@ -732,9 +752,8 @@ impl BeagleInstance for QueuedInstance {
     }
 
     fn reset_simulated_time(&mut self) {
-        let st = self.state.get_mut();
-        if st.flush().is_ok() {
-            st.inner.reset_simulated_time();
+        if let Ok(inner) = self.flushed() {
+            inner.reset_simulated_time();
         }
     }
 
@@ -765,20 +784,10 @@ impl BeagleInstance for QueuedInstance {
         obs::merge_journals(st.inner.take_journal(), st.recorder.take_journal())
     }
 
-    fn set_deadline(&mut self, deadline: Option<crate::deadline::Deadline>) {
-        self.state.get_mut().inner.set_deadline(deadline);
-    }
-
     fn checkpoint(&mut self) -> Option<crate::checkpoint::Checkpoint> {
         // Pending work must reach the journaling layer below before the
         // snapshot, or queued-but-unflushed operations would be lost.
-        let st = self.state.get_mut();
-        st.flush().ok()?;
-        st.inner.checkpoint()
-    }
-
-    fn set_incremental(&mut self, enabled: bool) {
-        self.state.get_mut().inner.set_incremental(enabled);
+        self.flushed().ok()?.checkpoint()
     }
 
     fn memo_stats(&self) -> Option<crate::memo::MemoStats> {

@@ -85,7 +85,7 @@ cargo run -q --release -p beagle-server --bin beagle-serve -- --self-test 3
 # The stack benchmark is its own workspace, so `--workspace` does not build
 # it; its tests catch library changes that would break the benchmark.
 cargo test -q --offline --manifest-path stackbench/Cargo.toml
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 # Formatting gate for first-party crates only: the vendored stand-ins under
 # vendor/ keep their upstream-ish style and are deliberately excluded.
 cargo fmt --check -p beagle -p beagle-core -p beagle-cpu -p beagle-accel \

@@ -172,3 +172,175 @@ fn wait_for_computation_is_safe_everywhere() {
         }
     }
 }
+
+/// One row of the control-plane reachability table: a stack shape built
+/// through `InstanceSpec`, and which control answers it must give.
+struct Shape {
+    name: &'static str,
+    memo: bool,
+    queue: bool,
+    checkpoint: bool,
+    build: fn(&std::sync::Arc<ImplementationManager>, &Problem) -> Box<dyn BeagleInstance>,
+}
+
+fn cpu_spec(problem: &Problem) -> InstanceSpec {
+    InstanceSpec::with_config(problem.config())
+        .named("CPU-serial")
+        .incremental(true)
+}
+
+const SHAPES: &[Shape] = &[
+    Shape {
+        name: "raw back-end",
+        memo: false,
+        queue: false,
+        checkpoint: false,
+        build: |m, p| {
+            cpu_spec(p)
+                .incremental(false)
+                .without_rescue()
+                .instantiate(m)
+                .unwrap()
+        },
+    },
+    Shape {
+        name: "memo",
+        memo: true,
+        queue: false,
+        checkpoint: false,
+        build: |m, p| cpu_spec(p).without_rescue().instantiate(m).unwrap(),
+    },
+    Shape {
+        name: "memo+queue",
+        memo: true,
+        queue: true,
+        checkpoint: false,
+        build: |m, p| {
+            cpu_spec(p)
+                .queued()
+                .without_rescue()
+                .instantiate(m)
+                .unwrap()
+        },
+    },
+    Shape {
+        name: "memo+queue+rescue",
+        memo: true,
+        queue: true,
+        checkpoint: false,
+        build: |m, p| cpu_spec(p).queued().instantiate(m).unwrap(),
+    },
+    Shape {
+        name: "memo+queue+rescue+checkpoint",
+        memo: true,
+        queue: true,
+        checkpoint: true,
+        build: |m, p| cpu_spec(p).queued().checkpointed().instantiate(m).unwrap(),
+    },
+    Shape {
+        name: "partitioned, 2 queued children",
+        memo: true,
+        queue: true,
+        checkpoint: true,
+        build: |m, p| {
+            let child = beagle::core::ChildSelection::named(
+                "CPU-serial",
+                Flags::COMPUTATION_ASYNCH,
+                Flags::NONE,
+            );
+            Box::new(
+                beagle::core::PartitionedInstance::create_with_selections(
+                    m,
+                    &cpu_spec(p),
+                    vec![child.clone(), child],
+                    &[1.0, 1.0],
+                )
+                .unwrap(),
+            )
+        },
+    },
+];
+
+/// Operations the memo has seen (executed or skipped).
+fn memo_ops_seen(inst: &dyn BeagleInstance) -> Option<u64> {
+    inst.memo_stats().map(|s| s.ops_executed + s.ops_skipped)
+}
+
+/// Every control method answers from the layer that owns it, whatever sits
+/// above: the top of each stack shape reaches memo, queue and journal.
+fn check_control_plane(shapes: &[Shape]) {
+    let problem = Problem::generate(&Scenario {
+        model: ModelKind::Nucleotide,
+        taxa: 6,
+        patterns: 64,
+        categories: 2,
+        seed: 21,
+    });
+    let manager = full_manager();
+    let memo_installed = !beagle::core::memo::incremental_disabled_by_env();
+    for shape in shapes {
+        let name = shape.name;
+        let mut inst = (shape.build)(&manager, &problem);
+        assert_eq!(
+            inst.memo_stats().is_some(),
+            shape.memo && memo_installed,
+            "{name}: memo_stats"
+        );
+        assert_eq!(
+            inst.queue_stats().is_some(),
+            shape.queue,
+            "{name}: queue_stats"
+        );
+        problem.load(inst.as_mut());
+        let lnl = problem.evaluate(inst.as_mut(), false);
+
+        // Leave a traversal pending: a peek must not flush it.
+        inst.update_partials(&problem.operations(false)).unwrap();
+        let (queue0, seen0) = (inst.queue_stats(), memo_ops_seen(inst.as_ref()));
+        inst.peek_simulated_time();
+        assert_eq!(inst.queue_stats(), queue0, "{name}: peek flushed the queue");
+        assert_eq!(memo_ops_seen(inst.as_ref()), seen0, "{name}: peek ran work");
+        if let Some(q) = queue0 {
+            assert!(q.ops_submitted < q.ops_enqueued, "{name}: nothing pending");
+        }
+
+        // Waiting drains every queue below.
+        inst.wait_for_computation().unwrap();
+        if let Some(q) = inst.queue_stats() {
+            assert_eq!(q.ops_submitted, q.ops_enqueued, "{name}: work left pending");
+        }
+
+        // Disabling at the top stops memo skipping below.
+        assert_eq!(
+            problem.evaluate(inst.as_mut(), false).to_bits(),
+            lnl.to_bits()
+        );
+        inst.set_incremental(false);
+        let before = inst.memo_stats();
+        assert_eq!(
+            problem.evaluate(inst.as_mut(), false).to_bits(),
+            lnl.to_bits()
+        );
+        if let (Some(b), Some(a)) = (before, inst.memo_stats()) {
+            assert!(!a.enabled, "{name}: memo still enabled");
+            assert_eq!(a.ops_skipped, b.ops_skipped, "{name}: memo skipped work");
+            assert!(a.ops_executed > b.ops_executed, "{name}: nothing executed");
+        }
+
+        assert_eq!(
+            inst.checkpoint().is_some(),
+            shape.checkpoint,
+            "{name}: checkpoint"
+        );
+    }
+}
+
+#[test]
+fn control_plane_reaches_every_layer_of_single_instance_stacks() {
+    check_control_plane(&SHAPES[..5]);
+}
+
+#[test]
+fn control_plane_reaches_the_children_of_a_partitioned_instance() {
+    check_control_plane(&SHAPES[5..]);
+}

@@ -248,8 +248,7 @@ proptest! {
         let mut ranges = weighted_ranges_aligned(patterns, &equal, PATTERN_STRIDE).unwrap();
         let mut skew = b.predicted_skew(&ranges).expect("estimates settled");
         let mut accepted = 0;
-        loop {
-            let Some((next, est)) = b.plan(patterns, &ranges) else { break };
+        while let Some((next, est)) = b.plan(patterns, &ranges) {
             let next_skew = skew_of(&next, &est);
             prop_assert!(
                 next_skew < skew,
