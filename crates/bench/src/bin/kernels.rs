@@ -4,10 +4,12 @@
 //! `BENCH_kernels.json` (for `scripts/bench.sh`) and printed as a table.
 //!
 //! Unlike the table/figure binaries this measures the kernels in isolation —
-//! one category, one buffer set, no traversal — so the number is the raw
-//! arithmetic throughput of the dispatch paths ("scalar" = dense unrolled
-//! loops, "portable" = 4-state mul_add specializations where applicable,
-//! "avx2" = explicit AVX2+FMA intrinsics), not end-to-end application speed.
+//! one category, one buffer set, no traversal (rescaling alone covers four
+//! category blocks over eight rotating buffer sets, see `rescale_sets`) — so
+//! the number is the raw arithmetic throughput of the dispatch paths
+//! ("scalar" = dense unrolled loops, "portable" = 4-state mul_add
+//! specializations where applicable, "avx2" = explicit AVX2+FMA
+//! intrinsics), not end-to-end application speed.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -87,6 +89,27 @@ fn fill<T: Real>(seed: u64, len: usize) -> Vec<T> {
         .collect()
 }
 
+/// Category blocks per timed rescale call (one scaled operation's worth).
+const RESCALE_CATEGORIES: usize = 4;
+/// Distinct destination sets the rescale timing rotates through.
+const RESCALE_SETS: usize = 8;
+
+/// `RESCALE_SETS` sets of `RESCALE_CATEGORIES` padded partials blocks, each
+/// block drawn from its own seed, pad lanes zero as in a real buffer.
+fn rescale_sets<T: Real>(s: usize, sp: usize, n_pat: usize) -> Vec<[Vec<T>; RESCALE_CATEGORIES]> {
+    (0..RESCALE_SETS)
+        .map(|k| {
+            std::array::from_fn(|c| {
+                let mut block = fill::<T>(100 + (k * RESCALE_CATEGORIES + c) as u64, n_pat * sp);
+                block
+                    .chunks_exact_mut(sp)
+                    .for_each(|q| q[s..].fill(T::ZERO));
+                block
+            })
+        })
+        .collect()
+}
+
 fn bench_precision<T: DispatchReal>(
     precision: &'static str,
     paths: &[DispatchKind],
@@ -137,14 +160,28 @@ fn bench_precision<T: DispatchReal>(
                 gflops,
                 time: ("ns_per_pattern", ns),
             });
-            // Rescaling: max pass + apply pass + finish, one category block.
-            let scale_flops = (2 * sp * n_pat) as f64;
-            let mut maxes = vec![T::ZERO; n_pat];
+            // Rescaling as one scaled operation runs it: max, reciprocal
+            // and apply sweeps plus `ln` over RESCALE_CATEGORIES category
+            // blocks. Successive calls rotate through RESCALE_SETS distinct
+            // destination sets, so the data (and with it every comparison
+            // of the max pass) changes from call to call, as real partials
+            // do; a single repeated block would train the branch predictor.
+            let scale_flops = (2 * sp * n_pat * RESCALE_CATEGORIES) as f64;
+            let mut sets = rescale_sets::<T>(s, sp, n_pat);
+            let mut scale = vec![T::ZERO; n_pat];
+            let mut next = 0;
             let (gflops, ns) = measure(n_pat, scale_flops, || {
-                maxes.iter_mut().for_each(|x| *x = T::ZERO);
-                (table.rescale_max)(&dest, &mut maxes, sp);
-                (table.rescale_apply)(&mut dest, &maxes, sp);
-                kernels::rescale_finish(&mut maxes);
+                let [a, b, c, d] = &mut sets[next % RESCALE_SETS];
+                next += 1;
+                let mut blocks = [&mut a[..], &mut b[..], &mut c[..], &mut d[..]];
+                kernels::rescale_range(
+                    &mut blocks[..],
+                    &mut scale,
+                    s,
+                    sp,
+                    table.rescale_max,
+                    table.rescale_apply,
+                );
             });
             rows.push(Row {
                 kernel: "rescale_patterns",

@@ -555,16 +555,22 @@ impl<T: Real> InstanceBuffers<T> {
         Ok(())
     }
 
-    /// Ensure the destination buffer exists and return the operand views a
-    /// partials kernel needs. The destination is taken out of the arena
+    /// Take a partials operation's destination buffer out of the arena
     /// (std::mem::take) so the children can be borrowed simultaneously;
     /// callers must put it back with [`Self::restore_destination`].
+    ///
+    /// A reused buffer comes back with its old contents, not zeroed. That
+    /// is sound because every partials kernel assigns every live lane of
+    /// every (category, pattern) it is given: the CPU kernel tables and the
+    /// accelerator `partials_kernel` / `partials_group` alike. Pad lanes are
+    /// zero from allocation and stay zero: kernels never write them, and
+    /// rescaling multiplies them by a finite reciprocal or re-zeroes them.
+    /// Only a buffer allocated here is zero-filled.
     pub fn take_destination(&mut self, dest: usize) -> Vec<T> {
         let len = self.padded_partials_len();
         match self.partials[dest].take() {
-            Some(mut v) => {
+            Some(v) => {
                 debug_assert_eq!(v.len(), len);
-                v.iter_mut().for_each(|x| *x = T::ZERO);
                 v
             }
             None => vec![T::ZERO; len],

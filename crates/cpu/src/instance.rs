@@ -83,13 +83,21 @@ struct ChunkTask<T: Real> {
     c2: OperandPtr<T>,
     m1: *const T,
     m2: *const T,
-    s: usize,
-    sp: usize,
+    /// State count, stride and category count are `u32` so that they and
+    /// `timed` share two words: the timing fields add nothing to the task's
+    /// size.
+    s: u32,
+    sp: u32,
+    n_cat: u32,
     n_pat: usize,
-    n_cat: usize,
     p0: usize,
     p1: usize,
     dispatch: &'static KernelDispatch<T>,
+    /// Time the rescale sweeps (set only when the instance records stats,
+    /// so the untraced path reads no clock).
+    timed: bool,
+    /// Nanoseconds this task spent rescaling, when `timed`.
+    rescale_nanos: u64,
 }
 
 // SAFETY: the pointers reference buffers that outlive the batch (the
@@ -104,12 +112,29 @@ unsafe impl<T: Real> Send for ChunkTask<T> {}
 // arena doesn't strip `Sync` from `CpuInstance`.
 unsafe impl<T: Real> Sync for ChunkTask<T> {}
 
+impl<T: Real> kernels::CategoryBlocks<T> for ChunkTask<T> {
+    fn categories(&self) -> usize {
+        self.n_cat as usize
+    }
+
+    fn block(&mut self, cat: usize) -> &mut [T] {
+        assert!(cat < self.categories(), "category {cat} out of range");
+        let (n, sp) = (self.p1 - self.p0, self.sp as usize);
+        let off = (cat * self.n_pat + self.p0) * sp;
+        // SAFETY: `cat < n_cat` (checked above) and `p0..p1` lies within the
+        // pattern count, so this is category `cat`'s slice of the task's
+        // pattern range, inside the destination buffer and disjoint from
+        // every other task's.
+        unsafe { std::slice::from_raw_parts_mut(self.dest.add(off), n * sp) }
+    }
+}
+
 /// Execute one chunk task: all category blocks of its pattern range, then
-/// (if requested) the rescaling passes over the same range.
+/// (if requested) the rescaling sweeps over the same range.
 fn run_chunk<T: DispatchReal>(t: &mut ChunkTask<T>) {
-    let (s, sp, n) = (t.s, t.sp, t.p1 - t.p0);
+    let (s, sp, n) = (t.s as usize, t.sp as usize, t.p1 - t.p0);
     let d = t.dispatch;
-    for cat in 0..t.n_cat {
+    for cat in 0..t.n_cat as usize {
         let off = (cat * t.n_pat + t.p0) * sp;
         // SAFETY: `off..off + n*sp` lies inside the destination buffer and
         // no other task of the batch overlaps it (disjoint pattern ranges).
@@ -141,20 +166,13 @@ fn run_chunk<T: DispatchReal>(t: &mut ChunkTask<T>) {
         }
     }
     if !t.scale.is_null() {
+        let t0 = t.timed.then(std::time::Instant::now);
         // SAFETY: this chunk's scale slice, disjoint from other tasks'.
         let scale = unsafe { std::slice::from_raw_parts_mut(t.scale, n) };
-        scale.iter_mut().for_each(|x| *x = T::ZERO);
-        for cat in 0..t.n_cat {
-            let off = (cat * t.n_pat + t.p0) * sp;
-            let block = unsafe { std::slice::from_raw_parts(t.dest.add(off), n * sp) };
-            (t.dispatch.rescale_max)(block, scale, sp);
+        kernels::rescale_range(t, scale, s, sp, d.rescale_max, d.rescale_apply);
+        if let Some(t0) = t0 {
+            t.rescale_nanos = t0.elapsed().as_nanos() as u64;
         }
-        for cat in 0..t.n_cat {
-            let off = (cat * t.n_pat + t.p0) * sp;
-            let block = unsafe { std::slice::from_raw_parts_mut(t.dest.add(off), n * sp) };
-            (t.dispatch.rescale_apply)(block, scale, sp);
-        }
-        kernels::rescale_finish(scale);
     }
 }
 
@@ -297,13 +315,27 @@ impl<T: DispatchReal> CpuInstance<T> {
         self.bufs.partials[b].is_none() && self.bufs.tip_states[b].is_some()
     }
 
-    /// Attribute one `update_partials`-family call's wall time across the
-    /// partials kernel classes, split by each class's share of the
-    /// operation list (classified after execution, when every intermediate
-    /// child has materialized partials).
-    fn record_partials_call(&mut self, operations: &[Operation], wall: std::time::Duration) {
+    /// Attribute one `update_partials`-family call's wall time: the
+    /// measured in-operation rescale time to [`KernelClass::Rescale`] (one
+    /// call per scaled operation), the rest across the partials kernel
+    /// classes, split by each class's share of the operation list
+    /// (classified after execution, when every intermediate child has
+    /// materialized partials).
+    fn record_partials_call<'a>(
+        &mut self,
+        operations: impl IntoIterator<Item = &'a Operation>,
+        wall: std::time::Duration,
+        rescale_before: u64,
+    ) {
+        // `finish_batch` already booked the rescale wall time; keep it out
+        // of the partials share.
+        let rescale = self.rescale_wall_nanos() - rescale_before;
+        let wall = wall.saturating_sub(std::time::Duration::from_nanos(rescale));
         let mut counts = [0u64; 3];
         for op in operations {
+            if op.dest_scale_write.is_some() {
+                self.recorder.tally(KernelClass::Rescale, 1, 0);
+            }
             let idx = match (
                 self.is_state_operand(op.child1),
                 self.is_state_operand(op.child2),
@@ -338,6 +370,27 @@ impl<T: DispatchReal> CpuInstance<T> {
         }
     }
 
+    /// Wall nanoseconds booked under [`KernelClass::Rescale`] so far (0
+    /// when statistics are off).
+    fn rescale_wall_nanos(&self) -> u64 {
+        self.recorder
+            .stats()
+            .map_or(0, |s| s.counter(KernelClass::Rescale).wall_nanos)
+    }
+
+    /// Retire a finished batch of chunk tasks in which up to `lanes` ran
+    /// side by side: book its rescale wall time (the tasks' summed rescale
+    /// time over the number that ran at once) under
+    /// [`KernelClass::Rescale`], then clear the batch.
+    fn finish_batch(&mut self, lanes: usize) {
+        let tasks = &mut self.scratch.chunk_tasks;
+        let lanes = lanes.clamp(1, tasks.len().max(1)) as u64;
+        let nanos = tasks.iter().map(|t| t.rescale_nanos).sum::<u64>() / lanes;
+        tasks.clear();
+        self.recorder
+            .add_wall(KernelClass::Rescale, std::time::Duration::from_nanos(nanos));
+    }
+
     /// Override the 512-pattern threading threshold (used by tests and by
     /// the benchmark harness's ablations).
     pub fn set_min_patterns_for_threading(&mut self, min: usize) {
@@ -362,9 +415,12 @@ impl<T: DispatchReal> CpuInstance<T> {
         op: &Operation,
         ranges: &[(usize, usize)],
         dispatch: &'static KernelDispatch<T>,
+        timed: bool,
     ) {
         let cfg = &bufs.config;
-        let (s, sp) = (cfg.state_count, bufs.state_stride);
+        let s = u32::try_from(cfg.state_count).expect("state count fits in u32");
+        let sp = u32::try_from(bufs.state_stride).expect("state stride fits in u32");
+        let n_cat = u32::try_from(cfg.category_count).expect("category count fits in u32");
         let operand = |child: usize| match bufs.child_operand(child) {
             ChildOperand::Partials(p) => OperandPtr::Partials(p.as_ptr()),
             ChildOperand::States(st) => OperandPtr::States(st.as_ptr()),
@@ -387,11 +443,13 @@ impl<T: DispatchReal> CpuInstance<T> {
                 m2: bufs.matrices[op.child2_matrix].as_ptr(),
                 s,
                 sp,
+                n_cat,
                 n_pat: cfg.pattern_count,
-                n_cat: cfg.category_count,
                 p0,
                 p1,
                 dispatch,
+                timed,
+                rescale_nanos: 0,
             });
         }
     }
@@ -412,11 +470,12 @@ impl<T: DispatchReal> CpuInstance<T> {
             op,
             &[(0, self.bufs.config.pattern_count)],
             self.dispatch,
+            self.recorder.is_enabled(),
         );
         for t in tasks.iter_mut() {
             run_chunk(t);
         }
-        tasks.clear();
+        self.finish_batch(1);
         if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
             self.bufs.scale_buffers[si] = sc;
         }
@@ -439,6 +498,7 @@ impl<T: DispatchReal> CpuInstance<T> {
             op,
             &self.partition,
             self.dispatch,
+            self.recorder.is_enabled(),
         );
         let n_tasks = tasks.len() as u64;
         if use_pool {
@@ -454,7 +514,7 @@ impl<T: DispatchReal> CpuInstance<T> {
                 }
             });
         }
-        tasks.clear();
+        self.finish_batch(self.partition.len());
         if use_pool {
             self.recorder.tally(KernelClass::PoolDispatch, n_tasks, 0);
         }
@@ -510,6 +570,7 @@ impl<T: DispatchReal> CpuInstance<T> {
             })
             .collect();
         let full_range = [(0, self.bufs.config.pattern_count)];
+        let timed = self.recorder.is_enabled();
         let tasks = &mut self.scratch.chunk_tasks;
         tasks.clear();
         for (op, (dest, scale)) in level.iter().zip(outputs.iter_mut()) {
@@ -521,6 +582,7 @@ impl<T: DispatchReal> CpuInstance<T> {
                 op,
                 &full_range,
                 self.dispatch,
+                timed,
             );
         }
         std::thread::scope(|scope| {
@@ -528,7 +590,7 @@ impl<T: DispatchReal> CpuInstance<T> {
                 scope.spawn(move || run_chunk(t));
             }
         });
-        tasks.clear();
+        self.finish_batch(level.len());
         for (op, (dest, scale)) in level.iter().zip(outputs) {
             if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
                 self.bufs.scale_buffers[si] = sc;
@@ -563,6 +625,7 @@ impl<T: DispatchReal> CpuInstance<T> {
                 (dest, scale)
             })
             .collect();
+        let timed = self.recorder.is_enabled();
         let tasks = &mut self.scratch.chunk_tasks;
         tasks.clear();
         for (op, (dest, scale)) in level.iter().zip(outputs.iter_mut()) {
@@ -574,9 +637,17 @@ impl<T: DispatchReal> CpuInstance<T> {
                 op,
                 &self.partition,
                 self.dispatch,
+                timed,
             );
         }
         let n_tasks = tasks.len() as u64;
+        // The pool runs one task per thread (partition range) at a time;
+        // thread-create spawns every task.
+        let lanes = if use_pool {
+            self.partition.len()
+        } else {
+            tasks.len()
+        };
         if use_pool {
             let Threading::ThreadPool { pool } = &self.threading else {
                 unreachable!("use_pool implies pool strategy")
@@ -589,7 +660,7 @@ impl<T: DispatchReal> CpuInstance<T> {
                 }
             });
         }
-        tasks.clear();
+        self.finish_batch(lanes);
         if use_pool {
             self.recorder.tally(KernelClass::PoolDispatch, n_tasks, 0);
         }
@@ -603,21 +674,25 @@ impl<T: DispatchReal> CpuInstance<T> {
 
     /// Validate an operation list: indices in range, every child readable
     /// (tip, previously computed partials, or produced earlier in the list).
-    fn validate_operations(&self, operations: &[Operation]) -> Result<()> {
-        let mut produced = std::collections::HashSet::new();
-        for op in operations {
+    /// Only a child that does not exist yet is looked up among the earlier
+    /// operations, so validation allocates nothing and a warm traversal,
+    /// whose children all exist, takes one pass.
+    fn validate_operations<'a>(
+        &self,
+        operations: impl Iterator<Item = &'a Operation> + Clone,
+    ) -> Result<()> {
+        for (i, op) in operations.clone().enumerate() {
             self.bufs.check_operation_indices(op)?;
             for child in [op.child1, op.child2] {
                 let exists = self.bufs.partials[child].is_some()
                     || self.bufs.tip_states[child].is_some()
-                    || produced.contains(&child);
+                    || operations.clone().take(i).any(|e| e.destination == child);
                 if !exists {
                     return Err(BeagleError::InvalidConfiguration(format!(
                         "operation reads buffer {child} before it was computed"
                     )));
                 }
             }
-            produced.insert(op.destination);
         }
         Ok(())
     }
@@ -661,12 +736,11 @@ impl<T: DispatchReal> CpuInstance<T> {
                 });
             }
         }
-        let root =
-            self.bufs.partials[root_buffer]
-                .take()
-                .ok_or(BeagleError::InvalidConfiguration(format!(
-                    "root buffer {root_buffer} has never been computed"
-                )))?;
+        let root = self.bufs.partials[root_buffer].take().ok_or_else(|| {
+            BeagleError::InvalidConfiguration(format!(
+                "root buffer {root_buffer} has never been computed"
+            ))
+        })?;
         let mut site_lnl = std::mem::take(&mut self.bufs.site_log_likelihoods);
 
         let s = cfg.state_count;
@@ -869,12 +943,11 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
             category_weights_index,
             cumulative_scale,
         )?;
-        let parent =
-            self.bufs.partials[parent_buffer]
-                .as_ref()
-                .ok_or(BeagleError::InvalidConfiguration(format!(
-                    "parent buffer {parent_buffer} has never been computed"
-                )))?;
+        let parent = self.bufs.partials[parent_buffer].as_ref().ok_or_else(|| {
+            BeagleError::InvalidConfiguration(format!(
+                "parent buffer {parent_buffer} has never been computed"
+            ))
+        })?;
         let child = if let Some(p) = &self.bufs.partials[child_buffer] {
             kernels::EdgeChild::Partials(p.as_slice())
         } else if let Some(st) = &self.bufs.tip_states[child_buffer] {
@@ -920,9 +993,12 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
     fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
         // Validate everything up front; ops later in the list may read
         // destinations produced by earlier ops in the same call.
-        self.validate_operations(operations)?;
+        self.validate_operations(operations.iter())?;
 
-        let t0 = self.recorder.is_enabled().then(std::time::Instant::now);
+        let t0 = self
+            .recorder
+            .is_enabled()
+            .then(|| (std::time::Instant::now(), self.rescale_wall_nanos()));
         self.recorder.event(EventKind::OperationBegin, || {
             format!("update_partials ops={}", operations.len())
         });
@@ -945,8 +1021,8 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
                 }
             }
         }
-        if let Some(t0) = t0 {
-            self.record_partials_call(operations, t0.elapsed());
+        if let Some((t0, rescale_before)) = t0 {
+            self.record_partials_call(operations, t0.elapsed(), rescale_before);
             self.recorder.event(EventKind::OperationEnd, || {
                 format!("update_partials ops={}", operations.len())
             });
@@ -955,21 +1031,24 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
     }
 
     fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-        let flat: Vec<Operation> = levels.iter().flatten().copied().collect();
-        self.validate_operations(&flat)?;
+        let flat = || levels.iter().flatten();
+        self.validate_operations(flat())?;
 
-        let t0 = self.recorder.is_enabled().then(std::time::Instant::now);
+        let n_ops: usize = levels.iter().map(Vec::len).sum();
+        let t0 = self
+            .recorder
+            .is_enabled()
+            .then(|| (std::time::Instant::now(), self.rescale_wall_nanos()));
         self.recorder.event(EventKind::OperationBegin, || {
             format!(
-                "update_partials_by_levels ops={} levels={}",
-                flat.len(),
+                "update_partials_by_levels ops={n_ops} levels={}",
                 levels.len()
             )
         });
         let n_pat = self.bufs.config.pattern_count;
         match self.threading {
             Threading::Serial => {
-                for op in &flat {
+                for op in flat() {
                     self.execute_op_serial(op);
                 }
             }
@@ -984,7 +1063,7 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
                 let use_pool = matches!(self.threading, Threading::ThreadPool { .. });
                 if n_pat < self.min_patterns {
                     // Below the threading threshold batching buys nothing.
-                    for op in &flat {
+                    for op in flat() {
                         self.execute_op_serial(op);
                     }
                 } else {
@@ -996,10 +1075,10 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
                 }
             }
         }
-        if let Some(t0) = t0 {
-            self.record_partials_call(&flat, t0.elapsed());
+        if let Some((t0, rescale_before)) = t0 {
+            self.record_partials_call(flat(), t0.elapsed(), rescale_before);
             self.recorder.event(EventKind::OperationEnd, || {
-                format!("update_partials_by_levels ops={}", flat.len())
+                format!("update_partials_by_levels ops={n_ops}")
             });
         }
         Ok(())
@@ -1070,12 +1149,11 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
             category_weights_index,
             cumulative_scale,
         )?;
-        let parent =
-            self.bufs.partials[parent_buffer]
-                .take()
-                .ok_or(BeagleError::InvalidConfiguration(format!(
-                    "parent buffer {parent_buffer} has never been computed"
-                )))?;
+        let parent = self.bufs.partials[parent_buffer].take().ok_or_else(|| {
+            BeagleError::InvalidConfiguration(format!(
+                "parent buffer {parent_buffer} has never been computed"
+            ))
+        })?;
         // Reuse the site-likelihood buffer instead of allocating a fresh one
         // per call (allocation-free hot path).
         let mut site_lnl = std::mem::take(&mut self.bufs.site_log_likelihoods);

@@ -141,16 +141,32 @@ pub fn rescale_block_max<T: Real>(block: &[T], maxes: &mut [T], sp: usize) {
 }
 
 /// Per-block scale pass of rescaling: multiplies pattern `p`'s entries by
-/// `1/maxes[p]` (skipping all-zero patterns), one streaming sweep per block.
-pub fn rescale_block_apply<T: Real>(block: &mut [T], maxes: &[T], sp: usize) {
-    for (&mx, q) in maxes.iter().zip(block.chunks_exact_mut(sp)) {
-        if mx > T::ZERO {
-            let inv = T::ONE / mx;
-            for x in q {
-                *x *= inv;
-            }
+/// `inv[p]`, the reciprocal [`rescale_reciprocals`] computed once for the
+/// pattern across all categories. One streaming sweep per block, no
+/// division and no branch.
+pub fn rescale_block_apply<T: Real>(block: &mut [T], inv: &[T], sp: usize) {
+    for (&r, q) in inv.iter().zip(block.chunks_exact_mut(sp)) {
+        for x in q {
+            *x *= r;
         }
     }
+}
+
+/// Patterns per reciprocal tile in [`rescale_range`]. The tile lives on the
+/// stack (2 KiB of `f64`), so rescaling allocates nothing.
+pub const RESCALE_TILE: usize = 256;
+
+/// One tile of per-pattern reciprocals: `1/max`, or exactly 1 for a pattern
+/// whose maximum is zero, so the apply pass leaves its bits unchanged
+/// (`x·1 == x`). Returns false if some reciprocal overflowed to infinity
+/// (a subnormal maximum).
+pub fn rescale_reciprocals<T: Real>(maxes: &[T], inv: &mut [T]) -> bool {
+    let mut finite = true;
+    for (r, &m) in inv.iter_mut().zip(maxes) {
+        *r = if m > T::ZERO { T::ONE / m } else { T::ONE };
+        finite &= !r.is_bad();
+    }
+    finite
 }
 
 /// Final pass of rescaling: turn the per-pattern maxima into log scale
@@ -161,25 +177,81 @@ pub fn rescale_finish<T: Real>(maxes: &mut [T]) {
     }
 }
 
-/// Rescale one pattern's partials across **all categories** to a maximum of
-/// 1, accumulating `ln(max)` into `scale_out[p]`. `blocks` are per-category
-/// mutable block slices covering the same pattern range; patterns are local.
+/// The category blocks of one pattern range, as [`rescale_range`] walks
+/// them: block `c` is category `c`'s `[pattern][stride]` slice of the range.
+pub trait CategoryBlocks<T> {
+    /// Number of category blocks.
+    fn categories(&self) -> usize;
+    /// Category `cat`'s block.
+    fn block(&mut self, cat: usize) -> &mut [T];
+}
+
+impl<T> CategoryBlocks<T> for [&mut [T]] {
+    fn categories(&self) -> usize {
+        self.len()
+    }
+
+    fn block(&mut self, cat: usize) -> &mut [T] {
+        self[cat]
+    }
+}
+
+/// Rescale one pattern range across **all categories** to a maximum of 1,
+/// writing `ln(max)` per pattern into `scale` (patterns are local to the
+/// range). `max` and `apply` are a kernel table's `rescale_max` /
+/// `rescale_apply` entries; `s` is the true state count.
 ///
 /// BEAGLE scales per pattern over the joint (category × state) entries so a
-/// single factor per pattern suffices at root integration. Structured as
-/// per-block streaming passes (max, then scale, then log) so each block is
-/// walked contiguously; the result is bit-identical to the per-pattern
-/// strided walk it replaces (max is exact under reordering and the scale
-/// factor `1/max` is the same value either way).
+/// single factor per pattern suffices at root integration. Three sweeps:
+/// the max of every block, then per [`RESCALE_TILE`] patterns one
+/// reciprocal each and a multiply of every block's tile, then `ln`. The
+/// result is bit-identical to dividing each entry by its pattern's maximum
+/// block by block: the max is the same value in any order, and `1/max` is
+/// computed once instead of once per category. Pad lanes stay zero
+/// (`0·(1/max) == 0`); in the one case a reciprocal overflows they are
+/// zeroed again, so a degenerate pattern cannot leave NaN in them.
+pub fn rescale_range<T: Real, B: CategoryBlocks<T> + ?Sized>(
+    blocks: &mut B,
+    scale: &mut [T],
+    s: usize,
+    sp: usize,
+    max: fn(&[T], &mut [T], usize),
+    apply: fn(&mut [T], &[T], usize),
+) {
+    scale.fill(T::ZERO);
+    for cat in 0..blocks.categories() {
+        max(blocks.block(cat), scale, sp);
+    }
+    let mut tile = [T::ONE; RESCALE_TILE];
+    for (t, maxes) in scale.chunks(RESCALE_TILE).enumerate() {
+        let inv = &mut tile[..maxes.len()];
+        let finite = rescale_reciprocals(maxes, inv);
+        let range = t * RESCALE_TILE * sp..(t * RESCALE_TILE + maxes.len()) * sp;
+        for cat in 0..blocks.categories() {
+            let block = &mut blocks.block(cat)[range.clone()];
+            apply(block, inv, sp);
+            if !finite && sp > s {
+                block
+                    .chunks_exact_mut(sp)
+                    .for_each(|q| q[s..].fill(T::ZERO));
+            }
+        }
+    }
+    rescale_finish(scale);
+}
+
+/// [`rescale_range`] with the scalar kernels, for callers that hold their
+/// category blocks as slices (the MCMC reference path); `sp` is both the
+/// stride and the state count.
 pub fn rescale_patterns<T: Real>(blocks: &mut [&mut [T]], scale_out: &mut [T], sp: usize) {
-    scale_out.iter_mut().for_each(|x| *x = T::ZERO);
-    for block in blocks.iter() {
-        rescale_block_max(block, scale_out, sp);
-    }
-    for block in blocks.iter_mut() {
-        rescale_block_apply(block, scale_out, sp);
-    }
-    rescale_finish(scale_out);
+    rescale_range(
+        blocks,
+        scale_out,
+        sp,
+        sp,
+        rescale_block_max,
+        rescale_block_apply,
+    );
 }
 
 /// Root integration for a pattern range: writes per-pattern site
@@ -535,6 +607,130 @@ mod tests {
         assert_eq!(scale, ref_scale);
         assert_eq!(b0, r0);
         assert_eq!(b1, r1);
+    }
+
+    /// Reference oracle: per pattern the joint max over every category,
+    /// then for each (pattern, category) its own `1/max` multiply, skipping
+    /// all-zero patterns; pad lanes are scaled like live ones.
+    fn reference_rescale<T: Real>(blocks: &mut [Vec<T>], scale: &mut [T], sp: usize) {
+        for (p, sc) in scale.iter_mut().enumerate() {
+            let mut max = T::ZERO;
+            for block in blocks.iter() {
+                for &x in &block[p * sp..(p + 1) * sp] {
+                    max = max.max(x);
+                }
+            }
+            *sc = T::ZERO;
+            if max > T::ZERO {
+                for block in blocks.iter_mut() {
+                    let inv = T::ONE / max;
+                    for x in &mut block[p * sp..(p + 1) * sp] {
+                        *x *= inv;
+                    }
+                }
+                *sc = max.ln();
+            }
+        }
+    }
+
+    /// Likelihood-like category blocks: O(1) values, deep-underflow values,
+    /// exact zeros and `-0.0`, all-zero patterns (with signed zeros), and
+    /// one pattern whose maximum is subnormal (its reciprocal overflows).
+    fn rescale_fixture<T: Real>(s: usize, sp: usize, n_pat: usize, tiny: f64) -> Vec<Vec<T>> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..4)
+            .map(|_| {
+                let mut block = vec![T::ZERO; n_pat * sp];
+                for (p, q) in block.chunks_exact_mut(sp).enumerate() {
+                    for v in &mut q[..s] {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let u = (x % 10_000) as f64 / 10_000.0;
+                        *v = T::from_f64(match (p % 9, x % 5) {
+                            (0, 0) => -0.0,
+                            (0, _) => 0.0,
+                            (4, _) => u * tiny,
+                            (_, 0) => -0.0,
+                            (_, 1) => 0.0,
+                            _ => u + 1e-3,
+                        });
+                    }
+                    if p == 7 {
+                        // Subnormal maximum in every category.
+                        let sub = if std::mem::size_of::<T>() == 8 {
+                            1e-310
+                        } else {
+                            1e-40
+                        };
+                        q[..s].iter_mut().for_each(|v| *v = T::from_f64(sub));
+                    }
+                }
+                block
+            })
+            .collect()
+    }
+
+    fn bits<T: Real>(v: &[T]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// `rescale_range` on every dispatch table reproduces the reference
+    /// sweep bit for bit: live lanes and scale factors always, pad lanes
+    /// too except where the reference's overflowed reciprocal turned them
+    /// into NaN (the new path re-zeroes them instead).
+    fn assert_rescale_matches_reference<T: crate::simd::DispatchReal>(tiny: f64) {
+        use crate::simd::{avx2_available, DispatchKind};
+        // Two full reciprocal tiles plus a remainder not a multiple of 4.
+        let n_pat = 2 * RESCALE_TILE + 45;
+        for s in [4usize, 20, 61] {
+            let sp = s.div_ceil(T::SIMD_LANES) * T::SIMD_LANES;
+            let original = rescale_fixture::<T>(s, sp, n_pat, tiny);
+            let mut expect = original.clone();
+            let mut expect_scale = vec![T::ZERO; n_pat];
+            reference_rescale(&mut expect, &mut expect_scale, sp);
+            let mut kinds = vec![DispatchKind::Scalar, DispatchKind::Portable];
+            if avx2_available() {
+                kinds.push(DispatchKind::Avx2);
+            }
+            for kind in kinds {
+                let table = T::dispatch(kind);
+                let mut got = original.clone();
+                let mut scale = vec![T::from_f64(7.0); n_pat];
+                {
+                    let mut blocks: Vec<&mut [T]> = got.iter_mut().map(|b| &mut b[..]).collect();
+                    rescale_range(
+                        &mut blocks[..],
+                        &mut scale,
+                        s,
+                        sp,
+                        table.rescale_max,
+                        table.rescale_apply,
+                    );
+                }
+                let what = format!("s={s} {} {}", std::any::type_name::<T>(), table.path);
+                assert_eq!(bits(&scale), bits(&expect_scale), "scale factors {what}");
+                for (g, e) in got.iter().zip(&expect) {
+                    for (p, (gq, eq)) in g.chunks_exact(sp).zip(e.chunks_exact(sp)).enumerate() {
+                        assert_eq!(bits(&gq[..s]), bits(&eq[..s]), "pattern {p} {what}");
+                        if p == 7 {
+                            assert!(
+                                gq[s..].iter().all(|x| x.to_f64().to_bits() == 0),
+                                "pad {what}"
+                            );
+                        } else {
+                            assert_eq!(bits(&gq[s..]), bits(&eq[s..]), "pad {p} {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rescale_range_matches_reference_rescale_bit_for_bit() {
+        assert_rescale_matches_reference::<f64>(1e-290);
+        assert_rescale_matches_reference::<f32>(1e-33);
     }
 
     #[test]

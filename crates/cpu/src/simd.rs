@@ -78,7 +78,9 @@ pub struct KernelDispatch<T: Real> {
     pub states_states: SsFn<T>,
     /// Per-block max pass of rescaling.
     pub rescale_max: RescaleMaxFn<T>,
-    /// Per-block scale pass of rescaling.
+    /// Per-block scale pass of rescaling: multiplies each pattern by the
+    /// reciprocal of its maximum, computed once per pattern by
+    /// [`kernels::rescale_reciprocals`].
     pub rescale_apply: RescaleApplyFn<T>,
     /// Root integration over a pattern range.
     pub integrate_root: RootFn<T>,
@@ -431,35 +433,69 @@ mod avx2 {
         _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)))
     }
 
+    /// Lane-wise max over one pattern's padded state vector (`sp` a
+    /// multiple of 4), before the horizontal step of `hmax_pd`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn lanes_max_pd(q: *const f64, sp: usize) -> __m256d {
+        let mut v = _mm256_loadu_pd(q);
+        let mut j = 4;
+        while j < sp {
+            v = _mm256_max_pd(v, _mm256_loadu_pd(q.add(j)));
+            j += 4;
+        }
+        v
+    }
+
+    /// `maxes[p] = max(block max of p, maxes[p])` with no data-dependent
+    /// branch: `_mm_max_sd(m, mx)` returns `mx` unless `m > mx`, the same
+    /// choice as `if m > *mx { *mx = m }`. Four patterns go at once: two
+    /// shuffle rounds lay the four `hmax_pd` reductions side by side with
+    /// the same operand order (low half first, then even lane first), so
+    /// every maximum is the one `hmax_pd` picks, NaN and signed zeros
+    /// included. Pad lanes are zero, so each maximum is already >= 0 like
+    /// the scalar pass's zero-initialised running max.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn rescale_max_pd(block: &[f64], maxes: &mut [f64], sp: usize) {
-        for (mx, q) in maxes.iter_mut().zip(block.chunks_exact(sp)) {
-            let mut v = _mm256_loadu_pd(q.as_ptr());
-            let mut j = 4;
-            while j < sp {
-                v = _mm256_max_pd(v, _mm256_loadu_pd(q.as_ptr().add(j)));
-                j += 4;
-            }
-            // Pad lanes are zero, so the lane max is already >= 0 like the
-            // scalar pass's zero-initialised running max.
-            let m = hmax_pd(v);
-            if m > *mx {
-                *mx = m;
-            }
+        let n = maxes.len().min(block.len() / sp);
+        let q = block.as_ptr();
+        let mx = maxes.as_mut_ptr();
+        let mut p = 0;
+        while p + 4 <= n {
+            let a = lanes_max_pd(q.add(p * sp), sp);
+            let b = lanes_max_pd(q.add((p + 1) * sp), sp);
+            let c = lanes_max_pd(q.add((p + 2) * sp), sp);
+            let d = lanes_max_pd(q.add((p + 3) * sp), sp);
+            // [max(x0,x2), max(x1,x3)] per pattern: a and c, then b and d.
+            let ac = _mm256_max_pd(
+                _mm256_permute2f128_pd(a, c, 0x20),
+                _mm256_permute2f128_pd(a, c, 0x31),
+            );
+            let bd = _mm256_max_pd(
+                _mm256_permute2f128_pd(b, d, 0x20),
+                _mm256_permute2f128_pd(b, d, 0x31),
+            );
+            // Even against odd lane: one maximum per pattern, in order.
+            let m = _mm256_max_pd(_mm256_unpacklo_pd(ac, bd), _mm256_unpackhi_pd(ac, bd));
+            _mm256_storeu_pd(mx.add(p), _mm256_max_pd(m, _mm256_loadu_pd(mx.add(p))));
+            p += 4;
+        }
+        for p in p..n {
+            let m = _mm_set_sd(hmax_pd(lanes_max_pd(q.add(p * sp), sp)));
+            *mx.add(p) = _mm_cvtsd_f64(_mm_max_sd(m, _mm_set_sd(*mx.add(p))));
         }
     }
 
+    /// Multiply each pattern's lanes by its reciprocal `inv[p]`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rescale_apply_pd(block: &mut [f64], maxes: &[f64], sp: usize) {
-        for (&mx, q) in maxes.iter().zip(block.chunks_exact_mut(sp)) {
-            if mx > 0.0 {
-                let inv = _mm256_set1_pd(1.0 / mx);
-                let mut j = 0;
-                while j < sp {
-                    let p = q.as_mut_ptr().add(j);
-                    _mm256_storeu_pd(p, _mm256_mul_pd(_mm256_loadu_pd(p), inv));
-                    j += 4;
-                }
+    unsafe fn rescale_apply_pd(block: &mut [f64], inv: &[f64], sp: usize) {
+        for (&r, q) in inv.iter().zip(block.chunks_exact_mut(sp)) {
+            let r = _mm256_set1_pd(r);
+            let mut j = 0;
+            while j < sp {
+                let p = q.as_mut_ptr().add(j);
+                _mm256_storeu_pd(p, _mm256_mul_pd(_mm256_loadu_pd(p), r));
+                j += 4;
             }
         }
     }
@@ -697,43 +733,67 @@ mod avx2 {
         }
     }
 
+    /// One pattern's padded state vector (`sp` a multiple of 8) folded to
+    /// four lanes: the lane-wise max over the stride, then the low half
+    /// against the high half.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn hmax_ps(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps(v, 1);
-        let m = _mm_max_ps(lo, hi);
-        let m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-        _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps(m, m, 0x55)))
+    unsafe fn lanes_max_ps(q: *const f32, sp: usize) -> __m128 {
+        let mut v = _mm256_loadu_ps(q);
+        let mut j = 8;
+        while j < sp {
+            v = _mm256_max_ps(v, _mm256_loadu_ps(q.add(j)));
+            j += 8;
+        }
+        _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1))
     }
 
+    /// Horizontal max of a folded vector, in lane 0: `max(max(m0,m2),
+    /// max(m1,m3))`, each `max(a, b)` returning `b` unless `a > b`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn hmax4_ps(m: __m128) -> __m128 {
+        let m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+        _mm_max_ss(m, _mm_shuffle_ps(m, m, 0x55))
+    }
+
+    /// Branch-free f32 max pass, as `rescale_max_pd`: four patterns at once
+    /// with `hmax4_ps`'s operand order, the rest one by one.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn rescale_max_ps(block: &[f32], maxes: &mut [f32], sp: usize) {
-        for (mx, q) in maxes.iter_mut().zip(block.chunks_exact(sp)) {
-            let mut v = _mm256_loadu_ps(q.as_ptr());
-            let mut j = 8;
-            while j < sp {
-                v = _mm256_max_ps(v, _mm256_loadu_ps(q.as_ptr().add(j)));
-                j += 8;
-            }
-            let m = hmax_ps(v);
-            if m > *mx {
-                *mx = m;
-            }
+        let n = maxes.len().min(block.len() / sp);
+        let q = block.as_ptr();
+        let mx = maxes.as_mut_ptr();
+        let mut p = 0;
+        while p + 4 <= n {
+            let a = lanes_max_ps(q.add(p * sp), sp);
+            let b = lanes_max_ps(q.add((p + 1) * sp), sp);
+            let c = lanes_max_ps(q.add((p + 2) * sp), sp);
+            let d = lanes_max_ps(q.add((p + 3) * sp), sp);
+            // [a02, b02, a13, b13] and [c02, d02, c13, d13], where
+            // x02 = max(x0, x2) and x13 = max(x1, x3).
+            let ab = _mm_max_ps(_mm_unpacklo_ps(a, b), _mm_unpackhi_ps(a, b));
+            let cd = _mm_max_ps(_mm_unpacklo_ps(c, d), _mm_unpackhi_ps(c, d));
+            let m = _mm_max_ps(_mm_movelh_ps(ab, cd), _mm_movehl_ps(cd, ab));
+            _mm_storeu_ps(mx.add(p), _mm_max_ps(m, _mm_loadu_ps(mx.add(p))));
+            p += 4;
+        }
+        for p in p..n {
+            let m = hmax4_ps(lanes_max_ps(q.add(p * sp), sp));
+            *mx.add(p) = _mm_cvtss_f32(_mm_max_ss(m, _mm_set_ss(*mx.add(p))));
         }
     }
 
+    /// Multiply each pattern's lanes by its reciprocal `inv[p]`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rescale_apply_ps(block: &mut [f32], maxes: &[f32], sp: usize) {
-        for (&mx, q) in maxes.iter().zip(block.chunks_exact_mut(sp)) {
-            if mx > 0.0 {
-                let inv = _mm256_set1_ps(1.0 / mx);
-                let mut j = 0;
-                while j < sp {
-                    let p = q.as_mut_ptr().add(j);
-                    _mm256_storeu_ps(p, _mm256_mul_ps(_mm256_loadu_ps(p), inv));
-                    j += 8;
-                }
+    unsafe fn rescale_apply_ps(block: &mut [f32], inv: &[f32], sp: usize) {
+        for (&r, q) in inv.iter().zip(block.chunks_exact_mut(sp)) {
+            let r = _mm256_set1_ps(r);
+            let mut j = 0;
+            while j < sp {
+                let p = q.as_mut_ptr().add(j);
+                _mm256_storeu_ps(p, _mm256_mul_ps(_mm256_loadu_ps(p), r));
+                j += 8;
             }
         }
     }
@@ -845,8 +905,8 @@ mod avx2 {
     pub(super) fn rescale_max_f64(block: &[f64], maxes: &mut [f64], sp: usize) {
         unsafe { rescale_max_pd(block, maxes, sp) }
     }
-    pub(super) fn rescale_apply_f64(block: &mut [f64], maxes: &[f64], sp: usize) {
-        unsafe { rescale_apply_pd(block, maxes, sp) }
+    pub(super) fn rescale_apply_f64(block: &mut [f64], inv: &[f64], sp: usize) {
+        unsafe { rescale_apply_pd(block, inv, sp) }
     }
     #[allow(clippy::too_many_arguments)]
     pub(super) fn root_f64(
@@ -954,8 +1014,8 @@ mod avx2 {
     pub(super) fn rescale_max_f32(block: &[f32], maxes: &mut [f32], sp: usize) {
         unsafe { rescale_max_ps(block, maxes, sp) }
     }
-    pub(super) fn rescale_apply_f32(block: &mut [f32], maxes: &[f32], sp: usize) {
-        unsafe { rescale_apply_ps(block, maxes, sp) }
+    pub(super) fn rescale_apply_f32(block: &mut [f32], inv: &[f32], sp: usize) {
+        unsafe { rescale_apply_ps(block, inv, sp) }
     }
     #[allow(clippy::too_many_arguments)]
     pub(super) fn root_f32(

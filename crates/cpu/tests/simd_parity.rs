@@ -149,8 +149,12 @@ fn check_kernels<T: DispatchReal>(
             "rescale_max s={s} {} not bit-exact",
             table.path
         );
-        (scalar.rescale_apply)(&mut d_ref, &sc_ref, sp);
-        (table.rescale_apply)(&mut d_simd, &sc_simd, sp);
+        let mut inv_ref = vec![T::ZERO; n];
+        let mut inv_simd = vec![T::ZERO; n];
+        kernels::rescale_reciprocals(&sc_ref, &mut inv_ref);
+        kernels::rescale_reciprocals(&sc_simd, &mut inv_simd);
+        (scalar.rescale_apply)(&mut d_ref, &inv_ref, sp);
+        (table.rescale_apply)(&mut d_simd, &inv_simd, sp);
         assert_eq!(
             d_ref
                 .iter()

@@ -64,12 +64,13 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q --workspace
 # The queue-mode differential matrix, the fault matrix, the SIMD kernel
-# parity suite, and the observability suite, named explicitly so a
-# regression in any is attributable at a glance.
+# parity suite, the allocation-free hot-path guard, and the observability
+# suite, named explicitly so a regression in any is attributable at a glance.
 cargo test -q --test differential
 cargo test -q --test failover
 cargo test -q --test robustness
 cargo test -q -p beagle-cpu --test simd_parity
+cargo test -q -p beagle-cpu --test alloc_free
 cargo test -q --test obs
 cargo test -q --test obs_overhead
 cargo test -q --test obs_env

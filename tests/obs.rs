@@ -80,6 +80,45 @@ fn statistics_cover_the_kernel_classes_that_ran() {
     assert!(inst.take_journal().is_empty(), "take_journal drains");
 }
 
+/// The rescale sweeps inside `update_partials` are booked under
+/// `KernelClass::Rescale` (one call per scaled operation, with wall time),
+/// not under the partials classes; an unscaled traversal books none. Both
+/// the serial path and the pool's chunked batches are covered.
+#[test]
+fn in_operation_rescale_is_booked_under_rescale() {
+    if !obs_compiled_in() {
+        return;
+    }
+    let p = problem();
+    for name in ["CPU-SSE", "CPU-threadpool-SSE"] {
+        for scaled in [true, false] {
+            let mut inst = InstanceSpec::with_config(p.config())
+                .named(name)
+                .with_stats()
+                .instantiate(&full_manager())
+                .unwrap();
+            p.load(inst.as_mut());
+            let ops = p.operations(scaled);
+            let before = *inst.statistics().unwrap().counter(KernelClass::Rescale);
+            inst.update_partials(&ops).unwrap();
+            let stats = inst.statistics().unwrap();
+            let after = stats.counter(KernelClass::Rescale);
+            let calls = after.calls - before.calls;
+            let wall = after.wall_nanos - before.wall_nanos;
+            if scaled {
+                assert_eq!(calls, ops.len() as u64, "{name}: one call per scaled op");
+                assert!(wall > 0, "{name}: rescale booked no wall time");
+            } else {
+                assert_eq!((calls, wall), (0, 0), "{name}: unscaled traversal");
+            }
+            assert!(
+                stats.counter(KernelClass::PartialsPP).wall_nanos > 0,
+                "{name}"
+            );
+        }
+    }
+}
+
 /// Derivative updates are accounted like matrix updates on CPU and device
 /// back-ends alike: one `TransitionMatrices` call, three matrices (P, dP/dt,
 /// d²P/dt²) per branch.
