@@ -18,13 +18,14 @@ use beagle_core::obs::{self, EventKind, KernelClass, Recorder};
 use beagle_core::ops::Operation;
 use beagle_core::real::{widen_slice, Real};
 
+use beagle_cpu::kernels::rescale_patterns;
 use beagle_cpu::pool::ThreadPool;
 
 use crate::device::{DeviceSpec, SimClock, PCIE_GBS};
 use crate::dialect::Dialect;
 use crate::fault::{FaultAction, FaultInjector, FaultSite};
 use crate::grid::{plan_gpu, plan_x86, WorkGroupPlan};
-use crate::kernels::gpu::{partials_kernel, rescale_kernel, PartialsArgs};
+use crate::kernels::gpu::{partials_kernel, PartialsArgs};
 use crate::kernels::integrate::{integrate_edge_kernel, integrate_root_kernel, sum_sites_kernel};
 use crate::kernels::x86;
 use crate::kernels::Operand;
@@ -315,7 +316,8 @@ impl<T: Real, D: Dialect> AccelInstance<T, D> {
 
         if let Some(si) = op.dest_scale_write {
             let mut scale = std::mem::take(&mut self.bufs.scale_buffers[si]);
-            rescale_kernel(&mut dest, &mut scale, s, n_pat, n_cat);
+            let mut blocks: Vec<&mut [T]> = dest.chunks_exact_mut(n_pat * s).collect();
+            rescale_patterns(&mut blocks, &mut scale, s);
             self.bufs.scale_buffers[si] = scale;
             let cost = self.perf.integrate_cost(s, n_pat, n_cat, elem);
             self.clock.advance(self.perf.kernel_time(
@@ -424,7 +426,7 @@ impl<T: Real, D: Dialect> AccelInstance<T, D> {
                             fma_enabled,
                         );
                         if let Some(sc) = scale_chunk {
-                            x86::rescale_group(&mut blocks, sc, s);
+                            rescale_patterns(&mut blocks, sc, s);
                         }
                     }) as Box<dyn FnOnce() + Send + '_>
                 })

@@ -168,38 +168,6 @@ fn child_sum<D: Dialect, T: Real>(
     }
 }
 
-/// Rescaling kernel: one work-item per pattern finds the max over
-/// (category × state) entries, normalizes, and writes the log factor.
-pub fn rescale_kernel<T: Real>(
-    partials: &mut [T],
-    scale_out: &mut [T],
-    s: usize,
-    patterns: usize,
-    categories: usize,
-) {
-    for pattern in 0..patterns {
-        let mut max = T::ZERO;
-        for cat in 0..categories {
-            let base = (cat * patterns + pattern) * s;
-            for k in 0..s {
-                max = max.max(partials[base + k]);
-            }
-        }
-        if max > T::ZERO {
-            let inv = T::ONE / max;
-            for cat in 0..categories {
-                let base = (cat * patterns + pattern) * s;
-                for k in 0..s {
-                    partials[base + k] *= inv;
-                }
-            }
-            scale_out[pattern] = max.ln();
-        } else {
-            scale_out[pattern] = T::ZERO;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,25 +325,5 @@ mod tests {
         for (a, b) in d_states.iter().zip(&d_onehot) {
             assert!((a - b).abs() < 1e-13);
         }
-    }
-
-    #[test]
-    fn rescale_kernel_matches_cpu_rescale() {
-        let s = 4;
-        let patterns = 33;
-        let categories = 3;
-        let mut a: Vec<f64> = (0..categories * patterns * s)
-            .map(|i| 1e-5 * (1 + i % 23) as f64)
-            .collect();
-        let mut b = a.clone();
-        let mut scale_a = vec![0.0; patterns];
-        let mut scale_b = vec![0.0; patterns];
-        rescale_kernel(&mut a, &mut scale_a, s, patterns, categories);
-        {
-            let mut blocks: Vec<&mut [f64]> = b.chunks_exact_mut(patterns * s).collect();
-            cpu_kernels::rescale_patterns(&mut blocks, &mut scale_b, s);
-        }
-        assert_eq!(a, b);
-        assert_eq!(scale_a, scale_b);
     }
 }
