@@ -564,7 +564,7 @@ impl<T: Real> InstanceBuffers<T> {
     /// every (category, pattern) it is given: the CPU kernel tables and the
     /// accelerator `partials_kernel` / `partials_group` alike. Pad lanes are
     /// zero from allocation and stay zero: kernels never write them, and
-    /// rescaling multiplies them by a finite reciprocal or re-zeroes them.
+    /// rescaling multiplies them by a finite power of two.
     /// Only a buffer allocated here is zero-filled.
     pub fn take_destination(&mut self, dest: usize) -> Vec<T> {
         let len = self.padded_partials_len();

@@ -169,7 +169,7 @@ fn run_chunk<T: DispatchReal>(t: &mut ChunkTask<T>) {
         let t0 = t.timed.then(std::time::Instant::now);
         // SAFETY: this chunk's scale slice, disjoint from other tasks'.
         let scale = unsafe { std::slice::from_raw_parts_mut(t.scale, n) };
-        kernels::rescale_range(t, scale, s, sp, d.rescale_max, d.rescale_apply);
+        kernels::rescale_range(t, scale, sp, d.rescale_max, d.rescale_apply);
         if let Some(t0) = t0 {
             t.rescale_nanos = t0.elapsed().as_nanos() as u64;
         }

@@ -78,9 +78,9 @@ pub struct KernelDispatch<T: Real> {
     pub states_states: SsFn<T>,
     /// Per-block max pass of rescaling.
     pub rescale_max: RescaleMaxFn<T>,
-    /// Per-block scale pass of rescaling: multiplies each pattern by the
-    /// reciprocal of its maximum, computed once per pattern by
-    /// [`kernels::rescale_reciprocals`].
+    /// Per-block scale pass of rescaling: multiplies each pattern by its
+    /// power-of-two factor, read once per pattern from the exponent of its
+    /// maximum by [`kernels::rescale_range`] (no division, exact).
     pub rescale_apply: RescaleApplyFn<T>,
     /// Root integration over a pattern range.
     pub integrate_root: RootFn<T>,
@@ -486,10 +486,10 @@ mod avx2 {
         }
     }
 
-    /// Multiply each pattern's lanes by its reciprocal `inv[p]`.
+    /// Multiply each pattern's lanes by its factor `factors[p]`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rescale_apply_pd(block: &mut [f64], inv: &[f64], sp: usize) {
-        for (&r, q) in inv.iter().zip(block.chunks_exact_mut(sp)) {
+    unsafe fn rescale_apply_pd(block: &mut [f64], factors: &[f64], sp: usize) {
+        for (&r, q) in factors.iter().zip(block.chunks_exact_mut(sp)) {
             let r = _mm256_set1_pd(r);
             let mut j = 0;
             while j < sp {
@@ -784,10 +784,10 @@ mod avx2 {
         }
     }
 
-    /// Multiply each pattern's lanes by its reciprocal `inv[p]`.
+    /// Multiply each pattern's lanes by its factor `factors[p]`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rescale_apply_ps(block: &mut [f32], inv: &[f32], sp: usize) {
-        for (&r, q) in inv.iter().zip(block.chunks_exact_mut(sp)) {
+    unsafe fn rescale_apply_ps(block: &mut [f32], factors: &[f32], sp: usize) {
+        for (&r, q) in factors.iter().zip(block.chunks_exact_mut(sp)) {
             let r = _mm256_set1_ps(r);
             let mut j = 0;
             while j < sp {
@@ -905,8 +905,8 @@ mod avx2 {
     pub(super) fn rescale_max_f64(block: &[f64], maxes: &mut [f64], sp: usize) {
         unsafe { rescale_max_pd(block, maxes, sp) }
     }
-    pub(super) fn rescale_apply_f64(block: &mut [f64], inv: &[f64], sp: usize) {
-        unsafe { rescale_apply_pd(block, inv, sp) }
+    pub(super) fn rescale_apply_f64(block: &mut [f64], factors: &[f64], sp: usize) {
+        unsafe { rescale_apply_pd(block, factors, sp) }
     }
     #[allow(clippy::too_many_arguments)]
     pub(super) fn root_f64(
@@ -1014,8 +1014,8 @@ mod avx2 {
     pub(super) fn rescale_max_f32(block: &[f32], maxes: &mut [f32], sp: usize) {
         unsafe { rescale_max_ps(block, maxes, sp) }
     }
-    pub(super) fn rescale_apply_f32(block: &mut [f32], inv: &[f32], sp: usize) {
-        unsafe { rescale_apply_ps(block, inv, sp) }
+    pub(super) fn rescale_apply_f32(block: &mut [f32], factors: &[f32], sp: usize) {
+        unsafe { rescale_apply_ps(block, factors, sp) }
     }
     #[allow(clippy::too_many_arguments)]
     pub(super) fn root_f32(

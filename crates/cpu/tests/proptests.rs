@@ -69,7 +69,10 @@ proptest! {
         }
     }
 
-    /// Rescaling preserves the product `partials × exp(scale)` per entry.
+    /// Rescaling multiplies each pattern by `2^-E`, `E` the binary exponent
+    /// of its maximum: the maximum lands in `[1, 2)`, the log factor is
+    /// exactly `E·ln 2`, and `partials × 2^E` gives back every entry bit for
+    /// bit.
     #[test]
     fn rescale_preserves_values(
         patterns in 1usize..32,
@@ -84,24 +87,27 @@ proptest! {
             let mut blocks: Vec<&mut [f64]> = buf.chunks_exact_mut(patterns * s).collect();
             kernels::rescale_patterns(&mut blocks, &mut scale, s);
         }
-        for c in 0..cats {
-            for (p, &log_scale) in scale.iter().enumerate() {
-                for k in 0..s {
-                    let idx = (c * patterns + p) * s + k;
-                    let reconstructed = buf[idx] * log_scale.exp();
-                    prop_assert!((reconstructed - original[idx]).abs() < 1e-12);
-                }
+        let entries = |p: usize| {
+            (0..cats).flat_map(move |c| (0..s).map(move |k| (c * patterns + p) * s + k))
+        };
+        for (p, &log_scale) in scale.iter().enumerate() {
+            // The exponent of the original maximum, by repeated halving
+            // and doubling (exact for normal values).
+            let (mut m, mut e) = (entries(p).map(|i| original[i]).fold(0.0, f64::max), 0);
+            while m >= 2.0 {
+                m /= 2.0;
+                e += 1;
             }
-        }
-        // And the per-pattern maximum is exactly 1 after rescaling.
-        for p in 0..patterns {
-            let mut max: f64 = 0.0;
-            for c in 0..cats {
-                for k in 0..s {
-                    max = max.max(buf[(c * patterns + p) * s + k]);
-                }
+            while m < 1.0 {
+                m *= 2.0;
+                e -= 1;
             }
-            prop_assert!((max - 1.0).abs() < 1e-12);
+            prop_assert_eq!(log_scale.to_bits(), (e as f64 * std::f64::consts::LN_2).to_bits());
+            let max = entries(p).map(|i| buf[i]).fold(0.0, f64::max);
+            prop_assert!((1.0..2.0).contains(&max), "max {}", max);
+            for i in entries(p) {
+                prop_assert_eq!((buf[i] * 2f64.powi(e)).to_bits(), original[i].to_bits());
+            }
         }
     }
 

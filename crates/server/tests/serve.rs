@@ -12,7 +12,8 @@ use std::time::Duration;
 use beagle_accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
 use beagle_core::wire::{self, BusyReason, Frame};
 use beagle_core::{
-    BufferId, Deadline, Flags, ImplementationManager, InstanceSpec, Lane, SessionRequest,
+    BreakerConfig, BufferId, Deadline, Flags, ImplementationManager, InstanceSpec, Lane,
+    SessionRequest,
 };
 use beagle_server::{Client, ClientError, Endpoint, Server, ServerBuilder};
 use genomictest::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
@@ -175,13 +176,18 @@ fn remote_sessions_survive_mid_session_worker_eviction_bit_identically() {
     // The Radeon worker's device dies permanently partway through the run:
     // the session on it is requeued server-side onto another worker, and
     // every client still receives the bit-exact result — eviction is
-    // invisible through the wire.
+    // invisible through the wire. Breakers stay open for the whole test, so
+    // the final `available` check cannot race the cooldown.
     let reference = serial_bits(&full_manager(), &base_spec().named("CPU-serial"));
     let faults = FaultDirectory::new().with_plan(
         catalog::radeon_r9_nano().name,
         FaultPlan::new(7).with_fault(FaultKind::DeviceLost, false, Schedule::AtCall(40)),
     );
     let manager = full_manager_with_faults(&faults);
+    manager.set_breaker_config(BreakerConfig {
+        cooldown: Duration::from_secs(3600),
+        ..BreakerConfig::default()
+    });
     let server = ServerBuilder::from_spec(base_spec())
         .workers(2)
         .pin([RADEON, "CPU-serial"])

@@ -172,3 +172,134 @@ fn partials_readback_matches_across_backends() {
         }
     }
 }
+
+/// One scaled operation on two tips, where every back-end's states×states
+/// kernel computes the same products, so any difference comes from
+/// rescaling. On every implementation and both precisions, the rescaled
+/// partials and the log scale factors are bit-identical, and they follow
+/// the power-of-two definition exactly: each pattern's maximum lies in
+/// `[1, 2)`, its log factor is `E·ln 2`, and `partials · 2^E` equals the
+/// unscaled run's partials bit for bit.
+#[test]
+fn one_scaled_operation_is_bit_identical_on_every_backend() {
+    const PATTERNS: usize = 300;
+    const CATS: usize = 4;
+    let config = InstanceConfig {
+        tip_count: 2,
+        partials_buffer_count: 5,
+        compact_buffer_count: 2,
+        state_count: 4,
+        pattern_count: PATTERNS,
+        eigen_buffer_count: 1,
+        matrix_buffer_count: 2,
+        category_count: CATS,
+        scale_buffer_count: 2,
+    };
+    // Buffers: tips 0 and 1, unscaled destination 2, scaled destination 3,
+    // all-ones root 4 (it integrates to exactly 1, so a site
+    // log-likelihood read through it is the accumulated log factor).
+    let (unscaled_op, scaled_op) = (
+        Operation::new(2, 0, 0, 1, 1),
+        Operation {
+            destination: 3,
+            dest_scale_write: Some(0),
+            ..Operation::new(3, 0, 0, 1, 1)
+        },
+    );
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let mut draw = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % 10_000) as f64 / 10_000.0
+    };
+    // Entries spread over many octaves, a different range per category.
+    let mut matrix = || -> Vec<f64> {
+        (0..CATS * 16)
+            .map(|i| (0.05 + 0.9 * draw()) * 2f64.powi(-10 * (i / 16) as i32 - (i % 7) as i32))
+            .collect()
+    };
+    let matrices = [matrix(), matrix()];
+    let tips: [Vec<u32>; 2] = [
+        (0..PATTERNS)
+            .map(|p| {
+                if p % 11 == 0 {
+                    beagle::core::GAP_STATE
+                } else {
+                    (p * 7 % 4) as u32
+                }
+            })
+            .collect(),
+        (0..PATTERNS).map(|p| (p * 5 / 3 % 4) as u32).collect(),
+    ];
+
+    let manager = full_manager();
+    assert!(manager.implementation_names().len() >= 11);
+    for precision in [Flags::PRECISION_DOUBLE, Flags::PRECISION_SINGLE] {
+        let single = precision == Flags::PRECISION_SINGLE;
+        let mut first: Option<(String, Vec<u64>, Vec<u64>)> = None;
+        for name in manager.implementation_names() {
+            let mut inst = manager
+                .create_instance_by_name(&name, &config, precision)
+                .unwrap();
+            for (tip, states) in tips.iter().enumerate() {
+                inst.set_tip_states(tip, states).unwrap();
+            }
+            for (m, values) in matrices.iter().enumerate() {
+                inst.set_transition_matrix(m, values).unwrap();
+            }
+            inst.set_partials(4, &vec![1.0; config.partials_len()])
+                .unwrap();
+            inst.set_state_frequencies(0, &[0.25; 4]).unwrap();
+            inst.set_category_weights(0, &[0.25; CATS]).unwrap();
+            inst.set_pattern_weights(&[1.0; PATTERNS]).unwrap();
+            inst.update_partials(&[unscaled_op, scaled_op]).unwrap();
+            let unscaled = inst.get_partials(2).unwrap();
+            let scaled = inst.get_partials(3).unwrap();
+            inst.reset_scale_factors(1).unwrap();
+            inst.accumulate_scale_factors(&[0], 1).unwrap();
+            inst.integrate_root(
+                BufferId(4),
+                BufferId(0),
+                BufferId(0),
+                ScalingMode::cumulative(1),
+            )
+            .unwrap();
+            let log_factors = inst.get_site_log_likelihoods().unwrap();
+
+            let what = format!("{name} single={single}");
+            for (p, &log_factor) in log_factors.iter().enumerate() {
+                let e = (log_factor / std::f64::consts::LN_2).round() as i32;
+                let exact = f64::from(e) * std::f64::consts::LN_2;
+                let exact = if single { exact as f32 as f64 } else { exact };
+                assert_eq!(
+                    log_factor.to_bits(),
+                    exact.to_bits(),
+                    "log factor {p} {what}"
+                );
+                let lanes = (0..CATS).flat_map(|c| (0..4).map(move |i| (c * PATTERNS + p) * 4 + i));
+                let max = lanes.clone().map(|k| scaled[k]).fold(0.0, f64::max);
+                assert!((1.0..2.0).contains(&max), "pattern {p} max {max} {what}");
+                for k in lanes {
+                    assert_eq!(
+                        (scaled[k] * 2f64.powi(e)).to_bits(),
+                        unscaled[k].to_bits(),
+                        "pattern {p} lane {k} times 2^{e} {what}"
+                    );
+                }
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            match &first {
+                None => first = Some((name, bits(&scaled), bits(&log_factors))),
+                Some((first_name, partials, factors)) => {
+                    assert_eq!(&bits(&scaled), partials, "partials {what} vs {first_name}");
+                    assert_eq!(
+                        &bits(&log_factors),
+                        factors,
+                        "factors {what} vs {first_name}"
+                    );
+                }
+            }
+        }
+    }
+}
