@@ -4,7 +4,8 @@
 //! over TCP and/or a Unix-domain socket, sized for one instance
 //! configuration given on the command line. With `--self-test N` it
 //! additionally runs N loopback client sessions, checks them bit-for-bit
-//! against an in-process evaluation, prints the stats snapshot, drains,
+//! against an in-process evaluation (every worker is then pinned to that
+//! instance's implementation), prints the stats snapshot, drains,
 //! and exits — which is what `scripts/tier1.sh` uses as the server smoke
 //! test.
 //!
@@ -143,9 +144,21 @@ fn main() -> ExitCode {
     let spec = InstanceSpec::with_config(Problem::generate(&scenario).config());
     let manager = full_manager();
 
+    // The self-test compares every remote answer bit for bit with an
+    // in-process instance. Only one implementation promises that: different
+    // implementations agree to a few ulps (the AVX2 root sum associates
+    // differently from the scalar one). So the workers are pinned to the
+    // reference's implementation.
+    let mut reference = args.self_test.map(|_| {
+        spec.instantiate(&manager)
+            .expect("in-process reference instance")
+    });
     let mut builder = ServerBuilder::from_spec(spec.clone())
         .workers(args.workers)
         .max_in_flight(args.max_in_flight);
+    if let Some(reference) = &reference {
+        builder = builder.pin([reference.details().implementation_name.clone()]);
+    }
     if let Some(queue) = args.queue {
         builder = builder.queue_capacity(queue);
     }
@@ -169,7 +182,7 @@ fn main() -> ExitCode {
         println!("listening on unix://{}", path.display());
     }
 
-    let Some(rounds) = args.self_test else {
+    let (Some(rounds), Some(reference)) = (args.self_test, reference.as_mut()) else {
         // Daemon mode: the acceptor threads do all the work; park forever.
         loop {
             std::thread::sleep(std::time::Duration::from_secs(3600));
@@ -183,9 +196,6 @@ fn main() -> ExitCode {
             .expect("self-test listens on TCP")
             .to_string(),
     );
-    let mut reference = spec
-        .instantiate(&manager)
-        .expect("in-process reference instance");
     let mut client = match Client::connect(endpoint) {
         Ok(client) => client,
         Err(e) => {

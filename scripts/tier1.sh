@@ -3,10 +3,18 @@
 #
 # Test matrix covered by `cargo test --workspace`:
 #   unit + doc tests ........ every crate (queue/leveling/cache in core, CPU
-#                             kernels + threading, perf model + faults in accel)
+#                             kernels + threading, perf model + faults in accel);
+#                             the power-of-two rescale against its reference
+#                             oracle on every kernel table, and
+#                             rescale_subnormal_max_stays_finite (a subnormal
+#                             pattern maximum leaves every lane finite and
+#                             every pad lane zero, f32/f64 x s in {4,20,61})
 #   property tests .......... cpu kernels, core queue-cache invalidation
 #                             (random interleavings, queued == uncached bits)
-#   tests/cross_backend ..... implementations x {single,double} x scaling vs oracle
+#   tests/cross_backend ..... implementations x {single,double} x scaling vs oracle;
+#                             one_scaled_operation_is_bit_identical_on_every_backend
+#                             (11 implementations x f32/f64: same partials and
+#                             log factors, partials x 2^E == unscaled bits)
 #   tests/differential ...... implementations x {eager, queued} bit-for-bit,
 #                             eigen-cache repeat proposals, site-lnL read-back,
 #                             and the failover fixtures in BOTH queue modes
