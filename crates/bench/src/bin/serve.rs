@@ -6,7 +6,7 @@
 //!
 //! * **pool** — clients submit straight to an in-process
 //!   [`beagle_core::pool`] handle (function-call dispatch, zero copies);
-//! * **serve** — clients go through the full WIRE-v1 stack: encode the
+//! * **serve** — clients go through the full WIRE-v2 stack: encode the
 //!   session, write it to a loopback TCP socket, the server decodes it,
 //!   multiplexes it onto an embedded pool of the same shape, and streams the
 //!   result frame back.
@@ -152,7 +152,7 @@ fn main() {
     let (pool_drained, _fleet) = pool.shutdown_drain(None);
     assert!(pool_drained, "in-process pool drains cleanly");
 
-    // -- Remote: the same fleet behind the WIRE-v1 loopback server. --------
+    // -- Remote: the same fleet behind the WIRE-v2 loopback server. --------
     let server = ServerBuilder::from_spec(spec)
         .workers(WORKERS)
         .pin([gpu_name()])

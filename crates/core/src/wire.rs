@@ -1,4 +1,4 @@
-//! WIRE-v1: the versioned, length-prefixed binary protocol the likelihood
+//! WIRE-v2: the versioned, length-prefixed binary protocol the likelihood
 //! service (`crates/server`) speaks over TCP and Unix sockets.
 //!
 //! Every frame is
@@ -6,7 +6,7 @@
 //! ```text
 //! ┌───────────┬─────────┬────────────┬───────────────┬───────────────┬─────────┐
 //! │ magic     │ version │ frame type │ session id    │ payload len   │ payload │
-//! │ "BGLW" ×4 │ u8 = 1  │ u8         │ u64 LE        │ u32 LE        │ …       │
+//! │ "BGLW" ×4 │ u8 = 2  │ u8         │ u64 LE        │ u32 LE        │ …       │
 //! └───────────┴─────────┴────────────┴───────────────┴───────────────┴─────────┘
 //! ```
 //!
@@ -16,11 +16,27 @@
 //! to the same session evaluated in-process — the differential suites assert
 //! exactly that.
 //!
-//! The decoder is total: truncated, oversized, bad-magic, wrong-version, and
-//! malformed frames all come back as a typed [`WireError`], never a panic —
-//! a listener must survive a port scanner. Claimed lengths are validated
-//! against the bytes actually present *before* any allocation, so a frame
-//! that lies about its size cannot allocate gigabytes.
+//! A `Submit` payload is the lane byte, then the [`SessionRequest`] fields
+//! in declaration order. Two fields have their own layout:
+//!
+//! * **Tip states.** Each tip vector is a width tag, a `u32` count, then the
+//!   states. Tag 1: one byte per state, `0xFF` standing for
+//!   [`GAP_STATE`]; the encoder uses it whenever every state is below 255
+//!   or a gap, which shrinks nucleotide, amino-acid and codon tips 4×.
+//!   Tag 4: one `u32` per state, for anything else — the library bounds
+//!   no state count, and an out-of-range state must reach the worker to
+//!   fail there with the same typed error as in-process.
+//! * **Deadline.** A presence byte, then (if 1) the per-request budget in
+//!   nanoseconds as a saturating `u64`, so zero and sub-microsecond
+//!   budgets arrive as sent.
+//!
+//! The decoder is total: truncated, oversized, bad-magic, wrong-version
+//! (including every WIRE-v1 frame), and malformed frames all come back as a
+//! typed [`WireError`], never a panic — a listener must survive a port
+//! scanner. Claimed lengths are validated against the bytes actually present
+//! *before* any allocation, so a frame that lies about its size cannot
+//! allocate gigabytes; [`read_frame`] grows its buffer only as payload bytes
+//! arrive.
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -31,11 +47,12 @@ use crate::deadline::Deadline;
 use crate::error::{BeagleError, DeviceErrorKind};
 use crate::ops::Operation;
 use crate::pool::{Lane, SessionRequest};
+use crate::GAP_STATE;
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"BGLW";
 /// Protocol version this module encodes and the only one it accepts.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Fixed header size (magic + version + type + session id + payload len).
 pub const HEADER_LEN: usize = 4 + 1 + 1 + 8 + 4;
 /// Hard cap on a frame's payload. A header claiming more is rejected with
@@ -45,6 +62,10 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 /// Nesting bound when decoding recursive [`BeagleError::ChildCreationFailed`]
 /// chains: deeper frames are [`WireError::Malformed`], not a stack overflow.
 const MAX_ERROR_DEPTH: usize = 8;
+
+/// Initial payload buffer of [`read_frame`]; larger payloads grow it as
+/// their bytes arrive.
+const READ_CHUNK: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -231,6 +252,16 @@ impl Frame {
 // Encoding.
 // ---------------------------------------------------------------------------
 
+/// Tip-vector width tag: one byte per state, [`NARROW_GAP`] for a gap.
+const TIP_U8: u8 = 1;
+/// Tip-vector width tag: one little-endian `u32` per state.
+const TIP_U32: u8 = 4;
+/// The one-byte code for [`GAP_STATE`] in a narrowed tip vector. State 255
+/// forces the four-byte form, so the code is unambiguous.
+const NARROW_GAP: u8 = 0xFF;
+/// Bytes per encoded operation: dest + scale flag + scale + 4 indices.
+const OP_BYTES: usize = 8 + 1 + 8 + 4 * 8;
+
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
@@ -248,24 +279,78 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
+/// Append `n` bytes to `buf` and hand them back for bulk filling.
+fn grow(buf: &mut Vec<u8>, n: usize) -> &mut [u8] {
+    let start = buf.len();
+    buf.resize(start + n, 0);
+    &mut buf[start..]
+}
+
 fn put_vec_f64(buf: &mut Vec<u8>, v: &[f64]) {
     put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_f64(buf, x);
+    for (dst, x) in grow(buf, 8 * v.len()).chunks_exact_mut(8).zip(v) {
+        dst.copy_from_slice(&x.to_bits().to_le_bytes());
     }
 }
 
-fn put_vec_u32(buf: &mut Vec<u8>, v: &[u32]) {
-    put_u32(buf, v.len() as u32);
-    for &x in v {
-        put_u32(buf, x);
+/// One tip vector: width tag, count, states. The width follows from the
+/// content: one byte per state when every state is below 255 or is the gap,
+/// else four, so an out-of-range state still reaches the worker intact and
+/// fails there exactly as it would in-process.
+fn put_tip(buf: &mut Vec<u8>, tip: &[u32]) {
+    let start = buf.len();
+    buf.push(TIP_U8);
+    put_u32(buf, tip.len() as u32);
+    // Narrow in one pass. `x + 1` wraps the gap to 0, so a bit set above
+    // the low byte marks a state that does not fit; truncation maps the
+    // gap to `NARROW_GAP` (both asserted below).
+    let mut wide = 0;
+    for (dst, &x) in grow(buf, tip.len()).iter_mut().zip(tip) {
+        wide |= x.wrapping_add(1) & !0xFF;
+        *dst = x as u8;
     }
+    if wide != 0 {
+        buf.truncate(start);
+        buf.push(TIP_U32);
+        put_u32(buf, tip.len() as u32);
+        for (dst, x) in grow(buf, 4 * tip.len()).chunks_exact_mut(4).zip(tip) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+    }
+}
+
+const _: () = assert!(GAP_STATE as u8 == NARROW_GAP && GAP_STATE.wrapping_add(1) == 0);
+
+/// Encoded size of `s`: exact when every tip narrows to one byte per state
+/// (nucleotide, amino-acid and codon data); four-byte tips grow the buffer.
+fn session_len_hint(s: &SessionRequest) -> usize {
+    let vec_f64 = |v: &[f64]| 4 + 8 * v.len();
+    let tips: usize = s.tip_states.iter().map(|t| 1 + 4 + t.len()).sum();
+    let eigen = s
+        .eigen
+        .as_ref()
+        .map_or(0, |(u, v, w)| vec_f64(u) + vec_f64(v) + vec_f64(w));
+    4 + tips
+        + vec_f64(&s.pattern_weights)
+        + vec_f64(&s.category_rates)
+        + vec_f64(&s.category_weights)
+        + vec_f64(&s.frequencies)
+        + 1
+        + eigen
+        + 4
+        + 16 * s.matrices.len()
+        + 4
+        + OP_BYTES * s.operations.len()
+        + 8
+        + 1
+        + 1
+        + s.deadline.map_or(0, |_| 8)
 }
 
 fn encode_session(buf: &mut Vec<u8>, s: &SessionRequest) {
     put_u32(buf, s.tip_states.len() as u32);
     for tip in &s.tip_states {
-        put_vec_u32(buf, tip);
+        put_tip(buf, tip);
     }
     put_vec_f64(buf, &s.pattern_weights);
     put_vec_f64(buf, &s.category_rates);
@@ -305,10 +390,18 @@ fn encode_session(buf: &mut Vec<u8>, s: &SessionRequest) {
     }
     put_u64(buf, s.root.0 as u64);
     buf.push(s.scaled as u8);
-    // Deadline budget in microseconds; 0 means "no per-request deadline"
-    // (a zero-budget deadline is not representable on the wire — it would
-    // cancel every call anyway).
-    put_u64(buf, s.deadline.map_or(0, |d| d.budget().as_micros() as u64));
+    // Deadline: presence byte, then the budget in nanoseconds (saturating),
+    // so a zero or sub-microsecond budget arrives as sent.
+    match s.deadline {
+        Some(d) => {
+            buf.push(1);
+            put_u64(
+                buf,
+                u64::try_from(d.budget().as_nanos()).unwrap_or(u64::MAX),
+            );
+        }
+        None => buf.push(0),
+    }
 }
 
 fn encode_error(buf: &mut Vec<u8>, e: &BeagleError) {
@@ -386,37 +479,65 @@ fn encode_error(buf: &mut Vec<u8>, e: &BeagleError) {
     }
 }
 
-fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut buf = Vec::new();
-    match frame {
-        Frame::Submit { lane, session } => {
-            buf.push(match lane {
-                Lane::Interactive => 0,
-                Lane::Batch => 1,
-            });
-            encode_session(&mut buf, session);
-        }
-        Frame::Result(lnl) => put_f64(&mut buf, *lnl),
-        Frame::Busy(reason) => buf.push(*reason as u8),
-        Frame::Error(e) => encode_error(&mut buf, e),
-        Frame::StatsRequest | Frame::Drain => {}
-        Frame::Stats(json) => put_str(&mut buf, json),
-        Frame::DrainAck { drained } => buf.push(*drained as u8),
-    }
+/// Encode one frame into a buffer reserved for `payload_hint` payload
+/// bytes: the header, the payload `body` writes, then the payload length
+/// patched into the header. One buffer, no payload copy.
+fn encode_with(
+    session_id: u64,
+    frame_type: FrameType,
+    payload_hint: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(HEADER_LEN + payload_hint);
+    buf.extend_from_slice(&MAGIC);
+    buf.push(VERSION);
+    buf.push(frame_type as u8);
+    put_u64(&mut buf, session_id);
+    put_u32(&mut buf, 0);
+    body(&mut buf);
+    let len = (buf.len() - HEADER_LEN) as u32;
+    buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     buf
 }
 
 /// Encode one complete frame (header + payload) into a byte vector.
 pub fn encode_frame(session_id: u64, frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
-    buf.extend_from_slice(&MAGIC);
-    buf.push(VERSION);
-    buf.push(frame.frame_type() as u8);
-    put_u64(&mut buf, session_id);
-    put_u32(&mut buf, payload.len() as u32);
-    buf.extend_from_slice(&payload);
-    buf
+    let payload_hint = match frame {
+        Frame::Submit { session, .. } => 1 + session_len_hint(session),
+        _ => 64,
+    };
+    encode_with(
+        session_id,
+        frame.frame_type(),
+        payload_hint,
+        |buf| match frame {
+            Frame::Submit { lane, session } => put_submit(buf, *lane, session),
+            Frame::Result(lnl) => put_f64(buf, *lnl),
+            Frame::Busy(reason) => buf.push(*reason as u8),
+            Frame::Error(e) => encode_error(buf, e),
+            Frame::StatsRequest | Frame::Drain => {}
+            Frame::Stats(json) => put_str(buf, json),
+            Frame::DrainAck { drained } => buf.push(*drained as u8),
+        },
+    )
+}
+
+/// Encode a `Submit` frame from a borrowed session: the same bytes
+/// [`encode_frame`] writes for `Frame::Submit { lane, session }`, without
+/// first copying the session into a box.
+pub fn encode_submit(session_id: u64, lane: Lane, session: &SessionRequest) -> Vec<u8> {
+    let payload_hint = 1 + session_len_hint(session);
+    encode_with(session_id, FrameType::Submit, payload_hint, |buf| {
+        put_submit(buf, lane, session)
+    })
+}
+
+fn put_submit(buf: &mut Vec<u8>, lane: Lane, session: &SessionRequest) {
+    buf.push(match lane {
+        Lane::Interactive => 0,
+        Lane::Batch => 1,
+    });
+    encode_session(buf, session);
 }
 
 // ---------------------------------------------------------------------------
@@ -472,15 +593,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(le(self.take(4)?)))
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(le(self.take(8)?)))
     }
 
     fn usize(&mut self) -> Result<usize, WireError> {
@@ -501,20 +618,48 @@ impl<'a> Cursor<'a> {
         Ok(count)
     }
 
+    /// The bytes of a length-prefixed collection of `elem_size`-byte
+    /// elements, bounds-checked once.
+    fn counted(&mut self, elem_size: usize) -> Result<&'a [u8], WireError> {
+        let count = self.u32()? as usize;
+        self.take(count.saturating_mul(elem_size))
+    }
+
     fn string(&mut self) -> Result<String, WireError> {
-        let len = self.len_prefix(1)?;
-        let bytes = self.take(len)?;
+        let bytes = self.counted(1)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("string not UTF-8"))
     }
 
+    /// A length-prefixed `f64` vector: one bounds check, then a bulk decode.
     fn vec_f64(&mut self) -> Result<Vec<f64>, WireError> {
-        let count = self.len_prefix(8)?;
-        (0..count).map(|_| self.f64()).collect()
+        Ok(self
+            .counted(8)?
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(le(b))))
+            .collect())
     }
 
-    fn vec_u32(&mut self) -> Result<Vec<u32>, WireError> {
-        let count = self.len_prefix(4)?;
-        (0..count).map(|_| self.u32()).collect()
+    /// One tip vector (width tag, count, states), checked once and decoded
+    /// in bulk. In the one-byte form `b + 1 - 1` is `b`, except that
+    /// [`NARROW_GAP`] wraps to 0 and then to [`GAP_STATE`].
+    fn tip(&mut self) -> Result<Vec<u32>, WireError> {
+        let width = match self.u8()? {
+            TIP_U8 => 1,
+            TIP_U32 => 4,
+            _ => return Err(WireError::Malformed("unknown tip width")),
+        };
+        let bytes = self.counted(width)?;
+        Ok(if width == 1 {
+            bytes
+                .iter()
+                .map(|&b| u32::from(b.wrapping_add(1)).wrapping_sub(1))
+                .collect()
+        } else {
+            bytes
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(le(b)))
+                .collect()
+        })
     }
 
     fn finish(&self) -> Result<(), WireError> {
@@ -524,6 +669,14 @@ impl<'a> Cursor<'a> {
             Err(WireError::Malformed("trailing bytes after payload"))
         }
     }
+}
+
+/// A fixed-size array from an exactly-`N`-byte slice (a [`Cursor::take`]
+/// result or a `chunks_exact(N)` chunk, so the lengths always match).
+fn le<const N: usize>(b: &[u8]) -> [u8; N] {
+    let mut a = [0; N];
+    a.copy_from_slice(b);
+    a
 }
 
 /// Remote errors arrive with owned strings where the in-process error type
@@ -582,11 +735,9 @@ fn decode_error(c: &mut Cursor<'_>, depth: usize) -> Result<BeagleError, WireErr
 }
 
 fn decode_session(c: &mut Cursor<'_>) -> Result<SessionRequest, WireError> {
-    // Tip vectors: at least a 4-byte length each.
-    let tips = c.len_prefix(4)?;
-    let tip_states = (0..tips)
-        .map(|_| c.vec_u32())
-        .collect::<Result<Vec<_>, _>>()?;
+    // Tip vectors: at least a width tag and a 4-byte length each.
+    let tips = c.len_prefix(5)?;
+    let tip_states = (0..tips).map(|_| c.tip()).collect::<Result<Vec<_>, _>>()?;
     let pattern_weights = c.vec_f64()?;
     let category_rates = c.vec_f64()?;
     let category_weights = c.vec_f64()?;
@@ -600,8 +751,7 @@ fn decode_session(c: &mut Cursor<'_>) -> Result<SessionRequest, WireError> {
     let matrices = (0..n_matrices)
         .map(|_| Ok((c.usize()?, c.f64()?)))
         .collect::<Result<Vec<_>, WireError>>()?;
-    // 49 bytes per operation: dest + flag + scale + 4 indices.
-    let n_ops = c.len_prefix(49)?;
+    let n_ops = c.len_prefix(OP_BYTES)?;
     let operations = (0..n_ops)
         .map(|_| {
             let destination = c.usize()?;
@@ -619,7 +769,11 @@ fn decode_session(c: &mut Cursor<'_>) -> Result<SessionRequest, WireError> {
         .collect::<Result<Vec<_>, WireError>>()?;
     let root = BufferId(c.usize()?);
     let scaled = c.bool()?;
-    let deadline_micros = c.u64()?;
+    let deadline = if c.bool()? {
+        Some(Deadline::new(Duration::from_nanos(c.u64()?)))
+    } else {
+        None
+    };
     Ok(SessionRequest {
         tip_states,
         pattern_weights,
@@ -631,8 +785,7 @@ fn decode_session(c: &mut Cursor<'_>) -> Result<SessionRequest, WireError> {
         operations,
         root,
         scaled,
-        deadline: (deadline_micros > 0)
-            .then(|| Deadline::new(Duration::from_micros(deadline_micros))),
+        deadline,
     })
 }
 
@@ -718,18 +871,14 @@ fn io_err(e: std::io::Error) -> WireError {
     WireError::Io(e.to_string())
 }
 
-/// Read exactly `buf.len()` bytes. `at_boundary` distinguishes a clean EOF
-/// before any byte (a closed connection) from one mid-frame (truncation).
-fn read_exact_or(
-    reader: &mut impl Read,
-    buf: &mut [u8],
-    at_boundary: bool,
-) -> Result<(), WireError> {
+/// Read a frame header. A clean EOF before its first byte is a closed
+/// connection; one mid-header is truncation.
+fn read_header(reader: &mut impl Read, buf: &mut [u8; HEADER_LEN]) -> Result<(), WireError> {
     let mut filled = 0;
     while filled < buf.len() {
         match reader.read(&mut buf[filled..]) {
             Ok(0) => {
-                return Err(if at_boundary && filled == 0 {
+                return Err(if filled == 0 {
                     WireError::Closed
                 } else {
                     WireError::Truncated {
@@ -751,10 +900,23 @@ fn read_exact_or(
 /// socket failure.
 pub fn read_frame(reader: &mut impl Read) -> Result<(u64, Frame), WireError> {
     let mut header = [0u8; HEADER_LEN];
-    read_exact_or(reader, &mut header, true)?;
+    read_header(reader, &mut header)?;
     let (frame_type, session_id, len) = decode_header(&header)?;
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or(reader, &mut payload, false)?;
+    // Grow the buffer as payload bytes arrive instead of zero-filling the
+    // claimed length up front: a header that lies about its size then pins
+    // at most `READ_CHUNK` bytes, not `MAX_PAYLOAD`.
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    reader
+        .take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(io_err)?;
+    if payload.len() < len {
+        return Err(WireError::Truncated {
+            needed: len,
+            got: payload.len(),
+        });
+    }
     Ok((session_id, decode_payload(frame_type, &payload)?))
 }
 
@@ -764,14 +926,20 @@ pub fn write_frame(
     session_id: u64,
     frame: &Frame,
 ) -> Result<(), WireError> {
-    let bytes = encode_frame(session_id, frame);
-    writer.write_all(&bytes).map_err(io_err)?;
+    write_encoded(writer, &encode_frame(session_id, frame))
+}
+
+/// Write an already-encoded frame ([`encode_frame`], [`encode_submit`]) to
+/// a stream and flush it: a client that may re-send encodes only once.
+pub fn write_encoded(writer: &mut impl Write, bytes: &[u8]) -> Result<(), WireError> {
+    writer.write_all(bytes).map_err(io_err)?;
     writer.flush().map_err(io_err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_session() -> SessionRequest {
         SessionRequest {
@@ -789,6 +957,79 @@ mod tests {
             root: BufferId(3),
             scaled: true,
             deadline: Some(Deadline::new(Duration::from_millis(250))),
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every field of two sessions, `f64`s compared by bit pattern.
+    fn assert_same_session(got: &SessionRequest, want: &SessionRequest) {
+        assert_eq!(got.tip_states, want.tip_states);
+        assert_eq!(bits(&got.pattern_weights), bits(&want.pattern_weights));
+        assert_eq!(bits(&got.category_rates), bits(&want.category_rates));
+        assert_eq!(bits(&got.category_weights), bits(&want.category_weights));
+        assert_eq!(bits(&got.frequencies), bits(&want.frequencies));
+        let eigen_bits = |s: &SessionRequest| {
+            s.eigen
+                .as_ref()
+                .map(|(u, v, w)| (bits(u), bits(v), bits(w)))
+        };
+        assert_eq!(eigen_bits(got), eigen_bits(want));
+        let matrix_bits = |s: &SessionRequest| {
+            s.matrices
+                .iter()
+                .map(|&(i, t)| (i, t.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(matrix_bits(got), matrix_bits(want));
+        assert_eq!(got.operations, want.operations);
+        assert_eq!(got.root, want.root);
+        assert_eq!(got.scaled, want.scaled);
+        assert_eq!(got.deadline, want.deadline);
+    }
+
+    fn submit_bytes(session: &SessionRequest) -> Vec<u8> {
+        encode_submit(5, Lane::Interactive, session)
+    }
+
+    fn decode_submit(bytes: &[u8]) -> SessionRequest {
+        match decode_frame(bytes).expect("submit decodes") {
+            (_, Frame::Submit { session, .. }, used) => {
+                assert_eq!(used, bytes.len());
+                *session
+            }
+            (_, other, _) => panic!("wrong frame type {other:?}"),
+        }
+    }
+
+    /// A serve-nuc-shaped session: 64 nucleotide tips × 1,500 patterns, 4
+    /// rate categories, a scaled 63-operation schedule.
+    fn nucleotide_session(taxa: usize, patterns: usize) -> SessionRequest {
+        SessionRequest {
+            tip_states: (0..taxa)
+                .map(|t| {
+                    (0..patterns)
+                        .map(|p| match (p * 7 + t * 13) % 41 {
+                            0 => crate::GAP_STATE,
+                            k => (k % 4) as u32,
+                        })
+                        .collect()
+                })
+                .collect(),
+            pattern_weights: (0..patterns).map(|p| 1.0 + (p % 3) as f64).collect(),
+            category_rates: vec![0.1, 0.5, 1.2, 2.2],
+            category_weights: vec![0.25; 4],
+            frequencies: vec![0.1, 0.2, 0.3, 0.4],
+            eigen: Some((vec![0.5; 16], vec![0.25; 16], vec![0.0, -1.0, -2.0, -3.0])),
+            matrices: (0..2 * taxa - 2).map(|m| (m, 0.01 * m as f64)).collect(),
+            operations: (taxa..2 * taxa - 1)
+                .map(|d| Operation::new(d, d - taxa, d - taxa, d - 1, d - 1).with_scaling(d))
+                .collect(),
+            root: BufferId(2 * taxa - 2),
+            scaled: true,
+            deadline: None,
         }
     }
 
@@ -814,23 +1055,198 @@ mod tests {
             panic!("wrong frame type");
         };
         assert_eq!(lane, Lane::Batch);
-        assert_eq!(got.tip_states, session.tip_states);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got.pattern_weights), bits(&session.pattern_weights));
-        assert_eq!(bits(&got.frequencies), bits(&session.frequencies));
-        assert_eq!(
-            bits(&got.eigen.as_ref().unwrap().0),
-            bits(&session.eigen.as_ref().unwrap().0)
-        );
-        assert_eq!(got.matrices, session.matrices);
-        assert_eq!(got.operations, session.operations);
-        assert_eq!(got.root, session.root);
-        assert_eq!(got.scaled, session.scaled);
+        assert_same_session(&got, &session);
         assert_eq!(
             got.deadline.unwrap().budget(),
             Duration::from_millis(250),
             "per-request deadline must survive the wire"
         );
+    }
+
+    #[test]
+    fn submit_from_a_borrowed_session_matches_the_boxed_frame() {
+        let session = sample_session();
+        let boxed = encode_frame(
+            8,
+            &Frame::Submit {
+                lane: Lane::Batch,
+                session: Box::new(session.clone()),
+            },
+        );
+        assert_eq!(encode_submit(8, Lane::Batch, &session), boxed);
+    }
+
+    #[test]
+    fn deadlines_round_trip_exactly() {
+        for deadline in [
+            None,
+            Some(Deadline::new(Duration::ZERO)),
+            Some(Deadline::new(Duration::from_nanos(500))),
+            Some(Deadline::new(Duration::from_millis(10))),
+        ] {
+            let session = SessionRequest {
+                deadline,
+                ..sample_session()
+            };
+            let got = decode_submit(&submit_bytes(&session));
+            assert_eq!(got.deadline, deadline, "deadline {deadline:?}");
+        }
+        // Budgets past u64 nanoseconds (~584 years) saturate.
+        let forever = SessionRequest {
+            deadline: Some(Deadline::new(Duration::MAX)),
+            ..sample_session()
+        };
+        let got = decode_submit(&submit_bytes(&forever)).deadline.unwrap();
+        assert_eq!(got.budget(), Duration::from_nanos(u64::MAX));
+    }
+
+    #[test]
+    fn tip_width_follows_the_content() {
+        // Sample tips are 4 + 2 states, all narrow: tag + count + 1 byte each.
+        let narrow = sample_session();
+        let wide = SessionRequest {
+            tip_states: vec![vec![0, 1, 2, crate::GAP_STATE], vec![3, 2, 255, 0]],
+            ..sample_session()
+        };
+        let narrow_len = submit_bytes(&narrow).len();
+        assert_eq!(submit_bytes(&wide).len(), narrow_len + 3 * 4);
+        assert_same_session(&decode_submit(&submit_bytes(&wide)), &wide);
+        assert_same_session(&decode_submit(&submit_bytes(&narrow)), &narrow);
+    }
+
+    #[test]
+    fn size_hint_is_exact_for_narrow_sessions() {
+        for session in [sample_session(), nucleotide_session(8, 100)] {
+            assert_eq!(
+                submit_bytes(&session).len(),
+                HEADER_LEN + 1 + session_len_hint(&session)
+            );
+        }
+    }
+
+    #[test]
+    fn serve_nuc_shaped_session_fits_in_120_kb() {
+        let session = nucleotide_session(64, 1500);
+        let bytes = submit_bytes(&session);
+        assert!(bytes.len() <= 120_000, "{} bytes", bytes.len());
+        assert_same_session(&decode_submit(&bytes), &session);
+    }
+
+    #[test]
+    fn wire_v1_frames_get_a_typed_version_error() {
+        let mut bytes = submit_bytes(&sample_session());
+        bytes[4] = 1;
+        assert_eq!(decode_frame(&bytes).unwrap_err(), WireError::BadVersion(1));
+        assert_eq!(
+            read_frame(&mut bytes.as_slice()).unwrap_err(),
+            WireError::BadVersion(1)
+        );
+    }
+
+    #[test]
+    fn unknown_tip_width_is_malformed() {
+        let mut bytes = submit_bytes(&sample_session());
+        // Header, lane byte, tip count: then the first tip's width tag.
+        let tag = HEADER_LEN + 1 + 4;
+        assert_eq!(bytes[tag], TIP_U8);
+        bytes[tag] = 2;
+        assert_eq!(
+            decode_frame(&bytes).unwrap_err(),
+            WireError::Malformed("unknown tip width")
+        );
+    }
+
+    #[test]
+    fn every_payload_truncation_of_a_narrowed_frame_is_typed() {
+        // Cut the payload and patch the header to agree, so each cut lands
+        // inside the session decoder (tip tags, narrowed states, the
+        // deadline field) rather than at the frame-length check.
+        let session = SessionRequest {
+            tip_states: vec![vec![0, 3, crate::GAP_STATE], vec![], vec![300, 1]],
+            deadline: Some(Deadline::new(Duration::from_nanos(500))),
+            ..sample_session()
+        };
+        let full = submit_bytes(&session);
+        for cut in HEADER_LEN..full.len() {
+            let mut bytes = full[..cut].to_vec();
+            let len = ((cut - HEADER_LEN) as u32).to_le_bytes();
+            bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len);
+            match decode_frame(&bytes) {
+                Err(WireError::Truncated { .. }) => {}
+                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
+            }
+        }
+    }
+
+    /// Random sessions: tips mixing narrow states, gaps, states ≥ 255 and
+    /// empty vectors; every `f64` an arbitrary bit pattern (NaNs included).
+    struct ArbSession;
+
+    impl Strategy for ArbSession {
+        type Value = SessionRequest;
+
+        fn generate(&self, rng: &mut proptest::TestRng) -> SessionRequest {
+            let f64s = |rng: &mut proptest::TestRng, max: usize| -> Vec<f64> {
+                let n = rng.below(0, max + 1);
+                (0..n).map(|_| f64::from_bits(rng.next_u64())).collect()
+            };
+            let tip = |rng: &mut proptest::TestRng| -> Vec<u32> {
+                let n = rng.below(0, 40);
+                let mixed = rng.below(0, 3);
+                (0..n)
+                    .map(|_| match (mixed, rng.below(0, 6)) {
+                        (0, _) | (_, 0..=3) => rng.below(0, 255) as u32,
+                        (_, 4) => crate::GAP_STATE,
+                        _ => 255 + (rng.next_u64() % u64::from(u32::MAX - 255)) as u32,
+                    })
+                    .collect()
+            };
+            let index = |rng: &mut proptest::TestRng| rng.below(0, 1000);
+            SessionRequest {
+                tip_states: (0..rng.below(0, 8)).map(|_| tip(rng)).collect(),
+                pattern_weights: f64s(rng, 20),
+                category_rates: f64s(rng, 5),
+                category_weights: f64s(rng, 5),
+                frequencies: f64s(rng, 5),
+                eigen: (rng.below(0, 2) == 1).then(|| (f64s(rng, 17), f64s(rng, 17), f64s(rng, 5))),
+                matrices: (0..rng.below(0, 10))
+                    .map(|_| (index(rng), f64::from_bits(rng.next_u64())))
+                    .collect(),
+                operations: (0..rng.below(0, 10))
+                    .map(|_| Operation {
+                        destination: index(rng),
+                        dest_scale_write: (rng.below(0, 2) == 1).then(|| index(rng)),
+                        child1: index(rng),
+                        child1_matrix: index(rng),
+                        child2: index(rng),
+                        child2_matrix: index(rng),
+                    })
+                    .collect(),
+                root: BufferId(index(rng)),
+                scaled: rng.below(0, 2) == 1,
+                deadline: (rng.below(0, 2) == 1)
+                    .then(|| Deadline::new(Duration::from_nanos(rng.next_u64()))),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Submit frames round-trip every field bit for bit, whatever mix
+        /// of narrow, gap, wide and empty tips they carry.
+        #[test]
+        fn submit_round_trips_any_session(session in ArbSession, batch in 0u8..2) {
+            let lane = if batch == 1 { Lane::Batch } else { Lane::Interactive };
+            let bytes = encode_submit(3, lane, &session);
+            let (sid, frame, used) = decode_frame(&bytes).expect("decodes");
+            prop_assert_eq!((sid, used), (3, bytes.len()));
+            let Frame::Submit { lane: got_lane, session: got } = frame else {
+                panic!("wrong frame type");
+            };
+            prop_assert_eq!(got_lane, lane);
+            assert_same_session(&got, &session);
+        }
     }
 
     #[test]

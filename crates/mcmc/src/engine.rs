@@ -260,7 +260,7 @@ impl LikelihoodEngine for BeagleEngine {
 
 /// An engine backed by a remote likelihood service (`beagle-server`): each
 /// evaluation ships a self-contained [`SessionRequest`] over the wire and
-/// blocks for the result. The WIRE-v1 protocol carries every `f64` as a
+/// blocks for the result. The WIRE-v2 protocol carries every `f64` as a
 /// raw bit pattern, so a remote evaluation is bit-identical to running the
 /// same session on a local pool of the same implementation — which is what
 /// lets [`crate::mc3::run_mc3_remote`] reproduce a local cold trace
@@ -268,14 +268,14 @@ impl LikelihoodEngine for BeagleEngine {
 ///
 /// Unlike [`BeagleEngine`] there is no incremental fast path: sessions are
 /// stateless by design (that is what makes server-side requeue-after-
-/// eviction safe), so every evaluation is a full refresh.
+/// eviction safe), so every evaluation is a full refresh. Only the client
+/// side is cached: the data fields (tip states, pattern weights, rates) are
+/// gathered once at [`Self::connect`], and each evaluation rewrites the
+/// model and tree fields of the same request in place.
 pub struct RemoteEngine {
     client: Client,
-    patterns: SitePatterns,
-    rates: SiteRates,
-    scaled: bool,
+    session: SessionRequest,
     lane: Lane,
-    deadline: Option<Deadline>,
     /// Transient `Busy` answers tolerated per evaluation before panicking.
     busy_retries: u32,
     wall: Duration,
@@ -292,11 +292,22 @@ impl RemoteEngine {
     ) -> Result<Self, ClientError> {
         Ok(Self {
             client: Client::connect(endpoint)?,
-            patterns,
-            rates,
-            scaled,
+            session: SessionRequest {
+                tip_states: (0..patterns.taxon_count())
+                    .map(|t| patterns.tip_states(t))
+                    .collect(),
+                pattern_weights: patterns.weights().to_vec(),
+                category_rates: rates.rates,
+                category_weights: rates.weights,
+                frequencies: Vec::new(),
+                eigen: None,
+                matrices: Vec::new(),
+                operations: Vec::new(),
+                root: BufferId(0),
+                scaled,
+                deadline: None,
+            },
             lane: Lane::Interactive,
-            deadline: None,
             busy_retries: 64,
             wall: Duration::ZERO,
         })
@@ -313,44 +324,36 @@ impl RemoteEngine {
     /// Attach a per-request deadline, propagated into the server pool's
     /// watchdog for each evaluation.
     pub fn deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = Some(deadline);
+        self.session.deadline = Some(deadline);
         self
     }
 
-    /// Build the wire session for one evaluation.
-    fn session(&self, tree: &Tree, model: &ReversibleModel) -> SessionRequest {
+    /// Point the cached session at `tree` under `model`.
+    fn refresh_session(&mut self, tree: &Tree, model: &ReversibleModel) {
+        debug_assert_eq!(tree.taxon_count(), self.session.tip_states.len());
         let eig = model.eigen();
-        SessionRequest {
-            tip_states: (0..tree.taxon_count())
-                .map(|t| self.patterns.tip_states(t))
-                .collect(),
-            pattern_weights: self.patterns.weights().to_vec(),
-            category_rates: self.rates.rates.clone(),
-            category_weights: self.rates.weights.clone(),
-            frequencies: model.frequencies().to_vec(),
-            eigen: Some((
-                eig.vectors.as_slice().to_vec(),
-                eig.inverse_vectors.as_slice().to_vec(),
-                eig.values.clone(),
-            )),
-            matrices: tree.branch_assignments(),
-            operations: tree
-                .operation_schedule()
-                .iter()
-                .map(|e| {
-                    let op =
-                        Operation::new(e.destination, e.child1, e.matrix1, e.child2, e.matrix2);
-                    if self.scaled {
-                        op.with_scaling(e.destination)
-                    } else {
-                        op
-                    }
-                })
-                .collect(),
-            root: BufferId(tree.root()),
-            scaled: self.scaled,
-            deadline: self.deadline,
-        }
+        let s = &mut self.session;
+        let scaled = s.scaled;
+        s.frequencies = model.frequencies().to_vec();
+        s.eigen = Some((
+            eig.vectors.as_slice().to_vec(),
+            eig.inverse_vectors.as_slice().to_vec(),
+            eig.values.clone(),
+        ));
+        s.matrices = tree.branch_assignments();
+        s.operations = tree
+            .operation_schedule()
+            .iter()
+            .map(|e| {
+                let op = Operation::new(e.destination, e.child1, e.matrix1, e.child2, e.matrix2);
+                if scaled {
+                    op.with_scaling(e.destination)
+                } else {
+                    op
+                }
+            })
+            .collect();
+        s.root = BufferId(tree.root());
     }
 }
 
@@ -361,10 +364,10 @@ impl LikelihoodEngine for RemoteEngine {
 
     fn log_likelihood(&mut self, tree: &Tree, model: &ReversibleModel) -> f64 {
         let start = Instant::now();
-        let session = self.session(tree, model);
+        self.refresh_session(tree, model);
         let lnl = self
             .client
-            .evaluate_patiently(&session, self.lane, self.busy_retries)
+            .evaluate_patiently(&self.session, self.lane, self.busy_retries)
             .expect("remote evaluation");
         self.wall += start.elapsed();
         lnl

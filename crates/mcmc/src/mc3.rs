@@ -285,7 +285,7 @@ pub fn run_mc3_pooled(
 ///
 /// Delegates to [`run_mc3`] with [`crate::engine::RemoteEngine`]s, so the
 /// master RNG and every chain RNG are consumed in exactly the same order as
-/// a local run — and since WIRE-v1 round trips are bit-exact, the cold
+/// a local run — and since WIRE-v2 round trips are bit-exact, the cold
 /// trace is bit-identical to [`run_mc3`] on local engines of the same
 /// implementation with the same seed.
 pub fn run_mc3_remote(

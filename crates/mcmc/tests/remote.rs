@@ -1,6 +1,6 @@
 //! Differential test: MC³ over the likelihood service must reproduce a
 //! local run **bit-for-bit**. `run_mc3_remote` consumes the master and
-//! chain RNGs exactly as `run_mc3` does, and WIRE-v1 round trips are
+//! chain RNGs exactly as `run_mc3` does, and WIRE-v2 round trips are
 //! bit-exact, so the cold-chain trace and every swap decision must be
 //! identical whether the likelihoods come from in-process engines or from
 //! a loopback server multiplexing the same implementation.

@@ -17,7 +17,7 @@ pub enum ClientError {
     /// The session ran (or was admitted) and failed with a library error —
     /// the same typed [`BeagleError`] an in-process evaluation returns.
     Remote(BeagleError),
-    /// The byte stream failed to decode as WIRE-v1.
+    /// The byte stream failed to decode as WIRE-v2.
     Wire(WireError),
     /// Transport failure after all reconnect attempts.
     Io(String),
@@ -98,10 +98,7 @@ impl Client {
     /// Evaluate a session remotely. Bit-identical to evaluating the same
     /// session on a local pool of the same implementation.
     pub fn evaluate(&mut self, session: &SessionRequest, lane: Lane) -> Result<f64, ClientError> {
-        let reply = self.roundtrip(&Frame::Submit {
-            lane,
-            session: Box::new(session.clone()),
-        })?;
+        let reply = self.roundtrip(|sid| wire::encode_submit(sid, lane, session))?;
         match reply {
             Frame::Result(lnl) => Ok(lnl),
             Frame::Busy(reason) => Err(ClientError::Busy(reason)),
@@ -139,7 +136,7 @@ impl Client {
     /// scheduler stats including rejections, kernel statistics, breaker
     /// states).
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        match self.roundtrip(&Frame::StatsRequest)? {
+        match self.roundtrip(|sid| wire::encode_frame(sid, &Frame::StatsRequest))? {
             Frame::Stats(json) => Ok(json),
             _ => Err(ClientError::Protocol("unexpected reply to StatsRequest")),
         }
@@ -149,7 +146,7 @@ impl Client {
     /// and closes every connection. Returns whether the drain completed
     /// fully.
     pub fn drain(&mut self) -> Result<bool, ClientError> {
-        match self.roundtrip(&Frame::Drain)? {
+        match self.roundtrip(|sid| wire::encode_frame(sid, &Frame::Drain))? {
             Frame::DrainAck { drained } => Ok(drained),
             _ => Err(ClientError::Protocol("unexpected reply to Drain")),
         }
@@ -204,16 +201,19 @@ impl Client {
         }
     }
 
-    fn roundtrip(&mut self, frame: &Frame) -> Result<Frame, ClientError> {
+    /// Send one request, encoded once by `encode` under a fresh session id
+    /// and re-sent as-is on every reconnect attempt.
+    fn roundtrip(&mut self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<Frame, ClientError> {
         let sid = self.next_session;
         self.next_session += 1;
+        let request = encode(sid);
         let mut last: Option<ClientError> = None;
         for attempt in 0..=self.retry.max_retries {
             if attempt > 0 {
                 let delay = self.backoff(attempt);
                 std::thread::sleep(delay);
             }
-            match self.try_roundtrip(sid, frame) {
+            match self.try_roundtrip(sid, &request) {
                 Ok(reply) => return Ok(reply),
                 Err(e) if e.is_transient() => {
                     // Drop the broken stream; the next attempt reconnects
@@ -227,10 +227,10 @@ impl Client {
         Err(last.unwrap_or(ClientError::Protocol("retries exhausted")))
     }
 
-    fn try_roundtrip(&mut self, sid: u64, frame: &Frame) -> Result<Frame, ClientError> {
+    fn try_roundtrip(&mut self, sid: u64, request: &[u8]) -> Result<Frame, ClientError> {
         self.ensure_connected()?;
         let stream = self.stream.as_mut().expect("just connected");
-        wire::write_frame(stream, sid, frame).map_err(ClientError::from_wire)?;
+        wire::write_encoded(stream, request).map_err(ClientError::from_wire)?;
         let (reply_sid, reply) = wire::read_frame(stream).map_err(ClientError::from_wire)?;
         if reply_sid != sid {
             // One in flight + a fresh stream per attempt: a mismatch can

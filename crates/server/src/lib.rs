@@ -4,7 +4,7 @@
 //! framed binary RPC layer that exposes a [`beagle_core::pool`] instance
 //! fleet over TCP and/or Unix-domain sockets.
 //!
-//! The wire protocol (WIRE-v1) lives in [`beagle_core::wire`]: versioned,
+//! The wire protocol (WIRE-v2) lives in [`beagle_core::wire`]: versioned,
 //! length-prefixed frames carrying self-contained
 //! [`beagle_core::SessionRequest`]s with every `f64` as a raw bit pattern,
 //! so a remote evaluation is **bit-identical** to the same session run

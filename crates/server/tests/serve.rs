@@ -12,8 +12,8 @@ use std::time::Duration;
 use beagle_accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
 use beagle_core::wire::{self, BusyReason, Frame};
 use beagle_core::{
-    BreakerConfig, BufferId, Deadline, Flags, ImplementationManager, InstanceSpec, Lane,
-    SessionRequest,
+    BeagleError, BreakerConfig, BufferId, Deadline, Flags, ImplementationManager, InstanceSpec,
+    Lane, SessionRequest,
 };
 use beagle_server::{Client, ClientError, Endpoint, Server, ServerBuilder};
 use genomictest::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
@@ -524,8 +524,48 @@ fn malformed_session_yields_typed_remote_error_and_connection_survives() {
     assert!(server.drain(None));
 }
 
+#[test]
+fn out_of_range_tip_state_fails_remotely_exactly_as_in_process() {
+    let manager = full_manager();
+    let server = ServerBuilder::from_spec(base_spec())
+        .workers(1)
+        .pin(["CPU-serial"])
+        .tcp("127.0.0.1:0")
+        .serve(&manager)
+        .expect("server starts");
+    let mut client = Client::connect(tcp_endpoint(&server)).expect("client connects");
+
+    // State 300 on a 4-state instance: the tip cannot narrow to one byte,
+    // so it travels in the four-byte form and must still reach the worker.
+    let mut bad = session(0);
+    bad.tip_states[2][7] = 300;
+    let mut inst = base_spec()
+        .named("CPU-serial")
+        .instantiate(&manager)
+        .expect("local instance");
+    let local = bad
+        .evaluate(inst.as_mut())
+        .expect_err("locally out of range");
+    assert!(
+        matches!(
+            local,
+            BeagleError::OutOfRange {
+                index: 300,
+                limit: 4,
+                ..
+            }
+        ),
+        "{local:?}"
+    );
+    match client.evaluate(&bad, Lane::Interactive) {
+        Err(ClientError::Remote(remote)) => assert_eq!(remote, local),
+        other => panic!("expected Remote(OutOfRange), got {other:?}"),
+    }
+    assert!(server.drain(None));
+}
+
 // ---------------------------------------------------------------------------
-// Decoder robustness: WIRE-v1 must answer garbage with typed errors.
+// Decoder robustness: WIRE-v2 must answer garbage with typed errors.
 // ---------------------------------------------------------------------------
 
 mod decoder_robustness {

@@ -1,4 +1,4 @@
-//! Likelihood as a service: the WIRE-v1 socket server and blocking client.
+//! Likelihood as a service: the WIRE-v2 socket server and blocking client.
 //!
 //! Starts an in-process `beagle-serve`-style server on an ephemeral loopback
 //! TCP port (a 2-worker instance pool behind the wire), connects a client,
@@ -80,7 +80,7 @@ fn main() {
     println!("remote log-likelihood = {remote:.6}");
 
     // 5. The contract: bit-identical to a local instance, not merely close.
-    //    WIRE-v1 moves every f64 as its exact bit pattern.
+    //    WIRE-v2 moves every f64 as its exact bit pattern.
     let mut local = spec.instantiate(&manager).expect("local instance");
     let reference = session.evaluate(local.as_mut()).expect("local evaluation");
     println!("local  log-likelihood = {reference:.6}");

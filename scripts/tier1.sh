@@ -8,9 +8,16 @@
 #                             oracle on every kernel table, and
 #                             rescale_subnormal_max_stays_finite (a subnormal
 #                             pattern maximum leaves every lane finite and
-#                             every pad lane zero, f32/f64 x s in {4,20,61})
+#                             every pad lane zero, f32/f64 x s in {4,20,61});
+#                             WIRE-v2 codec in core::wire (Submit round trips
+#                             of narrow/gap/wide/empty tips bit for bit, exact
+#                             deadline round trips, v1 frames -> BadVersion(1),
+#                             every payload truncation of a narrowed frame
+#                             typed, serve-nuc-shaped session <= 120,000 bytes)
 #   property tests .......... cpu kernels, core queue-cache invalidation
 #                             (random interleavings, queued == uncached bits)
+#   core tests/read_frame_alloc  a header claiming MAX_PAYLOAD then 10 bytes
+#                             is Truncated with < 1 MiB peak allocation
 #   tests/cross_backend ..... implementations x {single,double} x scaling vs oracle;
 #                             one_scaled_operation_is_bit_identical_on_every_backend
 #                             (11 implementations x f32/f64: same partials and
@@ -53,7 +60,9 @@
 #                             backend x precision, mid-session eviction,
 #                             drain with work in flight, admission-control
 #                             rejections audited, per-request deadlines
-#                             reaching the watchdog, wire-decoder fuzzing
+#                             reaching the watchdog, wire-decoder fuzzing,
+#                             tip state 300 over TCP -> the in-process
+#                             OutOfRange error (four-byte tip form)
 #   tests/remote (mcmc) ..... MC3 over the wire bit-identical to local
 #   tests/robustness ........ deadline watchdog cancelling hangs/stalls
 #                             (bit-exact failover vs a fault-free survivor
@@ -89,7 +98,7 @@ cargo test -q -p beagle-server --test serve
 cargo test -q -p beagle-mcmc --test remote
 # Likelihood-service loopback smoke: start a server on an ephemeral port,
 # round-trip sessions through a real socket, bit-compare against a local
-# instance, then drain. Exercises the full WIRE-v1 stack end to end.
+# instance, then drain. Exercises the full WIRE-v2 stack end to end.
 cargo run -q --release -p beagle-server --bin beagle-serve -- --self-test 3
 # The stack benchmark is its own workspace, so `--workspace` does not build
 # it; its tests catch library changes that would break the benchmark.

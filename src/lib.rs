@@ -54,7 +54,7 @@
 //! * [`phylo`] — trees, models, alignments, pattern compression, the oracle
 //! * [`harness`] — `genomictest`-style problem generation and benchmarking
 //! * [`mcmc`] — the MrBayes-lite MC³ application
-//! * [`server`] — likelihood-as-a-service: the WIRE-v1 socket server
+//! * [`server`] — likelihood-as-a-service: the WIRE-v2 socket server
 //!   (`beagle-serve`) and blocking client
 //! * [`optimize`] — Newton–Raphson ML branch-length optimization on the
 //!   derivative API (the GARLI/PhyML client pattern)
