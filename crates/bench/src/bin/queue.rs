@@ -5,8 +5,9 @@
 //! once per *level* instead of once per *operation* (DESIGN.md §6). This
 //! binary quantifies that win on the simulated GPUs: per-traversal modeled
 //! time in eager (`COMPUTATION_SYNCH`) vs. queued (`COMPUTATION_ASYNCH`)
-//! mode across tree sizes, then the eigen/matrix cache counters under the
-//! MCMC access pattern (identical re-proposals).
+//! mode across tree sizes, then the memo layer's matrix counters (skipped,
+//! reused from its matrix store, computed) under the MCMC access pattern:
+//! an identical re-proposal, then a branch move and its rejection.
 //!
 //! Timing provenance: all GPU rows are **modeled** device times (the
 //! roofline perf model, DESIGN.md §1); the queue win is the launch-overhead
@@ -90,8 +91,8 @@ fn main() {
     }
 
     println!();
-    println!("eigen/matrix cache under repeated proposals (MCMC access pattern)");
-    let problem = Problem::generate(&Scenario {
+    println!("memo matrix counters under repeated proposals (MCMC access pattern)");
+    let mut problem = Problem::generate(&Scenario {
         model: ModelKind::Nucleotide,
         taxa: 64,
         patterns: 1024,
@@ -105,20 +106,26 @@ fn main() {
             Flags::PRECISION_DOUBLE | Flags::COMPUTATION_ASYNCH,
         )
         .expect("CUDA instance");
+    let original = problem.tree.node_mut(1).branch_length;
     let mut lnl_bits = Vec::new();
-    for pass in 0..3 {
+    // Pass 2 moves one branch; pass 3 rejects the move and puts it back.
+    for (pass, factor) in [1.0, 1.0, 1.5, 1.0].into_iter().enumerate() {
+        problem.tree.node_mut(1).branch_length = original * factor;
         problem.load(inst.as_mut());
         let lnl = problem.evaluate(inst.as_mut(), false);
-        lnl_bits.push(lnl.to_bits());
-        let s = inst.queue_stats().expect("queued instance exposes stats");
+        if factor == 1.0 {
+            lnl_bits.push(lnl.to_bits());
+        }
+        let m = inst.memo_stats().expect("default stack installs memo");
+        let q = inst.queue_stats().expect("queued instance exposes stats");
         println!(
-            "  pass {pass}: lnL {lnl:.6}  hits {:>4}  misses {:>4}  flushes {:>3}  levels {:>4}",
-            s.eigen_cache_hits, s.eigen_cache_misses, s.flushes, s.levels_submitted
+            "  pass {pass}: lnL {lnl:.6}  skipped {:>4}  reused {:>4}  computed {:>4}  flushes {:>3}  levels {:>4}",
+            m.matrices_skipped, m.matrices_reused, m.matrices_computed, q.flushes, q.levels_submitted
         );
     }
     assert!(
         lnl_bits.windows(2).all(|w| w[0] == w[1]),
-        "cache changed results"
+        "matrix reuse changed results"
     );
-    println!("  all passes bit-identical");
+    println!("  every pass on the original tree bit-identical");
 }

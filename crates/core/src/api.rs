@@ -415,9 +415,11 @@ pub trait BeagleInstance: Send + Sync {
         }
     }
 
-    /// Operation-queue and eigen-cache counters, when this instance (or one
-    /// below it) defers execution through a [`crate::queue::QueuedInstance`].
-    /// `None` for eager instances. Never flushes pending work.
+    /// Operation-queue counters, when this instance (or one below it) defers
+    /// execution through a [`crate::queue::QueuedInstance`], with the matrix
+    /// counters of the memo layer below the queue folded in
+    /// (`eigen_cache_hits`/`eigen_cache_misses`). `None` for eager
+    /// instances. Never flushes pending work.
     fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
         self.wrapped()?.queue_stats()
     }

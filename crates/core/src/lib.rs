@@ -15,8 +15,9 @@
 //! * [`api`] — the [`api::BeagleInstance`] trait and instance configuration
 //! * [`balance`] — adaptive load balancing: EWMA throughput + repartitioning
 //! * [`ops`] — partial-likelihood operation descriptors + dependency analysis
-//! * [`memo`] — epoch-based incremental computation (operation memoization)
-//! * [`queue`] — deferred execution: operation queue + eigen/matrix caching
+//! * [`memo`] — epoch-based incremental computation (operation memoization
+//!   and the derived-matrix store)
+//! * [`queue`] — deferred execution: operation queue + dependency-level batching
 //! * [`flags`] — capability/preference/requirement bitmask
 //! * [`buffers`] — the shared buffer arena CPU back-ends build on
 //! * [`manager`] — plugin registry and implementation selection
@@ -67,7 +68,7 @@ pub use pool::{
     PoolError, PoolHandle, PoolStats, SessionOutcome, SessionRequest, Ticket, WorkerSupervisor,
     WorkerUtilization,
 };
-pub use queue::{EigenCache, QueueStats, QueuedInstance};
+pub use queue::{QueueStats, QueuedInstance};
 pub use real::Real;
 pub use resource::ResourceDescription;
 pub use spec::InstanceSpec;

@@ -1,5 +1,6 @@
 //! Epoch-based incremental computation: skip work whose inputs are
-//! bit-identical to what the destination already holds.
+//! bit-identical to what the destination already holds, and reuse derived
+//! transition matrices whose inputs are unchanged.
 //!
 //! The paper's workloads are MCMC-driven: each proposal perturbs one branch
 //! or one model parameter, yet a naive client refreshes every partial on
@@ -19,8 +20,8 @@
 //! * a partials destination holds `Op { op, child/matrix epochs }` after an
 //!   executed operation, or `Direct` after a `set_*` (content kept for
 //!   bit-compare);
-//! * a matrix buffer holds `Derived { eigen epoch, rates epoch, t bits }`
-//!   after `update_transition_matrices`, or `Direct` after
+//! * a matrix buffer holds `Derived(eigen index, eigen epoch, rates epoch,
+//!   t bits)` after `update_transition_matrices`, or `Direct` after
 //!   `set_transition_matrix`;
 //! * a cumulative scale buffer holds `Reset`, `OpScale` or `Accumulated`
 //!   signatures mirroring the scale-factor bookkeeping calls.
@@ -30,15 +31,33 @@
 //! Mutating `set_*` calls are deduplicated by **full bit-pattern
 //! comparison** (never hashed), so a skip can never be wrong.
 //!
+//! # Matrix store
+//!
+//! An MCMC chain asks for the same matrices again and again: a rejected
+//! branch move puts the old length back, and a topology move hands known
+//! lengths to other buffers. The destination's signature misses both, so
+//! memo also keeps the **matrix store**: every matrix the back-end derived,
+//! read back with `get_transition_matrix` and keyed by its `Derived`
+//! signature. A request that misses its destination but hits the store
+//! installs the stored bytes with `set_transition_matrix`, so the result is
+//! bit-for-bit what the back-end computed. The eigen and rates epochs in
+//! the key already prove the inputs unchanged (their `set_*` calls are
+//! bit-compared), so a lookup compares no matrix data. A new eigen epoch
+//! drops that system's entries, a new rates epoch drops them all, and the
+//! store keeps the `MATRIX_STORE_CAPACITY` most recently used entries. A
+//! call naming one destination twice is order-sensitive (last write wins),
+//! so it skips nothing and stores nothing.
+//!
 //! # Placement and toggling
 //!
 //! The manager installs the memo directly above the raw back-end — *below*
 //! the operation queue, rescue, checkpoint and partitioned wrappers — so
 //! deferred flushes, rescue re-runs, journal replays and checkpoint
 //! restores all flow through it with their real call shapes. Bookkeeping
-//! runs unconditionally; the `enabled` flag only gates the *skip decision*,
-//! so [`BeagleInstance::set_incremental`] can be toggled mid-run without
-//! ever desynchronizing the epoch state. `BEAGLE_INCREMENTAL_DISABLE=1`
+//! runs unconditionally; the `enabled` flag only gates the *skip decision*
+//! and the matrix store (a disabled memo reads nothing back), so
+//! [`BeagleInstance::set_incremental`] can be toggled mid-run without ever
+//! desynchronizing the epoch state. `BEAGLE_INCREMENTAL_DISABLE=1`
 //! prevents installation entirely (the escape hatch reproduces baseline
 //! bits *and* timings).
 //!
@@ -47,7 +66,9 @@
 //! If a forwarded call fails, every destination it might have touched gets
 //! its epoch bumped and its signature cleared: the back-end's state is
 //! unknown, so nothing downstream may be skipped. A queued retry after a
-//! transient fault therefore re-executes rather than falsely skipping.
+//! transient fault therefore re-executes rather than falsely skipping. A
+//! failed read-back into the matrix store poisons every destination it
+//! leaves unstored.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -65,6 +86,12 @@ pub fn incremental_disabled_by_env() -> bool {
     std::env::var(INCREMENTAL_DISABLE_ENV).is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
+/// Bound on the matrix store, least recently used out first. An MCMC chain
+/// proposes a new branch length almost every iteration; without a cap the
+/// store would grow with the chain. 1,024 single-category codon matrices
+/// in f64 are about 30 MB.
+const MATRIX_STORE_CAPACITY: usize = 1024;
+
 /// Skip/hit counters of one [`MemoInstance`], exposed through
 /// [`BeagleInstance::memo_stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,8 +102,11 @@ pub struct MemoStats {
     pub ops_skipped: u64,
     /// Partials operations actually forwarded to the back-end.
     pub ops_executed: u64,
-    /// Transition-matrix derivations skipped.
+    /// Transition-matrix derivations skipped (destination already held the
+    /// result).
     pub matrices_skipped: u64,
+    /// Transition-matrix derivations served from the matrix store.
+    pub matrices_reused: u64,
     /// Transition-matrix derivations actually forwarded.
     pub matrices_computed: u64,
     /// Root/edge integrations answered from the cached value.
@@ -98,6 +128,7 @@ impl MemoStats {
     pub fn total_skips(&self) -> u64 {
         self.ops_skipped
             + self.matrices_skipped
+            + self.matrices_reused
             + self.integrations_skipped
             + self.sets_deduped
             + self.scale_pairs_skipped
@@ -111,6 +142,7 @@ impl MemoStats {
         self.ops_skipped += other.ops_skipped;
         self.ops_executed += other.ops_executed;
         self.matrices_skipped += other.matrices_skipped;
+        self.matrices_reused += other.matrices_reused;
         self.matrices_computed += other.matrices_computed;
         self.integrations_skipped += other.integrations_skipped;
         self.integrations_computed += other.integrations_computed;
@@ -156,12 +188,16 @@ enum MatrixSig {
     /// Set directly; the bits live in `matrix_content`.
     Direct,
     /// Derived from an eigen system and a branch length.
-    Derived {
-        eigen_index: usize,
-        eigen_epoch: u64,
-        rates_epoch: u64,
-        t_bits: u64,
-    },
+    Derived(Derivation),
+}
+
+/// The inputs of one derived matrix: also the matrix store's key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct Derivation {
+    eigen_index: usize,
+    eigen_epoch: u64,
+    rates_epoch: u64,
+    t_bits: u64,
 }
 
 /// How a scale buffer got its current content.
@@ -259,6 +295,11 @@ pub struct MemoInstance {
 
     last_integration: Option<(IntegrationSig, f64)>,
 
+    /// Derived matrices as the back-end produced them, each with the
+    /// `store_clock` value of its last use.
+    store: HashMap<Derivation, (Vec<f64>, u64)>,
+    store_clock: u64,
+
     /// The words of the `set_*` call in flight (see `set_direct`).
     scratch: Vec<u32>,
 
@@ -295,6 +336,8 @@ impl MemoInstance {
             scale_sig: Vec::new(),
             pending_resets: BTreeSet::new(),
             last_integration: None,
+            store: HashMap::new(),
+            store_clock: 0,
             scratch: Vec::new(),
             stats: MemoStats {
                 enabled: true,
@@ -359,6 +402,10 @@ impl MemoInstance {
             SetTarget::Matrix(i) => {
                 *slot(&mut self.matrix_sig, i) = stored.then_some(MatrixSig::Direct);
             }
+            // Stored matrices derived from the old content are unreachable
+            // under the new epoch; free them.
+            SetTarget::Eigen(i) => self.store.retain(|d, _| d.eigen_index != i),
+            SetTarget::CategoryRates => self.store.clear(),
             _ => {}
         }
         let (epoch, stored_content) = self.direct_slot(target);
@@ -587,6 +634,35 @@ impl MemoInstance {
         r
     }
 
+    /// Record that matrix buffer `idx` now holds the matrix derived from `d`.
+    fn commit_derived(&mut self, idx: usize, d: Derivation) {
+        let e = self.tick();
+        bump_at(&mut self.matrix_epoch, idx, e);
+        *slot(&mut self.matrix_sig, idx) = Some(MatrixSig::Derived(d));
+        *slot(&mut self.matrix_content, idx) = None;
+        self.last_integration = None;
+    }
+
+    /// Invalidate matrix buffers whose content a failed call left unknown.
+    fn poison_matrices(&mut self, indices: &[usize]) {
+        for &idx in indices {
+            self.commit_direct(SetTarget::Matrix(idx), None);
+        }
+    }
+
+    /// Keep `matrix` in the store, evicting the least recently used entry
+    /// beyond the bound.
+    fn store_matrix(&mut self, d: Derivation, matrix: Vec<f64>) {
+        self.store_clock += 1;
+        self.store.insert(d, (matrix, self.store_clock));
+        if self.store.len() > MATRIX_STORE_CAPACITY {
+            let oldest = self.store.iter().min_by_key(|(_, (_, used))| *used);
+            if let Some((&d, _)) = oldest {
+                self.store.remove(&d);
+            }
+        }
+    }
+
     fn skip_event(&mut self, what: &str, skipped: u64, total: usize) {
         self.stats.ops_skipped += skipped;
         let enabled = self.recorder.is_enabled();
@@ -694,59 +770,77 @@ impl BeagleInstance for MemoInstance {
                 branch_lengths,
             );
         }
+        // A repeated destination makes the call order-sensitive (last write
+        // wins), so such a call is forwarded whole.
+        let reuse = self.enabled && {
+            let mut sorted = matrix_indices.to_vec();
+            sorted.sort_unstable();
+            sorted.windows(2).all(|w| w[0] != w[1])
+        };
         let eigen_epoch = epoch_at(&self.eigen_epoch, eigen_index);
         let rates_epoch = epoch_at(&self.rates_epoch, 0);
-        let mut fwd_idx = Vec::new();
-        let mut fwd_len = Vec::new();
-        let mut sigs = Vec::new();
         let mut skipped = 0u64;
+        let mut reused = Vec::new();
+        let (mut fwd_idx, mut fwd_len, mut fwd_derived) = (Vec::new(), Vec::new(), Vec::new());
         for (&idx, &t) in matrix_indices.iter().zip(branch_lengths) {
-            let sig = MatrixSig::Derived {
+            let d = Derivation {
                 eigen_index,
                 eigen_epoch,
                 rates_epoch,
                 t_bits: t.to_bits(),
             };
-            if self.enabled && get_slot(&self.matrix_sig, idx) == Some(&sig) {
+            if reuse && get_slot(&self.matrix_sig, idx) == Some(&MatrixSig::Derived(d)) {
                 skipped += 1;
-                continue;
+            } else if reuse && self.store.contains_key(&d) {
+                reused.push((idx, d));
+            } else {
+                fwd_idx.push(idx);
+                fwd_len.push(t);
+                fwd_derived.push(d);
             }
-            fwd_idx.push(idx);
-            fwd_len.push(t);
-            sigs.push((idx, sig));
         }
         self.stats.matrices_skipped += skipped;
-        if skipped > 0 && self.recorder.is_enabled() {
-            let total = matrix_indices.len();
+        if skipped + reused.len() as u64 > 0 && self.recorder.is_enabled() {
+            let (n, total) = (reused.len(), matrix_indices.len());
             self.recorder.event(EventKind::IncrementalSkip, || {
-                format!("transition matrices: skipped {skipped}/{total}")
+                format!("transition matrices: skipped {skipped}/{total}, reused {n}")
             });
+        }
+        for (idx, d) in reused {
+            self.store_clock += 1;
+            let (matrix, used) = self.store.get_mut(&d).expect("looked up above");
+            *used = self.store_clock;
+            if let Err(e) = self.inner.set_transition_matrix(idx, matrix) {
+                self.poison_matrices(&[idx]);
+                return Err(e);
+            }
+            self.stats.matrices_reused += 1;
+            self.commit_derived(idx, d);
         }
         if fwd_idx.is_empty() {
             return Ok(());
         }
         self.stats.matrices_computed += fwd_idx.len() as u64;
-        match self
+        if let Err(e) = self
             .inner
             .update_transition_matrices(eigen_index, &fwd_idx, &fwd_len)
         {
-            Ok(()) => {
-                for (idx, sig) in sigs {
-                    let e = self.tick();
-                    bump_at(&mut self.matrix_epoch, idx, e);
-                    *slot(&mut self.matrix_sig, idx) = Some(sig);
-                    *slot(&mut self.matrix_content, idx) = None;
-                }
-                self.last_integration = None;
-                Ok(())
-            }
-            Err(e) => {
-                for (idx, _) in sigs {
-                    self.commit_direct(SetTarget::Matrix(idx), None);
-                }
-                Err(e)
-            }
+            self.poison_matrices(&fwd_idx);
+            return Err(e);
         }
+        for (k, (&idx, d)) in fwd_idx.iter().zip(fwd_derived).enumerate() {
+            if reuse {
+                match self.inner.get_transition_matrix(idx) {
+                    Ok(matrix) => self.store_matrix(d, matrix),
+                    Err(e) => {
+                        self.poison_matrices(&fwd_idx[k..]);
+                        return Err(e);
+                    }
+                }
+            }
+            self.commit_derived(idx, d);
+        }
+        Ok(())
     }
 
     fn update_transition_derivatives(
@@ -1016,6 +1110,8 @@ impl BeagleInstance for MemoInstance {
         }
         stats.ops_skipped += self.stats.ops_skipped;
         stats.matrices_skipped += self.stats.matrices_skipped;
+        stats.eigen_cache_hits += self.stats.matrices_reused;
+        stats.eigen_cache_misses += self.stats.matrices_computed;
         stats.integrations_skipped += self.stats.integrations_skipped;
         stats.sets_deduped += self.stats.sets_deduped + self.stats.scale_pairs_skipped;
         Some(stats)
@@ -1046,13 +1142,29 @@ mod tests {
 
     type CallLog = Arc<Mutex<Vec<String>>>;
 
-    /// A back-end that logs every call so skips are observable, with an
-    /// injectable `update_partials` failure for the poisoning tests.
+    /// Injected failures and observed read-backs of a [`MockInstance`].
+    #[derive(Default)]
+    struct Control {
+        /// `update_partials` calls left to fail.
+        fail_updates: u32,
+        /// `get_transition_matrix` calls left to fail.
+        fail_reads: u32,
+        /// `get_transition_matrix` calls made.
+        reads: u32,
+    }
+
+    /// A back-end that logs every call so skips are observable, derives
+    /// deterministic 4-element matrices from (eigen data, rates, branch
+    /// length) so reuse is checkable bit for bit, and fails on demand for
+    /// the poisoning tests.
     struct MockInstance {
         details: InstanceDetails,
         config: InstanceConfig,
         calls: CallLog,
-        fail_updates: Arc<Mutex<u32>>,
+        control: Arc<Mutex<Control>>,
+        eigen_sum: HashMap<usize, f64>,
+        rates_sum: f64,
+        matrices: HashMap<usize, Vec<f64>>,
     }
 
     impl MockInstance {
@@ -1091,8 +1203,9 @@ mod tests {
             self.log(format!("freq:{index}"));
             Ok(())
         }
-        fn set_category_rates(&mut self, _: &[f64]) -> Result<()> {
+        fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
             self.log("rates");
+            self.rates_sum = rates.iter().sum();
             Ok(())
         }
         fn set_category_weights(&mut self, index: usize, _: &[f64]) -> Result<()> {
@@ -1102,33 +1215,46 @@ mod tests {
         fn set_eigen_decomposition(
             &mut self,
             index: usize,
-            _: &[f64],
-            _: &[f64],
-            _: &[f64],
+            vectors: &[f64],
+            inverse_vectors: &[f64],
+            values: &[f64],
         ) -> Result<()> {
             self.log(format!("eigen:{index}"));
+            let sum = vectors.iter().chain(inverse_vectors).chain(values).sum();
+            self.eigen_sum.insert(index, sum);
             Ok(())
         }
         fn update_transition_matrices(
             &mut self,
-            _: usize,
+            eigen_index: usize,
             matrix_indices: &[usize],
-            _: &[f64],
+            branch_lengths: &[f64],
         ) -> Result<()> {
             self.log(format!("utm:{}", matrix_indices.len()));
+            let e = self.eigen_sum.get(&eigen_index).copied().unwrap_or(0.0);
+            for (&idx, &t) in matrix_indices.iter().zip(branch_lengths) {
+                self.matrices.insert(idx, vec![e * t + self.rates_sum; 4]);
+            }
             Ok(())
         }
-        fn set_transition_matrix(&mut self, index: usize, _: &[f64]) -> Result<()> {
+        fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
             self.log(format!("stm:{index}"));
+            self.matrices.insert(index, matrix.to_vec());
             Ok(())
         }
-        fn get_transition_matrix(&self, _: usize) -> Result<Vec<f64>> {
-            Ok(vec![])
+        fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
+            let mut control = self.control.lock().unwrap();
+            control.reads += 1;
+            if control.fail_reads > 0 {
+                control.fail_reads -= 1;
+                return Err(BeagleError::InvalidConfiguration("injected".into()));
+            }
+            Ok(self.matrices.get(&index).cloned().unwrap_or_default())
         }
         fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
-            let mut fails = self.fail_updates.lock().unwrap();
-            if *fails > 0 {
-                *fails -= 1;
+            let mut control = self.control.lock().unwrap();
+            if control.fail_updates > 0 {
+                control.fail_updates -= 1;
                 return Err(BeagleError::InvalidConfiguration("injected".into()));
             }
             self.log(format!("up:{}", operations.len()));
@@ -1169,9 +1295,9 @@ mod tests {
         }
     }
 
-    fn wrapped() -> (MemoInstance, CallLog, Arc<Mutex<u32>>) {
+    fn wrapped() -> (MemoInstance, CallLog, Arc<Mutex<Control>>) {
         let calls: CallLog = Arc::new(Mutex::new(Vec::new()));
-        let fail_updates = Arc::new(Mutex::new(0u32));
+        let control = Arc::new(Mutex::new(Control::default()));
         let mock = MockInstance {
             details: InstanceDetails {
                 implementation_name: "mock".into(),
@@ -1181,9 +1307,12 @@ mod tests {
             },
             config: InstanceConfig::for_tree(4, 10, 4, 1),
             calls: calls.clone(),
-            fail_updates: fail_updates.clone(),
+            control: control.clone(),
+            eigen_sum: HashMap::new(),
+            rates_sum: 0.0,
+            matrices: HashMap::new(),
         };
-        (MemoInstance::new(Box::new(mock)), calls, fail_updates)
+        (MemoInstance::new(Box::new(mock)), calls, control)
     }
 
     fn log(calls: &CallLog) -> Vec<String> {
@@ -1314,7 +1443,7 @@ mod tests {
         round(&mut m);
         // Dirty the left subtree, then fail its re-execution.
         m.set_tip_states(0, &[9; 10]).unwrap();
-        *fail.lock().unwrap() = 1;
+        fail.lock().unwrap().fail_updates = 1;
         assert!(m.update_partials(&scaled_ops()).is_err());
         let baseline = log(&calls).len();
         // The retry must re-forward the two failed destinations (4 and 6)
@@ -1333,6 +1462,195 @@ mod tests {
         )
         .unwrap();
         assert!(log(&calls)[before_root..].contains(&"root".to_string()));
+    }
+
+    /// Install eigen system 0 (eigenvalues `value`) and category rates.
+    fn model(m: &mut MemoInstance, value: f64, rates: &[f64]) {
+        let v = vec![1.0; 16];
+        m.set_eigen_decomposition(0, &v, &v, &[value; 4]).unwrap();
+        m.set_category_rates(rates).unwrap();
+    }
+
+    fn count(calls: &CallLog, prefix: &str) -> usize {
+        log(calls).iter().filter(|c| c.starts_with(prefix)).count()
+    }
+
+    fn bits_of(m: &MemoInstance, index: usize) -> Vec<u64> {
+        let matrix = m.get_transition_matrix(index).unwrap();
+        matrix.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn matrix_store_serves_repeats_bit_exactly() {
+        let (mut m, calls, _) = wrapped();
+        model(&mut m, 0.5, &[1.0, 2.0]);
+        m.update_transition_matrices(0, &[1, 2], &[0.1, 0.2])
+            .unwrap();
+        let first = bits_of(&m, 1);
+        let stats = m.memo_stats().unwrap();
+        assert_eq!((stats.matrices_reused, stats.matrices_computed), (0, 2));
+
+        // The same lengths to swapped destinations: both miss their
+        // destination's signature and are served from the store.
+        m.update_transition_matrices(0, &[2, 1], &[0.1, 0.2])
+            .unwrap();
+        let stats = m.memo_stats().unwrap();
+        assert_eq!((stats.matrices_reused, stats.matrices_computed), (2, 2));
+        assert_eq!(
+            bits_of(&m, 2),
+            first,
+            "stored matrix must be the exact bytes"
+        );
+        assert_eq!(count(&calls, "utm"), 1);
+        assert_eq!(count(&calls, "stm"), 2);
+    }
+
+    #[test]
+    fn changing_rates_or_eigen_data_invalidates_the_store() {
+        let (mut m, _calls, _) = wrapped();
+        model(&mut m, 0.5, &[1.0]);
+        m.update_transition_matrices(0, &[1], &[0.1]).unwrap();
+        let with_old_rates = bits_of(&m, 1);
+
+        // Rates change: the next request recomputes under the new rates.
+        m.set_category_rates(&[3.0]).unwrap();
+        m.update_transition_matrices(0, &[2], &[0.1]).unwrap();
+        assert_ne!(bits_of(&m, 2), with_old_rates);
+        let stats = m.memo_stats().unwrap();
+        assert_eq!((stats.matrices_reused, stats.matrices_computed), (0, 2));
+        assert_eq!(m.store.len(), 1, "new rates drop every stored matrix");
+
+        // Re-setting identical eigen data does NOT invalidate...
+        model(&mut m, 0.5, &[3.0]);
+        m.update_transition_matrices(0, &[3], &[0.1]).unwrap();
+        assert_eq!(m.memo_stats().unwrap().matrices_reused, 1);
+        // ...but new eigen data does.
+        model(&mut m, 0.75, &[3.0]);
+        m.update_transition_matrices(0, &[4], &[0.1]).unwrap();
+        let stats = m.memo_stats().unwrap();
+        assert_eq!((stats.matrices_reused, stats.matrices_computed), (1, 3));
+        assert_eq!(m.store.len(), 1, "new eigen data drops its old matrices");
+    }
+
+    /// `count` distinct branch lengths, one per destination from `first`.
+    fn fill(m: &mut MemoInstance, first: usize, count: usize) {
+        let indices: Vec<usize> = (first..first + count).collect();
+        let lengths: Vec<f64> = indices.iter().map(|&i| length(i)).collect();
+        m.update_transition_matrices(0, &indices, &lengths).unwrap();
+    }
+
+    fn length(i: usize) -> f64 {
+        0.001 * (i + 1) as f64
+    }
+
+    #[test]
+    fn matrix_store_evicts_oldest_first() {
+        let (mut m, _calls, _) = wrapped();
+        model(&mut m, 0.5, &[1.0]);
+        fill(&mut m, 0, MATRIX_STORE_CAPACITY + 1);
+        assert_eq!(m.store.len(), MATRIX_STORE_CAPACITY);
+        // The first length was evicted (oldest); the last is still stored.
+        let spare = 2 * MATRIX_STORE_CAPACITY;
+        m.update_transition_matrices(0, &[spare], &[length(0)])
+            .unwrap();
+        m.update_transition_matrices(0, &[spare + 1], &[length(MATRIX_STORE_CAPACITY)])
+            .unwrap();
+        let stats = m.memo_stats().unwrap();
+        assert_eq!(stats.matrices_reused, 1);
+        assert_eq!(stats.matrices_computed, MATRIX_STORE_CAPACITY as u64 + 2);
+    }
+
+    #[test]
+    fn matrix_store_eviction_is_lru_not_fifo() {
+        let (mut m, _calls, _) = wrapped();
+        model(&mut m, 0.5, &[1.0]);
+        fill(&mut m, 0, MATRIX_STORE_CAPACITY);
+        // Reuse the first length so the second becomes least recently used...
+        let spare = 2 * MATRIX_STORE_CAPACITY;
+        m.update_transition_matrices(0, &[spare], &[length(0)])
+            .unwrap();
+        assert_eq!(m.memo_stats().unwrap().matrices_reused, 1);
+        // ...then a new length evicts the second, keeping the reused first
+        // (a FIFO store would evict the first here and miss below).
+        fill(&mut m, MATRIX_STORE_CAPACITY, 1);
+        m.update_transition_matrices(0, &[spare + 1], &[length(0)])
+            .unwrap();
+        m.update_transition_matrices(0, &[spare + 2], &[length(1)])
+            .unwrap();
+        let stats = m.memo_stats().unwrap();
+        assert_eq!(stats.matrices_reused, 2);
+        assert_eq!(stats.matrices_computed, MATRIX_STORE_CAPACITY as u64 + 2);
+        assert_eq!(m.store.len(), MATRIX_STORE_CAPACITY);
+    }
+
+    #[test]
+    fn repeated_destination_bypasses_the_store_and_last_write_wins() {
+        let (mut m, calls, control) = wrapped();
+        model(&mut m, 0.5, &[1.0]);
+        m.update_transition_matrices(0, &[1], &[0.2]).unwrap();
+        let at_02 = bits_of(&m, 1);
+        let reads = control.lock().unwrap().reads;
+        // Index 1 appears twice: the whole call reaches the back-end, the
+        // 0.2 that buffer 1 already holds is not skipped, and nothing new is
+        // read back or stored.
+        m.update_transition_matrices(0, &[1, 1], &[0.1, 0.2])
+            .unwrap();
+        assert_eq!(log(&calls).last().unwrap(), "utm:2");
+        assert_eq!(bits_of(&m, 1), at_02, "the last write wins");
+        assert_eq!(control.lock().unwrap().reads, reads + 1);
+        assert_eq!(m.store.len(), 1);
+        // The buffer's signature is its last write, so 0.2 is clean again.
+        m.update_transition_matrices(0, &[1], &[0.2]).unwrap();
+        assert_eq!(m.memo_stats().unwrap().matrices_skipped, 1);
+    }
+
+    #[test]
+    fn store_hit_advances_total_skips() {
+        // The partitioned parent keeps a child's batch out of the balancer
+        // when `total_skips` moved during it; a reused matrix is skipped
+        // work and must move it.
+        let (mut m, _calls, _) = wrapped();
+        model(&mut m, 0.5, &[1.0]);
+        m.update_transition_matrices(0, &[1], &[0.1]).unwrap();
+        m.update_transition_matrices(0, &[1], &[0.3]).unwrap();
+        let before = m.memo_stats().unwrap().total_skips();
+        m.update_transition_matrices(0, &[1], &[0.1]).unwrap();
+        let after = m.memo_stats().unwrap();
+        assert_eq!(after.matrices_reused, 1);
+        assert_eq!(after.total_skips(), before + 1);
+    }
+
+    #[test]
+    fn failed_read_back_poisons_unstored_destinations() {
+        let (mut m, calls, control) = wrapped();
+        model(&mut m, 0.5, &[1.0]);
+        control.lock().unwrap().fail_reads = 1;
+        assert!(m
+            .update_transition_matrices(0, &[1, 2], &[0.1, 0.2])
+            .is_err());
+        assert!(m.store.is_empty());
+        // Neither destination may be skipped or served afterwards.
+        m.update_transition_matrices(0, &[1, 2], &[0.1, 0.2])
+            .unwrap();
+        assert_eq!(log(&calls).last().unwrap(), "utm:2");
+        assert_eq!(m.memo_stats().unwrap().total_skips(), 0);
+    }
+
+    #[test]
+    fn disabled_memo_reads_nothing_back() {
+        let (mut m, calls, control) = wrapped();
+        m.set_incremental(false);
+        model(&mut m, 0.5, &[1.0]);
+        m.update_transition_matrices(0, &[1], &[0.1]).unwrap();
+        m.update_transition_matrices(0, &[2], &[0.1]).unwrap();
+        assert_eq!(control.lock().unwrap().reads, 0);
+        assert!(m.store.is_empty());
+        assert_eq!(count(&calls, "utm"), 2);
+        // Re-enabled, the store fills from the next derivation on.
+        m.set_incremental(true);
+        m.update_transition_matrices(0, &[3], &[0.1]).unwrap();
+        m.update_transition_matrices(0, &[4], &[0.1]).unwrap();
+        assert_eq!(m.memo_stats().unwrap().matrices_reused, 1);
     }
 
     #[test]

@@ -151,10 +151,11 @@ pub struct InstanceStats {
     /// Mutating `set_*` calls elided because the new content was
     /// bit-identical to what the buffer already held.
     pub sets_deduped: u64,
-    /// Derived transition matrices served from the eigen cache (deferred
-    /// execution layer).
+    /// Derived transition matrices the memo layer installed from its matrix
+    /// store instead of recomputing them (`MemoStats::matrices_reused`).
     pub eigen_cache_hits: u64,
-    /// Eigen-cache misses (matrices actually recomputed).
+    /// Derived transition matrices the memo layer forwarded to the back-end
+    /// (`MemoStats::matrices_computed`).
     pub eigen_cache_misses: u64,
 }
 

@@ -1,30 +1,23 @@
-//! Deferred execution: the operation queue and the eigen/matrix cache.
+//! Deferred execution: the operation queue.
 //!
 //! BEAGLE's accelerator back-ends get much of their throughput from keeping
 //! the device busy: work is queued host-side and launched in whole
-//! dependency levels, and repeated MCMC proposals reuse cached
-//! eigen-decomposition products instead of re-deriving every transition
-//! matrix. [`QueuedInstance`] brings both behaviours to any
-//! [`BeagleInstance`]:
+//! dependency levels. [`QueuedInstance`] brings that behaviour to any
+//! [`BeagleInstance`]: mutating calls (`set_*`, `update_*`, scale-factor
+//! bookkeeping) enqueue instead of executing. The queue flushes when a
+//! result is demanded (partials/matrix read-back, root/edge integration,
+//! [`BeagleInstance::wait_for_computation`], the simulated clock). At flush,
+//! runs of consecutive `update_partials` calls are merged, split into
+//! hazard-free segments ([`crate::ops::hazard_free_segments`]), scheduled
+//! with [`crate::ops::dependency_levels`], and submitted through
+//! [`BeagleInstance::update_partials_by_levels`] — one batched submission
+//! per level (one simulated stream on accelerators, one pool dispatch on
+//! threaded CPUs). Every other call is forwarded unchanged, in order.
 //!
-//! * **Operation queue** — mutating calls (`set_*`, `update_*`, scale-factor
-//!   bookkeeping) enqueue instead of executing. The queue flushes when a
-//!   result is demanded (partials/matrix read-back, root/edge integration,
-//!   [`BeagleInstance::wait_for_computation`], the simulated clock). At
-//!   flush, runs of consecutive `update_partials` calls are merged, split
-//!   into hazard-free segments ([`crate::ops::hazard_free_segments`]),
-//!   scheduled with [`crate::ops::dependency_levels`], and submitted through
-//!   [`BeagleInstance::update_partials_by_levels`] — one batched submission
-//!   per level (one simulated stream on accelerators, one pool dispatch on
-//!   threaded CPUs).
-//! * **Eigen cache** — [`EigenCache`] memoizes the transition matrices
-//!   derived from each (eigen system, category rates, branch length)
-//!   combination. A cache hit re-installs the exact bytes the back-end
-//!   produced last time via `set_transition_matrix`, so queued and eager
-//!   execution stay bit-for-bit identical. Entries are invalidated whenever
-//!   `set_eigen_decomposition` changes an eigen system's data or
-//!   `set_category_rates` changes the rates; invalidation compares the full
-//!   f64 bit patterns, never a lossy hash, so stale reuse is unreachable.
+//! The queue derives nothing itself: reuse of transition matrices across
+//! repeated proposals is the memo layer's matrix store
+//! ([`crate::memo`]), which sits below the queue and so serves queued and
+//! eager stacks alike.
 //!
 //! Execution mode is selected at instance creation:
 //! [`crate::Flags::COMPUTATION_ASYNCH`] in the preference or requirement
@@ -46,8 +39,6 @@
 //! batch at integration time — the integrate is a result-demanding call
 //! that flushes the queue, so the batched observation captures the real
 //! (flushed) cost of a queued child just as it does an eager one.
-
-use std::collections::{HashMap, HashSet, VecDeque};
 
 use parking_lot::Mutex;
 
@@ -71,14 +62,15 @@ pub struct QueueStats {
     pub ops_enqueued: u64,
     /// Partial-likelihood operations actually submitted to the back-end.
     pub ops_submitted: u64,
-    /// Transition matrices served from the eigen cache.
+    /// Transition matrices the memo layer below did not recompute: its
+    /// same-destination skips plus its matrix-store reuses
+    /// ([`crate::memo::MemoStats`]). The name predates the memo store and
+    /// is kept because the stack benchmark reads it; it is renamed with the
+    /// next benchmark change.
     pub eigen_cache_hits: u64,
-    /// Transition matrices computed by the back-end and inserted.
+    /// Transition matrices the memo layer below forwarded to the back-end
+    /// (`MemoStats::matrices_computed`). Named like `eigen_cache_hits`.
     pub eigen_cache_misses: u64,
-    /// Invalidation events (eigen data or category rates changed).
-    pub eigen_cache_invalidations: u64,
-    /// Entries dropped because the cache reached capacity.
-    pub eigen_cache_evictions: u64,
 }
 
 impl QueueStats {
@@ -92,141 +84,6 @@ impl QueueStats {
         self.ops_submitted += other.ops_submitted;
         self.eigen_cache_hits += other.eigen_cache_hits;
         self.eigen_cache_misses += other.eigen_cache_misses;
-        self.eigen_cache_invalidations += other.eigen_cache_invalidations;
-        self.eigen_cache_evictions += other.eigen_cache_evictions;
-    }
-}
-
-/// Default bound on cached transition matrices. An MCMC run proposes a new
-/// branch length almost every iteration; without a cap the cache would grow
-/// with the chain. 1024 codon-model f64 matrices ≈ 30 MB.
-pub const DEFAULT_EIGEN_CACHE_CAPACITY: usize = 1024;
-
-/// Memo table for derived transition matrices, keyed by
-/// (eigen buffer, branch length) and guarded by the exact bit patterns of
-/// the eigen data and category rates that produced each entry.
-pub struct EigenCache {
-    /// Bit patterns of (vectors ‖ inverse_vectors ‖ values) last installed
-    /// at each eigen index. Comparison is exact, not hashed.
-    eigen_seen: HashMap<usize, Vec<u64>>,
-    /// Bit patterns of the current category rates.
-    rates_seen: Vec<u64>,
-    /// (eigen index, branch-length bits) → matrix read back after computing.
-    entries: HashMap<(usize, u64), Vec<f64>>,
-    /// Recency order for capacity eviction (least-recently used at the
-    /// front; hits and re-inserts move their key to the back).
-    order: VecDeque<(usize, u64)>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    invalidations: u64,
-    evictions: u64,
-}
-
-impl EigenCache {
-    /// An empty cache bounded to `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            eigen_seen: HashMap::new(),
-            rates_seen: Vec::new(),
-            entries: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-            hits: 0,
-            misses: 0,
-            invalidations: 0,
-            evictions: 0,
-        }
-    }
-
-    fn bits(parts: &[&[f64]]) -> Vec<u64> {
-        parts
-            .iter()
-            .flat_map(|p| p.iter().map(|v| v.to_bits()))
-            .collect()
-    }
-
-    /// Record new eigen data for `index`; drops that index's entries when
-    /// the data actually changed.
-    pub fn note_eigen(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) {
-        let key = Self::bits(&[vectors, inverse_vectors, values]);
-        if self.eigen_seen.get(&index) == Some(&key) {
-            return;
-        }
-        self.eigen_seen.insert(index, key);
-        self.invalidations += 1;
-        self.entries.retain(|&(e, _), _| e != index);
-        self.order.retain(|&(e, _)| e != index);
-    }
-
-    /// Record new category rates; drops every entry when they changed
-    /// (the rates enter every derived matrix).
-    pub fn note_rates(&mut self, rates: &[f64]) {
-        let key = Self::bits(&[rates]);
-        if self.rates_seen == key {
-            return;
-        }
-        self.rates_seen = key;
-        self.invalidations += 1;
-        self.entries.clear();
-        self.order.clear();
-    }
-
-    /// The cached matrix for (eigen `index`, branch length `t`), if
-    /// present. A hit refreshes the entry's recency, so a steadily reused
-    /// branch length survives capacity eviction (LRU, not FIFO).
-    pub fn lookup(&mut self, index: usize, t: f64) -> Option<&Vec<f64>> {
-        let key = (index, t.to_bits());
-        if !self.entries.contains_key(&key) {
-            return None;
-        }
-        self.hits += 1;
-        self.touch(key);
-        self.entries.get(&key)
-    }
-
-    /// Move `key` to the most-recently-used end of the eviction order.
-    fn touch(&mut self, key: (usize, u64)) {
-        if let Some(pos) = self.order.iter().position(|k| *k == key) {
-            self.order.remove(pos);
-            self.order.push_back(key);
-        }
-    }
-
-    /// Insert a freshly computed matrix, evicting the least-recently-used
-    /// entry at capacity.
-    pub fn insert(&mut self, index: usize, t: f64, matrix: Vec<f64>) {
-        self.misses += 1;
-        let key = (index, t.to_bits());
-        if self.entries.insert(key, matrix).is_none() {
-            self.order.push_back(key);
-        } else {
-            self.touch(key);
-        }
-        while self.entries.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-                self.evictions += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -280,21 +137,11 @@ enum Pending {
 struct State {
     inner: Box<dyn BeagleInstance>,
     pending: Vec<Pending>,
-    cache: EigenCache,
     stats: QueueStats,
     recorder: Recorder,
 }
 
 impl State {
-    fn snapshot(&self) -> QueueStats {
-        let mut s = self.stats;
-        s.eigen_cache_hits = self.cache.hits;
-        s.eigen_cache_misses = self.cache.misses;
-        s.eigen_cache_invalidations = self.cache.invalidations;
-        s.eigen_cache_evictions = self.cache.evictions;
-        s
-    }
-
     fn flush(&mut self) -> Result<()> {
         if self.pending.is_empty() {
             return Ok(());
@@ -366,10 +213,7 @@ impl State {
             Pending::StateFrequencies { index, frequencies } => {
                 self.inner.set_state_frequencies(*index, frequencies)
             }
-            Pending::CategoryRates(rates) => {
-                self.cache.note_rates(rates);
-                self.inner.set_category_rates(rates)
-            }
+            Pending::CategoryRates(rates) => self.inner.set_category_rates(rates),
             Pending::CategoryWeights { index, weights } => {
                 self.inner.set_category_weights(*index, weights)
             }
@@ -378,17 +222,17 @@ impl State {
                 vectors,
                 inverse_vectors,
                 values,
-            } => {
-                self.cache
-                    .note_eigen(*index, vectors, inverse_vectors, values);
-                self.inner
-                    .set_eigen_decomposition(*index, vectors, inverse_vectors, values)
-            }
+            } => self
+                .inner
+                .set_eigen_decomposition(*index, vectors, inverse_vectors, values),
             Pending::Matrices {
                 eigen_index,
                 matrix_indices,
                 branch_lengths,
-            } => self.apply_matrices(*eigen_index, matrix_indices, branch_lengths),
+            } => {
+                self.inner
+                    .update_transition_matrices(*eigen_index, matrix_indices, branch_lengths)
+            }
             Pending::SetMatrix { index, matrix } => {
                 self.inner.set_transition_matrix(*index, matrix)
             }
@@ -402,53 +246,10 @@ impl State {
                 .accumulate_scale_factors(scale_indices, *cumulative),
         }
     }
-
-    /// Cache-mediated `update_transition_matrices`: hits re-install the
-    /// memoized matrix, misses go to the back-end in one batched call and
-    /// are read back into the cache.
-    fn apply_matrices(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        // A repeated target inside one call is order-sensitive (last write
-        // wins); bypass the cache rather than reorder. Length mismatches are
-        // the back-end's error to report.
-        let mut seen = HashSet::new();
-        let duplicates = matrix_indices.iter().any(|i| !seen.insert(*i));
-        if duplicates || matrix_indices.len() != branch_lengths.len() {
-            return self.inner.update_transition_matrices(
-                eigen_index,
-                matrix_indices,
-                branch_lengths,
-            );
-        }
-        let mut miss_indices = Vec::new();
-        let mut miss_lengths = Vec::new();
-        for (&mi, &t) in matrix_indices.iter().zip(branch_lengths) {
-            if let Some(matrix) = self.cache.lookup(eigen_index, t) {
-                self.inner.set_transition_matrix(mi, matrix)?;
-            } else {
-                miss_indices.push(mi);
-                miss_lengths.push(t);
-            }
-        }
-        if !miss_indices.is_empty() {
-            self.inner
-                .update_transition_matrices(eigen_index, &miss_indices, &miss_lengths)?;
-            for (&mi, &t) in miss_indices.iter().zip(&miss_lengths) {
-                let matrix = self.inner.get_transition_matrix(mi)?;
-                self.cache.insert(eigen_index, t, matrix);
-            }
-        }
-        Ok(())
-    }
 }
 
 /// A [`BeagleInstance`] wrapper that defers mutating calls onto an operation
-/// queue and serves repeated transition-matrix requests from an
-/// [`EigenCache`]. See the module docs for semantics.
+/// queue. See the module docs for semantics.
 ///
 /// Interior mutability: the read methods of the trait take `&self`, but a
 /// flush mutates the wrapped instance, so the queue state lives in a
@@ -464,11 +265,6 @@ pub struct QueuedInstance {
 impl QueuedInstance {
     /// Wrap `inner`, deferring all mutating calls until a result is needed.
     pub fn new(inner: Box<dyn BeagleInstance>) -> Self {
-        Self::with_cache_capacity(inner, DEFAULT_EIGEN_CACHE_CAPACITY)
-    }
-
-    /// Like [`Self::new`] with an explicit eigen-cache bound.
-    pub fn with_cache_capacity(inner: Box<dyn BeagleInstance>, capacity: usize) -> Self {
         let mut details = inner.details().clone();
         details.flags = details.flags.without(Flags::COMPUTATION_SYNCH) | Flags::COMPUTATION_ASYNCH;
         let config = *inner.config();
@@ -480,7 +276,6 @@ impl QueuedInstance {
             state: Mutex::new(State {
                 inner,
                 pending: Vec::new(),
-                cache: EigenCache::new(capacity),
                 stats: QueueStats::default(),
                 recorder,
             }),
@@ -494,9 +289,15 @@ impl QueuedInstance {
         self.state.get_mut().flush()
     }
 
-    /// Counter snapshot (queue + cache).
+    /// Counter snapshot, with the matrix counters of the memo layer below.
     pub fn stats(&self) -> QueueStats {
-        self.state.lock().snapshot()
+        let st = self.state.lock();
+        let mut s = st.stats;
+        if let Some(memo) = st.inner.memo_stats() {
+            s.eigen_cache_hits = memo.matrices_skipped + memo.matrices_reused;
+            s.eigen_cache_misses = memo.matrices_computed;
+        }
+        s
     }
 
     /// Number of deferred calls currently queued.
@@ -631,8 +432,7 @@ impl BeagleInstance for QueuedInstance {
         d2_indices: &[usize],
         branch_lengths: &[f64],
     ) -> Result<()> {
-        // Derivative matrices are not cached (three coupled outputs per
-        // branch); flush so prior eigen/rate updates are visible, then run.
+        // Flush so prior eigen/rate updates are visible, then run.
         self.flushed()?.update_transition_derivatives(
             eigen_index,
             matrix_indices,
@@ -773,9 +573,6 @@ impl BeagleInstance for QueuedInstance {
         if let Some(own) = st.recorder.stats() {
             stats.merge(&own);
         }
-        let snap = st.snapshot();
-        stats.eigen_cache_hits += snap.eigen_cache_hits;
-        stats.eigen_cache_misses += snap.eigen_cache_misses;
         Some(stats)
     }
 
@@ -799,22 +596,17 @@ impl BeagleInstance for QueuedInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::BeagleError;
 
     use std::sync::{Arc, Mutex};
 
     type CallLog = Arc<Mutex<Vec<String>>>;
 
-    /// A back-end that logs every call and derives deterministic matrix
-    /// content from (eigen data, rates, branch length), so cache-correctness
-    /// is observable.
+    /// A back-end that logs every call, so deferral and ordering are
+    /// observable.
     struct MockInstance {
         details: InstanceDetails,
         config: InstanceConfig,
         calls: CallLog,
-        eigen_sum: HashMap<usize, f64>,
-        rates_sum: f64,
-        matrices: HashMap<usize, Vec<f64>>,
     }
 
     impl MockInstance {
@@ -828,9 +620,6 @@ mod tests {
                 },
                 config: InstanceConfig::for_tree(4, 10, 4, 1),
                 calls,
-                eigen_sum: HashMap::new(),
-                rates_sum: 0.0,
-                matrices: HashMap::new(),
             }
         }
 
@@ -865,9 +654,8 @@ mod tests {
         fn set_state_frequencies(&mut self, _: usize, _: &[f64]) -> Result<()> {
             Ok(())
         }
-        fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
+        fn set_category_rates(&mut self, _: &[f64]) -> Result<()> {
             self.log("rates");
-            self.rates_sum = rates.iter().sum();
             Ok(())
         }
         fn set_category_weights(&mut self, _: usize, _: &[f64]) -> Result<()> {
@@ -876,43 +664,28 @@ mod tests {
         fn set_eigen_decomposition(
             &mut self,
             index: usize,
-            vectors: &[f64],
-            inverse_vectors: &[f64],
-            values: &[f64],
+            _: &[f64],
+            _: &[f64],
+            _: &[f64],
         ) -> Result<()> {
             self.log(format!("eigen:{index}"));
-            let sum: f64 = vectors.iter().chain(inverse_vectors).chain(values).sum();
-            self.eigen_sum.insert(index, sum);
             Ok(())
         }
         fn update_transition_matrices(
             &mut self,
-            eigen_index: usize,
+            _: usize,
             matrix_indices: &[usize],
-            branch_lengths: &[f64],
+            _: &[f64],
         ) -> Result<()> {
             self.log(format!("utm:{}", matrix_indices.len()));
-            let e = *self
-                .eigen_sum
-                .get(&eigen_index)
-                .ok_or(BeagleError::InvalidConfiguration("eigen never set".into()))?;
-            for (&mi, &t) in matrix_indices.iter().zip(branch_lengths) {
-                self.matrices.insert(mi, vec![e * t + self.rates_sum; 4]);
-            }
             Ok(())
         }
-        fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
+        fn set_transition_matrix(&mut self, index: usize, _: &[f64]) -> Result<()> {
             self.log(format!("stm:{index}"));
-            self.matrices.insert(index, matrix.to_vec());
             Ok(())
         }
-        fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
-            self.matrices
-                .get(&index)
-                .cloned()
-                .ok_or(BeagleError::InvalidConfiguration(
-                    "matrix never written".into(),
-                ))
+        fn get_transition_matrix(&self, _: usize) -> Result<Vec<f64>> {
+            Ok(vec![])
         }
         fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
             self.log(format!("up:{}", operations.len()));
@@ -1042,116 +815,19 @@ mod tests {
     }
 
     #[test]
-    fn eigen_cache_hits_skip_recomputation_bit_exactly() {
+    fn matrix_requests_forward_unchanged_in_order() {
         let (mut q, calls) = queued();
-        let v = vec![1.0; 16];
-        q.set_eigen_decomposition(0, &v, &v, &[0.5; 4]).unwrap();
-        q.set_category_rates(&[1.0, 2.0]).unwrap();
         q.update_transition_matrices(0, &[1, 2], &[0.1, 0.2])
             .unwrap();
-        let first = q.get_transition_matrix(1).unwrap();
-        assert_eq!(q.stats().eigen_cache_misses, 2);
-        assert_eq!(q.stats().eigen_cache_hits, 0);
-
-        // Same lengths again: both served from the cache via set calls.
         q.update_transition_matrices(0, &[1, 2], &[0.1, 0.2])
             .unwrap();
-        let second = q.get_transition_matrix(1).unwrap();
-        assert_eq!(q.stats().eigen_cache_hits, 2);
-        assert_eq!(q.stats().eigen_cache_misses, 2);
-        assert_eq!(first, second, "cached matrix must be the exact bytes");
-        let l = log(&calls);
-        assert_eq!(l.iter().filter(|c| c.starts_with("utm")).count(), 1);
-        assert_eq!(l.iter().filter(|c| c.starts_with("stm")).count(), 2);
-    }
-
-    #[test]
-    fn changing_rates_or_eigen_data_invalidates() {
-        let (mut q, _calls) = queued();
-        let v = vec![1.0; 16];
-        q.set_eigen_decomposition(0, &v, &v, &[0.5; 4]).unwrap();
         q.set_category_rates(&[1.0]).unwrap();
-        q.update_transition_matrices(0, &[1], &[0.1]).unwrap();
         q.flush().unwrap();
-        let with_old_rates = q.get_transition_matrix(1).unwrap();
-
-        // Rates change: the next request recomputes under the new rates.
-        q.set_category_rates(&[3.0]).unwrap();
-        q.update_transition_matrices(0, &[1], &[0.1]).unwrap();
-        let with_new_rates = q.get_transition_matrix(1).unwrap();
-        assert_ne!(with_old_rates, with_new_rates);
-        assert_eq!(q.stats().eigen_cache_hits, 0);
-        assert_eq!(q.stats().eigen_cache_misses, 2);
-
-        // Re-setting identical eigen data does NOT invalidate...
-        q.set_eigen_decomposition(0, &v, &v, &[0.5; 4]).unwrap();
-        q.update_transition_matrices(0, &[1], &[0.1]).unwrap();
-        q.flush().unwrap();
-        assert_eq!(q.stats().eigen_cache_hits, 1);
-        // ...but new eigen data does.
-        q.set_eigen_decomposition(0, &v, &v, &[0.75; 4]).unwrap();
-        q.update_transition_matrices(0, &[1], &[0.1]).unwrap();
-        q.flush().unwrap();
-        assert_eq!(q.stats().eigen_cache_hits, 1);
-        assert_eq!(q.stats().eigen_cache_misses, 3);
-        assert!(q.stats().eigen_cache_invalidations >= 3);
-    }
-
-    #[test]
-    fn duplicate_matrix_targets_bypass_the_cache() {
-        let (mut q, calls) = queued();
-        let v = vec![1.0; 16];
-        q.set_eigen_decomposition(0, &v, &v, &[0.5; 4]).unwrap();
-        q.set_category_rates(&[1.0]).unwrap();
-        // Index 1 appears twice: last write must win, so no caching.
-        q.update_transition_matrices(0, &[1, 1], &[0.1, 0.2])
-            .unwrap();
-        q.flush().unwrap();
-        assert_eq!(q.stats().eigen_cache_misses, 0);
-        assert!(log(&calls).contains(&"utm:2".to_string()));
-    }
-
-    #[test]
-    fn cache_capacity_evicts_oldest_first() {
-        let calls: CallLog = Arc::new(Mutex::new(Vec::new()));
-        let mut q = QueuedInstance::with_cache_capacity(Box::new(MockInstance::new(calls)), 2);
-        let v = vec![1.0; 16];
-        q.set_eigen_decomposition(0, &v, &v, &[0.5; 4]).unwrap();
-        q.set_category_rates(&[1.0]).unwrap();
-        q.update_transition_matrices(0, &[1, 2, 3], &[0.1, 0.2, 0.3])
-            .unwrap();
-        q.flush().unwrap();
-        assert_eq!(q.stats().eigen_cache_evictions, 1);
-        // 0.1 was evicted (oldest); 0.3 still cached.
-        q.update_transition_matrices(0, &[1], &[0.1]).unwrap();
-        q.update_transition_matrices(0, &[3], &[0.3]).unwrap();
-        q.flush().unwrap();
-        assert_eq!(q.stats().eigen_cache_hits, 1);
-        assert_eq!(q.stats().eigen_cache_misses, 4);
-    }
-
-    #[test]
-    fn cache_eviction_is_lru_not_fifo() {
-        let calls: CallLog = Arc::new(Mutex::new(Vec::new()));
-        let mut q = QueuedInstance::with_cache_capacity(Box::new(MockInstance::new(calls)), 2);
-        let v = vec![1.0; 16];
-        q.set_eigen_decomposition(0, &v, &v, &[0.5; 4]).unwrap();
-        q.set_category_rates(&[1.0]).unwrap();
-        q.update_transition_matrices(0, &[1, 2], &[0.1, 0.2])
-            .unwrap();
-        q.flush().unwrap();
-        // Touch 0.1 so 0.2 becomes the least-recently-used entry...
-        q.update_transition_matrices(0, &[1], &[0.1]).unwrap();
-        q.flush().unwrap();
-        assert_eq!(q.stats().eigen_cache_hits, 1);
-        // ...then inserting 0.3 evicts 0.2, keeping the reused 0.1 (a FIFO
-        // cache would evict 0.1 here and miss the final lookup).
-        q.update_transition_matrices(0, &[3], &[0.3]).unwrap();
-        q.update_transition_matrices(0, &[1], &[0.1]).unwrap();
-        q.flush().unwrap();
-        assert_eq!(q.stats().eigen_cache_hits, 2);
-        assert_eq!(q.stats().eigen_cache_misses, 3);
-        assert_eq!(q.stats().eigen_cache_evictions, 1);
+        assert_eq!(
+            log(&calls),
+            vec!["utm:2", "utm:2", "rates"],
+            "the queue defers matrix requests but derives and reuses nothing"
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests for the CPU kernels and threading machinery.
 
+use beagle_core::memo::MemoInstance;
 use beagle_core::{
     BeagleInstance, BufferId, Flags, ImplementationFactory, Operation, QueuedInstance, ScalingMode,
     GAP_STATE,
@@ -170,11 +171,12 @@ proptest! {
         prop_assert!((t2 - alpha * t1).abs() < 1e-9 * t1.abs().max(1.0));
     }
 
-    /// Deferred execution through the operation queue (with the eigen/matrix
-    /// cache) is bit-for-bit identical to eager execution on random trees —
-    /// root log-likelihood, site log-likelihoods, and every internal
-    /// partials buffer — scaled and unscaled, and stays identical when the
-    /// same model is re-proposed (the cache-hit path).
+    /// Deferred execution through the operation queue (over the memo layer,
+    /// as the manager stacks them) is bit-for-bit identical to eager
+    /// execution on random trees — root log-likelihood, site
+    /// log-likelihoods, and every internal partials buffer — scaled and
+    /// unscaled, and stays identical when the same model is re-proposed
+    /// (the path where memo serves the matrices).
     #[test]
     fn queued_cpu_equals_eager_bit_for_bit(
         taxa in 3usize..8,
@@ -243,9 +245,9 @@ proptest! {
 
         let factory = CpuFactory::with_threads(ThreadingModel::Serial, false, 1);
         let mut eager = factory.create(&config, Flags::PRECISION_DOUBLE, Flags::NONE).unwrap();
-        let mut queued = QueuedInstance::new(
+        let mut queued = QueuedInstance::new(Box::new(MemoInstance::new(
             factory.create(&config, Flags::PRECISION_DOUBLE, Flags::NONE).unwrap(),
-        );
+        )));
 
         let (lnl_e, sites_e) = drive(eager.as_mut());
         let (lnl_q, sites_q) = drive(&mut queued);
@@ -261,15 +263,15 @@ proptest! {
             prop_assert_eq!(pe, pq, "partials buffer {} diverged", node);
         }
 
-        // Re-propose the identical model: the second pass is served from the
-        // eigen/matrix cache and must not perturb a single bit.
-        let misses = queued.stats().eigen_cache_misses;
-        prop_assert!(misses > 0);
+        // Re-propose the identical model: the second pass is served by the
+        // memo layer below the queue and must not perturb a single bit.
+        let computed = queued.memo_stats().unwrap().matrices_computed;
+        prop_assert!(computed > 0);
         let (lnl_e2, _) = drive(eager.as_mut());
         let (lnl_q2, _) = drive(&mut queued);
         prop_assert_eq!(lnl_e2.to_bits(), lnl_q2.to_bits());
-        let stats = queued.stats();
-        prop_assert!(stats.eigen_cache_hits > 0);
-        prop_assert_eq!(stats.eigen_cache_misses, misses);
+        let stats = queued.memo_stats().unwrap();
+        prop_assert!(stats.matrices_skipped + stats.matrices_reused > 0);
+        prop_assert_eq!(stats.matrices_computed, computed);
     }
 }

@@ -2,8 +2,9 @@
 # Tier-1 gate: release build, full test suite, lint-clean workspace.
 #
 # Test matrix covered by `cargo test --workspace`:
-#   unit + doc tests ........ every crate (queue/leveling/cache in core, CPU
-#                             kernels + threading, perf model + faults in accel);
+#   unit + doc tests ........ every crate (queue/leveling and the memo matrix
+#                             store in core, CPU kernels + threading, perf
+#                             model + faults in accel);
 #                             the power-of-two rescale against its reference
 #                             oracle on every kernel table, and
 #                             rescale_subnormal_max_stays_finite (a subnormal
@@ -14,8 +15,9 @@
 #                             deadline round trips, v1 frames -> BadVersion(1),
 #                             every payload truncation of a narrowed frame
 #                             typed, serve-nuc-shaped session <= 120,000 bytes)
-#   property tests .......... cpu kernels, core queue-cache invalidation
-#                             (random interleavings, queued == uncached bits)
+#   property tests .......... cpu kernels, memo matrix store (random
+#                             interleavings: queue over memo == plain eager
+#                             bits; skipped + reused + computed == requested)
 #   core tests/read_frame_alloc  a header claiming MAX_PAYLOAD then 10 bytes
 #                             is Truncated with < 1 MiB peak allocation
 #   tests/cross_backend ..... implementations x {single,double} x scaling vs oracle;
@@ -23,7 +25,7 @@
 #                             (11 implementations x f32/f64: same partials and
 #                             log factors, partials x 2^E == unscaled bits)
 #   tests/differential ...... implementations x {eager, queued} bit-for-bit,
-#                             eigen-cache repeat proposals, site-lnL read-back,
+#                             repeat proposals served by memo, site-lnL read-back,
 #                             and the failover fixtures in BOTH queue modes
 #                             (COMPUTATION_SYNCH and COMPUTATION_ASYNCH)
 #   tests/failover .......... fault matrix: device loss, transient kernel/copy
@@ -39,7 +41,9 @@
 #   tests/incremental ....... epoch-based memoization differentials: MCMC-
 #                             style sweeps, backend x precision x scaling x
 #                             queue mode bit-identical to always-recompute,
-#                             through mid-run failover and checkpoint/restore
+#                             through mid-run failover and checkpoint/restore;
+#                             rejected moves and reassigned lengths served
+#                             from the matrix store on the unqueued stack
 #   tests/properties ........ proptest invariants (incl. balancer: range
 #                             coverage, monotone shares, skew decrease;
 #                             incremental: random interleavings never serve
@@ -80,10 +84,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
-# The queue-mode differential matrix, the fault matrix, the SIMD kernel
-# parity suite, the allocation-free hot-path guard, and the observability
-# suite, named explicitly so a regression in any is attributable at a glance.
+# The queue-mode differential matrix, the memo matrix-store properties, the
+# fault matrix, the SIMD kernel parity suite, the allocation-free hot-path
+# guard, and the observability suite, named explicitly so a regression in
+# any is attributable at a glance.
 cargo test -q --test differential
+cargo test -q -p beagle-core --test matrix_proptests
 cargo test -q --test failover
 cargo test -q --test robustness
 cargo test -q -p beagle-cpu --test simd_parity

@@ -2,10 +2,10 @@
 //!
 //! Every (implementation × precision × scaling) combination must produce the
 //! SAME bits in queued mode (`COMPUTATION_ASYNCH`: operation queue +
-//! dependency-level batching + eigen/matrix cache) as in eager mode: the
-//! queue reorders nothing observable, level batching chooses the same chunk
-//! boundaries, and cache hits re-install the exact bytes the back-end
-//! produced on the miss. Post-failover instances (the `failover.rs`
+//! dependency-level batching) as in eager mode: the queue reorders nothing
+//! observable, level batching chooses the same chunk boundaries, and the
+//! memo layer's matrix store re-installs the exact bytes the back-end
+//! produced when it derived them. Post-failover instances (the `failover.rs`
 //! fixtures) must also agree with the oracle in both modes.
 
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
@@ -105,10 +105,11 @@ fn queued_equals_eager_bit_for_bit_on_every_backend() {
 }
 
 /// Repeated proposals (the MCMC access pattern): re-loading the same model
-/// and branch lengths must hit the eigen cache, and the cached evaluation
-/// must reproduce the first one exactly.
+/// and branch lengths into a queued instance must be served by the memo
+/// layer below the queue, and the served evaluation must reproduce the
+/// first one exactly.
 #[test]
-fn eigen_cache_hits_on_repeated_proposals_without_changing_results() {
+fn repeated_proposals_are_served_by_memo_without_changing_results() {
     let problem = Problem::generate(&Scenario {
         model: ModelKind::Nucleotide,
         taxa: 9,
@@ -126,28 +127,34 @@ fn eigen_cache_hits_on_repeated_proposals_without_changing_results() {
         .unwrap();
     problem.load(inst.as_mut());
     let first = problem.evaluate(inst.as_mut(), false);
-    let after_first = inst.queue_stats().expect("queued instance exposes stats");
+    let after_first = inst.memo_stats().expect("default stack installs memo");
     assert!(
-        after_first.eigen_cache_misses > 0,
+        after_first.matrices_computed > 0,
         "first pass computes matrices"
     );
-    assert_eq!(after_first.eigen_cache_hits, 0, "nothing to hit yet");
+    assert_eq!(
+        after_first.matrices_skipped + after_first.matrices_reused,
+        0,
+        "nothing to serve yet"
+    );
 
     // The "proposal" re-sends identical eigen data, rates, and branch
-    // lengths — everything the cache keys on.
+    // lengths — everything a derived matrix depends on.
     problem.load(inst.as_mut());
     let second = problem.evaluate(inst.as_mut(), false);
-    let after_second = inst.queue_stats().unwrap();
+    let after_second = inst.memo_stats().unwrap();
     assert!(
-        after_second.eigen_cache_hits >= after_first.eigen_cache_misses,
-        "repeat proposal must be served from the cache: {after_second:?}"
+        after_second.matrices_skipped + after_second.matrices_reused
+            >= after_first.matrices_computed,
+        "repeat proposal must be served by memo: {after_second:?}"
     );
     assert_eq!(
-        after_second.eigen_cache_misses,
-        after_first.eigen_cache_misses
+        after_second.matrices_computed,
+        after_first.matrices_computed
     );
     assert_eq!(first.to_bits(), second.to_bits());
-    assert!(after_second.batches_submitted > 0 && after_second.levels_submitted > 0);
+    let queue = inst.queue_stats().expect("queued instance exposes stats");
+    assert!(queue.batches_submitted > 0 && queue.levels_submitted > 0);
 }
 
 /// The permanent-device-loss fixture from `failover.rs`, driven through the

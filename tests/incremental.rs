@@ -110,6 +110,66 @@ fn incremental_sweep_is_bit_identical_on_every_backend() {
     );
 }
 
+/// The MCMC revert patterns on the default unqueued stack (memo + rescue,
+/// the stack mcmc-nuc runs): a rejected branch move sends t -> t' -> t to
+/// one matrix, and a topology move hands known branch lengths to other
+/// matrices. Both must be served from memo's matrix store instead of the
+/// back-end, with the same bits as an always-recompute instance.
+#[test]
+fn rejected_moves_and_reassigned_lengths_are_served_from_the_matrix_store() {
+    let manager = full_manager();
+    let mut p = problem();
+    let spec = |incremental| {
+        InstanceSpec::with_config(p.config())
+            .named("CPU-SSE")
+            .incremental(incremental)
+    };
+    let mut inst = spec(true).instantiate(&manager).unwrap();
+    let mut base = spec(false).instantiate(&manager).unwrap();
+    assert!(
+        inst.queue_stats().is_none(),
+        "the default stack is unqueued"
+    );
+    let mut evaluate = |p: &Problem, what: &str| {
+        p.load(inst.as_mut());
+        p.load(base.as_mut());
+        let a = p.evaluate(inst.as_mut(), true);
+        let b = p.evaluate(base.as_mut(), true);
+        assert_eq!(a.to_bits(), b.to_bits(), "{what}: memo changed lnL");
+        inst.memo_stats().unwrap()
+    };
+    let start = evaluate(&p, "first evaluation");
+
+    // A rejected branch move: t -> t' -> t on one matrix.
+    let t = p.tree.node_mut(3).branch_length;
+    p.tree.node_mut(3).branch_length = t * 1.3;
+    let moved = evaluate(&p, "proposal");
+    assert_eq!(moved.matrices_computed, start.matrices_computed + 1);
+    p.tree.node_mut(3).branch_length = t;
+    let rejected = evaluate(&p, "rejection");
+    assert_eq!(
+        rejected.matrices_computed, moved.matrices_computed,
+        "the restored length must not be recomputed: {rejected:?}"
+    );
+    assert_eq!(rejected.matrices_reused, moved.matrices_reused + 1);
+
+    // NNI-style relabelling: two known lengths trade matrices.
+    let (a, b) = (1, 5);
+    let (ta, tb) = (
+        p.tree.node_mut(a).branch_length,
+        p.tree.node_mut(b).branch_length,
+    );
+    assert_ne!(ta.to_bits(), tb.to_bits());
+    p.tree.node_mut(a).branch_length = tb;
+    p.tree.node_mut(b).branch_length = ta;
+    let swapped = evaluate(&p, "reassigned lengths");
+    assert_eq!(
+        swapped.matrices_computed, rejected.matrices_computed,
+        "reassigned lengths must not be recomputed: {swapped:?}"
+    );
+    assert_eq!(swapped.matrices_reused, rejected.matrices_reused + 2);
+}
+
 /// Mid-sweep device loss: failover replays the journal onto rebuilt children
 /// whose buffers start empty, so their epochs must reset — a stale signature
 /// here would skip the replay writes and freeze the dead device's partials.
