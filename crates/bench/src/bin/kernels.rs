@@ -6,10 +6,12 @@
 //! Unlike the table/figure binaries this measures the kernels in isolation —
 //! one category, one buffer set, no traversal (rescaling alone covers four
 //! category blocks refilled from eight rotating buffer sets, see
-//! `rescale_sets`) — so the number is the raw arithmetic throughput of the
-//! dispatch paths ("scalar" = dense unrolled loops, "portable" = 4-state
-//! mul_add specializations where applicable, "avx2" = explicit AVX2+FMA
-//! intrinsics), not end-to-end application speed.
+//! `rescale_sets`, and `scaled_partials` runs one whole scaled operation of
+//! four categories tile by tile, as the CPU instance does) — so the number
+//! is the raw arithmetic throughput of the dispatch paths ("scalar" =
+//! dense unrolled loops, "portable" = 4-state mul_add specializations where
+//! applicable, "avx2" = explicit AVX2+FMA intrinsics), not end-to-end
+//! application speed.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -213,12 +215,60 @@ fn bench_precision<T: DispatchReal>(
                     &mut scale,
                     sp,
                     table.rescale_max,
+                    table.rescale_factors,
                     table.rescale_apply,
                 );
                 start.elapsed()
             });
             rows.push(Row {
                 kernel: "rescale_patterns",
+                states: s,
+                precision,
+                path: table.path,
+                gflops,
+                time: ("ns_per_pattern", ns),
+            });
+            // One scaled operation as the CPU instance runs it: per
+            // RESCALE_TILE patterns, partials×partials for every one of
+            // RESCALE_CATEGORIES category blocks, then the rescale of that
+            // tile while it is still in cache. Every call recomputes the
+            // blocks from the children, so every rescale sees fresh maxima.
+            let children = |seed: u64| -> [Vec<T>; RESCALE_CATEGORIES] {
+                std::array::from_fn(|c| fill::<T>(seed + c as u64, n_pat * sp))
+            };
+            let (cc1, cc2) = (children(200), children(300));
+            let mut blocks: [Vec<T>; RESCALE_CATEGORIES] =
+                std::array::from_fn(|_| vec![T::ZERO; n_pat * sp]);
+            let flops =
+                (pp_flops(s) * n_pat as f64 + (2 * sp * n_pat) as f64) * RESCALE_CATEGORIES as f64;
+            let (gflops, ns) = measure(n_pat, flops, || {
+                for t0 in (0..n_pat).step_by(kernels::RESCALE_TILE) {
+                    let t1 = (t0 + kernels::RESCALE_TILE).min(n_pat);
+                    let tile = t0 * sp..t1 * sp;
+                    let mut blocks = blocks.each_mut().map(|b| &mut b[tile.clone()]);
+                    for ((dest, a), b) in blocks.iter_mut().zip(&cc1).zip(&cc2) {
+                        (table.partials_partials)(
+                            dest,
+                            &a[tile.clone()],
+                            &b[tile.clone()],
+                            &m1,
+                            &m2,
+                            s,
+                            sp,
+                        );
+                    }
+                    kernels::rescale_range(
+                        &mut blocks[..],
+                        &mut scale[t0..t1],
+                        sp,
+                        table.rescale_max,
+                        table.rescale_factors,
+                        table.rescale_apply,
+                    );
+                }
+            });
+            rows.push(Row {
+                kernel: "scaled_partials",
                 states: s,
                 precision,
                 path: table.path,

@@ -129,9 +129,57 @@ impl<T: Real> kernels::CategoryBlocks<T> for ChunkTask<T> {
     }
 }
 
-/// Execute one chunk task: all category blocks of its pattern range, then
-/// (if requested) the rescaling sweeps over the same range.
+/// Execute one chunk task. A scaled operation walks the task's pattern
+/// range in tiles of [`kernels::RESCALE_TILE`] patterns: the partials
+/// kernel for every category block of the tile, then
+/// [`kernels::rescale_range`] over the same tile, which is still in L1
+/// when the max and apply sweeps read it. An unscaled operation is one
+/// tile, the whole range. With `timed`, `rescale_nanos` is the sum of the
+/// tiles' rescale times; otherwise no clock is read.
 fn run_chunk<T: DispatchReal>(t: &mut ChunkTask<T>) {
+    let (d, sp) = (t.dispatch, t.sp as usize);
+    let scaled = !t.scale.is_null();
+    let step = if scaled {
+        kernels::RESCALE_TILE
+    } else {
+        t.p1 - t.p0
+    };
+    let mut rescale_nanos = 0;
+    let mut q0 = t.p0;
+    while q0 < t.p1 {
+        let q1 = (q0 + step).min(t.p1);
+        let mut tile = ChunkTask {
+            p0: q0,
+            p1: q1,
+            ..*t
+        };
+        run_partials(&mut tile);
+        if scaled {
+            let t0 = t.timed.then(std::time::Instant::now);
+            // SAFETY: `t.scale` points at pattern `p0` of the scale buffer
+            // and `p0 <= q0 < q1 <= p1`, so this is the tile's slice of the
+            // chunk's scale range, disjoint from other tasks'.
+            let scale = unsafe { std::slice::from_raw_parts_mut(t.scale.add(q0 - t.p0), q1 - q0) };
+            kernels::rescale_range(
+                &mut tile,
+                scale,
+                sp,
+                d.rescale_max,
+                d.rescale_factors,
+                d.rescale_apply,
+            );
+            if let Some(t0) = t0 {
+                rescale_nanos += t0.elapsed().as_nanos() as u64;
+            }
+        }
+        q0 = q1;
+    }
+    t.rescale_nanos = rescale_nanos;
+}
+
+/// The partials kernel for every category block of the task's pattern
+/// range.
+fn run_partials<T: DispatchReal>(t: &mut ChunkTask<T>) {
     let (s, sp, n) = (t.s as usize, t.sp as usize, t.p1 - t.p0);
     let d = t.dispatch;
     for cat in 0..t.n_cat as usize {
@@ -163,15 +211,6 @@ fn run_chunk<T: DispatchReal>(t: &mut ChunkTask<T>) {
                 let b = unsafe { std::slice::from_raw_parts(b.add(t.p0), n) };
                 (d.states_states)(dest, a, b, m1, m2, s, sp);
             }
-        }
-    }
-    if !t.scale.is_null() {
-        let t0 = t.timed.then(std::time::Instant::now);
-        // SAFETY: this chunk's scale slice, disjoint from other tasks'.
-        let scale = unsafe { std::slice::from_raw_parts_mut(t.scale, n) };
-        kernels::rescale_range(t, scale, sp, d.rescale_max, d.rescale_apply);
-        if let Some(t0) = t0 {
-            t.rescale_nanos = t0.elapsed().as_nanos() as u64;
         }
     }
 }

@@ -152,8 +152,26 @@ pub fn rescale_block_apply<T: Real>(block: &mut [T], factors: &[T], sp: usize) {
     }
 }
 
-/// Patterns per factor tile in [`rescale_range`]. The tile lives on the
-/// stack (2 KiB of `f64`), so rescaling allocates nothing.
+/// Factor pass of rescaling over one tile of per-pattern maxima: writes
+/// each maximum's factor `2^-E` into `factors[p]` and replaces the maximum
+/// with its log factor `E·ln 2` (the product taken in `f64`, then
+/// narrowed), where `(2^-E, E) = max.pow2_rescale()` (see
+/// [`Real::pow2_rescale`]). This scalar loop is the reference the vector
+/// table entries match bit for bit.
+pub fn rescale_factors<T: Real>(maxes: &mut [T], factors: &mut [T]) {
+    for (f, m) in factors.iter_mut().zip(maxes.iter_mut()) {
+        let (factor, e) = m.pow2_rescale();
+        *f = factor;
+        *m = T::from_f64(f64::from(e) * std::f64::consts::LN_2);
+    }
+}
+
+/// Patterns per tile. The CPU instance runs a scaled operation's partials
+/// and [`rescale_range`] tile by tile, so the tile's category blocks are
+/// still in L1 when the rescale sweeps read them (32 KiB for four
+/// categories of `f64` nucleotides). Within [`rescale_range`] it also sizes
+/// the factor array, which lives on the stack (2 KiB of `f64`), so
+/// rescaling allocates nothing.
 pub const RESCALE_TILE: usize = 256;
 
 /// The category blocks of one pattern range, as [`rescale_range`] walks
@@ -177,16 +195,19 @@ impl<T> CategoryBlocks<T> for [&mut [T]] {
 
 /// Rescale one pattern range across **all categories** by a power of two
 /// per pattern, writing its log factor into `scale` (patterns are local to
-/// the range). `max` and `apply` are a kernel table's `rescale_max` /
-/// `rescale_apply` entries.
+/// the range). `max`, `factors` and `apply` are a kernel table's
+/// `rescale_max` / `rescale_factors` / `rescale_apply` entries.
 ///
 /// BEAGLE scales per pattern over the joint (category × state) entries so a
 /// single factor per pattern suffices at root integration. Two sweeps: the
-/// max of every block, then per [`RESCALE_TILE`] patterns the factor
-/// `(2^-E, E) = max.pow2_rescale()` of each maximum (see
+/// max of every block, then per [`RESCALE_TILE`] patterns the factors of
+/// the maxima ([`rescale_factors`]: `2^-E` from the exponent bits, see
 /// [`Real::pow2_rescale`]) and a multiply of every block's tile. `scale[p]`
 /// receives `E·ln 2` (computed in `f64`, then narrowed), or 0 for an
 /// all-zero pattern, whose factor is 1. The maximum lands in `[1, 2)`.
+/// The CPU instance calls this once per tile of a chunk, right after the
+/// tile's partials; the other back-ends call it over whole blocks through
+/// [`rescale_patterns`].
 ///
 /// The result does not depend on the kernel table, the category order or
 /// the pattern split. For a maximum below 2, as likelihood partials have,
@@ -199,6 +220,7 @@ pub fn rescale_range<T: Real, B: CategoryBlocks<T> + ?Sized>(
     scale: &mut [T],
     sp: usize,
     max: fn(&[T], &mut [T], usize),
+    factors: fn(&mut [T], &mut [T]),
     apply: fn(&mut [T], &[T], usize),
 ) {
     scale.fill(T::ZERO);
@@ -207,15 +229,11 @@ pub fn rescale_range<T: Real, B: CategoryBlocks<T> + ?Sized>(
     }
     let mut tile = [T::ONE; RESCALE_TILE];
     for (t, maxes) in scale.chunks_mut(RESCALE_TILE).enumerate() {
-        let factors = &mut tile[..maxes.len()];
-        for (f, m) in factors.iter_mut().zip(maxes.iter_mut()) {
-            let (factor, e) = m.pow2_rescale();
-            *f = factor;
-            *m = T::from_f64(f64::from(e) * std::f64::consts::LN_2);
-        }
+        let tile = &mut tile[..maxes.len()];
+        factors(maxes, tile);
         let range = t * RESCALE_TILE * sp..(t * RESCALE_TILE + maxes.len()) * sp;
         for cat in 0..blocks.categories() {
-            apply(&mut blocks.block(cat)[range.clone()], factors, sp);
+            apply(&mut blocks.block(cat)[range.clone()], tile, sp);
         }
     }
 }
@@ -229,6 +247,7 @@ pub fn rescale_patterns<T: Real>(blocks: &mut [&mut [T]], scale_out: &mut [T], s
         scale_out,
         sp,
         rescale_block_max,
+        rescale_factors,
         rescale_block_apply,
     );
 }
@@ -670,6 +689,7 @@ mod tests {
                         &mut scale,
                         sp,
                         table.rescale_max,
+                        table.rescale_factors,
                         table.rescale_apply,
                     );
                 }

@@ -44,6 +44,7 @@ type PpFn<T> = fn(&mut [T], &[T], &[T], &[T], &[T], usize, usize);
 type SpFn<T> = fn(&mut [T], &[u32], &[T], &[T], &[T], usize, usize);
 type SsFn<T> = fn(&mut [T], &[u32], &[u32], &[T], &[T], usize, usize);
 type RescaleMaxFn<T> = fn(&[T], &mut [T], usize);
+type RescaleFactorsFn<T> = fn(&mut [T], &mut [T]);
 type RescaleApplyFn<T> = fn(&mut [T], &[T], usize);
 #[allow(clippy::type_complexity)]
 type RootFn<T> =
@@ -78,9 +79,13 @@ pub struct KernelDispatch<T: Real> {
     pub states_states: SsFn<T>,
     /// Per-block max pass of rescaling.
     pub rescale_max: RescaleMaxFn<T>,
+    /// Factor pass of rescaling over a tile of per-pattern maxima: the
+    /// power-of-two factor of each maximum, read from its exponent bits,
+    /// and its log factor in place of the maximum. Bit for bit
+    /// [`kernels::rescale_factors`], the scalar entry.
+    pub rescale_factors: RescaleFactorsFn<T>,
     /// Per-block scale pass of rescaling: multiplies each pattern by its
-    /// power-of-two factor, read once per pattern from the exponent of its
-    /// maximum by [`kernels::rescale_range`] (no division, exact).
+    /// power-of-two factor from `rescale_factors` (no division, exact).
     pub rescale_apply: RescaleApplyFn<T>,
     /// Root integration over a pattern range.
     pub integrate_root: RootFn<T>,
@@ -486,15 +491,98 @@ mod avx2 {
         }
     }
 
-    /// Multiply each pattern's lanes by its factor `factors[p]`.
+    /// `kernels::rescale_factors` four patterns at once, bit for bit. The
+    /// biased exponent is bits 20..31 of each lane's high dword, gathered
+    /// into four `i32`s, clamped to `[1, 2045]` so `2^-E` stays normal, and
+    /// unbiased to `E`. `2^-E` is built from bits in the 64-bit lanes. A
+    /// maximum that is not positive and finite (zero, negative, NaN, `∞`)
+    /// selects factor 1 and log factor `+0.0`, as the scalar select does.
+    /// `E·ln 2` is one `f64` multiply of the exactly converted `E`.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rescale_factors_pd(maxes: &mut [f64], factors: &mut [f64]) {
+        let n = maxes.len().min(factors.len());
+        let (mx, fp) = (maxes.as_mut_ptr(), factors.as_mut_ptr());
+        let high_dwords = _mm256_setr_epi32(1, 3, 5, 7, 0, 0, 0, 0);
+        let bias = _mm_set1_epi32(1023);
+        let (zero, inf) = (_mm256_setzero_pd(), _mm256_set1_pd(f64::INFINITY));
+        let (one, ln2) = (_mm256_set1_pd(1.0), _mm256_set1_pd(std::f64::consts::LN_2));
+        let mut p = 0;
+        while p + 4 <= n {
+            let m = _mm256_loadu_pd(mx.add(p));
+            let live = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GT_OQ>(m, zero),
+                _mm256_cmp_pd::<_CMP_LT_OQ>(m, inf),
+            );
+            let high = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(
+                _mm256_castpd_si256(m),
+                high_dwords,
+            ));
+            let biased = _mm_and_si128(_mm_srli_epi32::<20>(high), _mm_set1_epi32(0x7FF));
+            let clamped = _mm_min_epi32(
+                _mm_max_epi32(biased, _mm_set1_epi32(1)),
+                _mm_set1_epi32(2045),
+            );
+            let e = _mm_sub_epi32(clamped, bias);
+            let bits = _mm256_slli_epi64::<52>(_mm256_cvtepi32_epi64(_mm_sub_epi32(bias, e)));
+            let factor = _mm256_blendv_pd(one, _mm256_castsi256_pd(bits), live);
+            let log_factor = _mm256_and_pd(live, _mm256_mul_pd(_mm256_cvtepi32_pd(e), ln2));
+            _mm256_storeu_pd(fp.add(p), factor);
+            _mm256_storeu_pd(mx.add(p), log_factor);
+            p += 4;
+        }
+        kernels::rescale_factors(&mut maxes[p..n], &mut factors[p..n]);
+    }
+
+    /// Multiply each pattern's lanes by its factor `factors[p]`. At
+    /// `sp == 4` four patterns share one load of their factors, and
+    /// `_mm256_permute4x64_pd` hands each pattern its own lane.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn rescale_apply_pd(block: &mut [f64], factors: &[f64], sp: usize) {
-        for (&r, q) in factors.iter().zip(block.chunks_exact_mut(sp)) {
-            let r = _mm256_set1_pd(r);
+        let n = factors.len().min(block.len() / sp);
+        let (q, f) = (block.as_mut_ptr(), factors.as_ptr());
+        let mut p = 0;
+        if sp == 4 {
+            while p + 4 <= n {
+                let r = _mm256_loadu_pd(f.add(p));
+                let (x0, x1, x2, x3) = (
+                    q.add(p * 4),
+                    q.add(p * 4 + 4),
+                    q.add(p * 4 + 8),
+                    q.add(p * 4 + 12),
+                );
+                _mm256_storeu_pd(
+                    x0,
+                    _mm256_mul_pd(_mm256_loadu_pd(x0), _mm256_permute4x64_pd::<0x00>(r)),
+                );
+                _mm256_storeu_pd(
+                    x1,
+                    _mm256_mul_pd(_mm256_loadu_pd(x1), _mm256_permute4x64_pd::<0x55>(r)),
+                );
+                _mm256_storeu_pd(
+                    x2,
+                    _mm256_mul_pd(_mm256_loadu_pd(x2), _mm256_permute4x64_pd::<0xAA>(r)),
+                );
+                _mm256_storeu_pd(
+                    x3,
+                    _mm256_mul_pd(_mm256_loadu_pd(x3), _mm256_permute4x64_pd::<0xFF>(r)),
+                );
+                p += 4;
+            }
+        }
+        for p in p..n {
+            let r = _mm256_set1_pd(*f.add(p));
             let mut j = 0;
             while j < sp {
-                let p = q.as_mut_ptr().add(j);
-                _mm256_storeu_pd(p, _mm256_mul_pd(_mm256_loadu_pd(p), r));
+                let x = q.add(p * sp + j);
+                _mm256_storeu_pd(x, _mm256_mul_pd(_mm256_loadu_pd(x), r));
                 j += 4;
             }
         }
@@ -784,6 +872,50 @@ mod avx2 {
         }
     }
 
+    /// `kernels::rescale_factors` eight patterns at once, bit for bit, as
+    /// `rescale_factors_pd`: the biased exponent is bits 23..30, clamped to
+    /// `[1, 253]`. `E·ln 2` is formed in `f64` (two halves of four) and
+    /// then narrowed, the rounding the scalar reference takes; an `f32`
+    /// product would round differently.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn rescale_factors_ps(maxes: &mut [f32], factors: &mut [f32]) {
+        let n = maxes.len().min(factors.len());
+        let (mx, fp) = (maxes.as_mut_ptr(), factors.as_mut_ptr());
+        let bias = _mm256_set1_epi32(127);
+        let (zero, inf) = (_mm256_setzero_ps(), _mm256_set1_ps(f32::INFINITY));
+        let (one, ln2) = (_mm256_set1_ps(1.0), _mm256_set1_pd(std::f64::consts::LN_2));
+        let mut p = 0;
+        while p + 8 <= n {
+            let m = _mm256_loadu_ps(mx.add(p));
+            let live = _mm256_and_ps(
+                _mm256_cmp_ps::<_CMP_GT_OQ>(m, zero),
+                _mm256_cmp_ps::<_CMP_LT_OQ>(m, inf),
+            );
+            let biased = _mm256_and_si256(
+                _mm256_srli_epi32::<23>(_mm256_castps_si256(m)),
+                _mm256_set1_epi32(0xFF),
+            );
+            let clamped = _mm256_min_epi32(
+                _mm256_max_epi32(biased, _mm256_set1_epi32(1)),
+                _mm256_set1_epi32(253),
+            );
+            let e = _mm256_sub_epi32(clamped, bias);
+            let bits = _mm256_slli_epi32::<23>(_mm256_sub_epi32(bias, e));
+            let factor = _mm256_blendv_ps(one, _mm256_castsi256_ps(bits), live);
+            let lo = _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(e)), ln2);
+            let hi = _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(e)), ln2);
+            let log_factor = _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
+            _mm256_storeu_ps(fp.add(p), factor);
+            _mm256_storeu_ps(mx.add(p), _mm256_and_ps(live, log_factor));
+            p += 8;
+        }
+        kernels::rescale_factors(&mut maxes[p..n], &mut factors[p..n]);
+    }
+
     /// Multiply each pattern's lanes by its factor `factors[p]`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn rescale_apply_ps(block: &mut [f32], factors: &[f32], sp: usize) {
@@ -905,6 +1037,9 @@ mod avx2 {
     pub(super) fn rescale_max_f64(block: &[f64], maxes: &mut [f64], sp: usize) {
         unsafe { rescale_max_pd(block, maxes, sp) }
     }
+    pub(super) fn rescale_factors_f64(maxes: &mut [f64], factors: &mut [f64]) {
+        unsafe { rescale_factors_pd(maxes, factors) }
+    }
     pub(super) fn rescale_apply_f64(block: &mut [f64], factors: &[f64], sp: usize) {
         unsafe { rescale_apply_pd(block, factors, sp) }
     }
@@ -1014,6 +1149,9 @@ mod avx2 {
     pub(super) fn rescale_max_f32(block: &[f32], maxes: &mut [f32], sp: usize) {
         unsafe { rescale_max_ps(block, maxes, sp) }
     }
+    pub(super) fn rescale_factors_f32(maxes: &mut [f32], factors: &mut [f32]) {
+        unsafe { rescale_factors_ps(maxes, factors) }
+    }
     pub(super) fn rescale_apply_f32(block: &mut [f32], factors: &[f32], sp: usize) {
         unsafe { rescale_apply_ps(block, factors, sp) }
     }
@@ -1108,6 +1246,7 @@ macro_rules! base_tables {
                 states_partials: kernels::states_partials::<$t>,
                 states_states: kernels::states_states::<$t>,
                 rescale_max: kernels::rescale_block_max::<$t>,
+                rescale_factors: kernels::rescale_factors::<$t>,
                 rescale_apply: kernels::rescale_block_apply::<$t>,
                 integrate_root: kernels::integrate_root::<$t>,
                 integrate_edge: kernels::integrate_edge::<$t>,
@@ -1118,6 +1257,7 @@ macro_rules! base_tables {
                 states_partials: sp_portable::<$t>,
                 states_states: ss_portable::<$t>,
                 rescale_max: kernels::rescale_block_max::<$t>,
+                rescale_factors: kernels::rescale_factors::<$t>,
                 rescale_apply: kernels::rescale_block_apply::<$t>,
                 integrate_root: kernels::integrate_root::<$t>,
                 integrate_edge: kernels::integrate_edge::<$t>,
@@ -1138,6 +1278,7 @@ impl DispatchReal for f64 {
             // kernel is already optimal.
             states_states: ss_portable::<f64>,
             rescale_max: avx2::rescale_max_f64,
+            rescale_factors: avx2::rescale_factors_f64,
             rescale_apply: avx2::rescale_apply_f64,
             integrate_root: avx2::root_f64,
             integrate_edge: avx2::edge_f64,
@@ -1161,6 +1302,7 @@ impl DispatchReal for f32 {
             states_partials: avx2::sp_f32,
             states_states: ss_portable::<f32>,
             rescale_max: avx2::rescale_max_f32,
+            rescale_factors: avx2::rescale_factors_f32,
             rescale_apply: avx2::rescale_apply_f32,
             integrate_root: avx2::root_f32,
             integrate_edge: avx2::edge_f32,

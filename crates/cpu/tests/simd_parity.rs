@@ -418,3 +418,78 @@ fn instance_reports_dispatch_path() {
     .unwrap();
     assert_eq!(inst.dispatch_path(), "scalar");
 }
+
+/// Factor-pass inputs for one precision: signed zeros, negatives, NaNs,
+/// infinities, the smallest and largest subnormals, `MIN_POSITIVE`, `MAX`,
+/// and every normal power of two with its neighbours just under and over.
+macro_rules! factor_cases {
+    ($t:ty, $bits:ty) => {{
+        let largest_subnormal = <$t>::MIN_POSITIVE.next_down();
+        let mut v: Vec<$t> = vec![
+            0.0,
+            -0.0,
+            -1.5,
+            -<$t>::MIN_POSITIVE,
+            -<$t>::MAX,
+            <$t>::NAN,
+            -<$t>::NAN,
+            <$t>::from_bits(<$t>::NAN.to_bits() | 1),
+            <$t>::INFINITY,
+            <$t>::NEG_INFINITY,
+            <$t>::from_bits(1),
+            -<$t>::from_bits(1),
+            largest_subnormal,
+            <$t>::MIN_POSITIVE,
+            <$t>::MAX,
+            0.75,
+            1e-30,
+        ];
+        // Every normal power of two: every exponent, so every `E·ln 2`
+        // rounding case, including those an `f32` product would get wrong.
+        for biased in 1..2 * <$t>::MAX_EXP - 1 {
+            let p = <$t>::from_bits((biased as $bits) << (<$t>::MANTISSA_DIGITS - 1));
+            v.extend([p.next_down(), p, p.next_up()]);
+        }
+        v
+    }};
+}
+
+/// `rescale_factors` on `maxes`, as every table hands it out, against
+/// `Real::pow2_rescale` per value: factor bits and `E·ln 2` bits (formed
+/// in `f64`, then narrowed). Every length 0–9 starts at every case, so each
+/// case passes through every vector lane and every scalar tail.
+fn assert_factors_match_pow2_rescale<T: DispatchReal>(cases: &[T]) {
+    let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+    for kind in paths() {
+        let table = T::dispatch(kind);
+        for len in 0..=9 {
+            for start in 0..cases.len() {
+                let maxes: Vec<T> = (0..len).map(|i| cases[(start + i) % cases.len()]).collect();
+                let (expect_factors, expect_logs): (Vec<T>, Vec<T>) = maxes
+                    .iter()
+                    .map(|m| {
+                        let (f, e) = m.pow2_rescale();
+                        (f, T::from_f64(f64::from(e) * std::f64::consts::LN_2))
+                    })
+                    .unzip();
+                let mut logs = maxes.clone();
+                let mut factors = vec![T::from_f64(7.0); len];
+                (table.rescale_factors)(&mut logs, &mut factors);
+                let what = || {
+                    let precision = std::any::type_name::<T>();
+                    format!("{precision} {} len {len} from case {start}", table.path)
+                };
+                assert_eq!(bits(&factors), bits(&expect_factors), "factors {}", what());
+                assert_eq!(bits(&logs), bits(&expect_logs), "log factors {}", what());
+            }
+        }
+    }
+}
+
+/// Every table's `rescale_factors` (scalar, portable, avx2 × f32/f64) is
+/// `Real::pow2_rescale` bit for bit, edge values and vector tails included.
+#[test]
+fn rescale_factors_match_pow2_rescale_on_every_table() {
+    assert_factors_match_pow2_rescale::<f64>(&factor_cases!(f64, u64));
+    assert_factors_match_pow2_rescale::<f32>(&factor_cases!(f32, u32));
+}

@@ -3,7 +3,9 @@
 #
 # Writes at the repo root:
 #   BENCH_kernels.json  GFLOPS + ns/pattern for every kernel x state-count x
-#                       precision x dispatch path available on this host, and
+#                       precision x dispatch path available on this host
+#                       (scaled_partials: one 4-category scaled operation,
+#                       partials then rescale tile by tile), and
 #                       GFLOPS + us/matrix for the shared transition-matrix
 #                       kernel (s = 4, 20, 61 x f64/f32)
 #   BENCH_obs.json      instrumentation overhead (stats on vs off, bit-exact)

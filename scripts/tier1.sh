@@ -10,6 +10,12 @@
 #                             rescale_subnormal_max_stays_finite (a subnormal
 #                             pattern maximum leaves every lane finite and
 #                             every pad lane zero, f32/f64 x s in {4,20,61});
+#                             simd_parity's
+#                             rescale_factors_match_pow2_rescale_on_every_table
+#                             (every table x f32/f64 rescale_factors ==
+#                             Real::pow2_rescale bit for bit: signed zeros,
+#                             NaN, infinities, subnormals, MAX, neighbours of
+#                             powers of two, lengths 0-9);
 #                             WIRE-v2 codec in core::wire (Submit round trips
 #                             of narrow/gap/wide/empty tips bit for bit, exact
 #                             deadline round trips, v1 frames -> BadVersion(1),
@@ -18,6 +24,13 @@
 #   property tests .......... cpu kernels, memo matrix store (random
 #                             interleavings: queue over memo == plain eager
 #                             bits; skipped + reused + computed == requested)
+#   cpu tests/rescale_tiles . tiled_rescale_matches_whole_block_rescale_at_
+#                             tile_boundaries: scaled traversals at
+#                             RESCALE_TILE-1, RESCALE_TILE, RESCALE_TILE+1 and
+#                             2*RESCALE_TILE+3 patterns on serial,
+#                             thread-create, thread-pool and futures
+#                             instances == rescale_patterns over whole blocks,
+#                             bit for bit; Rescale books wall time
 #   core tests/read_frame_alloc  a header claiming MAX_PAYLOAD then 10 bytes
 #                             is Truncated with < 1 MiB peak allocation
 #   tests/cross_backend ..... implementations x {single,double} x scaling vs oracle;
@@ -86,14 +99,15 @@ cargo build --release
 cargo test -q --workspace
 # The queue-mode differential matrix, the memo matrix-store properties, the
 # fault matrix, the SIMD kernel parity suite, the allocation-free hot-path
-# guard, and the observability suite, named explicitly so a regression in
-# any is attributable at a glance.
+# guard, the rescale tile-boundary check, and the observability suite,
+# named explicitly so a regression in any is attributable at a glance.
 cargo test -q --test differential
 cargo test -q -p beagle-core --test matrix_proptests
 cargo test -q --test failover
 cargo test -q --test robustness
 cargo test -q -p beagle-cpu --test simd_parity
 cargo test -q -p beagle-cpu --test alloc_free
+cargo test -q -p beagle-cpu --test rescale_tiles
 cargo test -q --test obs
 cargo test -q --test obs_overhead
 cargo test -q --test obs_env
