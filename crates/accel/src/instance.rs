@@ -315,7 +315,7 @@ impl<T: Real, D: Dialect> AccelInstance<T, D> {
         ));
 
         if let Some(si) = op.dest_scale_write {
-            let mut scale = std::mem::take(&mut self.bufs.scale_buffers[si]);
+            let mut scale = self.bufs.take_scale_buffer(si);
             let mut blocks: Vec<&mut [T]> = dest.chunks_exact_mut(n_pat * s).collect();
             rescale_patterns(&mut blocks, &mut scale, s);
             self.bufs.scale_buffers[si] = scale;
@@ -372,7 +372,7 @@ impl<T: Real, D: Dialect> AccelInstance<T, D> {
         let mut dest = self.bufs.take_destination(op.destination);
         let mut scale = op
             .dest_scale_write
-            .map(|si| std::mem::take(&mut self.bufs.scale_buffers[si]));
+            .map(|si| self.bufs.take_scale_buffer(si));
         {
             let bufs = &self.bufs;
             let c1 = Self::operand(bufs, op.child1);
@@ -587,6 +587,7 @@ impl<T: Real, D: Dialect> BeagleInstance for AccelInstance<T, D> {
         if corrupt {
             for &mi in matrix_indices {
                 self.bufs.matrices[mi].fill(T::from_f64(f64::NAN));
+                self.bufs.matrix_bounds.forget(mi);
             }
         }
         if self.is_simulated() {
@@ -641,6 +642,7 @@ impl<T: Real, D: Dialect> BeagleInstance for AccelInstance<T, D> {
         if corrupt {
             for &mi in matrix_indices {
                 self.bufs.matrices[mi].fill(T::from_f64(f64::NAN));
+                self.bufs.matrix_bounds.forget(mi);
             }
         }
         if self.is_simulated() {

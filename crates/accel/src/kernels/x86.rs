@@ -192,26 +192,34 @@ mod tests {
         assert_eq!(&dest[16..20], expect.as_slice());
     }
 
-    /// A work-group's pattern range goes through the shared rescale: each
-    /// pattern's max lands in `[1, 2)`, its log factor is exactly `E·ln 2`,
-    /// and `partials · 2^E` gives back the original bits.
+    /// A work-group's pattern range goes through the shared rescale: a
+    /// pattern whose max lies in the window `[2^-W, 2^(W+1))` keeps its
+    /// bits and log factor `+0.0`; one outside it lands in `[1, 2)` with
+    /// log factor exactly `E·ln 2`, and `partials · 2^E` gives back the
+    /// original bits.
     #[test]
     fn rescale_group_normalizes() {
+        use beagle_core::real::Real;
         let s = 2;
-        let mut cat0 = vec![0.5, 0.1, 2e-9, 1e-9];
-        let mut cat1 = vec![0.2, 0.3, 3e-9, 2e-9];
+        let low = 2f64.powi(-f64::RESCALE_WINDOW);
+        let high = 2f64.powi(f64::RESCALE_WINDOW + 1);
+        // Pattern maxima: 0.5 (inside), 0.75 · 2^-W (just below the
+        // window), 2^(W+1) (its top edge, outside) and 0.875 · 2^(W+1)
+        // (just inside).
+        let mut cat0 = vec![0.5, 0.1, 0.5 * low, 0.25 * low, high, 0.5, 0.5 * high, 0.25];
+        let mut cat1 = vec![0.2, 0.3, 0.75 * low, 0.0, 1.0, 2.0, 0.875 * high, 0.125];
         let original = [cat0.clone(), cat1.clone()];
-        let mut scale = vec![0.0; 2];
+        let mut scale = vec![0.0; 4];
         {
             let mut blocks: Vec<&mut [f64]> = vec![&mut cat0, &mut cat1];
             beagle_cpu::kernels::rescale_patterns(&mut blocks, &mut scale, s);
         }
-        // Pattern 0's max is 0.5 = 2^-1; pattern 1's is 3e-9 = 1.61 · 2^-29.
-        assert_eq!(cat0[0], 1.0);
-        assert!((1.0..2.0).contains(&cat1[2]));
-        for (p, e) in [(0, -1), (1, -29)] {
+        let w = f64::RESCALE_WINDOW;
+        assert_eq!(cat1[2], 1.5, "pattern 1's max moves into [1, 2)");
+        assert_eq!(cat0[4], 1.0, "pattern 2's max moves onto 1");
+        for (p, e) in [(0, 0), (1, -w - 1), (2, w + 1), (3, 0)] {
             let log_factor = f64::from(e) * std::f64::consts::LN_2;
-            assert_eq!(scale[p].to_bits(), log_factor.to_bits());
+            assert_eq!(scale[p].to_bits(), log_factor.to_bits(), "pattern {p}");
             for (got, orig) in [&cat0, &cat1].into_iter().zip(&original) {
                 for k in p * s..(p + 1) * s {
                     assert_eq!((got[k] * 2f64.powi(e)).to_bits(), orig[k].to_bits());

@@ -2,16 +2,22 @@
 //! kernel × state count × precision × dispatch path, plus GFLOPS and
 //! µs/matrix for the shared transition-matrix kernel, written as
 //! `BENCH_kernels.json` (for `scripts/bench.sh`) and printed as a table.
+//! Each row is the median of [`ROUNDS`] timed rounds, with the
+//! interquartile range of the rounds beside it.
 //!
 //! Unlike the table/figure binaries this measures the kernels in isolation —
 //! one category, one buffer set, no traversal (rescaling alone covers four
 //! category blocks refilled from eight rotating buffer sets, see
-//! `rescale_sets`, and `scaled_partials` runs one whole scaled operation of
-//! four categories tile by tile, as the CPU instance does) — so the number
-//! is the raw arithmetic throughput of the dispatch paths ("scalar" =
-//! dense unrolled loops, "portable" = 4-state mul_add specializations where
-//! applicable, "avx2" = explicit AVX2+FMA intrinsics), not end-to-end
-//! application speed.
+//! `rescale_sets`; `scaled_partials` runs one whole scaled operation of
+//! four categories tile by tile, as the CPU instance does when some
+//! patterns leave the rescale window; `scaled_op_checked` is the same
+//! operation on data inside the window, whose check rescales nothing; and
+//! `scaled_op_skipped` is that operation when the instance's bounds prove
+//! the check unnecessary: the partials alone) — so the number is the raw
+//! arithmetic throughput of the dispatch paths ("scalar" = dense unrolled
+//! loops, "portable" = 4-state mul_add specializations where applicable,
+//! "avx2" = explicit AVX2+FMA intrinsics), not end-to-end application
+//! speed.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -53,52 +59,77 @@ struct Row {
     states: usize,
     precision: &'static str,
     path: &'static str,
+    /// At the median time.
     gflops: f64,
     /// Time per work unit: `("ns_per_pattern", ns)` for the partials-side
-    /// kernels, `("us_per_matrix", µs)` for transition matrices.
+    /// kernels, `("us_per_matrix", µs)` for transition matrices; the
+    /// median over the rounds.
     time: (&'static str, f64),
+    /// Interquartile range of the rounds' times, in `time`'s unit.
+    iqr: f64,
 }
 
-/// Time `body` (which performs `flops` floating-point ops per call) with
-/// adaptive repetition, returning (gflops, ns/call-pattern-unit).
-fn measure(n_pat: usize, flops_per_call: f64, mut body: impl FnMut()) -> (f64, f64) {
+/// Timed rounds per row.
+const ROUNDS: usize = 5;
+
+/// One row's measurement: GFLOPS at the median round, and the median and
+/// interquartile range of the rounds' time per work unit.
+struct Timing {
+    gflops: f64,
+    median: f64,
+    iqr: f64,
+}
+
+/// Time `body` (which performs `flops` floating-point ops per call) over
+/// [`ROUNDS`] rounds of adaptive repetition, in ns per pattern unit.
+fn measure(n_pat: usize, flops_per_call: f64, mut body: impl FnMut()) -> Timing {
     let reps = repetitions(flops_per_call);
     // Warm up caches and the branch predictor.
     for _ in 0..reps.div_ceil(10).min(50) {
         body();
     }
-    let start = Instant::now();
-    for _ in 0..reps {
-        body();
-    }
-    rates(n_pat, flops_per_call, reps, start.elapsed())
+    let rounds = std::array::from_fn(|_| {
+        let start = Instant::now();
+        for _ in 0..reps {
+            body();
+        }
+        start.elapsed()
+    });
+    summarize(n_pat, flops_per_call, reps, rounds)
 }
 
 /// As [`measure`], for a body that times itself and returns the time of
 /// its timed part, so it can run untimed set-up before each call.
-fn measure_timed(
-    n_pat: usize,
-    flops_per_call: f64,
-    mut body: impl FnMut() -> Duration,
-) -> (f64, f64) {
+fn measure_timed(n_pat: usize, flops_per_call: f64, mut body: impl FnMut() -> Duration) -> Timing {
     let reps = repetitions(flops_per_call);
     for _ in 0..reps.div_ceil(10).min(50) {
         body();
     }
-    rates(n_pat, flops_per_call, reps, (0..reps).map(|_| body()).sum())
+    let rounds = std::array::from_fn(|_| (0..reps).map(|_| body()).sum());
+    summarize(n_pat, flops_per_call, reps, rounds)
 }
 
+/// Median and interquartile range of rounds of `reps` calls each.
+fn summarize(
+    n_pat: usize,
+    flops_per_call: f64,
+    reps: usize,
+    mut rounds: [Duration; ROUNDS],
+) -> Timing {
+    rounds.sort();
+    let per_unit = |d: Duration| d.as_secs_f64() / reps as f64 / n_pat as f64 * 1e9;
+    let median = rounds[ROUNDS / 2];
+    Timing {
+        gflops: flops_per_call * reps as f64 / median.as_secs_f64() / 1e9,
+        median: per_unit(median),
+        iqr: per_unit(rounds[3 * ROUNDS / 4]) - per_unit(rounds[ROUNDS / 4]),
+    }
+}
+
+/// Calls per round: a fixed flop budget per round.
 fn repetitions(flops_per_call: f64) -> usize {
-    let budget: f64 = if quick_mode() { 2e7 } else { 4e8 };
+    let budget: f64 = if quick_mode() { 1e7 } else { 1e8 };
     ((budget / flops_per_call) as usize).clamp(3, 1_000_000)
-}
-
-/// (gflops, ns/call-pattern-unit) of `reps` calls that took `elapsed`.
-fn rates(n_pat: usize, flops_per_call: f64, reps: usize, elapsed: Duration) -> (f64, f64) {
-    let dt = elapsed.as_secs_f64();
-    let gflops = flops_per_call * reps as f64 / dt / 1e9;
-    let ns_per_pattern = dt / reps as f64 / n_pat as f64 * 1e9;
-    (gflops, ns_per_pattern)
 }
 
 /// Deterministic pseudo-random positive values (likelihood-like magnitudes).
@@ -121,15 +152,18 @@ const RESCALE_SETS: usize = 8;
 
 /// `RESCALE_SETS` sets of `RESCALE_CATEGORIES` padded partials blocks, each
 /// block drawn from its own seed, pad lanes zero as in a real buffer. Each
-/// (category, pattern) is scaled by its own power of ten down to 1e-24, so
-/// pattern maxima spread over many octaves as deep-tree partials do.
+/// (category, pattern) is scaled by its own power of two, from 1 down to
+/// `2^-2W` in 24 steps (`W` the rescale window exponent), so pattern maxima
+/// spread over many octaves, about half of them below the window, as
+/// deep-tree partials do.
 fn rescale_sets<T: Real>(s: usize, sp: usize, n_pat: usize) -> Vec<[Vec<T>; RESCALE_CATEGORIES]> {
     (0..RESCALE_SETS)
         .map(|k| {
             std::array::from_fn(|c| {
                 let mut block = fill::<T>(100 + (k * RESCALE_CATEGORIES + c) as u64, n_pat * sp);
                 for (p, q) in block.chunks_exact_mut(sp).enumerate() {
-                    let magnitude = T::from_f64(10f64.powi(-(((p * 7 + c * 3 + k) % 25) as i32)));
+                    let step = ((p * 7 + c * 3 + k) % 25) as i32;
+                    let magnitude = T::from_f64(2f64.powi(-step * T::RESCALE_WINDOW / 12));
                     q[..s].iter_mut().for_each(|x| *x *= magnitude);
                     q[s..].fill(T::ZERO);
                 }
@@ -137,6 +171,42 @@ fn rescale_sets<T: Real>(s: usize, sp: usize, n_pat: usize) -> Vec<[Vec<T>; RESC
             })
         })
         .collect()
+}
+
+/// One scaled partials×partials operation over `RESCALE_CATEGORIES`
+/// category blocks, as the CPU instance runs it when the check runs: per
+/// `RESCALE_TILE` patterns the partials of every block, then the rescale
+/// of that tile while it is still in cache.
+#[allow(clippy::too_many_arguments)]
+fn scaled_op<T: DispatchReal>(
+    table: &beagle_cpu::KernelDispatch<T>,
+    blocks: &mut [Vec<T>; RESCALE_CATEGORIES],
+    c1: &[Vec<T>; RESCALE_CATEGORIES],
+    c2: &[Vec<T>; RESCALE_CATEGORIES],
+    m1: &[T],
+    m2: &[T],
+    scale: &mut [T],
+    s: usize,
+    sp: usize,
+) {
+    let n_pat = scale.len();
+    for t0 in (0..n_pat).step_by(kernels::RESCALE_TILE) {
+        let t1 = (t0 + kernels::RESCALE_TILE).min(n_pat);
+        let tile = t0 * sp..t1 * sp;
+        let mut blocks = blocks.each_mut().map(|b| &mut b[tile.clone()]);
+        for ((dest, a), b) in blocks.iter_mut().zip(c1).zip(c2) {
+            (table.partials_partials)(dest, &a[tile.clone()], &b[tile.clone()], m1, m2, s, sp);
+        }
+        kernels::rescale_range(
+            &mut blocks[..],
+            &mut scale[t0..t1],
+            sp,
+            table.rescale_max,
+            table.rescale_factors,
+            table.rescale_apply,
+            &mut [T::ZERO; RESCALE_CATEGORIES],
+        );
+    }
 }
 
 fn bench_precision<T: DispatchReal>(
@@ -156,7 +226,7 @@ fn bench_precision<T: DispatchReal>(
         let mut dest = vec![T::ZERO; n_pat * sp];
         for &kind in paths {
             let table = T::dispatch(kind);
-            let (gflops, ns) = measure(n_pat, pp_flops(s) * n_pat as f64, || {
+            let t = measure(n_pat, pp_flops(s) * n_pat as f64, || {
                 (table.partials_partials)(&mut dest, &c1, &c2, &m1, &m2, s, sp);
             });
             rows.push(Row {
@@ -164,10 +234,11 @@ fn bench_precision<T: DispatchReal>(
                 states: s,
                 precision,
                 path: table.path,
-                gflops,
-                time: ("ns_per_pattern", ns),
+                gflops: t.gflops,
+                time: ("ns_per_pattern", t.median),
+                iqr: t.iqr,
             });
-            let (gflops, ns) = measure(n_pat, sp_flops(s) * n_pat as f64, || {
+            let t = measure(n_pat, sp_flops(s) * n_pat as f64, || {
                 (table.states_partials)(&mut dest, &s1, &c2, &m1, &m2, s, sp);
             });
             rows.push(Row {
@@ -175,10 +246,11 @@ fn bench_precision<T: DispatchReal>(
                 states: s,
                 precision,
                 path: table.path,
-                gflops,
-                time: ("ns_per_pattern", ns),
+                gflops: t.gflops,
+                time: ("ns_per_pattern", t.median),
+                iqr: t.iqr,
             });
-            let (gflops, ns) = measure(n_pat, ss_flops(s) * n_pat as f64, || {
+            let t = measure(n_pat, ss_flops(s) * n_pat as f64, || {
                 (table.states_states)(&mut dest, &s1, &s2, &m1, &m2, s, sp);
             });
             rows.push(Row {
@@ -186,8 +258,9 @@ fn bench_precision<T: DispatchReal>(
                 states: s,
                 precision,
                 path: table.path,
-                gflops,
-                time: ("ns_per_pattern", ns),
+                gflops: t.gflops,
+                time: ("ns_per_pattern", t.median),
+                iqr: t.iqr,
             });
             // Rescaling as one scaled operation runs it: the max sweep,
             // one power-of-two factor per pattern and the apply sweep over
@@ -202,7 +275,7 @@ fn bench_precision<T: DispatchReal>(
             let mut work = sets[0].clone();
             let mut scale = vec![T::ZERO; n_pat];
             let mut next = 0;
-            let (gflops, ns) = measure_timed(n_pat, scale_flops, || {
+            let t = measure_timed(n_pat, scale_flops, || {
                 for (w, src) in work.iter_mut().zip(&sets[next % RESCALE_SETS]) {
                     w.copy_from_slice(src);
                 }
@@ -217,6 +290,7 @@ fn bench_precision<T: DispatchReal>(
                     table.rescale_max,
                     table.rescale_factors,
                     table.rescale_apply,
+                    &mut [T::ZERO; RESCALE_CATEGORIES],
                 );
                 start.elapsed()
             });
@@ -225,55 +299,65 @@ fn bench_precision<T: DispatchReal>(
                 states: s,
                 precision,
                 path: table.path,
-                gflops,
-                time: ("ns_per_pattern", ns),
+                gflops: t.gflops,
+                time: ("ns_per_pattern", t.median),
+                iqr: t.iqr,
             });
-            // One scaled operation as the CPU instance runs it: per
-            // RESCALE_TILE patterns, partials×partials for every one of
-            // RESCALE_CATEGORIES category blocks, then the rescale of that
-            // tile while it is still in cache. Every call recomputes the
-            // blocks from the children, so every rescale sees fresh maxima.
-            let children = |seed: u64| -> [Vec<T>; RESCALE_CATEGORIES] {
-                std::array::from_fn(|c| fill::<T>(seed + c as u64, n_pat * sp))
+            // One scaled operation as the CPU instance runs it when the
+            // check runs. `scaled_partials`: children whose pattern
+            // magnitudes alternate between 1 and `2^-(W/2 + 8)`, so half the
+            // patterns leave the window and get rescaled. `scaled_op_checked`:
+            // children inside the window, so the check rescales nothing.
+            // `scaled_op_skipped`: the same operation when the bounds prove
+            // the check unnecessary, the partials of every block over the
+            // whole range. Every call recomputes the blocks from the
+            // children, so every check sees fresh maxima.
+            let children = |seed: u64, deep: bool| -> [Vec<T>; RESCALE_CATEGORIES] {
+                std::array::from_fn(|c| {
+                    let mut child = fill::<T>(seed + c as u64, n_pat * sp);
+                    if deep {
+                        let tiny = T::from_f64(2f64.powi(-T::RESCALE_WINDOW / 2 - 8));
+                        for q in child.chunks_exact_mut(sp).skip(1).step_by(2) {
+                            q.iter_mut().for_each(|x| *x *= tiny);
+                        }
+                    }
+                    child
+                })
             };
-            let (cc1, cc2) = (children(200), children(300));
             let mut blocks: [Vec<T>; RESCALE_CATEGORIES] =
                 std::array::from_fn(|_| vec![T::ZERO; n_pat * sp]);
             let flops =
                 (pp_flops(s) * n_pat as f64 + (2 * sp * n_pat) as f64) * RESCALE_CATEGORIES as f64;
-            let (gflops, ns) = measure(n_pat, flops, || {
-                for t0 in (0..n_pat).step_by(kernels::RESCALE_TILE) {
-                    let t1 = (t0 + kernels::RESCALE_TILE).min(n_pat);
-                    let tile = t0 * sp..t1 * sp;
-                    let mut blocks = blocks.each_mut().map(|b| &mut b[tile.clone()]);
-                    for ((dest, a), b) in blocks.iter_mut().zip(&cc1).zip(&cc2) {
-                        (table.partials_partials)(
-                            dest,
-                            &a[tile.clone()],
-                            &b[tile.clone()],
-                            &m1,
-                            &m2,
-                            s,
-                            sp,
-                        );
-                    }
-                    kernels::rescale_range(
-                        &mut blocks[..],
-                        &mut scale[t0..t1],
-                        sp,
-                        table.rescale_max,
-                        table.rescale_factors,
-                        table.rescale_apply,
-                    );
+            for (kernel, deep) in [("scaled_partials", true), ("scaled_op_checked", false)] {
+                let (cc1, cc2) = (children(200, deep), children(300, deep));
+                let t = measure(n_pat, flops, || {
+                    scaled_op(table, &mut blocks, &cc1, &cc2, &m1, &m2, &mut scale, s, sp);
+                });
+                rows.push(Row {
+                    kernel,
+                    states: s,
+                    precision,
+                    path: table.path,
+                    gflops: t.gflops,
+                    time: ("ns_per_pattern", t.median),
+                    iqr: t.iqr,
+                });
+            }
+            let (cc1, cc2) = (children(200, false), children(300, false));
+            let flops = pp_flops(s) * (n_pat * RESCALE_CATEGORIES) as f64;
+            let t = measure(n_pat, flops, || {
+                for ((dest, a), b) in blocks.iter_mut().zip(&cc1).zip(&cc2) {
+                    (table.partials_partials)(dest, a, b, &m1, &m2, s, sp);
                 }
             });
             rows.push(Row {
-                kernel: "scaled_partials",
+                kernel: "scaled_op_skipped",
                 states: s,
                 precision,
                 path: table.path,
-                gflops,
-                time: ("ns_per_pattern", ns),
+                gflops: t.gflops,
+                time: ("ns_per_pattern", t.median),
+                iqr: t.iqr,
             });
             // Root integration over one category.
             let freqs = fill::<T>(5, sp);
@@ -281,7 +365,7 @@ fn bench_precision<T: DispatchReal>(
             let pw = vec![T::ONE; n_pat];
             let mut site = vec![T::ZERO; n_pat];
             let root_flops = ((2 * s + 2) * n_pat) as f64;
-            let (gflops, ns) = measure(n_pat, root_flops, || {
+            let t = measure(n_pat, root_flops, || {
                 std::hint::black_box((table.integrate_root)(
                     &mut site, &c1, &freqs, &catw, &pw, None, s, sp, n_pat, 0,
                 ));
@@ -291,8 +375,9 @@ fn bench_precision<T: DispatchReal>(
                 states: s,
                 precision,
                 path: table.path,
-                gflops,
-                time: ("ns_per_pattern", ns),
+                gflops: t.gflops,
+                time: ("ns_per_pattern", t.median),
+                iqr: t.iqr,
             });
         }
     }
@@ -317,7 +402,7 @@ fn bench_matrices<T: Real>(precision: &'static str, rows: &mut Vec<Row>) {
         let indices: Vec<usize> = (0..MATRICES).collect();
         let lengths: Vec<f64> = (0..MATRICES).map(|i| 0.01 + 0.05 * i as f64).collect();
         let flops = matrix_flops(s) * (CATEGORIES * MATRICES) as f64;
-        let (gflops, ns) = measure(MATRICES, flops, || {
+        let t = measure(MATRICES, flops, || {
             bufs.update_transition_matrices(0, &indices, &lengths)
                 .unwrap();
         });
@@ -326,8 +411,9 @@ fn bench_matrices<T: Real>(precision: &'static str, rows: &mut Vec<Row>) {
             states: s,
             precision,
             path: "row-form",
-            gflops,
-            time: ("us_per_matrix", ns / 1e3),
+            gflops: t.gflops,
+            time: ("us_per_matrix", t.median / 1e3),
+            iqr: t.iqr / 1e3,
         });
     }
 }
@@ -348,13 +434,13 @@ fn main() {
 
     println!("== kernel microbenchmarks ==");
     println!(
-        "{:<19} {:>6} {:>7} {:>9} {:>10} {:>12}  unit",
-        "kernel", "states", "prec", "path", "GFLOPS", "time"
+        "{:<19} {:>6} {:>7} {:>9} {:>10} {:>12} {:>9}  unit (median of {ROUNDS} rounds)",
+        "kernel", "states", "prec", "path", "GFLOPS", "time", "IQR"
     );
     for r in &rows {
         println!(
-            "{:<19} {:>6} {:>7} {:>9} {:>10.2} {:>12.2}  {}",
-            r.kernel, r.states, r.precision, r.path, r.gflops, r.time.1, r.time.0
+            "{:<19} {:>6} {:>7} {:>9} {:>10.2} {:>12.2} {:>9.2}  {}",
+            r.kernel, r.states, r.precision, r.path, r.gflops, r.time.1, r.iqr, r.time.0
         );
     }
 
@@ -377,11 +463,12 @@ fn main() {
         );
     }
 
-    let mut json = String::from("{\n  \"benchmark\": \"kernels\",\n  \"results\": [\n");
+    let mut json =
+        format!("{{\n  \"benchmark\": \"kernels\",\n  \"rounds\": {ROUNDS},\n  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"kernel\": \"{}\", \"states\": {}, \"precision\": \"{}\", \"path\": \"{}\", \"gflops\": {:.4}, \"{}\": {:.4}}}{}",
+            "    {{\"kernel\": \"{}\", \"states\": {}, \"precision\": \"{}\", \"path\": \"{}\", \"gflops\": {:.4}, \"{}\": {:.4}, \"iqr\": {:.4}}}{}",
             r.kernel,
             r.states,
             r.precision,
@@ -389,6 +476,7 @@ fn main() {
             r.gflops,
             r.time.0,
             r.time.1,
+            r.iqr,
             if i + 1 == rows.len() { "" } else { "," }
         );
     }

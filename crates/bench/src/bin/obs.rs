@@ -99,6 +99,16 @@ fn main() {
     println!("overhead:          {overhead_pct:>11.3}%");
     println!("bit-exact:         {bit_exact}");
 
+    // One scaled evaluation: how many rescale checks the CPU instance's
+    // bounds skipped, how many ran, and how many patterns those rescaled.
+    problem.evaluate(on.as_mut(), true);
+    if let Some(stats) = on.statistics() {
+        println!(
+            "rescale checks:    {} skipped, {} run, {} patterns rescaled",
+            stats.rescale_checks_skipped, stats.rescale_checks_run, stats.patterns_rescaled
+        );
+    }
+
     let stats_json = match on.statistics() {
         Some(stats) => stats.to_json(),
         None => "null".to_string(),

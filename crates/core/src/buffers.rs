@@ -66,8 +66,120 @@ pub struct InstanceBuffers<T: Real> {
     pub frequencies: Vec<Vec<T>>,
     /// Per-pattern log scale factors.
     pub scale_buffers: Vec<Vec<T>>,
+    /// `scale_zero[i]`: scale buffer `i` is known to hold only `+0.0`, so
+    /// [`Self::accumulate_scale_factors`] skips it. Only ever a proof:
+    /// `false` claims nothing. A writer that bypasses this type's methods
+    /// takes the buffer with [`Self::take_scale_buffer`], which clears it.
+    pub scale_zero: Vec<bool>,
+    /// Rescale bounds of every matrix buffer, kept up to date by the
+    /// matrix setters and kernels here.
+    pub matrix_bounds: MatrixBounds,
     /// Site log-likelihoods from the last root/edge integration.
     pub site_log_likelihoods: Vec<T>,
+}
+
+/// What the CPU instance's rescale bounds need of each matrix buffer, kept
+/// as the matrix is written: per category the smallest live entry, and the
+/// largest row sum over every category, both of the narrowed entries the
+/// kernels read. A matrix with an entry that is not positive and finite
+/// has no bounds: minimum 0 and row sum `∞`. So does one written behind
+/// this type's back, which must call [`MatrixBounds::forget`].
+#[derive(Clone, Debug)]
+pub struct MatrixBounds {
+    categories: usize,
+    /// `min[m * categories + c]`.
+    min: Vec<f64>,
+    row_sum: Vec<f64>,
+}
+
+impl MatrixBounds {
+    fn new(matrices: usize, categories: usize) -> Self {
+        Self {
+            categories,
+            min: vec![0.0; matrices * categories],
+            row_sum: vec![f64::INFINITY; matrices],
+        }
+    }
+
+    /// Smallest entry of category `cat` of matrix `matrix` (0: unknown).
+    pub fn min(&self, matrix: usize, cat: usize) -> f64 {
+        self.min[matrix * self.categories + cat]
+    }
+
+    /// Largest row sum of matrix `matrix` (`∞`: unknown).
+    pub fn row_sum(&self, matrix: usize) -> f64 {
+        self.row_sum[matrix]
+    }
+
+    /// Drop the bounds of `matrix`.
+    pub fn forget(&mut self, matrix: usize) {
+        self.record(matrix, std::iter::empty());
+    }
+
+    /// Store the bounds of `matrix` from its per-category `(smallest
+    /// entry, largest row sum)`; a category without positive finite
+    /// entries (or left out) leaves the whole matrix unknown.
+    fn record(&mut self, matrix: usize, blocks: impl Iterator<Item = (f64, f64)>) {
+        let mins = &mut self.min[matrix * self.categories..(matrix + 1) * self.categories];
+        mins.fill(0.0);
+        let mut row_sum = 0.0f64;
+        for (m, (lo, sum)) in mins.iter_mut().zip(blocks) {
+            *m = lo;
+            row_sum = if sum > row_sum || sum.is_nan() {
+                sum
+            } else {
+                row_sum
+            };
+        }
+        if mins.iter().all(|&m| m > 0.0) && row_sum.is_finite() {
+            self.row_sum[matrix] = row_sum;
+        } else {
+            mins.fill(0.0);
+            self.row_sum[matrix] = f64::INFINITY;
+        }
+    }
+}
+
+/// Smallest entry and largest row sum of one `[s][stride]` category block
+/// (live lanes only), for [`MatrixBounds`]. A NaN entry makes the row sum
+/// NaN, so the block counts as unknown.
+fn block_bounds<T: Real>(block: &[T], s: usize) -> (f64, f64) {
+    let sp = block.len() / s;
+    block
+        .chunks_exact(sp)
+        .fold((f64::INFINITY, 0.0), |(lo, hi), row| {
+            let (row_lo, sum) = row_bounds(&row[..s]);
+            (
+                lo.min(row_lo),
+                if sum > hi || sum.is_nan() { sum } else { hi },
+            )
+        })
+}
+
+/// Smallest entry and sum of one matrix row, four lanes at a time so the
+/// loop carries no long dependency chain (the sum is a bound, so its
+/// association does not matter).
+fn row_bounds<T: Real>(row: &[T]) -> (f64, f64) {
+    let (mut lo, mut sum) = ([f64::INFINITY; 4], [0.0f64; 4]);
+    let mut fold = |k: usize, x: T| {
+        let x = x.to_f64();
+        lo[k] = if x < lo[k] { x } else { lo[k] };
+        sum[k] += x;
+    };
+    let quads = row.chunks_exact(4);
+    let rest = quads.remainder();
+    for q in quads {
+        for (k, &x) in q.iter().enumerate() {
+            fold(k, x);
+        }
+    }
+    for (k, &x) in rest.iter().enumerate() {
+        fold(k, x);
+    }
+    let lo = lo
+        .iter()
+        .fold(f64::INFINITY, |a, &b| if b < a { b } else { a });
+    (lo, (sum[0] + sum[1]) + (sum[2] + sum[3]))
 }
 
 impl<T: Real> InstanceBuffers<T> {
@@ -109,6 +221,8 @@ impl<T: Real> InstanceBuffers<T> {
             ],
             frequencies: vec![freqs; config.eigen_buffer_count],
             scale_buffers: vec![vec![T::ZERO; config.pattern_count]; config.scale_buffer_count],
+            scale_zero: vec![false; config.scale_buffer_count],
+            matrix_bounds: MatrixBounds::new(config.matrix_buffer_count, config.category_count),
             site_log_likelihoods: vec![T::ZERO; config.pattern_count],
             config,
             state_stride,
@@ -327,7 +441,7 @@ impl<T: Real> InstanceBuffers<T> {
         for (&m, &t) in matrix_indices.iter().zip(branch_lengths) {
             self.check_index("matrix buffer", m, self.matrices.len())?;
             let blocks = self.matrices[m].chunks_exact_mut(s * sp);
-            for (block, &rate) in blocks.zip(&self.category_rates) {
+            let bounds = blocks.zip(&self.category_rates).map(|(block, &rate)| {
                 for (e, &l) in exps.iter_mut().zip(&eig.values) {
                     *e = (l * rate * t).exp();
                 }
@@ -336,7 +450,10 @@ impl<T: Real> InstanceBuffers<T> {
                 spectral_block(block, &eig.inverse_vectors, &mut row, true, |i, k| {
                     eig.vectors[i * s + k] * exps[k]
                 });
-            }
+                // Read while the block is still in cache.
+                block_bounds(block, s)
+            });
+            self.matrix_bounds.record(m, bounds);
         }
         Ok(())
     }
@@ -383,6 +500,9 @@ impl<T: Real> InstanceBuffers<T> {
                     "probability and derivative buffers must be distinct".into(),
                 ));
             }
+            // Derivatives may be negative: they never bound a rescale.
+            self.matrix_bounds.forget(d1);
+            self.matrix_bounds.forget(d2);
             for (c, &rate) in self.category_rates.iter().enumerate() {
                 // Spectral weights for the three matrices.
                 for (e, &l) in exps.iter_mut().zip(&eig.values) {
@@ -400,6 +520,10 @@ impl<T: Real> InstanceBuffers<T> {
                     });
                 }
             }
+            let bounds = self.matrices[m]
+                .chunks_exact(s * sp)
+                .map(|block| block_bounds(block, s));
+            self.matrix_bounds.record(m, bounds);
         }
         Ok(())
     }
@@ -420,6 +544,10 @@ impl<T: Real> InstanceBuffers<T> {
             }
             self.matrices[index] = buf;
         }
+        let bounds = self.matrices[index]
+            .chunks_exact(s * sp)
+            .map(|block| block_bounds(block, s));
+        self.matrix_bounds.record(index, bounds);
         Ok(())
     }
 
@@ -440,11 +568,22 @@ impl<T: Real> InstanceBuffers<T> {
     /// Zero a cumulative scale buffer.
     pub fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
         self.check_index("scale buffer", cumulative, self.scale_buffers.len())?;
-        self.scale_buffers[cumulative].fill(T::ZERO);
+        self.clear_scale_buffer(cumulative);
         Ok(())
     }
 
+    /// Zero scale buffer `index` (in range), unless it is known to be zero.
+    pub fn clear_scale_buffer(&mut self, index: usize) {
+        if !self.scale_zero[index] {
+            self.scale_buffers[index].fill(T::ZERO);
+            self.scale_zero[index] = true;
+        }
+    }
+
     /// `cumulative[p] += Σ_buffers scale[p]` (log-space accumulation).
+    /// Inputs flagged in [`Self::scale_zero`] are skipped: adding `+0.0`
+    /// changes no value a cumulative buffer can hold (it starts at `+0.0`
+    /// and log factors are never `-0.0`).
     pub fn accumulate_scale_factors(
         &mut self,
         scale_indices: &[usize],
@@ -460,6 +599,10 @@ impl<T: Real> InstanceBuffers<T> {
             }
         }
         for &sidx in scale_indices {
+            if self.scale_zero[sidx] {
+                continue;
+            }
+            self.scale_zero[cumulative] = false;
             // Split borrow: scale_indices != cumulative was checked above.
             let (src, dst) = if sidx < cumulative {
                 let (a, b) = self.scale_buffers.split_at_mut(cumulative);
@@ -575,6 +718,13 @@ impl<T: Real> InstanceBuffers<T> {
             }
             None => vec![T::ZERO; len],
         }
+    }
+
+    /// Take scale buffer `index` out of the arena for a kernel to write,
+    /// clearing its [`Self::scale_zero`] flag; put it back by assignment.
+    pub fn take_scale_buffer(&mut self, index: usize) -> Vec<T> {
+        self.scale_zero[index] = false;
+        std::mem::take(&mut self.scale_buffers[index])
     }
 
     /// Return a destination buffer taken with [`Self::take_destination`].

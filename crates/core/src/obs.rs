@@ -157,6 +157,14 @@ pub struct InstanceStats {
     /// Derived transition matrices the memo layer forwarded to the back-end
     /// (`MemoStats::matrices_computed`).
     pub eigen_cache_misses: u64,
+    /// Scaled operations whose rescale check the CPU instance skipped
+    /// because the bounds of their inputs proved it would rescale nothing.
+    pub rescale_checks_skipped: u64,
+    /// Scaled operations whose rescale check ran (max, factor and, where
+    /// some pattern left the window, apply sweeps).
+    pub rescale_checks_run: u64,
+    /// Patterns the checks that ran rescaled.
+    pub patterns_rescaled: u64,
 }
 
 impl InstanceStats {
@@ -182,6 +190,9 @@ impl InstanceStats {
         self.sets_deduped += other.sets_deduped;
         self.eigen_cache_hits += other.eigen_cache_hits;
         self.eigen_cache_misses += other.eigen_cache_misses;
+        self.rescale_checks_skipped += other.rescale_checks_skipped;
+        self.rescale_checks_run += other.rescale_checks_run;
+        self.patterns_rescaled += other.patterns_rescaled;
     }
 
     /// Total measured wall time across all classes, in nanoseconds.
@@ -224,8 +235,12 @@ impl InstanceStats {
             self.ops_skipped, self.matrices_skipped, self.integrations_skipped, self.sets_deduped
         ));
         out.push_str(&format!(
-            ",\"eigen_cache_hits\":{},\"eigen_cache_misses\":{}}}",
+            ",\"eigen_cache_hits\":{},\"eigen_cache_misses\":{}",
             self.eigen_cache_hits, self.eigen_cache_misses
+        ));
+        out.push_str(&format!(
+            ",\"rescale_checks_skipped\":{},\"rescale_checks_run\":{},\"patterns_rescaled\":{}}}",
+            self.rescale_checks_skipped, self.rescale_checks_run, self.patterns_rescaled
         ));
         out
     }
@@ -507,6 +522,16 @@ mod imp {
             }
         }
 
+        /// Count rescale checks: `skipped` and `run` scaled operations, and
+        /// the `patterns` the checks that ran rescaled.
+        pub fn rescale_checks(&mut self, skipped: u64, run: u64, patterns: u64) {
+            if self.enabled {
+                self.stats.rescale_checks_skipped += skipped;
+                self.stats.rescale_checks_run += run;
+                self.stats.patterns_rescaled += patterns;
+            }
+        }
+
         /// Append a journal event. `detail` is a closure so the disabled
         /// path never formats anything.
         pub fn event(&mut self, kind: EventKind, detail: impl FnOnce() -> String) {
@@ -583,6 +608,9 @@ mod imp {
 
         /// No-op.
         pub fn add_modeled(&mut self, _class: KernelClass, _modeled: Duration) {}
+
+        /// No-op.
+        pub fn rescale_checks(&mut self, _skipped: u64, _run: u64, _patterns: u64) {}
 
         /// No-op.
         pub fn event(&mut self, _kind: EventKind, _detail: impl FnOnce() -> String) {}
@@ -681,6 +709,9 @@ mod tests {
             "sets_deduped",
             "eigen_cache_hits",
             "eigen_cache_misses",
+            "rescale_checks_skipped",
+            "rescale_checks_run",
+            "patterns_rescaled",
         ] {
             assert!(stats.contains(key), "missing {key} in {stats}");
         }
@@ -707,9 +738,20 @@ mod tests {
         let mut b = InstanceStats::default();
         b.counter_mut(KernelClass::Rescale).calls = 3;
         b.journal_dropped = 1;
+        b.rescale_checks_skipped = 4;
+        b.patterns_rescaled = 2;
+        a.rescale_checks_run = 3;
         a.merge(&b);
         assert_eq!(a.counter(KernelClass::Rescale).calls, 5);
         assert_eq!(a.journal_dropped, 1);
+        assert_eq!(
+            (
+                a.rescale_checks_skipped,
+                a.rescale_checks_run,
+                a.patterns_rescaled
+            ),
+            (4, 3, 2)
+        );
         assert_eq!(a.total_calls(), 5);
     }
 }

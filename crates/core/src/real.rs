@@ -39,6 +39,14 @@ pub trait Real:
     const ONE: Self;
     /// Smallest positive normal value (used by rescaling thresholds).
     const MIN_POSITIVE: Self;
+    /// Distance from 1 to the next larger value (the rescale bounds'
+    /// rounding margin is a multiple of it).
+    const EPSILON: Self;
+    /// The rescale window exponent `W`: a pattern whose maximum lies in
+    /// `[2^-W, 2^(W+1))` is left as it is (see [`Real::pow2_rescale`]).
+    /// 255 for `f64`, 31 for `f32`; DESIGN.md §7 gives the headroom
+    /// argument for each.
+    const RESCALE_WINDOW: i32;
 
     /// Convert from `f64` (possibly losing precision).
     fn from_f64(x: f64) -> Self;
@@ -57,22 +65,27 @@ pub trait Real:
     fn abs(self) -> Self;
     /// True for NaN or infinity.
     fn is_bad(self) -> bool;
-    /// Power-of-two rescale factor of a pattern maximum: `(2^-E, E)`, where
-    /// `E` is the unbiased binary exponent read from the bits of `self`, so
-    /// `self · 2^-E` lies in `[1, 2)`. `E` is clamped to the range whose
-    /// `2^-E` is a normal number, so the factor is always finite: a
-    /// subnormal maximum scales like the smallest normal one (and lands
-    /// below 1). A zero, negative or non-finite `self` gets `(1, 0)`.
+    /// Power-of-two rescale factor of a pattern maximum: `(2^-E, E)`.
+    /// A maximum inside the window `[2^-W, 2^(W+1))`, `W` =
+    /// [`Real::RESCALE_WINDOW`], needs no rescaling and gets `(1, 0)`.
+    /// Outside it, `E` is the unbiased binary exponent read from the bits
+    /// of `self`, so `self · 2^-E` lies in `[1, 2)`. `E` is clamped to the
+    /// range whose `2^-E` is a normal number, so the factor is always
+    /// finite: a subnormal maximum scales like the smallest normal one
+    /// (and lands below 1). A zero, negative or non-finite `self` gets
+    /// `(1, 0)`.
     fn pow2_rescale(self) -> (Self, i32);
 }
 
 macro_rules! impl_real {
-    ($t:ty, $bits:ty, $int:ty, $lanes:expr) => {
+    ($t:ty, $bits:ty, $int:ty, $lanes:expr, $window:expr) => {
         impl Real for $t {
             const ZERO: Self = 0.0;
             const SIMD_LANES: usize = $lanes;
             const ONE: Self = 1.0;
             const MIN_POSITIVE: Self = <$t>::MIN_POSITIVE;
+            const EPSILON: Self = <$t>::EPSILON;
+            const RESCALE_WINDOW: i32 = $window;
 
             #[inline(always)]
             fn from_f64(x: f64) -> Self {
@@ -123,14 +136,15 @@ macro_rules! impl_real {
                 } else {
                     0
                 };
+                let e = if e.abs() <= $window { 0 } else { e };
                 (<$t>::from_bits(((BIAS - e) as $bits) << MANT), e as i32)
             }
         }
     };
 }
 
-impl_real!(f32, u32, i32, 8);
-impl_real!(f64, u64, i64, 4);
+impl_real!(f32, u32, i32, 8, 31);
+impl_real!(f64, u64, i64, 4, 255);
 
 /// Convert an `f64` slice into precision `T` (allocating).
 pub fn narrow_slice<T: Real>(xs: &[f64]) -> Vec<T> {
@@ -169,13 +183,40 @@ mod tests {
         assert_eq!(Real::mul_add(y, 2.0, 1.0), 7.0);
     }
 
-    /// `x · 2^-E` is `x`'s significand in `[1, 2)`, exactly, for normal
-    /// `x`; subnormals clamp to the smallest normal exponent.
+    /// Inside the window `[2^-W, 2^(W+1))` a maximum keeps factor 1;
+    /// outside it, `x · 2^-E` is `x`'s significand in `[1, 2)`, exactly,
+    /// for normal `x`; subnormals clamp to the smallest normal exponent.
+    /// Maxima sit on both sides of each window edge.
     fn pow2_rescale_cases<T: Real>(min_exp: i32, max_exp: i32) {
-        for (x, e) in [(1.0, 0), (1.5, 0), (2.0, 1), (0.375, -2), (1e-30, -100)] {
-            let (f, got) = T::from_f64(x).pow2_rescale();
-            assert_eq!(got, e, "exponent of {x}");
-            assert_eq!(T::from_f64(x) * f, T::from_f64(x * 2f64.powi(-e)));
+        let w = T::RESCALE_WINDOW;
+        let below = |x: f64| x - x * 2f64.powi(-20);
+        let mut cases = vec![
+            (1.0, 0),
+            (1.5, 0),
+            (0.375, 0),
+            (2f64.powi(-w), 0),
+            (below(2f64.powi(-w)), -w - 1),
+            (1.5 * 2f64.powi(-w - 3), -w - 3),
+            (below(2f64.powi(w + 1)), 0),
+            (2f64.powi(w + 1), w + 1),
+            (1.25 * 2f64.powi(w + 7), w + 7),
+        ];
+        cases.extend([
+            (2f64.powi(min_exp), min_exp),
+            (2f64.powi(max_exp - 2), max_exp - 2),
+        ]);
+        for (x, e) in cases {
+            let t = T::from_f64(x);
+            let (f, got) = t.pow2_rescale();
+            assert_eq!(got, e, "exponent of {x:e}");
+            assert_eq!(f.to_f64(), 2f64.powi(-e), "factor of {x:e}");
+            assert_eq!((t * f).to_f64(), t.to_f64() * 2f64.powi(-e), "{x:e} · 2^-E");
+            if e != 0 {
+                assert!(
+                    (1.0..2.0).contains(&(t * f).to_f64()),
+                    "{x:e} lands in [1, 2)"
+                );
+            }
         }
         let smallest_normal = T::MIN_POSITIVE;
         assert_eq!(smallest_normal.pow2_rescale().1, min_exp);
@@ -194,6 +235,7 @@ mod tests {
 
     #[test]
     fn pow2_rescale_reads_the_exponent() {
+        assert_eq!((f32::RESCALE_WINDOW, f64::RESCALE_WINDOW), (31, 255));
         pow2_rescale_cases::<f32>(-126, 127);
         pow2_rescale_cases::<f64>(-1022, 1023);
     }

@@ -22,6 +22,7 @@ use beagle_core::obs::{self, EventKind, KernelClass, Recorder};
 use beagle_core::ops::{dependency_levels, Operation};
 use beagle_core::real::{widen_slice, Real};
 
+use crate::bounds::RescaleBounds;
 use crate::kernels::{self, EdgeChild};
 use crate::pool::{partition_range, ThreadPool};
 use crate::simd::{select_kind, DispatchKind, DispatchReal, KernelDispatch};
@@ -98,6 +99,31 @@ struct ChunkTask<T: Real> {
     timed: bool,
     /// Nanoseconds this task spent rescaling, when `timed`.
     rescale_nanos: u64,
+    /// Index of the operation's entry in [`Scratch::checks`], or
+    /// [`NO_CHECK`] when its rescale check does not run.
+    check: u32,
+    /// This task's `n_cat` slots of [`Scratch::cat_lo`]: per category the
+    /// smallest pattern maximum its check saw.
+    cat_lo: *mut T,
+    /// Largest entry after the check.
+    hi: T,
+    /// Patterns the check rescaled.
+    rescaled: usize,
+}
+
+/// [`ChunkTask::check`] of a task whose rescale check does not run.
+const NO_CHECK: u32 = u32::MAX;
+
+/// One scaled operation of a batch whose rescale check runs.
+struct Check {
+    /// Destination partials buffer.
+    dest: usize,
+    /// Scale buffer written.
+    scale: usize,
+    /// Its inputs have bounds, so the sweep's exact bounds are kept.
+    adopt: bool,
+    /// Patterns rescaled, summed over the operation's tasks.
+    rescaled: usize,
 }
 
 // SAFETY: the pointers reference buffers that outlive the batch (the
@@ -129,16 +155,17 @@ impl<T: Real> kernels::CategoryBlocks<T> for ChunkTask<T> {
     }
 }
 
-/// Execute one chunk task. A scaled operation walks the task's pattern
-/// range in tiles of [`kernels::RESCALE_TILE`] patterns: the partials
-/// kernel for every category block of the tile, then
+/// Execute one chunk task. An operation whose rescale check runs walks the
+/// task's pattern range in tiles of [`kernels::RESCALE_TILE`] patterns:
+/// the partials kernel for every category block of the tile, then
 /// [`kernels::rescale_range`] over the same tile, which is still in L1
-/// when the max and apply sweeps read it. An unscaled operation is one
-/// tile, the whole range. With `timed`, `rescale_nanos` is the sum of the
+/// when the max and apply sweeps read it. Any other operation is one tile,
+/// the whole range. With `timed`, `rescale_nanos` is the sum of the
 /// tiles' rescale times; otherwise no clock is read.
 fn run_chunk<T: DispatchReal>(t: &mut ChunkTask<T>) {
     let (d, sp) = (t.dispatch, t.sp as usize);
     let scaled = !t.scale.is_null();
+    let (mut rescaled, mut hi) = (0, T::ZERO);
     let step = if scaled {
         kernels::RESCALE_TILE
     } else {
@@ -160,14 +187,20 @@ fn run_chunk<T: DispatchReal>(t: &mut ChunkTask<T>) {
             // and `p0 <= q0 < q1 <= p1`, so this is the tile's slice of the
             // chunk's scale range, disjoint from other tasks'.
             let scale = unsafe { std::slice::from_raw_parts_mut(t.scale.add(q0 - t.p0), q1 - q0) };
-            kernels::rescale_range(
+            // SAFETY: a checked task points at its own `n_cat` slots of the
+            // scratch `cat_lo`, which no other task touches.
+            let cat_lo = unsafe { std::slice::from_raw_parts_mut(t.cat_lo, t.n_cat as usize) };
+            let sweep = kernels::rescale_range(
                 &mut tile,
                 scale,
                 sp,
                 d.rescale_max,
                 d.rescale_factors,
                 d.rescale_apply,
+                cat_lo,
             );
+            rescaled += sweep.rescaled;
+            hi = hi.max(sweep.hi);
             if let Some(t0) = t0 {
                 rescale_nanos += t0.elapsed().as_nanos() as u64;
             }
@@ -175,6 +208,8 @@ fn run_chunk<T: DispatchReal>(t: &mut ChunkTask<T>) {
         q0 = q1;
     }
     t.rescale_nanos = rescale_nanos;
+    t.rescaled = rescaled;
+    t.hi = hi;
 }
 
 /// The partials kernel for every category block of the task's pattern
@@ -266,6 +301,10 @@ fn run_root<T: DispatchReal>(t: &mut RootTask<T>) {
 struct Scratch<T: Real> {
     chunk_tasks: Vec<ChunkTask<T>>,
     root_tasks: Vec<RootTask<T>>,
+    /// The batch's operations whose rescale check runs.
+    checks: Vec<Check>,
+    /// `n_cat` slots per chunk task, for its check's per-category minima.
+    cat_lo: Vec<T>,
 }
 
 impl<T: Real> Default for Scratch<T> {
@@ -273,6 +312,23 @@ impl<T: Real> Default for Scratch<T> {
         Self {
             chunk_tasks: Vec::new(),
             root_tasks: Vec::new(),
+            checks: Vec::new(),
+            cat_lo: Vec::new(),
+        }
+    }
+}
+
+impl<T: Real> Scratch<T> {
+    /// Give every chunk task its own `n_cat` slots of `cat_lo`, at `+∞`.
+    /// Called once the batch's tasks are all pushed, before they run.
+    fn arm(&mut self, n_cat: usize) {
+        self.cat_lo.clear();
+        self.cat_lo
+            .resize(self.chunk_tasks.len() * n_cat, T::from_f64(f64::INFINITY));
+        let base = self.cat_lo.as_mut_ptr();
+        for (i, t) in self.chunk_tasks.iter_mut().enumerate() {
+            // SAFETY: `(i + 1) * n_cat <= cat_lo.len()`.
+            t.cat_lo = unsafe { base.add(i * n_cat) };
         }
     }
 }
@@ -289,6 +345,9 @@ pub struct CpuInstance<T: DispatchReal> {
     partition: Vec<(usize, usize)>,
     scratch: Scratch<T>,
     details: InstanceDetails,
+    /// Per-buffer bounds that let a scaled operation skip its rescale
+    /// check (see [`crate::bounds`]).
+    bounds: RescaleBounds,
     /// Kernel timers/counters + event journal; disabled unless the instance
     /// was created with [`beagle_core::Flags::INSTANCE_STATS`].
     recorder: Recorder,
@@ -325,6 +384,7 @@ impl<T: DispatchReal> CpuInstance<T> {
             partition,
             scratch: Scratch::default(),
             details,
+            bounds: RescaleBounds::new(config.partials_buffer_count, config.category_count),
             recorder: Recorder::disabled(),
         })
     }
@@ -364,10 +424,11 @@ impl<T: DispatchReal> CpuInstance<T> {
         &mut self,
         operations: impl IntoIterator<Item = &'a Operation>,
         wall: std::time::Duration,
-        rescale_before: u64,
+        before: &obs::InstanceStats,
     ) {
         // `finish_batch` already booked the rescale wall time; keep it out
         // of the partials share.
+        let rescale_before = before.counter(KernelClass::Rescale).wall_nanos;
         let rescale = self.rescale_wall_nanos() - rescale_before;
         let wall = wall.saturating_sub(std::time::Duration::from_nanos(rescale));
         let mut counts = [0u64; 3];
@@ -409,6 +470,18 @@ impl<T: DispatchReal> CpuInstance<T> {
         }
     }
 
+    /// The rescale checks of one call, for its `OperationEnd` event: the
+    /// counters' growth since `before`.
+    fn rescale_check_detail(&self, before: &obs::InstanceStats) -> String {
+        let now = self.recorder.stats().unwrap_or_default();
+        format!(
+            "rescale_checks_skipped={} rescale_checks_run={} patterns_rescaled={}",
+            now.rescale_checks_skipped - before.rescale_checks_skipped,
+            now.rescale_checks_run - before.rescale_checks_run,
+            now.patterns_rescaled - before.patterns_rescaled
+        )
+    }
+
     /// Wall nanoseconds booked under [`KernelClass::Rescale`] so far (0
     /// when statistics are off).
     fn rescale_wall_nanos(&self) -> u64 {
@@ -417,15 +490,75 @@ impl<T: DispatchReal> CpuInstance<T> {
             .map_or(0, |s| s.counter(KernelClass::Rescale).wall_nanos)
     }
 
+    /// Decide how scaled operation `op` rescales, before its tasks are
+    /// pushed. Derives the destination's bounds (every operation, scaled or
+    /// not, calls this). When they prove every pattern maximum lies in the
+    /// rescale window the check is skipped and the scale buffer holds
+    /// zeros, exactly what the check would have written. Otherwise the
+    /// operation joins the batch's checks and its scale buffer is returned
+    /// for the tasks to write, with the check's index.
+    fn plan_rescale(&mut self, op: &Operation) -> (Option<Vec<T>>, u32) {
+        let s = self.bufs.config.state_count;
+        let derived = self.bounds.derive::<T>(op, &self.bufs.matrix_bounds, s);
+        let Some(si) = op.dest_scale_write else {
+            return (None, NO_CHECK);
+        };
+        if derived.skip {
+            self.bufs.clear_scale_buffer(si);
+            self.recorder.rescale_checks(1, 0, 0);
+            return (None, NO_CHECK);
+        }
+        if derived.known {
+            self.bounds.begin_sweep(op.destination);
+        }
+        let checks = &mut self.scratch.checks;
+        checks.push(Check {
+            dest: op.destination,
+            scale: si,
+            adopt: derived.known,
+            rescaled: 0,
+        });
+        let index = u32::try_from(checks.len() - 1).expect("checks fit in u32");
+        (Some(self.bufs.take_scale_buffer(si)), index)
+    }
+
     /// Retire a finished batch of chunk tasks in which up to `lanes` ran
     /// side by side: book its rescale wall time (the tasks' summed rescale
     /// time over the number that ran at once) under
-    /// [`KernelClass::Rescale`], then clear the batch.
+    /// [`KernelClass::Rescale`], settle each check's bounds and zero-scale
+    /// flag, then clear the batch.
     fn finish_batch(&mut self, lanes: usize) {
-        let tasks = &mut self.scratch.chunk_tasks;
+        let n_cat = self.bufs.config.category_count;
+        let Scratch {
+            chunk_tasks: tasks,
+            checks,
+            cat_lo,
+            ..
+        } = &mut self.scratch;
         let lanes = lanes.clamp(1, tasks.len().max(1)) as u64;
         let nanos = tasks.iter().map(|t| t.rescale_nanos).sum::<u64>() / lanes;
+        for (i, t) in tasks.iter().enumerate() {
+            let Some(check) = checks.get_mut(t.check as usize) else {
+                continue;
+            };
+            check.rescaled += t.rescaled;
+            if check.adopt {
+                let lo = &cat_lo[i * n_cat..(i + 1) * n_cat];
+                self.bounds.fold_sweep(check.dest, lo, t.hi);
+            }
+        }
+        let mut patterns = 0;
+        for check in checks.iter() {
+            if check.adopt {
+                self.bounds.end_sweep::<T>(check.dest);
+            }
+            self.bufs.scale_zero[check.scale] = check.rescaled == 0;
+            patterns += check.rescaled as u64;
+        }
+        self.recorder
+            .rescale_checks(0, checks.len() as u64, patterns);
         tasks.clear();
+        checks.clear();
         self.recorder
             .add_wall(KernelClass::Rescale, std::time::Duration::from_nanos(nanos));
     }
@@ -455,6 +588,7 @@ impl<T: DispatchReal> CpuInstance<T> {
         ranges: &[(usize, usize)],
         dispatch: &'static KernelDispatch<T>,
         timed: bool,
+        check: u32,
     ) {
         let cfg = &bufs.config;
         let s = u32::try_from(cfg.state_count).expect("state count fits in u32");
@@ -489,6 +623,10 @@ impl<T: DispatchReal> CpuInstance<T> {
                 dispatch,
                 timed,
                 rescale_nanos: 0,
+                check,
+                cat_lo: std::ptr::null_mut(),
+                hi: T::ZERO,
+                rescaled: 0,
             });
         }
     }
@@ -496,9 +634,7 @@ impl<T: DispatchReal> CpuInstance<T> {
     /// Execute one operation serially over the whole pattern range.
     fn execute_op_serial(&mut self, op: &Operation) {
         let mut dest = self.bufs.take_destination(op.destination);
-        let mut scale = op
-            .dest_scale_write
-            .map(|si| std::mem::take(&mut self.bufs.scale_buffers[si]));
+        let (mut scale, check) = self.plan_rescale(op);
         let tasks = &mut self.scratch.chunk_tasks;
         tasks.clear();
         Self::push_chunk_tasks(
@@ -510,8 +646,10 @@ impl<T: DispatchReal> CpuInstance<T> {
             &[(0, self.bufs.config.pattern_count)],
             self.dispatch,
             self.recorder.is_enabled(),
+            check,
         );
-        for t in tasks.iter_mut() {
+        self.scratch.arm(self.bufs.config.category_count);
+        for t in self.scratch.chunk_tasks.iter_mut() {
             run_chunk(t);
         }
         self.finish_batch(1);
@@ -524,9 +662,7 @@ impl<T: DispatchReal> CpuInstance<T> {
     /// Execute one operation with pattern-level parallelism.
     fn execute_op_chunked(&mut self, op: &Operation, use_pool: bool) {
         let mut dest = self.bufs.take_destination(op.destination);
-        let mut scale = op
-            .dest_scale_write
-            .map(|si| std::mem::take(&mut self.bufs.scale_buffers[si]));
+        let (mut scale, check) = self.plan_rescale(op);
         let tasks = &mut self.scratch.chunk_tasks;
         tasks.clear();
         Self::push_chunk_tasks(
@@ -538,7 +674,10 @@ impl<T: DispatchReal> CpuInstance<T> {
             &self.partition,
             self.dispatch,
             self.recorder.is_enabled(),
+            check,
         );
+        self.scratch.arm(self.bufs.config.category_count);
+        let tasks = &mut self.scratch.chunk_tasks;
         let n_tasks = tasks.len() as u64;
         if use_pool {
             let Threading::ThreadPool { pool } = &self.threading else {
@@ -598,21 +737,12 @@ impl<T: DispatchReal> CpuInstance<T> {
         }
         // Take every destination (and scale target) out of the arena so
         // each task owns its output while sharing read access to inputs.
-        let mut outputs: Vec<(Vec<T>, Option<Vec<T>>)> = level
-            .iter()
-            .map(|op| {
-                let dest = self.bufs.take_destination(op.destination);
-                let scale = op
-                    .dest_scale_write
-                    .map(|si| std::mem::take(&mut self.bufs.scale_buffers[si]));
-                (dest, scale)
-            })
-            .collect();
+        let mut outputs = self.take_level_outputs(level);
         let full_range = [(0, self.bufs.config.pattern_count)];
         let timed = self.recorder.is_enabled();
         let tasks = &mut self.scratch.chunk_tasks;
         tasks.clear();
-        for (op, (dest, scale)) in level.iter().zip(outputs.iter_mut()) {
+        for (op, (dest, scale, check)) in level.iter().zip(outputs.iter_mut()) {
             Self::push_chunk_tasks(
                 tasks,
                 &self.bufs,
@@ -622,15 +752,41 @@ impl<T: DispatchReal> CpuInstance<T> {
                 &full_range,
                 self.dispatch,
                 timed,
+                *check,
             );
         }
+        self.scratch.arm(self.bufs.config.category_count);
+        let tasks = &mut self.scratch.chunk_tasks;
         std::thread::scope(|scope| {
             for t in tasks.iter_mut() {
                 scope.spawn(move || run_chunk(t));
             }
         });
         self.finish_batch(level.len());
-        for (op, (dest, scale)) in level.iter().zip(outputs) {
+        self.restore_level_outputs(level, outputs);
+    }
+
+    /// Take every destination of `level` out of the arena, with the scale
+    /// buffer and check index [`Self::plan_rescale`] gives each operation.
+    #[allow(clippy::type_complexity)]
+    fn take_level_outputs(&mut self, level: &[Operation]) -> Vec<(Vec<T>, Option<Vec<T>>, u32)> {
+        level
+            .iter()
+            .map(|op| {
+                let dest = self.bufs.take_destination(op.destination);
+                let (scale, check) = self.plan_rescale(op);
+                (dest, scale, check)
+            })
+            .collect()
+    }
+
+    /// Put back what [`Self::take_level_outputs`] took.
+    fn restore_level_outputs(
+        &mut self,
+        level: &[Operation],
+        outputs: Vec<(Vec<T>, Option<Vec<T>>, u32)>,
+    ) {
+        for (op, (dest, scale, _)) in level.iter().zip(outputs) {
             if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
                 self.bufs.scale_buffers[si] = sc;
             }
@@ -654,20 +810,11 @@ impl<T: DispatchReal> CpuInstance<T> {
             }
             return;
         }
-        let mut outputs: Vec<(Vec<T>, Option<Vec<T>>)> = level
-            .iter()
-            .map(|op| {
-                let dest = self.bufs.take_destination(op.destination);
-                let scale = op
-                    .dest_scale_write
-                    .map(|si| std::mem::take(&mut self.bufs.scale_buffers[si]));
-                (dest, scale)
-            })
-            .collect();
+        let mut outputs = self.take_level_outputs(level);
         let timed = self.recorder.is_enabled();
         let tasks = &mut self.scratch.chunk_tasks;
         tasks.clear();
-        for (op, (dest, scale)) in level.iter().zip(outputs.iter_mut()) {
+        for (op, (dest, scale, check)) in level.iter().zip(outputs.iter_mut()) {
             Self::push_chunk_tasks(
                 tasks,
                 &self.bufs,
@@ -677,8 +824,11 @@ impl<T: DispatchReal> CpuInstance<T> {
                 &self.partition,
                 self.dispatch,
                 timed,
+                *check,
             );
         }
+        self.scratch.arm(self.bufs.config.category_count);
+        let tasks = &mut self.scratch.chunk_tasks;
         let n_tasks = tasks.len() as u64;
         // The pool runs one task per thread (partition range) at a time;
         // thread-create spawns every task.
@@ -703,12 +853,7 @@ impl<T: DispatchReal> CpuInstance<T> {
         if use_pool {
             self.recorder.tally(KernelClass::PoolDispatch, n_tasks, 0);
         }
-        for (op, (dest, scale)) in level.iter().zip(outputs) {
-            if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
-                self.bufs.scale_buffers[si] = sc;
-            }
-            self.bufs.restore_destination(op.destination, dest);
-        }
+        self.restore_level_outputs(level, outputs);
     }
 
     /// Validate an operation list: indices in range, every child readable
@@ -864,15 +1009,21 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
     }
 
     fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
-        self.bufs.set_tip_states(tip, states)
+        self.bufs.set_tip_states(tip, states)?;
+        self.bounds.set_tip(tip);
+        Ok(())
     }
 
     fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
-        self.bufs.set_tip_partials(tip, partials)
+        self.bufs.set_tip_partials(tip, partials)?;
+        self.bounds.forget(tip);
+        Ok(())
     }
 
     fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
-        self.bufs.set_partials(buffer, partials)
+        self.bufs.set_partials(buffer, partials)?;
+        self.bounds.forget(buffer);
+        Ok(())
     }
 
     fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
@@ -1036,8 +1187,8 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
 
         let t0 = self
             .recorder
-            .is_enabled()
-            .then(|| (std::time::Instant::now(), self.rescale_wall_nanos()));
+            .stats()
+            .map(|before| (std::time::Instant::now(), before));
         self.recorder.event(EventKind::OperationBegin, || {
             format!("update_partials ops={}", operations.len())
         });
@@ -1060,10 +1211,11 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
                 }
             }
         }
-        if let Some((t0, rescale_before)) = t0 {
-            self.record_partials_call(operations, t0.elapsed(), rescale_before);
+        if let Some((t0, before)) = t0 {
+            self.record_partials_call(operations, t0.elapsed(), &before);
+            let checks = self.rescale_check_detail(&before);
             self.recorder.event(EventKind::OperationEnd, || {
-                format!("update_partials ops={}", operations.len())
+                format!("update_partials ops={} {checks}", operations.len())
             });
         }
         Ok(())
@@ -1076,8 +1228,8 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
         let n_ops: usize = levels.iter().map(Vec::len).sum();
         let t0 = self
             .recorder
-            .is_enabled()
-            .then(|| (std::time::Instant::now(), self.rescale_wall_nanos()));
+            .stats()
+            .map(|before| (std::time::Instant::now(), before));
         self.recorder.event(EventKind::OperationBegin, || {
             format!(
                 "update_partials_by_levels ops={n_ops} levels={}",
@@ -1114,10 +1266,11 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
                 }
             }
         }
-        if let Some((t0, rescale_before)) = t0 {
-            self.record_partials_call(flat(), t0.elapsed(), rescale_before);
+        if let Some((t0, before)) = t0 {
+            self.record_partials_call(flat(), t0.elapsed(), &before);
+            let checks = self.rescale_check_detail(&before);
             self.recorder.event(EventKind::OperationEnd, || {
-                format!("update_partials_by_levels ops={n_ops}")
+                format!("update_partials_by_levels ops={n_ops} {checks}")
             });
         }
         Ok(())

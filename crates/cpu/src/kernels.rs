@@ -122,12 +122,20 @@ pub fn states_states<T: Real>(
 /// Per-block max pass of rescaling: `maxes[p] = max(maxes[p], max_k
 /// block[p][k])` over the whole block in one streaming sweep. Padding lanes
 /// are zeros, so scanning the full stride cannot change the maximum.
-pub fn rescale_block_max<T: Real>(block: &[T], maxes: &mut [T], sp: usize) {
+/// Returns the smallest and the largest of the block's pattern maxima
+/// (`(∞, 0)` for an empty block): the exact bounds a checked operation
+/// hands the CPU instance's rescale bounds.
+pub fn rescale_block_max<T: Real>(block: &[T], maxes: &mut [T], sp: usize) -> (T, T) {
+    let (mut lo, mut hi) = (T::from_f64(f64::INFINITY), T::ZERO);
+    let mut fold = |mx: &mut T, m: T| {
+        *mx = (*mx).max(m);
+        lo = if m < lo { m } else { lo };
+        hi = hi.max(m);
+    };
     if sp == 4 {
         // Nucleotide specialization: fully unrolled per-pattern max.
         for (mx, q) in maxes.iter_mut().zip(block.chunks_exact(4)) {
-            let m = q[0].max(q[1]).max(q[2].max(q[3]));
-            *mx = (*mx).max(m);
+            fold(mx, q[0].max(q[1]).max(q[2].max(q[3])));
         }
     } else {
         for (mx, q) in maxes.iter_mut().zip(block.chunks_exact(sp)) {
@@ -135,9 +143,10 @@ pub fn rescale_block_max<T: Real>(block: &[T], maxes: &mut [T], sp: usize) {
             for &x in q {
                 m = m.max(x);
             }
-            *mx = (*mx).max(m);
+            fold(mx, m);
         }
     }
+    (lo, hi)
 }
 
 /// Per-block scale pass of rescaling: multiplies pattern `p`'s entries by
@@ -193,6 +202,15 @@ impl<T> CategoryBlocks<T> for [&mut [T]] {
     }
 }
 
+/// What one [`rescale_range`] call saw.
+#[derive(Clone, Copy, Debug)]
+pub struct RescaleSweep<T> {
+    /// Patterns whose maximum lay outside the window and were rescaled.
+    pub rescaled: usize,
+    /// Upper bound of every entry of the range after the sweep.
+    pub hi: T,
+}
+
 /// Rescale one pattern range across **all categories** by a power of two
 /// per pattern, writing its log factor into `scale` (patterns are local to
 /// the range). `max`, `factors` and `apply` are a kernel table's
@@ -201,42 +219,68 @@ impl<T> CategoryBlocks<T> for [&mut [T]] {
 /// BEAGLE scales per pattern over the joint (category × state) entries so a
 /// single factor per pattern suffices at root integration. Two sweeps: the
 /// max of every block, then per [`RESCALE_TILE`] patterns the factors of
-/// the maxima ([`rescale_factors`]: `2^-E` from the exponent bits, see
-/// [`Real::pow2_rescale`]) and a multiply of every block's tile. `scale[p]`
-/// receives `E·ln 2` (computed in `f64`, then narrowed), or 0 for an
-/// all-zero pattern, whose factor is 1. The maximum lands in `[1, 2)`.
-/// The CPU instance calls this once per tile of a chunk, right after the
-/// tile's partials; the other back-ends call it over whole blocks through
-/// [`rescale_patterns`].
+/// the maxima ([`rescale_factors`], see [`Real::pow2_rescale`]) and, when
+/// some factor is not 1, a multiply of every block's tile. A maximum
+/// inside the window `[2^-W, 2^(W+1))` keeps factor 1 and log factor
+/// `+0.0`; one outside it moves into `[1, 2)` and `scale[p]` receives
+/// `E·ln 2` (computed in `f64`, then narrowed). An all-zero pattern keeps
+/// factor 1. The CPU instance calls this once per tile of a chunk, right
+/// after the tile's partials; the other back-ends call it over whole
+/// blocks through [`rescale_patterns`].
+///
+/// When `cat_lo` holds one entry per category, entry `c` is lowered to the
+/// smallest pattern maximum of category `c` before scaling. Factors are
+/// powers of two, so that stays a lower bound after the sweep unless a
+/// pattern was scaled down, which only a maximum of at least `2^(W+1)`
+/// does, and then the returned `hi` is at least that large too.
 ///
 /// The result does not depend on the kernel table, the category order or
-/// the pattern split. For a maximum below 2, as likelihood partials have,
-/// the factor is at least 1 and every product is exact, so `partials · 2^E`
-/// gives back the unscaled values bit for bit. `E` is clamped to the normal
-/// range, so a subnormal maximum gets a finite factor and pad lanes stay
-/// zero.
+/// the pattern split. For a maximum below `2^(W+1)` the factor is at least
+/// 1 and every product is exact, so `partials · 2^E` gives back the
+/// unscaled values bit for bit. `E` is clamped to the normal range, so a
+/// subnormal maximum gets a finite factor and pad lanes stay zero.
 pub fn rescale_range<T: Real, B: CategoryBlocks<T> + ?Sized>(
     blocks: &mut B,
     scale: &mut [T],
     sp: usize,
-    max: fn(&[T], &mut [T], usize),
+    max: RescaleMaxFn<T>,
     factors: fn(&mut [T], &mut [T]),
     apply: fn(&mut [T], &[T], usize),
-) {
+    cat_lo: &mut [T],
+) -> RescaleSweep<T> {
     scale.fill(T::ZERO);
+    let mut hi = T::ZERO;
     for cat in 0..blocks.categories() {
-        max(blocks.block(cat), scale, sp);
+        let (lo, block_hi) = max(blocks.block(cat), scale, sp);
+        if let Some(c) = cat_lo.get_mut(cat) {
+            *c = if lo < *c { lo } else { *c };
+        }
+        hi = hi.max(block_hi);
     }
+    let mut rescaled = 0;
     let mut tile = [T::ONE; RESCALE_TILE];
     for (t, maxes) in scale.chunks_mut(RESCALE_TILE).enumerate() {
         let tile = &mut tile[..maxes.len()];
         factors(maxes, tile);
+        let n = tile.iter().filter(|&&f| f != T::ONE).count();
+        if n == 0 {
+            continue;
+        }
+        rescaled += n;
         let range = t * RESCALE_TILE * sp..(t * RESCALE_TILE + maxes.len()) * sp;
         for cat in 0..blocks.categories() {
             apply(&mut blocks.block(cat)[range.clone()], tile, sp);
         }
     }
+    if rescaled > 0 {
+        // A rescaled maximum lands below 2; the others are at most `hi`.
+        hi = hi.max(T::from_f64(2.0));
+    }
+    RescaleSweep { rescaled, hi }
 }
+
+/// A kernel table's max pass: see [`rescale_block_max`].
+pub type RescaleMaxFn<T> = fn(&[T], &mut [T], usize) -> (T, T);
 
 /// [`rescale_range`] with the scalar kernels, for callers that hold their
 /// category blocks as slices: the MCMC reference path and the accelerator
@@ -249,6 +293,7 @@ pub fn rescale_patterns<T: Real>(blocks: &mut [&mut [T]], scale_out: &mut [T], s
         rescale_block_max,
         rescale_factors,
         rescale_block_apply,
+        &mut [],
     );
 }
 
@@ -537,8 +582,16 @@ mod tests {
 
     /// The exponent `E` of a pattern maximum, found without reading bits:
     /// halve or double (exactly, in `f64`) into `[1, 2)`, then clamp to the
-    /// range whose `2^-E` is a normal `T`.
+    /// range whose `2^-E` is a normal `T`; 0 inside the window
+    /// `[2^-W, 2^(W+1))`.
     fn reference_exponent<T: Real>(max: T) -> i32 {
+        let (lo, hi) = (
+            2f64.powi(-T::RESCALE_WINDOW),
+            2f64.powi(T::RESCALE_WINDOW + 1),
+        );
+        if (lo..hi).contains(&max.to_f64()) {
+            return 0;
+        }
         let (mut m, mut e) = (max.to_f64(), 0i32);
         if m <= 0.0 {
             return 0;
@@ -559,31 +612,78 @@ mod tests {
         T::from_f64(f64::from(e) * std::f64::consts::LN_2)
     }
 
+    /// Patterns inside the window keep their bits and log factor `+0.0`;
+    /// one below it and one above it move into `[1, 2)` with `E·ln 2`.
     #[test]
-    fn rescale_puts_max_in_one_to_two() {
+    fn rescale_leaves_the_window_alone() {
         let s = 2;
-        let mut b0 = vec![0.5, 0.25, 1e-8, 2e-8];
-        let mut b1 = vec![0.1, 0.05, 4e-8, 1e-8];
+        let w = f64::RESCALE_WINDOW;
+        let low = 2f64.powi(-w);
+        let high = 2f64.powi(w + 1);
+        // Pattern maxima: 0.5, just above 2^-W, just below it, just below
+        // 2^(W+1), and 2^(W+1) itself.
+        let mut b0 = vec![
+            0.5,
+            0.25,
+            low,
+            low * 0.5,
+            low * 0.75,
+            0.0,
+            0.0,
+            high * 0.75,
+            high,
+            1.0,
+        ];
+        let mut b1 = vec![
+            0.1,
+            0.05,
+            0.0,
+            0.0,
+            0.0,
+            low * 0.25,
+            high * 0.875,
+            1.0,
+            3.0,
+            0.0,
+        ];
         let (o0, o1) = (b0.clone(), b1.clone());
-        let mut scale = vec![0.0; 2];
-        {
+        let mut scale = vec![7.0; 5];
+        let mut cat_lo = [f64::INFINITY; 2];
+        let sweep = {
             let mut blocks: Vec<&mut [f64]> = vec![&mut b0, &mut b1];
-            rescale_patterns(&mut blocks, &mut scale, s);
-        }
-        // Pattern 0: max 0.5 = 2^-1 becomes exactly 1.
-        assert_eq!(b0[0], 1.0);
-        assert_eq!(scale[0].to_bits(), ln2_times::<f64>(-1).to_bits());
-        // Pattern 1: max 4e-8 (in block 1) = 1.34… · 2^-25.
-        assert!((1.0..2.0).contains(&b1[2]), "pattern 1 max is in block 1");
-        assert_eq!(scale[1].to_bits(), ln2_times::<f64>(-25).to_bits());
-        // partials · 2^E gives back the original bits.
-        for (p, e) in [(0, -1), (1, -25)] {
+            rescale_range(
+                &mut blocks[..],
+                &mut scale,
+                s,
+                rescale_block_max,
+                rescale_factors,
+                rescale_block_apply,
+                &mut cat_lo,
+            )
+        };
+        let expect = [0, 0, -w - 1, 0, w + 1];
+        for (p, &e) in expect.iter().enumerate() {
+            assert_eq!(
+                scale[p].to_bits(),
+                ln2_times::<f64>(e).to_bits(),
+                "pattern {p}"
+            );
+            // partials · 2^E gives back the original bits.
             for (got, orig) in [(&b0, &o0), (&b1, &o1)] {
                 for k in p * s..(p + 1) * s {
                     assert_eq!((got[k] * 2f64.powi(e)).to_bits(), orig[k].to_bits());
                 }
             }
         }
+        assert_eq!(scale[0].to_bits(), 0, "inside the window: +0.0");
+        assert_eq!(b0[4], 1.5, "pattern 2 lands in [1, 2)");
+        assert_eq!(b0[8], 1.0, "pattern 4 lands on 1");
+        assert_eq!(sweep.rescaled, 2);
+        // Category minima of the pattern maxima before scaling. The bound
+        // of every entry is the largest maximum before scaling: a pattern
+        // scaled down keeps it at or above 2^(W+1).
+        assert_eq!(cat_lo, [low * 0.75, 0.0]);
+        assert_eq!(sweep.hi, high);
     }
 
     #[test]
@@ -621,9 +721,13 @@ mod tests {
     }
 
     /// Likelihood-like category blocks: O(1) values, deep-underflow values,
-    /// exact zeros and `-0.0`, all-zero patterns (with signed zeros), and
-    /// one pattern (7) whose maximum is subnormal.
+    /// maxima just inside and just outside both edges of the window
+    /// `[2^-W, 2^(W+1))`, exact zeros and `-0.0`, all-zero patterns (with
+    /// signed zeros), and one pattern (7) whose maximum is subnormal.
     fn rescale_fixture<T: Real>(s: usize, sp: usize, n_pat: usize, tiny: f64) -> Vec<Vec<T>> {
+        let low = 2f64.powi(-T::RESCALE_WINDOW);
+        let high = 2f64.powi(T::RESCALE_WINDOW + 1);
+        let just_below = 1.0 - 2f64.powi(-20);
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         (0..4)
             .map(|_| {
@@ -640,6 +744,10 @@ mod tests {
                             (4, _) => u * tiny,
                             (_, 0) => -0.0,
                             (_, 1) => 0.0,
+                            (2, _) => low * (1.0 + u),
+                            (3, _) => low * just_below * (0.5 + u / 2.0),
+                            (5, _) => high * (1.0 + u),
+                            (6, _) => high * just_below * (0.5 + u / 2.0),
                             _ => u + 1e-3,
                         });
                     }
@@ -662,11 +770,20 @@ mod tests {
         v.iter().map(|x| x.to_f64().to_bits()).collect()
     }
 
+    /// What one table's `rescale_range` run left: the scaled blocks, the
+    /// log factors, the per-category minima and the sweep summary.
+    struct Rescaled<T> {
+        blocks: Vec<Vec<T>>,
+        scale: Vec<T>,
+        cat_lo: Vec<T>,
+        sweep: RescaleSweep<T>,
+    }
+
     /// Runs `rescale_range` on the fixture with every dispatch table and
-    /// hands each result to `check(what, original, scaled, scale)`.
+    /// hands each result to `check(what, s, sp, original, rescaled)`.
     fn for_each_table_rescale<T: crate::simd::DispatchReal>(
         tiny: f64,
-        mut check: impl FnMut(&str, usize, usize, &[Vec<T>], &[Vec<T>], &[T]),
+        mut check: impl FnMut(&str, usize, usize, &[Vec<T>], &Rescaled<T>),
     ) {
         use crate::simd::{avx2_available, DispatchKind};
         // Two full factor tiles plus a remainder not a multiple of 4.
@@ -682,7 +799,8 @@ mod tests {
                 let table = T::dispatch(kind);
                 let mut got = original.clone();
                 let mut scale = vec![T::from_f64(7.0); n_pat];
-                {
+                let mut cat_lo = vec![T::from_f64(f64::INFINITY); got.len()];
+                let sweep = {
                     let mut blocks: Vec<&mut [T]> = got.iter_mut().map(|b| &mut b[..]).collect();
                     rescale_range(
                         &mut blocks[..],
@@ -691,23 +809,49 @@ mod tests {
                         table.rescale_max,
                         table.rescale_factors,
                         table.rescale_apply,
-                    );
-                }
+                        &mut cat_lo,
+                    )
+                };
                 let what = format!("s={s} {} {}", std::any::type_name::<T>(), table.path);
-                check(&what, s, sp, &original, &got, &scale);
+                let rescaled = Rescaled {
+                    blocks: got,
+                    scale,
+                    cat_lo,
+                    sweep,
+                };
+                check(&what, s, sp, &original, &rescaled);
             }
         }
     }
 
     /// `rescale_range` on every dispatch table reproduces the reference
     /// sweep bit for bit (live lanes, pad lanes and log factors), and
-    /// `partials · 2^E` gives back the original bits.
+    /// `partials · 2^E` gives back the original bits. The sweep reports
+    /// the patterns it rescaled, each category's smallest pattern maximum
+    /// before scaling, and a bound of every entry after it.
     fn assert_rescale_matches_reference<T: crate::simd::DispatchReal>(tiny: f64) {
-        for_each_table_rescale::<T>(tiny, |what, _, sp, original, got, scale| {
+        for_each_table_rescale::<T>(tiny, |what, _, sp, original, r| {
+            let (got, scale) = (&r.blocks, &r.scale);
             let mut expect = original.to_vec();
             let mut expect_scale = vec![T::ZERO; scale.len()];
             reference_rescale(&mut expect, &mut expect_scale, sp);
             assert_eq!(bits(scale), bits(&expect_scale), "scale factors {what}");
+            let nonzero = expect_scale.iter().filter(|&&x| x != T::ZERO).count();
+            assert_eq!(r.sweep.rescaled, nonzero, "rescaled count {what}");
+            assert!(nonzero > 0 && nonzero < scale.len(), "both kinds {what}");
+            for (c, block) in original.iter().enumerate() {
+                let min = block
+                    .chunks_exact(sp)
+                    .map(|q| q.iter().fold(T::ZERO, |m, &x| m.max(x)))
+                    .fold(T::from_f64(f64::INFINITY), |a, b| if b < a { b } else { a });
+                assert_eq!(
+                    bits(&[r.cat_lo[c]]),
+                    bits(&[min]),
+                    "category {c} minimum {what}"
+                );
+            }
+            let top = got.iter().flatten().fold(T::ZERO, |m, &x| m.max(x));
+            assert!(top <= r.sweep.hi, "hi {} < {top} {what}", r.sweep.hi);
             for ((g, e), o) in got.iter().zip(&expect).zip(original) {
                 assert_eq!(bits(g), bits(e), "partials {what}");
                 for (p, (gq, oq)) in g.chunks_exact(sp).zip(o.chunks_exact(sp)).enumerate() {
@@ -737,9 +881,9 @@ mod tests {
     #[test]
     fn rescale_subnormal_max_stays_finite() {
         fn check<T: crate::simd::DispatchReal>(tiny: f64) {
-            for_each_table_rescale::<T>(tiny, |what, s, sp, _, got, scale| {
-                assert!(scale.iter().all(|x| !x.is_bad()), "scale {what}");
-                for block in got {
+            for_each_table_rescale::<T>(tiny, |what, s, sp, _, r| {
+                assert!(r.scale.iter().all(|x| !x.is_bad()), "scale {what}");
+                for block in &r.blocks {
                     for q in block.chunks_exact(sp) {
                         assert!(q[..s].iter().all(|x| !x.is_bad()), "live lane {what}");
                         assert!(

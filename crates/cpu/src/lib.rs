@@ -22,6 +22,7 @@
 // decomposition the paper describes, and that clarity outweighs iterator style.
 #![allow(clippy::needless_range_loop)]
 
+mod bounds;
 pub mod factories;
 pub mod instance;
 pub mod kernels;

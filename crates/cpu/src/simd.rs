@@ -26,7 +26,7 @@
 
 use beagle_core::real::Real;
 
-use crate::kernels::{self, EdgeChild};
+use crate::kernels::{self, EdgeChild, RescaleMaxFn};
 use crate::vector;
 
 /// Which kernel table an instance resolved to.
@@ -43,7 +43,6 @@ pub enum DispatchKind {
 type PpFn<T> = fn(&mut [T], &[T], &[T], &[T], &[T], usize, usize);
 type SpFn<T> = fn(&mut [T], &[u32], &[T], &[T], &[T], usize, usize);
 type SsFn<T> = fn(&mut [T], &[u32], &[u32], &[T], &[T], usize, usize);
-type RescaleMaxFn<T> = fn(&[T], &mut [T], usize);
 type RescaleFactorsFn<T> = fn(&mut [T], &mut [T]);
 type RescaleApplyFn<T> = fn(&mut [T], &[T], usize);
 #[allow(clippy::type_complexity)]
@@ -77,7 +76,8 @@ pub struct KernelDispatch<T: Real> {
     pub states_partials: SpFn<T>,
     /// states × states kernel.
     pub states_states: SsFn<T>,
-    /// Per-block max pass of rescaling.
+    /// Per-block max pass of rescaling; returns the smallest and largest
+    /// pattern maximum of the block.
     pub rescale_max: RescaleMaxFn<T>,
     /// Factor pass of rescaling over a tile of per-pattern maxima: the
     /// power-of-two factor of each maximum, read from its exponent bits,
@@ -221,6 +221,7 @@ mod avx2 {
 
     use std::arch::x86_64::*;
 
+    use beagle_core::real::Real;
     use beagle_core::GAP_STATE;
 
     use crate::kernels::{self, EdgeChild};
@@ -459,12 +460,14 @@ mod avx2 {
     /// the same operand order (low half first, then even lane first), so
     /// every maximum is the one `hmax_pd` picks, NaN and signed zeros
     /// included. Pad lanes are zero, so each maximum is already >= 0 like
-    /// the scalar pass's zero-initialised running max.
+    /// the scalar pass's zero-initialised running max. Returns the smallest
+    /// and largest of the block's pattern maxima, as the scalar pass does.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rescale_max_pd(block: &[f64], maxes: &mut [f64], sp: usize) {
+    unsafe fn rescale_max_pd(block: &[f64], maxes: &mut [f64], sp: usize) -> (f64, f64) {
         let n = maxes.len().min(block.len() / sp);
         let q = block.as_ptr();
         let mx = maxes.as_mut_ptr();
+        let (mut lo, mut hi) = (_mm256_set1_pd(f64::INFINITY), _mm256_setzero_pd());
         let mut p = 0;
         while p + 4 <= n {
             let a = lanes_max_pd(q.add(p * sp), sp);
@@ -483,20 +486,31 @@ mod avx2 {
             // Even against odd lane: one maximum per pattern, in order.
             let m = _mm256_max_pd(_mm256_unpacklo_pd(ac, bd), _mm256_unpackhi_pd(ac, bd));
             _mm256_storeu_pd(mx.add(p), _mm256_max_pd(m, _mm256_loadu_pd(mx.add(p))));
+            lo = _mm256_min_pd(m, lo);
+            hi = _mm256_max_pd(m, hi);
             p += 4;
         }
+        let mut lanes = [0.0; 8];
+        _mm256_storeu_pd(lanes.as_mut_ptr(), lo);
+        _mm256_storeu_pd(lanes.as_mut_ptr().add(4), hi);
+        let mut lo = lanes[..4].iter().fold(f64::INFINITY, |a, &b| a.min(b));
+        let mut hi = lanes[4..].iter().fold(0.0, |a: f64, &b| a.max(b));
         for p in p..n {
-            let m = _mm_set_sd(hmax_pd(lanes_max_pd(q.add(p * sp), sp)));
-            *mx.add(p) = _mm_cvtsd_f64(_mm_max_sd(m, _mm_set_sd(*mx.add(p))));
+            let m = hmax_pd(lanes_max_pd(q.add(p * sp), sp));
+            *mx.add(p) = _mm_cvtsd_f64(_mm_max_sd(_mm_set_sd(m), _mm_set_sd(*mx.add(p))));
+            lo = lo.min(m);
+            hi = hi.max(m);
         }
+        (lo, hi)
     }
 
     /// `kernels::rescale_factors` four patterns at once, bit for bit. The
     /// biased exponent is bits 20..31 of each lane's high dword, gathered
     /// into four `i32`s, clamped to `[1, 2045]` so `2^-E` stays normal, and
     /// unbiased to `E`. `2^-E` is built from bits in the 64-bit lanes. A
-    /// maximum that is not positive and finite (zero, negative, NaN, `∞`)
-    /// selects factor 1 and log factor `+0.0`, as the scalar select does.
+    /// maximum that is not positive and finite (zero, negative, NaN, `∞`),
+    /// or whose `E` lies in the window `[-W, W]`, selects factor 1 and log
+    /// factor `+0.0`, as the scalar select does.
     /// `E·ln 2` is one `f64` multiply of the exactly converted `E`.
     ///
     /// # Safety
@@ -508,6 +522,8 @@ mod avx2 {
         let (mx, fp) = (maxes.as_mut_ptr(), factors.as_mut_ptr());
         let high_dwords = _mm256_setr_epi32(1, 3, 5, 7, 0, 0, 0, 0);
         let bias = _mm_set1_epi32(1023);
+        let w = <f64 as Real>::RESCALE_WINDOW;
+        let (below, above) = (_mm_set1_epi32(-w - 1), _mm_set1_epi32(w + 1));
         let (zero, inf) = (_mm256_setzero_pd(), _mm256_set1_pd(f64::INFINITY));
         let (one, ln2) = (_mm256_set1_pd(1.0), _mm256_set1_pd(std::f64::consts::LN_2));
         let mut p = 0;
@@ -527,6 +543,9 @@ mod avx2 {
                 _mm_set1_epi32(2045),
             );
             let e = _mm_sub_epi32(clamped, bias);
+            // |E| <= W: inside the window, no rescale.
+            let inside = _mm_and_si128(_mm_cmpgt_epi32(e, below), _mm_cmplt_epi32(e, above));
+            let live = _mm256_andnot_pd(_mm256_castsi256_pd(_mm256_cvtepi32_epi64(inside)), live);
             let bits = _mm256_slli_epi64::<52>(_mm256_cvtepi32_epi64(_mm_sub_epi32(bias, e)));
             let factor = _mm256_blendv_pd(one, _mm256_castsi256_pd(bits), live);
             let log_factor = _mm256_and_pd(live, _mm256_mul_pd(_mm256_cvtepi32_pd(e), ln2));
@@ -848,10 +867,11 @@ mod avx2 {
     /// Branch-free f32 max pass, as `rescale_max_pd`: four patterns at once
     /// with `hmax4_ps`'s operand order, the rest one by one.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn rescale_max_ps(block: &[f32], maxes: &mut [f32], sp: usize) {
+    unsafe fn rescale_max_ps(block: &[f32], maxes: &mut [f32], sp: usize) -> (f32, f32) {
         let n = maxes.len().min(block.len() / sp);
         let q = block.as_ptr();
         let mx = maxes.as_mut_ptr();
+        let (mut lo, mut hi) = (_mm_set1_ps(f32::INFINITY), _mm_setzero_ps());
         let mut p = 0;
         while p + 4 <= n {
             let a = lanes_max_ps(q.add(p * sp), sp);
@@ -864,19 +884,31 @@ mod avx2 {
             let cd = _mm_max_ps(_mm_unpacklo_ps(c, d), _mm_unpackhi_ps(c, d));
             let m = _mm_max_ps(_mm_movelh_ps(ab, cd), _mm_movehl_ps(cd, ab));
             _mm_storeu_ps(mx.add(p), _mm_max_ps(m, _mm_loadu_ps(mx.add(p))));
+            lo = _mm_min_ps(m, lo);
+            hi = _mm_max_ps(m, hi);
             p += 4;
         }
+        let mut lanes = [0.0; 8];
+        _mm_storeu_ps(lanes.as_mut_ptr(), lo);
+        _mm_storeu_ps(lanes.as_mut_ptr().add(4), hi);
+        let mut lo = lanes[..4].iter().fold(f32::INFINITY, |a, &b| a.min(b));
+        let mut hi = lanes[4..].iter().fold(0.0, |a: f32, &b| a.max(b));
         for p in p..n {
             let m = hmax4_ps(lanes_max_ps(q.add(p * sp), sp));
             *mx.add(p) = _mm_cvtss_f32(_mm_max_ss(m, _mm_set_ss(*mx.add(p))));
+            let m = _mm_cvtss_f32(m);
+            lo = lo.min(m);
+            hi = hi.max(m);
         }
+        (lo, hi)
     }
 
     /// `kernels::rescale_factors` eight patterns at once, bit for bit, as
     /// `rescale_factors_pd`: the biased exponent is bits 23..30, clamped to
-    /// `[1, 253]`. `E·ln 2` is formed in `f64` (two halves of four) and
-    /// then narrowed, the rounding the scalar reference takes; an `f32`
-    /// product would round differently.
+    /// `[1, 253]`, and an `E` inside the window selects factor 1. `E·ln 2`
+    /// is formed in `f64` (two halves of four) and then narrowed, the
+    /// rounding the scalar reference takes; an `f32` product would round
+    /// differently.
     ///
     /// # Safety
     ///
@@ -886,6 +918,8 @@ mod avx2 {
         let n = maxes.len().min(factors.len());
         let (mx, fp) = (maxes.as_mut_ptr(), factors.as_mut_ptr());
         let bias = _mm256_set1_epi32(127);
+        let w = <f32 as Real>::RESCALE_WINDOW;
+        let (below, above) = (_mm256_set1_epi32(-w - 1), _mm256_set1_epi32(w + 1));
         let (zero, inf) = (_mm256_setzero_ps(), _mm256_set1_ps(f32::INFINITY));
         let (one, ln2) = (_mm256_set1_ps(1.0), _mm256_set1_pd(std::f64::consts::LN_2));
         let mut p = 0;
@@ -904,6 +938,10 @@ mod avx2 {
                 _mm256_set1_epi32(253),
             );
             let e = _mm256_sub_epi32(clamped, bias);
+            // |E| <= W: inside the window, no rescale.
+            let inside =
+                _mm256_and_si256(_mm256_cmpgt_epi32(e, below), _mm256_cmpgt_epi32(above, e));
+            let live = _mm256_andnot_ps(_mm256_castsi256_ps(inside), live);
             let bits = _mm256_slli_epi32::<23>(_mm256_sub_epi32(bias, e));
             let factor = _mm256_blendv_ps(one, _mm256_castsi256_ps(bits), live);
             let lo = _mm256_mul_pd(_mm256_cvtepi32_pd(_mm256_castsi256_si128(e)), ln2);
@@ -1034,7 +1072,7 @@ mod avx2 {
         debug_assert!(super::avx2_available());
         unsafe { sp_pd(d, s1, c2, m1, m2, s, sp) }
     }
-    pub(super) fn rescale_max_f64(block: &[f64], maxes: &mut [f64], sp: usize) {
+    pub(super) fn rescale_max_f64(block: &[f64], maxes: &mut [f64], sp: usize) -> (f64, f64) {
         unsafe { rescale_max_pd(block, maxes, sp) }
     }
     pub(super) fn rescale_factors_f64(maxes: &mut [f64], factors: &mut [f64]) {
@@ -1146,7 +1184,7 @@ mod avx2 {
         debug_assert!(super::avx2_available());
         unsafe { sp_ps(d, s1, c2, m1, m2, s, sp) }
     }
-    pub(super) fn rescale_max_f32(block: &[f32], maxes: &mut [f32], sp: usize) {
+    pub(super) fn rescale_max_f32(block: &[f32], maxes: &mut [f32], sp: usize) -> (f32, f32) {
         unsafe { rescale_max_ps(block, maxes, sp) }
     }
     pub(super) fn rescale_factors_f32(maxes: &mut [f32], factors: &mut [f32]) {
@@ -1418,8 +1456,11 @@ mod tests {
         let table = <f64 as DispatchReal>::dispatch(DispatchKind::Avx2);
         let mut max_simd = vec![0.0; n_pat];
         let mut max_scalar = vec![0.0; n_pat];
-        (table.rescale_max)(&block, &mut max_simd, sp);
-        kernels::rescale_block_max(&block, &mut max_scalar, sp);
+        let bounds = (table.rescale_max)(&block, &mut max_simd, sp);
+        assert_eq!(
+            bounds,
+            kernels::rescale_block_max(&block, &mut max_scalar, sp)
+        );
         assert_eq!(max_simd, max_scalar);
         let mut b_simd = block.clone();
         let mut b_scalar = block;

@@ -1,6 +1,7 @@
 //! Property-based tests for the CPU kernels and threading machinery.
 
 use beagle_core::memo::MemoInstance;
+use beagle_core::real::Real;
 use beagle_core::{
     BeagleInstance, BufferId, Flags, ImplementationFactory, Operation, QueuedInstance, ScalingMode,
     GAP_STATE,
@@ -70,18 +71,25 @@ proptest! {
         }
     }
 
-    /// Rescaling multiplies each pattern by `2^-E`, `E` the binary exponent
-    /// of its maximum: the maximum lands in `[1, 2)`, the log factor is
-    /// exactly `E·ln 2`, and `partials × 2^E` gives back every entry bit for
-    /// bit.
+    /// Rescaling leaves a pattern whose maximum lies in the window
+    /// `[2^-W, 2^(W+1))` alone (log factor `+0.0`) and multiplies any other
+    /// by `2^-E`, `E` the binary exponent of its maximum: that maximum
+    /// lands in `[1, 2)`, the log factor is exactly `E·ln 2`, and
+    /// `partials × 2^E` gives back every entry bit for bit. Each pattern
+    /// is scaled by its own power of two in `[2^-(2W+8), 2^(W+8)]`, so
+    /// maxima fall on both sides of both window edges.
     #[test]
     fn rescale_preserves_values(
         patterns in 1usize..32,
         cats in 1usize..4,
         data in partials(32 * 4 * 4),
+        shifts in proptest::collection::vec(-2 * f64::RESCALE_WINDOW - 8..=f64::RESCALE_WINDOW + 8, 32),
     ) {
         let s = 4;
         let mut buf: Vec<f64> = data[..cats * patterns * s].to_vec();
+        for (i, x) in buf.iter_mut().enumerate() {
+            *x *= 2f64.powi(shifts[i / s % patterns]);
+        }
         let original = buf.clone();
         let mut scale = vec![0.0; patterns];
         {
@@ -91,10 +99,12 @@ proptest! {
         let entries = |p: usize| {
             (0..cats).flat_map(move |c| (0..s).map(move |k| (c * patterns + p) * s + k))
         };
+        let w = f64::RESCALE_WINDOW;
         for (p, &log_scale) in scale.iter().enumerate() {
             // The exponent of the original maximum, by repeated halving
-            // and doubling (exact for normal values).
-            let (mut m, mut e) = (entries(p).map(|i| original[i]).fold(0.0, f64::max), 0);
+            // and doubling (exact for normal values), or 0 in the window.
+            let max0 = entries(p).map(|i| original[i]).fold(0.0, f64::max);
+            let (mut m, mut e) = (max0, 0);
             while m >= 2.0 {
                 m /= 2.0;
                 e += 1;
@@ -103,9 +113,14 @@ proptest! {
                 m *= 2.0;
                 e -= 1;
             }
+            let inside = (-w..=w).contains(&e);
+            prop_assert_eq!(inside, (2f64.powi(-w)..2f64.powi(w + 1)).contains(&max0));
+            let e = if inside { 0 } else { e };
             prop_assert_eq!(log_scale.to_bits(), (e as f64 * std::f64::consts::LN_2).to_bits());
             let max = entries(p).map(|i| buf[i]).fold(0.0, f64::max);
-            prop_assert!((1.0..2.0).contains(&max), "max {}", max);
+            if !inside {
+                prop_assert!((1.0..2.0).contains(&max), "max {}", max);
+            }
             for i in entries(p) {
                 prop_assert_eq!((buf[i] * 2f64.powi(e)).to_bits(), original[i].to_bits());
             }

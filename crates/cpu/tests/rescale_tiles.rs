@@ -65,7 +65,9 @@ fn instance<T: DispatchReal>(
         inst.set_transition_matrix(mat, &m).unwrap();
     }
     // Tips 0 and 2 as states (gaps included), the rest as partials whose
-    // magnitudes spread over many octaves, so pattern maxima do too.
+    // magnitudes spread over `2^±(4W/3)` (`W` the rescale window
+    // exponent), so pattern maxima fall on both sides of both window edges
+    // and some patterns rescale while others keep factor 1.
     for tip in 0..TAXA {
         if tip % 2 == 0 && tip < 4 {
             let states: Vec<u32> = (0..n_pat)
@@ -79,7 +81,8 @@ fn instance<T: DispatchReal>(
             let partials: Vec<f64> = (0..n_pat * s)
                 .map(|i| {
                     let u = ((i * 31 + tip * 17) % 97 + 1) as f64 / 97.0;
-                    u * 10f64.powi(-((((i / s) * 5 + tip) % 23) as i32))
+                    let octave = (((i / s) * 5 + tip) % 17) as i32 - 8;
+                    u * 2f64.powi(octave * T::RESCALE_WINDOW / 6)
                 })
                 .collect();
             inst.set_tip_partials(tip, &partials).unwrap();
@@ -162,6 +165,11 @@ fn check<T: DispatchReal>(pool: &Arc<ThreadPool>) {
         for s in [4, 20] {
             for kind in kinds.iter().copied() {
                 let expect = reference::<T>(n_pat, s, kind);
+                let factors = || expect.iter().flat_map(|(_, scale)| scale);
+                assert!(
+                    factors().any(|&f| f == 0.0) && factors().any(|&f| f != 0.0),
+                    "some patterns rescale and some do not"
+                );
                 let threadings = [
                     ("serial", Threading::Serial),
                     ("thread-create", Threading::ThreadCreate { threads: 2 }),

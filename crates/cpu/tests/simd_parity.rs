@@ -136,8 +136,13 @@ fn check_kernels<T: DispatchReal>(
         d_simd.copy_from_slice(&d_ref);
         let mut sc_ref = vec![T::ZERO; n];
         let mut sc_simd = vec![T::ZERO; n];
-        (scalar.rescale_max)(&d_ref, &mut sc_ref, sp);
-        (table.rescale_max)(&d_simd, &mut sc_simd, sp);
+        let bounds_ref = (scalar.rescale_max)(&d_ref, &mut sc_ref, sp);
+        let bounds_simd = (table.rescale_max)(&d_simd, &mut sc_simd, sp);
+        assert_eq!(
+            bounds_ref, bounds_simd,
+            "rescale_max bounds s={s} {}",
+            table.path
+        );
         assert_eq!(
             sc_ref
                 .iter()
@@ -445,7 +450,9 @@ macro_rules! factor_cases {
             1e-30,
         ];
         // Every normal power of two: every exponent, so every `E·ln 2`
-        // rounding case, including those an `f32` product would get wrong.
+        // rounding case, including those an `f32` product would get wrong,
+        // and both edges of the rescale window `[2^-W, 2^(W+1))` with a
+        // neighbour on each side.
         for biased in 1..2 * <$t>::MAX_EXP - 1 {
             let p = <$t>::from_bits((biased as $bits) << (<$t>::MANTISSA_DIGITS - 1));
             v.extend([p.next_down(), p, p.next_up()]);

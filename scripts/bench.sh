@@ -5,7 +5,12 @@
 #   BENCH_kernels.json  GFLOPS + ns/pattern for every kernel x state-count x
 #                       precision x dispatch path available on this host
 #                       (scaled_partials: one 4-category scaled operation,
-#                       partials then rescale tile by tile), and
+#                       partials then rescale tile by tile, with half the
+#                       patterns outside the rescale window;
+#                       scaled_op_checked: the same on data inside the
+#                       window; scaled_op_skipped: the partials alone, as
+#                       when bounds skip the check); every row is the
+#                       median of 5 rounds with its IQR, and
 #                       GFLOPS + us/matrix for the shared transition-matrix
 #                       kernel (s = 4, 20, 61 x f64/f32)
 #   BENCH_obs.json      instrumentation overhead (stats on vs off, bit-exact)

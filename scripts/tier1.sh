@@ -33,6 +33,13 @@
 #                             bit for bit; Rescale books wall time
 #   core tests/read_frame_alloc  a header claiming MAX_PAYLOAD then 10 bytes
 #                             is Truncated with < 1 MiB peak allocation
+#   tests/rescale_bounds .... bound knowledge never changes bits (random trees,
+#                             branch lengths 1e-8..10, f32/f64, four threading
+#                             models x eager/queued, children re-uploaded
+#                             before every operation); checkpoint restore
+#                             mid-chain; f64 underflow recovered by checked
+#                             rescaling vs the oracle; stale factors cleared
+#                             by a skipped check; window headroom
 #   tests/cross_backend ..... implementations x {single,double} x scaling vs oracle;
 #                             one_scaled_operation_is_bit_identical_on_every_backend
 #                             (11 implementations x f32/f64: same partials and
@@ -99,7 +106,7 @@ cargo build --release
 cargo test -q --workspace
 # The queue-mode differential matrix, the memo matrix-store properties, the
 # fault matrix, the SIMD kernel parity suite, the allocation-free hot-path
-# guard, the rescale tile-boundary check, and the observability suite,
+# guard, the rescale tile-boundary and bounds checks, and the observability suite,
 # named explicitly so a regression in any is attributable at a glance.
 cargo test -q --test differential
 cargo test -q -p beagle-core --test matrix_proptests
@@ -108,6 +115,7 @@ cargo test -q --test robustness
 cargo test -q -p beagle-cpu --test simd_parity
 cargo test -q -p beagle-cpu --test alloc_free
 cargo test -q -p beagle-cpu --test rescale_tiles
+cargo test -q --test rescale_bounds
 cargo test -q --test obs
 cargo test -q --test obs_overhead
 cargo test -q --test obs_env

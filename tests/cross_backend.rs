@@ -177,9 +177,12 @@ fn partials_readback_matches_across_backends() {
 /// kernel computes the same products, so any difference comes from
 /// rescaling. On every implementation and both precisions, the rescaled
 /// partials and the log scale factors are bit-identical, and they follow
-/// the power-of-two definition exactly: each pattern's maximum lies in
-/// `[1, 2)`, its log factor is `E·ln 2`, and `partials · 2^E` equals the
-/// unscaled run's partials bit for bit.
+/// the power-of-two definition exactly: a pattern whose maximum lies in the
+/// window `[2^-W, 2^(W+1))` keeps its bits and log factor 0; any other
+/// pattern's maximum lands in `[1, 2)`, its log factor is `E·ln 2`, and
+/// `partials · 2^E` equals the unscaled run's partials bit for bit. The
+/// matrix columns span octaves around `2^±W/2`, so pattern maxima fall on
+/// both sides of both window edges.
 #[test]
 fn one_scaled_operation_is_bit_identical_on_every_backend() {
     const PATTERNS: usize = 300;
@@ -213,13 +216,17 @@ fn one_scaled_operation_is_bit_identical_on_every_backend() {
         x ^= x << 17;
         (x % 10_000) as f64 / 10_000.0
     };
-    // Entries spread over many octaves, a different range per category.
-    let mut matrix = || -> Vec<f64> {
+    // Column `j` of every row carries `2^e_j`, `e` = (-W/2 - 6, -W/2 + 6,
+    // W/2 - 6, W/2 + 6), so a pattern's maximum is about `2^(e_a + e_b)`
+    // for its tip states `a` and `b`: below, around and above the window.
+    // Each category adds its own few octaves.
+    let mut matrix = |w: i32| -> Vec<f64> {
+        let half = w / 2;
+        let octaves = [-half - 6, -half + 6, half - 6, half + 6];
         (0..CATS * 16)
-            .map(|i| (0.05 + 0.9 * draw()) * 2f64.powi(-10 * (i / 16) as i32 - (i % 7) as i32))
+            .map(|i| (0.05 + 0.9 * draw()) * 2f64.powi(octaves[i % 4] - (i / 16) as i32))
             .collect()
     };
-    let matrices = [matrix(), matrix()];
     let tips: [Vec<u32>; 2] = [
         (0..PATTERNS)
             .map(|p| {
@@ -237,6 +244,12 @@ fn one_scaled_operation_is_bit_identical_on_every_backend() {
     assert!(manager.implementation_names().len() >= 11);
     for precision in [Flags::PRECISION_DOUBLE, Flags::PRECISION_SINGLE] {
         let single = precision == Flags::PRECISION_SINGLE;
+        let w = if single { 31 } else { 255 };
+        let window = 2f64.powi(-w)..2f64.powi(w + 1);
+        let matrices = [matrix(w), matrix(w)];
+        // Patterns below, just inside the bottom, just inside the top, and
+        // above the window.
+        let mut sides = [0; 4];
         let mut first: Option<(String, Vec<u64>, Vec<u64>)> = None;
         for name in manager.implementation_names() {
             let mut inst = manager
@@ -279,7 +292,18 @@ fn one_scaled_operation_is_bit_identical_on_every_backend() {
                 );
                 let lanes = (0..CATS).flat_map(|c| (0..4).map(move |i| (c * PATTERNS + p) * 4 + i));
                 let max = lanes.clone().map(|k| scaled[k]).fold(0.0, f64::max);
-                assert!((1.0..2.0).contains(&max), "pattern {p} max {max} {what}");
+                let before = lanes.clone().map(|k| unscaled[k]).fold(0.0, f64::max);
+                if window.contains(&before) {
+                    assert_eq!(e, 0, "pattern {p} max {before:e} is inside {what}");
+                    if before < 2f64.powi(16 - w) {
+                        sides[1] += 1;
+                    } else if before >= 2f64.powi(w - 15) {
+                        sides[2] += 1;
+                    }
+                } else {
+                    assert!((1.0..2.0).contains(&max), "pattern {p} max {max} {what}");
+                    sides[if before < 1.0 { 0 } else { 3 }] += 1;
+                }
                 for k in lanes {
                     assert_eq!(
                         (scaled[k] * 2f64.powi(e)).to_bits(),
@@ -301,5 +325,9 @@ fn one_scaled_operation_is_bit_identical_on_every_backend() {
                 }
             }
         }
+        assert!(
+            sides.iter().all(|&n| n > 0),
+            "single={single} sides {sides:?}"
+        );
     }
 }

@@ -83,13 +83,19 @@ fn statistics_cover_the_kernel_classes_that_ran() {
 /// The rescale sweeps inside `update_partials` are booked under
 /// `KernelClass::Rescale` (one call per scaled operation, with wall time),
 /// not under the partials classes; an unscaled traversal books none. Both
-/// the serial path and the pool's chunked batches are covered.
+/// the serial path and the pool's chunked batches are covered. The tips are
+/// uploaded as partials of magnitude `2^-140`, so every cherry's pattern
+/// maxima fall below the `f64` rescale window and its check really
+/// rescales; the counters see every scaled operation as a check that ran
+/// or was skipped.
 #[test]
 fn in_operation_rescale_is_booked_under_rescale() {
     if !obs_compiled_in() {
         return;
     }
     let p = problem();
+    let (taxa, s) = (p.tree.taxon_count(), p.model.state_count());
+    let tiny = 2f64.powi(-140);
     for name in ["CPU-SSE", "CPU-threadpool-SSE"] {
         for scaled in [true, false] {
             let mut inst = InstanceSpec::with_config(p.config())
@@ -98,18 +104,40 @@ fn in_operation_rescale_is_booked_under_rescale() {
                 .instantiate(&full_manager())
                 .unwrap();
             p.load(inst.as_mut());
+            for tip in 0..taxa {
+                let mut partials = vec![0.0; p.patterns.pattern_count() * s];
+                for (q, &state) in partials
+                    .chunks_exact_mut(s)
+                    .zip(&p.patterns.tip_states(tip))
+                {
+                    match q.get_mut(state as usize) {
+                        Some(x) => *x = tiny,
+                        None => q.fill(tiny),
+                    }
+                }
+                inst.set_tip_partials(tip, &partials).unwrap();
+            }
             let ops = p.operations(scaled);
-            let before = *inst.statistics().unwrap().counter(KernelClass::Rescale);
+            let before = inst.statistics().unwrap();
             inst.update_partials(&ops).unwrap();
             let stats = inst.statistics().unwrap();
-            let after = stats.counter(KernelClass::Rescale);
-            let calls = after.calls - before.calls;
-            let wall = after.wall_nanos - before.wall_nanos;
+            let (after, was) = (
+                stats.counter(KernelClass::Rescale),
+                before.counter(KernelClass::Rescale),
+            );
+            let calls = after.calls - was.calls;
+            let wall = after.wall_nanos - was.wall_nanos;
+            let checks = stats.rescale_checks_run - before.rescale_checks_run;
+            let skipped = stats.rescale_checks_skipped - before.rescale_checks_skipped;
+            let rescaled = stats.patterns_rescaled - before.patterns_rescaled;
             if scaled {
                 assert_eq!(calls, ops.len() as u64, "{name}: one call per scaled op");
                 assert!(wall > 0, "{name}: rescale booked no wall time");
+                assert_eq!(checks + skipped, ops.len() as u64, "{name}: checks");
+                assert!(rescaled > 0, "{name}: the cherries rescale");
             } else {
                 assert_eq!((calls, wall), (0, 0), "{name}: unscaled traversal");
+                assert_eq!((checks, skipped, rescaled), (0, 0, 0), "{name}: no checks");
             }
             assert!(
                 stats.counter(KernelClass::PartialsPP).wall_nanos > 0,
