@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use beagle_core::buffers::InstanceBuffers;
 use beagle_core::real::Real;
 use beagle_core::InstanceConfig;
-use beagle_cpu::simd::{DispatchKind, DispatchReal};
+use beagle_cpu::simd::{transpose_matrix, DispatchKind, DispatchReal};
 use beagle_cpu::{host_fma_available, kernels};
 
 /// Flop estimate per pattern for partials×partials: per destination state,
@@ -173,29 +173,88 @@ fn rescale_sets<T: Real>(s: usize, sp: usize, n_pat: usize) -> Vec<[Vec<T>; RESC
         .collect()
 }
 
+/// One operation's partials × partials kernel over `RESCALE_CATEGORIES`
+/// category blocks, as the CPU instance runs it: with the table's wide
+/// kernels (state counts other than 4) each category's two child matrices
+/// are transposed once into `cols` (`2·RESCALE_CATEGORIES` tiles of
+/// `s·sp`), and every call of the operation reads those tiles.
+struct OpKernel<'a, T: DispatchReal> {
+    table: &'a beagle_cpu::KernelDispatch<T>,
+    m1: &'a [T],
+    m2: &'a [T],
+    cols: Vec<T>,
+    s: usize,
+    sp: usize,
+}
+
+impl<'a, T: DispatchReal> OpKernel<'a, T> {
+    fn new(
+        table: &'a beagle_cpu::KernelDispatch<T>,
+        m1: &'a [T],
+        m2: &'a [T],
+        s: usize,
+        sp: usize,
+    ) -> Self {
+        let len = if table.wide.is_some() && s != 4 {
+            2 * RESCALE_CATEGORIES * s * sp
+        } else {
+            0
+        };
+        Self {
+            table,
+            m1,
+            m2,
+            cols: vec![T::ZERO; len],
+            s,
+            sp,
+        }
+    }
+
+    /// The once-per-operation part: transpose every category's matrices
+    /// (all categories share `m1`/`m2` here).
+    fn prepare(&mut self) {
+        let (s, sp) = (self.s, self.sp);
+        for tile in self.cols.chunks_exact_mut(2 * s * sp) {
+            let (t1, t2) = tile.split_at_mut(s * sp);
+            transpose_matrix(self.m1, t1, s, sp);
+            transpose_matrix(self.m2, t2, s, sp);
+        }
+    }
+
+    /// Category `cat`'s partials over one range of patterns.
+    fn run(&self, cat: usize, dest: &mut [T], c1: &[T], c2: &[T]) {
+        let (s, sp) = (self.s, self.sp);
+        match self.table.wide {
+            Some(w) if !self.cols.is_empty() => {
+                let tile = &self.cols[2 * cat * s * sp..2 * (cat + 1) * s * sp];
+                let (t1, t2) = tile.split_at(s * sp);
+                (w.partials_partials)(dest, c1, c2, t1, t2, s, sp);
+            }
+            _ => (self.table.partials_partials)(dest, c1, c2, self.m1, self.m2, s, sp),
+        }
+    }
+}
+
 /// One scaled partials×partials operation over `RESCALE_CATEGORIES`
 /// category blocks, as the CPU instance runs it when the check runs: per
 /// `RESCALE_TILE` patterns the partials of every block, then the rescale
 /// of that tile while it is still in cache.
-#[allow(clippy::too_many_arguments)]
 fn scaled_op<T: DispatchReal>(
-    table: &beagle_cpu::KernelDispatch<T>,
+    op: &mut OpKernel<'_, T>,
     blocks: &mut [Vec<T>; RESCALE_CATEGORIES],
     c1: &[Vec<T>; RESCALE_CATEGORIES],
     c2: &[Vec<T>; RESCALE_CATEGORIES],
-    m1: &[T],
-    m2: &[T],
     scale: &mut [T],
-    s: usize,
-    sp: usize,
 ) {
+    let (table, sp) = (op.table, op.sp);
     let n_pat = scale.len();
+    op.prepare();
     for t0 in (0..n_pat).step_by(kernels::RESCALE_TILE) {
         let t1 = (t0 + kernels::RESCALE_TILE).min(n_pat);
         let tile = t0 * sp..t1 * sp;
         let mut blocks = blocks.each_mut().map(|b| &mut b[tile.clone()]);
-        for ((dest, a), b) in blocks.iter_mut().zip(c1).zip(c2) {
-            (table.partials_partials)(dest, &a[tile.clone()], &b[tile.clone()], m1, m2, s, sp);
+        for (cat, ((dest, a), b)) in blocks.iter_mut().zip(c1).zip(c2).enumerate() {
+            op.run(cat, dest, &a[tile.clone()], &b[tile.clone()]);
         }
         kernels::rescale_range(
             &mut blocks[..],
@@ -328,10 +387,11 @@ fn bench_precision<T: DispatchReal>(
                 std::array::from_fn(|_| vec![T::ZERO; n_pat * sp]);
             let flops =
                 (pp_flops(s) * n_pat as f64 + (2 * sp * n_pat) as f64) * RESCALE_CATEGORIES as f64;
+            let mut op = OpKernel::new(table, &m1, &m2, s, sp);
             for (kernel, deep) in [("scaled_partials", true), ("scaled_op_checked", false)] {
                 let (cc1, cc2) = (children(200, deep), children(300, deep));
                 let t = measure(n_pat, flops, || {
-                    scaled_op(table, &mut blocks, &cc1, &cc2, &m1, &m2, &mut scale, s, sp);
+                    scaled_op(&mut op, &mut blocks, &cc1, &cc2, &mut scale);
                 });
                 rows.push(Row {
                     kernel,
@@ -346,8 +406,9 @@ fn bench_precision<T: DispatchReal>(
             let (cc1, cc2) = (children(200, false), children(300, false));
             let flops = pp_flops(s) * (n_pat * RESCALE_CATEGORIES) as f64;
             let t = measure(n_pat, flops, || {
-                for ((dest, a), b) in blocks.iter_mut().zip(&cc1).zip(&cc2) {
-                    (table.partials_partials)(dest, a, b, &m1, &m2, s, sp);
+                op.prepare();
+                for (cat, ((dest, a), b)) in blocks.iter_mut().zip(&cc1).zip(&cc2).enumerate() {
+                    op.run(cat, dest, a, b);
                 }
             });
             rows.push(Row {
@@ -410,7 +471,7 @@ fn bench_matrices<T: Real>(precision: &'static str, rows: &mut Vec<Row>) {
             kernel: "transition_matrices",
             states: s,
             precision,
-            path: "row-form",
+            path: "row-blocked-k4",
             gflops: t.gflops,
             time: ("us_per_matrix", t.median / 1e3),
             iqr: t.iqr / 1e3,

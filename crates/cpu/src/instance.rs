@@ -25,7 +25,7 @@ use beagle_core::real::{widen_slice, Real};
 use crate::bounds::RescaleBounds;
 use crate::kernels::{self, EdgeChild};
 use crate::pool::{partition_range, ThreadPool};
-use crate::simd::{select_kind, DispatchKind, DispatchReal, KernelDispatch};
+use crate::simd::{select_kind, transpose_matrix, DispatchKind, DispatchReal, KernelDispatch};
 
 /// Patterns below this threshold run serially even under a threading model —
 /// §VI-B: "to prevent small problem sizes from being slower than the previous
@@ -82,8 +82,13 @@ struct ChunkTask<T: Real> {
     scale: *mut T,
     c1: OperandPtr<T>,
     c2: OperandPtr<T>,
+    /// Category 0's child matrices; category `c`'s follow at `c·s·sp`.
+    /// With `wide` they are the operation's transposed tiles in
+    /// [`Scratch::cols`], which every chunk of the operation shares.
     m1: *const T,
     m2: *const T,
+    /// Run the table's [`crate::simd::WideKernels`] on transposed matrices.
+    wide: bool,
     /// State count, stride and category count are `u32` so that they and
     /// `timed` share two words: the timing fields add nothing to the task's
     /// size.
@@ -127,8 +132,9 @@ struct Check {
 }
 
 // SAFETY: the pointers reference buffers that outlive the batch (the
-// executing call blocks until every task finished) and distinct tasks write
-// disjoint ranges.
+// instance arena, and the scratch tiles the tasks only read; the executing
+// call blocks until every task finished and touches neither meanwhile) and
+// distinct tasks write disjoint ranges.
 unsafe impl<T: Real> Send for ChunkTask<T> {}
 
 // SAFETY: a shared `&ChunkTask` exposes no operations at all (every field is
@@ -216,7 +222,10 @@ fn run_chunk<T: DispatchReal>(t: &mut ChunkTask<T>) {
 /// range.
 fn run_partials<T: DispatchReal>(t: &mut ChunkTask<T>) {
     let (s, sp, n) = (t.s as usize, t.sp as usize, t.p1 - t.p0);
-    let d = t.dispatch;
+    let (pp, sp_kernel) = match t.dispatch.wide {
+        Some(w) if t.wide => (w.partials_partials, w.states_partials),
+        _ => (t.dispatch.partials_partials, t.dispatch.states_partials),
+    };
     for cat in 0..t.n_cat as usize {
         let off = (cat * t.n_pat + t.p0) * sp;
         // SAFETY: `off..off + n*sp` lies inside the destination buffer and
@@ -228,23 +237,23 @@ fn run_partials<T: DispatchReal>(t: &mut ChunkTask<T>) {
             (OperandPtr::Partials(a), OperandPtr::Partials(b)) => {
                 let a = unsafe { std::slice::from_raw_parts(a.add(off), n * sp) };
                 let b = unsafe { std::slice::from_raw_parts(b.add(off), n * sp) };
-                (d.partials_partials)(dest, a, b, m1, m2, s, sp);
+                pp(dest, a, b, m1, m2, s, sp);
             }
             (OperandPtr::States(a), OperandPtr::Partials(b)) => {
                 let a = unsafe { std::slice::from_raw_parts(a.add(t.p0), n) };
                 let b = unsafe { std::slice::from_raw_parts(b.add(off), n * sp) };
-                (d.states_partials)(dest, a, b, m1, m2, s, sp);
+                sp_kernel(dest, a, b, m1, m2, s, sp);
             }
             (OperandPtr::Partials(a), OperandPtr::States(b)) => {
                 // Symmetric kernel with swapped matrices.
                 let a = unsafe { std::slice::from_raw_parts(a.add(off), n * sp) };
                 let b = unsafe { std::slice::from_raw_parts(b.add(t.p0), n) };
-                (d.states_partials)(dest, b, a, m2, m1, s, sp);
+                sp_kernel(dest, b, a, m2, m1, s, sp);
             }
             (OperandPtr::States(a), OperandPtr::States(b)) => {
                 let a = unsafe { std::slice::from_raw_parts(a.add(t.p0), n) };
                 let b = unsafe { std::slice::from_raw_parts(b.add(t.p0), n) };
-                (d.states_states)(dest, a, b, m1, m2, s, sp);
+                (t.dispatch.states_states)(dest, a, b, m1, m2, s, sp);
             }
         }
     }
@@ -267,7 +276,6 @@ struct RootTask<T: Real> {
     n_pat: usize,
     p0: usize,
     dispatch: &'static KernelDispatch<T>,
-    sum: f64,
 }
 
 // SAFETY: same protocol as ChunkTask — buffers outlive the blocking batch,
@@ -291,7 +299,9 @@ fn run_root<T: DispatchReal>(t: &mut RootTask<T>) {
     } else {
         Some(unsafe { std::slice::from_raw_parts(t.cscale, t.n_pat) })
     };
-    t.sum = (t.dispatch.integrate_root)(
+    // The chunk's partial sum is discarded: the caller reduces every
+    // site value in pattern order once all chunks are done.
+    (t.dispatch.integrate_root)(
         site, root, freqs, catw, pw, cscale, t.s, t.sp, t.n_pat, t.p0,
     );
 }
@@ -305,6 +315,9 @@ struct Scratch<T: Real> {
     checks: Vec<Check>,
     /// `n_cat` slots per chunk task, for its check's per-category minima.
     cat_lo: Vec<T>,
+    /// Transposed child matrices of a batch's wide-state operations (see
+    /// [`Scratch::batch`]); grown, never shrunk.
+    cols: Vec<T>,
 }
 
 impl<T: Real> Default for Scratch<T> {
@@ -314,11 +327,27 @@ impl<T: Real> Default for Scratch<T> {
             root_tasks: Vec::new(),
             checks: Vec::new(),
             cat_lo: Vec::new(),
+            cols: Vec::new(),
         }
     }
 }
 
 impl<T: Real> Scratch<T> {
+    /// The chunk task list, cleared, and `n_ops` slots of `slot` elements
+    /// each for the transposed child matrices of a batch of `n_ops`
+    /// operations: both matrices of every category of one operation, laid
+    /// out as in [`CpuInstance::push_chunk_tasks`]. `slot` is 0 when the
+    /// batch runs the row-major kernels. The space only grows, so a warm
+    /// traversal allocates nothing.
+    fn batch(&mut self, n_ops: usize, slot: usize) -> (&mut Vec<ChunkTask<T>>, &mut [T]) {
+        let len = n_ops * slot;
+        if self.cols.len() < len {
+            self.cols.resize(len, T::ZERO);
+        }
+        self.chunk_tasks.clear();
+        (&mut self.chunk_tasks, &mut self.cols[..len])
+    }
+
     /// Give every chunk task its own `n_cat` slots of `cat_lo`, at `+∞`.
     /// Called once the batch's tasks are all pushed, before they run.
     fn arm(&mut self, n_cat: usize) {
@@ -575,12 +604,29 @@ impl<T: DispatchReal> CpuInstance<T> {
         self.dispatch.path
     }
 
+    /// Elements of one operation's transposed child matrices: both
+    /// matrices of every category when the table has wide kernels and the
+    /// state count is not 4, else 0 (the row-major kernels run).
+    fn cols_slot(&self) -> usize {
+        let cfg = &self.bufs.config;
+        if self.dispatch.wide.is_some() && cfg.state_count != 4 {
+            2 * cfg.category_count * cfg.state_count * self.bufs.state_stride
+        } else {
+            0
+        }
+    }
+
     /// Append this operation's chunk tasks (one per range) to `tasks`.
-    /// The caller must run and clear `tasks` before `dest`/`scale`/`bufs`
-    /// move or mutate.
+    /// With a non-empty `cols` slot (see [`Self::cols_slot`]) and a
+    /// partials child, first transpose the child matrices into it, once
+    /// per category: every category's first-child tile, then every
+    /// category's second-child tile. All of the operation's tasks read
+    /// those tiles. The caller must run and clear `tasks` before
+    /// `dest`/`scale`/`bufs`/`cols` move or mutate.
     #[allow(clippy::too_many_arguments)]
     fn push_chunk_tasks(
         tasks: &mut Vec<ChunkTask<T>>,
+        cols: &mut [T],
         bufs: &InstanceBuffers<T>,
         dest: &mut [T],
         scale: Option<&mut Vec<T>>,
@@ -600,6 +646,28 @@ impl<T: DispatchReal> CpuInstance<T> {
         };
         let c1 = operand(op.child1);
         let c2 = operand(op.child2);
+        let wide =
+            !cols.is_empty() && !matches!((c1, c2), (OperandPtr::States(_), OperandPtr::States(_)));
+        let (m1, m2) = (
+            &bufs.matrices[op.child1_matrix],
+            &bufs.matrices[op.child2_matrix],
+        );
+        let (m1, m2) = if wide {
+            let (states, stride) = (cfg.state_count, bufs.state_stride);
+            let block = states * stride;
+            let (t1, t2) = cols.split_at_mut(cols.len() / 2);
+            for (c, (t1, t2)) in t1
+                .chunks_exact_mut(block)
+                .zip(t2.chunks_exact_mut(block))
+                .enumerate()
+            {
+                transpose_matrix(&m1[c * block..], t1, states, stride);
+                transpose_matrix(&m2[c * block..], t2, states, stride);
+            }
+            (t1.as_ptr(), t2.as_ptr())
+        } else {
+            (m1.as_ptr(), m2.as_ptr())
+        };
         let scale_base = scale.map_or(std::ptr::null_mut(), |sc| sc.as_mut_ptr());
         for &(p0, p1) in ranges {
             tasks.push(ChunkTask {
@@ -612,8 +680,9 @@ impl<T: DispatchReal> CpuInstance<T> {
                 },
                 c1,
                 c2,
-                m1: bufs.matrices[op.child1_matrix].as_ptr(),
-                m2: bufs.matrices[op.child2_matrix].as_ptr(),
+                m1,
+                m2,
+                wide,
                 s,
                 sp,
                 n_cat,
@@ -635,10 +704,11 @@ impl<T: DispatchReal> CpuInstance<T> {
     fn execute_op_serial(&mut self, op: &Operation) {
         let mut dest = self.bufs.take_destination(op.destination);
         let (mut scale, check) = self.plan_rescale(op);
-        let tasks = &mut self.scratch.chunk_tasks;
-        tasks.clear();
+        let slot = self.cols_slot();
+        let (tasks, cols) = self.scratch.batch(1, slot);
         Self::push_chunk_tasks(
             tasks,
+            cols,
             &self.bufs,
             &mut dest,
             scale.as_mut(),
@@ -663,10 +733,11 @@ impl<T: DispatchReal> CpuInstance<T> {
     fn execute_op_chunked(&mut self, op: &Operation, use_pool: bool) {
         let mut dest = self.bufs.take_destination(op.destination);
         let (mut scale, check) = self.plan_rescale(op);
-        let tasks = &mut self.scratch.chunk_tasks;
-        tasks.clear();
+        let slot = self.cols_slot();
+        let (tasks, cols) = self.scratch.batch(1, slot);
         Self::push_chunk_tasks(
             tasks,
+            cols,
             &self.bufs,
             &mut dest,
             scale.as_mut(),
@@ -740,11 +811,12 @@ impl<T: DispatchReal> CpuInstance<T> {
         let mut outputs = self.take_level_outputs(level);
         let full_range = [(0, self.bufs.config.pattern_count)];
         let timed = self.recorder.is_enabled();
-        let tasks = &mut self.scratch.chunk_tasks;
-        tasks.clear();
-        for (op, (dest, scale, check)) in level.iter().zip(outputs.iter_mut()) {
+        let slot = self.cols_slot();
+        let (tasks, cols) = self.scratch.batch(level.len(), slot);
+        for (i, (op, (dest, scale, check))) in level.iter().zip(outputs.iter_mut()).enumerate() {
             Self::push_chunk_tasks(
                 tasks,
+                &mut cols[i * slot..(i + 1) * slot],
                 &self.bufs,
                 dest,
                 scale.as_mut(),
@@ -812,11 +884,12 @@ impl<T: DispatchReal> CpuInstance<T> {
         }
         let mut outputs = self.take_level_outputs(level);
         let timed = self.recorder.is_enabled();
-        let tasks = &mut self.scratch.chunk_tasks;
-        tasks.clear();
-        for (op, (dest, scale, check)) in level.iter().zip(outputs.iter_mut()) {
+        let slot = self.cols_slot();
+        let (tasks, cols) = self.scratch.batch(level.len(), slot);
+        for (i, (op, (dest, scale, check))) in level.iter().zip(outputs.iter_mut()).enumerate() {
             Self::push_chunk_tasks(
                 tasks,
+                &mut cols[i * slot..(i + 1) * slot],
                 &self.bufs,
                 dest,
                 scale.as_mut(),
@@ -962,13 +1035,13 @@ impl<T: DispatchReal> CpuInstance<T> {
                     n_pat,
                     p0,
                     dispatch: self.dispatch,
-                    sum: 0.0,
                 });
             }
             pool.run_tasks(tasks, run_root::<T>);
-            let total = tasks.iter().map(|t| t.sum).sum();
             tasks.clear();
-            total
+            // Left to right over the whole range, as the serial kernel
+            // sums, so the pool's total has the serial bits.
+            kernels::weighted_total(&site_lnl, pw)
         } else {
             (self.dispatch.integrate_root)(
                 &mut site_lnl,

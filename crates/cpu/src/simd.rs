@@ -14,11 +14,18 @@
 //! The AVX2 kernels rely on the padded buffer layout (see
 //! `beagle_core::buffers`): each pattern's state vector and each matrix row
 //! occupy `sp` lanes where `sp` is the state count rounded up to
-//! [`Real::SIMD_LANES`], with pad lanes holding exact zeros. Inner dot
-//! products therefore run remainder-free over the full stride — the zero
-//! pads contribute nothing — and wide state counts (s=20 amino acid, s=61
-//! codon) are tiled over destination rows so the matrix tile stays in L1
-//! while patterns stream.
+//! [`Real::SIMD_LANES`], with pad lanes holding exact zeros, so every
+//! vector loop runs remainder-free over the full stride.
+//!
+//! Wide state counts (s=20 amino acid, s=61 codon) use the outer-product
+//! form ([`WideKernels`]): each child matrix is transposed once, so that
+//! row `j` of the tile is column `j` of the matrix, and a destination
+//! vector is built by broadcasting child state `j` and FMA-ing tile row `j`
+//! into it for `j = 0, 1, …, s-1`. No horizontal sum is left, and every
+//! destination lane sees exactly the scalar kernel's `sum = fma(m[i][j],
+//! c[j], sum)` sequence, so the wide AVX2 partials equal
+//! [`kernels::partials_partials`] / [`kernels::states_partials`] bit for
+//! bit.
 //!
 //! Setting the environment variable `BEAGLE_FORCE_SCALAR` (to anything but
 //! `"0"`) at instance creation forces the scalar table regardless of host
@@ -91,6 +98,69 @@ pub struct KernelDispatch<T: Real> {
     pub integrate_root: RootFn<T>,
     /// Edge integration over a pattern range.
     pub integrate_edge: EdgeFn<T>,
+    /// Partials kernels over transposed child matrices, for state counts
+    /// other than 4; `None` when the row-major entries above are the
+    /// table's only form.
+    pub wide: Option<WideKernels<T>>,
+}
+
+/// The outer-product partials kernels of a table. They take the same
+/// arguments as [`KernelDispatch::partials_partials`] and
+/// [`KernelDispatch::states_partials`], except that each matrix argument is
+/// the category's child matrix transposed by [`transpose_matrix`], and
+/// they return the same bits. They also write the destination's pad lanes
+/// (zero for finite children). The CPU instance transposes each child
+/// matrix once per operation and category, and every chunk of the
+/// operation reads the same tiles.
+#[derive(Clone, Copy)]
+pub struct WideKernels<T: Real> {
+    /// partials × partials over transposed matrices.
+    pub partials_partials: PpFn<T>,
+    /// states × partials over transposed matrices: the tip child's factor
+    /// for state `k` is row `k` of its tile.
+    pub states_partials: SpFn<T>,
+}
+
+/// Transpose one category's `s × s` matrix (row stride `sp`) into `cols`:
+/// `cols[j*sp + i] = m[i*sp + j]` for `i, j < s`, and zero in the pad lanes
+/// `s <= i < sp`. Row `j` of the result is column `j` of `m`, the layout
+/// [`WideKernels`] reads. Writes `cols[..s*sp]`.
+pub fn transpose_matrix<T: Real>(m: &[T], cols: &mut [T], s: usize, sp: usize) {
+    let m = &m[..s * sp];
+    for (j, col) in cols[..s * sp].chunks_exact_mut(sp).enumerate() {
+        let (live, pad) = col.split_at_mut(s);
+        for (c, row) in live.iter_mut().zip(m.chunks_exact(sp)) {
+            *c = row[j];
+        }
+        pad.fill(T::ZERO);
+    }
+}
+
+/// Largest padded state count whose matrices the row-major AVX2 entries
+/// transpose into stack tiles (32 KiB each in `f64`).
+#[cfg(target_arch = "x86_64")]
+const STACK_TILE_STRIDE: usize = 64;
+
+/// Run `kernel` on `m1` and `m2` transposed into stack tiles: the row-major
+/// AVX2 entries for one-off callers, which pay the transposition per call.
+/// False (and `kernel` not run) when `sp` exceeds [`STACK_TILE_STRIDE`].
+#[cfg(target_arch = "x86_64")]
+fn on_stack_tiles<T: Real>(
+    m1: &[T],
+    m2: &[T],
+    s: usize,
+    sp: usize,
+    kernel: impl FnOnce(&[T], &[T]),
+) -> bool {
+    if sp > STACK_TILE_STRIDE {
+        return false;
+    }
+    let mut t1 = [T::ZERO; STACK_TILE_STRIDE * STACK_TILE_STRIDE];
+    let mut t2 = [T::ZERO; STACK_TILE_STRIDE * STACK_TILE_STRIDE];
+    transpose_matrix(m1, &mut t1, s, sp);
+    transpose_matrix(m2, &mut t2, s, sp);
+    kernel(&t1[..s * sp], &t2[..s * sp]);
+    true
 }
 
 /// A [`Real`] that can resolve a kernel table — implemented for `f32`/`f64`.
@@ -226,10 +296,13 @@ mod avx2 {
 
     use crate::kernels::{self, EdgeChild};
 
-    /// Destination rows per tile in the wide-state kernels: 8 rows × two
-    /// matrices of `sp` doubles stay comfortably inside L1 even for codon
-    /// models (8 × 64 × 8 B × 2 = 8 KiB) while patterns stream past.
-    const ROW_TILE: usize = 8;
+    /// Destination vectors per register block of the outer-product
+    /// kernels: 16 rows of `f64`, 32 of `f32`. A block over two patterns
+    /// keeps 8 accumulators and the 4 tile-row loads of a step in the 16
+    /// ymm registers. The kernels walk one row block at a time over all
+    /// patterns, so the block's slice of both tiles stays in L1 (s × 128 B
+    /// each, 7.6 KiB at s = 61) while the children stream past.
+    const BLOCK_VECS: usize = 4;
 
     // ---- f64 helpers ----
 
@@ -335,39 +408,6 @@ mod avx2 {
         }
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn pp_pd(
-        dest: &mut [f64],
-        c1: &[f64],
-        c2: &[f64],
-        m1: &[f64],
-        m2: &[f64],
-        s: usize,
-        sp: usize,
-    ) {
-        if s == 4 {
-            // s == 4 in f64 always has stride 4 (already lane-aligned).
-            debug_assert_eq!(sp, 4);
-            return pp4_pd(dest, c1, c2, m1, m2);
-        }
-        let n_pat = dest.len() / sp;
-        let mut i0 = 0;
-        while i0 < s {
-            let i1 = (i0 + ROW_TILE).min(s);
-            for p in 0..n_pat {
-                let a = c1.as_ptr().add(p * sp);
-                let b = c2.as_ptr().add(p * sp);
-                let d = dest.as_mut_ptr().add(p * sp);
-                for i in i0..i1 {
-                    let s1 = dot_pd(m1.as_ptr().add(i * sp), a, sp);
-                    let s2 = dot_pd(m2.as_ptr().add(i * sp), b, sp);
-                    *d.add(i) = s1 * s2;
-                }
-            }
-            i0 = i1;
-        }
-    }
-
     /// Nucleotide states×partials: the tip child selects one matrix column
     /// (or all-ones for a gap) per pattern; the partials child runs the same
     /// broadcast-FMA chain as `pp4_pd`.
@@ -396,37 +436,6 @@ mod avx2 {
                 col_pd(m1.as_ptr(), 4, st as usize)
             };
             _mm256_storeu_pd(d.as_mut_ptr(), _mm256_mul_pd(p1, s2));
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn sp_pd(
-        dest: &mut [f64],
-        s1: &[u32],
-        c2: &[f64],
-        m1: &[f64],
-        m2: &[f64],
-        s: usize,
-        sp: usize,
-    ) {
-        if s == 4 {
-            debug_assert_eq!(sp, 4);
-            return sp4_pd(dest, s1, c2, m1, m2);
-        }
-        for ((d, &st), b) in dest
-            .chunks_exact_mut(sp)
-            .zip(s1.iter())
-            .zip(c2.chunks_exact(sp))
-        {
-            for i in 0..s {
-                let s2 = dot_pd(m2.as_ptr().add(i * sp), b.as_ptr(), sp);
-                let p1 = if st == GAP_STATE {
-                    1.0
-                } else {
-                    m1[i * sp + st as usize]
-                };
-                d[i] = p1 * s2;
-            }
         }
     }
 
@@ -782,61 +791,43 @@ mod avx2 {
         }
     }
 
+    /// f32 nucleotide states×partials, as `sp4_pd` in the 128-bit live half
+    /// of the 8-lane stride.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA. Matrix lengths and states are
+    /// checked here.
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn pp_ps(
-        dest: &mut [f32],
-        c1: &[f32],
-        c2: &[f32],
-        m1: &[f32],
-        m2: &[f32],
-        s: usize,
-        sp: usize,
-    ) {
-        if s == 4 {
-            return pp4_ps(dest, c1, c2, m1, m2, sp);
-        }
-        let n_pat = dest.len() / sp;
-        let mut i0 = 0;
-        while i0 < s {
-            let i1 = (i0 + ROW_TILE).min(s);
-            for p in 0..n_pat {
-                let a = c1.as_ptr().add(p * sp);
-                let b = c2.as_ptr().add(p * sp);
-                let d = dest.as_mut_ptr().add(p * sp);
-                for i in i0..i1 {
-                    let s1 = dot_ps(m1.as_ptr().add(i * sp), a, sp);
-                    let s2 = dot_ps(m2.as_ptr().add(i * sp), b, sp);
-                    *d.add(i) = s1 * s2;
-                }
-            }
-            i0 = i1;
-        }
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn sp_ps(
-        dest: &mut [f32],
-        s1: &[u32],
-        c2: &[f32],
-        m1: &[f32],
-        m2: &[f32],
-        s: usize,
-        sp: usize,
-    ) {
+    unsafe fn sp4_ps(dest: &mut [f32], s1: &[u32], c2: &[f32], m1: &[f32], m2: &[f32], sp: usize) {
+        assert!(
+            sp >= 4 && m1.len() >= 4 * sp && m2.len() >= 4 * sp,
+            "4-state kernel: matrices shorter than 4 rows of {sp}"
+        );
+        let m2p = m2.as_ptr();
+        let (m20, m21, m22, m23) = (
+            col_ps(m2p, sp, 0),
+            col_ps(m2p, sp, 1),
+            col_ps(m2p, sp, 2),
+            col_ps(m2p, sp, 3),
+        );
+        let ones = _mm_set1_ps(1.0);
         for ((d, &st), b) in dest
             .chunks_exact_mut(sp)
             .zip(s1.iter())
             .zip(c2.chunks_exact(sp))
         {
-            for i in 0..s {
-                let s2 = dot_ps(m2.as_ptr().add(i * sp), b.as_ptr(), sp);
-                let p1 = if st == GAP_STATE {
-                    1.0
-                } else {
-                    m1[i * sp + st as usize]
-                };
-                d[i] = p1 * s2;
-            }
+            let mut s2 = _mm_mul_ps(m20, _mm_set1_ps(b[0]));
+            s2 = _mm_fmadd_ps(m21, _mm_set1_ps(b[1]), s2);
+            s2 = _mm_fmadd_ps(m22, _mm_set1_ps(b[2]), s2);
+            s2 = _mm_fmadd_ps(m23, _mm_set1_ps(b[3]), s2);
+            let p1 = if st == GAP_STATE {
+                ones
+            } else {
+                assert!(st < 4, "4-state kernel: state {st} out of range");
+                col_ps(m1.as_ptr(), sp, st as usize)
+            };
+            _mm_storeu_ps(d.as_mut_ptr(), _mm_mul_ps(p1, s2));
         }
     }
 
@@ -1042,6 +1033,324 @@ mod avx2 {
         total
     }
 
+    // ---- outer-product wide-state kernels ----
+    //
+    // One body per precision, instantiated below as modules `wide_pd`
+    // (`f64`, 4 lanes) and `wide_ps` (`f32`, 8 lanes). `cols`/`t1`/`t2`
+    // arguments are child matrices transposed by
+    // `super::transpose_matrix`: tile row `j` holds column `j` of the
+    // matrix, zero past `s`.
+
+    macro_rules! outer_product_kernels {
+        (
+            $m:ident, $t:ty, $v:ty, $lanes:expr,
+            [$zero:ident, $set1:ident, $load:ident, $store:ident, $fma:ident, $mul:ident]
+        ) => {
+            pub(super) mod $m {
+                use super::*;
+
+                /// `P` patterns × `N` vectors of destination rows: for each
+                /// pattern `q` at `c + q·sp` and each `j` in ascending order,
+                /// broadcast `c[q][j]` and FMA tile row `j` (from `cols`, already
+                /// offset to the block's first row) into accumulators that start
+                /// at zero, so each lane runs the scalar kernel's FMA chain.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn sums<const P: usize, const N: usize>(
+                    cols: *const $t,
+                    c: *const $t,
+                    s: usize,
+                    sp: usize,
+                ) -> [[$v; N]; P] {
+                    let mut acc = [[$zero(); N]; P];
+                    for j in 0..s {
+                        let row = cols.add(j * sp);
+                        let mut m = [$zero(); N];
+                        for (v, mv) in m.iter_mut().enumerate() {
+                            *mv = $load(row.add(v * $lanes));
+                        }
+                        for (q, aq) in acc.iter_mut().enumerate() {
+                            let x = $set1(*c.add(q * sp + j));
+                            for (a, &mv) in aq.iter_mut().zip(&m) {
+                                *a = $fma(mv, x, *a);
+                            }
+                        }
+                    }
+                    acc
+                }
+
+                /// One register block of partials × partials: the first child's
+                /// sums go to `d`, then each lane becomes `sum1 · sum2`.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                #[allow(clippy::too_many_arguments)]
+                unsafe fn pp_rows<const P: usize, const N: usize>(
+                    d: *mut $t,
+                    a: *const $t,
+                    b: *const $t,
+                    t1: *const $t,
+                    t2: *const $t,
+                    s: usize,
+                    sp: usize,
+                ) {
+                    let x = sums::<P, N>(t1, a, s, sp);
+                    for (q, xq) in x.iter().enumerate() {
+                        for (v, &xv) in xq.iter().enumerate() {
+                            $store(d.add(q * sp + v * $lanes), xv);
+                        }
+                    }
+                    let y = sums::<P, N>(t2, b, s, sp);
+                    for (q, yq) in y.iter().enumerate() {
+                        for (v, &yv) in yq.iter().enumerate() {
+                            let o = d.add(q * sp + v * $lanes);
+                            $store(o, $mul($load(o), yv));
+                        }
+                    }
+                }
+
+                /// One register block of states × partials: the tip child's
+                /// factor is row `state` of its tile (all ones for a gap).
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                #[allow(clippy::too_many_arguments)]
+                unsafe fn sp_rows<const P: usize, const N: usize>(
+                    d: *mut $t,
+                    st: *const u32,
+                    b: *const $t,
+                    t1: *const $t,
+                    t2: *const $t,
+                    s: usize,
+                    sp: usize,
+                ) {
+                    let y = sums::<P, N>(t2, b, s, sp);
+                    for (q, yq) in y.iter().enumerate() {
+                        let state = *st.add(q);
+                        for (v, &yv) in yq.iter().enumerate() {
+                            let p1 = if state == GAP_STATE {
+                                $set1(1.0)
+                            } else {
+                                $load(t1.add(state as usize * sp + v * $lanes))
+                            };
+                            $store(d.add(q * sp + v * $lanes), $mul(p1, yv));
+                        }
+                    }
+                }
+
+                /// One row block (`N` vectors from the block's first row) over
+                /// all `n` patterns, two at a time, then the odd one.
+                #[target_feature(enable = "avx2", enable = "fma")]
+                #[allow(clippy::too_many_arguments)]
+                unsafe fn pp_block<const N: usize>(
+                    d: *mut $t,
+                    a: *const $t,
+                    b: *const $t,
+                    t1: *const $t,
+                    t2: *const $t,
+                    s: usize,
+                    sp: usize,
+                    n: usize,
+                ) {
+                    let mut p = 0;
+                    while p + 2 <= n {
+                        let o = p * sp;
+                        pp_rows::<2, N>(d.add(o), a.add(o), b.add(o), t1, t2, s, sp);
+                        p += 2;
+                    }
+                    if p < n {
+                        let o = p * sp;
+                        pp_rows::<1, N>(d.add(o), a.add(o), b.add(o), t1, t2, s, sp);
+                    }
+                }
+
+                #[target_feature(enable = "avx2", enable = "fma")]
+                #[allow(clippy::too_many_arguments)]
+                unsafe fn sp_block<const N: usize>(
+                    d: *mut $t,
+                    st: *const u32,
+                    b: *const $t,
+                    t1: *const $t,
+                    t2: *const $t,
+                    s: usize,
+                    sp: usize,
+                    n: usize,
+                ) {
+                    let mut p = 0;
+                    while p + 2 <= n {
+                        let o = p * sp;
+                        sp_rows::<2, N>(d.add(o), st.add(p), b.add(o), t1, t2, s, sp);
+                        p += 2;
+                    }
+                    if p < n {
+                        let o = p * sp;
+                        sp_rows::<1, N>(d.add(o), st.add(p), b.add(o), t1, t2, s, sp);
+                    }
+                }
+
+                /// Outer-product partials × partials over transposed
+                /// matrices: the table entry. Checks the bounds the kernel's
+                /// pointer arithmetic relies on.
+                pub(in crate::simd) fn pp(
+                    dest: &mut [$t],
+                    c1: &[$t],
+                    c2: &[$t],
+                    t1: &[$t],
+                    t2: &[$t],
+                    s: usize,
+                    sp: usize,
+                ) {
+                    debug_assert!(crate::simd::avx2_available());
+                    check_wide(dest, c1.len().min(c2.len()), t1, t2, None, s, sp);
+                    // SAFETY: the AVX2 table, the only one holding this
+                    // entry, is handed out only after AVX2+FMA detection;
+                    // bounds checked above.
+                    unsafe { pp_kernel(dest, c1, c2, t1, t2, s, sp) }
+                }
+
+                /// Outer-product states × partials over transposed matrices:
+                /// the table entry. Checks bounds and tip states.
+                pub(in crate::simd) fn sp(
+                    dest: &mut [$t],
+                    s1: &[u32],
+                    c2: &[$t],
+                    t1: &[$t],
+                    t2: &[$t],
+                    s: usize,
+                    sp: usize,
+                ) {
+                    debug_assert!(crate::simd::avx2_available());
+                    check_wide(dest, c2.len(), t1, t2, Some(s1), s, sp);
+                    // SAFETY: as for `pp`; bounds and states checked above.
+                    unsafe { sp_kernel(dest, s1, c2, t1, t2, s, sp) }
+                }
+
+                /// # Safety
+                ///
+                /// The host must support AVX2 and FMA, and the arguments must
+                /// pass `check_wide`.
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn pp_kernel(
+                    dest: &mut [$t],
+                    c1: &[$t],
+                    c2: &[$t],
+                    t1: &[$t],
+                    t2: &[$t],
+                    s: usize,
+                    sp: usize,
+                ) {
+                    let n = dest.len() / sp;
+                    let (d, a, b) = (dest.as_mut_ptr(), c1.as_ptr(), c2.as_ptr());
+                    let mut r = 0;
+                    while r < sp {
+                        let nv = ((sp - r) / $lanes).min(BLOCK_VECS);
+                        let (d, t1, t2) = (d.add(r), t1.as_ptr().add(r), t2.as_ptr().add(r));
+                        match nv {
+                            4 => pp_block::<4>(d, a, b, t1, t2, s, sp, n),
+                            3 => pp_block::<3>(d, a, b, t1, t2, s, sp, n),
+                            2 => pp_block::<2>(d, a, b, t1, t2, s, sp, n),
+                            _ => pp_block::<1>(d, a, b, t1, t2, s, sp, n),
+                        }
+                        r += nv * $lanes;
+                    }
+                }
+
+                /// # Safety
+                ///
+                /// As for `pp_kernel`, and every state must be below `s` or
+                /// [`GAP_STATE`].
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn sp_kernel(
+                    dest: &mut [$t],
+                    s1: &[u32],
+                    c2: &[$t],
+                    t1: &[$t],
+                    t2: &[$t],
+                    s: usize,
+                    sp: usize,
+                ) {
+                    let n = dest.len() / sp;
+                    let (d, st, b) = (dest.as_mut_ptr(), s1.as_ptr(), c2.as_ptr());
+                    let mut r = 0;
+                    while r < sp {
+                        let nv = ((sp - r) / $lanes).min(BLOCK_VECS);
+                        let (d, t1, t2) = (d.add(r), t1.as_ptr().add(r), t2.as_ptr().add(r));
+                        match nv {
+                            4 => sp_block::<4>(d, st, b, t1, t2, s, sp, n),
+                            3 => sp_block::<3>(d, st, b, t1, t2, s, sp, n),
+                            2 => sp_block::<2>(d, st, b, t1, t2, s, sp, n),
+                            _ => sp_block::<1>(d, st, b, t1, t2, s, sp, n),
+                        }
+                        r += nv * $lanes;
+                    }
+                }
+            }
+        };
+    }
+
+    outer_product_kernels!(
+        wide_pd,
+        f64,
+        __m256d,
+        4,
+        [
+            _mm256_setzero_pd,
+            _mm256_set1_pd,
+            _mm256_loadu_pd,
+            _mm256_storeu_pd,
+            _mm256_fmadd_pd,
+            _mm256_mul_pd
+        ]
+    );
+    outer_product_kernels!(
+        wide_ps,
+        f32,
+        __m256,
+        8,
+        [
+            _mm256_setzero_ps,
+            _mm256_set1_ps,
+            _mm256_loadu_ps,
+            _mm256_storeu_ps,
+            _mm256_fmadd_ps,
+            _mm256_mul_ps
+        ]
+    );
+
+    /// The bounds the outer-product kernels' pointer arithmetic relies on:
+    /// `sp` a whole number of vectors holding `s` states, whole patterns in
+    /// `dest`, children (`child_len`, the shorter) at least as long, both
+    /// tiles `s` rows of `sp`, and for a tip child one state below `s` or a
+    /// gap per pattern.
+    fn check_wide<T: Real>(
+        dest: &[T],
+        child_len: usize,
+        t1: &[T],
+        t2: &[T],
+        states: Option<&[u32]>,
+        s: usize,
+        sp: usize,
+    ) {
+        assert!(
+            s <= sp && sp.is_multiple_of(T::SIMD_LANES) && dest.len().is_multiple_of(sp),
+            "wide kernel: s={s} sp={sp} dest={}",
+            dest.len()
+        );
+        assert!(
+            child_len >= dest.len(),
+            "wide kernel: child shorter than dest"
+        );
+        assert!(
+            t1.len() >= s * sp && t2.len() >= s * sp,
+            "wide kernel: tiles shorter than s*sp"
+        );
+        if let Some(st) = states {
+            assert!(st.len() >= dest.len() / sp, "wide kernel: too few states");
+            assert!(
+                st.iter().all(|&x| (x as usize) < s || x == GAP_STATE),
+                "wide kernel: state out of range"
+            );
+        }
+    }
+
     // ---- safe wrappers (table entries) ----
     //
     // Safety: `DispatchReal::dispatch` only returns the AVX2 table after
@@ -1058,7 +1367,16 @@ mod avx2 {
         sp: usize,
     ) {
         debug_assert!(super::avx2_available());
-        unsafe { pp_pd(d, c1, c2, m1, m2, s, sp) }
+        if s == 4 {
+            // s == 4 in f64 always has stride 4 (already lane-aligned).
+            assert_eq!(sp, 4);
+            return unsafe { pp4_pd(d, c1, c2, m1, m2) };
+        }
+        if !super::on_stack_tiles(m1, m2, s, sp, |t1, t2| {
+            wide_pd::pp(d, c1, c2, t1, t2, s, sp)
+        }) {
+            kernels::partials_partials(d, c1, c2, m1, m2, s, sp);
+        }
     }
     pub(super) fn sp_f64(
         d: &mut [f64],
@@ -1070,7 +1388,15 @@ mod avx2 {
         sp: usize,
     ) {
         debug_assert!(super::avx2_available());
-        unsafe { sp_pd(d, s1, c2, m1, m2, s, sp) }
+        if s == 4 {
+            assert_eq!(sp, 4);
+            return unsafe { sp4_pd(d, s1, c2, m1, m2) };
+        }
+        if !super::on_stack_tiles(m1, m2, s, sp, |t1, t2| {
+            wide_pd::sp(d, s1, c2, t1, t2, s, sp)
+        }) {
+            kernels::states_partials(d, s1, c2, m1, m2, s, sp);
+        }
     }
     pub(super) fn rescale_max_f64(block: &[f64], maxes: &mut [f64], sp: usize) -> (f64, f64) {
         unsafe { rescale_max_pd(block, maxes, sp) }
@@ -1170,7 +1496,14 @@ mod avx2 {
         sp: usize,
     ) {
         debug_assert!(super::avx2_available());
-        unsafe { pp_ps(d, c1, c2, m1, m2, s, sp) }
+        if s == 4 {
+            return unsafe { pp4_ps(d, c1, c2, m1, m2, sp) };
+        }
+        if !super::on_stack_tiles(m1, m2, s, sp, |t1, t2| {
+            wide_ps::pp(d, c1, c2, t1, t2, s, sp)
+        }) {
+            kernels::partials_partials(d, c1, c2, m1, m2, s, sp);
+        }
     }
     pub(super) fn sp_f32(
         d: &mut [f32],
@@ -1182,7 +1515,16 @@ mod avx2 {
         sp: usize,
     ) {
         debug_assert!(super::avx2_available());
-        unsafe { sp_ps(d, s1, c2, m1, m2, s, sp) }
+        if s == 4 {
+            // SAFETY: AVX2+FMA confirmed by table selection; sp4_ps checks
+            // its matrices and states.
+            return unsafe { sp4_ps(d, s1, c2, m1, m2, sp) };
+        }
+        if !super::on_stack_tiles(m1, m2, s, sp, |t1, t2| {
+            wide_ps::sp(d, s1, c2, t1, t2, s, sp)
+        }) {
+            kernels::states_partials(d, s1, c2, m1, m2, s, sp);
+        }
     }
     pub(super) fn rescale_max_f32(block: &[f32], maxes: &mut [f32], sp: usize) -> (f32, f32) {
         unsafe { rescale_max_ps(block, maxes, sp) }
@@ -1288,6 +1630,7 @@ macro_rules! base_tables {
                 rescale_apply: kernels::rescale_block_apply::<$t>,
                 integrate_root: kernels::integrate_root::<$t>,
                 integrate_edge: kernels::integrate_edge::<$t>,
+                wide: None,
             },
             KernelDispatch::<$t> {
                 path: "portable",
@@ -1299,6 +1642,7 @@ macro_rules! base_tables {
                 rescale_apply: kernels::rescale_block_apply::<$t>,
                 integrate_root: kernels::integrate_root::<$t>,
                 integrate_edge: kernels::integrate_edge::<$t>,
+                wide: None,
             },
         )
     };
@@ -1320,6 +1664,10 @@ impl DispatchReal for f64 {
             rescale_apply: avx2::rescale_apply_f64,
             integrate_root: avx2::root_f64,
             integrate_edge: avx2::edge_f64,
+            wide: Some(WideKernels {
+                partials_partials: avx2::wide_pd::pp,
+                states_partials: avx2::wide_pd::sp,
+            }),
         };
         match kind {
             DispatchKind::Scalar => &TABLES.0,
@@ -1344,6 +1692,10 @@ impl DispatchReal for f32 {
             rescale_apply: avx2::rescale_apply_f32,
             integrate_root: avx2::root_f32,
             integrate_edge: avx2::edge_f32,
+            wide: Some(WideKernels {
+                partials_partials: avx2::wide_ps::pp,
+                states_partials: avx2::wide_ps::sp,
+            }),
         };
         match kind {
             DispatchKind::Scalar => &TABLES.0,
@@ -1357,6 +1709,7 @@ impl DispatchReal for f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beagle_core::GAP_STATE as GAP;
 
     /// Deterministic pseudo-random positive values in (0, 1].
     fn fill(seed: u64, n: usize) -> Vec<f64> {
@@ -1399,32 +1752,60 @@ mod tests {
         );
     }
 
+    /// The outer-product kernels run the scalar kernels' FMA chain per
+    /// lane, so they must match them bit for bit: pp and sp (gaps
+    /// included), through the row-major entries and over tiles transposed
+    /// once, in both precisions, at state counts that fill the last
+    /// register block partly or wholly, with an odd pattern count for the
+    /// single-pattern tail.
+    fn wide_bits_match_scalar<T: DispatchReal>() {
+        let table = T::dispatch(DispatchKind::Avx2);
+        let wide = table.wide.expect("avx2 table has wide kernels");
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        for s in [5usize, 20, 61, 64] {
+            for n_pat in [1usize, 2, 9] {
+                let sp = s.div_ceil(T::SIMD_LANES) * T::SIMD_LANES;
+                let tv = |seed, n| -> Vec<T> {
+                    padded(&fill(seed, n * s), s, sp)
+                        .into_iter()
+                        .map(T::from_f64)
+                        .collect()
+                };
+                let (m1, m2, c1, c2) = (tv(1, s), tv(2, s), tv(3, n_pat), tv(4, n_pat));
+                let mut t1 = vec![T::ZERO; s * sp];
+                let mut t2 = vec![T::ZERO; s * sp];
+                transpose_matrix(&m1, &mut t1, s, sp);
+                transpose_matrix(&m2, &mut t2, s, sp);
+                let states: Vec<u32> = (0..n_pat as u32)
+                    .map(|p| if p % 3 == 1 { GAP } else { (p * 7) % s as u32 })
+                    .collect();
+                let what = format!("{} s={s} n_pat={n_pat}", std::any::type_name::<T>());
+
+                let mut expect = vec![T::ZERO; n_pat * sp];
+                kernels::partials_partials(&mut expect, &c1, &c2, &m1, &m2, s, sp);
+                let mut rows = vec![T::ONE; n_pat * sp];
+                (table.partials_partials)(&mut rows, &c1, &c2, &m1, &m2, s, sp);
+                let mut cols = vec![T::ONE; n_pat * sp];
+                (wide.partials_partials)(&mut cols, &c1, &c2, &t1, &t2, s, sp);
+                assert_eq!(bits(&rows), bits(&expect), "pp rows {what}");
+                assert_eq!(bits(&cols), bits(&expect), "pp cols {what}");
+
+                kernels::states_partials(&mut expect, &states, &c2, &m1, &m2, s, sp);
+                (table.states_partials)(&mut rows, &states, &c2, &m1, &m2, s, sp);
+                (wide.states_partials)(&mut cols, &states, &c2, &t1, &t2, s, sp);
+                assert_eq!(bits(&rows), bits(&expect), "sp rows {what}");
+                assert_eq!(bits(&cols), bits(&expect), "sp cols {what}");
+            }
+        }
+    }
+
     #[test]
     fn avx2_wide_pp_matches_scalar() {
         if !avx2_available() {
             return;
         }
-        let s = 61usize;
-        let sp = s.div_ceil(4) * 4;
-        let n_pat = 9;
-        let m1 = padded(&fill(1, s * s), s, sp);
-        let m2 = padded(&fill(2, s * s), s, sp);
-        let c1 = padded(&fill(3, n_pat * s), s, sp);
-        let c2 = padded(&fill(4, n_pat * s), s, sp);
-        let mut d_simd = vec![0.0; n_pat * sp];
-        let mut d_scalar = vec![0.0; n_pat * sp];
-        let table = <f64 as DispatchReal>::dispatch(DispatchKind::Avx2);
-        (table.partials_partials)(&mut d_simd, &c1, &c2, &m1, &m2, s, sp);
-        kernels::partials_partials(&mut d_scalar, &c1, &c2, &m1, &m2, s, sp);
-        for p in 0..n_pat {
-            for k in 0..s {
-                let (a, b) = (d_simd[p * sp + k], d_scalar[p * sp + k]);
-                assert!(
-                    (a - b).abs() <= 1e-12 * b.abs().max(1.0),
-                    "pattern {p} state {k}: {a} vs {b}"
-                );
-            }
-        }
+        wide_bits_match_scalar::<f64>();
+        wide_bits_match_scalar::<f32>();
     }
 
     #[test]

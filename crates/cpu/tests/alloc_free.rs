@@ -1,7 +1,10 @@
 //! The traversal hot path allocates nothing: after a warm-up evaluation, a
 //! scaled `update_partials` + `accumulate_scale_factors` + `integrate_root`
 //! must not touch the heap, on the serial vectorized instance and on the
-//! two-thread pool above the 512-pattern threading threshold.
+//! two-thread pool above the 512-pattern threading threshold, for
+//! nucleotides and for codons (s = 61, whose vectorized kernels read child
+//! matrices transposed into the instance's reusable scratch once per
+//! operation and category).
 //!
 //! A counting global allocator sees every thread (pool workers included).
 //! The file holds a single test so no other test's allocations land inside
@@ -48,12 +51,11 @@ static GLOBAL: Counting = Counting;
 
 const TAXA: usize = 8;
 const PATTERNS: usize = 700;
-const STATES: usize = 4;
 const CATEGORIES: usize = 4;
 
-/// A loaded instance plus its scaled caterpillar traversal.
-fn setup(threading: Threading) -> (CpuInstance<f64>, Vec<Operation>) {
-    let config = InstanceConfig::for_tree(TAXA, PATTERNS, STATES, CATEGORIES);
+/// A loaded `states`-state instance plus its scaled caterpillar traversal.
+fn setup(threading: Threading, states: usize) -> (CpuInstance<f64>, Vec<Operation>) {
+    let config = InstanceConfig::for_tree(TAXA, PATTERNS, states, CATEGORIES);
     let details = InstanceDetails {
         implementation_name: "alloc-free".into(),
         resource_name: "host".into(),
@@ -62,7 +64,7 @@ fn setup(threading: Threading) -> (CpuInstance<f64>, Vec<Operation>) {
     };
     let mut inst = CpuInstance::<f64>::new(config, threading, true, details).unwrap();
     inst.set_category_weights(0, &[0.25; CATEGORIES]).unwrap();
-    let mut m = vec![0.0; CATEGORIES * STATES * STATES];
+    let mut m = vec![0.0; CATEGORIES * states * states];
     for (i, x) in m.iter_mut().enumerate() {
         *x = 0.02 + ((i * 37 + 11) % 91) as f64 / 400.0;
     }
@@ -71,7 +73,7 @@ fn setup(threading: Threading) -> (CpuInstance<f64>, Vec<Operation>) {
     }
     for tip in 0..TAXA {
         let states: Vec<u32> = (0..PATTERNS)
-            .map(|p| ((p * 7 + tip * 3 + p / 5) % STATES) as u32)
+            .map(|p| ((p * 7 + tip * 3 + p / 5) % states) as u32)
             .collect();
         inst.set_tip_states(tip, &states).unwrap();
     }
@@ -126,14 +128,20 @@ fn started_pool() -> Arc<ThreadPool> {
 
 #[test]
 fn scaled_traversal_allocates_nothing_after_warm_up() {
-    for name in ["CPU-SSE", "CPU-threadpool-SSE"] {
+    for (name, states) in [
+        ("CPU-SSE", 4),
+        ("CPU-threadpool-SSE", 4),
+        ("CPU-SSE", 61),
+        ("CPU-threadpool-SSE", 61),
+    ] {
         let threading = match name {
             "CPU-SSE" => Threading::Serial,
             _ => Threading::ThreadPool {
                 pool: started_pool(),
             },
         };
-        let (mut inst, ops) = setup(threading);
+        let name = format!("{name} s={states}");
+        let (mut inst, ops) = setup(threading, states);
         let scale_indices: Vec<usize> = ops.iter().map(|op| op.destination).collect();
         let warm = evaluate(&mut inst, &ops, &scale_indices);
         assert!(warm.is_finite(), "{name}: {warm}");

@@ -6,7 +6,10 @@
 //! traversal must leave the same partials and scale factors, bit for bit,
 //! as unscaled operations rescaled afterwards over whole blocks by
 //! `kernels::rescale_patterns`. With statistics on, the in-operation
-//! rescale books wall time under `KernelClass::Rescale`.
+//! rescale books wall time under `KernelClass::Rescale`. The root
+//! log-likelihood of such a traversal has the same bits under every
+//! threading model of one kernel table, although the thread pool
+//! integrates the root in pattern chunks.
 
 use std::sync::Arc;
 
@@ -150,12 +153,28 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn check<T: DispatchReal>(pool: &Arc<ThreadPool>) {
-    let obs = Recorder::new(true).is_enabled();
+/// Every kernel table this host can run.
+fn kinds() -> Vec<DispatchKind> {
     let mut kinds = vec![DispatchKind::Scalar, DispatchKind::Portable];
     if avx2_available() {
         kinds.push(DispatchKind::Avx2);
     }
+    kinds
+}
+
+/// The four threading models, two threads where they split patterns.
+fn threadings(pool: &Arc<ThreadPool>) -> [(&'static str, Threading); 4] {
+    [
+        ("serial", Threading::Serial),
+        ("thread-create", Threading::ThreadCreate { threads: 2 }),
+        ("thread-pool", Threading::ThreadPool { pool: pool.clone() }),
+        ("futures", Threading::Futures),
+    ]
+}
+
+fn check<T: DispatchReal>(pool: &Arc<ThreadPool>) {
+    let obs = Recorder::new(true).is_enabled();
+    let kinds = kinds();
     for n_pat in [
         RESCALE_TILE - 1,
         RESCALE_TILE,
@@ -170,13 +189,7 @@ fn check<T: DispatchReal>(pool: &Arc<ThreadPool>) {
                     factors().any(|&f| f == 0.0) && factors().any(|&f| f != 0.0),
                     "some patterns rescale and some do not"
                 );
-                let threadings = [
-                    ("serial", Threading::Serial),
-                    ("thread-create", Threading::ThreadCreate { threads: 2 }),
-                    ("thread-pool", Threading::ThreadPool { pool: pool.clone() }),
-                    ("futures", Threading::Futures),
-                ];
-                for (name, threading) in threadings {
+                for (name, threading) in threadings(pool) {
                     let what = format!(
                         "{} n_pat={n_pat} s={s} {kind:?} {name}",
                         std::any::type_name::<T>()
@@ -213,4 +226,56 @@ fn tiled_rescale_matches_whole_block_rescale_at_tile_boundaries() {
     let pool = Arc::new(ThreadPool::new(2));
     check::<f64>(&pool);
     check::<f32>(&pool);
+}
+
+/// A scaled traversal over two tiles' worth of patterns, then root
+/// integration with unequal pattern weights: the log-likelihood and site
+/// log-likelihoods are bit-identical under all four threading models, per
+/// kernel table and precision.
+fn check_root_bits<T: DispatchReal>(pool: &Arc<ThreadPool>) {
+    let n_pat = 2 * RESCALE_TILE + 3;
+    let cumulative = TAXA - 1;
+    for s in [4, 20] {
+        for kind in kinds() {
+            let mut first: Option<(&str, u64, Vec<u64>)> = None;
+            for (name, threading) in threadings(pool) {
+                let what = format!("{} s={s} {kind:?} {name}", std::any::type_name::<T>());
+                let mut inst = instance::<T>(n_pat, s, threading, kind);
+                let total = (s * (s + 1) / 2) as f64;
+                let freqs: Vec<f64> = (1..=s).map(|i| i as f64 / total).collect();
+                inst.set_state_frequencies(0, &freqs).unwrap();
+                let weights: Vec<f64> = (0..n_pat).map(|p| (1 + p % 7) as f64).collect();
+                inst.set_pattern_weights(&weights).unwrap();
+                let ops = operations();
+                inst.update_partials(&ops).unwrap();
+                let scales: Vec<usize> = ops.iter().filter_map(|op| op.dest_scale_write).collect();
+                inst.reset_scale_factors(cumulative).unwrap();
+                inst.accumulate_scale_factors(&scales, cumulative).unwrap();
+                let lnl = inst
+                    .integrate_root(
+                        BufferId(ops.last().unwrap().destination),
+                        BufferId(0),
+                        BufferId(0),
+                        ScalingMode::cumulative(cumulative),
+                    )
+                    .unwrap();
+                assert!(lnl.is_finite(), "{what}: {lnl}");
+                let site = bits(&inst.get_site_log_likelihoods().unwrap());
+                match &first {
+                    None => first = Some((name, lnl.to_bits(), site)),
+                    Some((first_name, lnl_bits, site_bits)) => {
+                        assert_eq!(&site, site_bits, "site lnL {what} vs {first_name}");
+                        assert_eq!(lnl.to_bits(), *lnl_bits, "lnL {what} vs {first_name}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn root_log_likelihood_bits_do_not_depend_on_threading() {
+    let pool = Arc::new(ThreadPool::new(2));
+    check_root_bits::<f64>(&pool);
+    check_root_bits::<f32>(&pool);
 }

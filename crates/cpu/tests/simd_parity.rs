@@ -3,18 +3,22 @@
 //! near-zero/denormal inputs — and a full likelihood run must agree between
 //! the forced-scalar and the vectorized dispatch paths.
 //!
-//! Tolerances: the 4-state AVX2 specializations use the same FMA chain as
-//! the portable kernels, so those pairs are compared bit-for-bit. The wide
-//! (arbitrary state count) AVX2 kernels use a 4-accumulator tree reduction
-//! whose association differs from the scalar left-to-right sum, so they are
-//! compared to within a few ulps scaled by the dot length.
+//! Tolerances: the partials kernels are compared bit for bit on every path.
+//! The 4-state AVX2 specializations use the same FMA chain as the portable
+//! kernels, and the wide-state (s != 4) AVX2 kernels build each destination
+//! lane by broadcasting child state `j` and FMA-ing column `j` of the
+//! transposed matrix for `j` in order, which is the scalar kernels' chain.
+//! Root and edge integration still end in the AVX2 dot product's
+//! 4-accumulator tree reduction, whose association differs from the scalar
+//! left-to-right sum, so they are compared to within a few ulps scaled by
+//! the dot length.
 
 use beagle_core::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
 use beagle_core::flags::Flags;
 use beagle_core::real::Real;
 use beagle_core::{Operation, GAP_STATE};
 use beagle_cpu::instance::Threading;
-use beagle_cpu::simd::{avx2_available, DispatchKind, DispatchReal};
+use beagle_cpu::simd::{avx2_available, transpose_matrix, DispatchKind, DispatchReal};
 use beagle_cpu::{kernels, CpuInstance};
 use proptest::prelude::*;
 
@@ -29,6 +33,10 @@ fn dot_tol<T: Real>(s: usize) -> f64 {
         f32::EPSILON as f64
     };
     8.0 * s as f64 * eps
+}
+
+fn bits<T: Real>(v: &[T]) -> Vec<u64> {
+    v.iter().map(|x| x.to_f64().to_bits()).collect()
 }
 
 fn assert_close<T: Real>(a: &[T], b: &[T], s: usize, what: &str) {
@@ -119,11 +127,26 @@ fn check_kernels<T: DispatchReal>(
 
         (scalar.partials_partials)(&mut d_ref, &c1, &c2, &m1, &m2, s, sp);
         (table.partials_partials)(&mut d_simd, &c1, &c2, &m1, &m2, s, sp);
-        assert_close(&d_simd, &d_ref, s, &format!("pp s={s} {}", table.path));
+        assert_eq!(bits(&d_simd), bits(&d_ref), "pp s={s} {}", table.path);
 
         (scalar.states_partials)(&mut d_ref, s1, &c2, &m1, &m2, s, sp);
         (table.states_partials)(&mut d_simd, s1, &c2, &m1, &m2, s, sp);
-        assert_close(&d_simd, &d_ref, s, &format!("sp s={s} {}", table.path));
+        assert_eq!(bits(&d_simd), bits(&d_ref), "sp s={s} {}", table.path);
+
+        // The wide kernels over matrices transposed once, as the CPU
+        // instance runs them.
+        if let Some(wide) = table.wide {
+            let mut t1 = vec![T::ZERO; s * sp];
+            let mut t2 = vec![T::ZERO; s * sp];
+            transpose_matrix(&m1, &mut t1, s, sp);
+            transpose_matrix(&m2, &mut t2, s, sp);
+            (scalar.partials_partials)(&mut d_ref, &c1, &c2, &m1, &m2, s, sp);
+            (wide.partials_partials)(&mut d_simd, &c1, &c2, &t1, &t2, s, sp);
+            assert_eq!(bits(&d_simd), bits(&d_ref), "wide pp s={s} {}", table.path);
+            (scalar.states_partials)(&mut d_ref, s1, &c2, &m1, &m2, s, sp);
+            (wide.states_partials)(&mut d_simd, s1, &c2, &t1, &t2, s, sp);
+            assert_eq!(bits(&d_simd), bits(&d_ref), "wide sp s={s} {}", table.path);
+        }
 
         (scalar.states_states)(&mut d_ref, s1, s2, &m1, &m2, s, sp);
         (table.states_states)(&mut d_simd, s1, s2, &m1, &m2, s, sp);

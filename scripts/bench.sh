@@ -9,10 +9,12 @@
 #                       patterns outside the rescale window;
 #                       scaled_op_checked: the same on data inside the
 #                       window; scaled_op_skipped: the partials alone, as
-#                       when bounds skip the check); every row is the
+#                       when bounds skip the check; the avx2 scaled rows
+#                       transpose each child matrix once per operation, as
+#                       the CPU instance does); every row is the
 #                       median of 5 rounds with its IQR, and
 #                       GFLOPS + us/matrix for the shared transition-matrix
-#                       kernel (s = 4, 20, 61 x f64/f32)
+#                       kernel (path row-blocked-k4; s = 4, 20, 61 x f64/f32)
 #   BENCH_obs.json      instrumentation overhead (stats on vs off, bit-exact)
 #                       and the benchmark_resources ranking of every
 #                       registered implementation

@@ -30,20 +30,34 @@
 #                             2*RESCALE_TILE+3 patterns on serial,
 #                             thread-create, thread-pool and futures
 #                             instances == rescale_patterns over whole blocks,
-#                             bit for bit; Rescale books wall time
+#                             bit for bit; Rescale books wall time;
+#                             root_log_likelihood_bits_do_not_depend_on_
+#                             threading (lnL and site lnL bits equal across
+#                             the four threading models, per kernel table,
+#                             f32/f64, s in {4,20})
+#   cpu tests/simd_parity ... pp and sp kernels (row-major and transposed
+#                             wide entries) == scalar bit for bit on every
+#                             table, f32/f64, s in {2,4,20,61}, gaps
+#   cpu tests/alloc_free .... warm scaled traversal allocates 0 bytes on
+#                             CPU-SSE and a 2-thread pool, s = 4 and s = 61
 #   core tests/read_frame_alloc  a header claiming MAX_PAYLOAD then 10 bytes
 #                             is Truncated with < 1 MiB peak allocation
 #   tests/rescale_bounds .... bound knowledge never changes bits (random trees,
 #                             branch lengths 1e-8..10, f32/f64, four threading
 #                             models x eager/queued, children re-uploaded
-#                             before every operation); checkpoint restore
+#                             before every operation; partials and lnL equal
+#                             across the models of one table); checkpoint restore
 #                             mid-chain; f64 underflow recovered by checked
 #                             rescaling vs the oracle; stale factors cleared
 #                             by a skipped check; window headroom
 #   tests/cross_backend ..... implementations x {single,double} x scaling vs oracle;
 #                             one_scaled_operation_is_bit_identical_on_every_backend
 #                             (11 implementations x f32/f64: same partials and
-#                             log factors, partials x 2^E == unscaled bits)
+#                             log factors, partials x 2^E == unscaled bits);
+#                             wide_state_partials_are_bit_identical_across_
+#                             back_ends (codon and amino acid, scaled or not,
+#                             f32/f64: every internal partials buffer of all
+#                             11 implementations == CPU-serial bit for bit)
 #   tests/differential ...... implementations x {eager, queued} bit-for-bit,
 #                             repeat proposals served by memo, site-lnL read-back,
 #                             and the failover fixtures in BOTH queue modes
@@ -105,7 +119,8 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q --workspace
 # The queue-mode differential matrix, the memo matrix-store properties, the
-# fault matrix, the SIMD kernel parity suite, the allocation-free hot-path
+# fault matrix, the SIMD kernel parity suite, the cross-back-end partials
+# bit-identity, the allocation-free hot-path
 # guard, the rescale tile-boundary and bounds checks, and the observability suite,
 # named explicitly so a regression in any is attributable at a glance.
 cargo test -q --test differential
@@ -113,6 +128,7 @@ cargo test -q -p beagle-core --test matrix_proptests
 cargo test -q --test failover
 cargo test -q --test robustness
 cargo test -q -p beagle-cpu --test simd_parity
+cargo test -q --test cross_backend
 cargo test -q -p beagle-cpu --test alloc_free
 cargo test -q -p beagle-cpu --test rescale_tiles
 cargo test -q --test rescale_bounds

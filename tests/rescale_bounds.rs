@@ -96,7 +96,7 @@ fn instance(p: &Problem, name: &str, precision: Flags, queued: bool) -> Box<dyn 
 /// and its parent's, are unknown and every such check runs) leaves the same
 /// partials and log-likelihood, bit for bit, as a traversal with the bounds
 /// known, where some checks are skipped. Every model and mode on one
-/// kernel table leaves the same partials.
+/// kernel table leaves the same partials and log-likelihood.
 #[test]
 fn bound_knowledge_never_changes_bits() {
     for seed in [3, 4] {
@@ -136,13 +136,10 @@ fn bound_knowledge_never_changes_bits() {
                         "{what}: re-uploads must force checks"
                     );
                     assert_eq!(got, expect, "{what}: bounds changed bits");
-                    // The pool sums root chunks in its own order, so across
-                    // models only the partials must agree.
-                    let partials = expect[..expect.len() - 1].to_vec();
                     match &first {
-                        None => first = Some((what, partials)),
+                        None => first = Some((what, expect)),
                         Some((first_what, bits)) => {
-                            assert!(&partials == bits, "{what} vs {first_what}")
+                            assert!(&expect == bits, "{what} vs {first_what}")
                         }
                     }
                 }
