@@ -16,7 +16,7 @@ use beagle_core::buffers::{ChildOperand, InstanceBuffers};
 use beagle_core::error::{BeagleError, Result};
 use beagle_core::obs::{self, EventKind, KernelClass, Recorder};
 use beagle_core::ops::Operation;
-use beagle_core::real::{widen_slice, Real};
+use beagle_core::real::{weighted_lnl_sum, widen_slice, Real};
 
 use beagle_cpu::kernels::rescale_patterns;
 use beagle_cpu::pool::ThreadPool;
@@ -26,7 +26,7 @@ use crate::dialect::Dialect;
 use crate::fault::{FaultAction, FaultInjector, FaultSite};
 use crate::grid::{plan_gpu, plan_x86, WorkGroupPlan};
 use crate::kernels::gpu::{partials_kernel, PartialsArgs};
-use crate::kernels::integrate::{integrate_edge_kernel, integrate_root_kernel, sum_sites_kernel};
+use crate::kernels::integrate::{integrate_edge_kernel, integrate_root_kernel};
 use crate::kernels::x86;
 use crate::kernels::Operand;
 use crate::perf::PerfModel;
@@ -269,18 +269,10 @@ impl<T: Real, D: Dialect> AccelInstance<T, D> {
         }
     }
 
-    /// One operation on the simulated GPU. The two overhead parameters are
-    /// the host-side launch cost charged for the partials kernel and the
-    /// optional rescale kernel: the eager path charges the full dialect
-    /// overhead for every launch, while the level-batched path (see
-    /// `update_partials_by_levels`) submits a whole dependency level to one
-    /// stream and so charges the overhead only for the level's first launch.
-    fn execute_op_gpu(
-        &mut self,
-        op: &Operation,
-        partials_overhead_us: f64,
-        rescale_overhead_us: f64,
-    ) {
+    /// One operation on the simulated GPU: one modeled launch of the
+    /// partials kernel and, when scaled, one of the rescale kernel, each
+    /// charged the dialect's full launch overhead.
+    fn execute_op_gpu(&mut self, op: &Operation) {
         let cfg = self.bufs.config;
         let (s, n_pat, n_cat) = (cfg.state_count, cfg.pattern_count, cfg.category_count);
         let mut dest = self.bufs.take_destination(op.destination);
@@ -311,7 +303,7 @@ impl<T: Real, D: Dialect> AccelInstance<T, D> {
             s,
             elem == 8,
             self.fma_enabled,
-            partials_overhead_us,
+            D::launch_overhead_us(),
         ));
 
         if let Some(si) = op.dest_scale_write {
@@ -325,30 +317,10 @@ impl<T: Real, D: Dialect> AccelInstance<T, D> {
                 s,
                 elem == 8,
                 self.fma_enabled,
-                rescale_overhead_us,
+                D::launch_overhead_us(),
             ));
         }
         self.bufs.restore_destination(op.destination, dest);
-    }
-
-    /// Validate an operation list the way `update_partials` does.
-    fn validate_operations(&self, operations: &[Operation]) -> Result<()> {
-        let mut produced = std::collections::HashSet::new();
-        for op in operations {
-            self.bufs.check_operation_indices(op)?;
-            for child in [op.child1, op.child2] {
-                let exists = self.bufs.partials[child].is_some()
-                    || self.bufs.tip_states[child].is_some()
-                    || produced.contains(&child);
-                if !exists {
-                    return Err(BeagleError::InvalidConfiguration(format!(
-                        "operation reads buffer {child} before it was computed"
-                    )));
-                }
-            }
-            produced.insert(op.destination);
-        }
-        Ok(())
     }
 
     /// One operation on the real-execution x86 device: work-groups run as
@@ -778,7 +750,7 @@ impl<T: Real, D: Dialect> BeagleInstance for AccelInstance<T, D> {
     }
 
     fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
-        self.validate_operations(operations)?;
+        self.bufs.check_operations(operations)?;
         let t0 = self.recorder.is_enabled().then(std::time::Instant::now);
         self.recorder.event(EventKind::OperationBegin, || {
             format!("update_partials ops={}", operations.len())
@@ -787,8 +759,7 @@ impl<T: Real, D: Dialect> BeagleInstance for AccelInstance<T, D> {
         for op in operations {
             let corrupt = self.inject(FaultSite::KernelLaunch)?;
             if self.is_simulated() {
-                let overhead = D::launch_overhead_us();
-                self.execute_op_gpu(op, overhead, overhead);
+                self.execute_op_gpu(op);
             } else {
                 self.execute_op_x86(op);
             }
@@ -801,54 +772,6 @@ impl<T: Real, D: Dialect> BeagleInstance for AccelInstance<T, D> {
             self.record_partials_call(operations, t0.elapsed(), modeled);
             self.recorder.event(EventKind::OperationEnd, || {
                 format!("update_partials ops={}", operations.len())
-            });
-        }
-        Ok(())
-    }
-
-    fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-        let flat: Vec<Operation> = levels.iter().flatten().copied().collect();
-        self.validate_operations(&flat)?;
-        let t0 = self.recorder.is_enabled().then(std::time::Instant::now);
-        self.recorder.event(EventKind::OperationBegin, || {
-            format!(
-                "update_partials_by_levels ops={} levels={}",
-                flat.len(),
-                levels.len()
-            )
-        });
-        let dev0 = self.clock.elapsed();
-        if !self.is_simulated() {
-            // The x86 device executes for real on host threads; there is no
-            // launch-overhead model to batch away.
-            for op in &flat {
-                let corrupt = self.inject(FaultSite::KernelLaunch)?;
-                self.execute_op_x86(op);
-                if corrupt {
-                    self.poison_partials(op.destination);
-                }
-            }
-        } else {
-            // Batched submission: each dependency level goes to one simulated
-            // stream, so the host pays the launch overhead once per level — the
-            // per-op kernel (and any rescale) rides the same submission. Fault
-            // checkpoints stay per-launch, matching the eager schedule.
-            for level in levels {
-                for (i, op) in level.iter().enumerate() {
-                    let corrupt = self.inject(FaultSite::KernelLaunch)?;
-                    let overhead = if i == 0 { D::launch_overhead_us() } else { 0.0 };
-                    self.execute_op_gpu(op, overhead, 0.0);
-                    if corrupt {
-                        self.poison_partials(op.destination);
-                    }
-                }
-            }
-        }
-        if let Some(t0) = t0 {
-            let modeled = self.modeled_since(dev0);
-            self.record_partials_call(&flat, t0.elapsed(), modeled);
-            self.recorder.event(EventKind::OperationEnd, || {
-                format!("update_partials_by_levels ops={}", flat.len())
             });
         }
         Ok(())
@@ -919,7 +842,7 @@ impl<T: Real, D: Dialect> BeagleInstance for AccelInstance<T, D> {
                 self.fma_enabled,
             );
         }
-        let total = sum_sites_kernel(&site_lnl, &self.bufs.pattern_weights);
+        let total = weighted_lnl_sum(0.0, &site_lnl, self.bufs.pattern_weights.iter().copied());
         self.bufs.site_log_likelihoods = site_lnl;
         self.bufs.partials[root_buffer] = Some(root);
 
@@ -1010,7 +933,7 @@ impl<T: Real, D: Dialect> BeagleInstance for AccelInstance<T, D> {
             cfg.pattern_count,
             self.fma_enabled,
         );
-        let total = sum_sites_kernel(&site_lnl, &self.bufs.pattern_weights);
+        let total = weighted_lnl_sum(0.0, &site_lnl, self.bufs.pattern_weights.iter().copied());
         self.bufs.site_log_likelihoods = site_lnl;
         if self.is_simulated() {
             let elem = std::mem::size_of::<T>();

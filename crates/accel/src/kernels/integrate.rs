@@ -3,9 +3,10 @@
 //! §IV-F: "BEAGLE uses GPUs to parallelize other functions necessary for
 //! computing the overall tree likelihood, thus minimizing data transfers…
 //! integrating root and edge likelihoods, and summing site likelihoods."
-//! One work-item per pattern computes the site likelihood; a reduction
-//! kernel then sums the weighted logs so only a single scalar crosses back
-//! to the host.
+//! One work-item per pattern computes the site likelihood; the reduction
+//! of the weighted logs, so that only a single scalar crosses back to the
+//! host, is the one every back-end shares
+//! ([`beagle_core::real::weighted_lnl_sum`]).
 
 use beagle_core::real::Real;
 use beagle_core::GAP_STATE;
@@ -97,21 +98,11 @@ pub fn integrate_edge_kernel<D: Dialect, T: Real>(
     }
 }
 
-/// Site-likelihood summation ("summing site likelihoods", §IV): the weighted
-/// reduction that returns the total log-likelihood as the only value
-/// transferred back to the host.
-pub fn sum_sites_kernel<T: Real>(site_lnl: &[T], pattern_weights: &[T]) -> f64 {
-    site_lnl
-        .iter()
-        .zip(pattern_weights)
-        .map(|(&l, &w)| l.to_f64() * w.to_f64())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dialect::{CudaDialect, OpenClDialect};
+    use beagle_core::real::weighted_lnl_sum;
 
     #[test]
     fn root_kernel_matches_cpu_kernel() {
@@ -137,7 +128,7 @@ mod tests {
             patterns,
             true,
         );
-        let total_gpu = sum_sites_kernel(&site_gpu, &pw);
+        let total_gpu = weighted_lnl_sum(0.0, &site_gpu, pw.iter().copied());
 
         let mut site_cpu = vec![0.0; patterns];
         let total_cpu = beagle_cpu::kernels::integrate_root(
@@ -186,7 +177,7 @@ mod tests {
             patterns,
             true,
         );
-        let total_gpu = sum_sites_kernel(&site_gpu, &pw);
+        let total_gpu = weighted_lnl_sum(0.0, &site_gpu, pw.iter().copied());
 
         let mut site_cpu = vec![0.0; patterns];
         let total_cpu = beagle_cpu::kernels::integrate_edge(

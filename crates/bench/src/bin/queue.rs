@@ -1,52 +1,47 @@
-//! Deferred execution — eager vs. queued launch accounting.
+//! Deferred execution — the queue only defers.
 //!
-//! The operation queue batches each dependency level of the traversal into
-//! one submission, so the modeled device pays its kernel-launch overhead
-//! once per *level* instead of once per *operation* (DESIGN.md §6). This
-//! binary quantifies that win on the simulated GPUs: per-traversal modeled
-//! time in eager (`COMPUTATION_SYNCH`) vs. queued (`COMPUTATION_ASYNCH`)
-//! mode across tree sizes, then the memo layer's matrix counters (skipped,
-//! reused from its matrix store, computed) under the MCMC access pattern:
-//! an identical re-proposal, then a branch move and its rejection.
+//! The operation queue (DESIGN.md §6) holds mutating calls until a result
+//! is demanded, then submits each run of partials calls with one
+//! `update_partials`. It no longer levels or batches anything: the back-end
+//! levels the list it gets itself, so a queued and an eager stack schedule
+//! alike. This binary shows that on `CPU-threadpool`: the back-end's
+//! `PoolDispatch` count per traversal, eager (`COMPUTATION_SYNCH`) vs.
+//! queued (`COMPUTATION_ASYNCH`), across tree sizes, which should be equal.
+//! Then it prints the memo layer's matrix counters (skipped, reused from
+//! its matrix store, computed) under the MCMC access pattern: an identical
+//! re-proposal, then a branch move and its rejection.
 //!
-//! Timing provenance: all GPU rows are **modeled** device times (the
-//! roofline perf model, DESIGN.md §1); the queue win is the launch-overhead
-//! term, which the model charges per submission exactly as a real driver
-//! would.
+//! Every figure is a **count** from the instances' statistics, not a time.
 
 use beagle_bench::quick_mode;
-use beagle_core::Flags;
+use beagle_core::obs::KernelClass;
+use beagle_core::{BeagleInstance, Flags};
 use genomictest::{full_manager, ModelKind, Problem, Scenario};
-use std::time::Duration;
 
-const DEVICES: [&str; 2] = [
-    "CUDA (NVIDIA Quadro P5000 (simulated))",
-    "OpenCL-GPU (AMD Radeon R9 Nano (simulated))",
-];
-
-/// Modeled time for `reps` full traversals in one queue mode.
-fn traversal_time(problem: &Problem, name: &str, asynch: bool, reps: usize) -> Option<Duration> {
+/// `PoolDispatch` batches per traversal on `CPU-threadpool` in one queue
+/// mode, averaged over `reps` traversals.
+fn dispatches_per_pass(problem: &Problem, asynch: bool, reps: usize) -> f64 {
     let mode = if asynch {
         Flags::COMPUTATION_ASYNCH
     } else {
         Flags::COMPUTATION_SYNCH
     };
+    let flags = Flags::PRECISION_DOUBLE | Flags::INSTANCE_STATS | mode;
     let mut inst = full_manager()
-        .create_instance_by_name(name, &problem.config(), Flags::PRECISION_DOUBLE | mode)
-        .ok()?;
-    // The timed loop repeats identical traversals; don't let the memo layer
-    // skip them.
+        .create_instance_by_name("CPU-threadpool", &problem.config(), flags)
+        .expect("CPU-threadpool instance");
+    // The passes repeat one traversal; don't let the memo layer skip it.
     inst.set_incremental(false);
     problem.load(inst.as_mut());
-    let ops = problem.operations(false);
-    inst.update_partials(&ops).expect("warmup");
-    inst.wait_for_computation().expect("warmup flush");
-    inst.reset_simulated_time();
+    let dispatches = |inst: &dyn BeagleInstance| {
+        let stats = inst.statistics().expect("statistics were requested");
+        stats.counter(KernelClass::PoolDispatch).calls
+    };
+    let before = dispatches(inst.as_ref());
     for _ in 0..reps {
-        inst.update_partials(&ops).expect("timed traversal");
+        problem.evaluate(inst.as_mut(), false);
     }
-    inst.wait_for_computation().expect("flush");
-    inst.simulated_time().map(|t| t / reps as u32)
+    (dispatches(inst.as_ref()) - before) as f64 / reps as f64
 }
 
 fn main() {
@@ -57,13 +52,10 @@ fn main() {
         &[16, 64, 128, 256]
     };
 
-    println!("deferred execution: modeled per-traversal time, eager vs queued");
+    println!("deferred execution: CPU-threadpool PoolDispatch batches per traversal");
     println!("(double precision, nucleotide, 1024 patterns, 4 rate categories)");
     println!();
-    println!(
-        "{:<44} {:>6} {:>12} {:>12} {:>9}",
-        "device", "taxa", "eager", "queued", "speedup"
-    );
+    println!("{:>6} {:>10} {:>10}", "taxa", "eager", "queued");
     for &taxa in taxa_sweep {
         let problem = Problem::generate(&Scenario {
             model: ModelKind::Nucleotide,
@@ -72,24 +64,11 @@ fn main() {
             categories: 4,
             seed: 11,
         });
-        for name in DEVICES {
-            let (Some(eager), Some(queued)) = (
-                traversal_time(&problem, name, false, reps),
-                traversal_time(&problem, name, true, reps),
-            ) else {
-                continue;
-            };
-            println!(
-                "{:<44} {:>6} {:>10.1}us {:>10.1}us {:>8.2}x",
-                name,
-                taxa,
-                eager.as_secs_f64() * 1e6,
-                queued.as_secs_f64() * 1e6,
-                eager.as_secs_f64() / queued.as_secs_f64(),
-            );
-        }
+        let eager = dispatches_per_pass(&problem, false, reps);
+        let queued = dispatches_per_pass(&problem, true, reps);
+        println!("{taxa:>6} {eager:>10.1} {queued:>10.1}");
+        assert_eq!(eager, queued, "the queue changed the back-end's schedule");
     }
-
     println!();
     println!("memo matrix counters under repeated proposals (MCMC access pattern)");
     let mut problem = Problem::generate(&Scenario {
@@ -101,7 +80,7 @@ fn main() {
     });
     let mut inst = full_manager()
         .create_instance_by_name(
-            DEVICES[0],
+            "CUDA (NVIDIA Quadro P5000 (simulated))",
             &problem.config(),
             Flags::PRECISION_DOUBLE | Flags::COMPUTATION_ASYNCH,
         )
@@ -119,8 +98,8 @@ fn main() {
         let m = inst.memo_stats().expect("default stack installs memo");
         let q = inst.queue_stats().expect("queued instance exposes stats");
         println!(
-            "  pass {pass}: lnL {lnl:.6}  skipped {:>4}  reused {:>4}  computed {:>4}  flushes {:>3}  levels {:>4}",
-            m.matrices_skipped, m.matrices_reused, m.matrices_computed, q.flushes, q.levels_submitted
+            "  pass {pass}: lnL {lnl:.6}  skipped {:>4}  reused {:>4}  computed {:>4}  flushes {:>3}",
+            m.matrices_skipped, m.matrices_reused, m.matrices_computed, q.flushes
         );
     }
     assert!(

@@ -29,7 +29,7 @@
 //!   futures model — topology-limited, which is why futures gains grow with
 //!   tip count in Table III (1.06× at 8 tips, ~5× at 64).
 
-use beagle_core::ops::{dependency_levels, Operation};
+use beagle_core::ops::{LevelPlan, Operation};
 
 /// Pool task-dispatch + barrier cost per operation, µs.
 const DISPATCH_US: f64 = 2.0;
@@ -196,7 +196,9 @@ impl CpuModel {
         cats: usize,
     ) -> f64 {
         let flops = self.flops(tips, patterns, states, cats);
-        let levels = dependency_levels(operations).len().max(1);
+        let mut plan = LevelPlan::default();
+        plan.plan(operations);
+        let levels = plan.levels().count().max(1);
         let parallelism =
             (operations.len() as f64 / levels as f64).clamp(1.0, self.hardware_threads as f64);
         let serial = self.serial_gflops(tips, patterns, states, cats);

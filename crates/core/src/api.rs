@@ -325,16 +325,11 @@ pub trait BeagleInstance: Send + Sync {
     /// computational bottleneck this library exists to accelerate.
     fn update_partials(&mut self, operations: &[Operation]) -> Result<()>;
 
-    /// Run pre-scheduled dependency levels of operations: all operations in
-    /// one level are mutually independent and each level only reads buffers
-    /// produced by earlier levels (the output of
-    /// [`crate::ops::dependency_levels`]). Back-ends override this to submit
-    /// each level as one batch — a single stream submission on accelerators,
-    /// a single pool dispatch on threaded CPUs. The default just replays the
-    /// levels in order through [`Self::update_partials`], which is always
-    /// correct; unlike the other defaults it does not forward to a wrapped
-    /// instance, so a wrapper that changes `update_partials` sees every
-    /// level.
+    /// Replay `levels` in order through [`Self::update_partials`]. Nothing in
+    /// the library overrides or calls this: a back-end levels the list its
+    /// `update_partials` gets itself ([`crate::ops::LevelPlan`]). It stays
+    /// only because the stack benchmark's timing wrapper implements it, and
+    /// goes with the next change to that benchmark.
     fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
         for level in levels {
             self.update_partials(level)?;

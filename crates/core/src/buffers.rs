@@ -618,23 +618,38 @@ impl<T: Real> InstanceBuffers<T> {
         Ok(())
     }
 
-    /// Validate only the index ranges of one operation (no child-existence
-    /// check). Used when a batch is validated up front and earlier
-    /// operations in the same batch will produce later operands.
-    pub fn check_operation_indices(&self, op: &crate::ops::Operation) -> Result<()> {
+    /// Validate an operation list before kernels run: indices in range, no
+    /// in-place operation, and every child readable (a tip, computed
+    /// partials, or the destination of an earlier operation of the list).
+    /// Only a child that does not exist yet is looked up among the earlier
+    /// operations, so validation allocates nothing and a warm traversal,
+    /// whose children all exist, takes one pass.
+    pub fn check_operations(&self, operations: &[crate::ops::Operation]) -> Result<()> {
         let nb = self.config.partials_buffer_count;
-        self.check_index("partials buffer (destination)", op.destination, nb)?;
-        self.check_index("partials buffer (child1)", op.child1, nb)?;
-        self.check_index("partials buffer (child2)", op.child2, nb)?;
-        self.check_index("matrix buffer", op.child1_matrix, self.matrices.len())?;
-        self.check_index("matrix buffer", op.child2_matrix, self.matrices.len())?;
-        if let Some(s) = op.dest_scale_write {
-            self.check_index("scale buffer", s, self.scale_buffers.len())?;
-        }
-        if op.destination == op.child1 || op.destination == op.child2 {
-            return Err(BeagleError::Unsupported(
-                "in-place partials operations (destination == child)".into(),
-            ));
+        for (i, op) in operations.iter().enumerate() {
+            self.check_index("partials buffer (destination)", op.destination, nb)?;
+            self.check_index("partials buffer (child1)", op.child1, nb)?;
+            self.check_index("partials buffer (child2)", op.child2, nb)?;
+            self.check_index("matrix buffer", op.child1_matrix, self.matrices.len())?;
+            self.check_index("matrix buffer", op.child2_matrix, self.matrices.len())?;
+            if let Some(s) = op.dest_scale_write {
+                self.check_index("scale buffer", s, self.scale_buffers.len())?;
+            }
+            if op.destination == op.child1 || op.destination == op.child2 {
+                return Err(BeagleError::Unsupported(
+                    "in-place partials operations (destination == child)".into(),
+                ));
+            }
+            for child in [op.child1, op.child2] {
+                let exists = self.partials[child].is_some()
+                    || self.tip_states[child].is_some()
+                    || operations[..i].iter().any(|e| e.destination == child);
+                if !exists {
+                    return Err(BeagleError::InvalidConfiguration(format!(
+                        "operation reads buffer {child} before it was computed"
+                    )));
+                }
+            }
         }
         Ok(())
     }
@@ -674,7 +689,7 @@ impl<T: Real> InstanceBuffers<T> {
 
     /// Fallible [`Self::child_operand`] for entry points that take a client
     /// buffer index directly (edge integrations), where no prior
-    /// `check_operation` has established the invariant.
+    /// `check_operations` has established the invariant.
     pub fn try_child_operand(&self, buffer: usize) -> Result<ChildOperand<'_, T>> {
         self.check_index("partials buffer", buffer, self.partials.len())?;
         if self.partials[buffer].is_none() && self.tip_states[buffer].is_none() {
@@ -683,19 +698,6 @@ impl<T: Real> InstanceBuffers<T> {
             )));
         }
         Ok(self.child_operand(buffer))
-    }
-
-    /// Validate the indices of one operation before kernels run.
-    pub fn check_operation(&self, op: &crate::ops::Operation) -> Result<()> {
-        self.check_operation_indices(op)?;
-        for child in [op.child1, op.child2] {
-            if self.partials[child].is_none() && self.tip_states[child].is_none() {
-                return Err(BeagleError::InvalidConfiguration(format!(
-                    "operation reads buffer {child} before it was computed"
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Take a partials operation's destination buffer out of the arena
@@ -739,7 +741,7 @@ impl<T: Real> InstanceBuffers<T> {
         } else if let Some(s) = &self.tip_states[buffer] {
             ChildOperand::States(s)
         } else {
-            panic!("operand buffer {buffer} not initialized (check_operation missed it)");
+            panic!("operand buffer {buffer} not initialized (check_operations missed it)");
         }
     }
 }
@@ -1260,10 +1262,14 @@ mod tests {
         b.set_tip_states(0, &[0; 10]).unwrap();
         b.set_tip_states(1, &[1; 10]).unwrap();
         let ok = Operation::new(4, 0, 0, 1, 1);
-        assert!(b.check_operation(&ok).is_ok());
+        assert!(b.check_operations(&[ok]).is_ok());
         let bad_dest = Operation::new(99, 0, 0, 1, 1);
-        assert!(b.check_operation(&bad_dest).is_err());
+        assert!(b.check_operations(&[bad_dest]).is_err());
         let unwritten_child = Operation::new(4, 2, 2, 1, 1);
-        assert!(b.check_operation(&unwritten_child).is_err());
+        assert!(b.check_operations(&[unwritten_child]).is_err());
+        // A child produced earlier in the list is readable; a later one not.
+        let parent = Operation::new(5, 4, 4, 1, 1);
+        assert!(b.check_operations(&[ok, parent]).is_ok());
+        assert!(b.check_operations(&[parent, ok]).is_err());
     }
 }

@@ -62,7 +62,7 @@ flags! {
     /// (the default). Mutually exclusive with `COMPUTATION_ASYNCH`.
     COMPUTATION_SYNCH = 16;
     /// Deferred execution: mutating calls enqueue onto an operation queue
-    /// that is flushed in dependency-level batches when a result is needed.
+    /// that is flushed when a result is needed.
     /// Handled by the implementation manager (see `crate::queue`), not by
     /// individual back-end factories.
     COMPUTATION_ASYNCH = 17;

@@ -696,13 +696,6 @@ impl BeagleInstance for JournaledInstance {
         self.inner.update_partials(operations)
     }
 
-    fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-        for level in levels {
-            self.journal.record_operations(level);
-        }
-        self.inner.update_partials_by_levels(levels)
-    }
-
     fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
         self.journal.record_scale_reset(cumulative);
         self.inner.reset_scale_factors(cumulative)

@@ -14,10 +14,10 @@
 //!
 //! * [`api`] — the [`api::BeagleInstance`] trait and instance configuration
 //! * [`balance`] — adaptive load balancing: EWMA throughput + repartitioning
-//! * [`ops`] — partial-likelihood operation descriptors + dependency analysis
+//! * [`ops`] — partial-likelihood operation descriptors + the level planner
 //! * [`memo`] — epoch-based incremental computation (operation memoization
 //!   and the derived-matrix store)
-//! * [`queue`] — deferred execution: operation queue + dependency-level batching
+//! * [`queue`] — deferred execution: the operation queue
 //! * [`flags`] — capability/preference/requirement bitmask
 //! * [`buffers`] — the shared buffer arena CPU back-ends build on
 //! * [`manager`] — plugin registry and implementation selection

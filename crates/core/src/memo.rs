@@ -477,19 +477,22 @@ impl MemoInstance {
 
     /// Plan one operation list: split into skipped ops and a forwarded
     /// remainder, with the epoch/signature commits to apply on success.
-    /// `tent` carries tentative epochs of destinations already planned for
-    /// execution earlier in the same submission (sequential semantics).
+    /// Destinations forwarded earlier in the list carry tentative epochs
+    /// (sequential semantics). An operation whose destination or scale
+    /// target an earlier forwarded one rewrites is never skipped: the
+    /// stored signature describes the content before that rewrite.
     #[allow(clippy::type_complexity)]
     fn plan_ops(
         &self,
         operations: &[Operation],
-        tent: &mut HashMap<usize, u64>,
-        next_epoch: &mut u64,
     ) -> (
         Vec<Operation>,
         Vec<(Operation, PartialsSig, u64, Option<u64>)>,
         u64,
     ) {
+        let mut tent: HashMap<usize, u64> = HashMap::new();
+        let mut scales_written: BTreeSet<usize> = BTreeSet::new();
+        let mut next_epoch = self.clock;
         let mut forward = Vec::new();
         let mut commits = Vec::new();
         let mut skipped = 0u64;
@@ -519,19 +522,25 @@ impl MemoInstance {
                         })
                 }
             };
+            let rewritten = tent.contains_key(&op.destination)
+                || op
+                    .dest_scale_write
+                    .is_some_and(|s| scales_written.contains(&s));
             if self.enabled
                 && scale_clean
+                && !rewritten
                 && get_slot(&self.partials_sig, op.destination) == Some(&sig)
             {
                 skipped += 1;
                 continue;
             }
-            *next_epoch += 1;
-            let dest_epoch = *next_epoch;
+            next_epoch += 1;
+            let dest_epoch = next_epoch;
             tent.insert(op.destination, dest_epoch);
-            let scale_epoch = op.dest_scale_write.map(|_| {
-                *next_epoch += 1;
-                *next_epoch
+            let scale_epoch = op.dest_scale_write.map(|s| {
+                scales_written.insert(s);
+                next_epoch += 1;
+                next_epoch
             });
             forward.push(op);
             commits.push((op, sig, dest_epoch, scale_epoch));
@@ -912,9 +921,7 @@ impl BeagleInstance for MemoInstance {
             .filter_map(|op| op.dest_scale_write)
             .collect();
         self.flush_resets_among(&scale_targets)?;
-        let mut tent = HashMap::new();
-        let mut next_epoch = self.clock;
-        let (forward, commits, skipped) = self.plan_ops(operations, &mut tent, &mut next_epoch);
+        let (forward, commits, skipped) = self.plan_ops(operations);
         self.skip_event("update_partials", skipped, operations.len());
         if forward.is_empty() {
             return Ok(());
@@ -927,45 +934,6 @@ impl BeagleInstance for MemoInstance {
             }
             Err(e) => {
                 self.poison_ops(&commits);
-                Err(e)
-            }
-        }
-    }
-
-    fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-        let scale_targets: Vec<usize> = levels
-            .iter()
-            .flatten()
-            .filter_map(|op| op.dest_scale_write)
-            .collect();
-        self.flush_resets_among(&scale_targets)?;
-        let mut tent = HashMap::new();
-        let mut next_epoch = self.clock;
-        let mut fwd_levels: Vec<Vec<Operation>> = Vec::new();
-        let mut all_commits = Vec::new();
-        let mut skipped = 0u64;
-        let mut total = 0usize;
-        for level in levels {
-            total += level.len();
-            let (forward, commits, s) = self.plan_ops(level, &mut tent, &mut next_epoch);
-            skipped += s;
-            all_commits.extend(commits);
-            if !forward.is_empty() {
-                fwd_levels.push(forward);
-            }
-        }
-        self.skip_event("update_partials_by_levels", skipped, total);
-        if fwd_levels.is_empty() {
-            return Ok(());
-        }
-        self.stats.ops_executed += all_commits.len() as u64;
-        match self.inner.update_partials_by_levels(&fwd_levels) {
-            Ok(()) => {
-                self.commit_ops(all_commits);
-                Ok(())
-            }
-            Err(e) => {
-                self.poison_ops(&all_commits);
                 Err(e)
             }
         }

@@ -50,6 +50,7 @@ use crate::journal::StateJournal;
 use crate::manager::ImplementationManager;
 use crate::obs::{self, EventKind, Recorder};
 use crate::ops::Operation;
+use crate::real::weighted_lnl_sum;
 use crate::spec::InstanceSpec;
 
 /// How transient child failures are retried before escalating to eviction.
@@ -669,11 +670,15 @@ impl PartitionedInstance {
         let mut total = 0.0;
         for (part, &(p0, p1)) in self.parts.iter().zip(&self.ranges) {
             let single = part.details().flags.contains(Flags::PRECISION_SINGLE);
-            for p in p0..p1 {
+            let w = (p0..p1).map(|p| {
                 let w = weights.map_or(1.0, |w| w[p]);
-                let w = if single { w as f32 as f64 } else { w };
-                total += w * self.site_lnl[p];
-            }
+                if single {
+                    w as f32 as f64
+                } else {
+                    w
+                }
+            });
+            total = weighted_lnl_sum(total, &self.site_lnl[p0..p1], w);
         }
         total
     }

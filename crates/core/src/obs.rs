@@ -11,7 +11,7 @@
 //!   [`crate::BeagleInstance::statistics`].
 //! * [`Event`] — a ring-buffered journal of notable moments (operation
 //!   begin/end, fault injection, numerical rescue, device failover, queue
-//!   level batches, dispatch-path selection), dumpable as JSON lines for
+//!   submissions, dispatch-path selection), dumpable as JSON lines for
 //!   offline timeline analysis via [`crate::BeagleInstance::take_journal`].
 //! * [`Recorder`] — the per-instance collection point back-ends write to.
 //!
@@ -264,7 +264,7 @@ pub enum EventKind {
     FailoverRetry,
     /// A child device was evicted and survivors rebuilt (multi-device).
     FailoverEviction,
-    /// One hazard-free batch of dependency levels was submitted.
+    /// The operation queue submitted one run of deferred partials calls.
     LevelBatch,
     /// The operation queue flushed pending work to the back-end.
     QueueFlush,

@@ -2,9 +2,8 @@
 //!
 //! `update_partials` takes a list of these, in an order the client guarantees
 //! to be dependency-safe (children before parents — i.e. post-order). The
-//! threading back-ends additionally analyse the list for operations that are
-//! *independent* of each other and may run concurrently (the paper's
-//! "futures" model).
+//! threading back-ends level the list with [`LevelPlan`] to find operations
+//! that may run concurrently (the paper's "futures" model).
 
 /// One partial-likelihoods evaluation:
 /// `partials[destination] = (M[matrix1] · partials[child1]) ⊙ (M[matrix2] · partials[child2])`.
@@ -51,63 +50,81 @@ impl Operation {
     }
 }
 
-/// Group a dependency-ordered operation list into *levels*: all operations in
-/// one level are mutually independent (none reads another's destination) and
-/// depend only on earlier levels. This is the concurrency structure the
-/// futures threading model exploits.
-pub fn dependency_levels(operations: &[Operation]) -> Vec<Vec<Operation>> {
-    use std::collections::HashMap;
-    // level_of[buffer] = earliest level at which the buffer's value is ready.
-    let mut level_of: HashMap<usize, usize> = HashMap::new();
-    let mut levels: Vec<Vec<Operation>> = Vec::new();
-    for &op in operations {
-        let dep = |b: &usize| level_of.get(b).map(|&l| l + 1).unwrap_or(0);
-        let level = dep(&op.child1).max(dep(&op.child2));
-        if level == levels.len() {
-            levels.push(Vec::new());
-        }
-        levels[level].push(op);
-        level_of.insert(op.destination, level);
-    }
-    levels
+/// A hazard-aware level plan of an operation list: every operation of one
+/// level may run at the same time as the others, and running the levels in
+/// order leaves exactly what running the list in order leaves. This is the
+/// concurrency the futures model exploits, and what a threaded back-end
+/// batches into one dispatch.
+///
+/// [`LevelPlan::plan`] makes one pass and puts each operation one level
+/// above the latest level that wrote either of its children (read after
+/// write), wrote or read its destination (write after write, write after
+/// read), or wrote its scale target. So no level writes a buffer or a scale
+/// buffer twice, and no level reads a buffer another of its operations
+/// writes. The plan lives in buffers the caller keeps, so re-planning a
+/// list of the same shape allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct LevelPlan {
+    /// `(level, index)` of every operation, sorted.
+    order: Vec<(usize, usize)>,
+    /// Per buffer, one above the latest level that wrote it (0: none).
+    wrote: Vec<usize>,
+    /// Per buffer, one above the latest level that read it (0: none).
+    read: Vec<usize>,
+    /// Per scale buffer, one above the latest level that wrote it.
+    scaled: Vec<usize>,
 }
 
-/// Split a sequential operation list into *hazard-free segments*: within one
-/// segment no buffer is written twice (WAW) and no buffer is written after an
-/// earlier operation read it (WAR), and no scale buffer is written twice —
-/// exactly the conditions under which [`dependency_levels`] scheduling of the
-/// segment is equivalent to sequential execution. A single tree traversal is
-/// one segment; merged batches of repeated traversals (as an operation queue
-/// accumulates across MCMC iterations) split at each rewrite boundary.
-pub fn hazard_free_segments(operations: &[Operation]) -> Vec<Vec<Operation>> {
-    use std::collections::HashSet;
-    let mut segments: Vec<Vec<Operation>> = Vec::new();
-    let mut current: Vec<Operation> = Vec::new();
-    let mut written: HashSet<usize> = HashSet::new();
-    let mut read: HashSet<usize> = HashSet::new();
-    let mut scaled: HashSet<usize> = HashSet::new();
-    for &op in operations {
-        let waw = written.contains(&op.destination);
-        let war = read.contains(&op.destination);
-        let scale_conflict = op.dest_scale_write.is_some_and(|s| scaled.contains(&s));
-        if (waw || war || scale_conflict) && !current.is_empty() {
-            segments.push(std::mem::take(&mut current));
-            written.clear();
-            read.clear();
-            scaled.clear();
+/// `v` as `n` zeros, keeping its capacity.
+fn zeroed(v: &mut Vec<usize>, n: usize) {
+    v.clear();
+    v.resize(n, 0);
+}
+
+impl LevelPlan {
+    /// Level `operations`, replacing the previous plan.
+    pub fn plan(&mut self, operations: &[Operation]) {
+        let buffers = operations
+            .iter()
+            .map(|op| op.destination.max(op.child1).max(op.child2) + 1)
+            .max()
+            .unwrap_or(0);
+        let scales = operations
+            .iter()
+            .filter_map(|op| op.dest_scale_write.map(|s| s + 1))
+            .max()
+            .unwrap_or(0);
+        zeroed(&mut self.wrote, buffers);
+        zeroed(&mut self.read, buffers);
+        zeroed(&mut self.scaled, scales);
+        self.order.clear();
+        for (i, op) in operations.iter().enumerate() {
+            let d = op.destination;
+            let mut l = self.wrote[op.child1]
+                .max(self.wrote[op.child2])
+                .max(self.wrote[d])
+                .max(self.read[d]);
+            if let Some(s) = op.dest_scale_write {
+                l = l.max(self.scaled[s]);
+                self.scaled[s] = l + 1;
+            }
+            self.wrote[d] = l + 1;
+            for c in [op.child1, op.child2] {
+                self.read[c] = self.read[c].max(l + 1);
+            }
+            self.order.push((l, i));
         }
-        written.insert(op.destination);
-        read.insert(op.child1);
-        read.insert(op.child2);
-        if let Some(s) = op.dest_scale_write {
-            scaled.insert(s);
-        }
-        current.push(op);
+        // In place, so a warm plan allocates nothing.
+        self.order.sort_unstable();
     }
-    if !current.is_empty() {
-        segments.push(current);
+
+    /// Every level, first to last, as the indices of its operations in the
+    /// planned list, ascending.
+    pub fn levels(&self) -> impl Iterator<Item = impl Iterator<Item = usize> + Clone + '_> {
+        self.order
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|level| level.iter().map(|&(_, i)| i))
     }
-    segments
 }
 
 #[cfg(test)]
@@ -118,13 +135,57 @@ mod tests {
         Operation::new(dest, c1, c1, c2, c2)
     }
 
+    /// The plan of `ops` as lists of operations, after checking that it is
+    /// sound: it holds every operation once, in list order within a level,
+    /// and puts every pair that must stay ordered (one reads or rewrites
+    /// what the other writes, one rewrites what the other reads, or both
+    /// write one scale buffer) in ascending levels.
+    fn levels(ops: &[Operation]) -> Vec<Vec<Operation>> {
+        let mut plan = LevelPlan::default();
+        plan.plan(ops);
+        let plan: Vec<Vec<usize>> = plan.levels().map(Iterator::collect).collect();
+        let mut level_of = vec![usize::MAX; ops.len()];
+        for (l, level) in plan.iter().enumerate() {
+            assert!(!level.is_empty(), "level {l} is empty");
+            assert!(
+                level.windows(2).all(|w| w[0] < w[1]),
+                "level {l} out of order"
+            );
+            for &i in level {
+                assert_eq!(level_of[i], usize::MAX, "operation {i} planned twice");
+                level_of[i] = l;
+            }
+        }
+        assert!(
+            level_of.iter().all(|&l| l != usize::MAX),
+            "an operation is missing"
+        );
+        for (j, b) in ops.iter().enumerate() {
+            for (i, a) in ops[..j].iter().enumerate() {
+                let raw = [b.child1, b.child2].contains(&a.destination);
+                let war = [a.child1, a.child2].contains(&b.destination);
+                let waw = a.destination == b.destination;
+                let scale =
+                    a.dest_scale_write.is_some() && a.dest_scale_write == b.dest_scale_write;
+                if raw || war || waw || scale {
+                    assert!(level_of[i] < level_of[j], "{a:?} must precede {b:?}");
+                }
+            }
+        }
+        plan.iter()
+            .map(|level| level.iter().map(|&i| ops[i]).collect())
+            .collect()
+    }
+
+    fn shape(levels: &[Vec<Operation>]) -> Vec<usize> {
+        levels.iter().map(Vec::len).collect()
+    }
+
     #[test]
     fn independent_ops_share_a_level() {
         // Two cherries feeding a root: ops (4 <- 0,1), (5 <- 2,3), (6 <- 4,5)
-        let levels = dependency_levels(&[op(4, 0, 1), op(5, 2, 3), op(6, 4, 5)]);
-        assert_eq!(levels.len(), 2);
-        assert_eq!(levels[0].len(), 2);
-        assert_eq!(levels[1].len(), 1);
+        let levels = levels(&[op(4, 0, 1), op(5, 2, 3), op(6, 4, 5)]);
+        assert_eq!(shape(&levels), [2, 1]);
         assert_eq!(levels[1][0].destination, 6);
     }
 
@@ -132,9 +193,7 @@ mod tests {
     fn ladder_is_fully_sequential() {
         // Caterpillar: each op depends on the previous destination.
         let ops = [op(5, 0, 1), op(6, 5, 2), op(7, 6, 3), op(8, 7, 4)];
-        let levels = dependency_levels(&ops);
-        assert_eq!(levels.len(), 4);
-        assert!(levels.iter().all(|l| l.len() == 1));
+        assert_eq!(shape(&levels(&ops)), [1, 1, 1, 1]);
     }
 
     #[test]
@@ -149,11 +208,7 @@ mod tests {
             op(13, 10, 11),
             op(14, 12, 13),
         ];
-        let levels = dependency_levels(&ops);
-        assert_eq!(levels.len(), 3);
-        assert_eq!(levels[0].len(), 4);
-        assert_eq!(levels[1].len(), 2);
-        assert_eq!(levels[2].len(), 1);
+        assert_eq!(shape(&levels(&ops)), [4, 2, 1]);
     }
 
     #[test]
@@ -164,18 +219,22 @@ mod tests {
 
     #[test]
     fn empty_list_has_no_levels() {
-        assert!(dependency_levels(&[]).is_empty());
-        assert!(hazard_free_segments(&[]).is_empty());
+        let mut plan = LevelPlan::default();
+        plan.plan(&[]);
+        assert_eq!(plan.levels().count(), 0);
+        // A plan is replaced, not extended.
+        plan.plan(&[op(4, 0, 1)]);
+        plan.plan(&[]);
+        assert_eq!(plan.levels().count(), 0);
     }
 
     #[test]
     fn single_chain_is_one_op_per_level() {
         let ops = [op(2, 0, 1), op(3, 2, 1), op(4, 3, 0)];
-        let levels = dependency_levels(&ops);
+        let levels = levels(&ops);
         assert_eq!(levels.len(), 3);
         for (i, level) in levels.iter().enumerate() {
-            assert_eq!(level.len(), 1);
-            assert_eq!(level[0], ops[i]);
+            assert_eq!(level, &[ops[i]]);
         }
     }
 
@@ -184,7 +243,7 @@ mod tests {
         // One shared child feeds two independent parents which then join:
         //   4 <- (0,1), 5 <- (4,2), 6 <- (4,3), 7 <- (5,6).
         let ops = [op(4, 0, 1), op(5, 4, 2), op(6, 4, 3), op(7, 5, 6)];
-        let levels = dependency_levels(&ops);
+        let levels = levels(&ops);
         assert_eq!(levels.len(), 3);
         assert_eq!(levels[0], vec![ops[0]]);
         assert_eq!(
@@ -196,15 +255,15 @@ mod tests {
     }
 
     #[test]
-    fn scaling_indices_do_not_affect_leveling() {
+    fn distinct_scale_targets_do_not_affect_leveling() {
         let plain = [op(4, 0, 1), op(5, 2, 3), op(6, 4, 5)];
         let scaled: Vec<Operation> = plain
             .iter()
             .map(|o| o.with_scaling(o.destination))
             .collect();
-        let lp = dependency_levels(&plain);
-        let ls = dependency_levels(&scaled);
-        assert_eq!(lp.len(), ls.len());
+        let lp = levels(&plain);
+        let ls = levels(&scaled);
+        assert_eq!(shape(&lp), shape(&ls));
         for (a, b) in lp.iter().zip(&ls) {
             let da: Vec<usize> = a.iter().map(|o| o.destination).collect();
             let db: Vec<usize> = b.iter().map(|o| o.destination).collect();
@@ -215,48 +274,74 @@ mod tests {
     }
 
     #[test]
-    fn single_traversal_is_one_hazard_free_segment() {
-        let ops = [op(4, 0, 1), op(5, 2, 3), op(6, 4, 5)];
-        let segments = hazard_free_segments(&ops);
-        assert_eq!(segments.len(), 1);
-        assert_eq!(segments[0], ops.to_vec());
-    }
-
-    #[test]
-    fn repeated_traversals_split_at_rewrite_boundaries() {
-        // The same traversal queued twice: the second rewrite of buffer 4 is
-        // a WAW hazard and must start a new segment.
+    fn repeated_traversals_level_after_each_other() {
+        // The same traversal twice: rewriting 4 and 5 must wait for 6 to
+        // read them (WAR), and the second 6 for the new 4 and 5.
         let t = [op(4, 0, 1), op(5, 2, 3), op(6, 4, 5)];
         let merged: Vec<Operation> = t.iter().chain(t.iter()).copied().collect();
-        let segments = hazard_free_segments(&merged);
-        assert_eq!(segments.len(), 2);
-        assert_eq!(segments[0], t.to_vec());
-        assert_eq!(segments[1], t.to_vec());
+        let levels = levels(&merged);
+        assert_eq!(shape(&levels), [2, 1, 2, 1]);
+        assert_eq!(levels[..2].concat(), t.to_vec());
+        assert_eq!(levels[2..].concat(), t.to_vec());
     }
 
     #[test]
-    fn write_after_read_splits_a_segment() {
-        // op reads buffer 4, then a later op overwrites 4: scheduling both in
-        // one leveled batch could reorder them, so they must split.
-        let ops = [op(5, 4, 0), op(4, 1, 2)];
-        let segments = hazard_free_segments(&ops);
-        assert_eq!(segments.len(), 2);
-        assert_eq!(segments[0][0].destination, 5);
-        assert_eq!(segments[1][0].destination, 4);
+    fn write_after_read_waits_for_the_read() {
+        // op reads buffer 4, then a later op overwrites 4: they may not
+        // share a level.
+        let levels = levels(&[op(5, 4, 0), op(4, 1, 2)]);
+        assert_eq!(shape(&levels), [1, 1]);
+        assert_eq!(levels[0][0].destination, 5);
+        assert_eq!(levels[1][0].destination, 4);
     }
 
     #[test]
-    fn scale_buffer_reuse_splits_a_segment() {
+    fn scale_buffer_reuse_waits_for_the_first_write() {
         // Distinct destinations but the same scale target: the second write
-        // to scale buffer 9 starts a new segment.
+        // to scale buffer 9 goes one level up, and its parent above it.
         let ops = [
             op(4, 0, 1).with_scaling(9),
             op(5, 2, 3).with_scaling(9),
             op(6, 4, 5),
         ];
-        let segments = hazard_free_segments(&ops);
-        assert_eq!(segments.len(), 2);
-        assert_eq!(segments[0].len(), 1);
-        assert_eq!(segments[1].len(), 2);
+        let levels = levels(&ops);
+        assert_eq!(levels, [vec![ops[0]], vec![ops[1]], vec![ops[2]]]);
+    }
+
+    #[test]
+    fn rewrite_of_a_buffer_still_read_waits_and_its_reader_follows() {
+        // 5 <- (0,1); 6 <- (5,2); 5 <- (3,4); 7 <- (6,5): the second write
+        // of 5 (WAW and WAR) waits for 6 to read the first, and 7 reads the
+        // second.
+        let ops = [op(5, 0, 1), op(6, 5, 2), op(5, 3, 4), op(7, 6, 5)];
+        let levels = levels(&ops);
+        assert_eq!(
+            levels,
+            [vec![ops[0]], vec![ops[1]], vec![ops[2]], vec![ops[3]]]
+        );
+    }
+
+    #[test]
+    fn random_lists_plan_soundly() {
+        // A small LCG drives lists over few buffers, so hazards of every
+        // kind are common; `levels` checks each plan.
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = |n: u64| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            ((x >> 33) % n) as usize
+        };
+        for _ in 0..500 {
+            let len = 1 + next(12);
+            let ops: Vec<Operation> = (0..len)
+                .map(|_| {
+                    let o = op(4 + next(6), next(10), next(10));
+                    match next(3) {
+                        0 => o.with_scaling(next(3)),
+                        _ => o,
+                    }
+                })
+                .collect();
+            levels(&ops);
+        }
     }
 }

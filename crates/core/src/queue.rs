@@ -1,18 +1,16 @@
 //! Deferred execution: the operation queue.
 //!
-//! BEAGLE's accelerator back-ends get much of their throughput from keeping
-//! the device busy: work is queued host-side and launched in whole
-//! dependency levels. [`QueuedInstance`] brings that behaviour to any
-//! [`BeagleInstance`]: mutating calls (`set_*`, `update_*`, scale-factor
-//! bookkeeping) enqueue instead of executing. The queue flushes when a
-//! result is demanded (partials/matrix read-back, root/edge integration,
+//! [`QueuedInstance`] defers the mutating calls (`set_*`, `update_*`,
+//! scale-factor bookkeeping) of any [`BeagleInstance`]: they enqueue
+//! instead of executing. The queue flushes when a result is demanded
+//! (partials/matrix read-back, root/edge integration,
 //! [`BeagleInstance::wait_for_computation`], the simulated clock). At flush,
-//! runs of consecutive `update_partials` calls are merged, split into
-//! hazard-free segments ([`crate::ops::hazard_free_segments`]), scheduled
-//! with [`crate::ops::dependency_levels`], and submitted through
-//! [`BeagleInstance::update_partials_by_levels`] — one batched submission
-//! per level (one simulated stream on accelerators, one pool dispatch on
-//! threaded CPUs). Every other call is forwarded unchanged, in order.
+//! each run of consecutive `update_partials` calls is merged and submitted
+//! with one `update_partials`; every other call is forwarded unchanged, in
+//! order. The queue only defers: a back-end that runs independent
+//! operations together levels the list it is given itself
+//! ([`crate::ops::LevelPlan`]), so a queued and an eager call schedule
+//! alike.
 //!
 //! The queue derives nothing itself: reuse of transition matrices across
 //! repeated proposals is the memo layer's matrix store
@@ -46,7 +44,7 @@ use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, Scal
 use crate::error::Result;
 use crate::flags::Flags;
 use crate::obs::{self, EventKind, KernelClass, Recorder};
-use crate::ops::{dependency_levels, hazard_free_segments, Operation};
+use crate::ops::Operation;
 
 /// Counters exposed by a [`QueuedInstance`] (and forwarded through wrapper
 /// instances via [`BeagleInstance::queue_stats`]).
@@ -54,10 +52,6 @@ use crate::ops::{dependency_levels, hazard_free_segments, Operation};
 pub struct QueueStats {
     /// Times the queue was flushed with at least one pending item.
     pub flushes: u64,
-    /// Hazard-free operation batches submitted across all flushes.
-    pub batches_submitted: u64,
-    /// Dependency levels submitted across all batches.
-    pub levels_submitted: u64,
     /// Partial-likelihood operations enqueued by the client.
     pub ops_enqueued: u64,
     /// Partial-likelihood operations actually submitted to the back-end.
@@ -78,8 +72,6 @@ impl QueueStats {
     /// [`crate::multi::PartitionedInstance`] to aggregate across children).
     pub fn merge(&mut self, other: &QueueStats) {
         self.flushes += other.flushes;
-        self.batches_submitted += other.batches_submitted;
-        self.levels_submitted += other.levels_submitted;
         self.ops_enqueued += other.ops_enqueued;
         self.ops_submitted += other.ops_submitted;
         self.eigen_cache_hits += other.eigen_cache_hits;
@@ -185,21 +177,15 @@ impl State {
         self.submit_batch(&mut batch)
     }
 
-    /// Schedule and submit an accumulated run of partials operations.
+    /// Submit an accumulated run of partials operations as one call.
     fn submit_batch(&mut self, batch: &mut Vec<Operation>) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
-        for segment in hazard_free_segments(batch) {
-            let levels = dependency_levels(&segment);
-            self.stats.batches_submitted += 1;
-            self.stats.levels_submitted += levels.len() as u64;
-            self.stats.ops_submitted += segment.len() as u64;
-            self.recorder.event(EventKind::LevelBatch, || {
-                format!("levels={} ops={}", levels.len(), segment.len())
-            });
-            self.inner.update_partials_by_levels(&levels)?;
-        }
+        self.stats.ops_submitted += batch.len() as u64;
+        self.recorder
+            .event(EventKind::LevelBatch, || format!("ops={}", batch.len()));
+        self.inner.update_partials(batch)?;
         batch.clear();
         Ok(())
     }
@@ -691,11 +677,6 @@ mod tests {
             self.log(format!("up:{}", operations.len()));
             Ok(())
         }
-        fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-            let shape: Vec<String> = levels.iter().map(|l| l.len().to_string()).collect();
-            self.log(format!("levels:{}", shape.join(",")));
-            Ok(())
-        }
         fn reset_scale_factors(&mut self, _: usize) -> Result<()> {
             self.log("reset");
             Ok(())
@@ -761,31 +742,27 @@ mod tests {
             .unwrap();
         assert_eq!(
             log(&calls),
-            vec!["rates", "tips:0", "levels:2,1", "root"],
-            "flush preserves call order and levels the traversal"
+            vec!["rates", "tips:0", "up:3", "root"],
+            "flush preserves call order and submits the traversal whole"
         );
         assert_eq!(q.pending_len(), 0);
     }
 
     #[test]
-    fn consecutive_traversals_merge_then_split_at_hazards() {
+    fn consecutive_traversals_merge_into_one_submission() {
         let (mut q, calls) = queued();
-        // The same destinations twice: WAW hazards force two submissions.
+        // The same destinations twice: the back-end orders the rewrites.
         q.update_partials(&traversal()).unwrap();
         q.update_partials(&traversal()).unwrap();
         q.wait_for_computation().unwrap();
-        assert_eq!(log(&calls), vec!["levels:2,1", "levels:2,1"]);
+        assert_eq!(log(&calls), vec!["up:6"]);
 
         // Distinct halves of one traversal queued separately: one batch.
         let (mut q, calls) = queued();
         q.update_partials(&traversal()[..2]).unwrap();
         q.update_partials(&traversal()[2..]).unwrap();
         q.wait_for_computation().unwrap();
-        assert_eq!(
-            log(&calls),
-            vec!["levels:2,1"],
-            "halves merge into one leveled batch"
-        );
+        assert_eq!(log(&calls), vec!["up:3"], "halves merge into one batch");
     }
 
     #[test]
@@ -795,7 +772,7 @@ mod tests {
         q.set_category_rates(&[2.0]).unwrap();
         q.update_partials(&traversal()[2..]).unwrap();
         q.flush().unwrap();
-        assert_eq!(log(&calls), vec!["levels:2", "rates", "levels:1"]);
+        assert_eq!(log(&calls), vec!["up:2", "rates", "up:1"]);
     }
 
     #[test]
@@ -811,7 +788,7 @@ mod tests {
             ScalingMode::cumulative(7),
         )
         .unwrap();
-        assert_eq!(log(&calls), vec!["levels:2,1", "reset", "accum", "root"]);
+        assert_eq!(log(&calls), vec!["up:3", "reset", "accum", "root"]);
     }
 
     #[test]
@@ -841,8 +818,6 @@ mod tests {
         assert_eq!(s.flushes, 1);
         assert_eq!(s.ops_enqueued, 6);
         assert_eq!(s.ops_submitted, 6);
-        assert_eq!(s.batches_submitted, 2);
-        assert_eq!(s.levels_submitted, 4);
     }
 
     #[test]

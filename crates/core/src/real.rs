@@ -156,6 +156,23 @@ pub fn widen_slice<T: Real>(xs: &[T]) -> Vec<f64> {
     xs.iter().map(|x| x.to_f64()).collect()
 }
 
+/// The log-likelihood reduction every back-end shares: `total` plus
+/// `Σ_p w_p · lnL_p`, each term `widen(w) · widen(lnL)` added left to
+/// right. It continues a running sum, so a caller that holds the site
+/// values in pieces (a partitioned instance, a pool that integrated
+/// chunks in parallel) reduces them in pattern order and gets the bits of
+/// one whole-range call.
+pub fn weighted_lnl_sum<T: Real>(
+    total: f64,
+    site_lnl: &[T],
+    weights: impl IntoIterator<Item = T>,
+) -> f64 {
+    site_lnl
+        .iter()
+        .zip(weights)
+        .fold(total, |sum, (&l, w)| sum + w.to_f64() * l.to_f64())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,8 +19,8 @@ use beagle_core::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails
 use beagle_core::buffers::{ChildOperand, InstanceBuffers};
 use beagle_core::error::{BeagleError, Result};
 use beagle_core::obs::{self, EventKind, KernelClass, Recorder};
-use beagle_core::ops::{dependency_levels, Operation};
-use beagle_core::real::{widen_slice, Real};
+use beagle_core::ops::{LevelPlan, Operation};
+use beagle_core::real::{weighted_lnl_sum, widen_slice, Real};
 
 use crate::bounds::RescaleBounds;
 use crate::kernels::{self, EdgeChild};
@@ -40,8 +40,8 @@ pub enum Threading {
     /// One asynchronous task per *tree operation*; operations that are
     /// independent in the topology run concurrently (§VI-A).
     Futures,
-    /// Threads created and joined per `update_partials` call, splitting the
-    /// pattern range evenly (§VI-B).
+    /// Threads created and joined per dependency level of an
+    /// `update_partials` call, splitting the pattern range evenly (§VI-B).
     ThreadCreate {
         /// Number of threads to create per call.
         threads: usize,
@@ -134,7 +134,10 @@ struct Check {
 // SAFETY: the pointers reference buffers that outlive the batch (the
 // instance arena, and the scratch tiles the tasks only read; the executing
 // call blocks until every task finished and touches neither meanwhile) and
-// distinct tasks write disjoint ranges.
+// distinct tasks write disjoint ranges: the tasks of one operation cover
+// disjoint pattern ranges, and the operations of one level (a
+// `LevelPlan` level) write distinct destinations and scale buffers, each
+// taken out of the arena, and read none of them.
 unsafe impl<T: Real> Send for ChunkTask<T> {}
 
 // SAFETY: a shared `&ChunkTask` exposes no operations at all (every field is
@@ -318,7 +321,16 @@ struct Scratch<T: Real> {
     /// Transposed child matrices of a batch's wide-state operations (see
     /// [`Scratch::batch`]); grown, never shrunk.
     cols: Vec<T>,
+    /// The level plan of a threaded `update_partials` call.
+    plan: LevelPlan,
+    /// A running level's destinations, scale buffers and check indices,
+    /// taken out of the arena.
+    outputs: Vec<Output<T>>,
 }
+
+/// A destination taken out of the arena, with the scale buffer and check
+/// index [`CpuInstance::plan_rescale`] gives its operation.
+type Output<T> = (Vec<T>, Option<Vec<T>>, u32);
 
 impl<T: Real> Default for Scratch<T> {
     fn default() -> Self {
@@ -328,6 +340,8 @@ impl<T: Real> Default for Scratch<T> {
             checks: Vec::new(),
             cat_lo: Vec::new(),
             cols: Vec::new(),
+            plan: LevelPlan::default(),
+            outputs: Vec::new(),
         }
     }
 }
@@ -368,7 +382,7 @@ pub struct CpuInstance<T: DispatchReal> {
     threading: Threading,
     /// Kernel table resolved at creation (scalar / portable / avx2).
     dispatch: &'static KernelDispatch<T>,
-    /// Minimum pattern count before pattern-level threading engages.
+    /// Minimum pattern count before any threading model engages.
     min_patterns: usize,
     /// Precomputed (start, end) pattern ranges, one per thread.
     partition: Vec<(usize, usize)>,
@@ -443,15 +457,15 @@ impl<T: DispatchReal> CpuInstance<T> {
         self.bufs.partials[b].is_none() && self.bufs.tip_states[b].is_some()
     }
 
-    /// Attribute one `update_partials`-family call's wall time: the
+    /// Attribute one `update_partials` call's wall time: the
     /// measured in-operation rescale time to [`KernelClass::Rescale`] (one
     /// call per scaled operation), the rest across the partials kernel
     /// classes, split by each class's share of the operation list
     /// (classified after execution, when every intermediate child has
     /// materialized partials).
-    fn record_partials_call<'a>(
+    fn record_partials_call(
         &mut self,
-        operations: impl IntoIterator<Item = &'a Operation>,
+        operations: &[Operation],
         wall: std::time::Duration,
         before: &obs::InstanceStats,
     ) {
@@ -700,128 +714,38 @@ impl<T: DispatchReal> CpuInstance<T> {
         }
     }
 
-    /// Execute one operation serially over the whole pattern range.
-    fn execute_op_serial(&mut self, op: &Operation) {
-        let mut dest = self.bufs.take_destination(op.destination);
-        let (mut scale, check) = self.plan_rescale(op);
-        let slot = self.cols_slot();
-        let (tasks, cols) = self.scratch.batch(1, slot);
-        Self::push_chunk_tasks(
-            tasks,
-            cols,
-            &self.bufs,
-            &mut dest,
-            scale.as_mut(),
-            op,
-            &[(0, self.bufs.config.pattern_count)],
-            self.dispatch,
-            self.recorder.is_enabled(),
-            check,
-        );
-        self.scratch.arm(self.bufs.config.category_count);
-        for t in self.scratch.chunk_tasks.iter_mut() {
-            run_chunk(t);
+    /// Run one level of operations, which the planner proved independent.
+    /// Each operation's destination and scale buffer come out of the arena,
+    /// so its tasks own them while every task reads the inputs. Its chunk
+    /// tasks cover `self.partition` when `threaded`, else the whole pattern
+    /// range. A threaded level runs on the pool or on scoped threads (one
+    /// per operation for futures, one per partition range for
+    /// thread-create); any other runs inline.
+    fn execute_level<'a>(
+        &mut self,
+        level: impl Iterator<Item = &'a Operation> + Clone,
+        threaded: bool,
+    ) {
+        let mut outputs = std::mem::take(&mut self.scratch.outputs);
+        for op in level.clone() {
+            let dest = self.bufs.take_destination(op.destination);
+            let (scale, check) = self.plan_rescale(op);
+            outputs.push((dest, scale, check));
         }
-        self.finish_batch(1);
-        if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
-            self.bufs.scale_buffers[si] = sc;
-        }
-        self.bufs.restore_destination(op.destination, dest);
-    }
-
-    /// Execute one operation with pattern-level parallelism.
-    fn execute_op_chunked(&mut self, op: &Operation, use_pool: bool) {
-        let mut dest = self.bufs.take_destination(op.destination);
-        let (mut scale, check) = self.plan_rescale(op);
-        let slot = self.cols_slot();
-        let (tasks, cols) = self.scratch.batch(1, slot);
-        Self::push_chunk_tasks(
-            tasks,
-            cols,
-            &self.bufs,
-            &mut dest,
-            scale.as_mut(),
-            op,
-            &self.partition,
-            self.dispatch,
-            self.recorder.is_enabled(),
-            check,
-        );
-        self.scratch.arm(self.bufs.config.category_count);
-        let tasks = &mut self.scratch.chunk_tasks;
-        let n_tasks = tasks.len() as u64;
-        if use_pool {
-            let Threading::ThreadPool { pool } = &self.threading else {
-                unreachable!("use_pool implies pool strategy")
-            };
-            pool.run_tasks(tasks, run_chunk::<T>);
-        } else {
-            // Thread-create: on-demand creation and joining (§VI-B).
-            std::thread::scope(|scope| {
-                for t in tasks.iter_mut() {
-                    scope.spawn(move || run_chunk(t));
-                }
-            });
-        }
-        self.finish_batch(self.partition.len());
-        if use_pool {
-            self.recorder.tally(KernelClass::PoolDispatch, n_tasks, 0);
-        }
-        if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
-            self.bufs.scale_buffers[si] = sc;
-        }
-        self.bufs.restore_destination(op.destination, dest);
-    }
-
-    /// Futures model: operations that are independent in the tree run as
-    /// concurrent async tasks; pattern ranges are NOT split (§VI-A).
-    fn execute_ops_futures(&mut self, operations: &[Operation]) {
-        for level in dependency_levels(operations) {
-            self.execute_level_concurrent(&level);
-        }
-    }
-
-    /// True if two operations in `level` share a destination or scale
-    /// target — scheduling them concurrently would race, so batched paths
-    /// fall back to sequential execution. Level plans built by
-    /// `beagle_core::ops` never trip this; it guards hand-built plans.
-    fn level_has_output_conflict(level: &[Operation]) -> bool {
-        let mut dests = std::collections::HashSet::new();
-        let mut scales = std::collections::HashSet::new();
-        level.iter().any(|op| {
-            !dests.insert(op.destination) || op.dest_scale_write.is_some_and(|s| !scales.insert(s))
-        })
-    }
-
-    /// One level of mutually independent operations, each as its own
-    /// full-pattern-range task on a scoped thread (the futures model).
-    fn execute_level_concurrent(&mut self, level: &[Operation]) {
-        if level.len() == 1 {
-            self.execute_op_serial(&level[0]);
-            return;
-        }
-        if Self::level_has_output_conflict(level) {
-            for op in level {
-                self.execute_op_serial(op);
-            }
-            return;
-        }
-        // Take every destination (and scale target) out of the arena so
-        // each task owns its output while sharing read access to inputs.
-        let mut outputs = self.take_level_outputs(level);
-        let full_range = [(0, self.bufs.config.pattern_count)];
+        let full = [(0, self.bufs.config.pattern_count)];
+        let ranges: &[(usize, usize)] = if threaded { &self.partition } else { &full };
         let timed = self.recorder.is_enabled();
         let slot = self.cols_slot();
-        let (tasks, cols) = self.scratch.batch(level.len(), slot);
-        for (i, (op, (dest, scale, check))) in level.iter().zip(outputs.iter_mut()).enumerate() {
+        let (tasks, cols) = self.scratch.batch(outputs.len(), slot);
+        for (k, (op, (dest, scale, check))) in level.clone().zip(outputs.iter_mut()).enumerate() {
             Self::push_chunk_tasks(
                 tasks,
-                &mut cols[i * slot..(i + 1) * slot],
+                &mut cols[k * slot..(k + 1) * slot],
                 &self.bufs,
                 dest,
                 scale.as_mut(),
                 op,
-                &full_range,
+                ranges,
                 self.dispatch,
                 timed,
                 *check,
@@ -829,129 +753,36 @@ impl<T: DispatchReal> CpuInstance<T> {
         }
         self.scratch.arm(self.bufs.config.category_count);
         let tasks = &mut self.scratch.chunk_tasks;
-        std::thread::scope(|scope| {
-            for t in tasks.iter_mut() {
-                scope.spawn(move || run_chunk(t));
+        // How many tasks run side by side.
+        let lanes = match self.threading {
+            _ if !threaded => 1,
+            Threading::Futures => tasks.len(),
+            _ => self.partition.len(),
+        };
+        match &self.threading {
+            Threading::ThreadPool { pool } if threaded => {
+                pool.run_tasks(tasks, run_chunk::<T>);
+                self.recorder
+                    .tally(KernelClass::PoolDispatch, tasks.len() as u64, 0);
             }
-        });
-        self.finish_batch(level.len());
-        self.restore_level_outputs(level, outputs);
-    }
-
-    /// Take every destination of `level` out of the arena, with the scale
-    /// buffer and check index [`Self::plan_rescale`] gives each operation.
-    #[allow(clippy::type_complexity)]
-    fn take_level_outputs(&mut self, level: &[Operation]) -> Vec<(Vec<T>, Option<Vec<T>>, u32)> {
-        level
-            .iter()
-            .map(|op| {
-                let dest = self.bufs.take_destination(op.destination);
-                let (scale, check) = self.plan_rescale(op);
-                (dest, scale, check)
-            })
-            .collect()
-    }
-
-    /// Put back what [`Self::take_level_outputs`] took.
-    fn restore_level_outputs(
-        &mut self,
-        level: &[Operation],
-        outputs: Vec<(Vec<T>, Option<Vec<T>>, u32)>,
-    ) {
-        for (op, (dest, scale, _)) in level.iter().zip(outputs) {
+            _ if lanes == 1 => tasks.iter_mut().for_each(run_chunk),
+            // Thread-create (§VI-B) and futures (§VI-A): threads made and
+            // joined per level.
+            _ => std::thread::scope(|scope| {
+                let per_lane = tasks.len().div_ceil(lanes);
+                for lane in tasks.chunks_mut(per_lane) {
+                    scope.spawn(move || lane.iter_mut().for_each(run_chunk));
+                }
+            }),
+        }
+        self.finish_batch(lanes);
+        for (op, (dest, scale, _)) in level.zip(outputs.drain(..)) {
             if let (Some(si), Some(sc)) = (op.dest_scale_write, scale) {
                 self.bufs.scale_buffers[si] = sc;
             }
             self.bufs.restore_destination(op.destination, dest);
         }
-    }
-
-    /// One level of mutually independent operations as a single batched
-    /// dispatch: the per-op pattern-range chunk tasks of the whole level are
-    /// gathered and submitted in one pool batch (thread-pool) or one thread
-    /// scope (thread-create). Chunk boundaries are identical to the eager
-    /// per-op path, so results stay bit-for-bit equal.
-    fn execute_level_chunked(&mut self, level: &[Operation], use_pool: bool) {
-        if level.len() == 1 {
-            self.execute_op_chunked(&level[0], use_pool);
-            return;
-        }
-        if Self::level_has_output_conflict(level) {
-            for op in level {
-                self.execute_op_chunked(op, use_pool);
-            }
-            return;
-        }
-        let mut outputs = self.take_level_outputs(level);
-        let timed = self.recorder.is_enabled();
-        let slot = self.cols_slot();
-        let (tasks, cols) = self.scratch.batch(level.len(), slot);
-        for (i, (op, (dest, scale, check))) in level.iter().zip(outputs.iter_mut()).enumerate() {
-            Self::push_chunk_tasks(
-                tasks,
-                &mut cols[i * slot..(i + 1) * slot],
-                &self.bufs,
-                dest,
-                scale.as_mut(),
-                op,
-                &self.partition,
-                self.dispatch,
-                timed,
-                *check,
-            );
-        }
-        self.scratch.arm(self.bufs.config.category_count);
-        let tasks = &mut self.scratch.chunk_tasks;
-        let n_tasks = tasks.len() as u64;
-        // The pool runs one task per thread (partition range) at a time;
-        // thread-create spawns every task.
-        let lanes = if use_pool {
-            self.partition.len()
-        } else {
-            tasks.len()
-        };
-        if use_pool {
-            let Threading::ThreadPool { pool } = &self.threading else {
-                unreachable!("use_pool implies pool strategy")
-            };
-            pool.run_tasks(tasks, run_chunk::<T>);
-        } else {
-            std::thread::scope(|scope| {
-                for t in tasks.iter_mut() {
-                    scope.spawn(move || run_chunk(t));
-                }
-            });
-        }
-        self.finish_batch(lanes);
-        if use_pool {
-            self.recorder.tally(KernelClass::PoolDispatch, n_tasks, 0);
-        }
-        self.restore_level_outputs(level, outputs);
-    }
-
-    /// Validate an operation list: indices in range, every child readable
-    /// (tip, previously computed partials, or produced earlier in the list).
-    /// Only a child that does not exist yet is looked up among the earlier
-    /// operations, so validation allocates nothing and a warm traversal,
-    /// whose children all exist, takes one pass.
-    fn validate_operations<'a>(
-        &self,
-        operations: impl Iterator<Item = &'a Operation> + Clone,
-    ) -> Result<()> {
-        for (i, op) in operations.clone().enumerate() {
-            self.bufs.check_operation_indices(op)?;
-            for child in [op.child1, op.child2] {
-                let exists = self.bufs.partials[child].is_some()
-                    || self.bufs.tip_states[child].is_some()
-                    || operations.clone().take(i).any(|e| e.destination == child);
-                if !exists {
-                    return Err(BeagleError::InvalidConfiguration(format!(
-                        "operation reads buffer {child} before it was computed"
-                    )));
-                }
-            }
-        }
-        Ok(())
+        self.scratch.outputs = outputs;
     }
 
     /// Root integration, optionally parallelized over patterns on the pool.
@@ -1041,7 +872,7 @@ impl<T: DispatchReal> CpuInstance<T> {
             tasks.clear();
             // Left to right over the whole range, as the serial kernel
             // sums, so the pool's total has the serial bits.
-            kernels::weighted_total(&site_lnl, pw)
+            weighted_lnl_sum(0.0, &site_lnl, pw.iter().copied())
         } else {
             (self.dispatch.integrate_root)(
                 &mut site_lnl,
@@ -1256,7 +1087,7 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
     fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
         // Validate everything up front; ops later in the list may read
         // destinations produced by earlier ops in the same call.
-        self.validate_operations(operations.iter())?;
+        self.bufs.check_operations(operations)?;
 
         let t0 = self
             .recorder
@@ -1265,23 +1096,18 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
         self.recorder.event(EventKind::OperationBegin, || {
             format!("update_partials ops={}", operations.len())
         });
-        let n_pat = self.bufs.config.pattern_count;
-        match self.threading {
-            Threading::Serial => {
-                for op in operations {
-                    self.execute_op_serial(op);
-                }
+        let threaded = !matches!(self.threading, Threading::Serial)
+            && self.bufs.config.pattern_count >= self.min_patterns;
+        if threaded {
+            let mut plan = std::mem::take(&mut self.scratch.plan);
+            plan.plan(operations);
+            for level in plan.levels() {
+                self.execute_level(level.map(|i| &operations[i]), true);
             }
-            Threading::Futures => self.execute_ops_futures(operations),
-            Threading::ThreadCreate { .. } | Threading::ThreadPool { .. } => {
-                let use_pool = matches!(self.threading, Threading::ThreadPool { .. });
-                for op in operations {
-                    if n_pat < self.min_patterns {
-                        self.execute_op_serial(op);
-                    } else {
-                        self.execute_op_chunked(op, use_pool);
-                    }
-                }
+            self.scratch.plan = plan;
+        } else {
+            for op in operations {
+                self.execute_level(std::iter::once(op), false);
             }
         }
         if let Some((t0, before)) = t0 {
@@ -1289,61 +1115,6 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
             let checks = self.rescale_check_detail(&before);
             self.recorder.event(EventKind::OperationEnd, || {
                 format!("update_partials ops={} {checks}", operations.len())
-            });
-        }
-        Ok(())
-    }
-
-    fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
-        let flat = || levels.iter().flatten();
-        self.validate_operations(flat())?;
-
-        let n_ops: usize = levels.iter().map(Vec::len).sum();
-        let t0 = self
-            .recorder
-            .stats()
-            .map(|before| (std::time::Instant::now(), before));
-        self.recorder.event(EventKind::OperationBegin, || {
-            format!(
-                "update_partials_by_levels ops={n_ops} levels={}",
-                levels.len()
-            )
-        });
-        let n_pat = self.bufs.config.pattern_count;
-        match self.threading {
-            Threading::Serial => {
-                for op in flat() {
-                    self.execute_op_serial(op);
-                }
-            }
-            // The futures model is already level-structured: run each given
-            // level as one wave of scoped tasks.
-            Threading::Futures => {
-                for level in levels {
-                    self.execute_level_concurrent(level);
-                }
-            }
-            Threading::ThreadCreate { .. } | Threading::ThreadPool { .. } => {
-                let use_pool = matches!(self.threading, Threading::ThreadPool { .. });
-                if n_pat < self.min_patterns {
-                    // Below the threading threshold batching buys nothing.
-                    for op in flat() {
-                        self.execute_op_serial(op);
-                    }
-                } else {
-                    // One dispatch per dependency level instead of one per
-                    // operation — the batching win the queue is after.
-                    for level in levels {
-                        self.execute_level_chunked(level, use_pool);
-                    }
-                }
-            }
-        }
-        if let Some((t0, before)) = t0 {
-            self.record_partials_call(flat(), t0.elapsed(), &before);
-            let checks = self.rescale_check_detail(&before);
-            self.recorder.event(EventKind::OperationEnd, || {
-                format!("update_partials_by_levels ops={n_ops} {checks}")
             });
         }
         Ok(())

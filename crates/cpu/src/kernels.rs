@@ -336,19 +336,6 @@ pub fn integrate_root<T: Real>(
     total
 }
 
-/// `Σ_p w_p · lnL_p`, each term formed in `f64` and added left to right:
-/// the total [`integrate_root`] and [`integrate_edge`] (and every table's
-/// integration entries) return for the range they integrate. A caller
-/// that integrates chunks in parallel reduces the whole range's site
-/// values with this, so its total has the bits of one serial call.
-pub fn weighted_total<T: Real>(site_lnl: &[T], pattern_weights: &[T]) -> f64 {
-    let mut total = 0.0;
-    for (&lnl, &w) in site_lnl.iter().zip(pattern_weights) {
-        total += w.to_f64() * lnl.to_f64();
-    }
-    total
-}
-
 /// Edge integration for a pattern range: combines parent partials with child
 /// partials propagated through one transition matrix. Returns the weighted
 /// range sum and fills site log-likelihoods.

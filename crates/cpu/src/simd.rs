@@ -375,8 +375,16 @@ mod avx2 {
     /// per-lane operation sequence `fma(m3,a3, fma(m2,a2, fma(m1,a1,
     /// m0*a0)))` is identical to the portable unrolled kernel, so the two
     /// paths agree bit for bit.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA. Matrix lengths are checked here.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn pp4_pd(dest: &mut [f64], c1: &[f64], c2: &[f64], m1: &[f64], m2: &[f64]) {
+        assert!(
+            m1.len() >= 16 && m2.len() >= 16,
+            "4-state kernel: matrices shorter than 4 rows of 4"
+        );
         let m1p = m1.as_ptr();
         let m2p = m2.as_ptr();
         let (m10, m11, m12, m13) = (
@@ -411,8 +419,17 @@ mod avx2 {
     /// Nucleotide states×partials: the tip child selects one matrix column
     /// (or all-ones for a gap) per pattern; the partials child runs the same
     /// broadcast-FMA chain as `pp4_pd`.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA. Matrix lengths and states are
+    /// checked here.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn sp4_pd(dest: &mut [f64], s1: &[u32], c2: &[f64], m1: &[f64], m2: &[f64]) {
+        assert!(
+            m1.len() >= 16 && m2.len() >= 16,
+            "4-state kernel: matrices shorter than 4 rows of 4"
+        );
         let m2p = m2.as_ptr();
         let (m20, m21, m22, m23) = (
             col_pd(m2p, 4, 0),
@@ -433,6 +450,7 @@ mod avx2 {
             let p1 = if st == GAP_STATE {
                 ones
             } else {
+                assert!(st < 4, "4-state kernel: state {st} out of range");
                 col_pd(m1.as_ptr(), 4, st as usize)
             };
             _mm256_storeu_pd(d.as_mut_ptr(), _mm256_mul_pd(p1, s2));
@@ -758,8 +776,16 @@ mod avx2 {
     /// f32 nucleotide partials×partials: 4 states live in an 8-lane padded
     /// stride; compute in 128-bit lanes and store only the live half so the
     /// pad stays zero. Same per-lane FMA chain as the portable kernel.
+    ///
+    /// # Safety
+    ///
+    /// The host must support AVX2 and FMA. Matrix lengths are checked here.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn pp4_ps(dest: &mut [f32], c1: &[f32], c2: &[f32], m1: &[f32], m2: &[f32], sp: usize) {
+        assert!(
+            sp >= 4 && m1.len() >= 4 * sp && m2.len() >= 4 * sp,
+            "4-state kernel: matrices shorter than 4 rows of {sp}"
+        );
         let m1p = m1.as_ptr();
         let m2p = m2.as_ptr();
         let (m10, m11, m12, m13) = (
@@ -1824,6 +1850,63 @@ mod tests {
         (table.partials_partials)(&mut d_simd, &c1, &c2, &m1, &m2, 4, 4);
         vector::partials_partials_4(&mut d_port, &c1, &c2, &m1, &m2, 4);
         assert_eq!(d_simd, d_port, "4-state AVX2 kernel must be bit-exact");
+    }
+
+    /// Call a 4-state entry of the AVX2 table (the portable one on a host
+    /// without AVX2) once well formed, then with tip state `state` and a
+    /// first matrix of `m1_len` elements, which must panic: the AVX2
+    /// kernels check their inputs before their raw loads.
+    fn four_state_entry<T: DispatchReal>(pp: bool, state: u32, m1_len: usize) {
+        let sp = 4usize.next_multiple_of(T::SIMD_LANES);
+        let table = T::dispatch(DispatchKind::Avx2);
+        let c = vec![T::from_f64(0.5); 3 * sp];
+        let mut d = vec![T::ZERO; 3 * sp];
+        let m2 = vec![T::from_f64(0.25); 4 * sp];
+        let mut call = |states: [u32; 3], m1: &[T]| {
+            if pp {
+                (table.partials_partials)(&mut d, &c, &c, m1, &m2, 4, sp);
+            } else {
+                (table.states_partials)(&mut d, &states, &c, m1, &m2, 4, sp);
+            }
+        };
+        call([0, 3, GAP], &m2);
+        call([0, state, GAP], &vec![T::from_f64(0.25); m1_len]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn sp4_f64_rejects_state_5() {
+        four_state_entry::<f64>(false, 5, 16);
+    }
+
+    #[test]
+    #[should_panic]
+    fn sp4_f32_rejects_state_5() {
+        four_state_entry::<f32>(false, 5, 32);
+    }
+
+    #[test]
+    #[should_panic]
+    fn pp4_f64_rejects_a_15_element_matrix() {
+        four_state_entry::<f64>(true, 0, 15);
+    }
+
+    #[test]
+    #[should_panic]
+    fn sp4_f64_rejects_a_15_element_matrix() {
+        four_state_entry::<f64>(false, 0, 15);
+    }
+
+    #[test]
+    #[should_panic]
+    fn pp4_f32_rejects_a_15_element_matrix() {
+        four_state_entry::<f32>(true, 0, 15);
+    }
+
+    #[test]
+    #[should_panic]
+    fn sp4_f32_rejects_a_15_element_matrix() {
+        four_state_entry::<f32>(false, 0, 15);
     }
 
     #[test]

@@ -2,9 +2,14 @@
 # Tier-1 gate: release build, full test suite, lint-clean workspace.
 #
 # Test matrix covered by `cargo test --workspace`:
-#   unit + doc tests ........ every crate (queue/leveling and the memo matrix
-#                             store in core, CPU kernels + threading, perf
-#                             model + faults in accel);
+#   unit + doc tests ........ every crate (the queue, the memo matrix store
+#                             and the ops::LevelPlan planner in core: its
+#                             levels are checked sound on fixed and random
+#                             lists, every RAW/WAR/WAW/scale-target pair in
+#                             ascending levels; CPU kernels + threading, the
+#                             AVX2 4-state kernels refusing state 5 and a
+#                             15-element matrix; perf model + faults in
+#                             accel);
 #                             the power-of-two rescale against its reference
 #                             oracle on every kernel table, and
 #                             rescale_subnormal_max_stays_finite (a subnormal
@@ -58,6 +63,12 @@
 #                             back_ends (codon and amino acid, scaled or not,
 #                             f32/f64: every internal partials buffer of all
 #                             11 implementations == CPU-serial bit for bit)
+#   tests/hazard_lists ...... operation lists with WAW+WAR rewrites, a WAR
+#                             after an earlier call and one scale target
+#                             written twice: all 11 implementations x
+#                             {eager, queued} x f32/f64 leave CPU-serial's
+#                             partials and the lnL of their table's in-order
+#                             model, and a second pass (memo) the same bits
 #   tests/differential ...... implementations x {eager, queued} bit-for-bit,
 #                             repeat proposals served by memo, site-lnL read-back,
 #                             and the failover fixtures in BOTH queue modes
@@ -65,7 +76,9 @@
 #   tests/failover .......... fault matrix: device loss, transient kernel/copy
 #                             faults, corruption, creation fallback, rescue,
 #                             rescue x checkpoint through one shared journal
-#   tests/multi_device ...... partitioned instances across device sets
+#   tests/multi_device ...... partitioned instances across device sets; root
+#                             and edge lnL over several splits == a single
+#                             instance, bit for bit
 #   tests/balance ........... adaptive load balancing differentials: backend x
 #                             precision x scaling bit-exactness vs a single
 #                             instance at every intermediate weighting,
@@ -118,12 +131,13 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
-# The queue-mode differential matrix, the memo matrix-store properties, the
-# fault matrix, the SIMD kernel parity suite, the cross-back-end partials
-# bit-identity, the allocation-free hot-path
+# The queue-mode differential matrix, the hazard lists, the memo matrix-store
+# properties, the fault matrix, the SIMD kernel parity suite, the
+# cross-back-end partials bit-identity, the allocation-free hot-path
 # guard, the rescale tile-boundary and bounds checks, and the observability suite,
 # named explicitly so a regression in any is attributable at a glance.
 cargo test -q --test differential
+cargo test -q --test hazard_lists
 cargo test -q -p beagle-core --test matrix_proptests
 cargo test -q --test failover
 cargo test -q --test robustness

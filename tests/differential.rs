@@ -154,7 +154,7 @@ fn repeated_proposals_are_served_by_memo_without_changing_results() {
     );
     assert_eq!(first.to_bits(), second.to_bits());
     let queue = inst.queue_stats().expect("queued instance exposes stats");
-    assert!(queue.batches_submitted > 0 && queue.levels_submitted > 0);
+    assert!(queue.flushes > 0 && queue.ops_submitted > 0);
 }
 
 /// The permanent-device-loss fixture from `failover.rs`, driven through the

@@ -150,3 +150,71 @@ fn details_refresh_after_rebalance() {
     let lnl = p.evaluate(&mut multi, false);
     assert!((lnl - p.oracle()).abs() < 1e-7);
 }
+
+/// Root and edge log-likelihoods of a partitioned instance over several
+/// splits equal a single instance of the same implementation bit for bit:
+/// the partitioned layer continues one running reduction over its
+/// children's site values in pattern order.
+#[test]
+fn partitioned_root_and_edge_lnl_equal_the_single_instance_bits() {
+    use beagle::core::multi::ChildSelection;
+    let p = problem();
+    let manager = full_manager();
+    let root = p.tree.root();
+    let child = p.tree.node(root).children[0];
+    let integrate = |inst: &mut dyn BeagleInstance, scaled: bool| {
+        let root_lnl = p.evaluate(inst, scaled);
+        let scaling = if scaled {
+            ScalingMode::cumulative(inst.config().scale_buffer_count - 1)
+        } else {
+            ScalingMode::None
+        };
+        let edge = inst
+            .integrate_edge(
+                BufferId(root),
+                BufferId(child),
+                BufferId(child),
+                BufferId(0),
+                BufferId(0),
+                scaling,
+            )
+            .unwrap();
+        [root_lnl.to_bits(), edge.to_bits()]
+    };
+    let names = [
+        "CPU-serial".to_string(),
+        "CPU-SSE".to_string(),
+        "OpenCL-x86".to_string(),
+        format!("CUDA ({})", beagle::accel::catalog::quadro_p5000().name),
+    ];
+    for name in &names {
+        for require in [Flags::PRECISION_DOUBLE, Flags::PRECISION_SINGLE] {
+            for scaled in [false, true] {
+                let spec = InstanceSpec::with_config(p.config()).require(require);
+                let mut single = spec
+                    .clone()
+                    .named(name.clone())
+                    .instantiate(&manager)
+                    .unwrap();
+                p.load(single.as_mut());
+                let want = integrate(single.as_mut(), scaled);
+                for weights in [&[1.0, 1.0][..], &[1.0, 3.0], &[3.0, 1.0, 2.0], &[1.0; 4]] {
+                    let selections = weights
+                        .iter()
+                        .map(|_| ChildSelection::named(name, Flags::NONE, require))
+                        .collect();
+                    let mut multi = PartitionedInstance::create_with_selections(
+                        &manager, &spec, selections, weights,
+                    )
+                    .unwrap();
+                    p.load(&mut multi);
+                    assert_eq!(
+                        integrate(&mut multi, scaled),
+                        want,
+                        "{name} {require:?} scaled={scaled} split {weights:?}: [root, edge] bits"
+                    );
+                }
+            }
+        }
+    }
+}
