@@ -114,7 +114,7 @@ fn main() {
     let mutex_start = shared
         .lock()
         .unwrap()
-        .peek_simulated_time()
+        .simulated_time()
         .expect("simulated backend");
     std::thread::scope(|scope| {
         for (client, results) in mutex_results.iter().enumerate() {
@@ -136,7 +136,7 @@ fn main() {
     let mutex_modeled = shared
         .lock()
         .unwrap()
-        .peek_simulated_time()
+        .simulated_time()
         .expect("simulated backend")
         - mutex_start;
 
@@ -183,7 +183,7 @@ fn main() {
     let stats = handle.stats();
     let per_worker: Vec<Duration> = fleet
         .iter()
-        .map(|w| w.peek_simulated_time().expect("simulated backend"))
+        .map(|w| w.simulated_time().expect("simulated backend"))
         .collect();
     let pool_makespan = per_worker.iter().max().copied().unwrap_or_default();
 

@@ -165,6 +165,22 @@ pub struct InstanceDetails {
     pub thread_count: usize,
 }
 
+/// The counters the old operation queue reported. No layer fills them in
+/// any more ([`BeagleInstance::queue_stats`] is always `None`); the type
+/// stays only because the stack benchmark reads these fields, and goes with
+/// that benchmark's next change (ROADMAP item 3).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Partial-likelihood operations enqueued by the client.
+    pub ops_enqueued: u64,
+    /// Partial-likelihood operations submitted to the back-end.
+    pub ops_submitted: u64,
+    /// Transition matrices served without recomputation.
+    pub eigen_cache_hits: u64,
+    /// Transition matrices computed.
+    pub eigen_cache_misses: u64,
+}
+
 /// A BEAGLE instance: likelihood state plus the kernels that act on it.
 ///
 /// All data crosses this interface as `f64` regardless of the instance's
@@ -181,14 +197,12 @@ pub struct InstanceDetails {
 ///
 /// # Wrappers
 ///
-/// Layers such as the memo, the operation queue and the journaling layer
-/// wrap another instance. A wrapper returns that instance from
-/// [`Self::wrapped`] / [`Self::wrapped_mut`] and overrides only what it
-/// changes: every method with a default forwards to the wrapped instance
-/// when there is one, and gives a plain back-end's answer when there is
-/// not. The required methods have no default, so every layer states its
-/// data plane explicitly. A wrapper whose inner instance sits behind a lock
-/// returns `None` from `wrapped` and overrides the `&self` methods itself.
+/// Layers such as the memo and the journaling layer wrap another instance.
+/// A wrapper returns that instance from [`Self::wrapped`] /
+/// [`Self::wrapped_mut`] and overrides only what it changes: every method
+/// with a default forwards to the wrapped instance when there is one, and
+/// gives a plain back-end's answer when there is not. The required methods
+/// have no default, so every layer states its data plane explicitly.
 pub trait BeagleInstance: Send + Sync {
     /// The instance this one wraps, if it is a wrapper layer.
     fn wrapped(&self) -> Option<&dyn BeagleInstance> {
@@ -329,7 +343,7 @@ pub trait BeagleInstance: Send + Sync {
     /// the library overrides or calls this: a back-end levels the list its
     /// `update_partials` gets itself ([`crate::ops::LevelPlan`]). It stays
     /// only because the stack benchmark's timing wrapper implements it, and
-    /// goes with the next change to that benchmark.
+    /// goes with that benchmark's next change (ROADMAP item 3).
     fn update_partials_by_levels(&mut self, levels: &[Vec<Operation>]) -> Result<()> {
         for level in levels {
             self.update_partials(level)?;
@@ -375,11 +389,12 @@ pub trait BeagleInstance: Send + Sync {
     /// Per-pattern site log-likelihoods from the most recent root/edge call.
     fn get_site_log_likelihoods(&self) -> Result<Vec<f64>>;
 
-    /// Block until all deferred and asynchronous work below this instance
-    /// is done (no-op on a CPU back-end).
+    /// A no-op: every call runs before it returns, so there is never work
+    /// to wait for. It stays only because the stack benchmark's timing
+    /// wrapper implements it, and goes with that benchmark's next change
+    /// (ROADMAP item 3).
     fn wait_for_computation(&mut self) -> Result<()> {
-        self.wrapped_mut()
-            .map_or(Ok(()), |inner| inner.wait_for_computation())
+        Ok(())
     }
 
     /// For simulated accelerator back-ends: total modeled device time since
@@ -397,26 +412,18 @@ pub trait BeagleInstance: Send + Sync {
         }
     }
 
-    /// Read the simulated clock **without side effects**. For a back-end
-    /// this is [`Self::simulated_time`]; a deferred-execution wrapper skips
-    /// the flush that `simulated_time` performs, so the value may lag until
-    /// the queue drains. The partitioned parent uses this to time each
-    /// child around a call without perturbing its execution mode (see
-    /// [`crate::multi::PartitionedInstance`]).
+    /// The same as [`Self::simulated_time`]. It stays only because the
+    /// stack benchmark's timing wrapper implements it, and goes with that
+    /// benchmark's next change (ROADMAP item 3).
     fn peek_simulated_time(&self) -> Option<std::time::Duration> {
-        match self.wrapped() {
-            Some(inner) => inner.peek_simulated_time(),
-            None => self.simulated_time(),
-        }
+        self.simulated_time()
     }
 
-    /// Operation-queue counters, when this instance (or one below it) defers
-    /// execution through a [`crate::queue::QueuedInstance`], with the matrix
-    /// counters of the memo layer below the queue folded in
-    /// (`eigen_cache_hits`/`eigen_cache_misses`). `None` for eager
-    /// instances. Never flushes pending work.
-    fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
-        self.wrapped()?.queue_stats()
+    /// Always `None`: no layer defers execution. It stays only because the
+    /// stack benchmark reads it, and goes with that benchmark's next change
+    /// (ROADMAP item 3).
+    fn queue_stats(&self) -> Option<QueueStats> {
+        None
     }
 
     /// Per-kernel timing/counter statistics (see [`crate::obs`]). `None`
@@ -449,9 +456,7 @@ pub trait BeagleInstance: Send + Sync {
     /// Snapshot this instance's replayable state as a durable
     /// [`crate::checkpoint::Checkpoint`]. `None` unless a journaling layer
     /// answers (a checkpointing [`crate::journal::JournaledInstance`] or a
-    /// [`crate::multi::PartitionedInstance`]). An operation queue flushes
-    /// its pending work when it sees the call, so a snapshot never runs
-    /// ahead of the instance's buffers.
+    /// [`crate::multi::PartitionedInstance`]).
     fn checkpoint(&mut self) -> Option<crate::checkpoint::Checkpoint> {
         self.wrapped_mut()?.checkpoint()
     }
@@ -470,8 +475,7 @@ pub trait BeagleInstance: Send + Sync {
 
     /// Skip/hit counters from the incremental memoization layer, when one is
     /// installed at or below this instance (see [`crate::memo::MemoStats`]).
-    /// `None` otherwise. Like [`Self::peek_simulated_time`], never flushes
-    /// pending work.
+    /// `None` otherwise.
     fn memo_stats(&self) -> Option<crate::memo::MemoStats> {
         self.wrapped()?.memo_stats()
     }

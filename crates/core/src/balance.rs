@@ -36,9 +36,9 @@ use std::time::Duration;
 /// keeps every migrated slice block-aligned on every back-end.
 pub const PATTERN_STRIDE: usize = 8;
 
-/// Samples shorter than this are deferred no-ops (e.g. a queued child's
-/// `update_partials` returns before doing any work) and carry no throughput
-/// information; [`LoadBalancer::observe`] discards them.
+/// Samples shorter than this did no measurable work (an empty operation
+/// list) and carry no throughput information; [`LoadBalancer::observe`]
+/// discards them.
 const MIN_SAMPLE: Duration = Duration::from_nanos(200);
 
 /// Tuning knobs for [`LoadBalancer`].
@@ -197,7 +197,7 @@ impl LoadBalancer {
 
     /// Record one batch: part `part` processed `patterns` patterns in
     /// `elapsed`. Degenerate samples (zero patterns, or sub-microsecond
-    /// deferred calls that did no real work) are discarded.
+    /// calls that did no real work) are discarded.
     pub fn observe(&mut self, part: usize, patterns: usize, elapsed: Duration) {
         if patterns == 0 || elapsed < MIN_SAMPLE {
             return;

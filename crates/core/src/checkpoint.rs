@@ -48,7 +48,7 @@
 //! [`JournaledInstance`] answers [`crate::BeagleInstance::checkpoint`] when
 //! [`crate::InstanceSpec::checkpointed`] is set. It is the outermost wrapper
 //! of a managed instance, so a snapshot reflects exactly the calls the
-//! client made (an inner operation queue flushes on the checkpoint forward).
+//! client made.
 //! [`crate::multi::PartitionedInstance`] answers from its failover journal.
 
 use std::path::Path;

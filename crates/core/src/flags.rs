@@ -61,10 +61,10 @@ flags! {
     /// Eager execution: every API call runs to completion before returning
     /// (the default). Mutually exclusive with `COMPUTATION_ASYNCH`.
     COMPUTATION_SYNCH = 16;
-    /// Deferred execution: mutating calls enqueue onto an operation queue
-    /// that is flushed when a result is needed.
-    /// Handled by the implementation manager (see `crate::queue`), not by
-    /// individual back-end factories.
+    /// Asynchronous execution, as in the C API. Accepted for compatibility
+    /// and run eager: the implementation manager strips it before
+    /// selection, so it selects, computes and reports exactly like
+    /// `COMPUTATION_SYNCH`.
     COMPUTATION_ASYNCH = 17;
     /// AVX2+FMA wide-vector arithmetic (runtime-detected).
     VECTOR_AVX2 = 18;

@@ -18,10 +18,10 @@
 //! # The journaling layer
 //!
 //! [`JournaledInstance`] is the only wrapper of a managed, non-partitioned
-//! instance that keeps a journal. The manager installs it outermost,
-//! above any operation queue, whenever the spec asks for numerical rescue
-//! or for checkpoints, and it records every mutating call the client
-//! makes. The journal then serves both:
+//! instance that keeps a journal. The manager installs it outermost
+//! whenever the spec asks for numerical rescue or for checkpoints, and it
+//! records every mutating call the client makes. The journal then serves
+//! both:
 //!
 //! * **Numerical rescue** (`spec.rescue`). Deep trees and many rate
 //!   categories underflow partials, and an unscaled root or edge
@@ -768,9 +768,6 @@ impl BeagleInstance for JournaledInstance {
     }
 
     fn checkpoint(&mut self) -> Option<Checkpoint> {
-        // An inner operation queue flushes its pending work on this forward.
-        // Nothing below keeps a journal, so its own answer is always `None`.
-        self.inner.checkpoint();
         let (config, provenance) = self.snapshot.as_ref()?;
         let journal = &self.journal;
         self.recorder.event(EventKind::CheckpointSaved, || {

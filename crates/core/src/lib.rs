@@ -17,7 +17,6 @@
 //! * [`ops`] — partial-likelihood operation descriptors + the level planner
 //! * [`memo`] — epoch-based incremental computation (operation memoization
 //!   and the derived-matrix store)
-//! * [`queue`] — deferred execution: the operation queue
 //! * [`flags`] — capability/preference/requirement bitmask
 //! * [`buffers`] — the shared buffer arena CPU back-ends build on
 //! * [`manager`] — plugin registry and implementation selection
@@ -44,13 +43,12 @@ pub mod multi;
 pub mod obs;
 pub mod ops;
 pub mod pool;
-pub mod queue;
 pub mod real;
 pub mod resource;
 pub mod spec;
 pub mod wire;
 
-pub use api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
+pub use api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, QueueStats, ScalingMode};
 pub use balance::{BalancerConfig, LoadBalancer, PATTERN_STRIDE};
 pub use checkpoint::Checkpoint;
 pub use deadline::Deadline;
@@ -68,7 +66,6 @@ pub use pool::{
     PoolError, PoolHandle, PoolStats, SessionOutcome, SessionRequest, Ticket, WorkerSupervisor,
     WorkerUtilization,
 };
-pub use queue::{QueueStats, QueuedInstance};
 pub use real::Real;
 pub use resource::ResourceDescription;
 pub use spec::InstanceSpec;

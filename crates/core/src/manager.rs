@@ -23,6 +23,16 @@ use crate::ops::Operation;
 use crate::resource::ResourceDescription;
 use crate::spec::InstanceSpec;
 
+/// The flag bits that are manager-level features, not back-end
+/// capabilities: stripped before factory filtering and scoring (see
+/// [`ImplementationManager::create_from_spec`]).
+const MANAGER_BITS: Flags = Flags(
+    Flags::COMPUTATION_SYNCH.0
+        | Flags::COMPUTATION_ASYNCH.0
+        | Flags::INSTANCE_STATS.0
+        | Flags::KERNEL_SCALAR.0,
+);
+
 /// How a failure feeds the health registry: watchdog timeouts and permanent
 /// faults trip a resource's breaker immediately, transient faults only
 /// accumulate toward its threshold.
@@ -138,9 +148,8 @@ impl ImplementationManager {
     /// Four flag bits are manager-level features, not back-end
     /// capabilities, and are stripped before factory filtering and scoring:
     ///
-    /// * [`Flags::COMPUTATION_ASYNCH`] (requirement or preference) wraps
-    ///   the back-end in a [`crate::queue::QueuedInstance`];
-    /// * [`Flags::COMPUTATION_SYNCH`] is the eager default;
+    /// * [`Flags::COMPUTATION_SYNCH`] and [`Flags::COMPUTATION_ASYNCH`] are
+    ///   accepted and change nothing: every instance runs eager;
     /// * [`Flags::INSTANCE_STATS`] is forwarded to the factory as a
     ///   preference so the back-end enables its kernel recorder (see
     ///   [`crate::obs`]); it never affects ranking;
@@ -150,9 +159,8 @@ impl ImplementationManager {
     ///   see [`crate::spec`] for the precedence rules).
     ///
     /// When `spec.rescue` (the default) or `spec.checkpoint` is set, the
-    /// result is wrapped in a [`JournaledInstance`], outermost and so above
-    /// any queue layer: deferred batches still get numerical rescue at the
-    /// integration points, and snapshots see exactly the client's calls.
+    /// result is wrapped in a [`JournaledInstance`], outermost, so snapshots
+    /// see exactly the client's calls.
     /// Named and ranked creation therefore get byte-identical wrapping.
     /// Unless disabled (`spec.incremental == Some(false)` or the
     /// `BEAGLE_INCREMENTAL_DISABLE` environment variable), the raw back-end
@@ -172,7 +180,7 @@ impl ImplementationManager {
     }
 
     /// The stack [`Self::create_from_spec`] builds below the journaling
-    /// layer: the selected back-end with its memo and queue layers.
+    /// layer: the selected back-end with its memo layer.
     /// Checkpoint restore replays a snapshot's journal into it before
     /// wrapping it with that journal.
     pub(crate) fn create_unjournaled(
@@ -180,15 +188,10 @@ impl ImplementationManager {
         spec: &InstanceSpec,
     ) -> Result<Box<dyn BeagleInstance>> {
         spec.config.validate()?;
-        let manager_bits = Flags::COMPUTATION_SYNCH
-            | Flags::COMPUTATION_ASYNCH
-            | Flags::INSTANCE_STATS
-            | Flags::KERNEL_SCALAR;
         let combined = spec.preferences | spec.requirements;
-        let asynch = combined.contains(Flags::COMPUTATION_ASYNCH);
         let stats = combined.contains(Flags::INSTANCE_STATS);
-        let preference_flags = spec.preferences.without(manager_bits);
-        let requirement_flags = spec.requirements.without(manager_bits);
+        let preference_flags = spec.preferences.without(MANAGER_BITS);
+        let requirement_flags = spec.requirements.without(MANAGER_BITS);
         // Factories see the stats and scalar-pin bits in their preferences
         // (how they know to switch their recorder on / pin the scalar
         // kernel table), but ranking ignores them: no factory advertises
@@ -264,20 +267,13 @@ impl ImplementationManager {
         };
 
         // The memoization layer sits directly above the raw back-end —
-        // below the queue and journaling wrappers — so deferred flushes,
-        // rescue re-runs and journal replays all pass through it
-        // with their real call shapes. When disabled it is not installed at
-        // all, so `BEAGLE_INCREMENTAL_DISABLE=1` reproduces baseline
-        // timings exactly, not just baseline bits.
+        // below the journaling wrapper — so rescue re-runs and journal
+        // replays pass through it with their real call shapes. When disabled
+        // it is not installed at all, so `BEAGLE_INCREMENTAL_DISABLE=1`
+        // reproduces baseline timings exactly, not just baseline bits.
         let incremental = spec.incremental.unwrap_or(true) && !memo::incremental_disabled_by_env();
-        let raw: Box<dyn BeagleInstance> = if incremental {
+        Ok(if incremental {
             Box::new(memo::MemoInstance::new(raw))
-        } else {
-            raw
-        };
-
-        Ok(if asynch {
-            Box::new(crate::queue::QueuedInstance::new(raw))
         } else {
             raw
         })
@@ -341,11 +337,7 @@ impl ImplementationManager {
         config: &InstanceConfig,
         requirement_flags: Flags,
     ) -> Vec<ResourceBenchmark> {
-        let manager_bits = Flags::COMPUTATION_SYNCH
-            | Flags::COMPUTATION_ASYNCH
-            | Flags::INSTANCE_STATS
-            | Flags::KERNEL_SCALAR;
-        let requirement_flags = requirement_flags.without(manager_bits);
+        let requirement_flags = requirement_flags.without(MANAGER_BITS);
         let bench_config = benchmark_config(config);
         let mut results: Vec<ResourceBenchmark> = self
             .factories
@@ -415,7 +407,7 @@ impl ImplementationManager {
     /// Create an instance of the empirically fastest implementation:
     /// ranks the registry with [`Self::benchmark_resources`] instead of
     /// static flag scores, then creates the winner through the same
-    /// [`Self::create_from_spec`] path (identical queue/rescue wrapping).
+    /// [`Self::create_from_spec`] path (identical rescue wrapping).
     /// Entries that fail to create at full problem size fall through to the
     /// next-fastest; if every measured entry fails, falls back to the
     /// flag-ranked path.
@@ -646,7 +638,6 @@ fn run_benchmark_workload(
         inst.update_partials(&ops)?;
         lnl = inst.integrate_root(root, BufferId(0), BufferId(0), ScalingMode::None)?;
     }
-    inst.wait_for_computation()?;
     let wall = t0.elapsed();
     let modeled = inst.simulated_time();
     if !lnl.is_finite() {
@@ -893,43 +884,43 @@ mod tests {
     }
 
     #[test]
-    fn queue_mode_bits_do_not_affect_selection() {
+    fn asynch_is_accepted_and_selects_like_synch() {
         let mut m = ImplementationManager::new();
-        // No factory advertises the computation-mode bits...
+        // No factory advertises a computation-mode bit, and the ranking
+        // between these two must not depend on one.
         m.register(Box::new(NullFactory {
-            name: "cpu",
+            name: "plain",
             flags: Flags::PROCESSOR_CPU,
+            priority: 5,
+        }));
+        m.register(Box::new(NullFactory {
+            name: "vectorized",
+            flags: Flags::PROCESSOR_CPU | Flags::VECTOR_SSE,
             priority: 0,
         }));
-        // ...yet requiring ASYNCH must still find it (manager-level feature).
-        let inst = m
-            .create_instance(&cfg(), Flags::NONE, Flags::COMPUTATION_ASYNCH)
-            .unwrap();
-        assert!(inst.details().flags.contains(Flags::COMPUTATION_ASYNCH));
-        assert!(inst.queue_stats().is_some(), "queued wrapper installed");
-        // SYNCH (or no mode at all) stays eager: no queue counters.
-        let inst = m
-            .create_instance(&cfg(), Flags::COMPUTATION_SYNCH, Flags::NONE)
-            .unwrap();
-        assert!(inst.queue_stats().is_none());
-    }
-
-    #[test]
-    fn by_name_honours_asynch_preference() {
-        let mut m = ImplementationManager::new();
-        m.register(Box::new(NullFactory {
-            name: "cpu",
-            flags: Flags::PROCESSOR_CPU,
-            priority: 0,
-        }));
-        let inst = m
-            .create_instance_by_name("cpu", &cfg(), Flags::COMPUTATION_ASYNCH)
-            .unwrap();
-        assert!(inst.queue_stats().is_some());
-        let inst = m
-            .create_instance_by_name("cpu", &cfg(), Flags::NONE)
-            .unwrap();
-        assert!(inst.queue_stats().is_none());
+        for prefs in [Flags::NONE, Flags::VECTOR_SSE] {
+            let eager = m
+                .create_instance(&cfg(), prefs | Flags::COMPUTATION_SYNCH, Flags::NONE)
+                .unwrap();
+            let expected = eager.details().implementation_name.clone();
+            let asynch = [
+                m.create_instance(&cfg(), prefs | Flags::COMPUTATION_ASYNCH, Flags::NONE),
+                m.create_instance(&cfg(), prefs, Flags::COMPUTATION_ASYNCH),
+                m.create_instance_by_name(&expected, &cfg(), prefs | Flags::COMPUTATION_ASYNCH),
+            ];
+            for inst in asynch {
+                let inst = inst.unwrap();
+                assert_eq!(inst.details().implementation_name, expected);
+                assert!(inst.queue_stats().is_none(), "{expected}: no queue");
+                assert!(
+                    !inst
+                        .details()
+                        .flags
+                        .intersects(Flags::COMPUTATION_SYNCH | Flags::COMPUTATION_ASYNCH),
+                    "{expected}: details carry a mode bit"
+                );
+            }
+        }
     }
 
     #[test]
@@ -949,28 +940,26 @@ mod tests {
             flags: Flags::PROCESSOR_CPU,
             priority: 0,
         }));
-        // By-name creation funnels through create_from_spec, so it now gets
-        // the journaling layer and the queue layer exactly like ranked creation.
-        let ranked = InstanceSpec::with_config(cfg())
-            .queued()
-            .instantiate(&m)
-            .unwrap();
+        // Layers above the back-end: the journaling layer and memo.
+        fn depth(inst: &dyn BeagleInstance) -> usize {
+            inst.wrapped().map_or(0, |inner| 1 + depth(inner))
+        }
+        // By-name creation funnels through create_from_spec, so it gets the
+        // journaling layer exactly like ranked creation.
+        let ranked = InstanceSpec::with_config(cfg()).instantiate(&m).unwrap();
         let named = InstanceSpec::with_config(cfg())
             .named("cpu")
-            .queued()
             .instantiate(&m)
             .unwrap();
-        assert_eq!(
-            ranked.queue_stats().is_some(),
-            named.queue_stats().is_some()
-        );
+        assert_eq!(depth(ranked.as_ref()), 2);
+        assert_eq!(depth(named.as_ref()), 2);
         // Raw semantics remain reachable via the escape hatch.
         let raw = InstanceSpec::with_config(cfg())
             .named("cpu")
             .without_rescue()
             .instantiate(&m)
             .unwrap();
-        assert!(raw.queue_stats().is_none());
+        assert_eq!(depth(raw.as_ref()), 1);
     }
 
     #[test]

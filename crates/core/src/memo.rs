@@ -51,9 +51,9 @@
 //! # Placement and toggling
 //!
 //! The manager installs the memo directly above the raw back-end — *below*
-//! the operation queue, rescue, checkpoint and partitioned wrappers — so
-//! deferred flushes, rescue re-runs, journal replays and checkpoint
-//! restores all flow through it with their real call shapes. Bookkeeping
+//! the rescue, checkpoint and partitioned wrappers — so rescue re-runs,
+//! journal replays and checkpoint restores all flow through it with their
+//! real call shapes. Bookkeeping
 //! runs unconditionally; the `enabled` flag only gates the *skip decision*
 //! and the matrix store (a disabled memo reads nothing back), so
 //! [`BeagleInstance::set_incremental`] can be toggled mid-run without ever
@@ -65,7 +65,7 @@
 //!
 //! If a forwarded call fails, every destination it might have touched gets
 //! its epoch bumped and its signature cleared: the back-end's state is
-//! unknown, so nothing downstream may be skipped. A queued retry after a
+//! unknown, so nothing downstream may be skipped. A retry after a
 //! transient fault therefore re-executes rather than falsely skipping. A
 //! failed read-back into the matrix store poisons every destination it
 //! leaves unstored.

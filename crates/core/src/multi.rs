@@ -924,9 +924,7 @@ impl PartitionedInstance {
             for i in 0..self.parts.len() {
                 let retry = self.retry;
                 let before = self.retry_counts[i];
-                // Peek so a queued child's pending batch flushes *inside*
-                // the timed integrate below, not here.
-                let sim0 = self.parts[i].peek_simulated_time();
+                let sim0 = self.parts[i].simulated_time();
                 let t0 = Instant::now();
                 let r = Self::call_with_retry(
                     retry,
@@ -950,10 +948,8 @@ impl PartitionedInstance {
                     continue 'round;
                 }
                 if retries == 0 {
-                    // Integration flushes any queued work, so for queued
-                    // children this sample carries the batch's real cost.
                     let elapsed = self.parts[i]
-                        .peek_simulated_time()
+                        .simulated_time()
                         .zip(sim0)
                         .map(|(t1, t0)| t1.saturating_sub(t0))
                         .filter(|d| !d.is_zero())
@@ -1129,15 +1125,12 @@ impl BeagleInstance for PartitionedInstance {
                 .iter_mut()
                 .map(|part| {
                     scope.spawn(move || {
-                        // Peek, never flush: reading the real simulated
-                        // clock on a queued child would execute its
-                        // deferred work right here.
-                        let sim0 = part.peek_simulated_time();
+                        let sim0 = part.simulated_time();
                         let t0 = Instant::now();
                         let r = part.update_partials(operations);
                         let wall = t0.elapsed();
                         let elapsed = part
-                            .peek_simulated_time()
+                            .simulated_time()
                             .zip(sim0)
                             .map(|(t1, t0)| t1.saturating_sub(t0))
                             .filter(|d| !d.is_zero())
@@ -1153,8 +1146,11 @@ impl BeagleInstance for PartitionedInstance {
         });
         // Accumulate clean first-try successes into the per-child batch
         // cost; the balancer observes the whole batch once, when the next
-        // integration closes it. A sample that includes a fault, retry
-        // backoff, or rebuild says nothing about throughput.
+        // integration closes it, so each sample prices a traversal together
+        // with its integration (one call alone, such as an integration with
+        // no update before it, would rate a child by one cheap kernel). A
+        // sample that includes a fault, retry backoff, or rebuild says
+        // nothing about throughput.
         if self.balancer.is_some() {
             for (i, (r, elapsed)) in results.iter().enumerate() {
                 if r.is_ok() {
@@ -1268,13 +1264,6 @@ impl BeagleInstance for PartitionedInstance {
             .try_fold(std::time::Duration::ZERO, |acc, t| t.map(|t| acc.max(t)))
     }
 
-    fn peek_simulated_time(&self) -> Option<std::time::Duration> {
-        self.parts
-            .iter()
-            .map(|p| p.peek_simulated_time())
-            .try_fold(std::time::Duration::ZERO, |acc, t| t.map(|t| acc.max(t)))
-    }
-
     fn reset_simulated_time(&mut self) {
         for p in &mut self.parts {
             p.reset_simulated_time();
@@ -1352,28 +1341,6 @@ impl BeagleInstance for PartitionedInstance {
                 agg.merge(&s);
                 agg
             })
-    }
-
-    fn queue_stats(&self) -> Option<crate::queue::QueueStats> {
-        self.parts
-            .iter()
-            .filter_map(|p| p.queue_stats())
-            .reduce(|mut agg, s| {
-                agg.merge(&s);
-                agg
-            })
-    }
-
-    fn wait_for_computation(&mut self) -> Result<()> {
-        // A rebuild replays the journal into fresh children, which may queue
-        // the replay; wait again until a round completes without eviction.
-        loop {
-            let evictions = self.evictions;
-            self.fan_out_recorded(|_, _, part| part.wait_for_computation())?;
-            if self.evictions == evictions {
-                return Ok(());
-            }
-        }
     }
 }
 

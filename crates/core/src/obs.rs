@@ -7,11 +7,11 @@
 //! * [`InstanceStats`] — per-instance aggregation of wall time, invocation
 //!   counts, bytes moved, and modeled device time per [`KernelClass`]
 //!   (partials pp/sp/ss, transition matrices, rescaling, root/edge
-//!   integration, queue flushes, pool dispatches), exposed through
+//!   integration, pool dispatches), exposed through
 //!   [`crate::BeagleInstance::statistics`].
 //! * [`Event`] — a ring-buffered journal of notable moments (operation
-//!   begin/end, fault injection, numerical rescue, device failover, queue
-//!   submissions, dispatch-path selection), dumpable as JSON lines for
+//!   begin/end, fault injection, numerical rescue, device failover,
+//!   dispatch-path selection), dumpable as JSON lines for
 //!   offline timeline analysis via [`crate::BeagleInstance::take_journal`].
 //! * [`Recorder`] — the per-instance collection point back-ends write to.
 //!
@@ -28,7 +28,7 @@
 //!
 //! Events carry a process-global sequence number and a microsecond
 //! timestamp from a shared epoch, so journals taken from different layers
-//! of a wrapper stack (queue → rescue → back-end) merge into one total
+//! of a wrapper stack (rescue → memo → back-end) merge into one total
 //! order with [`merge_journals`].
 
 use std::fmt;
@@ -50,15 +50,13 @@ pub enum KernelClass {
     RootIntegrate,
     /// Edge log-likelihood integration (including derivative variants).
     EdgeIntegrate,
-    /// Operation-queue flush (deferred-execution wrapper).
-    QueueFlush,
     /// Thread-pool batch dispatch (CPU and OpenCL-x86 back-ends).
     PoolDispatch,
 }
 
 impl KernelClass {
     /// Number of kernel classes (array dimension of [`InstanceStats`]).
-    pub const COUNT: usize = 9;
+    pub const COUNT: usize = 8;
 
     /// Every class, in counter-array order.
     pub const ALL: [KernelClass; KernelClass::COUNT] = [
@@ -69,7 +67,6 @@ impl KernelClass {
         KernelClass::Rescale,
         KernelClass::RootIntegrate,
         KernelClass::EdgeIntegrate,
-        KernelClass::QueueFlush,
         KernelClass::PoolDispatch,
     ];
 
@@ -83,7 +80,6 @@ impl KernelClass {
             KernelClass::Rescale => "rescale",
             KernelClass::RootIntegrate => "root_integrate",
             KernelClass::EdgeIntegrate => "edge_integrate",
-            KernelClass::QueueFlush => "queue_flush",
             KernelClass::PoolDispatch => "pool_dispatch",
         }
     }
@@ -97,8 +93,7 @@ impl KernelClass {
             KernelClass::Rescale => 4,
             KernelClass::RootIntegrate => 5,
             KernelClass::EdgeIntegrate => 6,
-            KernelClass::QueueFlush => 7,
-            KernelClass::PoolDispatch => 8,
+            KernelClass::PoolDispatch => 7,
         }
     }
 }
@@ -264,10 +259,6 @@ pub enum EventKind {
     FailoverRetry,
     /// A child device was evicted and survivors rebuilt (multi-device).
     FailoverEviction,
-    /// The operation queue submitted one run of deferred partials calls.
-    LevelBatch,
-    /// The operation queue flushed pending work to the back-end.
-    QueueFlush,
     /// An instance resolved its kernel dispatch path at creation.
     DispatchSelected,
     /// A launch stalled past its watchdog budget and was cancelled.
@@ -316,8 +307,6 @@ impl EventKind {
             EventKind::RescueSucceeded => "rescue_succeeded",
             EventKind::FailoverRetry => "failover_retry",
             EventKind::FailoverEviction => "failover_eviction",
-            EventKind::LevelBatch => "level_batch",
-            EventKind::QueueFlush => "queue_flush",
             EventKind::DispatchSelected => "dispatch_selected",
             EventKind::WatchdogTimeout => "watchdog_timeout",
             EventKind::BreakerOpen => "breaker_open",
@@ -640,9 +629,7 @@ mod tests {
         let sw = r.start();
         r.finish(sw, KernelClass::PartialsPP, 10, 100);
         r.tally(KernelClass::PoolDispatch, 1, 0);
-        r.event(EventKind::QueueFlush, || {
-            unreachable!("detail must not run")
-        });
+        r.event(EventKind::Rebalance, || unreachable!("detail must not run"));
         assert!(r.stats().is_none());
         assert!(r.take_journal().is_empty());
     }
@@ -668,19 +655,19 @@ mod tests {
         let mut a = Recorder::new(true);
         let mut b = Recorder::new(true);
         a.event(EventKind::OperationBegin, || "first".into());
-        b.event(EventKind::QueueFlush, || "second".into());
+        b.event(EventKind::Rebalance, || "second".into());
         a.event(EventKind::OperationEnd, || "third".into());
         let merged = merge_journals(a.take_journal(), b.take_journal());
         assert_eq!(merged.len(), 3);
         assert!(merged.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert_eq!(merged[1].kind, EventKind::QueueFlush);
+        assert_eq!(merged[1].kind, EventKind::Rebalance);
     }
 
     #[test]
     fn journal_ring_drops_oldest() {
         let mut r = Recorder::new(true);
         for i in 0..(DEFAULT_JOURNAL_CAPACITY + 5) {
-            r.event(EventKind::LevelBatch, || format!("e{i}"));
+            r.event(EventKind::Rebalance, || format!("e{i}"));
         }
         let s = r.stats().unwrap();
         assert_eq!(s.journal_dropped, 5);
@@ -721,7 +708,7 @@ mod tests {
     fn journal_dump_reports_dropped_events() {
         let mut r = Recorder::new(true);
         for i in 0..(DEFAULT_JOURNAL_CAPACITY + 3) {
-            r.event(EventKind::LevelBatch, || format!("e{i}"));
+            r.event(EventKind::Rebalance, || format!("e{i}"));
         }
         let dropped = r.stats().unwrap().journal_dropped;
         let dump = journal_to_json_lines(&r.take_journal(), dropped);

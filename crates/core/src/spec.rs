@@ -14,8 +14,8 @@
 //! ```
 //!
 //! The spec funnels into [`ImplementationManager::create_from_spec`], the
-//! single place where the wrapper stack (memo, operation queue, journaling
-//! layer) is assembled — so named creation and ranked creation get byte-identical
+//! single place where the wrapper stack (memo, journaling layer) is
+//! assembled — so named creation and ranked creation get byte-identical
 //! wrapping. The older `create_instance` / `create_instance_by_name` entry
 //! points survive as thin wrappers over the same path.
 //!
@@ -137,8 +137,9 @@ impl InstanceSpec {
         self.prefer(Flags::INSTANCE_STATS)
     }
 
-    /// Defer execution through an operation queue (shorthand for
-    /// preferring [`Flags::COMPUTATION_ASYNCH`]).
+    /// Prefer [`Flags::COMPUTATION_ASYNCH`], which the manager accepts and
+    /// runs eager. It stays only because the stack benchmark calls it, and
+    /// goes with that benchmark's next change (ROADMAP item 3).
     pub fn queued(self) -> Self {
         self.prefer(Flags::COMPUTATION_ASYNCH)
     }

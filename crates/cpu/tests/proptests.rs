@@ -3,8 +3,7 @@
 use beagle_core::memo::MemoInstance;
 use beagle_core::real::Real;
 use beagle_core::{
-    BeagleInstance, BufferId, Flags, ImplementationFactory, Operation, QueuedInstance, ScalingMode,
-    GAP_STATE,
+    BeagleInstance, BufferId, Flags, ImplementationFactory, Operation, ScalingMode, GAP_STATE,
 };
 use beagle_cpu::pool::partition_range;
 use beagle_cpu::{kernels, vector, CpuFactory, ThreadingModel};
@@ -186,14 +185,13 @@ proptest! {
         prop_assert!((t2 - alpha * t1).abs() < 1e-9 * t1.abs().max(1.0));
     }
 
-    /// Deferred execution through the operation queue (over the memo layer,
-    /// as the manager stacks them) is bit-for-bit identical to eager
-    /// execution on random trees — root log-likelihood, site
-    /// log-likelihoods, and every internal partials buffer — scaled and
-    /// unscaled, and stays identical when the same model is re-proposed
-    /// (the path where memo serves the matrices).
+    /// The memo layer over a CPU back-end (as the manager stacks them) is
+    /// bit-for-bit identical to the plain back-end on random trees — root
+    /// log-likelihood, site log-likelihoods, and every internal partials
+    /// buffer — scaled and unscaled, and stays identical when the same
+    /// model is re-proposed (the path where memo serves the matrices).
     #[test]
-    fn queued_cpu_equals_eager_bit_for_bit(
+    fn memo_cpu_equals_plain_bit_for_bit(
         taxa in 3usize..8,
         sites in 4usize..40,
         seed in 0u64..1_000_000,
@@ -259,33 +257,33 @@ proptest! {
         };
 
         let factory = CpuFactory::with_threads(ThreadingModel::Serial, false, 1);
-        let mut eager = factory.create(&config, Flags::PRECISION_DOUBLE, Flags::NONE).unwrap();
-        let mut queued = QueuedInstance::new(Box::new(MemoInstance::new(
+        let mut plain = factory.create(&config, Flags::PRECISION_DOUBLE, Flags::NONE).unwrap();
+        let mut memo = MemoInstance::new(
             factory.create(&config, Flags::PRECISION_DOUBLE, Flags::NONE).unwrap(),
-        )));
+        );
 
-        let (lnl_e, sites_e) = drive(eager.as_mut());
-        let (lnl_q, sites_q) = drive(&mut queued);
+        let (lnl_e, sites_e) = drive(plain.as_mut());
+        let (lnl_q, sites_q) = drive(&mut memo);
         prop_assert_eq!(lnl_e.to_bits(), lnl_q.to_bits());
         let se: Vec<u64> = sites_e.iter().map(|v| v.to_bits()).collect();
         let sq: Vec<u64> = sites_q.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(se, sq);
         for node in taxa..(2 * taxa - 1) {
             let pe: Vec<u64> =
-                eager.get_partials(node).unwrap().iter().map(|v| v.to_bits()).collect();
+                plain.get_partials(node).unwrap().iter().map(|v| v.to_bits()).collect();
             let pq: Vec<u64> =
-                queued.get_partials(node).unwrap().iter().map(|v| v.to_bits()).collect();
+                memo.get_partials(node).unwrap().iter().map(|v| v.to_bits()).collect();
             prop_assert_eq!(pe, pq, "partials buffer {} diverged", node);
         }
 
         // Re-propose the identical model: the second pass is served by the
-        // memo layer below the queue and must not perturb a single bit.
-        let computed = queued.memo_stats().unwrap().matrices_computed;
+        // memo layer and must not perturb a single bit.
+        let computed = memo.memo_stats().unwrap().matrices_computed;
         prop_assert!(computed > 0);
-        let (lnl_e2, _) = drive(eager.as_mut());
-        let (lnl_q2, _) = drive(&mut queued);
+        let (lnl_e2, _) = drive(plain.as_mut());
+        let (lnl_q2, _) = drive(&mut memo);
         prop_assert_eq!(lnl_e2.to_bits(), lnl_q2.to_bits());
-        let stats = queued.memo_stats().unwrap();
+        let stats = memo.memo_stats().unwrap();
         prop_assert!(stats.matrices_skipped + stats.matrices_reused > 0);
         prop_assert_eq!(stats.matrices_computed, computed);
     }

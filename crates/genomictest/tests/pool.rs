@@ -1,7 +1,7 @@
 //! Differential tests for the instance pool: K independent likelihood
 //! sessions scheduled over a pool must be *bit-identical* to the same
-//! sessions evaluated serially on a pinned instance — across backend,
-//! precision, and queue mode, and including a worker eviction mid-run.
+//! sessions evaluated serially on a pinned instance — across backend and
+//! precision, and including a worker eviction mid-run.
 //!
 //! The bit-exactness contract every backend already honours (all in-tree
 //! implementations produce identical f64 results for the same session) is
@@ -114,20 +114,17 @@ fn pooled_bits(
 }
 
 #[test]
-fn pooled_matches_serial_across_backends_precisions_and_queue_modes() {
+fn pooled_matches_serial_across_backends_and_precisions() {
     let manager = full_manager();
-    let cases: &[(&str, Flags, bool)] = &[
-        ("CPU-serial", Flags::PRECISION_DOUBLE, false),
-        ("CPU-serial", Flags::PRECISION_SINGLE, false),
-        ("CPU-SSE", Flags::PRECISION_DOUBLE, true),
-        (RADEON, Flags::PRECISION_DOUBLE, false),
-        (RADEON, Flags::PRECISION_SINGLE, true),
+    let cases: &[(&str, Flags)] = &[
+        ("CPU-serial", Flags::PRECISION_DOUBLE),
+        ("CPU-serial", Flags::PRECISION_SINGLE),
+        ("CPU-SSE", Flags::PRECISION_DOUBLE),
+        (RADEON, Flags::PRECISION_DOUBLE),
+        (RADEON, Flags::PRECISION_SINGLE),
     ];
-    for &(name, precision, queued) in cases {
-        let mut spec = base_spec().named(name).require(precision);
-        if queued {
-            spec = spec.queued();
-        }
+    for &(name, precision) in cases {
+        let spec = base_spec().named(name).require(precision);
         let serial = serial_bits(&manager, &spec);
         // Two workers of the same pinned implementation: placement and
         // stealing may shuffle which worker runs what; results may not care.
@@ -139,7 +136,7 @@ fn pooled_matches_serial_across_backends_precisions_and_queue_modes() {
         let (pooled, stats) = pooled_bits(&manager, &unpinned, &[name], 2);
         assert_eq!(
             pooled, serial,
-            "pooled vs serial mismatch for {name} (precision {precision:?}, queued={queued})"
+            "pooled vs serial mismatch for {name} (precision {precision:?})"
         );
         assert_eq!(stats.completed, SESSIONS as u64);
         assert_eq!(stats.evictions, 0, "healthy fleet must not evict");

@@ -12,7 +12,7 @@
 use beagle_core::pool::PoolHandle;
 use beagle_core::{
     BeagleInstance, InstancePool, JournaledInstance, Lane, MemoInstance, PartitionedInstance,
-    PoolError, PoolStats, QueuedInstance, SessionRequest, Ticket,
+    PoolError, PoolStats, SessionRequest, Ticket,
 };
 
 fn assert_send_sync<T: Send + Sync + ?Sized>() {}
@@ -30,7 +30,6 @@ fn backends_are_send_sync() {
 
 #[test]
 fn wrappers_are_send_sync() {
-    assert_send_sync::<QueuedInstance>();
     assert_send_sync::<JournaledInstance>();
     assert_send_sync::<MemoInstance>();
     assert_send_sync::<PartitionedInstance>();

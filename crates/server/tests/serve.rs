@@ -114,18 +114,15 @@ fn json_u64(json: &str, key: &str) -> u64 {
 #[test]
 fn tcp_remote_matches_serial_across_backends_and_precisions() {
     let manager = full_manager();
-    let cases: &[(&str, Flags, bool)] = &[
-        ("CPU-serial", Flags::PRECISION_DOUBLE, false),
-        ("CPU-serial", Flags::PRECISION_SINGLE, false),
-        ("CPU-SSE", Flags::PRECISION_DOUBLE, true),
-        (RADEON, Flags::PRECISION_DOUBLE, false),
-        (RADEON, Flags::PRECISION_SINGLE, true),
+    let cases: &[(&str, Flags)] = &[
+        ("CPU-serial", Flags::PRECISION_DOUBLE),
+        ("CPU-serial", Flags::PRECISION_SINGLE),
+        ("CPU-SSE", Flags::PRECISION_DOUBLE),
+        (RADEON, Flags::PRECISION_DOUBLE),
+        (RADEON, Flags::PRECISION_SINGLE),
     ];
-    for &(name, precision, queued) in cases {
-        let mut spec = base_spec().named(name).require(precision);
-        if queued {
-            spec = spec.queued();
-        }
+    for &(name, precision) in cases {
+        let spec = base_spec().named(name).require(precision);
         let serial = serial_bits(&manager, &spec);
         let unpinned = {
             let mut s = spec.clone();
@@ -142,7 +139,7 @@ fn tcp_remote_matches_serial_across_backends_and_precisions() {
         assert!(server.drain(None), "idle server must drain fully");
         assert_eq!(
             remote, serial,
-            "remote vs serial mismatch for {name} (precision {precision:?}, queued={queued})"
+            "remote vs serial mismatch for {name} (precision {precision:?})"
         );
     }
 }

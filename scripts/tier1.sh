@@ -2,8 +2,10 @@
 # Tier-1 gate: release build, full test suite, lint-clean workspace.
 #
 # Test matrix covered by `cargo test --workspace`:
-#   unit + doc tests ........ every crate (the queue, the memo matrix store
-#                             and the ops::LevelPlan planner in core: its
+#   unit + doc tests ........ every crate (the memo matrix store, the
+#                             manager accepting COMPUTATION_ASYNCH and
+#                             selecting like SYNCH, and the ops::LevelPlan
+#                             planner in core: its
 #                             levels are checked sound on fixed and random
 #                             lists, every RAW/WAR/WAW/scale-target pair in
 #                             ascending levels; CPU kernels + threading, the
@@ -27,8 +29,9 @@
 #                             every payload truncation of a narrowed frame
 #                             typed, serve-nuc-shaped session <= 120,000 bytes)
 #   property tests .......... cpu kernels, memo matrix store (random
-#                             interleavings: queue over memo == plain eager
-#                             bits; skipped + reused + computed == requested)
+#                             interleavings: memo over a back-end == the
+#                             plain back-end's bits; skipped + reused +
+#                             computed == requested)
 #   cpu tests/rescale_tiles . tiled_rescale_matches_whole_block_rescale_at_
 #                             tile_boundaries: scaled traversals at
 #                             RESCALE_TILE-1, RESCALE_TILE, RESCALE_TILE+1 and
@@ -49,7 +52,7 @@
 #                             is Truncated with < 1 MiB peak allocation
 #   tests/rescale_bounds .... bound knowledge never changes bits (random trees,
 #                             branch lengths 1e-8..10, f32/f64, four threading
-#                             models x eager/queued, children re-uploaded
+#                             models, children re-uploaded
 #                             before every operation; partials and lnL equal
 #                             across the models of one table); checkpoint restore
 #                             mid-chain; f64 underflow recovered by checked
@@ -66,13 +69,14 @@
 #   tests/hazard_lists ...... operation lists with WAW+WAR rewrites, a WAR
 #                             after an earlier call and one scale target
 #                             written twice: all 11 implementations x
-#                             {eager, queued} x f32/f64 leave CPU-serial's
+#                             f32/f64 leave CPU-serial's
 #                             partials and the lnL of their table's in-order
 #                             model, and a second pass (memo) the same bits
-#   tests/differential ...... implementations x {eager, queued} bit-for-bit,
-#                             repeat proposals served by memo, site-lnL read-back,
-#                             and the failover fixtures in BOTH queue modes
-#                             (COMPUTATION_SYNCH and COMPUTATION_ASYNCH)
+#   tests/differential ...... implementations x {SYNCH, ASYNCH} bit-for-bit
+#                             (ASYNCH is accepted and runs eager) and vs the
+#                             oracle, repeat proposals served by memo,
+#                             site-lnL read-back, and the failover fixtures
+#                             with children created in either mode
 #   tests/failover .......... fault matrix: device loss, transient kernel/copy
 #                             faults, corruption, creation fallback, rescue,
 #                             rescue x checkpoint through one shared journal
@@ -86,25 +90,25 @@
 #                             eviction re-split, checkpoint/restore of a
 #                             rebalanced instance
 #   tests/incremental ....... epoch-based memoization differentials: MCMC-
-#                             style sweeps, backend x precision x scaling x
-#                             queue mode bit-identical to always-recompute,
+#                             style sweeps, backend x precision x scaling
+#                             bit-identical to always-recompute,
 #                             through mid-run failover and checkpoint/restore;
 #                             rejected moves and reassigned lengths served
-#                             from the matrix store on the unqueued stack
+#                             from the matrix store on the default stack
 #   tests/properties ........ proptest invariants (incl. balancer: range
 #                             coverage, monotone shares, skew decrease;
 #                             incremental: random interleavings never serve
 #                             stale bits)
 #   tests/obs* .............. observability: stats coverage, journal ordering
-#                             across a queued failover run, instrumentation
+#                             across a failover run, instrumentation
 #                             overhead guard, benchmark_resources determinism
 #   tests/pool .............. instance-pool scheduler differentials: K pooled
 #                             sessions bit-identical to serial pinned across
-#                             backend x precision x queue mode, and through a
+#                             backend x precision, and through a
 #                             mid-run worker eviction (device loss -> requeue
 #                             -> rebuild, breaker opens)
 #   tests/send_sync ......... compile-time Send + Sync audit of every backend,
-#                             wrapper layer (memo, queue, journaled,
+#                             wrapper layer (memo, journaled,
 #                             partitioned), and the pool's public types
 #   tests/serve ............. likelihood-service differentials: TCP and Unix
 #                             loopback bit-identical to in-process across
@@ -119,7 +123,8 @@
 #                             (bit-exact failover vs a fault-free survivor
 #                             run), circuit breakers steering creation and
 #                             benchmarking, durable checkpoint save/load/
-#                             restore with corruption detection
+#                             restore with corruption detection, an ASYNCH
+#                             checkpoint restoring into the eager stack
 #   stackbench (own workspace) stack benchmark unit + smoke tests: the
 #                             quantile rule, the correctness checker, and a
 #                             tiny run of every workload against the library
@@ -131,7 +136,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
-# The queue-mode differential matrix, the hazard lists, the memo matrix-store
+# The computation-mode differential matrix, the hazard lists, the memo matrix-store
 # properties, the fault matrix, the SIMD kernel parity suite, the
 # cross-back-end partials bit-identity, the allocation-free hot-path
 # guard, the rescale tile-boundary and bounds checks, and the observability suite,

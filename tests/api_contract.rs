@@ -178,7 +178,6 @@ fn wait_for_computation_is_safe_everywhere() {
 struct Shape {
     name: &'static str,
     memo: bool,
-    queue: bool,
     checkpoint: bool,
     build: fn(&std::sync::Arc<ImplementationManager>, &Problem) -> Box<dyn BeagleInstance>,
 }
@@ -193,7 +192,6 @@ const SHAPES: &[Shape] = &[
     Shape {
         name: "raw back-end",
         memo: false,
-        queue: false,
         checkpoint: false,
         build: |m, p| {
             cpu_spec(p)
@@ -206,48 +204,27 @@ const SHAPES: &[Shape] = &[
     Shape {
         name: "memo",
         memo: true,
-        queue: false,
         checkpoint: false,
         build: |m, p| cpu_spec(p).without_rescue().instantiate(m).unwrap(),
     },
     Shape {
-        name: "memo+queue",
+        name: "memo+rescue",
         memo: true,
-        queue: true,
         checkpoint: false,
-        build: |m, p| {
-            cpu_spec(p)
-                .queued()
-                .without_rescue()
-                .instantiate(m)
-                .unwrap()
-        },
+        build: |m, p| cpu_spec(p).instantiate(m).unwrap(),
     },
     Shape {
-        name: "memo+queue+rescue",
+        name: "memo+rescue+checkpoint",
         memo: true,
-        queue: true,
-        checkpoint: false,
-        build: |m, p| cpu_spec(p).queued().instantiate(m).unwrap(),
-    },
-    Shape {
-        name: "memo+queue+rescue+checkpoint",
-        memo: true,
-        queue: true,
         checkpoint: true,
-        build: |m, p| cpu_spec(p).queued().checkpointed().instantiate(m).unwrap(),
+        build: |m, p| cpu_spec(p).checkpointed().instantiate(m).unwrap(),
     },
     Shape {
-        name: "partitioned, 2 queued children",
+        name: "partitioned, 2 children",
         memo: true,
-        queue: true,
         checkpoint: true,
         build: |m, p| {
-            let child = beagle::core::ChildSelection::named(
-                "CPU-serial",
-                Flags::COMPUTATION_ASYNCH,
-                Flags::NONE,
-            );
+            let child = beagle::core::ChildSelection::named("CPU-serial", Flags::NONE, Flags::NONE);
             Box::new(
                 beagle::core::PartitionedInstance::create_with_selections(
                     m,
@@ -267,7 +244,7 @@ fn memo_ops_seen(inst: &dyn BeagleInstance) -> Option<u64> {
 }
 
 /// Every control method answers from the layer that owns it, whatever sits
-/// above: the top of each stack shape reaches memo, queue and journal.
+/// above: the top of each stack shape reaches memo and journal.
 fn check_control_plane(shapes: &[Shape]) {
     let problem = Problem::generate(&Scenario {
         model: ModelKind::Nucleotide,
@@ -286,29 +263,19 @@ fn check_control_plane(shapes: &[Shape]) {
             shape.memo && memo_installed,
             "{name}: memo_stats"
         );
-        assert_eq!(
-            inst.queue_stats().is_some(),
-            shape.queue,
-            "{name}: queue_stats"
-        );
         problem.load(inst.as_mut());
         let lnl = problem.evaluate(inst.as_mut(), false);
 
-        // Leave a traversal pending: a peek must not flush it.
+        // Reading the clock and waiting run no work.
         inst.update_partials(&problem.operations(false)).unwrap();
-        let (queue0, seen0) = (inst.queue_stats(), memo_ops_seen(inst.as_ref()));
+        let seen0 = memo_ops_seen(inst.as_ref());
         inst.peek_simulated_time();
-        assert_eq!(inst.queue_stats(), queue0, "{name}: peek flushed the queue");
-        assert_eq!(memo_ops_seen(inst.as_ref()), seen0, "{name}: peek ran work");
-        if let Some(q) = queue0 {
-            assert!(q.ops_submitted < q.ops_enqueued, "{name}: nothing pending");
-        }
-
-        // Waiting drains every queue below.
         inst.wait_for_computation().unwrap();
-        if let Some(q) = inst.queue_stats() {
-            assert_eq!(q.ops_submitted, q.ops_enqueued, "{name}: work left pending");
-        }
+        assert_eq!(
+            memo_ops_seen(inst.as_ref()),
+            seen0,
+            "{name}: a clock read ran work"
+        );
 
         // Disabling at the top stops memo skipping below.
         assert_eq!(
@@ -337,10 +304,10 @@ fn check_control_plane(shapes: &[Shape]) {
 
 #[test]
 fn control_plane_reaches_every_layer_of_single_instance_stacks() {
-    check_control_plane(&SHAPES[..5]);
+    check_control_plane(&SHAPES[..4]);
 }
 
 #[test]
 fn control_plane_reaches_the_children_of_a_partitioned_instance() {
-    check_control_plane(&SHAPES[5..]);
+    check_control_plane(&SHAPES[4..]);
 }

@@ -1,18 +1,19 @@
-//! Cross-backend differential harness for the deferred-execution layer.
+//! Cross-backend differential harness for the two computation modes.
 //!
-//! Every (implementation × precision × scaling) combination must produce the
-//! SAME bits in queued mode (`COMPUTATION_ASYNCH`: operation queue +
-//! dependency-level batching) as in eager mode: the queue reorders nothing
-//! observable, level batching chooses the same chunk boundaries, and the
-//! memo layer's matrix store re-installs the exact bytes the back-end
-//! produced when it derived them. Post-failover instances (the `failover.rs`
-//! fixtures) must also agree with the oracle in both modes.
+//! `COMPUTATION_ASYNCH` is accepted and runs eager, so every
+//! (implementation × precision × scaling) combination created with it must
+//! produce the SAME bits as with `COMPUTATION_SYNCH`, and both must agree
+//! with the oracle. The memo layer's matrix store must re-install the exact
+//! bytes the back-end produced when it derived them. Post-failover
+//! instances (the `failover.rs` fixtures) must also agree with the oracle,
+//! with their children created in either mode.
 
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
 use beagle::core::multi::PartitionedInstance;
-use beagle::core::QueuedInstance;
 use beagle::harness::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
 use beagle::prelude::*;
+
+const MODES: [Flags; 2] = [Flags::COMPUTATION_SYNCH, Flags::COMPUTATION_ASYNCH];
 
 fn shared_fixtures() -> Vec<Problem> {
     vec![
@@ -40,8 +41,8 @@ fn shared_fixtures() -> Vec<Problem> {
     ]
 }
 
-/// Evaluate `problem` on the named implementation in one queue mode and
-/// return the log-likelihood. `None` if the factory refuses the config
+/// Evaluate `problem` on the named implementation in one computation mode
+/// and return the log-likelihood. `None` if the factory refuses the config
 /// (e.g. the SSE factory with a codon model).
 fn run(
     manager: &ImplementationManager,
@@ -68,9 +69,10 @@ fn run(
     Some(problem.evaluate(inst.as_mut(), scaled))
 }
 
-/// The tentpole guarantee: queued and eager execution are bit-for-bit
-/// identical on every back-end, in both precisions, scaled and unscaled —
-/// and both stay within the cross-backend tolerance of the oracle.
+/// An instance created with `COMPUTATION_ASYNCH` ("queued" in the spec's
+/// words) is bit-for-bit identical to an eager one on every back-end, in
+/// both precisions, scaled and unscaled — and both stay within the
+/// cross-backend tolerance of the oracle.
 #[test]
 fn queued_equals_eager_bit_for_bit_on_every_backend() {
     let manager = full_manager();
@@ -83,16 +85,16 @@ fn queued_equals_eager_bit_for_bit_on_every_backend() {
                     let Some(eager) = run(&manager, &problem, &name, single, false, scaled) else {
                         continue;
                     };
-                    let queued = run(&manager, &problem, &name, single, true, scaled)
-                        .expect("queued mode must not change eligibility");
+                    let asynch = run(&manager, &problem, &name, single, true, scaled)
+                        .expect("the computation mode must not change eligibility");
                     assert_eq!(
                         eager.to_bits(),
-                        queued.to_bits(),
-                        "{name} single={single} scaled={scaled}: eager {eager} != queued {queued}"
+                        asynch.to_bits(),
+                        "{name} single={single} scaled={scaled}: eager {eager} != asynch {asynch}"
                     );
-                    let rel = ((queued - oracle) / oracle).abs();
+                    let rel = ((asynch - oracle) / oracle).abs();
                     let tol = if single { 1e-4 } else { 1e-10 };
-                    assert!(rel < tol, "{name} single={single}: {queued} vs {oracle}");
+                    assert!(rel < tol, "{name} single={single}: {asynch} vs {oracle}");
                     compared += 1;
                 }
             }
@@ -105,9 +107,8 @@ fn queued_equals_eager_bit_for_bit_on_every_backend() {
 }
 
 /// Repeated proposals (the MCMC access pattern): re-loading the same model
-/// and branch lengths into a queued instance must be served by the memo
-/// layer below the queue, and the served evaluation must reproduce the
-/// first one exactly.
+/// and branch lengths must be served by the memo layer, and the served
+/// evaluation must reproduce the first one exactly.
 #[test]
 fn repeated_proposals_are_served_by_memo_without_changing_results() {
     let problem = Problem::generate(&Scenario {
@@ -122,7 +123,7 @@ fn repeated_proposals_are_served_by_memo_without_changing_results() {
         .create_instance_by_name(
             "CUDA (NVIDIA Quadro P5000 (simulated))",
             &problem.config(),
-            Flags::PRECISION_DOUBLE | Flags::COMPUTATION_ASYNCH,
+            Flags::PRECISION_DOUBLE,
         )
         .unwrap();
     problem.load(inst.as_mut());
@@ -153,97 +154,85 @@ fn repeated_proposals_are_served_by_memo_without_changing_results() {
         after_first.matrices_computed
     );
     assert_eq!(first.to_bits(), second.to_bits());
-    let queue = inst.queue_stats().expect("queued instance exposes stats");
-    assert!(queue.flushes > 0 && queue.ops_submitted > 0);
 }
 
-/// The permanent-device-loss fixture from `failover.rs`, driven through the
-/// operation queue: eviction and repartitioning must still happen under
-/// deferred execution, and both queue modes must match the oracle.
-#[test]
-fn post_failover_instance_agrees_in_both_queue_modes() {
-    let p = Problem::generate(&Scenario {
+/// The `failover.rs` fault fixture: a partitioned instance with one child
+/// per requirement in `devices`, every child created preferring `mode`, and
+/// `fault` planned at call 18 of the simulated Quadro. Returns the
+/// log-likelihood, the eviction count and the surviving child count.
+fn failover_run(
+    devices: &[Flags],
+    fault: FaultKind,
+    transient: bool,
+    mode: Flags,
+) -> (f64, u64, usize) {
+    let p = failover_problem();
+    let faults = FaultDirectory::new().with_plan(
+        catalog::quadro_p5000().name,
+        FaultPlan::new(7).with_fault(fault, transient, Schedule::AtCall(18)),
+    );
+    let manager = full_manager_with_faults(&faults);
+    let devices: Vec<(Flags, Flags)> = devices.iter().map(|&req| (mode, req)).collect();
+    let weights = vec![1.0; devices.len()];
+    let mut multi = PartitionedInstance::create(&manager, &p.config(), &devices, &weights).unwrap();
+    p.load(&mut multi);
+    let lnl = p.evaluate(&mut multi, false);
+    (lnl, multi.eviction_count(), multi.device_count())
+}
+
+fn failover_problem() -> Problem {
+    Problem::generate(&Scenario {
         model: ModelKind::Nucleotide,
         taxa: 8,
         patterns: 900,
         categories: 4,
         seed: 77,
-    });
-    let oracle = p.oracle();
+    })
+}
+
+/// The permanent-device-loss fixture from `failover.rs`: eviction and
+/// repartitioning happen with the children created in either mode, and
+/// both modes match the oracle with the same bits.
+#[test]
+fn post_failover_instance_agrees_in_both_queue_modes() {
+    let oracle = failover_problem().oracle();
     let devices = [
-        (Flags::NONE, Flags::FRAMEWORK_CUDA),
-        (Flags::NONE, Flags::FRAMEWORK_OPENCL | Flags::PROCESSOR_CPU),
-        (Flags::NONE, Flags::PROCESSOR_CPU),
+        Flags::FRAMEWORK_CUDA,
+        Flags::FRAMEWORK_OPENCL | Flags::PROCESSOR_CPU,
+        Flags::PROCESSOR_CPU,
     ];
-    for asynch in [false, true] {
-        let faults = FaultDirectory::new().with_plan(
-            catalog::quadro_p5000().name,
-            FaultPlan::new(7).with_fault(FaultKind::DeviceLost, false, Schedule::AtCall(18)),
-        );
-        let manager = full_manager_with_faults(&faults);
-        let multi =
-            PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0, 1.0]).unwrap();
-        let lnl = if asynch {
-            let mut q = QueuedInstance::new(Box::new(multi));
-            p.load(&mut q);
-            let lnl = p.evaluate(&mut q, false);
-            let stats = q.stats();
-            assert!(stats.flushes > 0 && stats.ops_submitted > 0, "{stats:?}");
-            lnl
-        } else {
-            let mut multi = multi;
-            p.load(&mut multi);
-            let lnl = p.evaluate(&mut multi, false);
-            assert_eq!(multi.eviction_count(), 1, "the dead child must be evicted");
-            lnl
-        };
+    let mut bits = Vec::new();
+    for mode in MODES {
+        let (lnl, evictions, _) = failover_run(&devices, FaultKind::DeviceLost, false, mode);
+        assert_eq!(evictions, 1, "{mode:?}: the dead child must be evicted");
         assert!(
             (lnl - oracle).abs() < 1e-6,
-            "asynch={asynch}: post-failover {lnl} vs oracle {oracle}"
+            "{mode:?}: post-failover {lnl} vs oracle {oracle}"
         );
+        bits.push(lnl.to_bits());
     }
+    assert_eq!(bits[0], bits[1]);
 }
 
 /// The transient-fault fixture: a retried kernel launch must be invisible
-/// to the final likelihood in either queue mode.
+/// to the final likelihood in either mode.
 #[test]
 fn transient_fault_recovery_agrees_in_both_queue_modes() {
-    let p = Problem::generate(&Scenario {
-        model: ModelKind::Nucleotide,
-        taxa: 8,
-        patterns: 900,
-        categories: 4,
-        seed: 77,
-    });
-    let oracle = p.oracle();
-    let devices = [
-        (Flags::NONE, Flags::FRAMEWORK_CUDA),
-        (Flags::NONE, Flags::PROCESSOR_CPU),
-    ];
-    for asynch in [false, true] {
-        let faults = FaultDirectory::new().with_plan(
-            catalog::quadro_p5000().name,
-            FaultPlan::new(7).with_fault(FaultKind::KernelLaunch, true, Schedule::AtCall(18)),
-        );
-        let manager = full_manager_with_faults(&faults);
-        let multi =
-            PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0]).unwrap();
-        let mut inst: Box<dyn BeagleInstance> = if asynch {
-            Box::new(QueuedInstance::new(Box::new(multi)))
-        } else {
-            Box::new(multi)
-        };
-        p.load(inst.as_mut());
-        let lnl = p.evaluate(inst.as_mut(), false);
+    let oracle = failover_problem().oracle();
+    let devices = [Flags::FRAMEWORK_CUDA, Flags::PROCESSOR_CPU];
+    let mut bits = Vec::new();
+    for mode in MODES {
+        let (lnl, _, _) = failover_run(&devices, FaultKind::KernelLaunch, true, mode);
         assert!(
             (lnl - oracle).abs() < 1e-6,
-            "asynch={asynch}: transient-fault result {lnl} vs oracle {oracle}"
+            "{mode:?}: transient-fault result {lnl} vs oracle {oracle}"
         );
+        bits.push(lnl.to_bits());
     }
+    assert_eq!(bits[0], bits[1]);
 }
 
-/// Site log-likelihood read-back must also be bit-identical between modes
-/// (reads force a flush; the flushed state must equal eager state).
+/// Site log-likelihood read-back must also be bit-identical between modes.
 #[test]
 fn site_log_likelihoods_identical_between_modes() {
     let problem = Problem::generate(&Scenario {
@@ -256,12 +245,7 @@ fn site_log_likelihoods_identical_between_modes() {
     let manager = full_manager();
     for name in ["CPU-serial", "CPU-threadpool", "OpenCL-x86"] {
         let mut sites = Vec::new();
-        for asynch in [false, true] {
-            let mode = if asynch {
-                Flags::COMPUTATION_ASYNCH
-            } else {
-                Flags::COMPUTATION_SYNCH
-            };
+        for mode in MODES {
             let mut inst = manager
                 .create_instance_by_name(name, &problem.config(), Flags::PRECISION_DOUBLE | mode)
                 .unwrap();
@@ -269,62 +253,35 @@ fn site_log_likelihoods_identical_between_modes() {
             problem.evaluate(inst.as_mut(), false);
             sites.push(inst.get_site_log_likelihoods().unwrap());
         }
-        let (eager, queued) = (&sites[0], &sites[1]);
-        assert_eq!(eager.len(), queued.len());
-        for (a, b) in eager.iter().zip(queued) {
+        let (eager, asynch) = (&sites[0], &sites[1]);
+        assert_eq!(eager.len(), asynch.len());
+        for (a, b) in eager.iter().zip(asynch) {
             assert_eq!(a.to_bits(), b.to_bits(), "{name}: {a} != {b}");
         }
     }
 }
 
-/// Timeout-driven eviction must also be invisible to the queue layer: a
-/// hung CUDA child is watchdog-cancelled and evicted *inside* a flush, the
-/// replicated journal rebuilds the survivors, and the queued result matches
-/// the eager result and the oracle in both modes.
+/// Timeout-driven eviction: a hung CUDA child is watchdog-cancelled and
+/// evicted, the replicated journal rebuilds the survivors, and the result
+/// matches the oracle with the same bits in either mode.
 #[test]
 fn timeout_eviction_agrees_in_both_queue_modes() {
-    let p = Problem::generate(&Scenario {
-        model: ModelKind::Nucleotide,
-        taxa: 8,
-        patterns: 900,
-        categories: 4,
-        seed: 77,
-    });
-    let oracle = p.oracle();
+    let oracle = failover_problem().oracle();
     let devices = [
-        (Flags::NONE, Flags::FRAMEWORK_CUDA),
-        (Flags::NONE, Flags::FRAMEWORK_OPENCL | Flags::PROCESSOR_CPU),
-        (Flags::NONE, Flags::PROCESSOR_CPU),
+        Flags::FRAMEWORK_CUDA,
+        Flags::FRAMEWORK_OPENCL | Flags::PROCESSOR_CPU,
+        Flags::PROCESSOR_CPU,
     ];
-    let mut results = Vec::new();
-    for asynch in [false, true] {
-        let faults = FaultDirectory::new().with_plan(
-            catalog::quadro_p5000().name,
-            FaultPlan::new(7).with_fault(FaultKind::Hang, false, Schedule::AtCall(18)),
-        );
-        let manager = full_manager_with_faults(&faults);
-        let multi =
-            PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0, 1.0]).unwrap();
-        if asynch {
-            let mut q = QueuedInstance::new(Box::new(multi));
-            p.load(&mut q);
-            let lnl = p.evaluate(&mut q, false);
-            let stats = q.stats();
-            assert!(stats.flushes > 0 && stats.ops_submitted > 0);
-            results.push(lnl);
-        } else {
-            let mut multi = multi;
-            p.load(&mut multi);
-            let lnl = p.evaluate(&mut multi, false);
-            assert_eq!(multi.eviction_count(), 1, "the hung child must be evicted");
-            assert_eq!(multi.device_count(), 2);
-            results.push(lnl);
-        }
-    }
-    for (i, lnl) in results.iter().enumerate() {
+    let mut bits = Vec::new();
+    for mode in MODES {
+        let (lnl, evictions, survivors) = failover_run(&devices, FaultKind::Hang, false, mode);
+        assert_eq!(evictions, 1, "{mode:?}: the hung child must be evicted");
+        assert_eq!(survivors, 2);
         assert!(
             (lnl - oracle).abs() < 1e-6,
-            "mode {i}: timeout-eviction result {lnl} vs oracle {oracle}"
+            "{mode:?}: timeout-eviction result {lnl} vs oracle {oracle}"
         );
+        bits.push(lnl.to_bits());
     }
+    assert_eq!(bits[0], bits[1]);
 }

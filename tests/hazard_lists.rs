@@ -1,8 +1,8 @@
 //! Operation lists with write-after-write, write-after-read and scale-target
 //! hazards. A list is a sequential program: the threaded back-ends may run
 //! independent operations together only where that leaves what running the
-//! list in order leaves. Every implementation, eager and queued, must leave
-//! CPU-serial's partials and log-likelihood bits.
+//! list in order leaves. Every implementation must leave CPU-serial's
+//! partials and log-likelihood bits.
 
 use beagle::harness::{full_manager, ModelKind, Problem, Scenario};
 use beagle::prelude::*;
@@ -138,8 +138,8 @@ fn problem() -> Problem {
     })
 }
 
-/// Every implementation name, each with the flags of every precision and
-/// queue mode. OpenCL-x86 runs on the host and fuses only where the host
+/// Every implementation name, each with the flags of every precision.
+/// OpenCL-x86 runs on the host and fuses only where the host
 /// has FMA (and no scalar override is set), so it counts only there.
 fn implementations() -> Vec<(String, Flags)> {
     let names = full_manager().implementation_names();
@@ -150,15 +150,13 @@ fn implementations() -> Vec<(String, Flags)> {
             continue;
         }
         for precision in [Flags::PRECISION_DOUBLE, Flags::PRECISION_SINGLE] {
-            for mode in [Flags::COMPUTATION_SYNCH, Flags::COMPUTATION_ASYNCH] {
-                all.push((name.clone(), precision | mode));
-            }
+            all.push((name.clone(), precision));
         }
     }
     all
 }
 
-/// Every implementation, eager and queued, f64 and f32, leaves CPU-serial's
+/// Every implementation, f64 and f32, leaves CPU-serial's
 /// partials. Its lnL bits equal those of the in-order implementation on its
 /// kernel table: CPU-SSE for the vectorized CPU models (whose root sum
 /// associates differently in f32), CPU-serial for every other.
@@ -167,11 +165,10 @@ fn hazard_lists_leave_serial_bits_on_every_implementation() {
     let p = problem();
     for case in cases() {
         for (name, flags) in implementations() {
-            let precision = flags & (Flags::PRECISION_DOUBLE | Flags::PRECISION_SINGLE);
-            let serial = &run(&p, "CPU-serial", precision, &case, 1)[0];
+            let serial = &run(&p, "CPU-serial", flags, &case, 1)[0];
             let sse;
             let in_order = if name.ends_with("SSE") {
-                sse = run(&p, "CPU-SSE", precision, &case, 1);
+                sse = run(&p, "CPU-SSE", flags, &case, 1);
                 &sse[0]
             } else {
                 serial

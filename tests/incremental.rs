@@ -5,7 +5,7 @@
 //! an incremental instance must be indistinguishable — bit for bit — from an
 //! always-recompute instance on the same call sequence. These tests drive
 //! both through an MCMC-like single-branch sweep on every backend ×
-//! precision × scaling × queue mode, and through the failure machinery
+//! precision × scaling, and through the failure machinery
 //! (mid-run device loss, checkpoint/restore) where stale epochs would be
 //! silently wrong rather than loudly broken.
 
@@ -45,16 +45,12 @@ fn instance(
     name: &str,
     incremental: bool,
     single: bool,
-    asynch: bool,
 ) -> Option<Box<dyn BeagleInstance>> {
-    let mut flags = if single {
+    let flags = if single {
         Flags::PRECISION_SINGLE
     } else {
         Flags::PRECISION_DOUBLE
     };
-    if asynch {
-        flags |= Flags::COMPUTATION_ASYNCH;
-    }
     InstanceSpec::with_config(p.config())
         .named(name)
         .require(flags)
@@ -64,7 +60,7 @@ fn instance(
 }
 
 /// The tentpole guarantee: on every backend, in both precisions, scaled and
-/// unscaled, eager and queued, a memoized sweep produces the same bit trace
+/// unscaled, a memoized sweep produces the same bit trace
 /// as an always-recompute sweep — while actually skipping work.
 #[test]
 fn incremental_sweep_is_bit_identical_on_every_backend() {
@@ -73,34 +69,31 @@ fn incremental_sweep_is_bit_identical_on_every_backend() {
     for name in manager.implementation_names() {
         for single in [false, true] {
             for scaled in [false, true] {
-                for asynch in [false, true] {
-                    let Some(mut inc) = instance(&manager, &problem(), &name, true, single, asynch)
-                    else {
-                        continue;
-                    };
-                    let mut base = instance(&manager, &problem(), &name, false, single, asynch)
-                        .expect("disabling memoization must not change eligibility");
-                    assert!(
-                        base.memo_stats().is_none(),
-                        "{name}: .incremental(false) must not install the memo layer"
-                    );
-                    let inc_trace = sweep(&mut problem(), inc.as_mut(), scaled, 6);
-                    let base_trace = sweep(&mut problem(), base.as_mut(), scaled, 6);
-                    assert_eq!(
-                        inc_trace, base_trace,
-                        "{name} single={single} scaled={scaled} asynch={asynch}: \
-                         incremental trace diverged"
-                    );
-                    let stats = inc
-                        .memo_stats()
-                        .expect("default spec installs the memo layer");
-                    assert!(
-                        stats.total_skips() > 0,
-                        "{name} single={single} scaled={scaled} asynch={asynch}: \
-                         a single-branch sweep must skip clean work, got {stats:?}"
-                    );
-                    compared += 1;
-                }
+                let Some(mut inc) = instance(&manager, &problem(), &name, true, single) else {
+                    continue;
+                };
+                let mut base = instance(&manager, &problem(), &name, false, single)
+                    .expect("disabling memoization must not change eligibility");
+                assert!(
+                    base.memo_stats().is_none(),
+                    "{name}: .incremental(false) must not install the memo layer"
+                );
+                let inc_trace = sweep(&mut problem(), inc.as_mut(), scaled, 6);
+                let base_trace = sweep(&mut problem(), base.as_mut(), scaled, 6);
+                assert_eq!(
+                    inc_trace, base_trace,
+                    "{name} single={single} scaled={scaled}: \
+                     incremental trace diverged"
+                );
+                let stats = inc
+                    .memo_stats()
+                    .expect("default spec installs the memo layer");
+                assert!(
+                    stats.total_skips() > 0,
+                    "{name} single={single} scaled={scaled}: \
+                     a single-branch sweep must skip clean work, got {stats:?}"
+                );
+                compared += 1;
             }
         }
     }
@@ -110,7 +103,7 @@ fn incremental_sweep_is_bit_identical_on_every_backend() {
     );
 }
 
-/// The MCMC revert patterns on the default unqueued stack (memo + rescue,
+/// The MCMC revert patterns on the default stack (memo + rescue,
 /// the stack mcmc-nuc runs): a rejected branch move sends t -> t' -> t to
 /// one matrix, and a topology move hands known branch lengths to other
 /// matrices. Both must be served from memo's matrix store instead of the
@@ -126,10 +119,6 @@ fn rejected_moves_and_reassigned_lengths_are_served_from_the_matrix_store() {
     };
     let mut inst = spec(true).instantiate(&manager).unwrap();
     let mut base = spec(false).instantiate(&manager).unwrap();
-    assert!(
-        inst.queue_stats().is_none(),
-        "the default stack is unqueued"
-    );
     let mut evaluate = |p: &Problem, what: &str| {
         p.load(inst.as_mut());
         p.load(base.as_mut());

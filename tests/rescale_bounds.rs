@@ -77,26 +77,23 @@ fn finish(p: &Problem, inst: &mut dyn BeagleInstance, ops: &[Operation]) -> f64 
     .unwrap()
 }
 
-fn instance(p: &Problem, name: &str, precision: Flags, queued: bool) -> Box<dyn BeagleInstance> {
-    let mut spec = InstanceSpec::with_config(p.config())
+fn instance(p: &Problem, name: &str, precision: Flags) -> Box<dyn BeagleInstance> {
+    InstanceSpec::with_config(p.config())
         .named(name)
         .prefer(precision)
         .require(precision)
-        .with_stats();
-    if queued {
-        spec = spec.queued();
-    }
-    spec.instantiate(&full_manager())
+        .with_stats()
+        .instantiate(&full_manager())
         .unwrap_or_else(|e| panic!("{name} {precision:?}: {e:?}"))
 }
 
 /// Random trees with branch lengths from 1e-8 to 10, both precisions, all
-/// four threading models, eager and queued: a traversal whose operations
+/// four threading models: a traversal whose operations
 /// each run right after a child was re-uploaded (so the child's bounds,
 /// and its parent's, are unknown and every such check runs) leaves the same
 /// partials and log-likelihood, bit for bit, as a traversal with the bounds
-/// known, where some checks are skipped. Every model and mode on one
-/// kernel table leaves the same partials and log-likelihood.
+/// known, where some checks are skipped. Every model on one kernel table
+/// leaves the same partials and log-likelihood.
 #[test]
 fn bound_knowledge_never_changes_bits() {
     for seed in [3, 4] {
@@ -108,39 +105,37 @@ fn bound_knowledge_never_changes_bits() {
         {
             let mut first: Option<(String, Vec<Vec<u64>>)> = None;
             for name in group.iter().copied() {
-                for queued in [false, true] {
-                    let what = format!("seed {seed} {precision:?} {name} queued={queued}");
-                    let mut known = instance(&p, name, precision, queued);
-                    p.load(known.as_mut());
-                    known.update_partials(&p.operations(true)).unwrap();
-                    let expect = scaled_bits(&p, known.as_mut());
-                    let stats = known.statistics().unwrap();
-                    assert!(stats.rescale_checks_skipped > 0, "{what}: nothing skipped");
+                let what = format!("seed {seed} {precision:?} {name}");
+                let mut known = instance(&p, name, precision);
+                p.load(known.as_mut());
+                known.update_partials(&p.operations(true)).unwrap();
+                let expect = scaled_bits(&p, known.as_mut());
+                let stats = known.statistics().unwrap();
+                assert!(stats.rescale_checks_skipped > 0, "{what}: nothing skipped");
 
-                    let mut forgetful = instance(&p, name, precision, queued);
-                    p.load(forgetful.as_mut());
-                    let ops = p.operations(true);
-                    for op in &ops {
-                        for child in [op.child1, op.child2] {
-                            if child >= taxa {
-                                let v = forgetful.get_partials(child).unwrap();
-                                forgetful.set_partials(child, &v).unwrap();
-                            }
+                let mut forgetful = instance(&p, name, precision);
+                p.load(forgetful.as_mut());
+                let ops = p.operations(true);
+                for op in &ops {
+                    for child in [op.child1, op.child2] {
+                        if child >= taxa {
+                            let v = forgetful.get_partials(child).unwrap();
+                            forgetful.set_partials(child, &v).unwrap();
                         }
-                        forgetful.update_partials(&[*op]).unwrap();
                     }
-                    let got = scaled_bits(&p, forgetful.as_mut());
-                    let forgot = forgetful.statistics().unwrap();
-                    assert!(
-                        forgot.rescale_checks_run > stats.rescale_checks_run,
-                        "{what}: re-uploads must force checks"
-                    );
-                    assert_eq!(got, expect, "{what}: bounds changed bits");
-                    match &first {
-                        None => first = Some((what, expect)),
-                        Some((first_what, bits)) => {
-                            assert!(&expect == bits, "{what} vs {first_what}")
-                        }
+                    forgetful.update_partials(&[*op]).unwrap();
+                }
+                let got = scaled_bits(&p, forgetful.as_mut());
+                let forgot = forgetful.statistics().unwrap();
+                assert!(
+                    forgot.rescale_checks_run > stats.rescale_checks_run,
+                    "{what}: re-uploads must force checks"
+                );
+                assert_eq!(got, expect, "{what}: bounds changed bits");
+                match &first {
+                    None => first = Some((what, expect)),
+                    Some((first_what, bits)) => {
+                        assert!(&expect == bits, "{what} vs {first_what}")
                     }
                 }
             }
@@ -280,12 +275,12 @@ fn a_skipped_check_leaves_no_stale_factors() {
     let s = p.model.state_count();
     let ops = p.operations(true);
     for name in ["CPU-SSE", "CPU-threadpool-SSE"] {
-        let mut fresh = instance(&p, name, Flags::PRECISION_DOUBLE, false);
+        let mut fresh = instance(&p, name, Flags::PRECISION_DOUBLE);
         p.load(fresh.as_mut());
         fresh.update_partials(&ops).unwrap();
         let expect = finish(&p, fresh.as_mut(), &ops);
 
-        let mut reused = instance(&p, name, Flags::PRECISION_DOUBLE, false);
+        let mut reused = instance(&p, name, Flags::PRECISION_DOUBLE);
         p.load(reused.as_mut());
         for tip in 0..p.tree.taxon_count() {
             let mut partials = vec![0.0; p.patterns.pattern_count() * s];

@@ -12,8 +12,8 @@ use std::time::Duration;
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
 use beagle::core::multi::PartitionedInstance;
 use beagle::core::{
-    BeagleError, BeagleInstance, BreakerConfig, BreakerState, BufferId, Checkpoint, EventKind,
-    Flags, InstanceSpec, Outcome, QueuedInstance, RetryPolicy, ScalingMode,
+    BeagleError, BeagleInstance, BreakerConfig, BreakerState, Checkpoint, EventKind, Flags,
+    InstanceSpec, Outcome, RetryPolicy,
 };
 use beagle::harness::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
 
@@ -357,28 +357,45 @@ fn checkpoint_restores_bit_exactly_in_a_fresh_manager() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Checkpointing composes with the operation queue: pending work is flushed
-/// into the journal before the snapshot, so the restored instance computes
-/// the same bits as the queued original.
+/// A checkpoint of an instance that prefers `COMPUTATION_ASYNCH` records
+/// the flag in its provenance, and restores in a fresh manager into the
+/// same eager stack an instance without the flag gets, with the same bits.
 #[test]
-fn queued_checkpoint_flushes_pending_work_before_snapshot() {
+fn asynch_checkpoint_records_the_flag_and_restores_eager() {
+    fn depth(inst: &dyn BeagleInstance) -> usize {
+        inst.wrapped().map_or(0, |inner| 1 + depth(inner))
+    }
     let p = problem();
     let manager = full_manager();
-    let mut inst = InstanceSpec::with_config(p.config())
+    let spec = InstanceSpec::with_config(p.config())
         .named(cuda_impl_name())
-        .queued()
-        .checkpointed()
+        .checkpointed();
+    let mut inst = spec
+        .clone()
+        .prefer(Flags::COMPUTATION_ASYNCH)
         .instantiate(&manager)
         .unwrap();
+    let mut eager = spec.instantiate(&manager).unwrap();
     p.load(inst.as_mut());
-    // Everything above is still queued; the snapshot must flush it first.
     let ckpt = inst
         .checkpoint()
-        .expect("queued checkpoint must flush and snapshot");
+        .expect("a checkpointed spec must snapshot");
+    assert!(ckpt
+        .provenance
+        .preferences
+        .contains(Flags::COMPUTATION_ASYNCH));
     let lnl = p.evaluate(inst.as_mut(), false);
+    p.load(eager.as_mut());
+    assert_eq!(lnl.to_bits(), p.evaluate(eager.as_mut(), false).to_bits());
 
     let fresh = full_manager();
     let mut restored = ckpt.restore(&fresh).unwrap();
+    assert_eq!(depth(&restored), depth(eager.as_ref()));
+    assert!(restored.queue_stats().is_none());
+    assert!(!restored
+        .details()
+        .flags
+        .intersects(Flags::COMPUTATION_SYNCH | Flags::COMPUTATION_ASYNCH));
     let lnl_restored = p.evaluate(&mut restored, false);
     assert_eq!(
         lnl.to_bits(),
@@ -413,41 +430,4 @@ fn partitioned_checkpoint_restores_after_rerank() {
         (lnl - lnl_restored).abs() < 1e-9,
         "restored {lnl_restored} must match partitioned {lnl} up to summation order"
     );
-}
-
-/// A watchdog cancellation mid-flush loses no work: the queue puts the
-/// pending items back, and re-driving the flush replays them idempotently
-/// to the correct answer.
-#[test]
-fn queue_preserves_pending_work_across_a_timeout() {
-    let faults = FaultDirectory::new().with_plan(
-        catalog::quadro_p5000().name,
-        FaultPlan::new(7).with_fault(FaultKind::Hang, true, Schedule::AtCall(18)),
-    );
-    let manager = full_manager_with_faults(&faults);
-    let p = problem();
-    let inner = InstanceSpec::with_config(p.config())
-        .named(cuda_impl_name())
-        .without_rescue()
-        .instantiate(&manager)
-        .unwrap();
-    let mut q = QueuedInstance::new(inner);
-    p.load(&mut q);
-    q.update_partials(&p.operations(false)).unwrap();
-
-    // The first flush hits the (transient) hang: the watchdog cancels it
-    // and the error propagates — there is no failover layer to hide it.
-    let root = BufferId(p.tree.root());
-    let err = q
-        .integrate_root(root, BufferId(0), BufferId(0), ScalingMode::None)
-        .unwrap_err();
-    assert!(matches!(err, BeagleError::Timeout { .. }), "got {err:?}");
-
-    // Nothing was lost: the pending work was restored, and the retry
-    // replays the whole batch to the oracle's answer.
-    let lnl = q
-        .integrate_root(root, BufferId(0), BufferId(0), ScalingMode::None)
-        .expect("the retried flush must replay the preserved work");
-    let oracle = p.oracle();
-    assert!((lnl - oracle).abs() < 1e-6, "{lnl} vs {oracle}");
 }
