@@ -9,6 +9,10 @@
 //!   scaled down — use `--paper` for the full size);
 //! * codon: 15 taxa (paper: 6,080 unique codon patterns).
 //!
+//! Every BEAGLE instance runs under the memo layer (`beagle_core::memo`),
+//! which skips the work a proposal leaves unchanged; the native engines
+//! recompute everything, as MrBayes' own likelihood code does.
+//!
 //! Timing provenance: native/threaded/OpenCL-x86 engines are measured wall
 //! time; the OpenCL-GPU engine reports modeled device time (DESIGN.md §1).
 //! A second table gives modeled dual-Xeon speedups for the CPU rows, since
@@ -18,7 +22,7 @@ use beagle_accel::{catalog, OpenClGpuFactory, OpenClX86Factory, PerfModel};
 use beagle_bench::cpu_model::CpuModel;
 use beagle_bench::{paper_mode, quick_mode};
 use beagle_core::manager::ImplementationFactory;
-use beagle_core::Flags;
+use beagle_core::{Flags, MemoInstance};
 use beagle_cpu::{CpuFactory, ThreadingModel};
 use beagle_mcmc::{run_mc3, BeagleEngine, LikelihoodEngine, Mc3Config, ModelParams, NativeEngine};
 use beagle_phylo::Tree;
@@ -44,6 +48,18 @@ fn make_engines(
     problem: &Problem,
     chains: usize,
 ) -> Vec<Box<dyn LikelihoodEngine>> {
+    // The raw factory instance under memo, as on a managed instance.
+    let beagle = |factory: &dyn ImplementationFactory, precision| -> Box<dyn LikelihoodEngine> {
+        let inst = factory
+            .create(&problem.config(), precision, Flags::NONE)
+            .unwrap();
+        Box::new(BeagleEngine::new(
+            Box::new(MemoInstance::new(inst)),
+            problem.patterns.clone(),
+            problem.rates.clone(),
+            true,
+        ))
+    };
     (0..chains)
         .map(|_| -> Box<dyn LikelihoodEngine> {
             let precision = if spec.single {
@@ -69,35 +85,13 @@ fn make_engines(
                         ))
                     }
                 }
-                EngineKind::ThreadPool => {
-                    let f = CpuFactory::new(ThreadingModel::ThreadPool, false);
-                    let inst = f.create(&problem.config(), precision, Flags::NONE).unwrap();
-                    Box::new(BeagleEngine::new(
-                        inst,
-                        problem.patterns.clone(),
-                        problem.rates.clone(),
-                        true,
-                    ))
-                }
-                EngineKind::OpenClX86 => {
-                    let f = OpenClX86Factory::new();
-                    let inst = f.create(&problem.config(), precision, Flags::NONE).unwrap();
-                    Box::new(BeagleEngine::new(
-                        inst,
-                        problem.patterns.clone(),
-                        problem.rates.clone(),
-                        true,
-                    ))
-                }
+                EngineKind::ThreadPool => beagle(
+                    &CpuFactory::new(ThreadingModel::ThreadPool, false),
+                    precision,
+                ),
+                EngineKind::OpenClX86 => beagle(&OpenClX86Factory::new(), precision),
                 EngineKind::OpenClGpuS9170 => {
-                    let f = OpenClGpuFactory::new(catalog::firepro_s9170());
-                    let inst = f.create(&problem.config(), precision, Flags::NONE).unwrap();
-                    Box::new(BeagleEngine::new(
-                        inst,
-                        problem.patterns.clone(),
-                        problem.rates.clone(),
-                        true,
-                    ))
+                    beagle(&OpenClGpuFactory::new(catalog::firepro_s9170()), precision)
                 }
             }
         })

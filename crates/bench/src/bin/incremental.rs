@@ -1,12 +1,13 @@
-//! Epoch-based incremental computation — the MCMC fast path.
+//! Epoch-based incremental computation on an MCMC access pattern.
 //!
 //! The paper's workloads are MCMC-driven: each proposal perturbs one branch
 //! length, yet a naive client refreshes every transition matrix and every
-//! partial on every move. This binary quantifies what the incremental layer
-//! (`beagle_core::memo` plus the engine-side dirty tracking in
-//! `beagle_mcmc::engine`) buys on exactly that access pattern: a
-//! single-branch-update sweep over a large tree, evaluated once with
-//! incremental computation on and once with it forced off.
+//! partial on every move. `beagle_mcmc::BeagleEngine` is such a client: it
+//! sends the full refresh on every evaluation. This binary quantifies what
+//! the memo layer (`beagle_core::memo`, the only incremental mechanism)
+//! prunes from that refresh: a single-branch-update sweep over a large
+//! tree, evaluated once on the default stack and once on an instance built
+//! with `InstanceSpec::incremental(false)`.
 //!
 //! Acceptance: the incremental trace must be **bit-identical** to the
 //! always-recompute trace, and at least 5x faster per evaluation.
@@ -16,7 +17,6 @@
 
 use std::time::{Duration, Instant};
 
-use beagle_core::memo::incremental_disabled_by_env;
 use beagle_mcmc::{BeagleEngine, LikelihoodEngine};
 use beagle_phylo::models::nucleotide::hky85;
 use beagle_phylo::simulate::simulate_alignment;
@@ -62,11 +62,10 @@ fn engine(case: &Case, incremental: bool) -> BeagleEngine {
     );
     let inst = beagle_core::InstanceSpec::with_config(config)
         .named("CPU-serial")
+        .incremental(incremental)
         .instantiate(&full_manager())
         .expect("CPU-serial exists");
-    let mut eng = BeagleEngine::new(inst, case.patterns.clone(), case.rates.clone(), false);
-    eng.set_incremental(incremental);
-    eng
+    BeagleEngine::new(inst, case.patterns.clone(), case.rates.clone(), false)
 }
 
 /// Run the single-branch-update sweep: iteration `i` scales one branch,
@@ -93,7 +92,6 @@ fn main() {
         (192, 4000, 200)
     };
     let case = case(taxa, sites);
-    let disabled_env = incremental_disabled_by_env();
 
     let mut full = engine(&case, false);
     let (full_trace, full_time) = sweep(&case, &mut full, iters);
@@ -130,26 +128,19 @@ fn main() {
         stats.integrations_skipped,
         stats.sets_deduped
     );
-    if disabled_env {
-        println!(
-            "BEAGLE_INCREMENTAL_DISABLE is set: both runs are full refreshes (parity check only)"
-        );
-    }
 
     assert!(
         bit_identical,
         "incremental lnL trace diverged from the always-recompute trace"
     );
-    if !disabled_env {
-        assert!(
-            speedup >= 5.0,
-            "incremental sweep must be at least 5x faster than full refresh, got {speedup:.2}x"
-        );
-    }
+    assert!(
+        speedup >= 5.0,
+        "incremental sweep must be at least 5x faster than full refresh, got {speedup:.2}x"
+    );
 
     let mut json = String::from("{\n  \"benchmark\": \"incremental\",\n");
     json.push_str(&format!(
-        "  \"fixture\": {{\"taxa\": {taxa}, \"sites\": {sites}, \"patterns\": {}, \"iterations\": {iters}, \"backend\": \"CPU-serial\", \"disable_env\": {disabled_env}}},\n",
+        "  \"fixture\": {{\"taxa\": {taxa}, \"sites\": {sites}, \"patterns\": {}, \"iterations\": {iters}, \"backend\": \"CPU-serial\"}},\n",
         case.patterns.pattern_count()
     ));
     json.push_str(&format!(

@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn all_flags_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &(_, bit) in Flags::TABLE {
             assert!(seen.insert(bit), "duplicate flag bit {bit}");
         }

@@ -57,7 +57,7 @@ pub use flags::Flags;
 pub use health::{BreakerConfig, BreakerState, HealthRegistry, Outcome, ResourceId};
 pub use journal::{JournaledInstance, StateJournal};
 pub use manager::{ImplementationFactory, ImplementationManager, ResourceBenchmark};
-pub use memo::{MemoInstance, MemoStats, INCREMENTAL_DISABLE_ENV};
+pub use memo::{MemoInstance, MemoStats};
 pub use multi::{ChildSelection, PartitionedInstance, RetryPolicy};
 pub use obs::{Event, EventKind, InstanceStats, KernelClass, KernelCounter, Recorder};
 pub use ops::Operation;

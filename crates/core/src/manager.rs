@@ -162,10 +162,11 @@ impl ImplementationManager {
     /// result is wrapped in a [`JournaledInstance`], outermost, so snapshots
     /// see exactly the client's calls.
     /// Named and ranked creation therefore get byte-identical wrapping.
-    /// Unless disabled (`spec.incremental == Some(false)` or the
-    /// `BEAGLE_INCREMENTAL_DISABLE` environment variable), the raw back-end
-    /// is first wrapped in the [`crate::memo::MemoInstance`] incremental
-    /// layer, innermost so every other wrapper's traffic flows through it.
+    /// Unless `spec.incremental == Some(false)`, the raw back-end is first
+    /// wrapped in the [`crate::memo::MemoInstance`] incremental layer,
+    /// innermost so every other wrapper's traffic flows through it. It is
+    /// the only incremental mechanism: clients send full refreshes and memo
+    /// skips what the back-end already holds.
     pub fn create_from_spec(&self, spec: &InstanceSpec) -> Result<Box<dyn BeagleInstance>> {
         let inst = self.create_unjournaled(spec)?;
         let mut inst: Box<dyn BeagleInstance> = if spec.rescue || spec.checkpoint {
@@ -269,10 +270,9 @@ impl ImplementationManager {
         // The memoization layer sits directly above the raw back-end —
         // below the journaling wrapper — so rescue re-runs and journal
         // replays pass through it with their real call shapes. When disabled
-        // it is not installed at all, so `BEAGLE_INCREMENTAL_DISABLE=1`
+        // it is not installed at all, so `InstanceSpec::incremental(false)`
         // reproduces baseline timings exactly, not just baseline bits.
-        let incremental = spec.incremental.unwrap_or(true) && !memo::incremental_disabled_by_env();
-        Ok(if incremental {
+        Ok(if spec.incremental.unwrap_or(true) {
             Box::new(memo::MemoInstance::new(raw))
         } else {
             raw

@@ -6,7 +6,9 @@
 //! or one model parameter, yet a naive client refreshes every partial on
 //! every move. BEAGLE leaves dirty tracking to clients (BEAST does it);
 //! [`MemoInstance`] instead does it *inside* the library, as generic
-//! operation memoization that every caller benefits from.
+//! operation memoization that every caller benefits from. It is the only
+//! incremental mechanism: clients such as `beagle_mcmc::BeagleEngine` send
+//! the full refresh on every move and let this layer prune it.
 //!
 //! # Scheme
 //!
@@ -57,9 +59,9 @@
 //! runs unconditionally; the `enabled` flag only gates the *skip decision*
 //! and the matrix store (a disabled memo reads nothing back), so
 //! [`BeagleInstance::set_incremental`] can be toggled mid-run without ever
-//! desynchronizing the epoch state. `BEAGLE_INCREMENTAL_DISABLE=1`
-//! prevents installation entirely (the escape hatch reproduces baseline
-//! bits *and* timings).
+//! desynchronizing the epoch state. `InstanceSpec::incremental(false)`
+//! prevents installation entirely (that instance reproduces baseline bits
+//! *and* timings).
 //!
 //! # Error handling
 //!
@@ -76,15 +78,6 @@ use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, Scal
 use crate::error::Result;
 use crate::obs::{self, EventKind, Recorder};
 use crate::ops::Operation;
-
-/// Environment variable that disables the incremental layer at creation
-/// (the memo wrapper is not installed at all).
-pub const INCREMENTAL_DISABLE_ENV: &str = "BEAGLE_INCREMENTAL_DISABLE";
-
-/// Whether the environment disables incremental computation globally.
-pub fn incremental_disabled_by_env() -> bool {
-    std::env::var(INCREMENTAL_DISABLE_ENV).is_ok_and(|v| !v.is_empty() && v != "0")
-}
 
 /// Bound on the matrix store, least recently used out first. An MCMC chain
 /// proposes a new branch length almost every iteration; without a cap the

@@ -28,7 +28,6 @@
 //!
 //! | knob | typed form | environment override |
 //! |---|---|---|
-//! | incremental memoization | [`InstanceSpec::incremental`] | `BEAGLE_INCREMENTAL_DISABLE` (any value but `0` disables) |
 //! | scalar kernel pin | [`InstanceSpec::force_scalar`] ([`Flags::KERNEL_SCALAR`]) | `BEAGLE_FORCE_SCALAR` (`0` releases, anything else pins) |
 //! | load-balancer tuning | [`InstanceSpec::with_balancer`] | `BEAGLE_REBALANCE_{ALPHA,SKEW,MIN_BATCHES,STRIDE,DISABLE}` (per-field) |
 //!
@@ -36,6 +35,11 @@
 //! unset variable always defers to the typed value. Unparseable or
 //! out-of-range environment values fall back to the typed/default value
 //! rather than erroring (tuning must never panic a long run).
+//!
+//! Incremental memoization ([`InstanceSpec::incremental`]) has no
+//! environment variable: the memo layer is the only incremental mechanism,
+//! and an instance leaves it out only through its own spec
+//! (`BeagleInstance::set_incremental` switches its skipping at run time).
 
 use crate::api::{BeagleInstance, InstanceConfig};
 use crate::balance::BalancerConfig;
@@ -77,10 +81,10 @@ pub struct InstanceSpec {
     /// instance.
     pub auto_partition: Option<usize>,
     /// Install the epoch-based incremental memoization layer
-    /// ([`crate::memo::MemoInstance`])? `None` (the default) installs it
-    /// unless `BEAGLE_INCREMENTAL_DISABLE` is set; `Some(false)` never
-    /// installs it; `Some(true)` requests it explicitly (the environment
-    /// kill switch still wins).
+    /// ([`crate::memo::MemoInstance`])? `None` (the default) and
+    /// `Some(true)` install it; `Some(false)` never installs it. It is the
+    /// only incremental mechanism, so an instance without it recomputes
+    /// every call.
     pub incremental: Option<bool>,
     /// Typed base configuration for the adaptive load balancer used by
     /// partitioned instances created from this spec; `None` uses
@@ -176,8 +180,7 @@ impl InstanceSpec {
     }
 
     /// Explicitly enable or disable the incremental memoization layer for
-    /// this instance, overriding the environment default (though
-    /// `BEAGLE_INCREMENTAL_DISABLE` always wins). Partitioned instances
+    /// this instance (on by default). Partitioned instances
     /// propagate the choice to every child, including children rebuilt
     /// after an eviction or rebalance.
     pub fn incremental(mut self, enabled: bool) -> Self {

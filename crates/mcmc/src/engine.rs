@@ -2,7 +2,6 @@
 //! on, mirroring the paper's Fig. 6 comparison between MrBayes' built-in
 //! (native SSE) likelihood code and BEAGLE-backed computation.
 
-use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use beagle_core::{
@@ -33,7 +32,9 @@ pub trait LikelihoodEngine: Send {
     }
 }
 
-/// An engine backed by any BEAGLE-RS instance.
+/// An engine backed by any BEAGLE-RS instance. Every evaluation sends the
+/// whole model, every transition matrix and the whole operation schedule;
+/// the instance's memo layer (`beagle_core::memo`) skips what is unchanged.
 pub struct BeagleEngine {
     instance: Box<dyn BeagleInstance>,
     patterns: SitePatterns,
@@ -42,25 +43,15 @@ pub struct BeagleEngine {
     tips_loaded: bool,
     wall: Duration,
     label: String,
-    /// The MCMC fast path: when the model and tree topology are unchanged
-    /// since the last evaluation, submit only the matrices whose branch
-    /// length moved plus the dirty-propagated proposal-to-root operations,
-    /// instead of refreshing everything. Off when
-    /// `BEAGLE_INCREMENTAL_DISABLE` was set at construction.
-    incremental: bool,
-    /// Whether `last_*` describe a completed evaluation.
-    have_baseline: bool,
-    /// Bit pattern of the last model upload (eigen system + frequencies).
-    last_model: Vec<u64>,
-    /// Last `(matrix index, branch length bits)` assignments, in order.
-    last_branches: Vec<(usize, u64)>,
-    /// Last operation schedule, `(dest, c1, m1, c2, m2)` per entry.
-    last_schedule: Vec<(usize, usize, usize, usize, usize)>,
 }
 
 impl BeagleEngine {
     /// Wrap an instance. `scaled` enables per-operation rescaling (required
-    /// for single precision on large trees).
+    /// for single precision on large trees). Incremental work comes from
+    /// the instance's memo layer: a managed instance carries it unless its
+    /// spec says `incremental(false)`, and a bare factory instance needs
+    /// [`beagle_core::MemoInstance::new`] around it, or it recomputes every
+    /// call.
     pub fn new(
         instance: Box<dyn BeagleInstance>,
         patterns: SitePatterns,
@@ -76,22 +67,6 @@ impl BeagleEngine {
             tips_loaded: false,
             wall: Duration::ZERO,
             label,
-            incremental: !beagle_core::memo::incremental_disabled_by_env(),
-            have_baseline: false,
-            last_model: Vec::new(),
-            last_branches: Vec::new(),
-            last_schedule: Vec::new(),
-        }
-    }
-
-    /// Enable or disable incremental evaluation: both this engine's dirty
-    /// tracking and the instance's memoization layer. Disabling drops the
-    /// baseline, so re-enabling starts with one full refresh.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.incremental = enabled && !beagle_core::memo::incremental_disabled_by_env();
-        self.instance.set_incremental(enabled);
-        if !self.incremental {
-            self.have_baseline = false;
         }
     }
 
@@ -122,114 +97,26 @@ impl LikelihoodEngine for BeagleEngine {
                 .expect("weights");
             self.tips_loaded = true;
         }
-        // Snapshot the inputs that decide what must be recomputed: the
-        // model upload bits, the branch-length assignments, and the
-        // operation schedule (its shape changes with topology moves).
         let eig = model.eigen();
-        let model_bits: Vec<u64> = eig
-            .vectors
-            .as_slice()
-            .iter()
-            .chain(eig.inverse_vectors.as_slice())
-            .chain(&eig.values)
-            .chain(model.frequencies())
-            .map(|x| x.to_bits())
-            .collect();
-        let branches: Vec<(usize, u64)> = tree
-            .branch_assignments()
-            .iter()
-            .map(|&(n, t)| (n, t.to_bits()))
-            .collect();
-        let schedule: Vec<(usize, usize, usize, usize, usize)> = tree
-            .operation_schedule()
-            .iter()
-            .map(|e| (e.destination, e.child1, e.matrix1, e.child2, e.matrix2))
-            .collect();
-        let make_op = |&(dest, c1, m1, c2, m2): &(usize, usize, usize, usize, usize)| {
-            let op = Operation::new(dest, c1, m1, c2, m2);
-            if self.scaled {
-                op.with_scaling(dest)
-            } else {
-                op
-            }
-        };
-
-        let fast = self.incremental
-            && self.have_baseline
-            && self.last_model == model_bits
-            && self.last_schedule == schedule
-            && self
-                .last_branches
-                .iter()
-                .zip(&branches)
-                .all(|(a, b)| a.0 == b.0)
-            && self.last_branches.len() == branches.len();
-
-        if fast {
-            // The MCMC fast path: only branches whose length moved need new
-            // matrices, and only operations downstream of a changed matrix
-            // (the proposal-to-root path) need re-executing. Everything else
-            // still holds bit-identical state inside the instance.
-            let mut idx = Vec::new();
-            let mut len = Vec::new();
-            let mut dirty_matrices: HashSet<usize> = HashSet::new();
-            for (i, (&(n, t_bits), (_, t))) in
-                branches.iter().zip(tree.branch_assignments()).enumerate()
-            {
-                if self.last_branches[i].1 == t_bits {
-                    continue;
-                }
-                idx.push(n);
-                len.push(t);
-                dirty_matrices.insert(n);
-            }
-            if !idx.is_empty() {
-                inst.update_transition_matrices(0, &idx, &len)
-                    .expect("matrices");
-            }
-            let mut dirty_partials: HashSet<usize> = HashSet::new();
-            let mut run: Vec<Operation> = Vec::new();
-            for e in &schedule {
-                let (dest, c1, m1, c2, m2) = *e;
-                if dirty_matrices.contains(&m1)
-                    || dirty_matrices.contains(&m2)
-                    || dirty_partials.contains(&c1)
-                    || dirty_partials.contains(&c2)
-                {
-                    dirty_partials.insert(dest);
-                    run.push(make_op(e));
-                }
-            }
-            if !run.is_empty() {
-                inst.update_partials(&run).expect("partials");
-            }
-        } else {
-            // Full refresh: reload eigen + freqs and recompute every
-            // transition matrix and every partial.
-            inst.set_eigen_decomposition(
-                0,
-                eig.vectors.as_slice(),
-                eig.inverse_vectors.as_slice(),
-                &eig.values,
-            )
-            .expect("eigen");
-            inst.set_state_frequencies(0, model.frequencies())
-                .expect("freqs");
-            let (idx, len): (Vec<usize>, Vec<f64>) =
-                tree.branch_assignments().iter().copied().unzip();
-            inst.update_transition_matrices(0, &idx, &len)
-                .expect("matrices");
-            let ops: Vec<Operation> = schedule.iter().map(make_op).collect();
-            inst.update_partials(&ops).expect("partials");
-        }
+        inst.set_eigen_decomposition(
+            0,
+            eig.vectors.as_slice(),
+            eig.inverse_vectors.as_slice(),
+            &eig.values,
+        )
+        .expect("eigen");
+        inst.set_state_frequencies(0, model.frequencies())
+            .expect("freqs");
+        let (idx, len): (Vec<usize>, Vec<f64>) = tree.branch_assignments().into_iter().unzip();
+        inst.update_transition_matrices(0, &idx, &len)
+            .expect("matrices");
+        let ops = schedule_operations(tree, self.scaled);
+        inst.update_partials(&ops).expect("partials");
 
         let scaling = if self.scaled {
-            // Clean destinations still hold their per-node scale factors
-            // from the last traversal, so accumulating over the full
-            // schedule stays correct on the fast path too.
             let c = inst.config().scale_buffer_count - 1;
             inst.reset_scale_factors(c).expect("reset scale");
-            let bufs: Vec<usize> = schedule.iter().map(|e| e.0).collect();
+            let bufs: Vec<usize> = ops.iter().map(|op| op.destination).collect();
             inst.accumulate_scale_factors(&bufs, c).expect("accumulate");
             ScalingMode::cumulative(c)
         } else {
@@ -238,12 +125,6 @@ impl LikelihoodEngine for BeagleEngine {
         let lnl = inst
             .integrate_root(BufferId(tree.root()), BufferId(0), BufferId(0), scaling)
             .expect("root lnL");
-        if self.incremental {
-            self.last_model = model_bits;
-            self.last_branches = branches;
-            self.last_schedule = schedule;
-            self.have_baseline = true;
-        }
         self.wall += start.elapsed();
         lnl
     }
@@ -258,6 +139,22 @@ impl LikelihoodEngine for BeagleEngine {
     }
 }
 
+/// The operations that compute every internal node of `tree` in post-order,
+/// each writing the scale buffer of its own node when `scaled`.
+fn schedule_operations(tree: &Tree, scaled: bool) -> Vec<Operation> {
+    tree.operation_schedule()
+        .iter()
+        .map(|e| {
+            let op = Operation::new(e.destination, e.child1, e.matrix1, e.child2, e.matrix2);
+            if scaled {
+                op.with_scaling(e.destination)
+            } else {
+                op
+            }
+        })
+        .collect()
+}
+
 /// An engine backed by a remote likelihood service (`beagle-server`): each
 /// evaluation ships a self-contained [`SessionRequest`] over the wire and
 /// blocks for the result. The WIRE-v2 protocol carries every `f64` as a
@@ -266,12 +163,14 @@ impl LikelihoodEngine for BeagleEngine {
 /// lets [`crate::mc3::run_mc3_remote`] reproduce a local cold trace
 /// exactly.
 ///
-/// Unlike [`BeagleEngine`] there is no incremental fast path: sessions are
-/// stateless by design (that is what makes server-side requeue-after-
-/// eviction safe), so every evaluation is a full refresh. Only the client
-/// side is cached: the data fields (tip states, pattern weights, rates) are
-/// gathered once at [`Self::connect`], and each evaluation rewrites the
-/// model and tree fields of the same request in place.
+/// Sessions are stateless by design (that is what makes server-side
+/// requeue-after-eviction safe), so every request carries the whole model,
+/// every matrix and the whole schedule, as [`BeagleEngine`] sends them; the
+/// memo layer of the serving worker's instance skips what it already holds.
+/// Only the client side is cached: the data fields (tip states, pattern
+/// weights, rates) are gathered once at [`Self::connect`], and each
+/// evaluation rewrites the model and tree fields of the same request in
+/// place.
 pub struct RemoteEngine {
     client: Client,
     session: SessionRequest,
@@ -333,7 +232,6 @@ impl RemoteEngine {
         debug_assert_eq!(tree.taxon_count(), self.session.tip_states.len());
         let eig = model.eigen();
         let s = &mut self.session;
-        let scaled = s.scaled;
         s.frequencies = model.frequencies().to_vec();
         s.eigen = Some((
             eig.vectors.as_slice().to_vec(),
@@ -341,18 +239,7 @@ impl RemoteEngine {
             eig.values.clone(),
         ));
         s.matrices = tree.branch_assignments();
-        s.operations = tree
-            .operation_schedule()
-            .iter()
-            .map(|e| {
-                let op = Operation::new(e.destination, e.child1, e.matrix1, e.child2, e.matrix2);
-                if scaled {
-                    op.with_scaling(e.destination)
-                } else {
-                    op
-                }
-            })
-            .collect();
+        s.operations = schedule_operations(tree, s.scaled);
         s.root = BufferId(tree.root());
     }
 }
@@ -616,35 +503,122 @@ mod tests {
         }
     }
 
+    /// Shares one [`BeagleEngine`] with the test, so its memo counters can
+    /// be read after [`crate::mc3::run_mc3`] has used it as a chain engine.
+    struct Shared(std::sync::Arc<std::sync::Mutex<BeagleEngine>>);
+
+    impl LikelihoodEngine for Shared {
+        fn name(&self) -> String {
+            self.0.lock().unwrap().name()
+        }
+        fn log_likelihood(&mut self, tree: &Tree, model: &ReversibleModel) -> f64 {
+            self.0.lock().unwrap().log_likelihood(tree, model)
+        }
+        fn elapsed(&self) -> Duration {
+            self.0.lock().unwrap().elapsed()
+        }
+    }
+
     #[test]
-    fn incremental_fast_path_is_bit_identical_to_full_refresh() {
-        let (mut tree, model, rates, patterns) = case();
+    fn memo_mc3_is_bit_identical_to_full_refresh() {
+        use crate::chain::ModelParams;
+        use crate::mc3::{run_mc3, Mc3Config};
+        use std::sync::{Arc, Mutex};
+
+        let (start, _, rates, patterns) = case();
         let config = beagle_core::InstanceConfig::for_tree(10, patterns.pattern_count(), 4, 4);
         let mut manager = beagle_core::ImplementationManager::new();
         beagle_cpu::register_cpu_factories(&mut manager);
-        let mk = |manager: &beagle_core::ImplementationManager| {
-            beagle_core::InstanceSpec::with_config(config)
-                .instantiate(manager)
-                .unwrap()
+        let mc3 = Mc3Config {
+            chains: 2,
+            generations: 200,
+            swap_interval: 10,
+            sample_interval: 10,
+            heating: 0.2,
+            seed: 23,
         };
-        let mut fast = BeagleEngine::new(mk(&manager), patterns.clone(), rates.clone(), true);
-        let mut full = BeagleEngine::new(mk(&manager), patterns.clone(), rates.clone(), true);
-        full.set_incremental(false);
-        // Single-branch MCMC-style moves: every evaluation must agree with
-        // the always-recompute engine bit for bit.
-        for i in 0..12 {
-            let node = i % (2 * tree.taxon_count() - 2);
-            tree.node_mut(node).branch_length *= 1.0 + 0.05 * (i as f64 + 1.0);
-            let a = fast.log_likelihood(&tree, &model);
-            let b = full.log_likelihood(&tree, &model);
-            assert_eq!(a.to_bits(), b.to_bits(), "iteration {i}: {a} vs {b}");
+        let params = ModelParams::Nucleotide { kappa: 2.0 };
+        let run = |incremental: bool| {
+            let engines: Vec<Arc<Mutex<BeagleEngine>>> = (0..mc3.chains)
+                .map(|_| {
+                    let inst = beagle_core::InstanceSpec::with_config(config)
+                        .named("CPU-serial")
+                        .incremental(incremental)
+                        .instantiate(&manager)
+                        .unwrap();
+                    let engine = BeagleEngine::new(inst, patterns.clone(), rates.clone(), true);
+                    Arc::new(Mutex::new(engine))
+                })
+                .collect();
+            let mut boxed: Vec<Box<dyn LikelihoodEngine>> = engines
+                .iter()
+                .map(|e| Box::new(Shared(e.clone())) as Box<dyn LikelihoodEngine>)
+                .collect();
+            let result = run_mc3(&mc3, &start, params, &mut boxed);
+            let memo: Vec<Option<beagle_core::MemoStats>> = engines
+                .iter()
+                .map(|e| e.lock().unwrap().memo_stats())
+                .collect();
+            (result, memo)
+        };
+        let (memo_run, memo_stats) = run(true);
+        let (full_run, full_stats) = run(false);
+
+        // Every kind of move was proposed, so the memo layer met branch,
+        // NNI and parameter changes.
+        for stats in &memo_run.chain_stats {
+            assert!(stats.branch_length.proposed > 0, "{stats:?}");
+            assert!(stats.topology.proposed > 0, "{stats:?}");
+            assert!(stats.parameter.proposed > 0, "{stats:?}");
         }
-        // The fast engine must actually have elided work.
-        if let Some(stats) = fast.memo_stats() {
-            assert!(
-                stats.total_skips() > 0 || stats.ops_executed < 12 * 8,
-                "fast path elided no work: {stats:?}"
+        assert_eq!(
+            memo_run.posterior.len(),
+            mc3.generations / mc3.sample_interval
+        );
+        assert_eq!(memo_run.posterior.len(), full_run.posterior.len());
+        for (a, b) in memo_run
+            .posterior
+            .samples()
+            .iter()
+            .zip(full_run.posterior.samples())
+        {
+            let g = a.generation;
+            assert_eq!(g, b.generation);
+            assert_eq!(
+                a.log_likelihood.to_bits(),
+                b.log_likelihood.to_bits(),
+                "generation {g}: {} vs {}",
+                a.log_likelihood,
+                b.log_likelihood
             );
+            assert_eq!(a.tree.root(), b.tree.root(), "generation {g}");
+            assert_eq!(
+                a.tree.operation_schedule(),
+                b.tree.operation_schedule(),
+                "generation {g}: topology"
+            );
+            let bits = |t: &Tree| -> Vec<(usize, u64)> {
+                t.branch_assignments()
+                    .into_iter()
+                    .map(|(n, len)| (n, len.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&a.tree), bits(&b.tree), "generation {g}: lengths");
+        }
+        let trace_bits = |r: &crate::mc3::Mc3Result| -> Vec<u64> {
+            r.cold_trace.iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(trace_bits(&memo_run), trace_bits(&full_run));
+
+        // The full-refresh engines carry no memo; the memo engines pruned
+        // work on every path: skipped operations, skipped matrices, and
+        // matrices served from the store.
+        assert!(full_stats.iter().all(Option::is_none));
+        for stats in memo_stats {
+            let stats = stats.expect("memo installed");
+            assert!(stats.ops_skipped > 0, "{stats:?}");
+            assert!(stats.matrices_skipped > 0, "{stats:?}");
+            assert!(stats.matrices_reused > 0, "{stats:?}");
         }
     }
 

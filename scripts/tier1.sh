@@ -119,6 +119,12 @@
 #                             tip state 300 over TCP -> the in-process
 #                             OutOfRange error (four-byte tip form)
 #   tests/remote (mcmc) ..... MC3 over the wire bit-identical to local
+#   mcmc engine unit tests .. memo is the only incremental mechanism: one MC3
+#                             seed (branch, NNI and parameter moves) through
+#                             memo-stacked BeagleEngines == through
+#                             incremental(false) engines, every sample's
+#                             tree and lnL bit for bit; memo skipped
+#                             operations and matrices and reused stored ones
 #   tests/robustness ........ deadline watchdog cancelling hangs/stalls
 #                             (bit-exact failover vs a fault-free survivor
 #                             run), circuit breakers steering creation and

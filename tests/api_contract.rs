@@ -254,13 +254,12 @@ fn check_control_plane(shapes: &[Shape]) {
         seed: 21,
     });
     let manager = full_manager();
-    let memo_installed = !beagle::core::memo::incremental_disabled_by_env();
     for shape in shapes {
         let name = shape.name;
         let mut inst = (shape.build)(&manager, &problem);
         assert_eq!(
             inst.memo_stats().is_some(),
-            shape.memo && memo_installed,
+            shape.memo,
             "{name}: memo_stats"
         );
         problem.load(inst.as_mut());
