@@ -120,11 +120,9 @@ impl<T: Real, D: Dialect> AccelInstance<T, D> {
         };
         // The dialect says whether the *device* would fuse; for the
         // OpenCL-x86 mode the kernels genuinely execute on the host, so the
-        // claim must also hold for the host CPU (and respect the
-        // BEAGLE_FORCE_SCALAR override used for A/B comparisons).
+        // claim must also hold for the host CPU.
         let fma_enabled = D::fma_enabled(&spec)
-            && (!matches!(mode, ExecMode::RealX86 { .. })
-                || beagle_cpu::simd::host_fma_available());
+            && (!matches!(mode, ExecMode::RealX86 { .. }) || beagle_cpu::simd::avx2_available());
         Ok(Self {
             bufs,
             perf: PerfModel::new(spec.clone()),

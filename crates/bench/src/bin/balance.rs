@@ -61,20 +61,17 @@ fn partitioned(
         ChildSelection::named(slow_name(), Flags::NONE, Flags::NONE),
         ChildSelection::named(fast_name(), Flags::NONE, Flags::NONE),
     ];
-    let mut inst = PartitionedInstance::create_with_selections(
+    let mut inst = PartitionedInstance::create(
         manager,
         // The benchmark repeats identical evaluations; memoization would
         // skip them and collapse every makespan to zero.
         &InstanceSpec::with_config(problem.config()).incremental(false),
-        selections,
+        &selections,
         &[1.0, 1.0],
     )
     .expect("both simulated GPUs must exist");
     if adaptive {
-        inst.enable_balancing(BalancerConfig {
-            min_batches: 1,
-            ..BalancerConfig::default()
-        });
+        inst.enable_balancing(BalancerConfig { min_batches: 1 });
     }
     inst
 }

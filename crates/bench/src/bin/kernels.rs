@@ -26,7 +26,7 @@ use beagle_core::buffers::InstanceBuffers;
 use beagle_core::real::Real;
 use beagle_core::InstanceConfig;
 use beagle_cpu::simd::{transpose_matrix, DispatchKind, DispatchReal};
-use beagle_cpu::{host_fma_available, kernels};
+use beagle_cpu::{avx2_available, kernels};
 
 /// Flop estimate per pattern for partials×partials: per destination state,
 /// two length-`s` dot products (2s mul+add each) plus the combining multiply.
@@ -481,10 +481,10 @@ fn bench_matrices<T: Real>(precision: &'static str, rows: &mut Vec<Row>) {
 
 fn main() {
     let mut paths = vec![DispatchKind::Scalar, DispatchKind::Portable];
-    if host_fma_available() {
+    if avx2_available() {
         paths.push(DispatchKind::Avx2);
     } else {
-        eprintln!("note: AVX2+FMA unavailable (or BEAGLE_FORCE_SCALAR set); skipping avx2 path");
+        eprintln!("note: AVX2+FMA unavailable; skipping avx2 path");
     }
 
     let mut rows = Vec::new();

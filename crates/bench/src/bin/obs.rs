@@ -11,7 +11,8 @@
 //! 2. **What does the auto-benchmark see?** `benchmark_resources` runs a
 //!    short calibrated workload on every registered factory and ranks them
 //!    by measured throughput (modeled device time for simulated GPUs,
-//!    wall time otherwise) — the ranking `create_instance_auto` consults.
+//!    wall time otherwise) — the ranking `InstanceSpec::instantiate_partitioned`
+//!    seeds its children and weights from.
 //!
 //! Timing provenance: overhead rows are **measured** wall time on this
 //! host; GPU rows in the ranking are **modeled** device times (DESIGN.md §1).

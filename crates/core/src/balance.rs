@@ -21,9 +21,10 @@
 //!    replay, the same protocol eviction uses) and journals a `rebalance`
 //!    observability event.
 //!
-//! All knobs have `BEAGLE_REBALANCE_*` environment overrides (see
-//! [`BalancerConfig::from_env`]), so deployments can tune or disable the
-//! loop without code changes.
+//! The EWMA gain ([`ALPHA`]), the skew threshold ([`SKEW_THRESHOLD`]) and
+//! the split alignment ([`PATTERN_STRIDE`]) are constants. The one setting,
+//! [`BalancerConfig::min_batches`], differs between callers: the
+//! auto-partitioned path waits for 2 batches, the `balance` bench for 1.
 
 use std::time::Duration;
 
@@ -41,96 +42,25 @@ pub const PATTERN_STRIDE: usize = 8;
 /// discards them.
 const MIN_SAMPLE: Duration = Duration::from_nanos(200);
 
-/// Tuning knobs for [`LoadBalancer`].
+/// EWMA gain in `(0, 1]`: weight of the newest throughput sample.
+pub const ALPHA: f64 = 0.4;
+
+/// Rebalance when the predicted makespan exceeds the ideal by this ratio
+/// (`1.25` = the slowest part is predicted 25% over a perfect split).
+pub const SKEW_THRESHOLD: f64 = 1.25;
+
+/// Setting for [`LoadBalancer`].
 #[derive(Clone, Copy, Debug)]
 pub struct BalancerConfig {
-    /// EWMA gain in `(0, 1]`: weight of the newest throughput sample.
-    pub alpha: f64,
-    /// Rebalance when predicted makespan exceeds the ideal by this ratio
-    /// (`1.25` = the slowest part is predicted 25% over a perfect split).
-    pub skew_threshold: f64,
     /// Observed batches required from *every* part before the first
     /// rebalance may trigger (throughput estimates need to settle).
     pub min_batches: u32,
-    /// Split-point alignment in patterns (see [`PATTERN_STRIDE`]).
-    pub stride: usize,
-    /// Master switch; `false` keeps measuring but never proposes ranges.
-    pub enabled: bool,
 }
 
 impl Default for BalancerConfig {
     fn default() -> Self {
-        Self {
-            alpha: 0.4,
-            skew_threshold: 1.25,
-            min_batches: 2,
-            stride: PATTERN_STRIDE,
-            enabled: true,
-        }
+        Self { min_batches: 2 }
     }
-}
-
-impl BalancerConfig {
-    /// Defaults overridden by environment variables:
-    ///
-    /// | variable | meaning |
-    /// |---|---|
-    /// | `BEAGLE_REBALANCE_ALPHA` | EWMA gain in `(0, 1]` |
-    /// | `BEAGLE_REBALANCE_SKEW` | makespan-skew threshold (≥ 1) |
-    /// | `BEAGLE_REBALANCE_MIN_BATCHES` | batches per part before acting |
-    /// | `BEAGLE_REBALANCE_STRIDE` | split-point alignment in patterns |
-    /// | `BEAGLE_REBALANCE_DISABLE` | any value but `0` disables rebalancing |
-    ///
-    /// Unparseable or out-of-range values fall back to the default (env
-    /// tuning must never turn into a panic in a long run).
-    pub fn from_env() -> Self {
-        Self::default().overridden_by_env()
-    }
-
-    /// This configuration with any `BEAGLE_REBALANCE_*` environment
-    /// variables applied on top (same variables and validation as
-    /// [`Self::from_env`]). The precedence rule for every knob in the
-    /// workspace — environment over typed builder value over default — is
-    /// documented in [`crate::spec`]; a typed
-    /// `InstanceSpec::with_balancer` base goes through here so deployments
-    /// can still retune a compiled-in configuration without code changes.
-    pub fn overridden_by_env(self) -> Self {
-        let mut cfg = self;
-        if let Some(a) = env_f64("BEAGLE_REBALANCE_ALPHA") {
-            if a > 0.0 && a <= 1.0 {
-                cfg.alpha = a;
-            }
-        }
-        if let Some(s) = env_f64("BEAGLE_REBALANCE_SKEW") {
-            if s >= 1.0 {
-                cfg.skew_threshold = s;
-            }
-        }
-        if let Some(b) = env_u64("BEAGLE_REBALANCE_MIN_BATCHES") {
-            if b >= 1 {
-                cfg.min_batches = b.min(u32::MAX as u64) as u32;
-            }
-        }
-        if let Some(s) = env_u64("BEAGLE_REBALANCE_STRIDE") {
-            if s >= 1 {
-                cfg.stride = s as usize;
-            }
-        }
-        if let Ok(v) = std::env::var("BEAGLE_REBALANCE_DISABLE") {
-            if v != "0" {
-                cfg.enabled = false;
-            }
-        }
-        cfg
-    }
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Per-part throughput estimate.
@@ -180,11 +110,6 @@ impl LoadBalancer {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &BalancerConfig {
-        &self.config
-    }
-
     /// Partitions currently tracked.
     pub fn part_count(&self) -> usize {
         self.parts.len()
@@ -210,7 +135,7 @@ impl LoadBalancer {
         e.rate = if e.batches == 0 {
             rate
         } else {
-            self.config.alpha * rate + (1.0 - self.config.alpha) * e.rate
+            ALPHA * rate + (1.0 - ALPHA) * e.rate
         };
         e.batches += 1;
     }
@@ -251,9 +176,9 @@ impl LoadBalancer {
 
     /// Decide whether to repartition `patterns` patterns currently split as
     /// `ranges`. Returns the proposed stride-aligned ranges plus the
-    /// throughput estimates that justified them when (a) rebalancing is
-    /// enabled, (b) every part has settled estimates, (c) the predicted skew
-    /// of the current split exceeds the threshold, and (d) the proposal
+    /// throughput estimates that justified them when (a) every part has
+    /// settled estimates, (b) the predicted skew of the current split
+    /// exceeds [`SKEW_THRESHOLD`], and (c) the proposal
     /// *strictly improves* the predicted skew — the guard that makes skew
     /// monotonically decreasing under stationary throughputs (no thrash).
     ///
@@ -265,16 +190,12 @@ impl LoadBalancer {
     /// cool-down a fixed per-batch overhead reads as "this part got slower",
     /// and the loop chases its own tail into a degenerate split.
     pub fn plan(&mut self, patterns: usize, ranges: &[(usize, usize)]) -> Option<RebalancePlan> {
-        if !self.config.enabled {
-            return None;
-        }
         let rates = self.throughputs()?;
         let current = self.predicted_skew(ranges)?;
-        if current <= self.config.skew_threshold {
+        if current <= SKEW_THRESHOLD {
             return None;
         }
-        let proposed =
-            crate::multi::weighted_ranges_aligned(patterns, &rates, self.config.stride).ok()?;
+        let proposed = crate::multi::weighted_ranges(patterns, &rates).ok()?;
         if proposed == ranges || self.predicted_skew(&proposed)? >= current {
             return None;
         }
@@ -347,7 +268,7 @@ mod tests {
         feed(&mut b, &[4000.0, 1000.0], 2);
         let equal = [(0, 500), (500, 1000)];
         let before = b.predicted_skew(&equal).unwrap();
-        assert!(before > b.config().skew_threshold, "{before}");
+        assert!(before > SKEW_THRESHOLD, "{before}");
         let (new, rates) = b.plan(1000, &equal).expect("skewed split must replan");
         let after = skew_of(&new, &rates);
         assert!(after < before, "{after} !< {before}");
@@ -378,32 +299,15 @@ mod tests {
     }
 
     #[test]
-    fn plan_quiet_when_balanced_or_disabled() {
+    fn plan_quiet_when_balanced() {
         let mut b = LoadBalancer::new(2, BalancerConfig::default());
         feed(&mut b, &[1000.0, 1000.0], 2);
         assert!(b.plan(1000, &[(0, 500), (500, 1000)]).is_none());
-
-        let mut off = LoadBalancer::new(
-            2,
-            BalancerConfig {
-                enabled: false,
-                ..BalancerConfig::default()
-            },
-        );
-        feed(&mut off, &[4000.0, 1000.0], 2);
-        assert!(off.plan(1000, &[(0, 500), (500, 1000)]).is_none());
-        assert_eq!(off.rebalance_count(), 0);
     }
 
     #[test]
     fn plan_waits_for_min_batches() {
-        let mut b = LoadBalancer::new(
-            2,
-            BalancerConfig {
-                min_batches: 3,
-                ..BalancerConfig::default()
-            },
-        );
+        let mut b = LoadBalancer::new(2, BalancerConfig { min_batches: 3 });
         feed(&mut b, &[4000.0, 1000.0], 2);
         assert!(b.plan(1000, &[(0, 500), (500, 1000)]).is_none());
         feed(&mut b, &[4000.0, 1000.0], 1);

@@ -5,8 +5,7 @@
 //!
 //! # Taxonomy
 //!
-//! The variants fall into four families, and every recovery layer in the
-//! workspace keys off the family rather than the individual variant:
+//! The variants fall into four families:
 //!
 //! * **Argument errors** — [`BeagleError::OutOfRange`],
 //!   [`BeagleError::DimensionMismatch`], [`BeagleError::InvalidConfiguration`].
@@ -31,12 +30,18 @@
 //!   [`BeagleError::CheckpointIo`] (the filesystem failed while reading or
 //!   writing a snapshot).
 //!
-//! [`BeagleError::is_retryable`] is the single predicate the retry layers
-//! consult; the eviction predicate (`multi::is_evictable`) additionally
-//! treats permanent device faults and timeouts as grounds for removing a
-//! device from a partitioned instance.
+//! [`BeagleError::fault`] is the one classifier every recovery layer
+//! consults. It names the resource fault behind an error — transient,
+//! timeout or permanent — or answers `None` when the call or its data is at
+//! fault and the resource is healthy. Ranked creation, resource
+//! benchmarking, the instance pool and the partitioned instance score
+//! health only on a fault, a partitioned instance retries only a transient
+//! fault and evicts a child only on a fault, and the pool evicts a worker
+//! only on a timeout or permanent fault.
 
 use std::fmt;
+
+use crate::health::Outcome;
 
 /// What went wrong on a hardware device (classification mirrors the failure
 /// modes of real accelerator runtimes: launch errors, allocation errors, and
@@ -138,20 +143,30 @@ pub enum BeagleError {
 }
 
 impl BeagleError {
-    /// Whether retrying the failed call, unchanged, has a chance of
-    /// succeeding. True for transient device faults and resource exhaustion
-    /// (memory pressure can clear); false for everything else — bad
-    /// arguments stay bad, lost devices stay lost, and a [`Self::Timeout`]
-    /// means the device is wedged: retrying in place would spend the rest
-    /// of the deadline budget on a launch that already failed to finish, so
-    /// timeouts go straight to eviction instead.
-    pub fn is_retryable(&self) -> bool {
+    /// The resource fault behind this error, or `None` when the call or its
+    /// data is at fault (argument, capability, numerical and checkpoint
+    /// errors) and the resource that ran it is healthy.
+    ///
+    /// A [`Self::Timeout`] is a fault but never [`Outcome::Transient`]: the
+    /// device is wedged, and retrying in place would spend the rest of the
+    /// deadline budget on a launch that already failed to finish.
+    pub fn fault(&self) -> Option<Outcome> {
         match self {
-            BeagleError::Device { transient, .. } => *transient,
-            BeagleError::ResourceExhausted { .. } => true,
-            BeagleError::Timeout { .. } => false,
-            _ => false,
+            BeagleError::Device {
+                transient: true, ..
+            }
+            | BeagleError::ResourceExhausted { .. } => Some(Outcome::Transient),
+            BeagleError::Device { .. } => Some(Outcome::Permanent),
+            BeagleError::Timeout { .. } => Some(Outcome::Timeout),
+            BeagleError::ChildCreationFailed { source, .. } => source.fault(),
+            _ => None,
         }
+    }
+
+    /// Whether retrying the failed call, unchanged, has a chance of
+    /// succeeding: the error is a transient fault ([`Self::fault`]).
+    pub fn is_retryable(&self) -> bool {
+        self.fault() == Some(Outcome::Transient)
     }
 }
 
@@ -273,6 +288,58 @@ mod tests {
         .is_retryable());
         assert!(!BeagleError::CheckpointCorrupt("hash mismatch".into()).is_retryable());
         assert!(!BeagleError::CheckpointIo("read failed".into()).is_retryable());
+    }
+
+    #[test]
+    fn fault_classification() {
+        let device = |transient| BeagleError::Device {
+            kind: DeviceErrorKind::LaunchFailed,
+            transient,
+            device: "gpu".into(),
+        };
+        assert_eq!(device(true).fault(), Some(Outcome::Transient));
+        assert_eq!(device(false).fault(), Some(Outcome::Permanent));
+        assert_eq!(
+            BeagleError::ResourceExhausted {
+                what: "vram".into()
+            }
+            .fault(),
+            Some(Outcome::Transient)
+        );
+        assert_eq!(
+            BeagleError::Timeout {
+                what: "launch".into()
+            }
+            .fault(),
+            Some(Outcome::Timeout)
+        );
+        let child = |source| BeagleError::ChildCreationFailed {
+            child: 0,
+            device: "gpu".into(),
+            source: Box::new(source),
+        };
+        assert_eq!(child(device(false)).fault(), Some(Outcome::Permanent));
+        assert_eq!(child(BeagleError::NoImplementationFound).fault(), None);
+        for healthy in [
+            BeagleError::OutOfRange {
+                what: "tip",
+                index: 9,
+                limit: 4,
+            },
+            BeagleError::DimensionMismatch {
+                what: "frequencies",
+                expected: 4,
+                got: 2,
+            },
+            BeagleError::InvalidConfiguration("zero patterns".into()),
+            BeagleError::NoImplementationFound,
+            BeagleError::Unsupported("codon on SSE".into()),
+            BeagleError::NumericalFailure("NaN".into()),
+            BeagleError::CheckpointCorrupt("hash".into()),
+            BeagleError::CheckpointIo("read".into()),
+        ] {
+            assert_eq!(healthy.fault(), None, "{healthy}");
+        }
     }
 
     #[test]

@@ -73,11 +73,9 @@ flags! {
     /// implementation manager and factories, not a hardware capability.
     INSTANCE_STATS = 19;
     /// Pin this instance to the scalar kernel path, bypassing SIMD
-    /// dispatch (A/B comparisons, numerical triage). The typed form of the
-    /// `BEAGLE_FORCE_SCALAR` environment variable, which still overrides it
-    /// when set (see `crate::spec` for the precedence rules). Handled at
-    /// creation like `INSTANCE_STATS`: forwarded to factories, never
-    /// ranked or filtered on.
+    /// dispatch (A/B comparisons, numerical triage). Handled at creation
+    /// like `INSTANCE_STATS`: forwarded to factories, never ranked or
+    /// filtered on.
     KERNEL_SCALAR = 20;
 }
 

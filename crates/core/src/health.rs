@@ -2,7 +2,7 @@
 //!
 //! Long-running multi-device work keeps meeting the same dead hardware: a
 //! wedged GPU fails creation, gets retried by the next
-//! `create_instance_auto`, wedges again, and every caller pays the watchdog
+//! ranked creation, wedges again, and every caller pays the watchdog
 //! budget to rediscover what the last caller already knew. The
 //! [`HealthRegistry`] centralizes that knowledge: every creation, launch,
 //! and benchmark outcome is scored per resource (keyed by implementation
@@ -85,6 +85,33 @@ pub enum Outcome {
     /// A permanent device fault (device lost, unrecoverable allocation
     /// failure). Hard failure: trips the breaker immediately.
     Permanent,
+}
+
+/// In-place retries of a transient fault ([`crate::BeagleError::is_retryable`])
+/// before the failure escalates: a partitioned instance then evicts the
+/// child, and the service client reports the transport error.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Backoff ceiling before the first retry; it doubles with each further
+/// retry (see [`backoff`]).
+pub const RETRY_BASE_DELAY: Duration = Duration::from_micros(200);
+
+/// The sleep before retry `attempt` (1-based): exponential backoff with full
+/// jitter, drawn uniformly from `[0, RETRY_BASE_DELAY · 2^(attempt−1))`.
+/// Jitter decorrelates retries when several callers hit the same transient
+/// fault, so they do not re-converge on the struggling resource in
+/// lockstep. `state` is the caller's splitmix64 state (hand-rolled: the
+/// offline build has no rand crate); a fixed seed per caller keeps test runs
+/// reproducible.
+pub fn backoff(attempt: u32, state: &mut u64) -> Duration {
+    let ceiling = RETRY_BASE_DELAY.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^= z >> 31;
+    // `ceiling` is at most 200 µs · 2^16 ≈ 13 s, well inside u64 nanoseconds.
+    Duration::from_nanos(z % ceiling.as_nanos() as u64)
 }
 
 /// Circuit-breaker state of one resource.
@@ -354,6 +381,24 @@ impl HealthRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn backoff_is_full_jitter_under_a_doubling_ceiling() {
+        let mut state = 1;
+        for attempt in 1..=6 {
+            let ceiling = RETRY_BASE_DELAY * (1 << (attempt - 1));
+            for _ in 0..64 {
+                assert!(backoff(attempt, &mut state) < ceiling);
+            }
+        }
+        let (mut a, mut b) = (7, 7);
+        let draws: Vec<_> = (0..8).map(|_| backoff(3, &mut a)).collect();
+        assert_eq!(
+            draws,
+            (0..8).map(|_| backoff(3, &mut b)).collect::<Vec<_>>()
+        );
+        assert!(draws.windows(2).any(|w| w[0] != w[1]), "{draws:?}");
+    }
 
     fn fast_cooldown() -> BreakerConfig {
         BreakerConfig {

@@ -58,7 +58,7 @@ pub use health::{BreakerConfig, BreakerState, HealthRegistry, Outcome, ResourceI
 pub use journal::{JournaledInstance, StateJournal};
 pub use manager::{ImplementationFactory, ImplementationManager, ResourceBenchmark};
 pub use memo::{MemoInstance, MemoStats};
-pub use multi::{ChildSelection, PartitionedInstance, RetryPolicy};
+pub use multi::{ChildSelection, PartitionedInstance};
 pub use obs::{Event, EventKind, InstanceStats, KernelClass, KernelCounter, Recorder};
 pub use ops::Operation;
 pub use pool::{

@@ -4,8 +4,8 @@
 //! implementations, makes them available to the client program, and passes
 //! API commands to the selected implementation". In BEAGLE-RS the same role
 //! is played by [`ImplementationManager`]: back-end crates register
-//! [`ImplementationFactory`] plugins; `create_instance` filters them by the
-//! client's *requirement* flags and ranks the survivors by how many
+//! [`ImplementationFactory`] plugins; [`InstanceSpec::instantiate`] filters
+//! them by the client's *requirement* flags and ranks the survivors by how many
 //! *preference* flags they satisfy (ties broken by registration priority,
 //! mirroring BEAGLE's resource ordering).
 
@@ -18,7 +18,6 @@ use crate::flags::Flags;
 use crate::health::{BreakerConfig, HealthRegistry, Outcome};
 use crate::journal::JournaledInstance;
 use crate::memo;
-use crate::multi::{ChildSelection, PartitionedInstance};
 use crate::ops::Operation;
 use crate::resource::ResourceDescription;
 use crate::spec::InstanceSpec;
@@ -32,17 +31,6 @@ const MANAGER_BITS: Flags = Flags(
         | Flags::INSTANCE_STATS.0
         | Flags::KERNEL_SCALAR.0,
 );
-
-/// How a failure feeds the health registry: watchdog timeouts and permanent
-/// faults trip a resource's breaker immediately, transient faults only
-/// accumulate toward its threshold.
-pub(crate) fn outcome_of(e: &BeagleError) -> Outcome {
-    match e {
-        BeagleError::Timeout { .. } => Outcome::Timeout,
-        e if e.is_retryable() => Outcome::Transient,
-        _ => Outcome::Permanent,
-    }
-}
 
 /// A plugin that can construct instances on one resource.
 pub trait ImplementationFactory: Send + Sync {
@@ -154,9 +142,7 @@ impl ImplementationManager {
     ///   preference so the back-end enables its kernel recorder (see
     ///   [`crate::obs`]); it never affects ranking;
     /// * [`Flags::KERNEL_SCALAR`] is likewise forwarded so the back-end
-    ///   pins its scalar kernel table (`InstanceSpec::force_scalar`; the
-    ///   `BEAGLE_FORCE_SCALAR` environment variable still overrides —
-    ///   see [`crate::spec`] for the precedence rules).
+    ///   pins its scalar kernel table (`InstanceSpec::force_scalar`).
     ///
     /// When `spec.rescue` (the default) or `spec.checkpoint` is set, the
     /// result is wrapped in a [`JournaledInstance`], outermost, so snapshots
@@ -255,7 +241,7 @@ impl ImplementationManager {
                             break;
                         }
                         Err(e) => {
-                            self.health.record(factory.name(), outcome_of(&e));
+                            self.note_fault(factory.name(), &e);
                             last_err = e;
                         }
                     }
@@ -277,23 +263,6 @@ impl ImplementationManager {
         } else {
             raw
         })
-    }
-
-    /// Find the best implementation for `config` given requirements and
-    /// preferences, and create an instance of it. Thin wrapper over
-    /// [`Self::create_from_spec`]; see there for selection, execution-mode
-    /// and rescue semantics.
-    pub fn create_instance(
-        &self,
-        config: &InstanceConfig,
-        preference_flags: Flags,
-        requirement_flags: Flags,
-    ) -> Result<Box<dyn BeagleInstance>> {
-        self.create_from_spec(
-            &InstanceSpec::with_config(*config)
-                .prefer(preference_flags)
-                .require(requirement_flags),
-        )
     }
 
     /// Create an instance of the implementation with exactly this name
@@ -381,12 +350,12 @@ impl ImplementationManager {
                             }
                         }
                         Err(e) => {
-                            self.health.record(factory.name(), outcome_of(&e));
+                            self.note_fault(factory.name(), &e);
                             entry.error = Some(e.to_string());
                         }
                     },
                     Err(e) => {
-                        self.health.record(factory.name(), outcome_of(&e));
+                        self.note_fault(factory.name(), &e);
                         entry.error = Some(e.to_string());
                     }
                 }
@@ -404,89 +373,13 @@ impl ImplementationManager {
         results
     }
 
-    /// Create an instance of the empirically fastest implementation:
-    /// ranks the registry with [`Self::benchmark_resources`] instead of
-    /// static flag scores, then creates the winner through the same
-    /// [`Self::create_from_spec`] path (identical rescue wrapping).
-    /// Entries that fail to create at full problem size fall through to the
-    /// next-fastest; if every measured entry fails, falls back to the
-    /// flag-ranked path.
-    pub fn create_instance_auto(
-        &self,
-        config: &InstanceConfig,
-        preference_flags: Flags,
-        requirement_flags: Flags,
-    ) -> Result<Box<dyn BeagleInstance>> {
-        for entry in self.benchmark_resources(config, requirement_flags) {
-            if entry.error.is_some() {
-                break; // failures sort last; nothing measured remains
-            }
-            let spec = InstanceSpec::with_config(*config)
-                .prefer(preference_flags)
-                .require(requirement_flags)
-                .named(&entry.implementation);
-            if let Ok(inst) = self.create_from_spec(&spec) {
-                return Ok(inst);
-            }
+    /// Score a failure of `resource` in the health registry when it is a
+    /// resource fault ([`BeagleError::fault`]); an error the call or its
+    /// data caused leaves the resource's health alone.
+    fn note_fault(&self, resource: &str, e: &BeagleError) {
+        if let Some(outcome) = e.fault() {
+            self.health.record(resource, outcome);
         }
-        self.create_from_spec(
-            &InstanceSpec::with_config(*config)
-                .prefer(preference_flags)
-                .require(requirement_flags),
-        )
-    }
-
-    /// `create_instance_auto` extended to multiple resources: benchmark
-    /// every registered factory, take the fastest `spec.auto_partition`
-    /// (default 2) measured entries, and build one
-    /// [`PartitionedInstance`] with a child pinned to each winner and
-    /// pattern ranges seeded proportional to measured throughput. Adaptive
-    /// rebalancing ([`crate::balance`], knobs from `BEAGLE_REBALANCE_*`
-    /// environment overrides) is enabled, so the seed split keeps tracking
-    /// the throughput each resource actually delivers at full problem size.
-    ///
-    /// Needs `self` behind an `Arc`: the partitioned instance retains the
-    /// manager to rebuild children on eviction and rebalance.
-    pub fn create_instance_auto_partitioned(
-        self: &Arc<Self>,
-        spec: &InstanceSpec,
-    ) -> Result<PartitionedInstance> {
-        let max_devices = spec
-            .auto_partition
-            .unwrap_or(2)
-            .max(1)
-            .min(spec.config.pattern_count);
-        let measured: Vec<ResourceBenchmark> = self
-            .benchmark_resources(&spec.config, spec.requirements)
-            .into_iter()
-            .filter(|e| e.error.is_none())
-            .take(max_devices)
-            .collect();
-        if measured.is_empty() {
-            return Err(BeagleError::NoImplementationFound);
-        }
-        let selections: Vec<ChildSelection> = measured
-            .iter()
-            .map(|e| ChildSelection::named(&e.implementation, spec.preferences, spec.requirements))
-            .collect();
-        // Throughput-proportional seed weights; a zero measurement (degenerate
-        // clock resolution) falls back to an equal share rather than erroring.
-        let weights: Vec<f64> = measured
-            .iter()
-            .map(|e| {
-                if e.throughput_gflops > 0.0 {
-                    e.throughput_gflops
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-        let mut inst =
-            PartitionedInstance::create_with_selections(self, spec, selections, &weights)?;
-        // Typed base from the spec, environment overrides on top (the
-        // workspace-wide precedence rule; see `crate::spec`).
-        inst.enable_balancing(spec.balancer.unwrap_or_default().overridden_by_env());
-        Ok(inst)
     }
 }
 
@@ -790,6 +683,17 @@ mod tests {
         InstanceConfig::for_tree(4, 100, 4, 1)
     }
 
+    fn create(
+        m: &ImplementationManager,
+        preferences: Flags,
+        requirements: Flags,
+    ) -> Result<Box<dyn BeagleInstance>> {
+        InstanceSpec::with_config(cfg())
+            .prefer(preferences)
+            .require(requirements)
+            .instantiate(m)
+    }
+
     #[test]
     fn requirements_filter() {
         let mut m = ImplementationManager::new();
@@ -798,11 +702,9 @@ mod tests {
             flags: Flags::PROCESSOR_CPU | Flags::PRECISION_DOUBLE,
             priority: 0,
         }));
-        let inst = m
-            .create_instance(&cfg(), Flags::NONE, Flags::PROCESSOR_CPU)
-            .unwrap();
+        let inst = create(&m, Flags::NONE, Flags::PROCESSOR_CPU).unwrap();
         assert_eq!(inst.details().implementation_name, "cpu");
-        let err = m.create_instance(&cfg(), Flags::NONE, Flags::PROCESSOR_GPU);
+        let err = create(&m, Flags::NONE, Flags::PROCESSOR_GPU);
         assert!(matches!(err, Err(BeagleError::NoImplementationFound)));
     }
 
@@ -820,12 +722,10 @@ mod tests {
             priority: 0,
         }));
         // Preferring SSE should beat the higher-priority plain factory.
-        let inst = m
-            .create_instance(&cfg(), Flags::VECTOR_SSE, Flags::NONE)
-            .unwrap();
+        let inst = create(&m, Flags::VECTOR_SSE, Flags::NONE).unwrap();
         assert_eq!(inst.details().implementation_name, "vectorized");
         // No preference: priority decides.
-        let inst = m.create_instance(&cfg(), Flags::NONE, Flags::NONE).unwrap();
+        let inst = create(&m, Flags::NONE, Flags::NONE).unwrap();
         assert_eq!(inst.details().implementation_name, "plain");
     }
 
@@ -871,7 +771,7 @@ mod tests {
         }));
         // Ranked first (higher priority), but creation always fails.
         m.register(Box::new(BrokenFactory { priority: 100 }));
-        let inst = m.create_instance(&cfg(), Flags::NONE, Flags::NONE).unwrap();
+        let inst = create(&m, Flags::NONE, Flags::NONE).unwrap();
         assert_eq!(inst.details().implementation_name, "cpu-serial");
     }
 
@@ -879,7 +779,7 @@ mod tests {
     fn all_failures_surface_last_error() {
         let mut m = ImplementationManager::new();
         m.register(Box::new(BrokenFactory { priority: 0 }));
-        let err = m.create_instance(&cfg(), Flags::NONE, Flags::NONE).err();
+        let err = create(&m, Flags::NONE, Flags::NONE).err();
         assert!(matches!(err, Some(BeagleError::Device { .. })), "{err:?}");
     }
 
@@ -899,13 +799,11 @@ mod tests {
             priority: 0,
         }));
         for prefs in [Flags::NONE, Flags::VECTOR_SSE] {
-            let eager = m
-                .create_instance(&cfg(), prefs | Flags::COMPUTATION_SYNCH, Flags::NONE)
-                .unwrap();
+            let eager = create(&m, prefs | Flags::COMPUTATION_SYNCH, Flags::NONE).unwrap();
             let expected = eager.details().implementation_name.clone();
             let asynch = [
-                m.create_instance(&cfg(), prefs | Flags::COMPUTATION_ASYNCH, Flags::NONE),
-                m.create_instance(&cfg(), prefs, Flags::COMPUTATION_ASYNCH),
+                create(&m, prefs | Flags::COMPUTATION_ASYNCH, Flags::NONE),
+                create(&m, prefs, Flags::COMPUTATION_ASYNCH),
                 m.create_instance_by_name(&expected, &cfg(), prefs | Flags::COMPUTATION_ASYNCH),
             ];
             for inst in asynch {
@@ -927,7 +825,7 @@ mod tests {
     fn empty_manager_errors() {
         let m = ImplementationManager::new();
         assert!(matches!(
-            m.create_instance(&cfg(), Flags::NONE, Flags::NONE),
+            create(&m, Flags::NONE, Flags::NONE),
             Err(BeagleError::NoImplementationFound)
         ));
     }
@@ -986,7 +884,7 @@ mod tests {
         }));
         // INSTANCE_STATS as a *requirement* must not filter every factory
         // out (no factory advertises it; the manager handles it).
-        let inst = m.create_instance(&cfg(), Flags::NONE, Flags::INSTANCE_STATS);
+        let inst = create(&m, Flags::NONE, Flags::INSTANCE_STATS);
         assert!(inst.is_ok());
     }
 
@@ -1016,19 +914,5 @@ mod tests {
         assert_eq!(gpu_only.len(), 3);
         assert!(gpu_only.iter().any(|r| r.implementation == "a"
             && r.error.as_deref() == Some("does not satisfy requirement flags")));
-    }
-
-    #[test]
-    fn auto_creation_falls_back_to_flag_ranking() {
-        let mut m = ImplementationManager::new();
-        m.register(Box::new(NullFactory {
-            name: "cpu",
-            flags: Flags::PROCESSOR_CPU,
-            priority: 0,
-        }));
-        let inst = m
-            .create_instance_auto(&cfg(), Flags::NONE, Flags::NONE)
-            .unwrap();
-        assert_eq!(inst.details().implementation_name, "cpu");
     }
 }

@@ -20,16 +20,21 @@
 //! # Fault tolerance
 //!
 //! Long multi-device runs meet hardware faults. Every fan-out call records
-//! its inputs in a [`StateJournal`] and classifies child failures with
-//! [`BeagleError::is_retryable`]:
+//! its inputs in a [`StateJournal`], and every child failure is classified
+//! once, by [`BeagleError::fault`]:
 //!
 //! * **Transient** faults (dropped kernel launch, momentary memory
-//!   pressure) are retried in place with bounded exponential backoff.
-//! * **Permanent** device faults evict the dead child: the remaining
-//!   weights are re-normalized, every survivor is re-created at its new
-//!   pattern range through the [`ImplementationManager`], and the journal
-//!   is replayed to rebuild their state — degrading gracefully down to a
-//!   single device before any error reaches the client.
+//!   pressure) are retried in place up to [`MAX_RETRIES`] times with
+//!   jittered exponential [`backoff`]; each retry is journaled and scored
+//!   against the child's resource.
+//! * **Timeouts and permanent** device faults, and transient ones that
+//!   outlast their retries, evict the dead child: the remaining weights are
+//!   re-normalized, every survivor is re-created at its new pattern range
+//!   through the [`ImplementationManager`], and the journal is replayed to
+//!   rebuild their state — degrading gracefully down to a single device
+//!   before any error reaches the client.
+//! * **No fault** (a bad argument, a numerical failure): the error reaches
+//!   the client unchanged, and no child is evicted or scored.
 //!
 //! Per-child retry counters and the eviction count are exposed via
 //! [`PartitionedInstance::retry_counts`] /
@@ -45,49 +50,13 @@ use crate::checkpoint::{Checkpoint, Provenance};
 use crate::deadline::Deadline;
 use crate::error::{BeagleError, Result};
 use crate::flags::Flags;
-use crate::health::{BreakerState, Outcome};
+use crate::health::{backoff, BreakerState, Outcome, MAX_RETRIES};
 use crate::journal::StateJournal;
 use crate::manager::ImplementationManager;
 use crate::obs::{self, EventKind, Recorder};
 use crate::ops::Operation;
 use crate::real::weighted_lnl_sum;
 use crate::spec::InstanceSpec;
-
-/// How transient child failures are retried before escalating to eviction.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Maximum in-place retries per call and child.
-    pub max_retries: u32,
-    /// Backoff ceiling before the first retry; doubles on each subsequent
-    /// one.
-    pub base_delay: Duration,
-    /// Draw each actual backoff uniformly from `[0, ceiling]` ("full
-    /// jitter") instead of sleeping the ceiling exactly. Decorrelates
-    /// retries when several children hit the same transient fault, so they
-    /// do not re-converge on the struggling device in lockstep.
-    pub jitter: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_delay: Duration::from_micros(200),
-            jitter: true,
-        }
-    }
-}
-
-/// splitmix64 step — the jitter source. Hand-rolled (the offline build has
-/// no rand crate) and seeded with a fixed constant per instance, so retry
-/// *timing* varies within a run but test runs stay reproducible.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// How one child's implementation is (re-)selected when it must be created
 /// or rebuilt: either pinned to an exact implementation name (the
@@ -126,16 +95,6 @@ impl ChildSelection {
     }
 }
 
-/// What eviction-and-rebuild needs: the registry that can re-create
-/// children, plus each surviving child's selection and weight.
-struct FailoverState {
-    manager: Arc<ImplementationManager>,
-    /// Implementation selection per surviving child.
-    selections: Vec<ChildSelection>,
-    /// Pattern-share weight per surviving child.
-    weights: Vec<f64>,
-}
-
 /// One logical BEAGLE instance spread across several devices.
 pub struct PartitionedInstance {
     parts: Vec<Box<dyn BeagleInstance>>,
@@ -146,18 +105,19 @@ pub struct PartitionedInstance {
     details: InstanceDetails,
     /// Concatenated site log-likelihoods from the last integration.
     site_lnl: Vec<f64>,
-    /// Everything needed to rebuild children after a device dies; `None`
-    /// for instances assembled with [`PartitionedInstance::from_parts`],
-    /// which cannot fail over (no manager to re-create children with).
-    failover: Option<FailoverState>,
+    /// The registry that re-creates children after an eviction or for a
+    /// rebalance, and scores their health.
+    manager: Arc<ImplementationManager>,
+    /// Implementation selection per surviving child.
+    selections: Vec<ChildSelection>,
+    /// Pattern-share weight per surviving child.
+    weights: Vec<f64>,
     journal: StateJournal,
-    retry: RetryPolicy,
     /// Transient-fault retries performed per surviving child.
     retry_counts: Vec<u64>,
     /// Children permanently evicted since creation.
     evictions: u64,
-    /// Per-launch watchdog budget, re-applied to children rebuilt after an
-    /// eviction.
+    /// Per-launch watchdog budget, re-applied to every rebuilt child.
     deadline: Option<Deadline>,
     /// Adaptive load balancer (see [`crate::balance`]); `None` keeps the
     /// creation-time split for the life of the instance.
@@ -169,7 +129,8 @@ pub struct PartitionedInstance {
     pending: Vec<Duration>,
     /// Successful pattern-range migrations since creation.
     rebalances: u64,
-    /// splitmix64 state for retry-backoff jitter.
+    /// splitmix64 state for retry-backoff jitter, seeded with a fixed
+    /// constant so test runs stay reproducible.
     rng: u64,
     /// Incremental-memoization choice, threaded into every child spec —
     /// including children rebuilt after an eviction or rebalance — and
@@ -182,8 +143,8 @@ pub struct PartitionedInstance {
     skip_marks: Vec<u64>,
     /// Failover-event journal; enabled when any child records statistics.
     recorder: Recorder,
-    /// Events drained from evicted children so their last words (the fault
-    /// narration) survive the eviction.
+    /// Events drained from replaced children so their last words (the fault
+    /// narration) survive an eviction or migration.
     salvaged: Vec<obs::Event>,
 }
 
@@ -258,71 +219,21 @@ pub fn weighted_ranges_aligned(
     Ok(ranges)
 }
 
-/// Whether a child failure that survived retries warrants evicting the
-/// child (device-level faults) rather than propagating (bad arguments,
-/// numerical failures — eviction cannot fix those).
-fn is_evictable(e: &BeagleError) -> bool {
-    matches!(
-        e,
-        BeagleError::Device { .. }
-            | BeagleError::ResourceExhausted { .. }
-            | BeagleError::Timeout { .. }
-    )
-}
-
 impl PartitionedInstance {
-    /// Create a partitioned instance: one child per entry of `devices`,
-    /// where each entry is the (preference, requirement) flag pair used to
-    /// select that child's implementation, and `weights[i]` is its share of
-    /// the pattern range (use per-device peak GFLOPS, or measured
-    /// throughput from a calibration run). The manager is retained so dead
-    /// children can be replaced at runtime (see the module docs).
+    /// Create a partitioned instance: one child per entry of `selections`
+    /// (pinned by name or flag-ranked), where `weights[i]` is child `i`'s
+    /// share of the pattern range (use per-device peak GFLOPS, or measured
+    /// throughput from a calibration run). The spec supplies the sizing
+    /// (`spec.config`), the incremental-memoization choice and the
+    /// per-launch watchdog deadline, which every child gets, including
+    /// children rebuilt after an eviction; its implementation and flag
+    /// fields are ignored in favour of `selections`. The manager is
+    /// retained so dead children can be replaced at runtime (see the module
+    /// docs).
     pub fn create(
         manager: &Arc<ImplementationManager>,
-        config: &InstanceConfig,
-        devices: &[(Flags, Flags)],
-        weights: &[f64],
-    ) -> Result<Self> {
-        let selections = devices
-            .iter()
-            .map(|&(prefs, reqs)| ChildSelection::from_flags(prefs, reqs))
-            .collect();
-        Self::create_with_selections(
-            manager,
-            &InstanceSpec::with_config(*config),
-            selections,
-            weights,
-        )
-    }
-
-    /// Like [`PartitionedInstance::create`], but applying the robustness
-    /// knobs of an [`InstanceSpec`]: its retry policy and its per-launch
-    /// watchdog deadline (forwarded to every child, and re-applied to
-    /// children rebuilt after an eviction). The spec's sizing
-    /// (`spec.config`) is used; its implementation/preference fields are
-    /// ignored in favour of the per-device `devices` flags.
-    pub fn create_with_spec(
-        manager: &Arc<ImplementationManager>,
         spec: &InstanceSpec,
-        devices: &[(Flags, Flags)],
-        weights: &[f64],
-    ) -> Result<Self> {
-        let selections = devices
-            .iter()
-            .map(|&(prefs, reqs)| ChildSelection::from_flags(prefs, reqs))
-            .collect();
-        Self::create_with_selections(manager, spec, selections, weights)
-    }
-
-    /// The general creation path: one child per [`ChildSelection`] (pinned
-    /// by name or flag-ranked), pattern ranges proportional to `weights`,
-    /// and the spec's retry policy / watchdog deadline applied. This is what
-    /// [`ImplementationManager::create_instance_auto_partitioned`] uses to
-    /// pin each benchmark winner by name.
-    pub fn create_with_selections(
-        manager: &Arc<ImplementationManager>,
-        spec: &InstanceSpec,
-        selections: Vec<ChildSelection>,
+        selections: &[ChildSelection],
         weights: &[f64],
     ) -> Result<Self> {
         let config = spec.config;
@@ -333,118 +244,90 @@ impl PartitionedInstance {
             ));
         }
         let ranges = weighted_ranges(config.pattern_count, weights)?;
-        let mut parts = Vec::with_capacity(selections.len());
-        for (i, (sel, &(p0, p1))) in selections.iter().zip(&ranges).enumerate() {
-            let part = Self::build_child(manager, &config, sel, p1 - p0, spec.incremental)
-                .map_err(|e| BeagleError::ChildCreationFailed {
-                    child: i,
-                    device: match &sel.implementation {
-                        Some(name) => name.clone(),
-                        None => format!("prefs {} / reqs {}", sel.preferences, sel.requirements),
-                    },
-                    source: Box::new(e),
-                })?;
-            parts.push(part);
-        }
-        let mut inst = Self::from_parts(parts, ranges, config)?;
-        inst.incremental = spec.incremental;
-        inst.failover = Some(FailoverState {
+        let mut inst = Self {
+            parts: Vec::new(),
+            ranges: Vec::new(),
+            config,
+            details: Self::aggregate_details(&[]),
+            site_lnl: vec![0.0; config.pattern_count],
             manager: Arc::clone(manager),
-            selections,
+            selections: selections.to_vec(),
             weights: weights.to_vec(),
-        });
-        if let Some(retry) = spec.retry {
-            inst.set_retry_policy(retry);
-        }
-        if spec.deadline.is_some() {
-            inst.set_deadline(spec.deadline);
-        }
+            journal: StateJournal::new(),
+            retry_counts: Vec::new(),
+            evictions: 0,
+            deadline: spec.deadline,
+            balancer: None,
+            pending: Vec::new(),
+            rebalances: 0,
+            rng: 0x5eed_0fbe_a91e,
+            incremental: spec.incremental,
+            skip_marks: Vec::new(),
+            recorder: Recorder::disabled(),
+            salvaged: Vec::new(),
+        };
+        inst.rebuild(ranges)
+            .map_err(|(i, e)| BeagleError::ChildCreationFailed {
+                child: i,
+                device: match &selections[i].implementation {
+                    Some(name) => name.clone(),
+                    None => format!(
+                        "prefs {} / reqs {}",
+                        selections[i].preferences, selections[i].requirements
+                    ),
+                },
+                source: Box::new(e),
+            })?;
+        inst.recorder = Recorder::new(inst.parts.iter().any(|p| p.statistics().is_some()));
         Ok(inst)
     }
 
-    /// Create one child sized for `patterns` patterns according to `sel`.
-    fn build_child(
-        manager: &ImplementationManager,
-        config: &InstanceConfig,
-        sel: &ChildSelection,
-        patterns: usize,
-        incremental: Option<bool>,
-    ) -> Result<Box<dyn BeagleInstance>> {
-        let mut sub = *config;
-        sub.pattern_count = patterns;
-        let mut spec = InstanceSpec::with_config(sub)
+    /// Build one child per selection at `ranges`, give each the watchdog
+    /// budget and replay its journal slice into it (tip data, pattern
+    /// weights, partials, scale state — the full recorded state), then swap
+    /// the new set in, salvaging the outgoing children's event journals.
+    /// On a failure the current children stay untouched and the index of
+    /// the child that could not be built or replayed comes back with the
+    /// cause.
+    fn rebuild(
+        &mut self,
+        ranges: Vec<(usize, usize)>,
+    ) -> std::result::Result<(), (usize, BeagleError)> {
+        let mut parts: Vec<Box<dyn BeagleInstance>> = Vec::with_capacity(ranges.len());
+        for (i, (sel, &(p0, p1))) in self.selections.iter().zip(&ranges).enumerate() {
+            let mut spec = InstanceSpec::with_config(InstanceConfig {
+                pattern_count: p1 - p0,
+                ..self.config
+            })
             .prefer(sel.preferences)
             .require(sel.requirements);
-        spec.incremental = incremental;
-        if let Some(name) = &sel.implementation {
-            spec = spec.named(name.clone());
+            spec.implementation.clone_from(&sel.implementation);
+            spec.incremental = self.incremental;
+            let built = self.manager.create_from_spec(&spec).and_then(|mut inst| {
+                // Restore the watchdog budget before replay: a replacement
+                // device can stall during replay too.
+                inst.set_deadline(self.deadline);
+                self.journal
+                    .replay_slice(inst.as_mut(), &self.config, p0, p1)
+                    .map(|()| inst)
+            });
+            parts.push(built.map_err(|e| (i, e))?);
         }
-        manager.create_from_spec(&spec)
+        for mut old in std::mem::replace(&mut self.parts, parts) {
+            self.salvaged =
+                obs::merge_journals(std::mem::take(&mut self.salvaged), old.take_journal());
+        }
+        self.ranges = ranges;
+        let n = self.parts.len();
+        self.retry_counts = vec![0; n];
+        self.pending = vec![Duration::ZERO; n];
+        self.skip_marks = vec![0; n];
+        self.details = Self::aggregate_details(&self.parts);
+        Ok(())
     }
 
-    /// Assemble from already-created children (one per pattern range).
-    /// Instances built this way cannot fail over — without the manager
-    /// there is no way to replace a dead child — but transient-fault
-    /// retries still apply.
-    pub fn from_parts(
-        parts: Vec<Box<dyn BeagleInstance>>,
-        ranges: Vec<(usize, usize)>,
-        config: InstanceConfig,
-    ) -> Result<Self> {
-        if parts.len() != ranges.len() || parts.is_empty() {
-            return Err(BeagleError::InvalidConfiguration(format!(
-                "need one child per pattern range, got {} children / {} ranges",
-                parts.len(),
-                ranges.len()
-            )));
-        }
-        if ranges.first().map(|r| r.0) != Some(0)
-            || ranges.last().map(|r| r.1) != Some(config.pattern_count)
-            || ranges.windows(2).any(|w| w[0].1 != w[1].0)
-        {
-            return Err(BeagleError::InvalidConfiguration(format!(
-                "ranges must contiguously cover 0..{}, got {ranges:?}",
-                config.pattern_count
-            )));
-        }
-        for (i, (part, &(p0, p1))) in parts.iter().zip(&ranges).enumerate() {
-            if part.config().pattern_count != p1 - p0 {
-                return Err(BeagleError::InvalidConfiguration(format!(
-                    "child {i} sized for {} patterns but assigned range {p0}..{p1}",
-                    part.config().pattern_count
-                )));
-            }
-        }
-        let details = Self::aggregate_details(&parts);
-        let site_lnl = vec![0.0; config.pattern_count];
-        let retry_counts = vec![0; parts.len()];
-        let n_parts = parts.len();
-        let recorder = Recorder::new(parts.iter().any(|p| p.statistics().is_some()));
-        Ok(Self {
-            parts,
-            ranges,
-            config,
-            details,
-            site_lnl,
-            failover: None,
-            journal: StateJournal::new(),
-            retry: RetryPolicy::default(),
-            retry_counts,
-            evictions: 0,
-            deadline: None,
-            balancer: None,
-            pending: vec![Duration::ZERO; n_parts],
-            rebalances: 0,
-            rng: 0x5eed_0fbe_a91e,
-            incremental: None,
-            skip_marks: vec![0; n_parts],
-            salvaged: Vec::new(),
-            recorder,
-        })
-    }
-
-    /// Details aggregated over the *current* children. Must be re-derived
-    /// whenever the child set or layout changes (eviction, rebalance) — the
+    /// Details aggregated over the *current* children. Re-derived whenever
+    /// the child set or layout changes (eviction, rebalance) — the
     /// implementation name, OR'd capability flags, and summed thread count
     /// all describe the live children, not the creation-time ones.
     fn aggregate_details(parts: &[Box<dyn BeagleInstance>]) -> InstanceDetails {
@@ -462,12 +345,6 @@ impl PartitionedInstance {
         }
     }
 
-    /// Re-derive `self.details` from the live children (called after every
-    /// eviction and every rebalance).
-    fn refresh_details(&mut self) {
-        self.details = Self::aggregate_details(&self.parts);
-    }
-
     /// Number of child devices.
     pub fn device_count(&self) -> usize {
         self.parts.len()
@@ -481,11 +358,6 @@ impl PartitionedInstance {
     /// Borrow child `i` (for inspection in tests/diagnostics).
     pub fn part(&self, i: usize) -> &dyn BeagleInstance {
         self.parts[i].as_ref()
-    }
-
-    /// Replace the transient-failure retry policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// Transient-fault retries performed so far, per surviving child.
@@ -507,10 +379,8 @@ impl PartitionedInstance {
     /// batch (the `update_partials` calls since the previous integration,
     /// plus the integration that closes it) feeds per-child elapsed times
     /// into an EWMA throughput estimate, and when the predicted makespan
-    /// skew of the current split exceeds `config.skew_threshold` the
-    /// children are rebuilt at new measured-throughput ranges. Requires
-    /// failover state (a retained manager) to migrate; without it the
-    /// balancer measures but any proposed migration is dropped.
+    /// skew of the current split exceeds [`crate::balance::SKEW_THRESHOLD`]
+    /// the children are rebuilt at new measured-throughput ranges.
     pub fn enable_balancing(&mut self, config: BalancerConfig) {
         self.balancer = Some(LoadBalancer::new(self.parts.len(), config));
         self.pending = vec![Duration::ZERO; self.parts.len()];
@@ -534,12 +404,8 @@ impl PartitionedInstance {
     /// intermediate configuration through this. Returns `Ok(false)` when
     /// the weighting maps to the ranges already in place.
     pub fn rebalance_to(&mut self, weights: &[f64]) -> Result<bool> {
-        let stride = self
-            .balancer
-            .as_ref()
-            .map_or(PATTERN_STRIDE, |b| b.config().stride);
-        let ranges = weighted_ranges_aligned(self.config.pattern_count, weights, stride)?;
-        self.apply_rebalance(&ranges, weights)
+        let ranges = weighted_ranges(self.config.pattern_count, weights)?;
+        self.apply_rebalance(ranges, weights)
     }
 
     /// Close the batch an integration just finished: each clean child's
@@ -572,33 +438,26 @@ impl PartitionedInstance {
     /// the attempt and keep the current children; the balancer will simply
     /// propose again after the next batch.
     fn maybe_rebalance(&mut self) {
-        if self.failover.is_none() {
-            return;
-        }
         let Some(balancer) = &mut self.balancer else {
             return;
         };
         let Some((ranges, weights)) = balancer.plan(self.config.pattern_count, &self.ranges) else {
             return;
         };
-        let _ = self.apply_rebalance(&ranges, &weights);
+        let _ = self.apply_rebalance(ranges, &weights);
     }
 
-    /// Migrate pattern slices between children: rebuild every child at its
-    /// new range and replay the journal slice into it (tip data, pattern
-    /// weights, partials, scale state — the full recorded state), then
-    /// atomically swap the child set. Any creation or replay failure aborts
-    /// the whole migration with the old children untouched.
-    fn apply_rebalance(&mut self, new_ranges: &[(usize, usize)], weights: &[f64]) -> Result<bool> {
-        if new_ranges == self.ranges.as_slice() {
+    /// Migrate pattern slices between children: [`Self::rebuild`] every
+    /// child at its new range. Any creation or replay failure aborts the
+    /// whole migration with the old children untouched.
+    fn apply_rebalance(
+        &mut self,
+        new_ranges: Vec<(usize, usize)>,
+        weights: &[f64],
+    ) -> Result<bool> {
+        if new_ranges == self.ranges {
             return Ok(false);
         }
-        let Some(failover) = &self.failover else {
-            return Err(BeagleError::InvalidConfiguration(
-                "cannot rebalance without failover state (no manager to rebuild children with)"
-                    .into(),
-            ));
-        };
         if new_ranges.len() != self.parts.len() || weights.len() != self.parts.len() {
             return Err(BeagleError::InvalidConfiguration(format!(
                 "rebalance needs one range and weight per child, got {} ranges / {} weights / {} children",
@@ -607,45 +466,14 @@ impl PartitionedInstance {
                 self.parts.len()
             )));
         }
-        let mut new_parts: Vec<Box<dyn BeagleInstance>> = Vec::with_capacity(new_ranges.len());
-        for (i, (sel, &(p0, p1))) in failover.selections.iter().zip(new_ranges).enumerate() {
-            let built = Self::build_child(
-                &failover.manager,
-                &self.config,
-                sel,
-                p1 - p0,
-                self.incremental,
-            )
-            .and_then(|mut inst| {
-                inst.set_deadline(self.deadline);
-                self.journal
-                    .replay_slice(inst.as_mut(), &self.config, p0, p1)
-                    .map(|()| inst)
+        let old_ranges = self.ranges.clone();
+        if let Err((i, e)) = self.rebuild(new_ranges) {
+            self.recorder.event(EventKind::Rebalance, || {
+                format!("aborted child={i} cause={e}")
             });
-            match built {
-                Ok(inst) => new_parts.push(inst),
-                Err(e) => {
-                    self.recorder.event(EventKind::Rebalance, || {
-                        format!("aborted child={i} cause={e}")
-                    });
-                    return Err(e);
-                }
-            }
+            return Err(e);
         }
-        // Commit: salvage the outgoing children's event journals (their
-        // narration should survive the migration), then swap.
-        let old_ranges = std::mem::replace(&mut self.ranges, new_ranges.to_vec());
-        for mut old in std::mem::replace(&mut self.parts, new_parts) {
-            self.salvaged =
-                obs::merge_journals(std::mem::take(&mut self.salvaged), old.take_journal());
-        }
-        if let Some(failover) = &mut self.failover {
-            failover.weights = weights.to_vec();
-        }
-        self.retry_counts = vec![0; self.parts.len()];
-        self.pending = vec![Duration::ZERO; self.parts.len()];
-        self.skip_marks = vec![0; self.parts.len()];
-        self.refresh_details();
+        self.weights = weights.to_vec();
         self.rebalances += 1;
         self.recorder.event(EventKind::Rebalance, || {
             format!(
@@ -702,42 +530,72 @@ impl PartitionedInstance {
         out
     }
 
-    /// Run `call` on child `i`, retrying transient failures with bounded
-    /// exponential backoff (full-jittered when the policy asks for it).
-    fn call_with_retry(
-        retry: RetryPolicy,
-        rng: &mut u64,
-        retry_count: &mut u64,
+    /// Run `call` on `part` and time it: the modeled device-time delta when
+    /// the part simulates a device (injected stalls charge the simulated
+    /// clock, not the wall), wall time otherwise. The time doubles as the
+    /// load balancer's throughput sample for that child.
+    fn timed<T>(
         part: &mut dyn BeagleInstance,
-        mut call: impl FnMut(&mut dyn BeagleInstance) -> Result<()>,
-    ) -> Result<()> {
-        let mut ceiling = retry.base_delay;
-        for _ in 0..retry.max_retries {
-            match call(part) {
-                Err(e) if e.is_retryable() => {
-                    *retry_count += 1;
-                    let delay = if retry.jitter {
-                        ceiling.mul_f64(splitmix64(rng) as f64 / u64::MAX as f64)
-                    } else {
-                        ceiling
-                    };
-                    std::thread::sleep(delay);
-                    ceiling *= 2;
-                }
-                other => return other,
-            }
-        }
-        call(part)
+        call: impl FnOnce(&mut dyn BeagleInstance) -> T,
+    ) -> (T, Duration) {
+        let sim0 = part.simulated_time();
+        let t0 = Instant::now();
+        let r = call(part);
+        let wall = t0.elapsed();
+        let elapsed = part
+            .simulated_time()
+            .zip(sim0)
+            .map(|(t1, t0)| t1.saturating_sub(t0))
+            .filter(|d| !d.is_zero())
+            .unwrap_or(wall);
+        (r, elapsed)
     }
 
-    /// Report a child outcome to the manager's health registry (no-op for
-    /// instances without failover state — they have no manager) and surface
+    /// The one child-call path: `first` is the result of child `i`'s first
+    /// attempt at `call`; while it is a transient fault, sleep a jittered
+    /// [`backoff`] and call again, at most [`MAX_RETRIES`] times. Retries
+    /// are counted, journaled as one `FailoverRetry` event and each scored
+    /// [`Outcome::Transient`] against the child's resource. A failure that
+    /// survives escalates: a resource fault evicts the child and rebuilds
+    /// the survivors (`Ok(true)`: the children changed), any other error
+    /// reaches the caller unchanged. `Ok(false)`: the call succeeded.
+    fn settle_child(
+        &mut self,
+        i: usize,
+        first: Result<()>,
+        mut call: impl FnMut(&mut dyn BeagleInstance) -> Result<()>,
+    ) -> Result<bool> {
+        let mut r = first;
+        let mut retries = 0;
+        while retries < MAX_RETRIES && r.as_ref().is_err_and(BeagleError::is_retryable) {
+            retries += 1;
+            std::thread::sleep(backoff(retries, &mut self.rng));
+            r = call(self.parts[i].as_mut());
+        }
+        if retries > 0 {
+            self.retry_counts[i] += u64::from(retries);
+            self.recorder.event(EventKind::FailoverRetry, || {
+                format!("child={i} retries={retries} ok={}", r.is_ok())
+            });
+            let resource = self.parts[i].details().implementation_name.clone();
+            for _ in 0..retries {
+                self.note_health(&resource, Outcome::Transient);
+            }
+        }
+        let Err(e) = r else {
+            return Ok(false);
+        };
+        let Some(outcome) = e.fault() else {
+            return Err(e);
+        };
+        self.evict_and_rebuild(i, e, outcome)?;
+        Ok(true)
+    }
+
+    /// Report a child outcome to the manager's health registry and surface
     /// any breaker transition in the event journal.
     fn note_health(&mut self, resource: &str, outcome: Outcome) {
-        let Some(failover) = &self.failover else {
-            return;
-        };
-        if let Some((_, to)) = failover.manager.health().record(resource, outcome) {
+        if let Some((_, to)) = self.manager.health().record(resource, outcome) {
             let kind = match to {
                 BreakerState::Open => EventKind::BreakerOpen,
                 BreakerState::HalfOpen => EventKind::BreakerHalfOpen,
@@ -748,22 +606,18 @@ impl PartitionedInstance {
         }
     }
 
-    /// Evict child `dead` (its failure `cause` already survived retries),
-    /// then rebuild every survivor at its re-balanced pattern range and
-    /// replay the journal into it. Survivors whose re-creation or replay
-    /// fails are evicted too; the cause surfaces once no child remains or
-    /// this instance has no failover state.
-    fn evict_and_rebuild(&mut self, dead: usize, cause: BeagleError) -> Result<()> {
+    /// Evict child `dead` (its failure `cause`, a resource fault scored
+    /// `outcome`, already survived retries), then rebuild every survivor at
+    /// its re-balanced pattern range. Survivors whose re-creation or replay
+    /// fails are evicted too; the cause surfaces once no child remains.
+    fn evict_and_rebuild(
+        &mut self,
+        dead: usize,
+        cause: BeagleError,
+        outcome: Outcome,
+    ) -> Result<()> {
         let dead_resource = self.parts[dead].details().implementation_name.clone();
-        let outcome = if matches!(cause, BeagleError::Timeout { .. }) {
-            Outcome::Timeout
-        } else {
-            Outcome::Permanent
-        };
         self.note_health(&dead_resource, outcome);
-        let Some(failover) = &mut self.failover else {
-            return Err(cause);
-        };
         self.evictions += 1;
         self.recorder.event(EventKind::FailoverEviction, || {
             format!(
@@ -778,8 +632,8 @@ impl PartitionedInstance {
         self.salvaged =
             obs::merge_journals(std::mem::take(&mut self.salvaged), dying.take_journal());
         drop(dying);
-        failover.selections.remove(dead);
-        failover.weights.remove(dead);
+        self.selections.remove(dead);
+        self.weights.remove(dead);
         self.retry_counts.remove(dead);
         self.pending.remove(dead);
         self.skip_marks.remove(dead);
@@ -788,7 +642,7 @@ impl PartitionedInstance {
         }
 
         loop {
-            if failover.selections.is_empty() {
+            if self.selections.is_empty() {
                 return Err(cause);
             }
             // An eviction is an immediate rebalance over the survivors:
@@ -796,118 +650,52 @@ impl PartitionedInstance {
             // rebuild uses *measured* weights rather than the stale
             // creation-time shares.
             if let Some(thr) = self.balancer.as_ref().and_then(|b| b.throughputs()) {
-                if thr.len() == failover.weights.len() {
-                    failover.weights = thr;
+                if thr.len() == self.weights.len() {
+                    self.weights = thr;
                     self.recorder.event(EventKind::Rebalance, || {
                         format!(
                             "trigger=eviction survivors={} weights={:?}",
-                            failover.selections.len(),
-                            failover.weights
+                            self.selections.len(),
+                            self.weights
                         )
                     });
                 }
             }
-            let ranges = weighted_ranges(self.config.pattern_count, &failover.weights)?;
-            let mut new_parts: Vec<Box<dyn BeagleInstance>> = Vec::with_capacity(ranges.len());
-            let mut doomed: Option<usize> = None;
-            for (j, (sel, &(p0, p1))) in failover.selections.iter().zip(&ranges).enumerate() {
-                let rebuilt = Self::build_child(
-                    &failover.manager,
-                    &self.config,
-                    sel,
-                    p1 - p0,
-                    self.incremental,
+            let ranges = weighted_ranges(self.config.pattern_count, &self.weights)?;
+            let Err((j, _)) = self.rebuild(ranges) else {
+                return Ok(());
+            };
+            self.evictions += 1;
+            self.recorder.event(EventKind::FailoverEviction, || {
+                format!(
+                    "child={j} cause=rebuild-failed survivors={}",
+                    self.selections.len() - 1
                 )
-                .and_then(|mut inst| {
-                    // Restore the watchdog budget before replay: a
-                    // replacement device can stall during replay too.
-                    inst.set_deadline(self.deadline);
-                    self.journal
-                        .replay_slice(inst.as_mut(), &self.config, p0, p1)
-                        .map(|()| inst)
-                });
-                match rebuilt {
-                    Ok(inst) => new_parts.push(inst),
-                    Err(_) => {
-                        doomed = Some(j);
-                        break;
-                    }
-                }
-            }
-            match doomed {
-                None => {
-                    self.retry_counts = vec![0; new_parts.len()];
-                    self.pending = vec![Duration::ZERO; new_parts.len()];
-                    self.skip_marks = vec![0; new_parts.len()];
-                    self.parts = new_parts;
-                    self.ranges = ranges;
-                    self.refresh_details();
-                    return Ok(());
-                }
-                Some(j) => {
-                    self.evictions += 1;
-                    self.recorder.event(EventKind::FailoverEviction, || {
-                        format!(
-                            "child={j} cause=rebuild-failed survivors={}",
-                            failover.selections.len() - 1
-                        )
-                    });
-                    failover.selections.remove(j);
-                    failover.weights.remove(j);
-                    self.pending.remove(j);
-                    self.skip_marks.remove(j);
-                    if let Some(b) = &mut self.balancer {
-                        b.remove_part(j);
-                    }
-                }
+            });
+            self.selections.remove(j);
+            self.weights.remove(j);
+            if let Some(b) = &mut self.balancer {
+                b.remove_part(j);
             }
         }
     }
 
-    /// Fan a *journaled* call out to every child with retry and eviction.
-    /// The call's input must already be recorded: after an eviction the
-    /// journal replay has re-applied it to every rebuilt child, so the
-    /// fan-out is complete without re-running `call`.
+    /// Fan a *journaled* call out to every child through
+    /// [`Self::settle_child`]. The call's input must already be recorded:
+    /// after an eviction the journal replay has re-applied it to every
+    /// rebuilt child, so the fan-out is complete without re-running `call`.
     fn fan_out_recorded(
         &mut self,
         mut call: impl FnMut(usize, (usize, usize), &mut dyn BeagleInstance) -> Result<()>,
     ) -> Result<()> {
-        let mut failure: Option<(usize, BeagleError)> = None;
         for i in 0..self.parts.len() {
-            let retry = self.retry;
             let range = self.ranges[i];
-            let before = self.retry_counts[i];
-            let r = Self::call_with_retry(
-                retry,
-                &mut self.rng,
-                &mut self.retry_counts[i],
-                self.parts[i].as_mut(),
-                |p| call(i, range, p),
-            );
-            let retries = self.retry_counts[i] - before;
-            if retries > 0 {
-                self.recorder.event(EventKind::FailoverRetry, || {
-                    format!("child={i} retries={retries} ok={}", r.is_ok())
-                });
-                let resource = self.parts[i].details().implementation_name.clone();
-                for _ in 0..retries {
-                    self.note_health(&resource, Outcome::Transient);
-                }
-            }
-            if let Err(e) = r {
-                failure = Some((i, e));
-                break;
+            let first = call(i, range, self.parts[i].as_mut());
+            if self.settle_child(i, first, |p| call(i, range, p))? {
+                return Ok(());
             }
         }
-        let Some((i, e)) = failure else {
-            return Ok(());
-        };
-        if !is_evictable(&e) {
-            return Err(e);
-        }
-        // Journal replay inside the rebuild re-applies the recorded input
-        // to every surviving child, completing this fan-out.
-        self.evict_and_rebuild(i, e)
+        Ok(())
     }
 
     /// Run a root or edge integration on every child, gather the site
@@ -919,42 +707,16 @@ impl PartitionedInstance {
         &mut self,
         integrate: impl Fn(&mut dyn BeagleInstance) -> Result<f64>,
     ) -> Result<f64> {
+        let integrate = |p: &mut dyn BeagleInstance| integrate(p).map(drop);
         'round: for _ in 0..=self.parts.len() {
             let mut observations: Vec<(usize, Duration)> = Vec::with_capacity(self.parts.len());
             for i in 0..self.parts.len() {
-                let retry = self.retry;
-                let before = self.retry_counts[i];
-                let sim0 = self.parts[i].simulated_time();
-                let t0 = Instant::now();
-                let r = Self::call_with_retry(
-                    retry,
-                    &mut self.rng,
-                    &mut self.retry_counts[i],
-                    self.parts[i].as_mut(),
-                    |p| integrate(p).map(drop),
-                );
-                let wall = t0.elapsed();
-                let retries = self.retry_counts[i] - before;
-                if retries > 0 {
-                    self.recorder.event(EventKind::FailoverRetry, || {
-                        format!("child={i} retries={retries} ok={}", r.is_ok())
-                    });
-                }
-                if let Err(e) = r {
-                    if !is_evictable(&e) {
-                        return Err(e);
-                    }
-                    self.evict_and_rebuild(i, e)?;
-                    continue 'round;
-                }
-                if retries == 0 {
-                    let elapsed = self.parts[i]
-                        .simulated_time()
-                        .zip(sim0)
-                        .map(|(t1, t0)| t1.saturating_sub(t0))
-                        .filter(|d| !d.is_zero())
-                        .unwrap_or(wall);
+                let (first, elapsed) = Self::timed(self.parts[i].as_mut(), integrate);
+                if first.is_ok() {
                     observations.push((i, elapsed));
+                }
+                if self.settle_child(i, first, integrate)? {
+                    continue 'round;
                 }
                 let resource = self.parts[i].details().implementation_name.clone();
                 self.note_health(&resource, Outcome::Success);
@@ -1125,17 +887,7 @@ impl BeagleInstance for PartitionedInstance {
                 .iter_mut()
                 .map(|part| {
                     scope.spawn(move || {
-                        let sim0 = part.simulated_time();
-                        let t0 = Instant::now();
-                        let r = part.update_partials(operations);
-                        let wall = t0.elapsed();
-                        let elapsed = part
-                            .simulated_time()
-                            .zip(sim0)
-                            .map(|(t1, t0)| t1.saturating_sub(t0))
-                            .filter(|d| !d.is_zero())
-                            .unwrap_or(wall);
-                        (r, elapsed)
+                        Self::timed(part.as_mut(), |p| p.update_partials(operations))
                     })
                 })
                 .collect();
@@ -1158,51 +910,15 @@ impl BeagleInstance for PartitionedInstance {
                 }
             }
         }
-        let results: Vec<Result<()>> = results.into_iter().map(|(r, _)| r).collect();
-        // Retry transient failures serially; escalate the first
-        // unrecoverable one.
-        let mut fatal: Option<(usize, BeagleError)> = None;
-        for (i, r) in results.into_iter().enumerate() {
-            let Err(e) = r else { continue };
-            let retried = if e.is_retryable() {
-                // The serial re-call below is itself the first retry of the
-                // failed parallel attempt.
-                self.retry_counts[i] += 1;
-                let retry = self.retry;
-                let before = self.retry_counts[i];
-                let r = Self::call_with_retry(
-                    retry,
-                    &mut self.rng,
-                    &mut self.retry_counts[i],
-                    self.parts[i].as_mut(),
-                    |p| p.update_partials(operations),
-                );
-                let retries = 1 + self.retry_counts[i] - before;
-                self.recorder.event(EventKind::FailoverRetry, || {
-                    format!("child={i} retries={retries} ok={}", r.is_ok())
-                });
-                let resource = self.parts[i].details().implementation_name.clone();
-                for _ in 0..retries {
-                    self.note_health(&resource, Outcome::Transient);
-                }
-                r
-            } else {
-                Err(e)
-            };
-            if let Err(e) = retried {
-                fatal = Some((i, e));
-                break;
+        // Settle failures serially, retrying transient ones; the first
+        // eviction rebuilds every child, and the operations were journaled
+        // above, so the rebuild's replay runs them on every survivor.
+        for (i, (r, _)) in results.into_iter().enumerate() {
+            if r.is_err() && self.settle_child(i, r, |p| p.update_partials(operations))? {
+                return Ok(());
             }
         }
-        let Some((i, e)) = fatal else {
-            return Ok(());
-        };
-        if !is_evictable(&e) {
-            return Err(e);
-        }
-        // The operations were journaled above, so the rebuild's replay runs
-        // them on every surviving child.
-        self.evict_and_rebuild(i, e)
+        Ok(())
     }
 
     fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {

@@ -62,7 +62,7 @@ use crate::deadline::Deadline;
 use crate::error::Result;
 use crate::flags::Flags;
 use crate::health::Outcome;
-use crate::manager::{outcome_of, ImplementationManager};
+use crate::manager::ImplementationManager;
 use crate::obs::{Event, EventKind, Recorder};
 use crate::ops::Operation;
 use crate::spec::InstanceSpec;
@@ -425,8 +425,10 @@ impl PoolStats {
 
 /// A job's answer to the scheduler: how did it leave the worker?
 enum Verdict {
-    /// The job is finished; score `outcome` against the worker.
-    Done(Outcome),
+    /// The job is finished; score `outcome` against the worker. `None` is a
+    /// failure the job's own input caused: it counts as failed and leaves
+    /// the worker's health alone.
+    Done(Option<Outcome>),
     /// The worker is unusable. `requeue` pushes this same job back for
     /// another attempt elsewhere (the closure keeps its own retry budget).
     Evict { requeue: bool, outcome: Outcome },
@@ -807,7 +809,7 @@ impl<W: Send + 'static> PoolHandle<W> {
             if let Some(mut s) = sender.take() {
                 s.send(value);
             }
-            Verdict::Done(Outcome::Success)
+            Verdict::Done(Some(Outcome::Success))
         });
         self.enqueue(run, lane, block).map_err(|(e, _job)| e)?;
         Ok(ticket)
@@ -913,10 +915,12 @@ fn worker_main<W: Send + 'static>(shared: Arc<Shared<W>>, index: usize, mut work
 
         match verdict {
             Verdict::Done(outcome) => {
-                shared.supervisor.record(&label, outcome);
+                if let Some(outcome) = outcome {
+                    shared.supervisor.record(&label, outcome);
+                }
                 let mut state = shared.state.lock();
                 state.stats.service.record(service);
-                if outcome == Outcome::Success {
+                if outcome == Some(Outcome::Success) {
                     state.stats.completed += 1;
                 } else {
                     state.stats.failed += 1;
@@ -1110,9 +1114,11 @@ impl Drop for SessionCompletion {
 
 impl PoolHandle<Box<dyn BeagleInstance>> {
     /// Submit a typed likelihood session, blocking while the queue is full.
-    /// Unlike closure jobs, session jobs feed real outcomes to the health
-    /// registry, and a session whose worker dies (timeout / permanent fault)
-    /// is requeued once onto another worker before its ticket fails.
+    /// Unlike closure jobs, session jobs feed their faults
+    /// ([`crate::BeagleError::fault`]) to the health registry, and a session
+    /// whose worker dies (timeout / permanent fault) is requeued once onto
+    /// another worker before its ticket fails. A session that fails on its
+    /// own input counts as failed and leaves the worker alone.
     pub fn submit_session(
         &self,
         lane: Lane,
@@ -1183,29 +1189,31 @@ impl PoolHandle<Box<dyn BeagleInstance>> {
             Box::new(move |inst| match session.evaluate(inst.as_mut()) {
                 Ok(lnl) => {
                     completion.complete(Ok(Ok(lnl)));
-                    Verdict::Done(Outcome::Success)
+                    Verdict::Done(Some(Outcome::Success))
                 }
-                Err(e) => {
-                    let outcome = outcome_of(&e);
-                    let fatal = matches!(outcome, Outcome::Timeout | Outcome::Permanent);
-                    if fatal && !retried {
+                Err(e) => match e.fault() {
+                    // A dead worker: evict it and give the session one more
+                    // try elsewhere.
+                    Some(outcome @ (Outcome::Timeout | Outcome::Permanent)) if !retried => {
                         retried = true;
                         Verdict::Evict {
                             requeue: true,
                             outcome,
                         }
-                    } else {
+                    }
+                    fault => {
                         completion.complete(Ok(Err(e)));
-                        if fatal {
-                            Verdict::Evict {
-                                requeue: false,
-                                outcome,
+                        match fault {
+                            Some(outcome @ (Outcome::Timeout | Outcome::Permanent)) => {
+                                Verdict::Evict {
+                                    requeue: false,
+                                    outcome,
+                                }
                             }
-                        } else {
-                            Verdict::Done(outcome)
+                            outcome => Verdict::Done(outcome),
                         }
                     }
-                }
+                },
             });
         self.enqueue(run, lane, block).map_err(|(error, job)| {
             // Disarm before the rejected closure (and its completion guard)
@@ -1536,7 +1544,7 @@ mod tests {
                 if let Some(mut s) = sender.take() {
                     s.send("ok");
                 }
-                Verdict::Done(Outcome::Success)
+                Verdict::Done(Some(Outcome::Success))
             }
         });
         handle

@@ -16,38 +16,21 @@
 //! The spec funnels into [`ImplementationManager::create_from_spec`], the
 //! single place where the wrapper stack (memo, journaling layer) is
 //! assembled — so named creation and ranked creation get byte-identical
-//! wrapping. The older `create_instance` / `create_instance_by_name` entry
-//! points survive as thin wrappers over the same path.
+//! wrapping. `create_instance_by_name` survives as a thin wrapper over the
+//! same path.
 //!
-//! # Knob precedence
-//!
-//! Every runtime knob has a typed builder method here, and most also have an
-//! environment variable so deployments can retune a compiled binary. The
-//! rule is uniform — **environment variable > typed builder value >
-//! built-in default** — and this table is the one place it is documented:
-//!
-//! | knob | typed form | environment override |
-//! |---|---|---|
-//! | scalar kernel pin | [`InstanceSpec::force_scalar`] ([`Flags::KERNEL_SCALAR`]) | `BEAGLE_FORCE_SCALAR` (`0` releases, anything else pins) |
-//! | load-balancer tuning | [`InstanceSpec::with_balancer`] | `BEAGLE_REBALANCE_{ALPHA,SKEW,MIN_BATCHES,STRIDE,DISABLE}` (per-field) |
-//!
-//! An environment override applies only while the variable is *set*; an
-//! unset variable always defers to the typed value. Unparseable or
-//! out-of-range environment values fall back to the typed/default value
-//! rather than erroring (tuning must never panic a long run).
-//!
-//! Incremental memoization ([`InstanceSpec::incremental`]) has no
-//! environment variable: the memo layer is the only incremental mechanism,
-//! and an instance leaves it out only through its own spec
-//! (`BeagleInstance::set_incremental` switches its skipping at run time).
+//! Every setting is a typed builder method here; the library reads no
+//! environment variables. Incremental memoization
+//! ([`InstanceSpec::incremental`]) is on unless a spec turns it off, and
+//! `BeagleInstance::set_incremental` switches its skipping at run time.
 
 use crate::api::{BeagleInstance, InstanceConfig};
 use crate::balance::BalancerConfig;
 use crate::deadline::Deadline;
-use crate::error::Result;
+use crate::error::{BeagleError, Result};
 use crate::flags::Flags;
-use crate::manager::ImplementationManager;
-use crate::multi::RetryPolicy;
+use crate::manager::{ImplementationManager, ResourceBenchmark};
+use crate::multi::{ChildSelection, PartitionedInstance};
 
 /// A declarative description of the instance a client wants: problem
 /// sizing, capability preferences/requirements, optionally a specific
@@ -68,9 +51,6 @@ pub struct InstanceSpec {
     /// Per-launch watchdog budget; `None` leaves back-ends on the driver
     /// default ([`Deadline::DRIVER_DEFAULT`]).
     pub deadline: Option<Deadline>,
-    /// Transient-fault retry policy for failover layers created from this
-    /// spec; `None` uses [`RetryPolicy::default`].
-    pub retry: Option<RetryPolicy>,
     /// Let [`BeagleInstance::checkpoint`] snapshot the instance through its
     /// journaling layer ([`crate::journal::JournaledInstance`]) (default:
     /// false).
@@ -86,11 +66,6 @@ pub struct InstanceSpec {
     /// only incremental mechanism, so an instance without it recomputes
     /// every call.
     pub incremental: Option<bool>,
-    /// Typed base configuration for the adaptive load balancer used by
-    /// partitioned instances created from this spec; `None` uses
-    /// [`BalancerConfig::default`]. `BEAGLE_REBALANCE_*` environment
-    /// variables are applied on top either way (see the module docs).
-    pub balancer: Option<BalancerConfig>,
 }
 
 impl InstanceSpec {
@@ -103,11 +78,9 @@ impl InstanceSpec {
             implementation: None,
             rescue: true,
             deadline: None,
-            retry: None,
             checkpoint: false,
             auto_partition: None,
             incremental: None,
-            balancer: None,
         }
     }
 
@@ -164,14 +137,6 @@ impl InstanceSpec {
         self
     }
 
-    /// Use this transient-fault retry policy (max retries, initial backoff,
-    /// jitter) in failover layers created from the spec, instead of
-    /// [`RetryPolicy::default`].
-    pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = Some(retry);
-        self
-    }
-
     /// Make the instance's journaling layer answer
     /// [`BeagleInstance::checkpoint`] with durable snapshots.
     pub fn checkpointed(mut self) -> Self {
@@ -189,26 +154,14 @@ impl InstanceSpec {
     }
 
     /// Pin instances created from this spec to the scalar kernel path
-    /// (shorthand for preferring [`Flags::KERNEL_SCALAR`]). The typed form
-    /// of `BEAGLE_FORCE_SCALAR`, which still overrides when set — see the
-    /// module docs for the precedence table.
+    /// (shorthand for preferring [`Flags::KERNEL_SCALAR`]).
     pub fn force_scalar(self) -> Self {
         self.prefer(Flags::KERNEL_SCALAR)
     }
 
-    /// Use this balancer configuration as the typed base for partitioned
-    /// instances created from the spec. `BEAGLE_REBALANCE_*` environment
-    /// variables are still applied on top
-    /// ([`BalancerConfig::overridden_by_env`]).
-    pub fn with_balancer(mut self, config: BalancerConfig) -> Self {
-        self.balancer = Some(config);
-        self
-    }
-
     /// Split the problem across up to `max_devices` resources, ranked and
     /// weighted by [`ImplementationManager::benchmark_resources`], with
-    /// adaptive rebalancing enabled (see
-    /// [`ImplementationManager::create_instance_auto_partitioned`]).
+    /// adaptive rebalancing enabled (see [`Self::instantiate_partitioned`]).
     pub fn auto_partitioned(mut self, max_devices: usize) -> Self {
         self.auto_partition = Some(max_devices);
         self
@@ -221,14 +174,53 @@ impl InstanceSpec {
     }
 
     /// Create the auto-partitioned multi-resource instance this spec
-    /// describes (uses [`Self::auto_partitioned`]'s device count, default
-    /// 2). Needs the `Arc` so the partitioned instance can retain the
-    /// manager for failover rebuilds and rebalance migrations.
+    /// describes: benchmark every registered factory, take the fastest
+    /// [`Self::auto_partitioned`] (default 2) measured entries, and build one
+    /// [`PartitionedInstance`] with a child pinned to each winner and
+    /// pattern ranges seeded proportional to measured throughput. Adaptive
+    /// rebalancing ([`crate::balance`]) is enabled, so the seed split keeps
+    /// tracking the throughput each resource actually delivers at full
+    /// problem size.
+    ///
+    /// Needs the `Arc`: the partitioned instance retains the manager to
+    /// rebuild children on eviction and rebalance.
     pub fn instantiate_partitioned(
         &self,
         manager: &std::sync::Arc<ImplementationManager>,
-    ) -> Result<crate::multi::PartitionedInstance> {
-        manager.create_instance_auto_partitioned(self)
+    ) -> Result<PartitionedInstance> {
+        let max_devices = self
+            .auto_partition
+            .unwrap_or(2)
+            .max(1)
+            .min(self.config.pattern_count);
+        let measured: Vec<ResourceBenchmark> = manager
+            .benchmark_resources(&self.config, self.requirements)
+            .into_iter()
+            .filter(|e| e.error.is_none())
+            .take(max_devices)
+            .collect();
+        if measured.is_empty() {
+            return Err(BeagleError::NoImplementationFound);
+        }
+        let selections: Vec<ChildSelection> = measured
+            .iter()
+            .map(|e| ChildSelection::named(&e.implementation, self.preferences, self.requirements))
+            .collect();
+        // Throughput-proportional seed weights; a zero measurement (degenerate
+        // clock resolution) falls back to an equal share rather than erroring.
+        let weights: Vec<f64> = measured
+            .iter()
+            .map(|e| {
+                if e.throughput_gflops > 0.0 {
+                    e.throughput_gflops
+                } else {
+                    1.0
+                }
+            })
+            .collect();
+        let mut inst = PartitionedInstance::create(manager, self, &selections, &weights)?;
+        inst.enable_balancing(BalancerConfig::default());
+        Ok(inst)
     }
 }
 
@@ -268,18 +260,12 @@ mod tests {
         use std::time::Duration;
         let spec = InstanceSpec::for_tree(4, 100, 4, 1)
             .with_deadline(Duration::from_millis(50))
-            .with_retry_policy(RetryPolicy {
-                max_retries: 5,
-                base_delay: Duration::from_micros(100),
-                jitter: false,
-            })
             .checkpointed();
         assert_eq!(spec.deadline.unwrap().budget(), Duration::from_millis(50));
-        assert_eq!(spec.retry.unwrap().max_retries, 5);
         assert!(spec.checkpoint);
 
         let plain = InstanceSpec::for_tree(4, 100, 4, 1);
-        assert!(plain.deadline.is_none() && plain.retry.is_none() && !plain.checkpoint);
+        assert!(plain.deadline.is_none() && !plain.checkpoint);
     }
 
     #[test]

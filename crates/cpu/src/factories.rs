@@ -154,9 +154,7 @@ impl ImplementationFactory for CpuFactory {
         reqs: Flags,
     ) -> Result<Box<dyn BeagleInstance>> {
         let single = Self::precision_is_single(prefs, reqs);
-        // The typed scalar pin (InstanceSpec::force_scalar); the
-        // BEAGLE_FORCE_SCALAR environment variable still overrides it
-        // inside `select_kind_with`.
+        // The typed scalar pin (InstanceSpec::force_scalar).
         let typed_scalar = (prefs | reqs).contains(Flags::KERNEL_SCALAR);
         let kind = crate::simd::select_kind_with(self.vectorized, typed_scalar);
         // Report only the precision actually in use.

@@ -398,8 +398,8 @@ pub struct CpuInstance<T: DispatchReal> {
 
 impl<T: DispatchReal> CpuInstance<T> {
     /// Create an instance. `details` should describe the chosen strategy;
-    /// factories fill it in. The kernel path resolves from `vectorized`,
-    /// host capability, and the `BEAGLE_FORCE_SCALAR` override.
+    /// factories fill it in. The kernel path resolves from `vectorized` and
+    /// host capability.
     pub fn new(
         config: InstanceConfig,
         threading: Threading,

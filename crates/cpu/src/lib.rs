@@ -33,4 +33,4 @@ pub mod vector;
 pub use factories::{host_threads, register_cpu_factories, CpuFactory, ThreadingModel};
 pub use instance::{CpuInstance, Threading, MIN_PATTERNS_FOR_THREADING};
 pub use pool::ThreadPool;
-pub use simd::{host_fma_available, DispatchKind, DispatchReal, KernelDispatch};
+pub use simd::{avx2_available, DispatchKind, DispatchReal, KernelDispatch};

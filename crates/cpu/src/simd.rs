@@ -4,7 +4,8 @@
 //! calls every hot kernel through it. Three tables exist per precision:
 //!
 //! * **scalar** — the generic kernels in [`crate::kernels`], used for
-//!   non-vectorized instances and under `BEAGLE_FORCE_SCALAR`;
+//!   non-vectorized instances and instances pinned to it
+//!   (`Flags::KERNEL_SCALAR`);
 //! * **portable** — the unrolled 4-state kernels in [`crate::vector`] where
 //!   applicable (generic kernels otherwise), used when the instance asked
 //!   for vectorization but the host lacks AVX2+FMA (or isn't x86-64);
@@ -26,10 +27,6 @@
 //! c[j], sum)` sequence, so the wide AVX2 partials equal
 //! [`kernels::partials_partials`] / [`kernels::states_partials`] bit for
 //! bit.
-//!
-//! Setting the environment variable `BEAGLE_FORCE_SCALAR` (to anything but
-//! `"0"`) at instance creation forces the scalar table regardless of host
-//! capability — the testing/benchmark override named in the details string.
 
 use beagle_core::real::Real;
 
@@ -171,22 +168,9 @@ pub trait DispatchReal: Real {
     fn dispatch(kind: DispatchKind) -> &'static KernelDispatch<Self>;
 }
 
-/// The `BEAGLE_FORCE_SCALAR` environment override: `Some(true)` forces the
-/// scalar path, `Some(false)` (the literal value `"0"`) explicitly releases
-/// a typed scalar pin, `None` means the variable is unset and the typed
-/// request (`Flags::KERNEL_SCALAR`) decides. Read at instance creation, not
-/// per call.
-pub fn force_scalar_env() -> Option<bool> {
-    std::env::var("BEAGLE_FORCE_SCALAR").ok().map(|v| v != "0")
-}
-
-/// True when `BEAGLE_FORCE_SCALAR` is set (to anything but `"0"`). Read at
-/// instance creation, not per call.
-pub fn force_scalar() -> bool {
-    force_scalar_env().unwrap_or(false)
-}
-
-/// True when the host supports the AVX2+FMA kernel set.
+/// True when the host supports the AVX2+FMA kernel set. The accelerator
+/// back-end also consults this so its OpenCL-x86 FMA fast path never claims
+/// units the host does not have.
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -198,26 +182,17 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// True when hardware FMA may actually be used: the host has it and the
-/// scalar override is not in force. The accelerator back-end consults this
-/// so its simulated-device FMA fast path never claims units the host build
-/// would not exercise.
-pub fn host_fma_available() -> bool {
-    avx2_available() && !force_scalar()
-}
-
-/// Resolve the dispatch kind for an instance, honouring the
-/// `BEAGLE_FORCE_SCALAR` override. Called once at instance creation.
+/// Resolve the dispatch kind for an instance. Called once at instance
+/// creation.
 pub fn select_kind(vectorized: bool) -> DispatchKind {
     select_kind_with(vectorized, false)
 }
 
 /// Like [`select_kind`], but with a typed scalar request from the client
-/// (`Flags::KERNEL_SCALAR` via `InstanceSpec::force_scalar`). Precedence:
-/// the environment variable, when set, wins over the typed request; the
-/// typed request wins over the hardware-detected default.
+/// (`Flags::KERNEL_SCALAR` via `InstanceSpec::force_scalar`), which wins
+/// over the hardware-detected default.
 pub fn select_kind_with(vectorized: bool, typed_scalar: bool) -> DispatchKind {
-    if !vectorized || force_scalar_env().unwrap_or(typed_scalar) {
+    if !vectorized || typed_scalar {
         DispatchKind::Scalar
     } else if avx2_available() {
         DispatchKind::Avx2
@@ -1937,13 +1912,9 @@ mod tests {
     fn select_kind_honours_vectorized_flag() {
         // Non-vectorized instances must always get the scalar table.
         assert_eq!(select_kind(false), DispatchKind::Scalar);
-        // Vectorized resolves to AVX2 or portable depending on host/env;
-        // never scalar unless the env override is set.
-        let k = select_kind(true);
-        if force_scalar() {
-            assert_eq!(k, DispatchKind::Scalar);
-        } else {
-            assert_ne!(k, DispatchKind::Scalar);
-        }
+        // Vectorized resolves to AVX2 or portable depending on the host;
+        // never scalar unless the client pins it.
+        assert_ne!(select_kind(true), DispatchKind::Scalar);
+        assert_eq!(select_kind_with(true, true), DispatchKind::Scalar);
     }
 }

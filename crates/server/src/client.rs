@@ -2,10 +2,9 @@
 //! time, reconnect-with-backoff on transport failure, typed errors
 //! mirroring [`BeagleError`] across the wire.
 
-use std::time::Duration;
-
+use beagle_core::health::{backoff, MAX_RETRIES};
 use beagle_core::wire::{self, BusyReason, Frame};
-use beagle_core::{BeagleError, Lane, RetryPolicy, SessionRequest, WireError};
+use beagle_core::{BeagleError, Lane, SessionRequest, WireError};
 
 use crate::net::{Endpoint, Stream};
 
@@ -59,29 +58,22 @@ impl ClientError {
 ///
 /// The client keeps **one request in flight**: each call writes a frame and
 /// blocks for the matching reply. On transport failure it reconnects with
-/// the same exponential full-jitter backoff the library uses for device
-/// retries ([`RetryPolicy`]) and re-sends. Re-sending is safe because
+/// the library's exponential full-jitter [`backoff`], up to [`MAX_RETRIES`]
+/// times, and re-sends. Re-sending is safe because
 /// evaluation is pure — the worst case is the server computing a session
 /// twice, never a different answer.
 pub struct Client {
     endpoint: Endpoint,
-    retry: RetryPolicy,
     stream: Option<Stream>,
     next_session: u64,
     jitter_state: u64,
 }
 
 impl Client {
-    /// Connect with the default [`RetryPolicy`].
+    /// Connect to `endpoint`, retrying a refused connection with backoff.
     pub fn connect(endpoint: Endpoint) -> Result<Self, ClientError> {
-        Self::connect_with(endpoint, RetryPolicy::default())
-    }
-
-    /// Connect with an explicit reconnect policy.
-    pub fn connect_with(endpoint: Endpoint, retry: RetryPolicy) -> Result<Self, ClientError> {
         let mut client = Client {
             endpoint,
-            retry,
             stream: None,
             next_session: 1,
             jitter_state: 0x9e37_79b9_7f4a_7c15,
@@ -124,8 +116,7 @@ impl Client {
                     if attempt < max_busy_retries =>
                 {
                     attempt += 1;
-                    let delay = self.backoff(attempt);
-                    std::thread::sleep(delay);
+                    std::thread::sleep(backoff(attempt, &mut self.jitter_state));
                 }
                 other => return other,
             }
@@ -157,10 +148,9 @@ impl Client {
             return Ok(());
         }
         let mut last: Option<std::io::Error> = None;
-        for attempt in 0..=self.retry.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             if attempt > 0 {
-                let delay = self.backoff(attempt);
-                std::thread::sleep(delay);
+                std::thread::sleep(backoff(attempt, &mut self.jitter_state));
             }
             match Stream::connect(&self.endpoint) {
                 Ok(stream) => {
@@ -177,30 +167,6 @@ impl Client {
         )))
     }
 
-    /// Exponential backoff with full jitter, mirroring the partitioned
-    /// instance's retry sleeps (the splitmix64 there is private, so the
-    /// step function is restated here).
-    fn backoff(&mut self, attempt: u32) -> Duration {
-        let ceiling = self
-            .retry
-            .base_delay
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        if !self.retry.jitter {
-            return ceiling;
-        }
-        self.jitter_state = self.jitter_state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.jitter_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let nanos = ceiling.as_nanos() as u64;
-        if nanos == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_nanos(z % nanos)
-        }
-    }
-
     /// Send one request, encoded once by `encode` under a fresh session id
     /// and re-sent as-is on every reconnect attempt.
     fn roundtrip(&mut self, encode: impl FnOnce(u64) -> Vec<u8>) -> Result<Frame, ClientError> {
@@ -208,10 +174,9 @@ impl Client {
         self.next_session += 1;
         let request = encode(sid);
         let mut last: Option<ClientError> = None;
-        for attempt in 0..=self.retry.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             if attempt > 0 {
-                let delay = self.backoff(attempt);
-                std::thread::sleep(delay);
+                std::thread::sleep(backoff(attempt, &mut self.jitter_state));
             }
             match self.try_roundtrip(sid, &request) {
                 Ok(reply) => return Ok(reply),

@@ -12,8 +12,8 @@ use std::time::Duration;
 use beagle_accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
 use beagle_core::wire::{self, BusyReason, Frame};
 use beagle_core::{
-    BeagleError, BreakerConfig, BufferId, Deadline, Flags, ImplementationManager, InstanceSpec,
-    Lane, SessionRequest,
+    BeagleError, BreakerConfig, BreakerState, BufferId, Deadline, Flags, ImplementationManager,
+    InstanceSpec, Lane, SessionRequest,
 };
 use beagle_server::{Client, ClientError, Endpoint, Server, ServerBuilder};
 use genomictest::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
@@ -518,6 +518,62 @@ fn malformed_session_yields_typed_remote_error_and_connection_survives() {
         .evaluate(&session(0), Lane::Interactive)
         .expect("connection still usable");
     assert!(good.is_finite());
+    assert!(server.drain(None));
+}
+
+/// A session that fails on its own input is not a worker fault: the pool
+/// counts it as failed and leaves the worker where it is, with no eviction,
+/// rebuild or requeue, and every breaker stays closed.
+#[test]
+fn malformed_session_neither_evicts_nor_scores_its_worker() {
+    let manager = full_manager();
+    // Breakers that opened stay open for the whole test, so the final
+    // check cannot race the cooldown.
+    manager.set_breaker_config(BreakerConfig {
+        cooldown: Duration::from_secs(3600),
+        ..BreakerConfig::default()
+    });
+    let server = ServerBuilder::from_spec(base_spec())
+        .workers(1)
+        .pin(["CPU-serial"])
+        .tcp("127.0.0.1:0")
+        .serve(&manager)
+        .expect("server starts");
+    let mut client = Client::connect(tcp_endpoint(&server)).expect("client connects");
+
+    let mut bad = session(0);
+    bad.frequencies.truncate(2); // 4-state model, 2 frequencies
+    let mut inst = base_spec()
+        .named("CPU-serial")
+        .instantiate(&manager)
+        .expect("local instance");
+    let local = bad.evaluate(inst.as_mut()).expect_err("locally invalid");
+    assert!(
+        matches!(local, BeagleError::DimensionMismatch { .. }),
+        "{local:?}"
+    );
+    match client.evaluate(&bad, Lane::Interactive) {
+        Err(ClientError::Remote(remote)) => assert_eq!(remote, local),
+        other => panic!("expected Remote(DimensionMismatch), got {other:?}"),
+    }
+
+    let stats = client.stats().expect("stats snapshot");
+    for (key, want) in [
+        ("evictions", 0),
+        ("rebuilds", 0),
+        ("requeued", 0),
+        ("failed", 1),
+    ] {
+        assert_eq!(json_u64(&stats, key), want, "{key}: {stats}");
+    }
+    assert!(
+        stats.contains("\"label\":\"CPU-serial\""),
+        "the worker must stay on CPU-serial: {stats}"
+    );
+    for health in manager.health().snapshot() {
+        assert_eq!(health.state, BreakerState::Closed, "{}: {stats}", health.id);
+        assert_eq!(health.counts.permanents, 0, "{}: {stats}", health.id);
+    }
     assert!(server.drain(None));
 }
 

@@ -10,7 +10,7 @@
 //! Run with: cargo run --release --example device_failover
 
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
-use beagle::core::multi::PartitionedInstance;
+use beagle::core::multi::{ChildSelection, PartitionedInstance};
 use beagle::core::{Flags, InstanceSpec};
 use beagle::harness::{full_manager_with_faults, ModelKind, Problem, Scenario};
 
@@ -40,8 +40,13 @@ fn main() {
         (Flags::NONE, Flags::FRAMEWORK_OPENCL | Flags::PROCESSOR_CPU),
         (Flags::NONE, Flags::PROCESSOR_CPU),
     ];
-    let mut multi = PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0, 1.0])
-        .expect("partitioned create");
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(p.config()),
+        &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0, 1.0],
+    )
+    .expect("partitioned create");
     println!(
         "\n[1] permanent DeviceLost on {} at driver call 18",
         catalog::quadro_p5000().name
@@ -66,8 +71,13 @@ fn main() {
         (Flags::NONE, Flags::FRAMEWORK_CUDA),
         (Flags::NONE, Flags::PROCESSOR_CPU),
     ];
-    let mut multi = PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0])
-        .expect("partitioned create");
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(p.config()),
+        &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0],
+    )
+    .expect("partitioned create");
     p.load(&mut multi);
     let lnl = p.evaluate(&mut multi, false);
     println!("\n[2] transient KernelLaunch fault on the same device");

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release --example multi_device`
 
-use beagle::core::multi::PartitionedInstance;
+use beagle::core::multi::{ChildSelection, PartitionedInstance};
 use beagle::harness::{benchmark, full_manager, ModelKind, Problem, Scenario};
 use beagle::prelude::*;
 
@@ -66,9 +66,12 @@ fn main() {
     }
 
     // Build the partitioned instance with throughput-proportional ranges.
-    let flag_pairs: Vec<(Flags, Flags)> = devices.iter().map(|&(_, p, r)| (p, r)).collect();
-    let mut multi =
-        PartitionedInstance::create(&manager, &problem.config(), &flag_pairs, &weights).unwrap();
+    let selections: Vec<ChildSelection> = devices
+        .iter()
+        .map(|&(_, p, r)| ChildSelection::from_flags(p, r))
+        .collect();
+    let spec = InstanceSpec::with_config(problem.config());
+    let mut multi = PartitionedInstance::create(&manager, &spec, &selections, &weights).unwrap();
     println!(
         "\nlogical instance: {}",
         multi.details().implementation_name

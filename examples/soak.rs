@@ -18,8 +18,8 @@
 use std::time::{Duration, Instant};
 
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
-use beagle::core::multi::PartitionedInstance;
-use beagle::core::{BeagleInstance, Checkpoint, Flags, InstanceSpec, RetryPolicy};
+use beagle::core::multi::{ChildSelection, PartitionedInstance};
+use beagle::core::{BeagleInstance, Checkpoint, Flags, InstanceSpec};
 use beagle::harness::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -151,13 +151,11 @@ fn main() {
             ),
         );
         let manager = full_manager_with_faults(&faults);
-        let spec = InstanceSpec::with_config(p.config())
-            .with_deadline(d.deadline)
-            .with_retry_policy(RetryPolicy::default());
-        let mut multi = match PartitionedInstance::create_with_spec(
+        let spec = InstanceSpec::with_config(p.config()).with_deadline(d.deadline);
+        let mut multi = match PartitionedInstance::create(
             &manager,
             &spec,
-            &devices,
+            &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
             &[1.0, 1.0, 1.0],
         ) {
             Ok(m) => m,

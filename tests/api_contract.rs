@@ -226,10 +226,10 @@ const SHAPES: &[Shape] = &[
         build: |m, p| {
             let child = beagle::core::ChildSelection::named("CPU-serial", Flags::NONE, Flags::NONE);
             Box::new(
-                beagle::core::PartitionedInstance::create_with_selections(
+                beagle::core::PartitionedInstance::create(
                     m,
                     &cpu_spec(p),
-                    vec![child.clone(), child],
+                    &[child.clone(), child],
                     &[1.0, 1.0],
                 )
                 .unwrap(),

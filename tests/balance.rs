@@ -46,13 +46,13 @@ fn pinned_pair(
     require: Flags,
     weights: &[f64],
 ) -> PartitionedInstance {
-    let selections = (0..weights.len())
+    let selections: Vec<_> = (0..weights.len())
         .map(|_| ChildSelection::named(name, Flags::NONE, require))
         .collect();
-    PartitionedInstance::create_with_selections(
+    PartitionedInstance::create(
         manager,
         &InstanceSpec::with_config(p.config()).require(require),
-        selections,
+        &selections,
         weights,
     )
     .unwrap()
@@ -145,17 +145,14 @@ fn adaptive_rebalance_under_injected_slowdown_stays_bit_exact() {
         ChildSelection::named(opencl_gpu_name(&fast), Flags::NONE, Flags::NONE),
         ChildSelection::named(opencl_gpu_name(&slow), Flags::NONE, Flags::NONE),
     ];
-    let mut multi = PartitionedInstance::create_with_selections(
+    let mut multi = PartitionedInstance::create(
         &manager,
         &InstanceSpec::with_config(p.config()),
-        selections,
+        &selections,
         &[1.0, 1.0],
     )
     .unwrap();
-    multi.enable_balancing(BalancerConfig {
-        min_batches: 1,
-        ..BalancerConfig::default()
-    });
+    multi.enable_balancing(BalancerConfig { min_batches: 1 });
     p.load(&mut multi);
 
     for batch in 0..4 {
@@ -206,17 +203,14 @@ fn eviction_rebalances_survivors_and_stays_bit_exact() {
         ChildSelection::named("OpenCL-x86", Flags::NONE, Flags::NONE),
         ChildSelection::named("OpenCL-x86", Flags::NONE, Flags::NONE),
     ];
-    let mut multi = PartitionedInstance::create_with_selections(
+    let mut multi = PartitionedInstance::create(
         &manager,
         &InstanceSpec::with_config(p.config()),
-        selections,
+        &selections,
         &[1.0, 1.0, 1.0],
     )
     .unwrap();
-    multi.enable_balancing(BalancerConfig {
-        min_batches: 1,
-        ..BalancerConfig::default()
-    });
+    multi.enable_balancing(BalancerConfig { min_batches: 1 });
     p.load(&mut multi);
     let got = p.evaluate(&mut multi, false);
 

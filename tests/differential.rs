@@ -9,7 +9,7 @@
 //! with their children created in either mode.
 
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
-use beagle::core::multi::PartitionedInstance;
+use beagle::core::multi::{ChildSelection, PartitionedInstance};
 use beagle::harness::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
 use beagle::prelude::*;
 
@@ -172,9 +172,13 @@ fn failover_run(
         FaultPlan::new(7).with_fault(fault, transient, Schedule::AtCall(18)),
     );
     let manager = full_manager_with_faults(&faults);
-    let devices: Vec<(Flags, Flags)> = devices.iter().map(|&req| (mode, req)).collect();
+    let devices: Vec<ChildSelection> = devices
+        .iter()
+        .map(|&req| ChildSelection::from_flags(mode, req))
+        .collect();
     let weights = vec![1.0; devices.len()];
-    let mut multi = PartitionedInstance::create(&manager, &p.config(), &devices, &weights).unwrap();
+    let spec = InstanceSpec::with_config(p.config());
+    let mut multi = PartitionedInstance::create(&manager, &spec, &devices, &weights).unwrap();
     p.load(&mut multi);
     let lnl = p.evaluate(&mut multi, false);
     (lnl, multi.eviction_count(), multi.device_count())

@@ -5,8 +5,12 @@
 //! a deep-tree underflow to the same value explicit scaling gives.
 
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
-use beagle::core::multi::PartitionedInstance;
-use beagle::core::{BeagleInstance, BufferId, Event, EventKind, Flags, InstanceSpec, ScalingMode};
+use beagle::core::health::HealthCounts;
+use beagle::core::multi::{ChildSelection, PartitionedInstance};
+use beagle::core::{
+    BeagleError, BeagleInstance, BreakerState, BufferId, Event, EventKind, Flags,
+    ImplementationManager, InstanceSpec, Operation, ScalingMode,
+};
 use beagle::harness::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
 
 fn problem() -> Problem {
@@ -36,8 +40,13 @@ fn partitioned_instance_survives_permanent_device_loss() {
         (Flags::NONE, Flags::FRAMEWORK_OPENCL | Flags::PROCESSOR_CPU),
         (Flags::NONE, Flags::PROCESSOR_CPU),
     ];
-    let mut multi =
-        PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0, 1.0]).unwrap();
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(p.config()),
+        &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0, 1.0],
+    )
+    .unwrap();
     assert_eq!(multi.device_count(), 3);
 
     p.load(&mut multi);
@@ -70,14 +79,145 @@ fn transient_fault_is_retried_not_evicted() {
         (Flags::NONE, Flags::FRAMEWORK_CUDA),
         (Flags::NONE, Flags::PROCESSOR_CPU),
     ];
-    let mut multi =
-        PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0]).unwrap();
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(p.config()),
+        &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0],
+    )
+    .unwrap();
     p.load(&mut multi);
     let lnl = p.evaluate(&mut multi, false);
 
     assert_eq!(multi.eviction_count(), 0, "transient faults must not evict");
     assert_eq!(multi.device_count(), 2);
     assert!(multi.retry_counts()[0] >= 1, "the recovery must be counted");
+    let oracle = p.oracle();
+    assert!((lnl - oracle).abs() < 1e-6, "{lnl} vs {oracle}");
+}
+
+/// Every resource's breaker state and outcome counts.
+fn health(manager: &ImplementationManager) -> Vec<(String, BreakerState, HealthCounts)> {
+    manager
+        .health()
+        .snapshot()
+        .into_iter()
+        .map(|s| (s.id.0, s.state, s.counts))
+        .collect()
+}
+
+/// A child's argument error is the caller's fault, not the device's: a
+/// `set_*` call, `update_partials` and an integration each return the same
+/// typed error a single instance of the child's implementation returns, and
+/// no child is evicted or scored.
+#[test]
+fn child_argument_errors_reach_the_caller_without_eviction() {
+    let manager = full_manager();
+    let p = problem();
+    let config = p.config();
+    let devices = [
+        ChildSelection::from_flags(Flags::NONE, Flags::FRAMEWORK_CUDA),
+        ChildSelection::from_flags(Flags::NONE, Flags::PROCESSOR_CPU),
+    ];
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(config),
+        &devices,
+        &[1.0, 1.0],
+    )
+    .unwrap();
+    let mut single = InstanceSpec::with_config(config)
+        .require(Flags::FRAMEWORK_CUDA)
+        .instantiate(&manager)
+        .unwrap();
+    p.load(&mut multi);
+    p.load(single.as_mut());
+    let before = health(&manager);
+
+    let bad = config.partials_buffer_count;
+    let tip = p.patterns.tip_states(0);
+    let ops = [Operation::new(bad, 0, 0, 1, 1)];
+    let integrate = |inst: &mut dyn BeagleInstance| {
+        inst.integrate_root(BufferId(bad), BufferId(0), BufferId(0), ScalingMode::None)
+    };
+    let cases: [(&str, BeagleError, BeagleError); 3] = [
+        (
+            "set_tip_states",
+            multi.set_tip_states(bad, &tip).unwrap_err(),
+            single.set_tip_states(bad, &tip).unwrap_err(),
+        ),
+        (
+            "update_partials",
+            multi.update_partials(&ops).unwrap_err(),
+            single.update_partials(&ops).unwrap_err(),
+        ),
+        (
+            "integrate_root",
+            integrate(&mut multi).unwrap_err(),
+            integrate(single.as_mut()).unwrap_err(),
+        ),
+    ];
+    for (call, got, want) in cases {
+        assert!(
+            matches!(got, BeagleError::OutOfRange { .. }),
+            "{call}: {got:?}"
+        );
+        assert_eq!(got, want, "{call}");
+    }
+    assert_eq!(multi.eviction_count(), 0);
+    assert_eq!(multi.device_count(), 2);
+    assert_eq!(multi.retry_counts(), [0, 0]);
+    assert_eq!(health(&manager), before, "no breaker may move");
+    let lnl = p.evaluate(&mut multi, false);
+    let oracle = p.oracle();
+    assert!((lnl - oracle).abs() < 1e-6, "{lnl} vs {oracle}");
+}
+
+/// A transient fault inside an integration is retried and scored
+/// `Transient` against the child's resource, as in `update_partials` and
+/// the `set_*` fan-out. Call 23 is the root integration for this problem
+/// (see the call map above `partitioned_instance_survives_permanent_device_loss`).
+#[test]
+fn transient_integration_fault_is_retried_and_scored() {
+    let faults = FaultDirectory::new().with_plan(
+        catalog::quadro_p5000().name,
+        FaultPlan::new(7).with_fault(FaultKind::KernelLaunch, true, Schedule::AtCall(23)),
+    );
+    let manager = full_manager_with_faults(&faults);
+    let p = problem();
+    let devices = [
+        ChildSelection::from_flags(Flags::NONE, Flags::FRAMEWORK_CUDA),
+        ChildSelection::from_flags(Flags::NONE, Flags::PROCESSOR_CPU),
+    ];
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(p.config()),
+        &devices,
+        &[1.0, 1.0],
+    )
+    .unwrap();
+    p.load(&mut multi);
+    multi.update_partials(&p.operations(false)).unwrap();
+    assert_eq!(multi.retry_counts(), [0, 0], "the fault must land later");
+    let cuda = multi.part(0).details().implementation_name.clone();
+    let transients = manager.health().counts(cuda.as_str()).transients;
+
+    let lnl = multi
+        .integrate_root(
+            BufferId(p.tree.root()),
+            BufferId(0),
+            BufferId(0),
+            ScalingMode::None,
+        )
+        .unwrap();
+
+    assert_eq!(multi.retry_counts(), [1, 0]);
+    assert_eq!(multi.eviction_count(), 0);
+    assert_eq!(
+        manager.health().counts(cuda.as_str()).transients,
+        transients + 1,
+        "the integration retry must be scored Transient"
+    );
     let oracle = p.oracle();
     assert!((lnl - oracle).abs() < 1e-6, "{lnl} vs {oracle}");
 }

@@ -146,7 +146,7 @@ fn implementations() -> Vec<(String, Flags)> {
     assert_eq!(names.len(), 11, "{names:?}");
     let mut all = Vec::new();
     for name in names {
-        if name == "OpenCL-x86" && !beagle::cpu::host_fma_available() {
+        if name == "OpenCL-x86" && !beagle::cpu::avx2_available() {
             continue;
         }
         for precision in [Flags::PRECISION_DOUBLE, Flags::PRECISION_SINGLE] {

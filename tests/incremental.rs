@@ -10,7 +10,7 @@
 //! silently wrong rather than loudly broken.
 
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
-use beagle::core::multi::PartitionedInstance;
+use beagle::core::multi::{ChildSelection, PartitionedInstance};
 use beagle::harness::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
 use beagle::prelude::*;
 
@@ -174,8 +174,13 @@ fn incremental_layer_survives_midrun_failover() {
     );
     let manager = full_manager_with_faults(&faults);
     let mut p = problem();
-    let mut multi =
-        PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0]).unwrap();
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(p.config()),
+        &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0],
+    )
+    .unwrap();
     assert!(
         multi.memo_stats().is_some(),
         "partitioned children are memoized by default"

@@ -2,9 +2,29 @@
 //! planned "dynamic load balancing across multiple devices from within a
 //! single library instance") must agree with single-device evaluation.
 
-use beagle::core::multi::{weighted_ranges, PartitionedInstance};
+use beagle::core::multi::{weighted_ranges, ChildSelection, PartitionedInstance};
 use beagle::harness::{full_manager, ModelKind, Problem, Scenario};
 use beagle::prelude::*;
+
+/// A partitioned instance over flag-selected `devices` at `weights`.
+fn partitioned(
+    manager: &std::sync::Arc<ImplementationManager>,
+    p: &Problem,
+    devices: &[(Flags, Flags)],
+    weights: &[f64],
+) -> PartitionedInstance {
+    let selections: Vec<_> = devices
+        .iter()
+        .map(|&(prefs, reqs)| ChildSelection::from_flags(prefs, reqs))
+        .collect();
+    PartitionedInstance::create(
+        manager,
+        &InstanceSpec::with_config(p.config()),
+        &selections,
+        weights,
+    )
+    .unwrap()
+}
 
 fn problem() -> Problem {
     Problem::generate(&Scenario {
@@ -29,7 +49,7 @@ fn partitioned_matches_single_device() {
         (Flags::NONE, Flags::THREADING_THREAD_POOL),
     ];
     let weights = [8.0, 1.0, 1.0];
-    let mut multi = PartitionedInstance::create(&manager, &p.config(), &devices, &weights).unwrap();
+    let mut multi = partitioned(&manager, &p, &devices, &weights);
     assert_eq!(multi.device_count(), 3);
     p.load(&mut multi);
     let lnl = p.evaluate(&mut multi, false);
@@ -41,8 +61,7 @@ fn partitioned_site_likelihoods_concatenate_correctly() {
     let p = problem();
     let manager = full_manager();
     let devices = [(Flags::NONE, Flags::NONE), (Flags::NONE, Flags::NONE)];
-    let mut multi =
-        PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0]).unwrap();
+    let mut multi = partitioned(&manager, &p, &devices, &[1.0, 1.0]);
     p.load(&mut multi);
     let total = p.evaluate(&mut multi, false);
     let sites = multi.get_site_log_likelihoods().unwrap();
@@ -75,8 +94,7 @@ fn partitioned_scaling_and_single_precision() {
         (Flags::PRECISION_SINGLE, Flags::PROCESSOR_GPU),
         (Flags::PRECISION_SINGLE, Flags::PROCESSOR_CPU),
     ];
-    let mut multi =
-        PartitionedInstance::create(&manager, &p.config(), &devices, &[2.0, 1.0]).unwrap();
+    let mut multi = partitioned(&manager, &p, &devices, &[2.0, 1.0]);
     p.load(&mut multi);
     let lnl = p.evaluate(&mut multi, true);
     assert!(((lnl - oracle) / oracle).abs() < 1e-4, "{lnl} vs {oracle}");
@@ -87,8 +105,7 @@ fn partitioned_partials_roundtrip() {
     let p = problem();
     let manager = full_manager();
     let devices = [(Flags::NONE, Flags::NONE), (Flags::NONE, Flags::NONE)];
-    let mut multi =
-        PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 2.0]).unwrap();
+    let mut multi = partitioned(&manager, &p, &devices, &[1.0, 2.0]);
     let full = p.config().partials_len();
     let data: Vec<f64> = (0..full).map(|i| (i % 97) as f64 * 0.01).collect();
     multi.set_partials(9, &data).unwrap();
@@ -104,7 +121,7 @@ fn partitioned_details_aggregate() {
         (Flags::NONE, Flags::FRAMEWORK_CUDA),
         (Flags::NONE, Flags::THREADING_THREAD_POOL),
     ];
-    let multi = PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0]).unwrap();
+    let multi = partitioned(&manager, &p, &devices, &[1.0, 1.0]);
     let d = multi.details();
     assert!(d.implementation_name.starts_with("Partitioned["));
     assert!(d.implementation_name.contains("CUDA"));
@@ -129,8 +146,7 @@ fn details_refresh_after_rebalance() {
         (Flags::NONE, Flags::FRAMEWORK_CUDA),
         (Flags::NONE, Flags::THREADING_THREAD_POOL),
     ];
-    let mut multi =
-        PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0]).unwrap();
+    let mut multi = partitioned(&manager, &p, &devices, &[1.0, 1.0]);
     p.load(&mut multi);
     p.evaluate(&mut multi, false);
 
@@ -157,7 +173,6 @@ fn details_refresh_after_rebalance() {
 /// children's site values in pattern order.
 #[test]
 fn partitioned_root_and_edge_lnl_equal_the_single_instance_bits() {
-    use beagle::core::multi::ChildSelection;
     let p = problem();
     let manager = full_manager();
     let root = p.tree.root();
@@ -199,14 +214,12 @@ fn partitioned_root_and_edge_lnl_equal_the_single_instance_bits() {
                 p.load(single.as_mut());
                 let want = integrate(single.as_mut(), scaled);
                 for weights in [&[1.0, 1.0][..], &[1.0, 3.0], &[3.0, 1.0, 2.0], &[1.0; 4]] {
-                    let selections = weights
+                    let selections: Vec<_> = weights
                         .iter()
                         .map(|_| ChildSelection::named(name, Flags::NONE, require))
                         .collect();
-                    let mut multi = PartitionedInstance::create_with_selections(
-                        &manager, &spec, selections, weights,
-                    )
-                    .unwrap();
+                    let mut multi =
+                        PartitionedInstance::create(&manager, &spec, &selections, weights).unwrap();
                     p.load(&mut multi);
                     assert_eq!(
                         integrate(&mut multi, scaled),

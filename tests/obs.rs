@@ -6,7 +6,7 @@
 //! the same test binary passes in both configurations.
 
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
-use beagle::core::multi::PartitionedInstance;
+use beagle::core::multi::{ChildSelection, PartitionedInstance};
 use beagle::core::obs::{Event, EventKind, KernelClass, Recorder};
 use beagle::core::{BeagleInstance, Flags, InstanceSpec};
 use beagle::harness::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
@@ -199,8 +199,13 @@ fn journal_orders_events_across_a_queued_failover_run() {
         (stats_async, Flags::FRAMEWORK_CUDA),
         (stats_async, Flags::PROCESSOR_CPU),
     ];
-    let mut multi =
-        PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0]).unwrap();
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(p.config()),
+        &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0],
+    )
+    .unwrap();
     p.load(&mut multi);
     let lnl = p.evaluate(&mut multi, false);
     assert_eq!(multi.eviction_count(), 0, "transient faults must not evict");

@@ -1,5 +1,4 @@
-//! `benchmark_resources` determinism, in its own test binary because it
-//! sets the process-global `BEAGLE_FORCE_SCALAR` environment variable.
+//! `benchmark_resources` determinism.
 //!
 //! Wall-clock times differ run to run, so the assertions target what the
 //! design guarantees is stable: full factory coverage, modeled device
@@ -10,9 +9,6 @@ use beagle::harness::{full_manager, ModelKind, Problem, Scenario};
 
 #[test]
 fn benchmark_resources_is_deterministic_where_it_promises_to_be() {
-    // Pin the CPU dispatch path so both passes run identical kernels.
-    std::env::set_var("BEAGLE_FORCE_SCALAR", "1");
-
     let p = Problem::generate(&Scenario {
         model: ModelKind::Nucleotide,
         taxa: 8,

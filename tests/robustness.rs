@@ -10,10 +10,10 @@
 use std::time::Duration;
 
 use beagle::accel::{catalog, FaultDirectory, FaultKind, FaultPlan, Schedule};
-use beagle::core::multi::PartitionedInstance;
+use beagle::core::multi::{ChildSelection, PartitionedInstance};
 use beagle::core::{
     BeagleError, BeagleInstance, BreakerConfig, BreakerState, Checkpoint, EventKind, Flags,
-    InstanceSpec, Outcome, RetryPolicy,
+    InstanceSpec, Outcome,
 };
 use beagle::harness::{full_manager, full_manager_with_faults, ModelKind, Problem, Scenario};
 
@@ -61,11 +61,14 @@ fn hung_device_is_cancelled_evicted_and_bit_exact() {
         ),
         (Flags::INSTANCE_STATS, Flags::PROCESSOR_CPU),
     ];
-    let spec = InstanceSpec::with_config(p.config())
-        .with_deadline(Duration::from_millis(100))
-        .with_retry_policy(RetryPolicy::default());
-    let mut multi =
-        PartitionedInstance::create_with_spec(&manager, &spec, &devices, &[1.0, 1.0, 1.0]).unwrap();
+    let spec = InstanceSpec::with_config(p.config()).with_deadline(Duration::from_millis(100));
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &spec,
+        &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0, 1.0],
+    )
+    .unwrap();
     assert_eq!(multi.device_count(), 3);
 
     p.load(&mut multi);
@@ -103,8 +106,13 @@ fn hung_device_is_cancelled_evicted_and_bit_exact() {
     // same partition ranges over the same deterministic kernels.
     let clean = full_manager();
     let survivors = [devices[1], devices[2]];
-    let mut baseline =
-        PartitionedInstance::create(&clean, &p.config(), &survivors, &[1.0, 1.0]).unwrap();
+    let mut baseline = PartitionedInstance::create(
+        &clean,
+        &InstanceSpec::with_config(p.config()),
+        &survivors.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0],
+    )
+    .unwrap();
     p.load(&mut baseline);
     let expected = p.evaluate(&mut baseline, false);
     assert_eq!(
@@ -134,8 +142,13 @@ fn stall_under_the_watchdog_budget_completes_late_but_correct() {
         (Flags::NONE, Flags::FRAMEWORK_CUDA),
         (Flags::NONE, Flags::PROCESSOR_CPU),
     ];
-    let mut multi =
-        PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0]).unwrap();
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(p.config()),
+        &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0],
+    )
+    .unwrap();
     p.load(&mut multi);
     let lnl = p.evaluate(&mut multi, false);
 
@@ -174,8 +187,13 @@ fn stall_beyond_the_deadline_is_cancelled_and_evicted() {
         (Flags::NONE, Flags::PROCESSOR_CPU),
     ];
     let spec = InstanceSpec::with_config(p.config()).with_deadline(Duration::from_millis(10));
-    let mut multi =
-        PartitionedInstance::create_with_spec(&manager, &spec, &devices, &[1.0, 1.0]).unwrap();
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &spec,
+        &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0],
+    )
+    .unwrap();
     p.load(&mut multi);
     let lnl = p.evaluate(&mut multi, false);
 
@@ -415,8 +433,13 @@ fn partitioned_checkpoint_restores_after_rerank() {
         (Flags::NONE, Flags::FRAMEWORK_CUDA),
         (Flags::NONE, Flags::PROCESSOR_CPU),
     ];
-    let mut multi =
-        PartitionedInstance::create(&manager, &p.config(), &devices, &[1.0, 1.0]).unwrap();
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(p.config()),
+        &devices.map(|(prefs, reqs)| ChildSelection::from_flags(prefs, reqs)),
+        &[1.0, 1.0],
+    )
+    .unwrap();
     p.load(&mut multi);
     let lnl = p.evaluate(&mut multi, false);
 
