@@ -290,15 +290,18 @@ impl Checkpoint {
         self.journal
             .replay_slice(inner.as_mut(), &self.config, 0, self.config.pattern_count)?;
         let mut restored = JournaledInstance::with_journal(inner, &spec, self.journal.clone());
-        restored.recorder.event(EventKind::CheckpointRestored, || {
-            format!(
-                "config={}x{} ops={} rescue={}",
-                self.config.tip_count,
-                self.config.pattern_count,
-                self.journal.operations().len(),
-                self.provenance.rescue
-            )
-        });
+        restored
+            .ledger
+            .recorder
+            .event(EventKind::CheckpointRestored, || {
+                format!(
+                    "config={}x{} ops={} rescue={}",
+                    self.config.tip_count,
+                    self.config.pattern_count,
+                    self.journal.operations().len(),
+                    self.provenance.rescue
+                )
+            });
         Ok(restored)
     }
 }
@@ -306,15 +309,16 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::Call;
     use crate::ops::Operation;
 
     fn sample() -> Checkpoint {
         let mut journal = StateJournal::new();
-        journal.record_tip_states(0, &[0, 1, 2, 3]);
-        journal.record_tip_states(1, &[3, 2, 1, 0]);
-        journal.record_pattern_weights(&[1.0, 2.0, 1.0, 1.0]);
-        journal.record_frequencies(0, &[0.25; 4]);
-        journal.record_operations(&[Operation::new(2, 0, 0, 1, 1)]);
+        journal.record(&Call::TipStates(0, &[0, 1, 2, 3]));
+        journal.record(&Call::TipStates(1, &[3, 2, 1, 0]));
+        journal.record(&Call::PatternWeights(&[1.0, 2.0, 1.0, 1.0]));
+        journal.record(&Call::Frequencies(0, &[0.25; 4]));
+        journal.record(&Call::Operations(&[Operation::new(2, 0, 0, 1, 1)]));
         Checkpoint {
             config: InstanceConfig::for_tree(2, 4, 4, 1),
             provenance: Provenance {

@@ -1,4 +1,4 @@
-//! The replayable state journal and the one wrapper that keeps it.
+//! The replayable state journal and the two layers that keep it.
 //!
 //! The BEAGLE API is a flat buffer machine, so the client-visible state of
 //! an instance is exactly the sequence of `set_*` / `update_*` calls that
@@ -15,32 +15,39 @@
 //! clients that interleave reads with partial rewrites of the same
 //! destination would need full-history replay, which no caller does.
 //!
-//! # The journaling layer
+//! # The journaling layers
 //!
-//! [`JournaledInstance`] is the only wrapper of a managed, non-partitioned
-//! instance that keeps a journal. The manager installs it outermost
-//! whenever the spec asks for numerical rescue or for checkpoints, and it
-//! records every mutating call the client makes. The journal then serves
-//! both:
+//! Exactly two layers keep a journal, one per logical instance:
+//! [`JournaledInstance`] over a managed single instance (the manager
+//! installs it outermost whenever the spec asks for numerical rescue or for
+//! checkpoints), and [`crate::multi::PartitionedInstance`] over the children
+//! it splits the patterns across, which it creates without one. Both
+//! implement `Journaling`, which holds what they share, written once:
 //!
-//! * **Numerical rescue** (`spec.rescue`). Deep trees and many rate
+//! * **The recording rule** (`Journaling::forward`). Every mutating call
+//!   goes to the layer below as one `Call` value, and is recorded only if
+//!   that layer accepted it: returned `Ok`, or failed by a fault
+//!   ([`crate::BeagleError::fault`]), which a rebuild must replay. A
+//!   rejected call leaves no trace, so it cannot poison a later replay.
+//! * **Numerical rescue** (`spec.rescue`,
+//!   `Journaling::integrate_rescued`). Deep trees and many rate
 //!   categories underflow partials, and an unscaled root or edge
 //!   integration then yields NaN, −∞ or
-//!   [`crate::BeagleError::NumericalFailure`]. The wrapper re-runs the
-//!   journaled traversal with per-destination rescaling, accumulates the
-//!   factors into a reserved cumulative buffer (the last scale index), and
-//!   integrates again before surfacing any error. This needs one scale
-//!   buffer per internal destination plus the reserved slot, which
+//!   [`crate::BeagleError::NumericalFailure`]. The layer re-runs the
+//!   journaled traversal below with per-destination rescaling, accumulates
+//!   the factors into a reserved cumulative buffer (the last scale index),
+//!   and integrates again before surfacing any error. Until the next
+//!   partials or scale write, unscaled integrations read the rescaled
+//!   partials against that buffer. This needs one scale buffer per internal
+//!   destination plus the reserved slot, which
 //!   [`crate::InstanceConfig::for_tree`] provides. Because the journal also
 //!   sees `set_partials`, a buffer the client overwrote is never recomputed.
-//! * **Checkpoints** (`spec.checkpoint`).
-//!   [`BeagleInstance::checkpoint`] snapshots the journal with the sizing
-//!   and provenance as a durable [`Checkpoint`]. Without `spec.checkpoint`
-//!   it answers `None`.
 //!
-//! [`crate::multi::PartitionedInstance`] keeps its own full-problem
-//! journal, because its failover replays pattern slices of it into
-//! rebuilt children.
+//! [`BeagleInstance::checkpoint`] snapshots the journal with the sizing and
+//! provenance as a durable [`Checkpoint`]: [`JournaledInstance`] does when
+//! the spec asks for checkpoints (`spec.checkpoint`), and the partitioned
+//! instance always does, since its failover replays pattern slices of the
+//! same journal into rebuilt children.
 
 use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
 use crate::checkpoint::{Checkpoint, Provenance};
@@ -49,6 +56,7 @@ use crate::obs::{self, EventKind, Recorder};
 use crate::ops::Operation;
 use crate::spec::InstanceSpec;
 use std::collections::BTreeMap;
+use std::slice::from_ref;
 
 /// One eigen system as recorded: `(vectors, inverse_vectors, values)`.
 type EigenRecord = (Vec<f64>, Vec<f64>, Vec<f64>);
@@ -87,99 +95,65 @@ impl StateJournal {
         Self::default()
     }
 
-    /// Record `set_tip_states`.
-    pub fn record_tip_states(&mut self, tip: usize, states: &[u32]) {
-        self.tip_states.insert(tip, states.to_vec());
-        self.tip_partials.remove(&tip);
-    }
-
-    /// Record `set_tip_partials`.
-    pub fn record_tip_partials(&mut self, tip: usize, partials: &[f64]) {
-        self.tip_partials.insert(tip, partials.to_vec());
-        self.tip_states.remove(&tip);
-    }
-
-    /// Record `set_partials`.
-    pub fn record_partials(&mut self, buffer: usize, partials: &[f64]) {
-        self.partials.insert(buffer, partials.to_vec());
-        // A direct write supersedes any computed value for this buffer.
-        self.ops.retain(|op| op.destination != buffer);
-    }
-
-    /// Record `set_pattern_weights`.
-    pub fn record_pattern_weights(&mut self, weights: &[f64]) {
-        self.pattern_weights = Some(weights.to_vec());
-    }
-
-    /// Record `set_state_frequencies`.
-    pub fn record_frequencies(&mut self, index: usize, frequencies: &[f64]) {
-        self.frequencies.insert(index, frequencies.to_vec());
-    }
-
-    /// Record `set_category_rates`.
-    pub fn record_category_rates(&mut self, rates: &[f64]) {
-        self.category_rates = Some(rates.to_vec());
-    }
-
-    /// Record `set_category_weights`.
-    pub fn record_category_weights(&mut self, index: usize, weights: &[f64]) {
-        self.category_weights.insert(index, weights.to_vec());
-    }
-
-    /// Record `set_eigen_decomposition`.
-    pub fn record_eigen(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) {
-        self.eigens.insert(
-            index,
-            (vectors.to_vec(), inverse_vectors.to_vec(), values.to_vec()),
-        );
-    }
-
-    /// Record `set_transition_matrix`.
-    pub fn record_matrix(&mut self, index: usize, matrix: &[f64]) {
-        self.matrices.insert(index, matrix.to_vec());
-        self.matrix_updates.remove(&index);
-    }
-
-    /// Record `update_transition_matrices`.
-    pub fn record_matrix_updates(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        branch_lengths: &[f64],
-    ) {
-        for (&m, &t) in matrix_indices.iter().zip(branch_lengths) {
-            self.matrix_updates.insert(m, (eigen_index, t));
-            self.matrices.remove(&m);
+    /// Record an accepted `call`: last write wins per buffer index, and a
+    /// write to a buffer drops whatever other source the journal held for
+    /// it (tip states vs tip partials, direct vs computed partials, direct
+    /// vs computed matrices). Only [`Journaling::forward`] records, so the
+    /// journal holds exactly the calls the layer below accepted.
+    pub(crate) fn record(&mut self, call: &Call) {
+        match *call {
+            Call::TipStates(tip, states) => {
+                self.tip_states.insert(tip, states.to_vec());
+                self.tip_partials.remove(&tip);
+            }
+            Call::TipPartials(tip, partials) => {
+                self.tip_partials.insert(tip, partials.to_vec());
+                self.tip_states.remove(&tip);
+            }
+            Call::Partials(buffer, partials) => {
+                self.partials.insert(buffer, partials.to_vec());
+                self.ops.retain(|op| op.destination != buffer);
+            }
+            Call::PatternWeights(weights) => self.pattern_weights = Some(weights.to_vec()),
+            Call::Frequencies(index, frequencies) => {
+                self.frequencies.insert(index, frequencies.to_vec());
+            }
+            Call::CategoryRates(rates) => self.category_rates = Some(rates.to_vec()),
+            Call::CategoryWeights(index, weights) => {
+                self.category_weights.insert(index, weights.to_vec());
+            }
+            Call::Eigen(index, vectors, inverse_vectors, values) => {
+                let record = (vectors.to_vec(), inverse_vectors.to_vec(), values.to_vec());
+                self.eigens.insert(index, record);
+            }
+            Call::Matrix(index, matrix) => {
+                self.matrices.insert(index, matrix.to_vec());
+                self.matrix_updates.remove(&index);
+            }
+            // Derivative matrices are scratch outputs for branch
+            // optimization; replay needs only the primary matrices.
+            Call::MatrixUpdates(eigen, matrices, lengths, _) => {
+                for (&m, &t) in matrices.iter().zip(lengths) {
+                    self.matrix_updates.insert(m, (eigen, t));
+                    self.matrices.remove(&m);
+                }
+            }
+            Call::Operations(operations) => {
+                for op in operations {
+                    self.ops.retain(|o| o.destination != op.destination);
+                    self.partials.remove(&op.destination);
+                    self.ops.push(*op);
+                }
+            }
+            Call::ScaleReset(cumulative) => {
+                self.scale_accumulations.insert(cumulative, Vec::new());
+            }
+            Call::ScaleAccumulation(indices, cumulative) => self
+                .scale_accumulations
+                .entry(cumulative)
+                .or_default()
+                .extend_from_slice(indices),
         }
-    }
-
-    /// Record `update_partials`: each operation supersedes any earlier
-    /// write to the same destination.
-    pub fn record_operations(&mut self, operations: &[Operation]) {
-        for op in operations {
-            self.ops.retain(|o| o.destination != op.destination);
-            self.partials.remove(&op.destination);
-            self.ops.push(*op);
-        }
-    }
-
-    /// Record `reset_scale_factors`.
-    pub fn record_scale_reset(&mut self, cumulative: usize) {
-        self.scale_accumulations.insert(cumulative, Vec::new());
-    }
-
-    /// Record `accumulate_scale_factors`.
-    pub fn record_scale_accumulation(&mut self, scale_indices: &[usize], cumulative: usize) {
-        self.scale_accumulations
-            .entry(cumulative)
-            .or_default()
-            .extend_from_slice(scale_indices);
     }
 
     /// The recorded operations, in replay order.
@@ -259,10 +233,7 @@ impl StateJournal {
             let _ = writeln!(out, "matrix_update {m} {eigen} {:016x}", t.to_bits());
         }
         for op in &self.ops {
-            let scale = match op.dest_scale_write {
-                Some(s) => s.to_string(),
-                None => "-".to_string(),
-            };
+            let scale = op.dest_scale_write.map_or("-".into(), |s| s.to_string());
             let _ = writeln!(
                 out,
                 "op {} {scale} {} {} {} {}",
@@ -368,10 +339,7 @@ impl StateJournal {
                 "matrix_update" => {
                     let m: usize = parse(t.next(), "matrix index")?;
                     let eigen: usize = parse(t.next(), "eigen index")?;
-                    let bits = t.next().ok_or("journal line truncated at branch length")?;
-                    let t_val = u64::from_str_radix(bits, 16)
-                        .map(f64::from_bits)
-                        .map_err(|_| "bad branch-length bit pattern".to_string())?;
+                    let t_val = take_f64s(&mut t, 1, "branch length")?[0];
                     j.matrix_updates.insert(m, (eigen, t_val));
                 }
                 "op" => {
@@ -412,6 +380,47 @@ impl StateJournal {
         Ok(j)
     }
 
+    /// The recorded state as the calls that rebuild it, in replay order.
+    fn calls(&self) -> Vec<Call<'_>> {
+        let scale = self.scale_accumulations.iter().flat_map(|(&c, indices)| {
+            let accumulate = (!indices.is_empty()).then_some(Call::ScaleAccumulation(indices, c));
+            std::iter::once(Call::ScaleReset(c)).chain(accumulate)
+        });
+        (self.tip_states.iter().map(|(&t, s)| Call::TipStates(t, s)))
+            .chain(
+                self.tip_partials
+                    .iter()
+                    .map(|(&t, p)| Call::TipPartials(t, p)),
+            )
+            .chain(self.partials.iter().map(|(&b, p)| Call::Partials(b, p)))
+            .chain(self.pattern_weights.as_deref().map(Call::PatternWeights))
+            .chain(
+                self.frequencies
+                    .iter()
+                    .map(|(&i, f)| Call::Frequencies(i, f)),
+            )
+            .chain(self.category_rates.as_deref().map(Call::CategoryRates))
+            .chain(
+                self.category_weights
+                    .iter()
+                    .map(|(&i, w)| Call::CategoryWeights(i, w)),
+            )
+            .chain(
+                self.eigens
+                    .iter()
+                    .map(|(&i, (v, iv, e))| Call::Eigen(i, v, iv, e)),
+            )
+            .chain(self.matrices.iter().map(|(&i, m)| Call::Matrix(i, m)))
+            .chain(
+                self.matrix_updates.iter().map(|(m, (eigen, t))| {
+                    Call::MatrixUpdates(*eigen, from_ref(m), from_ref(t), None)
+                }),
+            )
+            .chain((!self.ops.is_empty()).then_some(Call::Operations(&self.ops)))
+            .chain(scale)
+            .collect()
+    }
+
     /// Replay the journal into `target`, restricted to the pattern range
     /// `[p0, p1)` of the original instance whose full configuration was
     /// `full`. Pattern-indexed data (tips, weights, direct partials) is
@@ -424,79 +433,379 @@ impl StateJournal {
         p0: usize,
         p1: usize,
     ) -> Result<()> {
-        let s = full.state_count;
-        for (&tip, states) in &self.tip_states {
-            target.set_tip_states(tip, &states[p0..p1])?;
-        }
-        for (&tip, partials) in &self.tip_partials {
-            target.set_tip_partials(tip, &partials[p0 * s..p1 * s])?;
-        }
-        for (&buffer, data) in &self.partials {
-            // Slice each category's pattern block out of the full buffer.
-            let mut sub = Vec::with_capacity(full.category_count * (p1 - p0) * s);
-            for c in 0..full.category_count {
-                let base = (c * full.pattern_count + p0) * s;
-                sub.extend_from_slice(&data[base..base + (p1 - p0) * s]);
-            }
-            target.set_partials(buffer, &sub)?;
-        }
-        if let Some(w) = &self.pattern_weights {
-            target.set_pattern_weights(&w[p0..p1])?;
-        }
-        for (&i, f) in &self.frequencies {
-            target.set_state_frequencies(i, f)?;
-        }
-        if let Some(r) = &self.category_rates {
-            target.set_category_rates(r)?;
-        }
-        for (&i, w) in &self.category_weights {
-            target.set_category_weights(i, w)?;
-        }
-        for (&i, (v, iv, ev)) in &self.eigens {
-            target.set_eigen_decomposition(i, v, iv, ev)?;
-        }
-        for (&i, m) in &self.matrices {
-            target.set_transition_matrix(i, m)?;
-        }
-        for (&m, &(eigen, t)) in &self.matrix_updates {
-            target.update_transition_matrices(eigen, &[m], &[t])?;
-        }
-        if !self.ops.is_empty() {
-            target.update_partials(&self.ops)?;
-        }
-        for (&cumulative, indices) in &self.scale_accumulations {
-            target.reset_scale_factors(cumulative)?;
-            if !indices.is_empty() {
-                target.accumulate_scale_factors(indices, cumulative)?;
-            }
-        }
-        Ok(())
+        self.calls()
+            .iter()
+            .try_for_each(|call| call.apply(target, full, (p0, p1)))
     }
 }
 
-/// The journaling wrapper the manager installs when a spec asks for
-/// numerical rescue or checkpoints (see the module docs). It records every
-/// mutating call in the instance's [`StateJournal`] and otherwise forwards
-/// calls unchanged, so wrapping is semantically invisible until an unscaled
-/// integration fails or a snapshot is requested.
-pub struct JournaledInstance {
-    inner: Box<dyn BeagleInstance>,
-    journal: StateJournal,
-    rescue: bool,
-    /// Sizing and provenance written into snapshots; `None` unless the spec
-    /// asked for checkpoints.
-    snapshot: Option<(InstanceConfig, Provenance)>,
+/// One mutating call of the BEAGLE API as a value: what a journaling layer
+/// forwards to the layer below ([`Self::apply`]), records once it is
+/// accepted ([`StateJournal::record`]) and replays.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Call<'a> {
+    TipStates(usize, &'a [u32]),
+    TipPartials(usize, &'a [f64]),
+    Partials(usize, &'a [f64]),
+    PatternWeights(&'a [f64]),
+    Frequencies(usize, &'a [f64]),
+    CategoryRates(&'a [f64]),
+    CategoryWeights(usize, &'a [f64]),
+    Eigen(usize, &'a [f64], &'a [f64], &'a [f64]),
+    Matrix(usize, &'a [f64]),
+    /// `update_transition_matrices(eigen, matrices, lengths)`, or with the
+    /// first- and second-derivative buffers `update_transition_derivatives`.
+    MatrixUpdates(
+        usize,
+        &'a [usize],
+        &'a [f64],
+        Option<(&'a [usize], &'a [usize])>,
+    ),
+    Operations(&'a [Operation]),
+    ScaleReset(usize),
+    ScaleAccumulation(&'a [usize], usize),
+}
+
+impl Call<'_> {
+    /// Run the call on `target`, which holds the patterns `[p0, p1)` of an
+    /// instance sized `full`. Over all of `full`'s patterns every payload
+    /// goes down unchanged, for `target` to check; over a sub-range a
+    /// pattern-indexed payload must cover all of `full`'s patterns, and
+    /// `target` gets its slice.
+    pub(crate) fn apply(
+        &self,
+        target: &mut dyn BeagleInstance,
+        full: &InstanceConfig,
+        (p0, p1): (usize, usize),
+    ) -> Result<()> {
+        let (n, s) = (full.pattern_count, full.state_count);
+        let whole = (p0, p1) == (0, n);
+        // The part of a payload with `per` values per pattern that `target`
+        // gets, checked to span all of `full`'s patterns when it is cut.
+        let cut = |what, per: usize, got: usize| match (whole, got == n * per) {
+            (true, _) => Ok(0..got),
+            (false, true) => Ok(p0 * per..p1 * per),
+            (false, false) => Err(BeagleError::DimensionMismatch {
+                what,
+                expected: n * per,
+                got,
+            }),
+        };
+        match *self {
+            Call::TipStates(tip, states) => {
+                target.set_tip_states(tip, &states[cut("tip states", 1, states.len())?])
+            }
+            Call::TipPartials(tip, partials) => {
+                let range = cut("tip partials", s, partials.len())?;
+                target.set_tip_partials(tip, &partials[range])
+            }
+            Call::Partials(buffer, partials) if whole => target.set_partials(buffer, partials),
+            Call::Partials(buffer, partials) => {
+                cut("partials", full.category_count * s, partials.len())?;
+                // Each category's block of patterns, cut to the range.
+                let sub: Vec<f64> = (0..full.category_count)
+                    .flat_map(|c| &partials[(c * n + p0) * s..(c * n + p1) * s])
+                    .copied()
+                    .collect();
+                target.set_partials(buffer, &sub)
+            }
+            Call::PatternWeights(weights) => {
+                target.set_pattern_weights(&weights[cut("pattern weights", 1, weights.len())?])
+            }
+            Call::Frequencies(index, frequencies) => {
+                target.set_state_frequencies(index, frequencies)
+            }
+            Call::CategoryRates(rates) => target.set_category_rates(rates),
+            Call::CategoryWeights(index, weights) => target.set_category_weights(index, weights),
+            Call::Eigen(index, vectors, inverse_vectors, values) => {
+                target.set_eigen_decomposition(index, vectors, inverse_vectors, values)
+            }
+            Call::Matrix(index, matrix) => target.set_transition_matrix(index, matrix),
+            Call::MatrixUpdates(eigen, matrices, lengths, None) => {
+                target.update_transition_matrices(eigen, matrices, lengths)
+            }
+            Call::MatrixUpdates(eigen, matrices, lengths, Some((d1, d2))) => {
+                target.update_transition_derivatives(eigen, matrices, d1, d2, lengths)
+            }
+            Call::Operations(operations) => target.update_partials(operations),
+            Call::ScaleReset(cumulative) => target.reset_scale_factors(cumulative),
+            Call::ScaleAccumulation(indices, cumulative) => {
+                target.accumulate_scale_factors(indices, cumulative)
+            }
+        }
+    }
+}
+
+/// What a journaling layer keeps for its logical instance: the journal,
+/// the state of numerical rescue, and the recorder that narrates both.
+pub(crate) struct Ledger {
+    pub(crate) journal: StateJournal,
+    /// Rescue numerically failed unscaled integrations (`spec.rescue`).
+    pub(crate) rescue: bool,
+    /// The reserved cumulative scale buffer while the partials the last
+    /// rescue rescaled are live: until the next recorded partials or scale
+    /// write (or a rebuild from the journal), an unscaled integration reads
+    /// rescaled partials and must add this buffer's factors back.
+    pub(crate) rescued: Option<usize>,
     pub(crate) recorder: Recorder,
 }
 
-impl JournaledInstance {
-    /// Wrap `inner`, created from `spec`, journaling from a clean slate.
-    pub(crate) fn new(inner: Box<dyn BeagleInstance>, spec: &InstanceSpec) -> Self {
-        Self::with_journal(inner, spec, StateJournal::new())
+/// One mutating call as the layer below a journal sees it: run on an
+/// instance that holds the given pattern range.
+pub(crate) type BelowCall<'c> =
+    dyn Fn(&mut dyn BeagleInstance, (usize, usize)) -> Result<()> + Sync + 'c;
+
+/// A layer that keeps the journal of one logical instance:
+/// [`JournaledInstance`] over one instance, and
+/// [`crate::multi::PartitionedInstance`] over its children. An
+/// implementation says how a call reaches the layer below; the recording
+/// rule ([`Self::forward`]) and numerical rescue
+/// ([`Self::integrate_rescued`]) are written once, here.
+pub(crate) trait Journaling: BeagleInstance {
+    /// The journal, rescue state and recorder this layer keeps.
+    fn ledger(&mut self) -> &mut Ledger;
+
+    /// Run `call` on every instance below, unrecorded; `concurrent` marks
+    /// work heavy enough to run on every device at once.
+    fn below(&mut self, concurrent: bool, call: &BelowCall) -> Result<()>;
+
+    /// Run `integrate` on every instance below and reduce the total.
+    fn integrate_below(
+        &mut self,
+        integrate: &dyn Fn(&mut dyn BeagleInstance) -> Result<f64>,
+    ) -> Result<f64>;
+
+    /// Forward `call` to the layer below, and record it if that layer
+    /// accepted it: returned `Ok`, or failed by a fault
+    /// ([`BeagleError::fault`]), which a rebuild must replay. A rejected
+    /// call leaves no trace, so it cannot poison a later replay. This is the
+    /// one place that decides what the journal holds.
+    fn forward(&mut self, call: Call) -> Result<()> {
+        let full = *self.config();
+        let concurrent = matches!(call, Call::Operations(_));
+        let result = self.below(concurrent, &|inst, range| call.apply(inst, &full, range));
+        if result.as_ref().err().is_none_or(|e| e.fault().is_some()) {
+            let ledger = self.ledger();
+            if matches!(
+                call,
+                Call::Partials(..)
+                    | Call::Operations(_)
+                    | Call::ScaleReset(_)
+                    | Call::ScaleAccumulation(..)
+            ) {
+                ledger.rescued = None;
+            }
+            ledger.journal.record(&call);
+        }
+        result
     }
 
-    /// Wrap `inner`, whose state `journal` already describes (the restore
-    /// path: a snapshot's journal, replayed into `inner`).
+    /// Run `integrate` with the client's `scaling`. When rescue is on and an
+    /// unscaled integration fails numerically, re-run the journaled
+    /// traversal below with per-destination rescaling, accumulate the
+    /// factors into the reserved cumulative buffer, and integrate again
+    /// against it; until the next partials or scale write, unscaled
+    /// integrations keep using that buffer. `what` names the integration in
+    /// events and errors.
+    fn integrate_rescued(
+        &mut self,
+        scaling: ScalingMode,
+        what: &dyn Fn() -> String,
+        integrate: &dyn Fn(&mut dyn BeagleInstance, ScalingMode) -> Result<f64>,
+    ) -> Result<f64> {
+        let scale_buffers = self.config().scale_buffer_count;
+        let rescued = self
+            .ledger()
+            .rescued
+            .filter(|_| scaling == ScalingMode::None);
+        let live = rescued.map_or(scaling, ScalingMode::cumulative);
+        let first = self.integrate_below(&|inst| integrate(inst, live));
+        let failed = first.as_ref().map_or_else(
+            |e| matches!(e, BeagleError::NumericalFailure(_)),
+            |v| !v.is_finite(),
+        );
+        let ledger = self.ledger();
+        if !ledger.rescue || scaling != ScalingMode::None || !failed {
+            return first;
+        }
+        // Every recorded destination needs its own scale buffer below the
+        // reserved one, the last.
+        let ops = ledger.journal.operations();
+        let reserved = scale_buffers.saturating_sub(1);
+        if reserved == 0 || ops.is_empty() || ops.iter().any(|op| op.destination >= reserved) {
+            return first;
+        }
+        let scaled: Vec<_> = ops
+            .iter()
+            .map(|op| op.with_scaling(op.destination))
+            .collect();
+        let indices: Vec<_> = scaled.iter().map(|op| op.destination).collect();
+        let what = what();
+        let n = scaled.len();
+        let recorder = &mut ledger.recorder;
+        recorder.event(EventKind::RescueTriggered, || {
+            format!("{what} failed numerically; rescaling {n} ops")
+        });
+        self.below(true, &|inst, _| {
+            inst.update_partials(&scaled)?;
+            inst.reset_scale_factors(reserved)?;
+            inst.accumulate_scale_factors(&indices, reserved)
+        })?;
+        self.ledger().rescued = Some(reserved);
+        let rescued =
+            self.integrate_below(&|inst| integrate(inst, ScalingMode::cumulative(reserved)))?;
+        if !rescued.is_finite() {
+            return Err(BeagleError::NumericalFailure(format!(
+                "{what}: log-likelihood {rescued} even after automatic rescaling"
+            )));
+        }
+        let done = || format!("{what}: log-likelihood {rescued} after rescaling");
+        self.ledger()
+            .recorder
+            .event(EventKind::RescueSucceeded, done);
+        Ok(rescued)
+    }
+}
+
+/// The mutating calls and integrations of [`BeagleInstance`], written once
+/// for both journaling layers: each call goes through
+/// [`Journaling::forward`], each integration through
+/// [`Journaling::integrate_rescued`].
+macro_rules! journaled_calls {
+    () => {
+        fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
+            self.forward(Call::TipStates(tip, states))
+        }
+
+        fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
+            self.forward(Call::TipPartials(tip, partials))
+        }
+
+        fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
+            self.forward(Call::Partials(buffer, partials))
+        }
+
+        fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
+            self.forward(Call::PatternWeights(weights))
+        }
+
+        fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
+            self.forward(Call::Frequencies(index, frequencies))
+        }
+
+        fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
+            self.forward(Call::CategoryRates(rates))
+        }
+
+        fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
+            self.forward(Call::CategoryWeights(index, weights))
+        }
+
+        fn set_eigen_decomposition(
+            &mut self,
+            index: usize,
+            vectors: &[f64],
+            inverse_vectors: &[f64],
+            values: &[f64],
+        ) -> Result<()> {
+            self.forward(Call::Eigen(index, vectors, inverse_vectors, values))
+        }
+
+        fn update_transition_matrices(
+            &mut self,
+            eigen_index: usize,
+            matrix_indices: &[usize],
+            branch_lengths: &[f64],
+        ) -> Result<()> {
+            self.forward(Call::MatrixUpdates(
+                eigen_index,
+                matrix_indices,
+                branch_lengths,
+                None,
+            ))
+        }
+
+        fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
+            self.forward(Call::Matrix(index, matrix))
+        }
+
+        fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
+            self.forward(Call::Operations(operations))
+        }
+
+        fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
+            self.forward(Call::ScaleReset(cumulative))
+        }
+
+        fn accumulate_scale_factors(
+            &mut self,
+            scale_indices: &[usize],
+            cumulative: usize,
+        ) -> Result<()> {
+            self.forward(Call::ScaleAccumulation(scale_indices, cumulative))
+        }
+
+        fn integrate_root(
+            &mut self,
+            root: BufferId,
+            category_weights: BufferId,
+            frequencies: BufferId,
+            scaling: ScalingMode,
+        ) -> Result<f64> {
+            self.integrate_rescued(
+                scaling,
+                &|| format!("root integration at buffer {root}"),
+                &|inner, scaling| {
+                    inner.integrate_root(root, category_weights, frequencies, scaling)
+                },
+            )
+        }
+
+        fn integrate_edge(
+            &mut self,
+            parent: BufferId,
+            child: BufferId,
+            matrix: BufferId,
+            category_weights: BufferId,
+            frequencies: BufferId,
+            scaling: ScalingMode,
+        ) -> Result<f64> {
+            self.integrate_rescued(
+                scaling,
+                &|| format!("edge integration {parent}->{child}"),
+                &|inner, scaling| {
+                    inner.integrate_edge(
+                        parent,
+                        child,
+                        matrix,
+                        category_weights,
+                        frequencies,
+                        scaling,
+                    )
+                },
+            )
+        }
+    };
+}
+pub(crate) use journaled_calls;
+
+/// The journaling wrapper the manager installs when a spec asks for
+/// numerical rescue or checkpoints (see the module docs). It forwards every
+/// call unchanged and records the mutating ones the instance accepted, so
+/// wrapping is semantically invisible until an unscaled integration fails
+/// or a snapshot is requested.
+pub struct JournaledInstance {
+    inner: Box<dyn BeagleInstance>,
+    pub(crate) ledger: Ledger,
+    /// Sizing and provenance written into snapshots; `None` unless the spec
+    /// asked for checkpoints.
+    snapshot: Option<(InstanceConfig, Provenance)>,
+}
+
+impl JournaledInstance {
+    /// Wrap `inner`, created from `spec`, whose state `journal` describes:
+    /// an empty journal for a fresh instance, or on the restore path a
+    /// snapshot's journal, replayed into `inner`.
     pub(crate) fn with_journal(
         inner: Box<dyn BeagleInstance>,
         spec: &InstanceSpec,
@@ -515,68 +824,32 @@ impl JournaledInstance {
         let recorder = Recorder::new(inner.statistics().is_some());
         Self {
             inner,
-            journal,
-            rescue: spec.rescue,
+            ledger: Ledger {
+                journal,
+                rescue: spec.rescue,
+                rescued: None,
+                recorder,
+            },
             snapshot,
-            recorder,
         }
     }
+}
 
-    /// The reserved cumulative scale buffer, if the configuration leaves
-    /// room for rescue: every recorded destination needs its own scale
-    /// buffer below the reserved one.
-    fn rescue_cumulative(&self) -> Option<usize> {
-        let reserved = self.inner.config().scale_buffer_count.checked_sub(1)?;
-        let ops = self.journal.operations();
-        (reserved > 0 && !ops.is_empty() && ops.iter().all(|op| op.destination < reserved))
-            .then_some(reserved)
+impl Journaling for JournaledInstance {
+    fn ledger(&mut self) -> &mut Ledger {
+        &mut self.ledger
     }
 
-    /// Run `integrate` with the client's `scaling`. When rescue is on and an
-    /// unscaled integration fails numerically, re-run the journaled
-    /// traversal with per-destination rescaling, accumulate the factors
-    /// into the reserved cumulative buffer, and integrate again against it.
-    /// `what` names the integration in events and errors.
-    fn integrate_rescued(
+    fn below(&mut self, _concurrent: bool, call: &BelowCall) -> Result<()> {
+        let patterns = self.inner.config().pattern_count;
+        call(self.inner.as_mut(), (0, patterns))
+    }
+
+    fn integrate_below(
         &mut self,
-        scaling: ScalingMode,
-        what: impl Fn() -> String,
-        integrate: impl Fn(&mut dyn BeagleInstance, ScalingMode) -> Result<f64>,
+        integrate: &dyn Fn(&mut dyn BeagleInstance) -> Result<f64>,
     ) -> Result<f64> {
-        let first = integrate(self.inner.as_mut(), scaling);
-        let failed = match &first {
-            Ok(v) => !v.is_finite(),
-            Err(e) => matches!(e, BeagleError::NumericalFailure(_)),
-        };
-        if !self.rescue || scaling != ScalingMode::None || !failed {
-            return first;
-        }
-        let Some(cumulative) = self.rescue_cumulative() else {
-            return first;
-        };
-        let ops = self.journal.operations();
-        self.recorder.event(EventKind::RescueTriggered, || {
-            format!("{} failed numerically; rescaling {} ops", what(), ops.len())
-        });
-        let scaled: Vec<Operation> = ops
-            .iter()
-            .map(|op| op.with_scaling(op.destination))
-            .collect();
-        let indices: Vec<usize> = scaled.iter().map(|op| op.destination).collect();
-        self.inner.update_partials(&scaled)?;
-        self.inner.reset_scale_factors(cumulative)?;
-        self.inner.accumulate_scale_factors(&indices, cumulative)?;
-        let rescued = integrate(self.inner.as_mut(), ScalingMode::cumulative(cumulative))?;
-        if !rescued.is_finite() {
-            return Err(BeagleError::NumericalFailure(format!(
-                "{}: log-likelihood {rescued} even after automatic rescaling",
-                what()
-            )));
-        }
-        self.recorder.event(EventKind::RescueSucceeded, || {
-            format!("{}: log-likelihood {rescued} after rescaling", what())
-        });
-        Ok(rescued)
+        integrate(self.inner.as_mut())
     }
 }
 
@@ -597,68 +870,10 @@ impl BeagleInstance for JournaledInstance {
         self.inner.config()
     }
 
-    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
-        self.journal.record_tip_states(tip, states);
-        self.inner.set_tip_states(tip, states)
-    }
-
-    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
-        self.journal.record_tip_partials(tip, partials);
-        self.inner.set_tip_partials(tip, partials)
-    }
-
-    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
-        self.journal.record_partials(buffer, partials);
-        self.inner.set_partials(buffer, partials)
-    }
+    journaled_calls!();
 
     fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
         self.inner.get_partials(buffer)
-    }
-
-    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
-        self.journal.record_pattern_weights(weights);
-        self.inner.set_pattern_weights(weights)
-    }
-
-    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
-        self.journal.record_frequencies(index, frequencies);
-        self.inner.set_state_frequencies(index, frequencies)
-    }
-
-    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
-        self.journal.record_category_rates(rates);
-        self.inner.set_category_rates(rates)
-    }
-
-    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
-        self.journal.record_category_weights(index, weights);
-        self.inner.set_category_weights(index, weights)
-    }
-
-    fn set_eigen_decomposition(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) -> Result<()> {
-        self.journal
-            .record_eigen(index, vectors, inverse_vectors, values);
-        self.inner
-            .set_eigen_decomposition(index, vectors, inverse_vectors, values)
-    }
-
-    fn update_transition_matrices(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        self.journal
-            .record_matrix_updates(eigen_index, matrix_indices, branch_lengths);
-        self.inner
-            .update_transition_matrices(eigen_index, matrix_indices, branch_lengths)
     }
 
     fn update_transition_derivatives(
@@ -669,86 +884,16 @@ impl BeagleInstance for JournaledInstance {
         d2_indices: &[usize],
         branch_lengths: &[f64],
     ) -> Result<()> {
-        // Derivative matrices are scratch outputs for branch optimization;
-        // replay needs only the primary matrices.
-        self.journal
-            .record_matrix_updates(eigen_index, matrix_indices, branch_lengths);
-        self.inner.update_transition_derivatives(
+        self.forward(Call::MatrixUpdates(
             eigen_index,
             matrix_indices,
-            d1_indices,
-            d2_indices,
             branch_lengths,
-        )
-    }
-
-    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
-        self.journal.record_matrix(index, matrix);
-        self.inner.set_transition_matrix(index, matrix)
+            Some((d1_indices, d2_indices)),
+        ))
     }
 
     fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
         self.inner.get_transition_matrix(index)
-    }
-
-    fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
-        self.journal.record_operations(operations);
-        self.inner.update_partials(operations)
-    }
-
-    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
-        self.journal.record_scale_reset(cumulative);
-        self.inner.reset_scale_factors(cumulative)
-    }
-
-    fn accumulate_scale_factors(
-        &mut self,
-        scale_indices: &[usize],
-        cumulative: usize,
-    ) -> Result<()> {
-        self.journal
-            .record_scale_accumulation(scale_indices, cumulative);
-        self.inner
-            .accumulate_scale_factors(scale_indices, cumulative)
-    }
-
-    fn integrate_root(
-        &mut self,
-        root: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<f64> {
-        self.integrate_rescued(
-            scaling,
-            || format!("root integration at buffer {root}"),
-            |inner, scaling| inner.integrate_root(root, category_weights, frequencies, scaling),
-        )
-    }
-
-    fn integrate_edge(
-        &mut self,
-        parent: BufferId,
-        child: BufferId,
-        matrix: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<f64> {
-        self.integrate_rescued(
-            scaling,
-            || format!("edge integration {parent}->{child}"),
-            |inner, scaling| {
-                inner.integrate_edge(
-                    parent,
-                    child,
-                    matrix,
-                    category_weights,
-                    frequencies,
-                    scaling,
-                )
-            },
-        )
     }
 
     fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
@@ -757,20 +902,23 @@ impl BeagleInstance for JournaledInstance {
 
     fn statistics(&self) -> Option<obs::InstanceStats> {
         let mut stats = self.inner.statistics()?;
-        if let Some(own) = self.recorder.stats() {
+        if let Some(own) = self.ledger.recorder.stats() {
             stats.merge(&own);
         }
         Some(stats)
     }
 
     fn take_journal(&mut self) -> Vec<obs::Event> {
-        obs::merge_journals(self.inner.take_journal(), self.recorder.take_journal())
+        obs::merge_journals(
+            self.inner.take_journal(),
+            self.ledger.recorder.take_journal(),
+        )
     }
 
     fn checkpoint(&mut self) -> Option<Checkpoint> {
         let (config, provenance) = self.snapshot.as_ref()?;
-        let journal = &self.journal;
-        self.recorder.event(EventKind::CheckpointSaved, || {
+        let journal = &self.ledger.journal;
+        self.ledger.recorder.event(EventKind::CheckpointSaved, || {
             format!(
                 "config={}x{} ops={}",
                 config.tip_count,
@@ -797,8 +945,8 @@ mod tests {
     #[test]
     fn operations_dedupe_by_destination() {
         let mut j = StateJournal::new();
-        j.record_operations(&[op(4, 0, 1), op(5, 2, 3)]);
-        j.record_operations(&[op(4, 1, 2)]);
+        j.record(&Call::Operations(&[op(4, 0, 1), op(5, 2, 3)]));
+        j.record(&Call::Operations(&[op(4, 1, 2)]));
         let dests: Vec<usize> = j.operations().iter().map(|o| o.destination).collect();
         assert_eq!(
             dests,
@@ -811,10 +959,10 @@ mod tests {
     #[test]
     fn direct_partials_supersede_operations_and_vice_versa() {
         let mut j = StateJournal::new();
-        j.record_operations(&[op(4, 0, 1)]);
-        j.record_partials(4, &[1.0; 16]);
+        j.record(&Call::Operations(&[op(4, 0, 1)]));
+        j.record(&Call::Partials(4, &[1.0; 16]));
         assert!(j.operations().is_empty());
-        j.record_operations(&[op(4, 0, 1)]);
+        j.record(&Call::Operations(&[op(4, 0, 1)]));
         assert_eq!(j.operations().len(), 1);
         assert!(j.partials.is_empty());
     }
@@ -822,10 +970,10 @@ mod tests {
     #[test]
     fn matrix_sources_are_exclusive() {
         let mut j = StateJournal::new();
-        j.record_matrix_updates(0, &[3], &[0.1]);
-        j.record_matrix(3, &[0.25; 16]);
+        j.record(&Call::MatrixUpdates(0, &[3], &[0.1], None));
+        j.record(&Call::Matrix(3, &[0.25; 16]));
         assert!(j.matrix_updates.is_empty());
-        j.record_matrix_updates(0, &[3], &[0.2]);
+        j.record(&Call::MatrixUpdates(0, &[3], &[0.2], None));
         assert!(j.matrices.is_empty());
         assert_eq!(j.matrix_updates[&3], (0, 0.2));
     }
@@ -833,18 +981,21 @@ mod tests {
     #[test]
     fn encode_decode_round_trips_bit_exactly() {
         let mut j = StateJournal::new();
-        j.record_tip_states(0, &[0, 3, u32::MAX]);
-        j.record_tip_partials(1, &[0.25, 1e-300, -0.0]);
-        j.record_partials(4, &[std::f64::consts::PI, 2.0_f64.sqrt()]);
-        j.record_pattern_weights(&[1.0, 2.0, 3.0]);
-        j.record_frequencies(0, &[0.1, 0.2, 0.3, 0.4]);
-        j.record_category_rates(&[0.5, 1.5]);
-        j.record_category_weights(0, &[0.5, 0.5]);
-        j.record_eigen(0, &[1.0; 4], &[2.0; 4], &[-0.5, 0.5]);
-        j.record_matrix(3, &[0.25; 4]);
-        j.record_matrix_updates(0, &[5], &[0.123456789]);
-        j.record_operations(&[op(6, 0, 1), op(7, 6, 2).with_scaling(7)]);
-        j.record_scale_accumulation(&[6, 7], 9);
+        j.record(&Call::TipStates(0, &[0, 3, u32::MAX]));
+        j.record(&Call::TipPartials(1, &[0.25, 1e-300, -0.0]));
+        j.record(&Call::Partials(4, &[std::f64::consts::PI, 2.0_f64.sqrt()]));
+        j.record(&Call::PatternWeights(&[1.0, 2.0, 3.0]));
+        j.record(&Call::Frequencies(0, &[0.1, 0.2, 0.3, 0.4]));
+        j.record(&Call::CategoryRates(&[0.5, 1.5]));
+        j.record(&Call::CategoryWeights(0, &[0.5, 0.5]));
+        j.record(&Call::Eigen(0, &[1.0; 4], &[2.0; 4], &[-0.5, 0.5]));
+        j.record(&Call::Matrix(3, &[0.25; 4]));
+        j.record(&Call::MatrixUpdates(0, &[5], &[0.123456789], None));
+        j.record(&Call::Operations(&[
+            op(6, 0, 1),
+            op(7, 6, 2).with_scaling(7),
+        ]));
+        j.record(&Call::ScaleAccumulation(&[6, 7], 9));
 
         let mut text = String::new();
         j.encode_into(&mut text);
@@ -891,8 +1042,21 @@ mod tests {
         fn config(&self) -> &InstanceConfig {
             &self.config
         }
-        fn set_tip_states(&mut self, _: usize, _: &[u32]) -> Result<()> {
-            Ok(())
+        /// Tip 1 is out of range; tip 2's device is lost.
+        fn set_tip_states(&mut self, tip: usize, _: &[u32]) -> Result<()> {
+            match tip {
+                1 => Err(BeagleError::OutOfRange {
+                    what: "tip",
+                    index: 1,
+                    limit: 1,
+                }),
+                2 => Err(BeagleError::Device {
+                    kind: crate::error::DeviceErrorKind::DeviceLost,
+                    transient: false,
+                    device: "mock".into(),
+                }),
+                _ => Ok(()),
+            }
         }
         fn set_tip_partials(&mut self, _: usize, _: &[f64]) -> Result<()> {
             Ok(())
@@ -974,11 +1138,9 @@ mod tests {
         }
     }
 
-    /// Rescue re-runs only the operations whose results the client still
-    /// holds: a buffer overwritten by `set_partials` after its operation
-    /// ran keeps the client's data.
-    #[test]
-    fn rescue_never_recomputes_a_buffer_the_client_overwrote() {
+    /// A journaled instance over an [`Underflowing`] mock, and the mock's
+    /// write log.
+    fn journaled_mock() -> (JournaledInstance, Arc<Mutex<Vec<String>>>) {
         let config = InstanceConfig::for_tree(4, 10, 4, 1);
         let writes = Arc::new(Mutex::new(Vec::new()));
         let mock = Underflowing {
@@ -992,7 +1154,29 @@ mod tests {
             writes: writes.clone(),
         };
         let spec = InstanceSpec::with_config(config);
-        let mut inst = JournaledInstance::new(Box::new(mock), &spec);
+        let inst = JournaledInstance::with_journal(Box::new(mock), &spec, StateJournal::new());
+        (inst, writes)
+    }
+
+    /// The recording rule: an accepted call is recorded, a rejected one is
+    /// not, and one that failed by a fault is, since a rebuild must replay
+    /// it.
+    #[test]
+    fn accepted_and_faulted_calls_are_recorded_rejected_ones_are_not() {
+        let (mut inst, _) = journaled_mock();
+        assert!(inst.set_tip_states(0, &[0; 10]).is_ok());
+        assert!(inst.set_tip_states(1, &[0; 10]).is_err());
+        assert!(inst.set_tip_states(2, &[0; 10]).is_err());
+        let tips: Vec<usize> = inst.ledger.journal.tip_states.keys().copied().collect();
+        assert_eq!(tips, [0, 2]);
+    }
+
+    /// Rescue re-runs only the operations whose results the client still
+    /// holds: a buffer overwritten by `set_partials` after its operation
+    /// ran keeps the client's data.
+    #[test]
+    fn rescue_never_recomputes_a_buffer_the_client_overwrote() {
+        let (mut inst, writes) = journaled_mock();
         inst.update_partials(&[op(4, 0, 1), op(5, 4, 2)]).unwrap();
         inst.set_partials(4, &[0.5; 40]).unwrap();
         let lnl = inst
@@ -1009,9 +1193,9 @@ mod tests {
     #[test]
     fn scale_reset_clears_accumulation() {
         let mut j = StateJournal::new();
-        j.record_scale_accumulation(&[1, 2], 9);
-        j.record_scale_reset(9);
-        j.record_scale_accumulation(&[3], 9);
+        j.record(&Call::ScaleAccumulation(&[1, 2], 9));
+        j.record(&Call::ScaleReset(9));
+        j.record(&Call::ScaleAccumulation(&[3], 9));
         assert_eq!(j.scale_accumulations[&9], vec![3]);
     }
 }

@@ -16,7 +16,7 @@ use crate::api::{BeagleInstance, BufferId, InstanceConfig, ScalingMode};
 use crate::error::{BeagleError, Result};
 use crate::flags::Flags;
 use crate::health::{BreakerConfig, HealthRegistry, Outcome};
-use crate::journal::JournaledInstance;
+use crate::journal::{JournaledInstance, StateJournal};
 use crate::memo;
 use crate::ops::Operation;
 use crate::resource::ResourceDescription;
@@ -156,7 +156,11 @@ impl ImplementationManager {
     pub fn create_from_spec(&self, spec: &InstanceSpec) -> Result<Box<dyn BeagleInstance>> {
         let inst = self.create_unjournaled(spec)?;
         let mut inst: Box<dyn BeagleInstance> = if spec.rescue || spec.checkpoint {
-            Box::new(JournaledInstance::new(inst, spec))
+            Box::new(JournaledInstance::with_journal(
+                inst,
+                spec,
+                StateJournal::new(),
+            ))
         } else {
             inst
         };

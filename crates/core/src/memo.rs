@@ -75,7 +75,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
-use crate::error::Result;
+use crate::error::{BeagleError, Result};
 use crate::obs::{self, EventKind, Recorder};
 use crate::ops::Operation;
 
@@ -934,6 +934,16 @@ impl BeagleInstance for MemoInstance {
 
     fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
         if self.enabled {
+            // A deferred reset must still be rejected now, as the back-end
+            // would reject it, or a journal above records a bad call.
+            let limit = self.inner.config().scale_buffer_count;
+            if cumulative >= limit {
+                return Err(BeagleError::OutOfRange {
+                    what: "scale buffer",
+                    index: cumulative,
+                    limit,
+                });
+            }
             if get_slot(&self.scale_sig, cumulative) == Some(&ScaleSig::Reset)
                 && !self.pending_resets.contains(&cumulative)
             {

@@ -19,9 +19,11 @@
 //!
 //! # Fault tolerance
 //!
-//! Long multi-device runs meet hardware faults. Every fan-out call records
-//! its inputs in a [`StateJournal`], and every child failure is classified
-//! once, by [`BeagleError::fault`]:
+//! Long multi-device runs meet hardware faults. The instance keeps the one
+//! [`StateJournal`] of the logical instance (its children keep none): every
+//! call fans out to the children and is recorded once every child has
+//! accepted it (`journal::Journaling::forward`). Every child failure is
+//! classified once, by [`BeagleError::fault`]:
 //!
 //! * **Transient** faults (dropped kernel launch, momentary memory
 //!   pressure) are retried in place up to [`MAX_RETRIES`] times with
@@ -30,11 +32,19 @@
 //! * **Timeouts and permanent** device faults, and transient ones that
 //!   outlast their retries, evict the dead child: the remaining weights are
 //!   re-normalized, every survivor is re-created at its new pattern range
-//!   through the [`ImplementationManager`], and the journal is replayed to
-//!   rebuild their state — degrading gracefully down to a single device
-//!   before any error reaches the client.
+//!   through the [`ImplementationManager`], the journal is replayed to
+//!   rebuild their state, and the in-flight call runs again on every
+//!   rebuilt child — degrading gracefully down to a single device before
+//!   any error reaches the client.
 //! * **No fault** (a bad argument, a numerical failure): the error reaches
-//!   the client unchanged, and no child is evicted or scored.
+//!   the client unchanged, and no child is evicted or scored. When another
+//!   child had already accepted the call, the children are rebuilt at their
+//!   ranges from the journal, which does not hold it, so the rejected call
+//!   leaves the logical state unchanged.
+//!
+//! With `spec.rescue`, numerical rescue runs at this level too, over every
+//! child with the instance's own journal; site values are per pattern, so
+//! the reduced total keeps the single-instance bits.
 //!
 //! Per-child retry counters and the eviction count are exposed via
 //! [`PartitionedInstance::retry_counts`] /
@@ -51,7 +61,7 @@ use crate::deadline::Deadline;
 use crate::error::{BeagleError, Result};
 use crate::flags::Flags;
 use crate::health::{backoff, BreakerState, Outcome, MAX_RETRIES};
-use crate::journal::StateJournal;
+use crate::journal::{journaled_calls, BelowCall, Call, Journaling, Ledger, StateJournal};
 use crate::manager::ImplementationManager;
 use crate::obs::{self, EventKind, Recorder};
 use crate::ops::Operation;
@@ -112,7 +122,8 @@ pub struct PartitionedInstance {
     selections: Vec<ChildSelection>,
     /// Pattern-share weight per surviving child.
     weights: Vec<f64>,
-    journal: StateJournal,
+    /// The one journal of this logical instance: children hold none.
+    ledger: Ledger,
     /// Transient-fault retries performed per surviving child.
     retry_counts: Vec<u64>,
     /// Children permanently evicted since creation.
@@ -141,8 +152,6 @@ pub struct PartitionedInstance {
     /// produced a tainted timing sample (part of the work was elided), so
     /// the load balancer must not feed it into the EWMA rate estimate.
     skip_marks: Vec<u64>,
-    /// Failover-event journal; enabled when any child records statistics.
-    recorder: Recorder,
     /// Events drained from replaced children so their last words (the fault
     /// narration) survive an eviction or migration.
     salvaged: Vec<obs::Event>,
@@ -224,10 +233,10 @@ impl PartitionedInstance {
     /// (pinned by name or flag-ranked), where `weights[i]` is child `i`'s
     /// share of the pattern range (use per-device peak GFLOPS, or measured
     /// throughput from a calibration run). The spec supplies the sizing
-    /// (`spec.config`), the incremental-memoization choice and the
-    /// per-launch watchdog deadline, which every child gets, including
-    /// children rebuilt after an eviction; its implementation and flag
-    /// fields are ignored in favour of `selections`. The manager is
+    /// (`spec.config`), the rescue setting, the incremental-memoization
+    /// choice and the per-launch watchdog deadline, which every child gets,
+    /// including children rebuilt after an eviction; its implementation and
+    /// flag fields are ignored in favour of `selections`. The manager is
     /// retained so dead children can be replaced at runtime (see the module
     /// docs).
     pub fn create(
@@ -253,7 +262,13 @@ impl PartitionedInstance {
             manager: Arc::clone(manager),
             selections: selections.to_vec(),
             weights: weights.to_vec(),
-            journal: StateJournal::new(),
+            ledger: Ledger {
+                journal: StateJournal::new(),
+                rescue: spec.rescue,
+                rescued: None,
+                // Enabled once the children exist, if any records statistics.
+                recorder: Recorder::disabled(),
+            },
             retry_counts: Vec::new(),
             evictions: 0,
             deadline: spec.deadline,
@@ -263,7 +278,6 @@ impl PartitionedInstance {
             rng: 0x5eed_0fbe_a91e,
             incremental: spec.incremental,
             skip_marks: Vec::new(),
-            recorder: Recorder::disabled(),
             salvaged: Vec::new(),
         };
         inst.rebuild(ranges)
@@ -278,17 +292,16 @@ impl PartitionedInstance {
                 },
                 source: Box::new(e),
             })?;
-        inst.recorder = Recorder::new(inst.parts.iter().any(|p| p.statistics().is_some()));
+        inst.ledger.recorder = Recorder::new(inst.parts.iter().any(|p| p.statistics().is_some()));
         Ok(inst)
     }
 
-    /// Build one child per selection at `ranges`, give each the watchdog
-    /// budget and replay its journal slice into it (tip data, pattern
-    /// weights, partials, scale state — the full recorded state), then swap
-    /// the new set in, salvaging the outgoing children's event journals.
-    /// On a failure the current children stay untouched and the index of
-    /// the child that could not be built or replayed comes back with the
-    /// cause.
+    /// Build one child per selection at `ranges` (with no journal of its
+    /// own), give each the watchdog budget and replay its slice of the
+    /// (unscaled) journal into it, then swap the new set in, salvaging the
+    /// outgoing children's event journals. On a failure the current
+    /// children stay untouched and the index of the child that could not
+    /// be built or replayed comes back with the cause.
     fn rebuild(
         &mut self,
         ranges: Vec<(usize, usize)>,
@@ -300,14 +313,16 @@ impl PartitionedInstance {
                 ..self.config
             })
             .prefer(sel.preferences)
-            .require(sel.requirements);
+            .require(sel.requirements)
+            .without_rescue();
             spec.implementation.clone_from(&sel.implementation);
             spec.incremental = self.incremental;
             let built = self.manager.create_from_spec(&spec).and_then(|mut inst| {
                 // Restore the watchdog budget before replay: a replacement
                 // device can stall during replay too.
                 inst.set_deadline(self.deadline);
-                self.journal
+                self.ledger
+                    .journal
                     .replay_slice(inst.as_mut(), &self.config, p0, p1)
                     .map(|()| inst)
             });
@@ -318,6 +333,7 @@ impl PartitionedInstance {
                 obs::merge_journals(std::mem::take(&mut self.salvaged), old.take_journal());
         }
         self.ranges = ranges;
+        self.ledger.rescued = None;
         let n = self.parts.len();
         self.retry_counts = vec![0; n];
         self.pending = vec![Duration::ZERO; n];
@@ -468,14 +484,14 @@ impl PartitionedInstance {
         }
         let old_ranges = self.ranges.clone();
         if let Err((i, e)) = self.rebuild(new_ranges) {
-            self.recorder.event(EventKind::Rebalance, || {
+            self.ledger.recorder.event(EventKind::Rebalance, || {
                 format!("aborted child={i} cause={e}")
             });
             return Err(e);
         }
         self.weights = weights.to_vec();
         self.rebalances += 1;
-        self.recorder.event(EventKind::Rebalance, || {
+        self.ledger.recorder.event(EventKind::Rebalance, || {
             format!(
                 "from={old_ranges:?} to={:?} weights={weights:?}",
                 self.ranges
@@ -494,7 +510,7 @@ impl PartitionedInstance {
     /// precision so the parent multiplies the same widened operands the
     /// child's kernel did.
     fn reduce_total(&self) -> f64 {
-        let weights = self.journal.pattern_weights();
+        let weights = self.ledger.journal.pattern_weights();
         let mut total = 0.0;
         for (part, &(p0, p1)) in self.parts.iter().zip(&self.ranges) {
             let single = part.details().flags.contains(Flags::PRECISION_SINGLE);
@@ -509,25 +525,6 @@ impl PartitionedInstance {
             total = weighted_lnl_sum(total, &self.site_lnl[p0..p1], w);
         }
         total
-    }
-
-    /// Extract child `i`'s `[category][pattern][state]` sub-buffer from a
-    /// full-problem buffer with `per_pattern` values per pattern.
-    fn slice_blocked(
-        &self,
-        i: usize,
-        data: &[f64],
-        per_pattern: usize,
-        categories: usize,
-    ) -> Vec<f64> {
-        let (p0, p1) = self.ranges[i];
-        let n_pat = self.config.pattern_count;
-        let mut out = Vec::with_capacity(categories * (p1 - p0) * per_pattern);
-        for c in 0..categories {
-            let base = (c * n_pat + p0) * per_pattern;
-            out.extend_from_slice(&data[base..base + (p1 - p0) * per_pattern]);
-        }
-        out
     }
 
     /// Run `call` on `part` and time it: the modeled device-time delta when
@@ -574,7 +571,7 @@ impl PartitionedInstance {
         }
         if retries > 0 {
             self.retry_counts[i] += u64::from(retries);
-            self.recorder.event(EventKind::FailoverRetry, || {
+            self.ledger.recorder.event(EventKind::FailoverRetry, || {
                 format!("child={i} retries={retries} ok={}", r.is_ok())
             });
             let resource = self.parts[i].details().implementation_name.clone();
@@ -601,7 +598,8 @@ impl PartitionedInstance {
                 BreakerState::HalfOpen => EventKind::BreakerHalfOpen,
                 BreakerState::Closed => EventKind::BreakerClosed,
             };
-            self.recorder
+            self.ledger
+                .recorder
                 .event(kind, || format!("resource={resource} after={outcome:?}"));
         }
     }
@@ -619,7 +617,7 @@ impl PartitionedInstance {
         let dead_resource = self.parts[dead].details().implementation_name.clone();
         self.note_health(&dead_resource, outcome);
         self.evictions += 1;
-        self.recorder.event(EventKind::FailoverEviction, || {
+        self.ledger.recorder.event(EventKind::FailoverEviction, || {
             format!(
                 "child={dead} cause={cause} survivors={}",
                 self.parts.len() - 1
@@ -640,33 +638,49 @@ impl PartitionedInstance {
         if let Some(b) = &mut self.balancer {
             b.remove_part(dead);
         }
+        self.rebuild_evicting(None, cause)
+    }
 
+    /// [`Self::rebuild`] the children at `ranges`, or, when `None`, at
+    /// ranges re-split over the surviving selections. A child whose rebuild
+    /// fails is evicted and the survivors are re-split and rebuilt in turn;
+    /// `cause` surfaces once no child remains.
+    fn rebuild_evicting(
+        &mut self,
+        mut ranges: Option<Vec<(usize, usize)>>,
+        cause: BeagleError,
+    ) -> Result<()> {
         loop {
             if self.selections.is_empty() {
                 return Err(cause);
             }
-            // An eviction is an immediate rebalance over the survivors:
-            // when the balancer has settled throughput estimates, the
-            // rebuild uses *measured* weights rather than the stale
-            // creation-time shares.
-            if let Some(thr) = self.balancer.as_ref().and_then(|b| b.throughputs()) {
-                if thr.len() == self.weights.len() {
-                    self.weights = thr;
-                    self.recorder.event(EventKind::Rebalance, || {
-                        format!(
-                            "trigger=eviction survivors={} weights={:?}",
-                            self.selections.len(),
-                            self.weights
-                        )
-                    });
+            let ranges = match ranges.take() {
+                Some(ranges) => ranges,
+                None => {
+                    // An eviction is an immediate rebalance over the
+                    // survivors: when the balancer has settled throughput
+                    // estimates, the rebuild uses *measured* weights rather
+                    // than the stale creation-time shares.
+                    if let Some(thr) = self.balancer.as_ref().and_then(|b| b.throughputs()) {
+                        if thr.len() == self.weights.len() {
+                            self.weights = thr;
+                            self.ledger.recorder.event(EventKind::Rebalance, || {
+                                format!(
+                                    "trigger=eviction survivors={} weights={:?}",
+                                    self.selections.len(),
+                                    self.weights
+                                )
+                            });
+                        }
+                    }
+                    weighted_ranges(self.config.pattern_count, &self.weights)?
                 }
-            }
-            let ranges = weighted_ranges(self.config.pattern_count, &self.weights)?;
+            };
             let Err((j, _)) = self.rebuild(ranges) else {
                 return Ok(());
             };
             self.evictions += 1;
-            self.recorder.event(EventKind::FailoverEviction, || {
+            self.ledger.recorder.event(EventKind::FailoverEviction, || {
                 format!(
                     "child={j} cause=rebuild-failed survivors={}",
                     self.selections.len() - 1
@@ -679,23 +693,58 @@ impl PartitionedInstance {
             }
         }
     }
+}
 
-    /// Fan a *journaled* call out to every child through
-    /// [`Self::settle_child`]. The call's input must already be recorded:
-    /// after an eviction the journal replay has re-applied it to every
-    /// rebuilt child, so the fan-out is complete without re-running `call`.
-    fn fan_out_recorded(
-        &mut self,
-        mut call: impl FnMut(usize, (usize, usize), &mut dyn BeagleInstance) -> Result<()>,
-    ) -> Result<()> {
-        for i in 0..self.parts.len() {
-            let range = self.ranges[i];
-            let first = call(i, range, self.parts[i].as_mut());
-            if self.settle_child(i, first, |p| call(i, range, p))? {
-                return Ok(());
+impl Journaling for PartitionedInstance {
+    fn ledger(&mut self) -> &mut Ledger {
+        &mut self.ledger
+    }
+
+    /// The one fan-out path (see the module docs): run `call` on every
+    /// child (at once when `concurrent`, each device on its own slice), then
+    /// settle each failure through [`Self::settle_child`]. Bounded: every
+    /// round returns or evicts.
+    fn below(&mut self, concurrent: bool, call: &BelowCall) -> Result<()> {
+        'round: for _ in 0..=self.parts.len() {
+            let jobs = self.parts.iter_mut().zip(self.ranges.iter().copied());
+            let run = |(part, range): (&mut Box<dyn BeagleInstance>, _)| {
+                Self::timed(part.as_mut(), |p| call(p, range))
+            };
+            let firsts: Vec<(Result<()>, Duration)> = if concurrent {
+                std::thread::scope(|scope| {
+                    let handles: Vec<_> = jobs.map(|job| scope.spawn(move || run(job))).collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("no panics"))
+                        .collect()
+                })
+            } else {
+                jobs.map(run).collect()
+            };
+            let mut accepted = firsts.iter().any(|(r, _)| r.is_ok());
+            for (i, (first, elapsed)) in firsts.into_iter().enumerate() {
+                // A clean first-try time of concurrent work adds to the batch
+                // the next integration closes (see `observe_batch`); one
+                // that includes a fault, retry backoff or rebuild says
+                // nothing about throughput.
+                if concurrent && first.is_ok() {
+                    self.pending[i] += elapsed;
+                }
+                let range = self.ranges[i];
+                match self.settle_child(i, first, |p| call(p, range)) {
+                    Ok(true) => continue 'round,
+                    Ok(false) => accepted = true,
+                    Err(e) => {
+                        if accepted && e.fault().is_none() {
+                            self.rebuild_evicting(Some(self.ranges.clone()), e.clone())?;
+                        }
+                        return Err(e);
+                    }
+                }
             }
+            return Ok(());
         }
-        Ok(())
+        unreachable!("eviction loop is bounded by the child count");
     }
 
     /// Run a root or edge integration on every child, gather the site
@@ -703,9 +752,9 @@ impl PartitionedInstance {
     /// journaled (it writes no instance state), so on eviction the whole
     /// reduction restarts against the rebuilt children. Bounded: every
     /// round either returns or evicts.
-    fn integrate_children(
+    fn integrate_below(
         &mut self,
-        integrate: impl Fn(&mut dyn BeagleInstance) -> Result<f64>,
+        integrate: &dyn Fn(&mut dyn BeagleInstance) -> Result<f64>,
     ) -> Result<f64> {
         let integrate = |p: &mut dyn BeagleInstance| integrate(p).map(drop);
         'round: for _ in 0..=self.parts.len() {
@@ -743,54 +792,7 @@ impl BeagleInstance for PartitionedInstance {
         &self.config
     }
 
-    fn set_tip_states(&mut self, tip: usize, states: &[u32]) -> Result<()> {
-        if states.len() != self.config.pattern_count {
-            return Err(BeagleError::DimensionMismatch {
-                what: "tip states",
-                expected: self.config.pattern_count,
-                got: states.len(),
-            });
-        }
-        self.journal.record_tip_states(tip, states);
-        self.fan_out_recorded(|_, (p0, p1), part| part.set_tip_states(tip, &states[p0..p1]))
-    }
-
-    fn set_tip_partials(&mut self, tip: usize, partials: &[f64]) -> Result<()> {
-        let per = self.config.state_count;
-        if partials.len() != self.config.pattern_count * per {
-            return Err(BeagleError::DimensionMismatch {
-                what: "tip partials",
-                expected: self.config.pattern_count * per,
-                got: partials.len(),
-            });
-        }
-        self.journal.record_tip_partials(tip, partials);
-        self.fan_out_recorded(|_, (p0, p1), part| {
-            part.set_tip_partials(tip, &partials[p0 * per..p1 * per])
-        })
-    }
-
-    fn set_partials(&mut self, buffer: usize, partials: &[f64]) -> Result<()> {
-        if partials.len() != self.config.partials_len() {
-            return Err(BeagleError::DimensionMismatch {
-                what: "partials",
-                expected: self.config.partials_len(),
-                got: partials.len(),
-            });
-        }
-        self.journal.record_partials(buffer, partials);
-        let chunks: Vec<Vec<f64>> = (0..self.parts.len())
-            .map(|i| {
-                self.slice_blocked(
-                    i,
-                    partials,
-                    self.config.state_count,
-                    self.config.category_count,
-                )
-            })
-            .collect();
-        self.fan_out_recorded(|i, _, part| part.set_partials(buffer, &chunks[i]))
-    }
+    journaled_calls!();
 
     fn get_partials(&self, buffer: usize) -> Result<Vec<f64>> {
         // Re-interleave children's [cat][pattern][state] blocks.
@@ -810,161 +812,8 @@ impl BeagleInstance for PartitionedInstance {
         Ok(out)
     }
 
-    fn set_pattern_weights(&mut self, weights: &[f64]) -> Result<()> {
-        if weights.len() != self.config.pattern_count {
-            return Err(BeagleError::DimensionMismatch {
-                what: "pattern weights",
-                expected: self.config.pattern_count,
-                got: weights.len(),
-            });
-        }
-        self.journal.record_pattern_weights(weights);
-        self.fan_out_recorded(|_, (p0, p1), part| part.set_pattern_weights(&weights[p0..p1]))
-    }
-
-    fn set_state_frequencies(&mut self, index: usize, frequencies: &[f64]) -> Result<()> {
-        self.journal.record_frequencies(index, frequencies);
-        self.fan_out_recorded(|_, _, part| part.set_state_frequencies(index, frequencies))
-    }
-
-    fn set_category_rates(&mut self, rates: &[f64]) -> Result<()> {
-        self.journal.record_category_rates(rates);
-        self.fan_out_recorded(|_, _, part| part.set_category_rates(rates))
-    }
-
-    fn set_category_weights(&mut self, index: usize, weights: &[f64]) -> Result<()> {
-        self.journal.record_category_weights(index, weights);
-        self.fan_out_recorded(|_, _, part| part.set_category_weights(index, weights))
-    }
-
-    fn set_eigen_decomposition(
-        &mut self,
-        index: usize,
-        vectors: &[f64],
-        inverse_vectors: &[f64],
-        values: &[f64],
-    ) -> Result<()> {
-        self.journal
-            .record_eigen(index, vectors, inverse_vectors, values);
-        self.fan_out_recorded(|_, _, part| {
-            part.set_eigen_decomposition(index, vectors, inverse_vectors, values)
-        })
-    }
-
-    fn update_transition_matrices(
-        &mut self,
-        eigen_index: usize,
-        matrix_indices: &[usize],
-        branch_lengths: &[f64],
-    ) -> Result<()> {
-        self.journal
-            .record_matrix_updates(eigen_index, matrix_indices, branch_lengths);
-        self.fan_out_recorded(|_, _, part| {
-            part.update_transition_matrices(eigen_index, matrix_indices, branch_lengths)
-        })
-    }
-
-    fn set_transition_matrix(&mut self, index: usize, matrix: &[f64]) -> Result<()> {
-        self.journal.record_matrix(index, matrix);
-        self.fan_out_recorded(|_, _, part| part.set_transition_matrix(index, matrix))
-    }
-
     fn get_transition_matrix(&self, index: usize) -> Result<Vec<f64>> {
         self.parts[0].get_transition_matrix(index)
-    }
-
-    fn update_partials(&mut self, operations: &[Operation]) -> Result<()> {
-        self.journal.record_operations(operations);
-        // The payoff: every device computes its pattern slice concurrently.
-        // Each child's elapsed time — modeled device time when it simulates
-        // one (injected stalls charge the simulated clock, not the wall),
-        // wall time otherwise — doubles as the load balancer's throughput
-        // sample for that child.
-        let mut results: Vec<(Result<()>, Duration)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .parts
-                .iter_mut()
-                .map(|part| {
-                    scope.spawn(move || {
-                        Self::timed(part.as_mut(), |p| p.update_partials(operations))
-                    })
-                })
-                .collect();
-            results = handles
-                .into_iter()
-                .map(|h| h.join().expect("no panics"))
-                .collect();
-        });
-        // Accumulate clean first-try successes into the per-child batch
-        // cost; the balancer observes the whole batch once, when the next
-        // integration closes it, so each sample prices a traversal together
-        // with its integration (one call alone, such as an integration with
-        // no update before it, would rate a child by one cheap kernel). A
-        // sample that includes a fault, retry backoff, or rebuild says
-        // nothing about throughput.
-        if self.balancer.is_some() {
-            for (i, (r, elapsed)) in results.iter().enumerate() {
-                if r.is_ok() {
-                    self.pending[i] += *elapsed;
-                }
-            }
-        }
-        // Settle failures serially, retrying transient ones; the first
-        // eviction rebuilds every child, and the operations were journaled
-        // above, so the rebuild's replay runs them on every survivor.
-        for (i, (r, _)) in results.into_iter().enumerate() {
-            if r.is_err() && self.settle_child(i, r, |p| p.update_partials(operations))? {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-
-    fn reset_scale_factors(&mut self, cumulative: usize) -> Result<()> {
-        self.journal.record_scale_reset(cumulative);
-        self.fan_out_recorded(|_, _, part| part.reset_scale_factors(cumulative))
-    }
-
-    fn accumulate_scale_factors(
-        &mut self,
-        scale_indices: &[usize],
-        cumulative: usize,
-    ) -> Result<()> {
-        self.journal
-            .record_scale_accumulation(scale_indices, cumulative);
-        self.fan_out_recorded(|_, _, part| part.accumulate_scale_factors(scale_indices, cumulative))
-    }
-
-    fn integrate_root(
-        &mut self,
-        root: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<f64> {
-        self.integrate_children(|p| p.integrate_root(root, category_weights, frequencies, scaling))
-    }
-
-    fn integrate_edge(
-        &mut self,
-        parent: BufferId,
-        child: BufferId,
-        matrix: BufferId,
-        category_weights: BufferId,
-        frequencies: BufferId,
-        scaling: ScalingMode,
-    ) -> Result<f64> {
-        self.integrate_children(|p| {
-            p.integrate_edge(
-                parent,
-                child,
-                matrix,
-                category_weights,
-                frequencies,
-                scaling,
-            )
-        })
     }
 
     fn get_site_log_likelihoods(&self) -> Result<Vec<f64>> {
@@ -987,10 +836,10 @@ impl BeagleInstance for PartitionedInstance {
     }
 
     fn statistics(&self) -> Option<obs::InstanceStats> {
-        if !self.recorder.is_enabled() {
+        if !self.ledger.recorder.is_enabled() {
             return None;
         }
-        let mut merged = self.recorder.stats().unwrap_or_default();
+        let mut merged = self.ledger.recorder.stats().unwrap_or_default();
         for p in &self.parts {
             if let Some(s) = p.statistics() {
                 merged.merge(&s);
@@ -1002,7 +851,7 @@ impl BeagleInstance for PartitionedInstance {
     fn take_journal(&mut self) -> Vec<obs::Event> {
         let mut merged = obs::merge_journals(
             std::mem::take(&mut self.salvaged),
-            self.recorder.take_journal(),
+            self.ledger.recorder.take_journal(),
         );
         for p in &mut self.parts {
             merged = obs::merge_journals(merged, p.take_journal());
@@ -1018,22 +867,25 @@ impl BeagleInstance for PartitionedInstance {
     }
 
     fn checkpoint(&mut self) -> Option<Checkpoint> {
-        // The failover journal holds the full-problem state (children only
-        // see pattern slices), so it is exactly what a snapshot needs.
-        // Provenance is generic (no flags): a restore ranks implementations
-        // afresh, which is right — the original device layout may not exist
-        // in the restoring process.
+        // The journal holds the full-problem state (children only see
+        // pattern slices), so it is exactly what a snapshot needs. The
+        // provenance carries no flags: a restore ranks implementations
+        // afresh, which is right, since the original device layout may not
+        // exist in the restoring process.
         let ckpt = Checkpoint {
             config: self.config,
-            provenance: Provenance::default(),
-            journal: self.journal.clone(),
+            provenance: Provenance {
+                rescue: self.ledger.rescue,
+                ..Provenance::default()
+            },
+            journal: self.ledger.journal.clone(),
         };
-        self.recorder.event(EventKind::CheckpointSaved, || {
+        self.ledger.recorder.event(EventKind::CheckpointSaved, || {
             format!(
                 "config={}x{} ops={} children={}",
                 self.config.tip_count,
                 self.config.pattern_count,
-                self.journal.operations().len(),
+                ckpt.journal.operations().len(),
                 self.parts.len()
             )
         });

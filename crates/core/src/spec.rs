@@ -46,7 +46,8 @@ pub struct InstanceSpec {
     /// Pin creation to this exact implementation name instead of ranking.
     pub implementation: Option<String>,
     /// Rescue numerically failed unscaled integrations in the journaling
-    /// layer ([`crate::journal::JournaledInstance`]) (default: true).
+    /// layer ([`crate::journal::JournaledInstance`], or the
+    /// [`crate::multi::PartitionedInstance`] itself) (default: true).
     pub rescue: bool,
     /// Per-launch watchdog budget; `None` leaves back-ends on the driver
     /// default ([`Deadline::DRIVER_DEFAULT`]).

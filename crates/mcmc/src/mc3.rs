@@ -158,127 +158,6 @@ pub fn run_mc3(
     }
 }
 
-/// Run MC³ over a worker pool: `engines` back a [`Pool`] of
-/// `engines.len()` workers, and every chain advance is a pool job — so 32
-/// chains can share 4 engines instead of requiring one engine each (the
-/// engine fleet, not the chain count, is what costs device memory).
-///
-/// The master RNG is consumed in exactly the order [`run_mc3`] consumes it,
-/// and each chain's trajectory depends only on its own RNG and its
-/// likelihood results — so when the engines are bit-exact replicas of each
-/// other (the standard deployment), the cold trace is bit-identical to the
-/// threaded runner's regardless of which engine serves which chain in which
-/// round.
-pub fn run_mc3_pooled(
-    config: &Mc3Config,
-    starting_tree: &Tree,
-    params: ModelParams,
-    engines: Vec<Box<dyn LikelihoodEngine>>,
-) -> Mc3Result {
-    use beagle_core::{Lane, Pool};
-
-    assert!(!engines.is_empty(), "pool needs at least one engine");
-    assert!(config.chains >= 1);
-    let wall_start = Instant::now();
-    let mut master_rng = SmallRng::seed_from_u64(config.seed);
-
-    let pool: Pool<Box<dyn LikelihoodEngine>> = Pool::with_workers(engines);
-    let handle = pool.handle();
-
-    // Initialize chains through the pool (each initialization evaluates the
-    // starting likelihood on whichever engine is free).
-    let tickets: Vec<_> = (0..config.chains)
-        .map(|i| {
-            let beta = 1.0 / (1.0 + config.heating * i as f64);
-            let tree = starting_tree.clone();
-            let seed = config.seed.wrapping_add(1000 + i as u64);
-            handle
-                .submit(
-                    Lane::Batch,
-                    move |engine: &mut Box<dyn LikelihoodEngine>| {
-                        MarkovChain::new(tree, params, beta, seed, engine.as_mut())
-                    },
-                )
-                .expect("fresh pool accepts work")
-        })
-        .collect();
-    let mut chains: Vec<MarkovChain> = tickets
-        .into_iter()
-        .map(|t| t.wait().expect("pool worker lost"))
-        .collect();
-
-    let mut cold_trace = Vec::new();
-    let mut posterior = crate::posterior::Posterior::new();
-    let mut swaps_attempted = 0;
-    let mut swaps_accepted = 0;
-    let rounds = config.generations / config.swap_interval.max(1);
-
-    for round in 0..rounds {
-        // One job per chain; tickets collected in chain order so the swap
-        // logic below sees the same ordering as the threaded runner.
-        let tickets: Vec<_> = chains
-            .drain(..)
-            .map(|mut chain| {
-                let interval = config.swap_interval;
-                handle
-                    .submit(
-                        Lane::Batch,
-                        move |engine: &mut Box<dyn LikelihoodEngine>| {
-                            chain.advance(interval, engine.as_mut());
-                            chain
-                        },
-                    )
-                    .expect("pool accepts work while running")
-            })
-            .collect();
-        chains = tickets
-            .into_iter()
-            .map(|t| t.wait().expect("pool worker lost"))
-            .collect();
-
-        if config.chains >= 2 {
-            let i = master_rng.random_range(0..config.chains - 1);
-            let j = i + 1;
-            let (pi, pj) = (
-                log_posterior(&chains[i].state),
-                log_posterior(&chains[j].state),
-            );
-            let (bi, bj) = (chains[i].beta, chains[j].beta);
-            let log_ratio = (bi - bj) * (pj - pi);
-            swaps_attempted += 1;
-            if log_ratio >= 0.0 || master_rng.random_range(0.0..1.0) < log_ratio.exp() {
-                let tmp = chains[i].state.clone();
-                chains[i].state = chains[j].state.clone();
-                chains[j].state = tmp;
-                swaps_accepted += 1;
-            }
-        }
-        cold_trace.push(chains[0].state.log_likelihood);
-
-        let generation = (round + 1) * config.swap_interval;
-        if config.sample_interval > 0 && generation.is_multiple_of(config.sample_interval) {
-            posterior.record(crate::posterior::Sample {
-                generation,
-                tree: chains[0].state.tree.clone(),
-                params: chains[0].state.params,
-                log_likelihood: chains[0].state.log_likelihood,
-            });
-        }
-    }
-
-    let (_, fleet) = pool.shutdown_drain(None);
-    Mc3Result {
-        final_log_likelihood: chains[0].state.log_likelihood,
-        cold_trace,
-        chain_stats: chains.iter().map(|c| c.stats).collect(),
-        swaps_attempted,
-        swaps_accepted,
-        likelihood_time: fleet.iter().map(|e| e.elapsed()).sum(),
-        wall_time: wall_start.elapsed(),
-        posterior,
-    }
-}
-
 /// Run MC³ against a remote likelihood service: one blocking client
 /// connection per chain (the "MPI rank" analogue, over sockets), all
 /// multiplexed server-side onto the service's instance pool.
@@ -454,47 +333,6 @@ mod tests {
             &mut eng,
         );
         assert!(r2.posterior.is_empty());
-    }
-
-    #[test]
-    fn pooled_matches_threaded_with_fewer_engines() {
-        // 4 chains over a 2-engine pool must reproduce the 4-engine threaded
-        // trajectory bit-for-bit: chains carry their own RNGs, the engines
-        // are bit-exact replicas, and the master RNG is consumed in the same
-        // order.
-        let mut rng = SmallRng::seed_from_u64(27);
-        let tree = Tree::random(6, 0.1, &mut rng);
-        let model = ModelParams::Nucleotide { kappa: 2.0 }.build();
-        let rates = SiteRates::constant();
-        let aln = simulate_alignment(&tree, &model, &rates, 150, &mut rng);
-        let patterns = SitePatterns::compress(&aln);
-        let config = Mc3Config {
-            chains: 4,
-            generations: 200,
-            swap_interval: 10,
-            sample_interval: 20,
-            heating: 0.1,
-            seed: 11,
-        };
-        let mut eng = engines(4, 6, &patterns, &rates);
-        let threaded = run_mc3(
-            &config,
-            &tree,
-            ModelParams::Nucleotide { kappa: 2.0 },
-            &mut eng,
-        );
-        let pooled = run_mc3_pooled(
-            &config,
-            &tree,
-            ModelParams::Nucleotide { kappa: 2.0 },
-            engines(2, 6, &patterns, &rates),
-        );
-        assert_eq!(pooled.cold_trace, threaded.cold_trace);
-        assert_eq!(pooled.final_log_likelihood, threaded.final_log_likelihood);
-        assert_eq!(pooled.swaps_attempted, threaded.swaps_attempted);
-        assert_eq!(pooled.swaps_accepted, threaded.swaps_accepted);
-        assert_eq!(pooled.posterior.len(), threaded.posterior.len());
-        assert!(pooled.likelihood_time > Duration::ZERO);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 # Tier-1 gate: release build, full test suite, lint-clean workspace.
 #
 # Test matrix covered by `cargo test --workspace`:
-#   unit + doc tests ........ every crate (the memo matrix store, the
+#   unit + doc tests ........ every crate (the journal's recording rule:
+#                             accepted and faulted calls recorded, rejected
+#                             ones not; the memo matrix store, the
 #                             manager accepting COMPUTATION_ASYNCH and
 #                             selecting like SYNCH, and the ops::LevelPlan
 #                             planner in core: its
@@ -79,7 +81,19 @@
 #                             with children created in either mode
 #   tests/failover .......... fault matrix: device loss, transient kernel/copy
 #                             faults, corruption, creation fallback, rescue,
-#                             rescue x checkpoint through one shared journal
+#                             rescue x checkpoint through one shared journal;
+#                             a 2-child partitioned rescue == a single
+#                             instance (lnL and site-lnL bits, one rescue
+#                             event), and a second unscaled integration
+#                             after a rescue returns the rescued bits
+#   tests/rejected_calls .... a rejected call leaves no trace: every set_*
+#                             kind, update_partials and the scale calls on
+#                             a checkpointed CPU-serial instance keep the
+#                             live lnL bits and restore bit-exactly; rescue
+#                             after a rejected update_partials; a call only
+#                             one of two children rejects keeps the lnL
+#                             bits, rebalances and restores; an eviction
+#                             after it is bit-exact to the survivor layout
 #   tests/multi_device ...... partitioned instances across device sets; root
 #                             and edge lnL over several splits == a single
 #                             instance, bit for bit
@@ -129,8 +143,10 @@
 #                             (bit-exact failover vs a fault-free survivor
 #                             run), circuit breakers steering creation and
 #                             benchmarking, durable checkpoint save/load/
-#                             restore with corruption detection, an ASYNCH
-#                             checkpoint restoring into the eager stack
+#                             restore with corruption detection (a
+#                             partitioned snapshot keeps the rescue setting),
+#                             an ASYNCH checkpoint restoring into the eager
+#                             stack
 #   stackbench (own workspace) stack benchmark unit + smoke tests: the
 #                             quantile rule, the correctness checker, and a
 #                             tiny run of every workload against the library
@@ -151,6 +167,7 @@ cargo test -q --test differential
 cargo test -q --test hazard_lists
 cargo test -q -p beagle-core --test matrix_proptests
 cargo test -q --test failover
+cargo test -q --test rejected_calls
 cargo test -q --test robustness
 cargo test -q -p beagle-cpu --test simd_parity
 cargo test -q --test cross_backend

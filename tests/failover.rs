@@ -370,3 +370,59 @@ fn rescued_checkpoint_restores_bit_exactly_and_rescues_again() {
         "the restored instance rescues too"
     );
 }
+
+/// A partitioned instance keeps one journal and rescues once, through its
+/// children, to the lnL and site-lnL bits of a single instance of the same
+/// implementation. A second unscaled integration right after a rescue reads
+/// the rescaled partials, so it must add their factors back and give the
+/// rescued bits again, on both.
+#[test]
+fn rescued_state_is_integrated_with_its_factors_once_per_logical_instance() {
+    let p = deep_tree();
+    let manager = full_manager();
+    let f32s = Flags::PRECISION_SINGLE;
+    let root = |inst: &mut dyn BeagleInstance| {
+        inst.integrate_root(
+            BufferId(p.tree.root()),
+            BufferId(0),
+            BufferId(0),
+            ScalingMode::None,
+        )
+        .unwrap()
+    };
+    let mut single = InstanceSpec::with_config(p.config())
+        .prefer(f32s)
+        .require(f32s)
+        .instantiate(&manager)
+        .unwrap();
+    let name = single.details().implementation_name.clone();
+    let child = ChildSelection::named(name, Flags::INSTANCE_STATS, f32s);
+    let mut multi = PartitionedInstance::create(
+        &manager,
+        &InstanceSpec::with_config(p.config()),
+        &[child.clone(), child],
+        &[1.0, 1.0],
+    )
+    .unwrap();
+    p.load(single.as_mut());
+    p.load(&mut multi);
+
+    let lnl = p.evaluate(single.as_mut(), false);
+    assert!(lnl.is_finite() && lnl < 0.0, "rescue must recover: {lnl}");
+    assert_eq!(lnl.to_bits(), p.evaluate(&mut multi, false).to_bits());
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        bits(single.get_site_log_likelihoods().unwrap()),
+        bits(multi.get_site_log_likelihoods().unwrap())
+    );
+    let rescues = multi
+        .take_journal()
+        .iter()
+        .filter(|e| e.kind == EventKind::RescueTriggered)
+        .count();
+    assert_eq!(rescues, 1, "one journal, one rescue");
+
+    for again in [root(single.as_mut()), root(&mut multi)] {
+        assert_eq!(lnl.to_bits(), again.to_bits(), "{again} vs rescued {lnl}");
+    }
+}

@@ -446,6 +446,10 @@ fn partitioned_checkpoint_restores_after_rerank() {
     let ckpt = multi
         .checkpoint()
         .expect("partitioned instances snapshot their journal");
+    assert!(
+        ckpt.provenance.rescue,
+        "the snapshot keeps the parent's rescue setting"
+    );
     let fresh = full_manager();
     let mut restored = ckpt.restore(&fresh).unwrap();
     let lnl_restored = p.evaluate(&mut restored, false);
