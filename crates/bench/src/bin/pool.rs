@@ -8,7 +8,9 @@
 //!   so the aggregate modeled time is the *sum* of all evaluations.
 //! * **pool** — a four-worker [`beagle_core::pool`] fleet of the same
 //!   implementation: each worker's device serializes only its own share, and
-//!   the fleet's modeled makespan is the *max* over workers.
+//!   the fleet's modeled makespan is the *max* over workers. Workers take
+//!   sessions from one shared FIFO, so a share is the number of sessions a
+//!   worker was free to take; the line `pool scheduling:` prints them.
 //!
 //! The headline number in `BENCH_pool.json` is aggregate throughput
 //! improvement = mutex modeled total / pool modeled makespan; the acceptance
@@ -219,8 +221,10 @@ fn main() {
     );
     println!("aggregate throughput: {speedup:.2}x (acceptance bar: 3x)");
     println!(
-        "pool scheduling:      {} completed, {} stolen, max queue depth {}",
-        stats.completed, stats.stolen, stats.max_queue_depth
+        "pool scheduling:      {} completed, max queue depth {}, jobs per worker {:?}",
+        stats.completed,
+        stats.max_queue_depth,
+        stats.workers.iter().map(|w| w.jobs).collect::<Vec<_>>()
     );
     println!("correct:              {correct} (pooled bit-identical to mutex baseline)");
 

@@ -10,28 +10,28 @@
 //! * a **bounded submission queue** with backpressure ([`PoolHandle::submit`]
 //!   blocks when full, [`PoolHandle::try_submit`] fails fast with
 //!   [`PoolError::Full`]),
-//! * **two priority lanes** ([`Lane::Interactive`] always dequeues before
-//!   [`Lane::Batch`]),
-//! * **work stealing**: each worker prefers its own deque front and steals
-//!   from the back of its neighbours' when idle,
+//! * **one FIFO per priority lane**, shared by every worker: a free worker
+//!   takes the oldest [`Lane::Interactive`] job, else the oldest
+//!   [`Lane::Batch`] job, so the jobs of one lane start in submission order,
 //! * **health supervision**: before taking more work a worker whose
 //!   implementation's circuit breaker has opened is rebuilt onto a healthy
 //!   implementation ([`WorkerSupervisor`]); a job that kills its worker can
-//!   evict it and requeue itself once,
-//! * **observability**: wait/service latency histograms, steal and eviction
-//!   counters, per-worker utilization ([`PoolStats`]) and journal events
-//!   ([`crate::obs::EventKind::PoolWorkerEvicted`] etc.),
+//!   evict it and requeue itself once, at the front of its lane, for the
+//!   next free worker (possibly the rebuilt one),
+//! * **observability**: wait/service latency histograms, requeue and
+//!   eviction counters, per-worker utilization ([`PoolStats`]) and journal
+//!   events ([`crate::obs::EventKind::PoolWorkerEvicted`] etc.),
 //! * **clean shutdown**: [`Pool::shutdown_drain`] finishes queued work under
-//!   a [`Deadline`]; [`Pool::shutdown_abort`] drops it (outstanding
-//!   [`Ticket`]s resolve to [`PoolError::Lost`]).
+//!   a [`Deadline`]; [`Pool::shutdown_abort`] and dropping the [`Pool`] drop
+//!   it (outstanding [`Ticket`]s resolve to [`PoolError::Lost`]).
 //!
-//! The pool is generic over the worker type `W` so non-instance fleets (e.g.
-//! MC³ likelihood engines) can reuse the scheduler; [`InstancePool`] — built
-//! with [`PoolBuilder`] from an [`InstanceSpec`] — is the
-//! `Box<dyn BeagleInstance>` specialization, where workers are created from
-//! the ranked [`ImplementationManager::benchmark_resources`] output (or
-//! pinned to named implementations) and supervised against the manager's
-//! [`crate::health::HealthRegistry`].
+//! The pool is generic over the worker type `W` so its scheduling can be
+//! tested with plain values and a fake [`WorkerSupervisor`];
+//! [`InstancePool`] — built with [`PoolBuilder`] from an [`InstanceSpec`] —
+//! is the `Box<dyn BeagleInstance>` specialization, where workers are
+//! created from the ranked [`ImplementationManager::benchmark_resources`]
+//! output (or pinned to named implementations) and supervised against the
+//! manager's [`crate::health::HealthRegistry`].
 //!
 //! ```no_run
 //! use beagle_core::{InstanceSpec, ImplementationManager, Lane, PoolBuilder};
@@ -55,7 +55,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::api::{BeagleInstance, BufferId, ScalingMode};
 use crate::deadline::Deadline;
@@ -70,8 +70,8 @@ use crate::spec::InstanceSpec;
 /// Default bound on the number of queued (not yet running) jobs.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 256;
 
-/// Submission priority. Interactive jobs always dequeue before batch jobs,
-/// both on a worker's own deque and when stealing.
+/// Submission priority. Each lane is one FIFO shared by every worker: a
+/// free worker takes the oldest interactive job before any batch job.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Lane {
     /// Latency-sensitive: served first.
@@ -308,13 +308,18 @@ impl LatencyHistogram {
         self.total += sample;
     }
 
-    /// Mean sample.
+    /// Mean sample, computed in `u128` nanoseconds so any `count` divides
+    /// exactly (truncated to the nanosecond).
     pub fn mean(&self) -> Duration {
         if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
+            return Duration::ZERO;
         }
+        let nanos = self.total.as_nanos() / u128::from(self.count);
+        // nanos <= total, so the whole seconds fit the u64 they came from.
+        Duration::new(
+            (nanos / 1_000_000_000) as u64,
+            (nanos % 1_000_000_000) as u32,
+        )
     }
 
     /// Upper bound of the bucket holding the `q`-quantile sample
@@ -357,7 +362,9 @@ pub struct PoolStats {
     pub completed: u64,
     /// Jobs that finished with a non-success outcome.
     pub failed: u64,
-    /// Jobs a worker took from another worker's deque.
+    /// Always 0: the workers share one queue, so no job is stolen. The
+    /// field and its JSON key stay while the stack benchmark reads them for
+    /// `pool.stolen_frac` (ROADMAP item 3).
     pub stolen: u64,
     /// Jobs requeued after their worker was evicted mid-job.
     pub requeued: u64,
@@ -429,8 +436,9 @@ enum Verdict {
     /// failure the job's own input caused: it counts as failed and leaves
     /// the worker's health alone.
     Done(Option<Outcome>),
-    /// The worker is unusable. `requeue` pushes this same job back for
-    /// another attempt elsewhere (the closure keeps its own retry budget).
+    /// The worker is unusable. `requeue` puts this same job back at the
+    /// front of its lane, for the next free worker (possibly this worker's
+    /// replacement); the closure keeps its own retry budget.
     Evict { requeue: bool, outcome: Outcome },
 }
 
@@ -442,15 +450,6 @@ struct QueuedJob<W> {
     enqueued: Instant,
 }
 
-struct WorkerSlot<W> {
-    /// `[interactive, batch]` deques. Owner pops the front; thieves pop the
-    /// back.
-    lanes: [VecDeque<QueuedJob<W>>; 2],
-    label: String,
-    jobs: u64,
-    busy: Duration,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Running,
@@ -459,18 +458,23 @@ enum Phase {
 }
 
 struct PoolState<W> {
-    slots: Vec<WorkerSlot<W>>,
-    /// Jobs sitting in deques (excludes running jobs).
-    queued: usize,
-    /// Round-robin cursor for submissions.
-    next: usize,
+    /// `[interactive, batch]` FIFOs shared by every worker (running jobs
+    /// are not in them).
+    lanes: [VecDeque<QueuedJob<W>>; 2],
     phase: Phase,
     /// Worker threads that have not yet exited.
     alive: usize,
+    /// Counters, histograms and the one per-worker record (`workers`).
     stats: PoolStats,
     recorder: Recorder,
     /// Workers handed back by exiting threads, in no particular order.
     retired: Vec<W>,
+}
+
+impl<W> PoolState<W> {
+    fn depth(&self) -> usize {
+        self.lanes[0].len() + self.lanes[1].len()
+    }
 }
 
 struct Shared<W> {
@@ -483,24 +487,6 @@ struct Shared<W> {
     idle: Condvar,
     capacity: usize,
     supervisor: Arc<dyn WorkerSupervisor<W>>,
-}
-
-fn take_job<W>(state: &mut PoolState<W>, me: usize) -> Option<(QueuedJob<W>, bool)> {
-    for lane in 0..2 {
-        if let Some(job) = state.slots[me].lanes[lane].pop_front() {
-            return Some((job, false));
-        }
-    }
-    let n = state.slots.len();
-    for lane in 0..2 {
-        for k in 1..n {
-            let other = (me + k) % n;
-            if let Some(job) = state.slots[other].lanes[lane].pop_back() {
-                return Some((job, true));
-            }
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -556,36 +542,26 @@ impl<W: Send + 'static> Pool<W> {
     ) -> Self {
         assert!(!workers.is_empty(), "pool needs at least one worker");
         let n = workers.len();
-        let mut slots = Vec::with_capacity(n);
-        let mut fleet = Vec::with_capacity(n);
-        for (label, worker) in workers {
-            slots.push(WorkerSlot {
-                lanes: [VecDeque::new(), VecDeque::new()],
-                label,
-                jobs: 0,
-                busy: Duration::ZERO,
-            });
-            fleet.push(worker);
-        }
-        let stats = PoolStats {
-            workers: slots
-                .iter()
-                .map(|s| WorkerUtilization {
-                    label: s.label.clone(),
+        let (records, fleet): (Vec<_>, Vec<_>) = workers
+            .into_iter()
+            .map(|(label, worker)| {
+                let record = WorkerUtilization {
+                    label,
                     jobs: 0,
                     busy: Duration::ZERO,
-                })
-                .collect(),
-            ..PoolStats::default()
-        };
+                };
+                (record, worker)
+            })
+            .unzip();
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
-                slots,
-                queued: 0,
-                next: 0,
+                lanes: [VecDeque::new(), VecDeque::new()],
                 phase: Phase::Running,
                 alive: n,
-                stats,
+                stats: PoolStats {
+                    workers: records,
+                    ..PoolStats::default()
+                },
                 recorder: if journal {
                     Recorder::new(true)
                 } else {
@@ -622,12 +598,12 @@ impl<W: Send + 'static> Pool<W> {
 
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
-        self.shared.state.lock().slots.len()
+        self.threads.len()
     }
 
     /// Snapshot of the pool's counters and histograms.
     pub fn stats(&self) -> PoolStats {
-        snapshot_stats(&self.shared)
+        self.shared.state.lock().stats.clone()
     }
 
     /// Drain the scheduler journal (worker evictions/rebuilds, shutdown).
@@ -647,126 +623,81 @@ impl<W: Send + 'static> Pool<W> {
     /// or reuse them. `tests::drain_deadline_mid_drain_returns_full_fleet`
     /// pins this down.
     pub fn shutdown_drain(mut self, deadline: Option<Deadline>) -> (bool, Vec<W>) {
-        let start = Instant::now();
-        let mut drained = true;
-        let mut undone: Vec<QueuedJob<W>> = Vec::new();
-        {
-            let mut state = self.shared.state.lock();
-            state.phase = Phase::Draining;
-            self.shared.work_ready.notify_all();
-            self.shared.space_ready.notify_all();
-            while state.alive > 0 {
-                match deadline {
-                    Some(d) => {
-                        let elapsed = start.elapsed();
-                        if d.exceeded_by(elapsed) {
-                            state.phase = Phase::Abort;
-                            self.shared.work_ready.notify_all();
-                            drained = false;
-                            while state.alive > 0 {
-                                self.shared.idle.wait(&mut state);
-                            }
-                            break;
-                        }
-                        self.shared.idle.wait_for(&mut state, d.budget() - elapsed);
-                    }
-                    None => self.shared.idle.wait(&mut state),
-                }
-            }
-            // A drain that aborted leaves undone jobs in the deques; they
-            // are dropped below, *outside* the state lock, because dropping
-            // a session job fires its Lost callback (which may do real work,
-            // like writing a response frame to a socket).
-            for slot in &mut state.slots {
-                drained &= slot.lanes[0].is_empty() && slot.lanes[1].is_empty();
-                undone.extend(slot.lanes[0].drain(..));
-                undone.extend(slot.lanes[1].drain(..));
-            }
-            state.queued = 0;
-            let completed = state.stats.completed;
-            state.recorder.event(EventKind::PoolShutdown, || {
-                format!("mode=drain complete={drained} jobs_completed={completed}")
-            });
-        }
-        drop(undone);
-        let workers = self.join_and_retire();
-        (drained, workers)
+        self.stop(Phase::Draining, deadline)
     }
 
     /// Abort immediately: queued jobs are dropped (tickets resolve to
     /// [`PoolError::Lost`]); jobs already running finish. Returns the fleet.
     pub fn shutdown_abort(mut self) -> Vec<W> {
-        let mut undone: Vec<QueuedJob<W>> = Vec::new();
-        {
-            let mut state = self.shared.state.lock();
-            state.phase = Phase::Abort;
-            self.shared.work_ready.notify_all();
-            self.shared.space_ready.notify_all();
-            while state.alive > 0 {
-                self.shared.idle.wait(&mut state);
-            }
-            for slot in &mut state.slots {
-                undone.extend(slot.lanes[0].drain(..));
-                undone.extend(slot.lanes[1].drain(..));
-            }
-            state.queued = 0;
-            let completed = state.stats.completed;
-            state.recorder.event(EventKind::PoolShutdown, || {
-                format!("mode=abort jobs_completed={completed}")
-            });
-        }
-        // Dropped outside the lock: job drops fire Lost callbacks.
-        drop(undone);
-        self.join_and_retire()
+        self.stop(Phase::Abort, None).1
     }
 
-    fn join_and_retire(&mut self) -> Vec<W> {
+    /// The one stop path of [`Self::shutdown_drain`], [`Self::shutdown_abort`]
+    /// and [`Drop`]: enter `phase`, wait until every worker has exited (a
+    /// drain past its `deadline` turns into an abort), drop the jobs left in
+    /// the queue, record [`EventKind::PoolShutdown`] and join the threads.
+    /// Returns whether the drain finished every job, and the fleet.
+    fn stop(&mut self, phase: Phase, deadline: Option<Deadline>) -> (bool, Vec<W>) {
+        let start = Instant::now();
+        let shared = &self.shared;
+        let mut state = shared.state.lock();
+        state.phase = phase;
+        shared.work_ready.notify_all();
+        shared.space_ready.notify_all();
+        while state.alive > 0 {
+            match deadline {
+                Some(d) if state.phase == Phase::Draining => {
+                    let elapsed = start.elapsed();
+                    if d.exceeded_by(elapsed) {
+                        state.phase = Phase::Abort;
+                        shared.work_ready.notify_all();
+                    } else {
+                        shared.idle.wait_for(&mut state, d.budget() - elapsed);
+                    }
+                }
+                _ => shared.idle.wait(&mut state),
+            }
+        }
+        let [interactive, batch] = &mut state.lanes;
+        let undone: Vec<QueuedJob<W>> = interactive.drain(..).chain(batch.drain(..)).collect();
+        let drained = state.phase == Phase::Draining && undone.is_empty();
+        let mode = if phase == Phase::Draining {
+            "drain"
+        } else {
+            "abort"
+        };
+        let completed = state.stats.completed;
+        state.recorder.event(EventKind::PoolShutdown, || {
+            format!("mode={mode} complete={drained} jobs_completed={completed}")
+        });
+        drop(state);
+        // Dropped outside the lock: dropping a session job fires its Lost
+        // callback, which may do real work (write a response frame).
+        drop(undone);
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
-        std::mem::take(&mut self.shared.state.lock().retired)
+        (drained, std::mem::take(&mut shared.state.lock().retired))
     }
 }
 
 impl<W: Send + 'static> Drop for Pool<W> {
     fn drop(&mut self) {
-        if self.threads.is_empty() {
-            return; // already shut down
+        if !self.threads.is_empty() {
+            self.stop(Phase::Abort, None);
         }
-        {
-            let mut state = self.shared.state.lock();
-            state.phase = Phase::Abort;
-            self.shared.work_ready.notify_all();
-            self.shared.space_ready.notify_all();
-        }
-        let _ = self.join_and_retire();
     }
-}
-
-fn snapshot_stats<W>(shared: &Shared<W>) -> PoolStats {
-    let state = shared.state.lock();
-    let mut stats = state.stats.clone();
-    stats.workers = state
-        .slots
-        .iter()
-        .map(|s| WorkerUtilization {
-            label: s.label.clone(),
-            jobs: s.jobs,
-            busy: s.busy,
-        })
-        .collect();
-    stats
 }
 
 impl<W: Send + 'static> PoolHandle<W> {
     /// Queue depth right now (jobs waiting, not running).
     pub fn queue_depth(&self) -> usize {
-        self.shared.state.lock().queued
+        self.shared.state.lock().depth()
     }
 
     /// Snapshot of the pool's counters and histograms.
     pub fn stats(&self) -> PoolStats {
-        snapshot_stats(&self.shared)
+        self.shared.state.lock().stats.clone()
     }
 
     /// Submit a closure job, blocking while the queue is full. The closure
@@ -815,10 +746,10 @@ impl<W: Send + 'static> PoolHandle<W> {
         Ok(ticket)
     }
 
-    /// Queue a raw job. On rejection the job is handed back with the error
-    /// so callers with side-effecting drop guards (see
-    /// [`Self::submit_session_with`]) can disarm them before the closure is
-    /// dropped. A rejected `try_submit` is counted in
+    /// Queue a raw job at the back of its lane. On rejection the job is
+    /// handed back with the error so callers with side-effecting drop guards
+    /// (see [`Self::try_submit_session_with`]) can disarm them before the
+    /// closure is dropped. A rejected `try_submit` is counted in
     /// [`PoolStats::rejected`], which is part of the stats JSON so server
     /// `Busy` responses stay auditable from a stats snapshot.
     fn enqueue(
@@ -833,7 +764,7 @@ impl<W: Send + 'static> PoolHandle<W> {
             if state.phase != Phase::Running {
                 return Err((PoolError::ShuttingDown, run));
             }
-            if state.queued < shared.capacity {
+            if state.depth() < shared.capacity {
                 break;
             }
             if !block {
@@ -842,16 +773,13 @@ impl<W: Send + 'static> PoolHandle<W> {
             }
             shared.space_ready.wait(&mut state);
         }
-        let slot = state.next % state.slots.len();
-        state.next = state.next.wrapping_add(1);
-        state.slots[slot].lanes[lane.index()].push_back(QueuedJob {
+        state.lanes[lane.index()].push_back(QueuedJob {
             run,
             lane,
             enqueued: Instant::now(),
         });
-        state.queued += 1;
         state.stats.submitted += 1;
-        state.stats.max_queue_depth = state.stats.max_queue_depth.max(state.queued);
+        state.stats.max_queue_depth = state.stats.max_queue_depth.max(state.depth());
         drop(state);
         shared.work_ready.notify_one();
         Ok(())
@@ -863,20 +791,17 @@ impl<W: Send + 'static> PoolHandle<W> {
 // ---------------------------------------------------------------------------
 
 fn worker_main<W: Send + 'static>(shared: Arc<Shared<W>>, index: usize, mut worker: W) {
-    let mut label = shared.state.lock().slots[index].label.clone();
+    let mut label = shared.state.lock().stats.workers[index].label.clone();
     loop {
-        // Take a job (or exit on drain/abort).
+        // Take the oldest interactive job, else the oldest batch job (or
+        // exit on drain/abort).
         let mut job = {
             let mut state = shared.state.lock();
             loop {
                 if state.phase == Phase::Abort {
                     return exit_worker(&shared, state, worker);
                 }
-                if let Some((job, stolen)) = take_job(&mut state, index) {
-                    state.queued -= 1;
-                    if stolen {
-                        state.stats.stolen += 1;
-                    }
+                if let Some(job) = state.lanes.iter_mut().find_map(VecDeque::pop_front) {
                     state.stats.wait.record(job.enqueued.elapsed());
                     shared.space_ready.notify_one();
                     break job;
@@ -890,23 +815,18 @@ fn worker_main<W: Send + 'static>(shared: Arc<Shared<W>>, index: usize, mut work
 
         // Breaker consultation: a quarantined implementation stops receiving
         // work — swap to a healthy one before running the job. Fail-open:
-        // if no replacement exists, the old worker keeps serving.
+        // if no replacement exists, the old worker keeps serving and no
+        // eviction is booked.
         if !shared.supervisor.healthy(&label) {
-            let quarantined = label.clone();
-            if let Some((new_label, new_worker)) = shared.supervisor.rebuild(&label, &mut worker) {
-                worker = new_worker;
-                let mut state = shared.state.lock();
-                state.stats.evictions += 1;
-                state.stats.rebuilds += 1;
-                state.recorder.event(EventKind::PoolWorkerEvicted, || {
-                    format!("worker={index} impl={quarantined} reason=breaker_open")
-                });
-                state.recorder.event(EventKind::PoolWorkerRebuilt, || {
-                    format!("worker={index} impl={new_label}")
-                });
-                state.slots[index].label = new_label.clone();
-                label = new_label;
-            }
+            let cause = "reason=breaker_open";
+            drop(replace_worker(
+                &shared,
+                index,
+                &mut label,
+                &mut worker,
+                cause,
+                false,
+            ));
         }
 
         let started = Instant::now();
@@ -925,43 +845,23 @@ fn worker_main<W: Send + 'static>(shared: Arc<Shared<W>>, index: usize, mut work
                 } else {
                     state.stats.failed += 1;
                 }
-                let slot = &mut state.slots[index];
-                slot.jobs += 1;
-                slot.busy += service;
+                let record = &mut state.stats.workers[index];
+                record.jobs += 1;
+                record.busy += service;
             }
             Verdict::Evict { requeue, outcome } => {
                 shared.supervisor.record(&label, outcome);
-                let dead = label.clone();
-                let rebuilt = shared.supervisor.rebuild(&label, &mut worker);
-                let mut state = shared.state.lock();
+                let cause = format!("outcome={outcome:?}");
+                let mut state =
+                    replace_worker(&shared, index, &mut label, &mut worker, &cause, true);
                 state.stats.service.record(service);
-                state.stats.evictions += 1;
-                state.recorder.event(EventKind::PoolWorkerEvicted, || {
-                    format!("worker={index} impl={dead} outcome={outcome:?}")
-                });
-                if let Some((new_label, new_worker)) = rebuilt {
-                    worker = new_worker;
-                    state.stats.rebuilds += 1;
-                    state.recorder.event(EventKind::PoolWorkerRebuilt, || {
-                        format!("worker={index} impl={new_label}")
-                    });
-                    state.slots[index].label = new_label.clone();
-                    label = new_label;
-                }
                 if requeue {
-                    // Hand the job to the next worker's front so the retry
-                    // prefers a different instance; its closure keeps its own
-                    // retry budget.
-                    let n = state.slots.len();
-                    let target = (index + 1) % n;
                     job.enqueued = Instant::now();
-                    let lane = job.lane.index();
-                    state.slots[target].lanes[lane].push_front(job);
-                    state.queued += 1;
+                    state.lanes[job.lane.index()].push_front(job);
                     state.stats.requeued += 1;
-                    state.stats.max_queue_depth = state.stats.max_queue_depth.max(state.queued);
+                    state.stats.max_queue_depth = state.stats.max_queue_depth.max(state.depth());
                     drop(state);
-                    shared.work_ready.notify_all();
+                    shared.work_ready.notify_one();
                 } else {
                     state.stats.failed += 1;
                 }
@@ -970,11 +870,46 @@ fn worker_main<W: Send + 'static>(shared: Arc<Shared<W>>, index: usize, mut work
     }
 }
 
-fn exit_worker<W>(
-    shared: &Shared<W>,
-    mut state: parking_lot::MutexGuard<'_, PoolState<W>>,
-    worker: W,
-) {
+/// Ask the supervisor to replace worker `index` (labelled `label`), then
+/// book the swap under the pool lock, which is returned. An eviction is
+/// booked when a replacement came back, or always when `evicted` (the job
+/// already found the worker unusable, so a failed rebuild leaves it serving
+/// fail-open but still counts). The old worker is dropped before the lock is
+/// taken.
+fn replace_worker<'a, W>(
+    shared: &'a Shared<W>,
+    index: usize,
+    label: &mut String,
+    worker: &mut W,
+    cause: &str,
+    evicted: bool,
+) -> MutexGuard<'a, PoolState<W>> {
+    let rebuilt = shared
+        .supervisor
+        .rebuild(label, worker)
+        .map(|(new_label, new_worker)| {
+            *worker = new_worker;
+            new_label
+        });
+    let mut state = shared.state.lock();
+    if rebuilt.is_some() || evicted {
+        state.stats.evictions += 1;
+        state.recorder.event(EventKind::PoolWorkerEvicted, || {
+            format!("worker={index} impl={label} {cause}")
+        });
+    }
+    if let Some(new_label) = rebuilt {
+        state.stats.rebuilds += 1;
+        state.recorder.event(EventKind::PoolWorkerRebuilt, || {
+            format!("worker={index} impl={new_label}")
+        });
+        state.stats.workers[index].label.clone_from(&new_label);
+        *label = new_label;
+    }
+    state
+}
+
+fn exit_worker<W>(shared: &Shared<W>, mut state: MutexGuard<'_, PoolState<W>>, worker: W) {
     state.retired.push(worker);
     state.alive -= 1;
     drop(state);
@@ -1078,7 +1013,7 @@ impl SessionRequest {
     }
 }
 
-/// How a session submitted through [`PoolHandle::submit_session_with`]
+/// How a session submitted through [`PoolHandle::try_submit_session_with`]
 /// ended: the evaluation's own result, or [`PoolError::Lost`] when the pool
 /// dropped the job before completion (abort shutdown, drain deadline, a dead
 /// worker with no requeue budget left). Exactly one of these reaches the
@@ -1116,51 +1051,39 @@ impl PoolHandle<Box<dyn BeagleInstance>> {
     /// Submit a typed likelihood session, blocking while the queue is full.
     /// Unlike closure jobs, session jobs feed their faults
     /// ([`crate::BeagleError::fault`]) to the health registry, and a session
-    /// whose worker dies (timeout / permanent fault) is requeued once onto
-    /// another worker before its ticket fails. A session that fails on its
-    /// own input counts as failed and leaves the worker alone.
+    /// whose worker dies (timeout / permanent fault) is requeued once, at
+    /// the front of its lane, before its ticket fails. A session that fails
+    /// on its own input counts as failed and leaves the worker alone.
     pub fn submit_session(
         &self,
         lane: Lane,
         session: SessionRequest,
     ) -> std::result::Result<Ticket<Result<f64>>, PoolError> {
         let (ticket, sender) = Ticket::channel();
-        self.submit_session_with(lane, session, move |outcome| {
+        let on_done: SessionCallback = Box::new(move |outcome| {
             // Err(Lost) drops the sender unfulfilled, which resolves the
             // ticket to PoolError::Lost — same contract as closure jobs.
             if let Ok(result) = outcome {
                 let mut sender = sender;
                 sender.send(result);
             }
-        })?;
+        });
+        self.submit_session_inner(lane, session, on_done, true)?;
         Ok(ticket)
     }
 
-    /// [`Self::submit_session`] in continuation-passing style: instead of a
-    /// [`Ticket`] to wait on, `on_done` runs — on whichever worker thread
-    /// finishes the session — with the [`SessionOutcome`]. This is the
-    /// server front-end's hook: the callback writes the response frame back
-    /// to the client socket, so no thread blocks per in-flight session.
+    /// [`Self::submit_session`] in continuation-passing style, without
+    /// blocking: instead of a [`Ticket`] to wait on, `on_done` runs — on
+    /// whichever worker thread finishes the session — with the
+    /// [`SessionOutcome`]. This is the server front-end's hook: the callback
+    /// writes the response frame back to the client socket, so no thread
+    /// blocks per in-flight session.
     ///
     /// Delivery is exactly-once: a session the pool accepts either completes
     /// (callback gets its result) or is dropped in a shutdown/abort
     /// (callback gets `Err(PoolError::Lost)`). A session the pool *rejects*
-    /// (`Err` return here) never fires the callback.
-    pub fn submit_session_with<F>(
-        &self,
-        lane: Lane,
-        session: SessionRequest,
-        on_done: F,
-    ) -> std::result::Result<(), PoolError>
-    where
-        F: FnOnce(SessionOutcome) + Send + 'static,
-    {
-        self.submit_session_inner(lane, session, Box::new(on_done), true)
-    }
-
-    /// Non-blocking [`Self::submit_session_with`]: a full queue fails fast
-    /// with [`PoolError::Full`] (counted in [`PoolStats::rejected`]) and the
-    /// callback is dropped un-fired.
+    /// (`Err` return here: a full queue fails fast with [`PoolError::Full`],
+    /// counted in [`PoolStats::rejected`]) never fires the callback.
     pub fn try_submit_session_with<F>(
         &self,
         lane: Lane,
@@ -1443,9 +1366,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_balances_idle_workers() {
-        // Four workers, many slow-ish jobs; with round-robin placement and
-        // stealing, every worker should end up doing some of the work.
+    fn per_worker_jobs_sum_to_completed() {
+        // Four workers, many slow-ish jobs: every job is booked once, on
+        // whichever worker took it from the shared queue.
         let pool = Pool::with_workers(vec![(), (), (), ()]);
         let handle = pool.handle();
         let tickets: Vec<_> = (0..64)
@@ -1464,6 +1387,157 @@ mod tests {
         let stats = handle.stats();
         assert_eq!(stats.completed, 64);
         assert_eq!(stats.workers.iter().map(|w| w.jobs).sum::<u64>(), 64);
+    }
+
+    /// Index `i` of the pool worker running the caller (`beagle-pool-{i}`).
+    fn worker_index() -> usize {
+        std::thread::current()
+            .name()
+            .and_then(|name| name.strip_prefix("beagle-pool-"))
+            .and_then(|i| i.parse().ok())
+            .expect("called on a pool worker")
+    }
+
+    /// One gate per worker: a job that calls [`Gates::hold`] parks the
+    /// worker running it until [`Gates::open`] names that worker, so a test
+    /// decides which worker is free.
+    struct Gates {
+        /// (parked workers, open flag per worker)
+        state: Mutex<(usize, Vec<bool>)>,
+        changed: Condvar,
+    }
+
+    impl Gates {
+        fn new(workers: usize) -> Arc<Self> {
+            Arc::new(Self {
+                state: Mutex::new((0, vec![false; workers])),
+                changed: Condvar::new(),
+            })
+        }
+
+        fn hold(&self) {
+            let me = worker_index();
+            let mut state = self.state.lock();
+            state.0 += 1;
+            self.changed.notify_all();
+            while !state.1[me] {
+                self.changed.wait(&mut state);
+            }
+        }
+
+        fn wait_parked(&self, n: usize) {
+            let mut state = self.state.lock();
+            while state.0 < n {
+                self.changed.wait(&mut state);
+            }
+        }
+
+        fn open(&self, worker: usize) {
+            self.state.lock().1[worker] = true;
+            self.changed.notify_all();
+        }
+
+        /// Park every one of the pool's `n` workers on a blocker job.
+        fn park_all(self: &Arc<Self>, handle: &PoolHandle<()>, n: usize) {
+            for _ in 0..n {
+                let gates = Arc::clone(self);
+                handle
+                    .submit(Lane::Batch, move |_: &mut ()| gates.hold())
+                    .unwrap();
+            }
+            self.wait_parked(n);
+        }
+    }
+
+    #[test]
+    fn jobs_of_one_lane_start_in_submission_order_on_two_workers() {
+        let gates = Gates::new(2);
+        let pool = Pool::with_workers(vec![(), ()]);
+        let handle = pool.handle();
+        gates.park_all(&handle, 2);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let tickets: Vec<_> = (0..8)
+            .map(|i| {
+                let order = Arc::clone(&order);
+                handle
+                    .submit(Lane::Batch, move |_: &mut ()| order.lock().push(i))
+                    .unwrap()
+            })
+            .collect();
+        // Worker 0 alone is free: it must take the queue front to back.
+        gates.open(0);
+        for t in tickets {
+            t.wait().unwrap();
+        }
+        gates.open(1);
+        assert!(pool.shutdown_drain(None).0);
+        assert_eq!(*order.lock(), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn freed_worker_takes_waiting_interactive_job_before_batch() {
+        // Try both workers as the freed one, so the interactive job waits
+        // wherever a per-worker placement would have put it.
+        for free in 0..2 {
+            let gates = Gates::new(2);
+            let pool = Pool::with_workers(vec![(), ()]);
+            let handle = pool.handle();
+            gates.park_all(&handle, 2);
+            let order = Arc::new(Mutex::new(Vec::new()));
+            let tickets: Vec<_> = [Lane::Batch, Lane::Interactive]
+                .into_iter()
+                .map(|lane| {
+                    let order = Arc::clone(&order);
+                    handle
+                        .submit(lane, move |_: &mut ()| order.lock().push(lane))
+                        .unwrap()
+                })
+                .collect();
+            gates.open(free);
+            for t in tickets {
+                t.wait().unwrap();
+            }
+            gates.open(1 - free);
+            assert!(pool.shutdown_drain(None).0);
+            assert_eq!(
+                *order.lock(),
+                vec![Lane::Interactive, Lane::Batch],
+                "freed worker {free}"
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_the_pool_resolves_queued_tickets_lost_while_a_handle_lives() {
+        let gates = Gates::new(1);
+        let pool = Pool::with_workers(vec![()]);
+        let handle = pool.handle();
+        gates.park_all(&handle, 1);
+        let mut queued = vec![handle.submit(Lane::Batch, |_: &mut ()| 1).unwrap()];
+        let dropper = std::thread::spawn(move || drop(pool));
+        // Hold the worker until the drop has stopped intake, so nothing
+        // queued can run; submissions that slip in before that queue too.
+        loop {
+            match handle.try_submit(Lane::Interactive, |_: &mut ()| 2) {
+                Ok(ticket) => queued.push(ticket),
+                Err(PoolError::ShuttingDown) => break,
+                Err(PoolError::Full) => std::thread::yield_now(),
+                Err(e) => panic!("unexpected {e}"),
+            }
+        }
+        gates.open(0);
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !queued.iter().all(Ticket::is_ready) {
+            assert!(
+                Instant::now() < give_up,
+                "a queued ticket is still pending after the pool was dropped"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for ticket in queued {
+            assert_eq!(ticket.wait(), Err(PoolError::Lost));
+        }
+        dropper.join().unwrap();
     }
 
     #[test]
@@ -1651,5 +1725,28 @@ mod tests {
         assert_eq!(h.quantile(0.95), Duration::from_micros(4));
         assert!(h.quantile(1.0) >= Duration::from_millis(32));
         assert_eq!(h.count, 100);
+    }
+
+    #[test]
+    fn histogram_mean_divides_counts_beyond_u32() {
+        let mean = |count: u64, total: Duration| {
+            LatencyHistogram {
+                count,
+                total,
+                ..LatencyHistogram::default()
+            }
+            .mean()
+        };
+        assert_eq!(mean(3, Duration::from_nanos(10)), Duration::from_nanos(3));
+        assert_eq!(
+            mean(1 << 32, Duration::from_secs(1 << 32)),
+            Duration::from_secs(1)
+        );
+        let count = (1 << 32) + 1;
+        assert_eq!(
+            mean(count, Duration::from_nanos(3 * count)),
+            Duration::from_nanos(3)
+        );
+        assert_eq!(mean(u64::MAX, Duration::MAX), Duration::from_secs(1));
     }
 }

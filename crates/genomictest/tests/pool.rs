@@ -126,8 +126,8 @@ fn pooled_matches_serial_across_backends_and_precisions() {
     for &(name, precision) in cases {
         let spec = base_spec().named(name).require(precision);
         let serial = serial_bits(&manager, &spec);
-        // Two workers of the same pinned implementation: placement and
-        // stealing may shuffle which worker runs what; results may not care.
+        // Two workers of the same pinned implementation: whichever worker
+        // is free takes the next session; results may not care.
         let unpinned = {
             let mut s = spec.clone();
             s.implementation = None;

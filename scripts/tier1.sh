@@ -30,6 +30,14 @@
 #                             deadline round trips, v1 frames -> BadVersion(1),
 #                             every payload truncation of a narrowed frame
 #                             typed, serve-nuc-shaped session <= 120,000 bytes)
+#   core pool unit tests .... one FIFO per lane shared by all workers:
+#                             with two workers one lane's jobs start in
+#                             submission order, a freed worker takes a
+#                             waiting interactive job before any batch job
+#                             (either worker freed), dropping a Pool while a
+#                             handle lives resolves every queued ticket Lost
+#                             within a bounded wait; LatencyHistogram::mean
+#                             exact for counts beyond u32
 #   property tests .......... cpu kernels, memo matrix store (random
 #                             interleavings: memo over a back-end == the
 #                             plain back-end's bits; skipped + reused +
