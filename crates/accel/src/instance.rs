@@ -837,7 +837,6 @@ impl<T: Real, D: Dialect> BeagleInstance for AccelInstance<T, D> {
                 cscale,
                 cfg.state_count,
                 cfg.pattern_count,
-                self.fma_enabled,
             );
         }
         let total = weighted_lnl_sum(0.0, &site_lnl, self.bufs.pattern_weights.iter().copied());
@@ -929,7 +928,6 @@ impl<T: Real, D: Dialect> BeagleInstance for AccelInstance<T, D> {
             cscale,
             cfg.state_count,
             cfg.pattern_count,
-            self.fma_enabled,
         );
         let total = weighted_lnl_sum(0.0, &site_lnl, self.bufs.pattern_weights.iter().copied());
         self.bufs.site_log_likelihoods = site_lnl;

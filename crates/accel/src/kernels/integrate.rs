@@ -3,20 +3,22 @@
 //! §IV-F: "BEAGLE uses GPUs to parallelize other functions necessary for
 //! computing the overall tree likelihood, thus minimizing data transfers…
 //! integrating root and edge likelihoods, and summing site likelihoods."
-//! One work-item per pattern computes the site likelihood; the reduction
-//! of the weighted logs, so that only a single scalar crosses back to the
-//! host, is the one every back-end shares
-//! ([`beagle_core::real::weighted_lnl_sum`]).
+//! One work-item per pattern computes the site log-likelihood. The site sum,
+//! the logarithm and the reduction of the weighted logs (so that only a
+//! single scalar crosses back to the host) are the ones every back-end
+//! shares: [`kernels::site_sum`] with FMA on, whatever the device's
+//! partials policy, [`kernels::site_log_likelihood`] and
+//! [`beagle_core::real::weighted_lnl_sum`]. The dialect supplies only the
+//! buffer addressing.
 
 use beagle_core::real::Real;
-use beagle_core::GAP_STATE;
+use beagle_cpu::kernels;
 
-use crate::dialect::{fma, BufferView, Dialect};
+use crate::dialect::{BufferView, Dialect};
 
 use super::Operand;
 
 /// Root-integration kernel: one work-item per pattern.
-#[allow(clippy::too_many_arguments)]
 pub fn integrate_root_kernel<D: Dialect, T: Real>(
     site_lnl: &mut [T],
     root: &[T],
@@ -25,23 +27,12 @@ pub fn integrate_root_kernel<D: Dialect, T: Real>(
     cumulative_scale: Option<&[T]>,
     s: usize,
     patterns: usize,
-    fma_enabled: bool,
 ) {
-    for pattern in 0..patterns {
-        let mut site = T::ZERO;
-        for (cat, &w) in cat_weights.iter().enumerate() {
-            let view = BufferView::new::<D>(root, (cat * patterns + pattern) * s, s);
-            let mut state_sum = T::ZERO;
-            for (k, &f) in freqs.iter().enumerate() {
-                state_sum = fma(fma_enabled, f, view.at(k), state_sum);
-            }
-            site = fma(fma_enabled, w, state_sum, site);
-        }
-        let mut lnl = site.ln();
-        if let Some(cs) = cumulative_scale {
-            lnl += cs[pattern];
-        }
-        site_lnl[pattern] = lnl;
+    for (pattern, out) in site_lnl[..patterns].iter_mut().enumerate() {
+        let site = kernels::site_sum(&freqs[..s], cat_weights, |cat, k| {
+            BufferView::new::<D>(root, (cat * patterns + pattern) * s, s).at(k)
+        });
+        *out = kernels::site_log_likelihood(site, cumulative_scale.map(|cs| cs[pattern]));
     }
 }
 
@@ -58,43 +49,20 @@ pub fn integrate_edge_kernel<D: Dialect, T: Real>(
     cumulative_scale: Option<&[T]>,
     s: usize,
     patterns: usize,
-    fma_enabled: bool,
 ) {
-    for pattern in 0..patterns {
-        let mut site = T::ZERO;
-        for (cat, &w) in cat_weights.iter().enumerate() {
+    for (pattern, out) in site_lnl[..patterns].iter_mut().enumerate() {
+        let site = kernels::site_sum(&freqs[..s], cat_weights, |cat, k| {
             let base = (cat * patterns + pattern) * s;
-            let pview = BufferView::new::<D>(parent, base, s);
-            let mview = BufferView::new::<D>(matrix, cat * s * s, s * s);
-            let mut state_sum = T::ZERO;
-            for i in 0..s {
-                let prop = match child {
-                    Operand::Partials(cp) => {
-                        let cview = BufferView::new::<D>(cp, base, s);
-                        let mut acc = T::ZERO;
-                        for j in 0..s {
-                            acc = fma(fma_enabled, mview.at(i * s + j), cview.at(j), acc);
-                        }
-                        acc
-                    }
-                    Operand::States(st) => {
-                        let stp = st[pattern];
-                        if stp == GAP_STATE {
-                            T::ONE
-                        } else {
-                            mview.at(i * s + stp as usize)
-                        }
-                    }
-                };
-                state_sum += freqs[i] * pview.at(i) * prop;
-            }
-            site = fma(fma_enabled, w, state_sum, site);
-        }
-        let mut lnl = site.ln();
-        if let Some(cs) = cumulative_scale {
-            lnl += cs[pattern];
-        }
-        site_lnl[pattern] = lnl;
+            let row = BufferView::new::<D>(matrix, cat * s * s, s * s).slice(k * s, s);
+            let prop = match child {
+                Operand::Partials(cp) => {
+                    kernels::propagate(row, BufferView::new::<D>(cp, base, s).slice(0, s))
+                }
+                Operand::States(st) => kernels::tip_factor(row, st[pattern]),
+            };
+            BufferView::new::<D>(parent, base, s).at(k) * prop
+        });
+        *out = kernels::site_log_likelihood(site, cumulative_scale.map(|cs| cs[pattern]));
     }
 }
 
@@ -102,7 +70,10 @@ pub fn integrate_edge_kernel<D: Dialect, T: Real>(
 mod tests {
     use super::*;
     use crate::dialect::{CudaDialect, OpenClDialect};
-    use beagle_core::real::weighted_lnl_sum;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn root_kernel_matches_cpu_kernel() {
@@ -114,7 +85,6 @@ mod tests {
             .collect();
         let freqs = vec![0.1, 0.2, 0.3, 0.4];
         let catw = vec![0.5, 0.25, 0.25];
-        let pw: Vec<f64> = (0..patterns).map(|i| 1.0 + (i % 3) as f64).collect();
         let cs: Vec<f64> = (0..patterns).map(|i| -(i as f64) * 0.01).collect();
 
         let mut site_gpu = vec![0.0; patterns];
@@ -126,27 +96,20 @@ mod tests {
             Some(&cs),
             s,
             patterns,
-            true,
         );
-        let total_gpu = weighted_lnl_sum(0.0, &site_gpu, pw.iter().copied());
-
         let mut site_cpu = vec![0.0; patterns];
-        let total_cpu = beagle_cpu::kernels::integrate_root(
+        kernels::integrate_root(
             &mut site_cpu,
             &root,
             &freqs,
             &catw,
-            &pw,
             Some(&cs),
             s,
             s,
             patterns,
             0,
         );
-        for (a, b) in site_gpu.iter().zip(&site_cpu) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        assert!((total_gpu - total_cpu).abs() < 1e-10);
+        assert_eq!(bits(&site_gpu), bits(&site_cpu));
     }
 
     #[test]
@@ -157,47 +120,59 @@ mod tests {
         let len = categories * patterns * s;
         let parent: Vec<f64> = (0..len).map(|i| 0.1 + (i % 7) as f64 * 0.05).collect();
         let child: Vec<f64> = (0..len).map(|i| 0.3 - (i % 5) as f64 * 0.02).collect();
+        let states: Vec<u32> = (0..patterns as u32)
+            .map(|p| {
+                if p % 6 == 5 {
+                    beagle_core::GAP_STATE
+                } else {
+                    p % 4
+                }
+            })
+            .collect();
         let matrix: Vec<f64> = (0..categories * s * s)
             .map(|i| 0.04 * (1 + i % 8) as f64)
             .collect();
         let freqs = vec![0.25; 4];
         let catw = vec![0.5, 0.5];
-        let pw = vec![1.0; patterns];
 
-        let mut site_gpu = vec![0.0; patterns];
-        integrate_edge_kernel::<OpenClDialect, f64>(
-            &mut site_gpu,
-            &parent,
-            Operand::Partials(&child),
-            &matrix,
-            &freqs,
-            &catw,
-            None,
-            s,
-            patterns,
-            true,
-        );
-        let total_gpu = weighted_lnl_sum(0.0, &site_gpu, pw.iter().copied());
-
-        let mut site_cpu = vec![0.0; patterns];
-        let total_cpu = beagle_cpu::kernels::integrate_edge(
-            &mut site_cpu,
-            &parent,
-            beagle_cpu::kernels::EdgeChild::Partials(&child),
-            &matrix,
-            &freqs,
-            &catw,
-            &pw,
-            None,
-            s,
-            s,
-            patterns,
-            0,
-        );
-        for (a, b) in site_gpu.iter().zip(&site_cpu) {
-            assert!((a - b).abs() < 1e-12);
+        for (gpu_child, cpu_child) in [
+            (
+                Operand::Partials(&child),
+                kernels::EdgeChild::Partials(&child),
+            ),
+            (
+                Operand::States(&states),
+                kernels::EdgeChild::States(&states),
+            ),
+        ] {
+            let mut site_gpu = vec![0.0; patterns];
+            integrate_edge_kernel::<OpenClDialect, f64>(
+                &mut site_gpu,
+                &parent,
+                gpu_child,
+                &matrix,
+                &freqs,
+                &catw,
+                None,
+                s,
+                patterns,
+            );
+            let mut site_cpu = vec![0.0; patterns];
+            kernels::integrate_edge(
+                &mut site_cpu,
+                &parent,
+                cpu_child,
+                &matrix,
+                &freqs,
+                &catw,
+                None,
+                s,
+                s,
+                patterns,
+                0,
+            );
+            assert_eq!(bits(&site_gpu), bits(&site_cpu));
         }
-        assert!((total_gpu - total_cpu).abs() < 1e-10);
     }
 
     #[test]
@@ -211,11 +186,9 @@ mod tests {
         let catw = vec![1.0];
         let mut a = vec![0.0; patterns];
         let mut b = vec![0.0; patterns];
-        integrate_root_kernel::<CudaDialect, f64>(
-            &mut a, &root, &freqs, &catw, None, s, patterns, true,
-        );
+        integrate_root_kernel::<CudaDialect, f64>(&mut a, &root, &freqs, &catw, None, s, patterns);
         integrate_root_kernel::<OpenClDialect, f64>(
-            &mut b, &root, &freqs, &catw, None, s, patterns, true,
+            &mut b, &root, &freqs, &catw, None, s, patterns,
         );
         assert_eq!(a, b);
     }

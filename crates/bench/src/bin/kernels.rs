@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use beagle_core::buffers::InstanceBuffers;
-use beagle_core::real::Real;
+use beagle_core::real::{weighted_lnl_sum, Real};
 use beagle_core::InstanceConfig;
 use beagle_cpu::simd::{transpose_matrix, DispatchKind, DispatchReal};
 use beagle_cpu::{avx2_available, kernels};
@@ -420,16 +420,16 @@ fn bench_precision<T: DispatchReal>(
                 time: ("ns_per_pattern", t.median),
                 iqr: t.iqr,
             });
-            // Root integration over one category.
+            // Root integration over one category, totalled as every caller
+            // totals it.
             let freqs = fill::<T>(5, sp);
             let catw = vec![T::ONE];
             let pw = vec![T::ONE; n_pat];
             let mut site = vec![T::ZERO; n_pat];
             let root_flops = ((2 * s + 2) * n_pat) as f64;
             let t = measure(n_pat, root_flops, || {
-                std::hint::black_box((table.integrate_root)(
-                    &mut site, &c1, &freqs, &catw, &pw, None, s, sp, n_pat, 0,
-                ));
+                (table.integrate_root)(&mut site, &c1, &freqs, &catw, None, s, sp, n_pat, 0);
+                std::hint::black_box(weighted_lnl_sum(0.0, &site, pw.iter().copied()));
             });
             rows.push(Row {
                 kernel: "integrate_root",

@@ -55,6 +55,7 @@ use crate::error::{BeagleError, Result};
 use crate::obs::{self, EventKind, Recorder};
 use crate::ops::Operation;
 use crate::spec::InstanceSpec;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::slice::from_ref;
 
@@ -138,11 +139,24 @@ impl StateJournal {
                     self.matrices.remove(&m);
                 }
             }
+            // The last write per destination wins, in last-execution order.
             Call::Operations(operations) => {
-                for op in operations {
-                    self.ops.retain(|o| o.destination != op.destination);
-                    self.partials.remove(&op.destination);
-                    self.ops.push(*op);
+                // (destination, position of its last write in this call),
+                // local to the call: a faulted call is recorded unchecked.
+                let mut last: Vec<(usize, Reverse<usize>)> = operations
+                    .iter()
+                    .enumerate()
+                    .map(|(i, op)| (op.destination, Reverse(i)))
+                    .collect();
+                last.sort_unstable();
+                last.dedup_by_key(|w| w.0);
+                let find = |d: usize| last.binary_search_by_key(&d, |w| w.0);
+                self.ops.retain(|o| find(o.destination).is_err());
+                for (i, op) in operations.iter().enumerate() {
+                    if find(op.destination).is_ok_and(|k| last[k].1 == Reverse(i)) {
+                        self.partials.remove(&op.destination);
+                        self.ops.push(*op);
+                    }
                 }
             }
             Call::ScaleReset(cumulative) => {
@@ -953,6 +967,73 @@ mod tests {
             vec![5, 4],
             "superseded write dropped, order = last execution"
         );
+        assert_eq!(j.operations()[1].child1, 1, "latest operands kept");
+    }
+
+    /// `record` keeps the per-operation rule (drop every earlier write to
+    /// the destination, then append) over calls that repeat a destination
+    /// inside one call, rewrite destinations of earlier calls, and meet a
+    /// `set_partials` in between.
+    #[test]
+    fn operations_record_keeps_the_per_operation_rule() {
+        fn per_op(ops: &mut Vec<Operation>, partials: &mut Vec<usize>, call: &[Operation]) {
+            for op in call {
+                ops.retain(|o| o.destination != op.destination);
+                partials.retain(|&b| b != op.destination);
+                ops.push(*op);
+            }
+        }
+        let calls: [&[Operation]; 4] = [
+            &[
+                op(4, 0, 1),
+                op(5, 2, 3),
+                op(6, 4, 5),
+                op(4, 1, 2),
+                op(7, 6, 4),
+            ],
+            &[op(5, 0, 3), op(8, 7, 5), op(5, 1, 3), op(5, 2, 2)],
+            &[],
+            &[op(9, 8, 4), op(6, 5, 9), op(4, 3, 3), op(6, 4, 1)],
+        ];
+        let (mut j, mut ops, mut partials) = (StateJournal::new(), Vec::new(), Vec::new());
+        for (k, call) in calls.iter().enumerate() {
+            if k == 2 {
+                j.record(&Call::Partials(5, &[1.0; 16]));
+                ops.retain(|o: &Operation| o.destination != 5);
+                partials.push(5);
+            }
+            j.record(&Call::Operations(call));
+            per_op(&mut ops, &mut partials, call);
+            let key = |o: &Operation| (o.destination, o.child1, o.child2);
+            assert_eq!(
+                j.operations().iter().map(key).collect::<Vec<_>>(),
+                ops.iter().map(key).collect::<Vec<_>>(),
+                "after call {k}"
+            );
+            assert_eq!(j.partials.keys().copied().collect::<Vec<_>>(), partials);
+        }
+        assert_eq!(
+            partials,
+            [5],
+            "set_partials kept until an operation rewrote it"
+        );
+    }
+
+    /// A faulted call is recorded before any back-end has checked its
+    /// operations, so a destination far out of range must cost no more
+    /// than any other: nothing is sized or indexed by it.
+    #[test]
+    fn operations_record_takes_any_destination() {
+        let mut j = StateJournal::new();
+        let huge = [
+            op(usize::MAX, 0, 1),
+            op(1 << 40, 2, 3),
+            op(usize::MAX, 1, 1),
+        ];
+        j.record(&Call::Operations(&huge));
+        j.record(&Call::Operations(&[op(4, 0, 1)]));
+        let dests: Vec<usize> = j.operations().iter().map(|o| o.destination).collect();
+        assert_eq!(dests, vec![1 << 40, usize::MAX, 4]);
         assert_eq!(j.operations()[1].child1, 1, "latest operands kept");
     }
 

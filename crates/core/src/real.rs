@@ -54,7 +54,10 @@ pub trait Real:
     fn to_f64(self) -> f64;
     /// `e^self`.
     fn exp(self) -> Self;
-    /// Natural logarithm.
+    /// Natural logarithm: [`ln_f64`] for both precisions (`f32` widens,
+    /// takes the `f64` logarithm and narrows), so every back-end's site
+    /// log-likelihoods come from one definition, never from the platform
+    /// libm.
     fn ln(self) -> Self;
     /// Fused multiply-add `self * a + b`. On hardware with FMA units this is
     /// a single instruction; the accelerator model's FMA fast path maps here.
@@ -101,7 +104,7 @@ macro_rules! impl_real {
             }
             #[inline(always)]
             fn ln(self) -> Self {
-                self.ln()
+                ln_f64(self as f64) as $t
             }
             #[inline(always)]
             fn mul_add(self, a: Self, b: Self) -> Self {
@@ -145,6 +148,98 @@ macro_rules! impl_real {
 
 impl_real!(f32, u32, i32, 8, 31);
 impl_real!(f64, u64, i64, 4, 255);
+
+/// The constants of [`ln_f64`], shared with the vectorized forms of the
+/// same computation (the AVX2 integration kernels in `beagle-cpu`), which
+/// must run the same operations lane for lane.
+pub mod ln_consts {
+    /// `ln 2` split so that `k · LN2_HI` is exact for every exponent `k`.
+    pub const LN2_HI: f64 = f64::from_bits(0x3fe6_2e42_fee0_0000);
+    /// `ln 2 − LN2_HI`.
+    pub const LN2_LO: f64 = f64::from_bits(0x3dea_39ef_3579_3c76);
+    /// fdlibm's `Lg1..Lg7`: the minimax series of
+    /// `R(z) = (ln((1+s)/(1−s)) − 2s)/s` in `z = s²`.
+    pub const LG: [f64; 7] = [
+        f64::from_bits(0x3fe5_5555_5555_5593),
+        f64::from_bits(0x3fd9_9999_9997_fa04),
+        f64::from_bits(0x3fd2_4924_9422_9359),
+        f64::from_bits(0x3fcc_71c5_1d8e_78af),
+        f64::from_bits(0x3fc7_4664_96cb_03de),
+        f64::from_bits(0x3fc3_9a09_d078_c69f),
+        f64::from_bits(0x3fc2_f112_df3e_5244),
+    ];
+    /// `2^54`: subnormal inputs are scaled by it before their exponent is
+    /// read.
+    pub const TWO54: f64 = 18_014_398_509_481_984.0;
+    /// The exponent bias, and the bias of a pre-scaled subnormal.
+    pub const BIAS: f64 = 1023.0;
+    /// As [`BIAS`], for an input pre-scaled by [`TWO54`].
+    pub const BIAS_SUBNORMAL: f64 = 1077.0;
+    /// The 52 fraction bits.
+    pub const FRAC_MASK: u64 = (1 << 52) - 1;
+    /// Added to the fraction, carries into bit 52 exactly when the
+    /// significand is at least `0x1.6a09c…` (about √2): such an input is
+    /// reduced to half its significand and one more exponent.
+    pub const SQRT2_CARRY: u64 = 0x95f64 << 32;
+    /// The bits of `1.0`.
+    pub const ONE_BITS: u64 = 0x3ff0_0000_0000_0000;
+    /// High fraction words (`fraction >> 32`) in `HX_LO..=HX_HI` take the
+    /// `½f²` form of the final sum, the others the short one (fdlibm's
+    /// choice, for accuracy near both ends of the reduced range).
+    pub const HX_LO: u64 = 0x6147a;
+    /// See [`HX_LO`].
+    pub const HX_HI: u64 = 0x6b851;
+}
+
+/// The natural logarithm every back-end's integration runs, written with
+/// fixed operations so that a scalar call and each lane of a vectorized
+/// call give the same bits on every host.
+///
+/// fdlibm's `e_log.c` without its shortcuts: the exponent `k` is read from
+/// the bits (as [`Real::pow2_rescale`] does), the significand is reduced to
+/// `1 + f` in `[√½, √2)`, and with `s = f/(2+f)`, `ln(1+f) = f − s·(f − R)`
+/// (or its `½f²` form), `R` the degree-14 polynomial [`ln_consts::LG`] in
+/// `s`, evaluated in Horner form on `s⁴` as two interleaved halves. Plain
+/// multiplies and adds only (no FMA), each correctly rounded. Error below
+/// 1 ulp of the true value, so within 1 ulp of a correctly rounded libm.
+///
+/// Special values: `±0 → −∞`, negative or NaN `→` NaN (a NaN input comes
+/// back as itself), `+∞ → +∞`; a subnormal is scaled by `2^54` first.
+#[inline]
+pub fn ln_f64(x: f64) -> f64 {
+    use ln_consts::*;
+    if !(x > 0.0 && x < f64::INFINITY) {
+        return if x == 0.0 {
+            f64::NEG_INFINITY
+        } else if x < 0.0 {
+            f64::NAN
+        } else {
+            x
+        };
+    }
+    let (x, bias) = if x < f64::MIN_POSITIVE {
+        (x * TWO54, BIAS_SUBNORMAL)
+    } else {
+        (x, BIAS)
+    };
+    let bits = x.to_bits();
+    let frac = bits & FRAC_MASK;
+    let carry = (frac + SQRT2_CARRY) & (1 << 52);
+    let f = f64::from_bits(frac | (carry ^ ONE_BITS)) - 1.0;
+    let k = ((bits >> 52) + (carry >> 52)) as f64 - bias;
+    let s = f / (2.0 + f);
+    let z = s * s;
+    let w = z * z;
+    let t1 = w * (LG[1] + w * (LG[3] + w * LG[5]));
+    let t2 = z * (LG[0] + w * (LG[2] + w * (LG[4] + w * LG[6])));
+    let r = t2 + t1;
+    let hfsq = 0.5 * f * f;
+    if (HX_LO..=HX_HI).contains(&(frac >> 32)) {
+        k * LN2_HI - ((hfsq - (s * (hfsq + r) + k * LN2_LO)) - f)
+    } else {
+        k * LN2_HI - ((s * (f - r) - k * LN2_LO) - f)
+    }
+}
 
 /// Convert an `f64` slice into precision `T` (allocating).
 pub fn narrow_slice<T: Real>(xs: &[f64]) -> Vec<T> {
@@ -255,6 +350,75 @@ mod tests {
         assert_eq!((f32::RESCALE_WINDOW, f64::RESCALE_WINDOW), (31, 255));
         pow2_rescale_cases::<f32>(-126, 127);
         pow2_rescale_cases::<f64>(-1022, 1023);
+    }
+
+    /// Position of a finite value on the number line in ulps, so that the
+    /// distance of two values is the difference of their positions.
+    fn ordinal(bits: u64, sign: u64) -> i128 {
+        if bits & sign != 0 {
+            -((bits & !sign) as i128)
+        } else {
+            bits as i128
+        }
+    }
+
+    /// A dense sweep over every binade, subnormals included (bit patterns
+    /// a fixed odd stride apart, plus both neighbours of each power of two
+    /// and of the √2 reduction threshold): within 1 ulp of libm's
+    /// `f64::ln` everywhere.
+    #[test]
+    fn ln_is_within_one_ulp_of_libm() {
+        const SIGN: u64 = 1 << 63;
+        let mut xs: Vec<f64> = (1..f64::INFINITY.to_bits())
+            .step_by(9_218_868_437_229)
+            .map(f64::from_bits)
+            .collect();
+        for e in -1074..1024 {
+            let p = 2f64.powi(e);
+            xs.extend([p, p.next_down(), p.next_up(), p * std::f64::consts::SQRT_2]);
+        }
+        xs.extend([1.0, 0.9999999, 1.0000001, f64::MAX, f64::MIN_POSITIVE]);
+        for &x in xs.iter().filter(|x| x.is_finite() && **x > 0.0) {
+            let (got, want) = (ln_f64(x), x.ln());
+            let d = (ordinal(got.to_bits(), SIGN) - ordinal(want.to_bits(), SIGN)).abs();
+            assert!(d <= 1, "ln({x:e}) = {got:e}, libm {want:e}: {d} ulps");
+        }
+        assert!(xs.len() > 1_000_000, "{} inputs", xs.len());
+        assert_eq!(Real::ln(1.0f64).to_bits(), 0.0f64.to_bits());
+    }
+
+    /// `f32` computes in `f64` and narrows: within 1 ulp of `f32::ln` on
+    /// every 97th bit pattern, subnormals included.
+    #[test]
+    fn ln_f32_is_within_one_ulp_of_libm() {
+        const SIGN: u64 = 1 << 31;
+        for b in (1..f32::INFINITY.to_bits()).step_by(97) {
+            let x = f32::from_bits(b);
+            let (got, want) = (Real::ln(x), x.ln());
+            let d =
+                (ordinal(got.to_bits().into(), SIGN) - ordinal(want.to_bits().into(), SIGN)).abs();
+            assert!(d <= 1, "ln({x:e}) = {got:e}, libm {want:e}: {d} ulps");
+        }
+    }
+
+    /// The special values rescue relies on, in both precisions.
+    #[test]
+    fn ln_special_values() {
+        fn check<T: Real>(min_subnormal: T) {
+            let ln = |x: f64| Real::ln(T::from_f64(x)).to_f64();
+            assert_eq!(ln(0.0), f64::NEG_INFINITY);
+            assert_eq!(ln(-0.0), f64::NEG_INFINITY);
+            assert!(ln(-1.0).is_nan());
+            assert!(Real::ln(-T::MIN_POSITIVE).to_f64().is_nan());
+            assert!(ln(f64::NEG_INFINITY).is_nan());
+            assert!(ln(f64::NAN).is_nan());
+            assert_eq!(ln(f64::INFINITY), f64::INFINITY);
+            let (tiny, x) = (Real::ln(min_subnormal).to_f64(), min_subnormal.to_f64());
+            assert!((tiny - x.ln()).abs() < 1e-6 * x.ln().abs(), "{tiny}");
+        }
+        check::<f64>(f64::from_bits(1));
+        check::<f32>(f32::from_bits(1));
+        assert_eq!(ln_f64(f64::from_bits(1)), f64::from_bits(1).ln());
     }
 
     #[test]

@@ -272,7 +272,6 @@ struct RootTask<T: Real> {
     freqs_len: usize,
     catw: *const T,
     catw_len: usize,
-    pw: *const T,
     cscale: *const T,
     s: usize,
     sp: usize,
@@ -296,17 +295,12 @@ fn run_root<T: DispatchReal>(t: &mut RootTask<T>) {
     let root = unsafe { std::slice::from_raw_parts(t.root, t.root_len) };
     let freqs = unsafe { std::slice::from_raw_parts(t.freqs, t.freqs_len) };
     let catw = unsafe { std::slice::from_raw_parts(t.catw, t.catw_len) };
-    let pw = unsafe { std::slice::from_raw_parts(t.pw, t.n_pat) };
     let cscale = if t.cscale.is_null() {
         None
     } else {
         Some(unsafe { std::slice::from_raw_parts(t.cscale, t.n_pat) })
     };
-    // The chunk's partial sum is discarded: the caller reduces every
-    // site value in pattern order once all chunks are done.
-    (t.dispatch.integrate_root)(
-        site, root, freqs, catw, pw, cscale, t.s, t.sp, t.n_pat, t.p0,
-    );
+    (t.dispatch.integrate_root)(site, root, freqs, catw, cscale, t.s, t.sp, t.n_pat, t.p0);
 }
 
 /// Reusable per-instance work arenas: dispatching a traversal allocates
@@ -841,7 +835,7 @@ impl<T: DispatchReal> CpuInstance<T> {
 
         let parallel_root =
             matches!(self.threading, Threading::ThreadPool { .. }) && n_pat >= self.min_patterns;
-        let total = if parallel_root {
+        if parallel_root {
             let Threading::ThreadPool { pool } = &self.threading else {
                 unreachable!()
             };
@@ -859,7 +853,6 @@ impl<T: DispatchReal> CpuInstance<T> {
                     freqs_len: freqs.len(),
                     catw: catw.as_ptr(),
                     catw_len: catw.len(),
-                    pw: pw.as_ptr(),
                     cscale: cscale.map_or(std::ptr::null(), |cs| cs.as_ptr()),
                     s,
                     sp,
@@ -870,23 +863,22 @@ impl<T: DispatchReal> CpuInstance<T> {
             }
             pool.run_tasks(tasks, run_root::<T>);
             tasks.clear();
-            // Left to right over the whole range, as the serial kernel
-            // sums, so the pool's total has the serial bits.
-            weighted_lnl_sum(0.0, &site_lnl, pw.iter().copied())
         } else {
             (self.dispatch.integrate_root)(
                 &mut site_lnl,
                 &root,
                 freqs,
                 catw,
-                pw,
                 cscale,
                 s,
                 sp,
                 n_pat,
                 0,
-            )
-        };
+            );
+        }
+        // The one reduction, left to right over the whole range, however
+        // the site values were computed.
+        let total = weighted_lnl_sum(0.0, &site_lnl, pw.iter().copied());
 
         if parallel_root {
             self.recorder
@@ -1204,19 +1196,23 @@ impl<T: DispatchReal> BeagleInstance for CpuInstance<T> {
                 )));
             };
             let cscale = cumulative_scale.map(|i| self.bufs.scale_buffers[i].as_slice());
-            Ok((self.dispatch.integrate_edge)(
+            (self.dispatch.integrate_edge)(
                 &mut site_lnl,
                 &parent,
                 child,
                 &self.bufs.matrices[matrix_index],
                 &self.bufs.frequencies[frequencies_index],
                 &self.bufs.category_weights[category_weights_index],
-                &self.bufs.pattern_weights,
                 cscale,
                 cfg.state_count,
                 self.bufs.state_stride,
                 cfg.pattern_count,
                 0,
+            );
+            Ok(weighted_lnl_sum(
+                0.0,
+                &site_lnl,
+                self.bufs.pattern_weights.iter().copied(),
             ))
         })();
         self.bufs.site_log_likelihoods = site_lnl;

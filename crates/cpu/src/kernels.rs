@@ -297,48 +297,88 @@ pub fn rescale_patterns<T: Real>(blocks: &mut [&mut [T]], scale_out: &mut [T], s
     );
 }
 
-/// Root integration for a pattern range: writes per-pattern site
-/// log-likelihoods (`+ cumulative scale factor` when provided) and returns
-/// the weighted sum `Σ_p w_p · lnL_p` of the range.
+/// The one site sum every back-end's integration forms, for one pattern:
+/// first `a_k = Σ_c w_c·r(c, k)`, an FMA chain in category order, then
+/// `Σ_k f_k·a_k`, an FMA chain in state order over `k < freqs.len()`.
+/// `r(c, k)` is the pattern's category-`c` value for state `k`: the root
+/// partial, or for an edge the parent partial times the child propagated
+/// through the matrix ([`propagate`]). The AVX2 kernels fold the
+/// categories of a state block, move it into pattern lanes and run the
+/// state chain there, so every lane repeats these operations.
+#[inline(always)]
+pub fn site_sum<T: Real>(freqs: &[T], cat_weights: &[T], r: impl Fn(usize, usize) -> T) -> T {
+    let mut site = T::ZERO;
+    for (k, &f) in freqs.iter().enumerate() {
+        let mut a = T::ZERO;
+        for (c, &w) in cat_weights.iter().enumerate() {
+            a = w.mul_add(r(c, k), a);
+        }
+        site = f.mul_add(a, site);
+    }
+    site
+}
+
+/// A pattern's site log-likelihood from its site sum: [`Real::ln`] (never
+/// the platform libm), plus the pattern's cumulative log scale factor when
+/// the integration is scaled.
+#[inline(always)]
+pub fn site_log_likelihood<T: Real>(site: T, log_scale: Option<T>) -> T {
+    let lnl = site.ln();
+    match log_scale {
+        Some(l) => lnl + l,
+        None => lnl,
+    }
+}
+
+/// A child state vector propagated through one matrix row: `Σ_j m_j·x_j`,
+/// the partials kernels' FMA chain in `j` order.
+#[inline(always)]
+pub fn propagate<T: Real>(row: &[T], child: &[T]) -> T {
+    row.iter()
+        .zip(child)
+        .fold(T::ZERO, |acc, (&m, &x)| m.mul_add(x, acc))
+}
+
+/// A tip child's factor for one matrix row: the entry of its state, or 1
+/// for a gap.
+#[inline(always)]
+pub fn tip_factor<T: Real>(row: &[T], state: u32) -> T {
+    if state == GAP_STATE {
+        T::ONE
+    } else {
+        row[state as usize]
+    }
+}
+
+/// Root integration for a pattern range: writes the site log-likelihood of
+/// patterns `p0..p0 + site_lnl.len()` ([`site_sum`], then
+/// [`site_log_likelihood`]). The caller totals them with
+/// [`beagle_core::real::weighted_lnl_sum`]. The scalar reference the
+/// vectorized tables reproduce bit for bit.
 #[allow(clippy::too_many_arguments)]
 pub fn integrate_root<T: Real>(
     site_lnl: &mut [T],
     root: &[T],
     freqs: &[T],
     cat_weights: &[T],
-    pattern_weights: &[T],
     cumulative_scale: Option<&[T]>,
     s: usize,
     sp: usize,
     n_pat_total: usize,
     p0: usize,
-) -> f64 {
-    let n_range = site_lnl.len();
-    let mut total = 0.0;
-    for lp in 0..n_range {
+) {
+    for (lp, out) in site_lnl.iter_mut().enumerate() {
         let p = p0 + lp;
-        let mut site = T::ZERO;
-        for (c, &w) in cat_weights.iter().enumerate() {
-            let base = (c * n_pat_total + p) * sp;
-            let mut state_sum = T::ZERO;
-            for k in 0..s {
-                state_sum = freqs[k].mul_add(root[base + k], state_sum);
-            }
-            site = w.mul_add(state_sum, site);
-        }
-        let mut lnl = site.ln();
-        if let Some(cs) = cumulative_scale {
-            lnl += cs[p];
-        }
-        site_lnl[lp] = lnl;
-        total += pattern_weights[p].to_f64() * lnl.to_f64();
+        let site = site_sum(&freqs[..s], cat_weights, |c, k| {
+            root[(c * n_pat_total + p) * sp + k]
+        });
+        *out = site_log_likelihood(site, cumulative_scale.map(|cs| cs[p]));
     }
-    total
 }
 
-/// Edge integration for a pattern range: combines parent partials with child
-/// partials propagated through one transition matrix. Returns the weighted
-/// range sum and fills site log-likelihoods.
+/// Edge integration for a pattern range: as [`integrate_root`], with
+/// `r(c, k)` the parent partial times the child propagated through row `k`
+/// of category `c`'s matrix.
 #[allow(clippy::too_many_arguments)]
 pub fn integrate_edge<T: Real>(
     site_lnl: &mut [T],
@@ -347,61 +387,36 @@ pub fn integrate_edge<T: Real>(
     matrix: &[T],
     freqs: &[T],
     cat_weights: &[T],
-    pattern_weights: &[T],
     cumulative_scale: Option<&[T]>,
     s: usize,
     sp: usize,
     n_pat_total: usize,
     p0: usize,
-) -> f64 {
-    let n_range = site_lnl.len();
-    let mut total = 0.0;
-    for lp in 0..n_range {
+) {
+    for (lp, out) in site_lnl.iter_mut().enumerate() {
         let p = p0 + lp;
-        let mut site = T::ZERO;
-        for (c, &w) in cat_weights.iter().enumerate() {
+        let site = site_sum(&freqs[..s], cat_weights, |c, k| {
             let base = (c * n_pat_total + p) * sp;
-            let m = &matrix[c * s * sp..(c + 1) * s * sp];
-            let mut state_sum = T::ZERO;
-            for i in 0..s {
-                let prop = match child {
-                    EdgeChild::Partials(cp) => {
-                        let row = &m[i * sp..i * sp + s];
-                        let mut acc = T::ZERO;
-                        for j in 0..s {
-                            acc = row[j].mul_add(cp[base + j], acc);
-                        }
-                        acc
-                    }
-                    EdgeChild::States(st) => {
-                        let stp = st[p];
-                        if stp == GAP_STATE {
-                            T::ONE
-                        } else {
-                            m[i * sp + stp as usize]
-                        }
-                    }
-                };
-                state_sum += freqs[i] * parent[base + i] * prop;
-            }
-            site = w.mul_add(state_sum, site);
-        }
-        let mut lnl = site.ln();
-        if let Some(cs) = cumulative_scale {
-            lnl += cs[p];
-        }
-        site_lnl[lp] = lnl;
-        total += pattern_weights[p].to_f64() * lnl.to_f64();
+            let row = &matrix[(c * s + k) * sp..][..s];
+            let prop = match child {
+                EdgeChild::Partials(cp) => propagate(row, &cp[base..base + s]),
+                EdgeChild::States(st) => tip_factor(row, st[p]),
+            };
+            parent[base + k] * prop
+        });
+        *out = site_log_likelihood(site, cumulative_scale.map(|cs| cs[p]));
     }
-    total
 }
 
 /// Edge integration with branch-length derivatives: returns
-/// `(Σ w_p lnL_p, dlnL/dt, d²lnL/dt²)` over the pattern range, where
-/// `d1_matrix`/`d2_matrix` hold `dP/dt` and `d²P/dt²`. Because the
-/// derivative site sums share the parent/child scale factors with the
-/// likelihood site sums, the per-pattern ratios `D1_p/L_p` and `D2_p/L_p`
-/// are scale-free and only the log term needs the cumulative factors.
+/// `(Σ w_p lnL_p, dlnL/dt, d²lnL/dt²)` over all patterns, where
+/// `d1_matrix`/`d2_matrix` hold `dP/dt` and `d²P/dt²`. The likelihood and
+/// both derivative site sums follow [`site_sum`]'s order, and the
+/// log-likelihood total is [`beagle_core::real::weighted_lnl_sum`]'s, so
+/// it has [`integrate_edge`]'s bits. Because the derivative site sums share
+/// the parent/child scale factors with the likelihood site sums, the
+/// per-pattern ratios `D1_p/L_p` and `D2_p/L_p` are scale-free and only the
+/// log term needs the cumulative factors.
 #[allow(clippy::too_many_arguments)]
 pub fn integrate_edge_derivatives<T: Real>(
     parent: &[T],
@@ -424,48 +439,40 @@ pub fn integrate_edge_derivatives<T: Real>(
         let mut site_l = T::ZERO;
         let mut site_d1 = T::ZERO;
         let mut site_d2 = T::ZERO;
-        for (c, &w) in cat_weights.iter().enumerate() {
-            let base = (c * n_pat_total + p) * sp;
-            let m = &matrix[c * s * sp..(c + 1) * s * sp];
-            let m1 = &d1_matrix[c * s * sp..(c + 1) * s * sp];
-            let m2 = &d2_matrix[c * s * sp..(c + 1) * s * sp];
-            for i in 0..s {
+        for (k, &f) in freqs[..s].iter().enumerate() {
+            let (mut a, mut b, mut d) = (T::ZERO, T::ZERO, T::ZERO);
+            for (c, &w) in cat_weights.iter().enumerate() {
+                let base = (c * n_pat_total + p) * sp;
+                let row = (c * s + k) * sp..(c * s + k) * sp + s;
+                let (m, m1, m2) = (
+                    &matrix[row.clone()],
+                    &d1_matrix[row.clone()],
+                    &d2_matrix[row],
+                );
                 let (prop, prop1, prop2) = match child {
                     EdgeChild::Partials(cp) => {
-                        let mut a = T::ZERO;
-                        let mut b = T::ZERO;
-                        let mut d = T::ZERO;
-                        for j in 0..s {
-                            let x = cp[base + j];
-                            a = m[i * sp + j].mul_add(x, a);
-                            b = m1[i * sp + j].mul_add(x, b);
-                            d = m2[i * sp + j].mul_add(x, d);
-                        }
-                        (a, b, d)
+                        let x = &cp[base..base + s];
+                        (propagate(m, x), propagate(m1, x), propagate(m2, x))
                     }
+                    // A gap contributes the constant 1: no gradient.
+                    EdgeChild::States(st) if st[p] == GAP_STATE => (T::ONE, T::ZERO, T::ZERO),
                     EdgeChild::States(st) => {
-                        let stp = st[p];
-                        if stp == GAP_STATE {
-                            // A gap contributes the constant 1: no gradient.
-                            (T::ONE, T::ZERO, T::ZERO)
-                        } else {
-                            let j = stp as usize;
-                            (m[i * sp + j], m1[i * sp + j], m2[i * sp + j])
-                        }
+                        let j = st[p] as usize;
+                        (m[j], m1[j], m2[j])
                     }
                 };
-                let fp = freqs[i] * parent[base + i];
-                site_l += w * fp * prop;
-                site_d1 += w * fp * prop1;
-                site_d2 += w * fp * prop2;
+                let q = parent[base + k];
+                a = w.mul_add(q * prop, a);
+                b = w.mul_add(q * prop1, b);
+                d = w.mul_add(q * prop2, d);
             }
+            site_l = f.mul_add(a, site_l);
+            site_d1 = f.mul_add(b, site_d1);
+            site_d2 = f.mul_add(d, site_d2);
         }
         let weight = pattern_weights[p].to_f64();
-        let mut site_lnl = site_l.ln().to_f64();
-        if let Some(cs) = cumulative_scale {
-            site_lnl += cs[p].to_f64();
-        }
-        lnl += weight * site_lnl;
+        let site_lnl = site_log_likelihood(site_l, cumulative_scale.map(|cs| cs[p]));
+        lnl += weight * site_lnl.to_f64();
         let r1 = site_d1.to_f64() / site_l.to_f64();
         let r2 = site_d2.to_f64() / site_l.to_f64();
         d1_total += weight * r1;
@@ -486,6 +493,7 @@ pub enum EdgeChild<'a, T: Real> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beagle_core::real::weighted_lnl_sum;
 
     /// partials_partials with identity matrices multiplies the children.
     #[test]
@@ -911,7 +919,8 @@ mod tests {
         let catw = vec![1.0];
         let pw = vec![2.0, 1.0];
         let mut site = vec![0.0; 2];
-        let total = integrate_root(&mut site, &root, &freqs, &catw, &pw, None, 2, 2, 2, 0);
+        integrate_root(&mut site, &root, &freqs, &catw, None, 2, 2, 2, 0);
+        let total = weighted_lnl_sum(0.0, &site, pw);
         let l0 = (0.5 * 0.8_f64).ln();
         let l1 = (0.5 * 0.8_f64).ln();
         assert!((site[0] - l0).abs() < 1e-12);
@@ -923,35 +932,31 @@ mod tests {
         let root = vec![1.0, 1.0];
         let freqs = vec![0.5, 0.5];
         let catw = vec![1.0];
-        let pw = vec![1.0];
         let cs = vec![-3.5];
         let mut site = vec![0.0; 1];
-        let total = integrate_root(&mut site, &root, &freqs, &catw, &pw, Some(&cs), 2, 2, 1, 0);
-        assert!((site[0] - (1.0_f64.ln() - 3.5)).abs() < 1e-12);
-        assert!((total + 3.5).abs() < 1e-12);
+        integrate_root(&mut site, &root, &freqs, &catw, Some(&cs), 2, 2, 1, 0);
+        assert_eq!(site[0], -3.5);
     }
 
     #[test]
     fn edge_integration_equals_root_at_zero_matrix_identity() {
         // With an identity matrix and child = all-ones partials, the edge
         // likelihood equals Σ_i f_i · parent_i — i.e. root integration of
-        // the parent.
+        // the parent, bit for bit.
         let s = 2;
         let parent = vec![0.3, 0.7];
         let child = vec![1.0, 1.0];
         let id = vec![1.0, 0.0, 0.0, 1.0];
         let freqs = vec![0.4, 0.6];
         let catw = vec![1.0];
-        let pw = vec![1.0];
-        let mut site_e = vec![0.0];
-        let te = integrate_edge(
+        let mut site_e = vec![0.0f64];
+        integrate_edge(
             &mut site_e,
             &parent,
             EdgeChild::Partials(&child),
             &id,
             &freqs,
             &catw,
-            &pw,
             None,
             s,
             s,
@@ -959,7 +964,68 @@ mod tests {
             0,
         );
         let mut site_r = vec![0.0];
-        let tr = integrate_root(&mut site_r, &parent, &freqs, &catw, &pw, None, s, s, 1, 0);
-        assert!((te - tr).abs() < 1e-12);
+        integrate_root(&mut site_r, &parent, &freqs, &catw, None, s, s, 1, 0);
+        assert_eq!(site_e[0].to_bits(), site_r[0].to_bits());
+    }
+
+    /// The derivative kernel's log-likelihood is the edge integration's,
+    /// bit for bit (same site sums, same reduction), with a tip child, a
+    /// partials child, gaps, three categories and scaling.
+    #[test]
+    fn edge_derivatives_share_the_edge_site_sum() {
+        let (s, sp, n, cats) = (4, 4, 9, 3);
+        let fill = |seed: usize, len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|i| 0.05 + ((i * 37 + seed * 11) % 97) as f64 / 100.0)
+                .collect()
+        };
+        let parent = fill(1, cats * n * sp);
+        let child = fill(2, cats * n * sp);
+        let states: Vec<u32> = (0..n as u32)
+            .map(|p| if p % 4 == 3 { GAP_STATE } else { p % 4 })
+            .collect();
+        let (m, d1, d2) = (
+            fill(3, cats * s * sp),
+            fill(4, cats * s * sp),
+            fill(5, cats * s * sp),
+        );
+        let freqs = vec![0.1, 0.2, 0.3, 0.4];
+        let catw = vec![0.5, 0.3, 0.2];
+        let pw: Vec<f64> = (0..n).map(|p| 1.0 + p as f64).collect();
+        let cs: Vec<f64> = (0..n).map(|p| -0.25 * p as f64).collect();
+        for child in [EdgeChild::Partials(&child), EdgeChild::States(&states)] {
+            let mut site = vec![0.0; n];
+            integrate_edge(
+                &mut site,
+                &parent,
+                child,
+                &m,
+                &freqs,
+                &catw,
+                Some(&cs),
+                s,
+                sp,
+                n,
+                0,
+            );
+            let (lnl, _, _) = integrate_edge_derivatives(
+                &parent,
+                child,
+                &m,
+                &d1,
+                &d2,
+                &freqs,
+                &catw,
+                &pw,
+                Some(&cs),
+                s,
+                sp,
+                n,
+            );
+            assert_eq!(
+                lnl.to_bits(),
+                weighted_lnl_sum(0.0, &site, pw.iter().copied()).to_bits()
+            );
+        }
     }
 }

@@ -27,6 +27,17 @@
 //! c[j], sum)` sequence, so the wide AVX2 partials equal
 //! [`kernels::partials_partials`] / [`kernels::states_partials`] bit for
 //! bit.
+//!
+//! Root and edge integration run four patterns at a time, in pattern
+//! lanes, and reproduce the scalar reference ([`kernels::site_sum`], then
+//! [`beagle_core::real::ln_f64`]) lane for lane: the root kernels fold the
+//! categories of a block of four states per pattern, transpose the block
+//! into pattern lanes and continue the state chain there; the edge kernels
+//! transpose the parent and child partials into pattern lanes and run the
+//! partials kernels' `M·child` chain with broadcast matrix entries. The
+//! logarithm is the same fixed polynomial as the scalar one (`f32` in `f64`
+//! lanes), and a tail of fewer than four patterns runs the scalar
+//! reference, so every table writes the same site log-likelihood bits.
 
 use beagle_core::real::Real;
 
@@ -50,8 +61,7 @@ type SsFn<T> = fn(&mut [T], &[u32], &[u32], &[T], &[T], usize, usize);
 type RescaleFactorsFn<T> = fn(&mut [T], &mut [T]);
 type RescaleApplyFn<T> = fn(&mut [T], &[T], usize);
 #[allow(clippy::type_complexity)]
-type RootFn<T> =
-    fn(&mut [T], &[T], &[T], &[T], &[T], Option<&[T]>, usize, usize, usize, usize) -> f64;
+type RootFn<T> = fn(&mut [T], &[T], &[T], &[T], Option<&[T]>, usize, usize, usize, usize);
 #[allow(clippy::type_complexity)]
 type EdgeFn<T> = fn(
     &mut [T],
@@ -60,13 +70,12 @@ type EdgeFn<T> = fn(
     &[T],
     &[T],
     &[T],
-    &[T],
     Option<&[T]>,
     usize,
     usize,
     usize,
     usize,
-) -> f64;
+);
 
 /// One resolved kernel table: every hot-path kernel as a plain fn pointer,
 /// chosen once at instance creation so the per-operation dispatch cost is a
@@ -91,9 +100,11 @@ pub struct KernelDispatch<T: Real> {
     /// Per-block scale pass of rescaling: multiplies each pattern by its
     /// power-of-two factor from `rescale_factors` (no division, exact).
     pub rescale_apply: RescaleApplyFn<T>,
-    /// Root integration over a pattern range.
+    /// Root integration over a pattern range: writes site
+    /// log-likelihoods, bit for bit [`kernels::integrate_root`].
     pub integrate_root: RootFn<T>,
-    /// Edge integration over a pattern range.
+    /// Edge integration over a pattern range: writes site
+    /// log-likelihoods, bit for bit [`kernels::integrate_edge`].
     pub integrate_edge: EdgeFn<T>,
     /// Partials kernels over transposed child matrices, for state counts
     /// other than 4; `None` when the row-major entries above are the
@@ -280,56 +291,6 @@ mod avx2 {
     const BLOCK_VECS: usize = 4;
 
     // ---- f64 helpers ----
-
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn hsum_pd(v: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd(v, 1);
-        let s = _mm_add_pd(lo, hi);
-        _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
-    }
-
-    /// Dot product of two `sp`-long buffers, `sp` a multiple of 4. Four
-    /// accumulators hide FMA latency on 16-lane groups; the reduction order
-    /// `(acc0+acc1)+(acc2+acc3)` is fixed so results do not depend on how
-    /// the loop was peeled.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_pd(a: *const f64, b: *const f64, sp: usize) -> f64 {
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut acc2 = _mm256_setzero_pd();
-        let mut acc3 = _mm256_setzero_pd();
-        let mut j = 0usize;
-        while j + 16 <= sp {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a.add(j)), _mm256_loadu_pd(b.add(j)), acc0);
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(a.add(j + 4)),
-                _mm256_loadu_pd(b.add(j + 4)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(a.add(j + 8)),
-                _mm256_loadu_pd(b.add(j + 8)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(a.add(j + 12)),
-                _mm256_loadu_pd(b.add(j + 12)),
-                acc3,
-            );
-            j += 16;
-        }
-        while j < sp {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a.add(j)), _mm256_loadu_pd(b.add(j)), acc0);
-            j += 4;
-        }
-        hsum_pd(_mm256_add_pd(
-            _mm256_add_pd(acc0, acc1),
-            _mm256_add_pd(acc2, acc3),
-        ))
-    }
 
     /// Column `j` of a 4-row matrix with row stride `sp`, as one vector.
     #[inline]
@@ -609,129 +570,7 @@ mod avx2 {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn root_pd(
-        site_lnl: &mut [f64],
-        root: &[f64],
-        freqs: &[f64],
-        cat_weights: &[f64],
-        pattern_weights: &[f64],
-        cumulative_scale: Option<&[f64]>,
-        _s: usize,
-        sp: usize,
-        n_pat_total: usize,
-        p0: usize,
-    ) -> f64 {
-        let mut total = 0.0;
-        for lp in 0..site_lnl.len() {
-            let p = p0 + lp;
-            let mut site = 0.0f64;
-            for (c, &w) in cat_weights.iter().enumerate() {
-                let base = (c * n_pat_total + p) * sp;
-                let sum = dot_pd(freqs.as_ptr(), root.as_ptr().add(base), sp);
-                site = w.mul_add(sum, site);
-            }
-            let mut lnl = site.ln();
-            if let Some(cs) = cumulative_scale {
-                lnl += cs[p];
-            }
-            site_lnl[lp] = lnl;
-            total += pattern_weights[p] * lnl;
-        }
-        total
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn edge_pp_pd(
-        site_lnl: &mut [f64],
-        parent: &[f64],
-        child: &[f64],
-        matrix: &[f64],
-        freqs: &[f64],
-        cat_weights: &[f64],
-        pattern_weights: &[f64],
-        cumulative_scale: Option<&[f64]>,
-        s: usize,
-        sp: usize,
-        n_pat_total: usize,
-        p0: usize,
-    ) -> f64 {
-        let mut total = 0.0;
-        for lp in 0..site_lnl.len() {
-            let p = p0 + lp;
-            let mut site = 0.0f64;
-            for (c, &w) in cat_weights.iter().enumerate() {
-                let base = (c * n_pat_total + p) * sp;
-                let m = matrix.as_ptr().add(c * s * sp);
-                let cp = child.as_ptr().add(base);
-                let mut state_sum = 0.0f64;
-                for i in 0..s {
-                    let prop = dot_pd(m.add(i * sp), cp, sp);
-                    state_sum += freqs[i] * parent[base + i] * prop;
-                }
-                site = w.mul_add(state_sum, site);
-            }
-            let mut lnl = site.ln();
-            if let Some(cs) = cumulative_scale {
-                lnl += cs[p];
-            }
-            site_lnl[lp] = lnl;
-            total += pattern_weights[p] * lnl;
-        }
-        total
-    }
-
     // ---- f32 helpers ----
-
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn hsum_ps(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps(v, 1);
-        let s = _mm_add_ps(lo, hi);
-        let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        _mm_cvtss_f32(_mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55)))
-    }
-
-    /// f32 dot over `sp` lanes, `sp` a multiple of 8.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn dot_ps(a: *const f32, b: *const f32, sp: usize) -> f32 {
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut j = 0usize;
-        while j + 32 <= sp {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(j)), _mm256_loadu_ps(b.add(j)), acc0);
-            acc1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(a.add(j + 8)),
-                _mm256_loadu_ps(b.add(j + 8)),
-                acc1,
-            );
-            acc2 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(a.add(j + 16)),
-                _mm256_loadu_ps(b.add(j + 16)),
-                acc2,
-            );
-            acc3 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(a.add(j + 24)),
-                _mm256_loadu_ps(b.add(j + 24)),
-                acc3,
-            );
-            j += 32;
-        }
-        while j < sp {
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a.add(j)), _mm256_loadu_ps(b.add(j)), acc0);
-            j += 8;
-        }
-        hsum_ps(_mm256_add_ps(
-            _mm256_add_ps(acc0, acc1),
-            _mm256_add_ps(acc2, acc3),
-        ))
-    }
 
     /// Column `j` of a 4-row matrix with row stride `sp`, as one 128-bit
     /// vector (f32 nucleotide kernels only touch the first 4 lanes).
@@ -958,80 +797,6 @@ mod avx2 {
                 j += 8;
             }
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn root_ps(
-        site_lnl: &mut [f32],
-        root: &[f32],
-        freqs: &[f32],
-        cat_weights: &[f32],
-        pattern_weights: &[f32],
-        cumulative_scale: Option<&[f32]>,
-        _s: usize,
-        sp: usize,
-        n_pat_total: usize,
-        p0: usize,
-    ) -> f64 {
-        let mut total = 0.0f64;
-        for lp in 0..site_lnl.len() {
-            let p = p0 + lp;
-            let mut site = 0.0f32;
-            for (c, &w) in cat_weights.iter().enumerate() {
-                let base = (c * n_pat_total + p) * sp;
-                let sum = dot_ps(freqs.as_ptr(), root.as_ptr().add(base), sp);
-                site = w.mul_add(sum, site);
-            }
-            let mut lnl = site.ln();
-            if let Some(cs) = cumulative_scale {
-                lnl += cs[p];
-            }
-            site_lnl[lp] = lnl;
-            total += pattern_weights[p] as f64 * lnl as f64;
-        }
-        total
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn edge_pp_ps(
-        site_lnl: &mut [f32],
-        parent: &[f32],
-        child: &[f32],
-        matrix: &[f32],
-        freqs: &[f32],
-        cat_weights: &[f32],
-        pattern_weights: &[f32],
-        cumulative_scale: Option<&[f32]>,
-        s: usize,
-        sp: usize,
-        n_pat_total: usize,
-        p0: usize,
-    ) -> f64 {
-        let mut total = 0.0f64;
-        for lp in 0..site_lnl.len() {
-            let p = p0 + lp;
-            let mut site = 0.0f32;
-            for (c, &w) in cat_weights.iter().enumerate() {
-                let base = (c * n_pat_total + p) * sp;
-                let m = matrix.as_ptr().add(c * s * sp);
-                let cp = child.as_ptr().add(base);
-                let mut state_sum = 0.0f32;
-                for i in 0..s {
-                    let prop = dot_ps(m.add(i * sp), cp, sp);
-                    state_sum += freqs[i] * parent[base + i] * prop;
-                }
-                site = w.mul_add(state_sum, site);
-            }
-            let mut lnl = site.ln();
-            if let Some(cs) = cumulative_scale {
-                lnl += cs[p];
-            }
-            site_lnl[lp] = lnl;
-            total += pattern_weights[p] as f64 * lnl as f64;
-        }
-        total
     }
 
     // ---- outer-product wide-state kernels ----
@@ -1316,6 +1081,417 @@ mod avx2 {
         ]
     );
 
+    // ---- integration ----
+
+    /// Lane `q` of output `j` is lane `j` of input `q`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn transpose_pd(r: [__m256d; 4]) -> [__m256d; 4] {
+        let t0 = _mm256_unpacklo_pd(r[0], r[1]);
+        let t1 = _mm256_unpackhi_pd(r[0], r[1]);
+        let t2 = _mm256_unpacklo_pd(r[2], r[3]);
+        let t3 = _mm256_unpackhi_pd(r[2], r[3]);
+        [
+            _mm256_permute2f128_pd::<0x20>(t0, t2),
+            _mm256_permute2f128_pd::<0x20>(t1, t3),
+            _mm256_permute2f128_pd::<0x31>(t0, t2),
+            _mm256_permute2f128_pd::<0x31>(t1, t3),
+        ]
+    }
+
+    /// As [`transpose_pd`], for four `f32` lanes.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn transpose_ps(r: [__m128; 4]) -> [__m128; 4] {
+        let t0 = _mm_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm_unpacklo_ps(r[2], r[3]);
+        let t2 = _mm_unpackhi_ps(r[0], r[1]);
+        let t3 = _mm_unpackhi_ps(r[2], r[3]);
+        [
+            _mm_movelh_ps(t0, t1),
+            _mm_movehl_ps(t1, t0),
+            _mm_movelh_ps(t2, t3),
+            _mm_movehl_ps(t3, t2),
+        ]
+    }
+
+    /// [`beagle_core::real::ln_f64`] in four lanes: the same operations,
+    /// with both final forms and the special values selected per lane, so
+    /// each lane has the scalar call's bits.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn ln_pd(x: __m256d) -> __m256d {
+        use beagle_core::real::ln_consts::*;
+        let pd = |v: f64| _mm256_set1_pd(v);
+        let epi = |v: u64| _mm256_set1_epi64x(v as i64);
+        let tiny = _mm256_cmp_pd::<_CMP_LT_OQ>(x, pd(f64::MIN_POSITIVE));
+        let bits = _mm256_castpd_si256(_mm256_blendv_pd(x, _mm256_mul_pd(x, pd(TWO54)), tiny));
+        let frac = _mm256_and_si256(bits, epi(FRAC_MASK));
+        let carry = _mm256_and_si256(_mm256_add_epi64(frac, epi(SQRT2_CARRY)), epi(1 << 52));
+        let one_plus_f = _mm256_or_si256(frac, _mm256_xor_si256(carry, epi(ONE_BITS)));
+        let f = _mm256_sub_pd(_mm256_castsi256_pd(one_plus_f), pd(1.0));
+        // The biased exponent (below 2^12) in the fraction of 2^52, so
+        // `(2^52 + e) − 2^52` is `e` exactly.
+        let e = _mm256_add_epi64(
+            _mm256_srli_epi64::<52>(bits),
+            _mm256_srli_epi64::<52>(carry),
+        );
+        let two52 = pd(4_503_599_627_370_496.0);
+        let e = _mm256_sub_pd(_mm256_or_pd(_mm256_castsi256_pd(e), two52), two52);
+        let k = _mm256_sub_pd(e, _mm256_blendv_pd(pd(BIAS), pd(BIAS_SUBNORMAL), tiny));
+        let s = _mm256_div_pd(f, _mm256_add_pd(pd(2.0), f));
+        let z = _mm256_mul_pd(s, s);
+        let w = _mm256_mul_pd(z, z);
+        let horner = |c: &[f64]| {
+            c.iter().rev().skip(1).fold(pd(c[c.len() - 1]), |acc, &ci| {
+                _mm256_add_pd(pd(ci), _mm256_mul_pd(w, acc))
+            })
+        };
+        let t1 = _mm256_mul_pd(w, horner(&[LG[1], LG[3], LG[5]]));
+        let t2 = _mm256_mul_pd(z, horner(&[LG[0], LG[2], LG[4], LG[6]]));
+        let r = _mm256_add_pd(t2, t1);
+        let hfsq = _mm256_mul_pd(_mm256_mul_pd(pd(0.5), f), f);
+        let k_hi = _mm256_mul_pd(k, pd(LN2_HI));
+        let k_lo = _mm256_mul_pd(k, pd(LN2_LO));
+        let long = _mm256_sub_pd(
+            _mm256_sub_pd(
+                hfsq,
+                _mm256_add_pd(_mm256_mul_pd(s, _mm256_add_pd(hfsq, r)), k_lo),
+            ),
+            f,
+        );
+        let short = _mm256_sub_pd(
+            _mm256_sub_pd(_mm256_mul_pd(s, _mm256_sub_pd(f, r)), k_lo),
+            f,
+        );
+        let hx = _mm256_srli_epi64::<32>(frac);
+        let outside = _mm256_or_si256(
+            _mm256_cmpgt_epi64(epi(HX_LO), hx),
+            _mm256_cmpgt_epi64(hx, epi(HX_HI)),
+        );
+        let tail = _mm256_blendv_pd(long, short, _mm256_castsi256_pd(outside));
+        let y = _mm256_sub_pd(k_hi, tail);
+        let zero = _mm256_setzero_pd();
+        let y = _mm256_blendv_pd(y, x, _mm256_cmp_pd::<_CMP_NLT_UQ>(x, pd(f64::INFINITY)));
+        let y = _mm256_blendv_pd(y, pd(f64::NAN), _mm256_cmp_pd::<_CMP_LT_OQ>(x, zero));
+        _mm256_blendv_pd(
+            y,
+            pd(f64::NEG_INFINITY),
+            _mm256_cmp_pd::<_CMP_EQ_OQ>(x, zero),
+        )
+    }
+
+    /// [`Real::ln`] of four `f32` lanes: widened, [`ln_pd`], narrowed.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn ln_ps(x: __m128) -> __m128 {
+        _mm256_cvtpd_ps(ln_pd(_mm256_cvtps_pd(x)))
+    }
+
+    /// Largest padded state count the edge kernels keep in pattern lanes
+    /// on the stack; a wider instance runs the scalar reference.
+    const LANE_STATES: usize = 64;
+
+    /// Patterns per block of the root kernels: each block of four states
+    /// sweeps all the block's quads (their state chains are independent,
+    /// so they overlap), the running sums wait in the output, and the
+    /// block's logarithms are taken while its sums are still in L1.
+    pub(super) const FINISH_BLOCK: usize = 256;
+
+    // One body per precision, instantiated below as modules `integrate_pd`
+    // and `integrate_ps`: four patterns per step in a vector of four lanes
+    // (`__m256d`, `__m128`).
+    macro_rules! integration_kernels {
+        (
+            $m:ident, $t:ty, $v:ty,
+            [$zero:ident, $set1:ident, $load:ident, $store:ident, $fma:ident, $mul:ident, $add:ident],
+            $transpose:ident, $ln:ident
+        ) => {
+            pub(super) mod $m {
+                use super::*;
+
+                /// Four consecutive patterns' state vectors (pattern stride
+                /// `sp`) into pattern lanes: `out[j]` holds state `j` of
+                /// each, for `j < sp`.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn to_lanes(src: *const $t, sp: usize, out: &mut [$v]) {
+                    for j0 in (0..sp).step_by(4) {
+                        let rows = std::array::from_fn(|q| $load(src.add(q * sp + j0)));
+                        out[j0..j0 + 4].copy_from_slice(&$transpose(rows));
+                    }
+                }
+
+                /// `R` consecutive matrix rows (row stride `sp`, from the
+                /// first of `rows`) times the child in pattern lanes: the
+                /// partials kernels' `M·child` chain per row, the `R`
+                /// independent chains interleaved so they overlap.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn propagate<const R: usize>(
+                    rows: &[$t],
+                    child: &[$v],
+                    sp: usize,
+                ) -> [$v; R] {
+                    let mut props = [$zero(); R];
+                    for (j, &x) in child.iter().enumerate() {
+                        for (i, prop) in props.iter_mut().enumerate() {
+                            *prop = $fma($set1(rows[i * sp + j]), x, *prop);
+                        }
+                    }
+                    props
+                }
+
+                /// Site sums to site log-likelihoods in place, four at a
+                /// time: `out[i] = ln(out[i]) (+ log_scale[i])` for
+                /// `i < n`, `n` a multiple of 4. A pass of its own, so the
+                /// logarithms of consecutive quads overlap instead of
+                /// waiting on each quad's site sum.
+                #[inline]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                unsafe fn finish(out: *mut $t, n: usize, log_scale: Option<*const $t>) {
+                    for i in (0..n).step_by(4) {
+                        let lnl = $ln($load(out.add(i)));
+                        $store(
+                            out.add(i),
+                            log_scale.map_or(lnl, |cs| $add(lnl, $load(cs.add(i)))),
+                        );
+                    }
+                }
+
+                /// # Safety
+                ///
+                /// The host must support AVX2 and FMA, and the arguments
+                /// must pass `check_integration`.
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                pub(in crate::simd) unsafe fn root(
+                    site_lnl: &mut [$t],
+                    root: &[$t],
+                    freqs: &[$t],
+                    cat_weights: &[$t],
+                    cumulative_scale: Option<&[$t]>,
+                    s: usize,
+                    sp: usize,
+                    n_pat_total: usize,
+                    p0: usize,
+                ) {
+                    let quads = site_lnl.len() / 4 * 4;
+                    let out = site_lnl.as_mut_ptr();
+                    for b0 in (0..quads).step_by(FINISH_BLOCK) {
+                        let b1 = quads.min(b0 + FINISH_BLOCK);
+                        // State blocks outermost, so the quads of the block
+                        // carry independent chains between them; the running
+                        // site sums wait in the output.
+                        for k0 in (0..s).step_by(4) {
+                            let f = &freqs[k0..s.min(k0 + 4)];
+                            for lp in (b0..b1).step_by(4) {
+                                let mut a = [$zero(); 4];
+                                for (c, &w) in cat_weights.iter().enumerate() {
+                                    let r =
+                                        root.as_ptr().add((c * n_pat_total + p0 + lp) * sp + k0);
+                                    let w = $set1(w);
+                                    for (q, aq) in a.iter_mut().enumerate() {
+                                        *aq = $fma(w, $load(r.add(q * sp)), *aq);
+                                    }
+                                }
+                                let mut site = if k0 == 0 { $zero() } else { $load(out.add(lp)) };
+                                for (&fk, ak) in f.iter().zip($transpose(a)) {
+                                    site = $fma($set1(fk), ak, site);
+                                }
+                                $store(out.add(lp), site);
+                            }
+                        }
+                        let cs = cumulative_scale.map(|cs| cs.as_ptr().add(p0 + b0));
+                        finish(out.add(b0), b1 - b0, cs);
+                    }
+                    kernels::integrate_root(
+                        &mut site_lnl[quads..],
+                        root,
+                        freqs,
+                        cat_weights,
+                        cumulative_scale,
+                        s,
+                        sp,
+                        n_pat_total,
+                        p0 + quads,
+                    );
+                }
+
+                /// # Safety
+                ///
+                /// As for `root`, and `sp <= LANE_STATES`.
+                #[allow(clippy::too_many_arguments)]
+                #[target_feature(enable = "avx2", enable = "fma")]
+                pub(in crate::simd) unsafe fn edge(
+                    site_lnl: &mut [$t],
+                    parent: &[$t],
+                    child: EdgeChild<'_, $t>,
+                    matrix: &[$t],
+                    freqs: &[$t],
+                    cat_weights: &[$t],
+                    cumulative_scale: Option<&[$t]>,
+                    s: usize,
+                    sp: usize,
+                    n_pat_total: usize,
+                    p0: usize,
+                ) {
+                    let mut acc = [$zero(); LANE_STATES];
+                    let mut parent_lanes = [$zero(); LANE_STATES];
+                    let mut child_lanes = [$zero(); LANE_STATES];
+                    let quads = site_lnl.len() / 4 * 4;
+                    for lp in (0..quads).step_by(4) {
+                        let p = p0 + lp;
+                        acc[..s].fill($zero());
+                        for (c, &w) in cat_weights.iter().enumerate() {
+                            let (w, base) = ($set1(w), (c * n_pat_total + p) * sp);
+                            to_lanes(parent.as_ptr().add(base), sp, &mut parent_lanes[..sp]);
+                            let m = &matrix[c * s * sp..(c + 1) * s * sp];
+                            if let EdgeChild::Partials(cp) = child {
+                                to_lanes(cp.as_ptr().add(base), sp, &mut child_lanes[..sp]);
+                            }
+                            let mut fold = |k: usize, prop: $v| {
+                                acc[k] = $fma(w, $mul(parent_lanes[k], prop), acc[k]);
+                            };
+                            match child {
+                                EdgeChild::Partials(_) => {
+                                    let mut k = 0;
+                                    while k + 4 <= s {
+                                        let props =
+                                            propagate::<4>(&m[k * sp..], &child_lanes[..s], sp);
+                                        props
+                                            .into_iter()
+                                            .enumerate()
+                                            .for_each(|(i, v)| fold(k + i, v));
+                                        k += 4;
+                                    }
+                                    for k in k..s {
+                                        fold(
+                                            k,
+                                            propagate::<1>(&m[k * sp..], &child_lanes[..s], sp)[0],
+                                        );
+                                    }
+                                }
+                                EdgeChild::States(st) => {
+                                    for (k, row) in m.chunks_exact(sp).enumerate() {
+                                        let f: [$t; 4] = std::array::from_fn(|q| {
+                                            kernels::tip_factor(row, st[p + q])
+                                        });
+                                        fold(k, $load(f.as_ptr()));
+                                    }
+                                }
+                            }
+                        }
+                        let site = freqs[..s]
+                            .iter()
+                            .zip(&acc)
+                            .fold($zero(), |site, (&f, &a)| $fma($set1(f), a, site));
+                        $store(site_lnl.as_mut_ptr().add(lp), site);
+                    }
+                    let cs = cumulative_scale.map(|cs| cs.as_ptr().add(p0));
+                    finish(site_lnl.as_mut_ptr(), quads, cs);
+                    kernels::integrate_edge(
+                        &mut site_lnl[quads..],
+                        parent,
+                        child,
+                        matrix,
+                        freqs,
+                        cat_weights,
+                        cumulative_scale,
+                        s,
+                        sp,
+                        n_pat_total,
+                        p0 + quads,
+                    );
+                }
+            }
+        };
+    }
+
+    integration_kernels!(
+        integrate_pd,
+        f64,
+        __m256d,
+        [
+            _mm256_setzero_pd,
+            _mm256_set1_pd,
+            _mm256_loadu_pd,
+            _mm256_storeu_pd,
+            _mm256_fmadd_pd,
+            _mm256_mul_pd,
+            _mm256_add_pd
+        ],
+        transpose_pd,
+        ln_pd
+    );
+    integration_kernels!(
+        integrate_ps,
+        f32,
+        __m128,
+        [
+            _mm_setzero_ps,
+            _mm_set1_ps,
+            _mm_loadu_ps,
+            _mm_storeu_ps,
+            _mm_fmadd_ps,
+            _mm_mul_ps,
+            _mm_add_ps
+        ],
+        transpose_ps,
+        ln_ps
+    );
+
+    /// The bounds the integration kernels' pointer arithmetic relies on:
+    /// `sp` a whole number of 4-lane blocks holding `s` states, the range
+    /// inside the pattern count, every category block of the partials (and
+    /// of the child), of the matrices, the frequencies, the scale factors,
+    /// and for a tip child one state below `s` or a gap per pattern.
+    #[allow(clippy::too_many_arguments)]
+    fn check_integration<T: Real>(
+        site_lnl: &[T],
+        partials: &[T],
+        edge: Option<(EdgeChild<'_, T>, &[T])>,
+        freqs: &[T],
+        cat_weights: &[T],
+        cumulative_scale: Option<&[T]>,
+        s: usize,
+        sp: usize,
+        n_pat_total: usize,
+        p0: usize,
+    ) {
+        let blocks = cat_weights.len() * n_pat_total * sp;
+        assert!(
+            s <= sp && sp.is_multiple_of(4) && freqs.len() >= s,
+            "integration: s={s} sp={sp} freqs={}",
+            freqs.len()
+        );
+        assert!(
+            p0 + site_lnl.len() <= n_pat_total && partials.len() >= blocks,
+            "integration: range {p0}+{} of {n_pat_total} patterns",
+            site_lnl.len()
+        );
+        assert!(
+            cumulative_scale.is_none_or(|cs| cs.len() >= n_pat_total),
+            "integration: scale buffer shorter than the patterns"
+        );
+        if let Some((child, matrix)) = edge {
+            assert!(
+                matrix.len() >= cat_weights.len() * s * sp,
+                "integration: matrices shorter than s*sp per category"
+            );
+            match child {
+                EdgeChild::Partials(cp) => {
+                    assert!(cp.len() >= blocks, "integration: child shorter than parent")
+                }
+                EdgeChild::States(st) => assert!(
+                    st.len() >= n_pat_total
+                        && st.iter().all(|&x| (x as usize) < s || x == GAP_STATE),
+                    "integration: tip states out of range"
+                ),
+            }
+        }
+    }
+
     /// The bounds the outer-product kernels' pointer arithmetic relies on:
     /// `sp` a whole number of vectors holding `s` states, whole patterns in
     /// `dest`, children (`child_len`, the shorter) at least as long, both
@@ -1414,20 +1590,31 @@ mod avx2 {
         root: &[f64],
         freqs: &[f64],
         cat_weights: &[f64],
-        pattern_weights: &[f64],
         cumulative_scale: Option<&[f64]>,
         s: usize,
         sp: usize,
         n_pat_total: usize,
         p0: usize,
-    ) -> f64 {
+    ) {
+        check_integration(
+            site_lnl,
+            root,
+            None,
+            freqs,
+            cat_weights,
+            cumulative_scale,
+            s,
+            sp,
+            n_pat_total,
+            p0,
+        );
+        // SAFETY: AVX2+FMA confirmed by table selection; bounds checked.
         unsafe {
-            root_pd(
+            integrate_pd::root(
                 site_lnl,
                 root,
                 freqs,
                 cat_weights,
-                pattern_weights,
                 cumulative_scale,
                 s,
                 sp,
@@ -1444,46 +1631,55 @@ mod avx2 {
         matrix: &[f64],
         freqs: &[f64],
         cat_weights: &[f64],
-        pattern_weights: &[f64],
         cumulative_scale: Option<&[f64]>,
         s: usize,
         sp: usize,
         n_pat_total: usize,
         p0: usize,
-    ) -> f64 {
-        match child {
-            EdgeChild::Partials(cp) => unsafe {
-                edge_pp_pd(
-                    site_lnl,
-                    parent,
-                    cp,
-                    matrix,
-                    freqs,
-                    cat_weights,
-                    pattern_weights,
-                    cumulative_scale,
-                    s,
-                    sp,
-                    n_pat_total,
-                    p0,
-                )
-            },
-            // The states child does per-pattern matrix lookups, not dot
-            // products — nothing to vectorize; use the scalar kernel.
-            EdgeChild::States(_) => kernels::integrate_edge(
+    ) {
+        if sp > LANE_STATES {
+            return kernels::integrate_edge(
                 site_lnl,
                 parent,
                 child,
                 matrix,
                 freqs,
                 cat_weights,
-                pattern_weights,
                 cumulative_scale,
                 s,
                 sp,
                 n_pat_total,
                 p0,
-            ),
+            );
+        }
+        check_integration(
+            site_lnl,
+            parent,
+            Some((child, matrix)),
+            freqs,
+            cat_weights,
+            cumulative_scale,
+            s,
+            sp,
+            n_pat_total,
+            p0,
+        );
+        // SAFETY: AVX2+FMA confirmed by table selection; bounds and the
+        // stride checked.
+        unsafe {
+            integrate_pd::edge(
+                site_lnl,
+                parent,
+                child,
+                matrix,
+                freqs,
+                cat_weights,
+                cumulative_scale,
+                s,
+                sp,
+                n_pat_total,
+                p0,
+            )
         }
     }
 
@@ -1542,20 +1738,31 @@ mod avx2 {
         root: &[f32],
         freqs: &[f32],
         cat_weights: &[f32],
-        pattern_weights: &[f32],
         cumulative_scale: Option<&[f32]>,
         s: usize,
         sp: usize,
         n_pat_total: usize,
         p0: usize,
-    ) -> f64 {
+    ) {
+        check_integration(
+            site_lnl,
+            root,
+            None,
+            freqs,
+            cat_weights,
+            cumulative_scale,
+            s,
+            sp,
+            n_pat_total,
+            p0,
+        );
+        // SAFETY: AVX2+FMA confirmed by table selection; bounds checked.
         unsafe {
-            root_ps(
+            integrate_ps::root(
                 site_lnl,
                 root,
                 freqs,
                 cat_weights,
-                pattern_weights,
                 cumulative_scale,
                 s,
                 sp,
@@ -1572,44 +1779,55 @@ mod avx2 {
         matrix: &[f32],
         freqs: &[f32],
         cat_weights: &[f32],
-        pattern_weights: &[f32],
         cumulative_scale: Option<&[f32]>,
         s: usize,
         sp: usize,
         n_pat_total: usize,
         p0: usize,
-    ) -> f64 {
-        match child {
-            EdgeChild::Partials(cp) => unsafe {
-                edge_pp_ps(
-                    site_lnl,
-                    parent,
-                    cp,
-                    matrix,
-                    freqs,
-                    cat_weights,
-                    pattern_weights,
-                    cumulative_scale,
-                    s,
-                    sp,
-                    n_pat_total,
-                    p0,
-                )
-            },
-            EdgeChild::States(_) => kernels::integrate_edge(
+    ) {
+        if sp > LANE_STATES {
+            return kernels::integrate_edge(
                 site_lnl,
                 parent,
                 child,
                 matrix,
                 freqs,
                 cat_weights,
-                pattern_weights,
                 cumulative_scale,
                 s,
                 sp,
                 n_pat_total,
                 p0,
-            ),
+            );
+        }
+        check_integration(
+            site_lnl,
+            parent,
+            Some((child, matrix)),
+            freqs,
+            cat_weights,
+            cumulative_scale,
+            s,
+            sp,
+            n_pat_total,
+            p0,
+        );
+        // SAFETY: AVX2+FMA confirmed by table selection; bounds and the
+        // stride checked.
+        unsafe {
+            integrate_ps::edge(
+                site_lnl,
+                parent,
+                child,
+                matrix,
+                freqs,
+                cat_weights,
+                cumulative_scale,
+                s,
+                sp,
+                n_pat_total,
+                p0,
+            )
         }
     }
 }
@@ -1906,6 +2124,142 @@ mod tests {
         (table.rescale_apply)(&mut b_simd, &max_simd, sp);
         kernels::rescale_block_apply(&mut b_scalar, &max_scalar, sp);
         assert_eq!(b_simd, b_scalar);
+    }
+
+    /// Every lane of the AVX2 logarithm has the scalar `Real::ln` bits, in
+    /// both precisions: specials, subnormals, both neighbours of the √2
+    /// reduction threshold and of the `½f²`-form band edges, and a sweep
+    /// over every binade, in every lane position.
+    #[test]
+    fn ln_lanes_have_the_scalar_bits() {
+        if !avx2_available() {
+            return;
+        }
+        let mut xs: Vec<f64> = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::MAX,
+            1.0,
+            std::f64::consts::SQRT_2,
+        ];
+        for hx in [0x6147au64, 0x6b851, 0x6a09c] {
+            let x = f64::from_bits(0x3ff0_0000_0000_0000 | hx << 32);
+            xs.extend([x, x.next_down(), x.next_up()]);
+        }
+        xs.extend(
+            (1..f64::INFINITY.to_bits())
+                .step_by(3_141_592_653_589_793)
+                .map(f64::from_bits),
+        );
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        for shift in 0..4 {
+            let v: Vec<f64> = xs
+                .iter()
+                .cycle()
+                .skip(shift)
+                .take(xs.len() + 3)
+                .copied()
+                .collect();
+            for quad in v.chunks_exact(4) {
+                let mut out = [0.0f64; 4];
+                let mut out32 = [0.0f32; 4];
+                let narrow: [f32; 4] = std::array::from_fn(|q| quad[q] as f32);
+                // SAFETY: AVX2+FMA detected above.
+                unsafe {
+                    use std::arch::x86_64::*;
+                    _mm256_storeu_pd(
+                        out.as_mut_ptr(),
+                        avx2::ln_pd(_mm256_loadu_pd(quad.as_ptr())),
+                    );
+                    _mm_storeu_ps(
+                        out32.as_mut_ptr(),
+                        avx2::ln_ps(_mm_loadu_ps(narrow.as_ptr())),
+                    );
+                }
+                for q in 0..4 {
+                    assert!(
+                        same(out[q], Real::ln(quad[q])),
+                        "ln({:e}) lane {q}",
+                        quad[q]
+                    );
+                    let (got, want) = (out32[q] as f64, Real::ln(narrow[q]) as f64);
+                    assert!(same(got, want), "f32 ln({:e}) lane {q}", narrow[q]);
+                }
+            }
+        }
+    }
+
+    /// The AVX2 integration entries write the scalar reference's site bits
+    /// over every range a pool chunk can hand them: lengths 0-9 (full
+    /// quads and every tail) at offsets 0-5 into the pattern range, and
+    /// ranges across the root kernels' finishing blocks, with
+    /// three categories, scaling, and partials and tip children (gaps
+    /// included), for s in {4, 20, 61} in both precisions.
+    #[test]
+    fn integration_chunks_have_the_scalar_bits() {
+        fn check<T: DispatchReal>(n_pat: usize, ranges: &[(usize, usize)], states: &[usize]) {
+            let cats = 3;
+            let table = T::dispatch(DispatchKind::Avx2);
+            let scalar = T::dispatch(DispatchKind::Scalar);
+            let narrow = |v: Vec<f64>| v.into_iter().map(T::from_f64).collect::<Vec<T>>();
+            for &s in states {
+                let sp = s.next_multiple_of(T::SIMD_LANES);
+                let len = cats * n_pat;
+                let parent = narrow(padded(&fill(31, len * s), s, sp));
+                let child = narrow(padded(&fill(32, len * s), s, sp));
+                let matrix = narrow(padded(&fill(33, cats * s * s), s, sp));
+                let freqs = narrow(padded(&fill(34, s), s, sp));
+                let catw = narrow(vec![0.5, 0.3, 0.2]);
+                let cs = narrow((0..n_pat).map(|p| -0.5 * p as f64).collect());
+                let states: Vec<u32> = (0..n_pat as u32)
+                    .map(|p| if p % 5 == 4 { GAP } else { p * 7 % s as u32 })
+                    .collect();
+                for &(p0, n) in ranges {
+                    let (mut got, mut want) = (vec![T::ZERO; n], vec![T::ZERO; n]);
+                    let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+                    for cscale in [None, Some(&cs[..])] {
+                        (table.integrate_root)(
+                            &mut got, &parent, &freqs, &catw, cscale, s, sp, n_pat, p0,
+                        );
+                        (scalar.integrate_root)(
+                            &mut want, &parent, &freqs, &catw, cscale, s, sp, n_pat, p0,
+                        );
+                        assert_eq!(bits(&got), bits(&want), "root s={s} p0={p0} n={n}");
+                        for child in [EdgeChild::Partials(&child), EdgeChild::States(&states)] {
+                            let args = (&parent, child, &matrix, &freqs, &catw, cscale);
+                            (table.integrate_edge)(
+                                &mut got, args.0, args.1, args.2, args.3, args.4, args.5, s, sp,
+                                n_pat, p0,
+                            );
+                            (scalar.integrate_edge)(
+                                &mut want, args.0, args.1, args.2, args.3, args.4, args.5, s, sp,
+                                n_pat, p0,
+                            );
+                            assert_eq!(bits(&got), bits(&want), "edge s={s} p0={p0} n={n}");
+                        }
+                    }
+                }
+            }
+        }
+        if !avx2_available() {
+            return;
+        }
+        let short: Vec<_> = (0..6)
+            .flat_map(|p0| (0..10).map(move |n| (p0, n)))
+            .collect();
+        check::<f64>(15, &short, &[4, 20, 61]);
+        check::<f32>(15, &short, &[4, 20, 61]);
+        // Ranges across the root kernels' FINISH_BLOCK boundaries.
+        let block = avx2::FINISH_BLOCK;
+        let long = [(0, 2 * block + 9), (3, 2 * block + 2)];
+        check::<f64>(2 * block + 9, &long, &[4]);
+        check::<f32>(2 * block + 9, &long, &[4]);
     }
 
     #[test]

@@ -3,15 +3,13 @@
 //! near-zero/denormal inputs — and a full likelihood run must agree between
 //! the forced-scalar and the vectorized dispatch paths.
 //!
-//! Tolerances: the partials kernels are compared bit for bit on every path.
-//! The 4-state AVX2 specializations use the same FMA chain as the portable
-//! kernels, and the wide-state (s != 4) AVX2 kernels build each destination
-//! lane by broadcasting child state `j` and FMA-ing column `j` of the
-//! transposed matrix for `j` in order, which is the scalar kernels' chain.
-//! Root and edge integration still end in the AVX2 dot product's
-//! 4-accumulator tree reduction, whose association differs from the scalar
-//! left-to-right sum, so they are compared to within a few ulps scaled by
-//! the dot length.
+//! Every kernel is compared bit for bit on every path. The 4-state AVX2
+//! specializations use the same FMA chain as the portable kernels, and the
+//! wide-state (s != 4) AVX2 kernels build each destination lane by
+//! broadcasting child state `j` and FMA-ing column `j` of the transposed
+//! matrix for `j` in order, which is the scalar kernels' chain. Root and
+//! edge integration run the scalar reference's site sum and logarithm in
+//! pattern lanes.
 
 use beagle_core::api::{BeagleInstance, BufferId, InstanceConfig, InstanceDetails, ScalingMode};
 use beagle_core::flags::Flags;
@@ -195,71 +193,57 @@ fn check_kernels<T: DispatchReal>(
             table.path
         );
 
-        // Root integration (freqs padded with exact zeros).
+        // Root and edge integration (freqs padded with exact zeros) write
+        // the scalar reference's site values bit for bit, tails included.
         let freqs = padded_vec::<T>(&vec![1.0 / s as f64; s], s, sp);
         let catw = vec![T::ONE];
-        let pw = vec![T::ONE; n];
         let mut site_ref = vec![T::ZERO; n];
         let mut site_simd = vec![T::ZERO; n];
-        let t_ref =
-            (scalar.integrate_root)(&mut site_ref, &c1, &freqs, &catw, &pw, None, s, sp, n, 0);
-        let t_simd =
-            (table.integrate_root)(&mut site_simd, &c1, &freqs, &catw, &pw, None, s, sp, n, 0);
-        assert_close(
-            &site_simd,
-            &site_ref,
-            s,
-            &format!("root s={s} {}", table.path),
-        );
-        assert!(
-            t_ref == t_simd
-                || (t_ref - t_simd).abs() <= dot_tol::<T>(s * n).max(1e-9) * t_ref.abs().max(1.0),
-            "root total s={s} {}: {t_ref} vs {t_simd}",
+        (scalar.integrate_root)(&mut site_ref, &c1, &freqs, &catw, None, s, sp, n, 0);
+        (table.integrate_root)(&mut site_simd, &c1, &freqs, &catw, None, s, sp, n, 0);
+        assert_eq!(
+            bits(&site_simd),
+            bits(&site_ref),
+            "root s={s} {}",
             table.path
         );
-
-        // Edge integration with a partials child.
-        let edge_ref = kernels::integrate_edge(
-            &mut site_ref,
-            &c1,
+        for child in [
             kernels::EdgeChild::Partials(&c2),
-            &m1,
-            &freqs,
-            &catw,
-            &pw,
-            None,
-            s,
-            sp,
-            n,
-            0,
-        );
-        let edge_simd = (table.integrate_edge)(
-            &mut site_simd,
-            &c1,
-            kernels::EdgeChild::Partials(&c2),
-            &m1,
-            &freqs,
-            &catw,
-            &pw,
-            None,
-            s,
-            sp,
-            n,
-            0,
-        );
-        assert_close(
-            &site_simd,
-            &site_ref,
-            s,
-            &format!("edge s={s} {}", table.path),
-        );
-        assert!(
-            edge_ref == edge_simd
-                || (edge_ref - edge_simd).abs()
-                    <= dot_tol::<T>(s * n).max(1e-9) * edge_ref.abs().max(1.0),
-            "edge total s={s} {}: {edge_ref} vs {edge_simd}",
-            table.path
-        );
+            kernels::EdgeChild::States(s2),
+        ] {
+            kernels::integrate_edge(
+                &mut site_ref,
+                &c1,
+                child,
+                &m1,
+                &freqs,
+                &catw,
+                None,
+                s,
+                sp,
+                n,
+                0,
+            );
+            (table.integrate_edge)(
+                &mut site_simd,
+                &c1,
+                child,
+                &m1,
+                &freqs,
+                &catw,
+                None,
+                s,
+                sp,
+                n,
+                0,
+            );
+            assert_eq!(
+                bits(&site_simd),
+                bits(&site_ref),
+                "edge s={s} {}",
+                table.path
+            );
+        }
     }
 }
 
@@ -403,25 +387,21 @@ fn full_likelihood(kind: DispatchKind, s: usize) -> (f64, Vec<f64>) {
     (lnl, inst.get_site_log_likelihoods().unwrap())
 }
 
-/// Forced-scalar and vectorized dispatch must produce the same likelihood on
-/// an end-to-end run (partials + rescaling + accumulation + integration),
-/// for both a nucleotide and a codon-sized model.
+/// Forced-scalar and vectorized dispatch must produce the same likelihood
+/// bits on an end-to-end run (partials + rescaling + accumulation +
+/// integration), for both a nucleotide and a codon-sized model.
 #[test]
 fn full_run_differential_across_paths() {
     for s in [4, 61] {
         let (lnl_scalar, site_scalar) = full_likelihood(DispatchKind::Scalar, s);
         for kind in paths() {
             let (lnl, site) = full_likelihood(kind, s);
-            assert!(
-                (lnl - lnl_scalar).abs() <= 1e-9 * lnl_scalar.abs().max(1.0),
+            assert_eq!(
+                lnl.to_bits(),
+                lnl_scalar.to_bits(),
                 "s={s} {kind:?}: {lnl} vs scalar {lnl_scalar}"
             );
-            for (a, b) in site.iter().zip(&site_scalar) {
-                assert!(
-                    (a - b).abs() <= 1e-9 * b.abs().max(1.0),
-                    "s={s} {kind:?} site diverged"
-                );
-            }
+            assert_eq!(bits(&site), bits(&site_scalar), "s={s} {kind:?} sites");
         }
     }
 }

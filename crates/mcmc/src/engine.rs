@@ -4,6 +4,7 @@
 
 use std::time::{Duration, Instant};
 
+use beagle_core::real::weighted_lnl_sum;
 use beagle_core::{
     BeagleInstance, BufferId, Deadline, InstanceStats, Lane, Operation, ScalingMode, SessionRequest,
 };
@@ -406,18 +407,18 @@ impl<T: beagle_core::Real> LikelihoodEngine for NativeEngine<T> {
             .map(|&x| T::from_f64(x))
             .collect();
         let mut site = vec![T::ZERO; n_pat];
-        let total = kernels::integrate_root(
+        kernels::integrate_root(
             &mut site,
             &self.partials[tree.root()],
             &freqs,
             &catw,
-            &pw,
             Some(&self.scale),
             s,
             s,
             n_pat,
             0,
         );
+        let total = weighted_lnl_sum(0.0, &site, pw);
         self.wall += start.elapsed();
         total
     }

@@ -4,7 +4,10 @@
 # Test matrix covered by `cargo test --workspace`:
 #   unit + doc tests ........ every crate (the journal's recording rule:
 #                             accepted and faulted calls recorded, rejected
-#                             ones not; the memo matrix store, the
+#                             ones not; its one-pass operations record ==
+#                             the per-operation rule and takes any
+#                             destination, usize::MAX included; the memo
+#                             matrix store, the
 #                             manager accepting COMPUTATION_ASYNCH and
 #                             selecting like SYNCH, and the ops::LevelPlan
 #                             planner in core: its
@@ -53,9 +56,22 @@
 #                             threading (lnL and site lnL bits equal across
 #                             the four threading models, per kernel table,
 #                             f32/f64, s in {4,20})
+#   core real::tests ........ the one ln: Real::ln within 1 ulp of libm
+#                             f64::ln on a dense sweep of every binade
+#                             (subnormals included) and of f32::ln on every
+#                             97th f32; +-0 -> -inf, negative/NaN -> NaN,
+#                             +inf -> +inf
+#   cpu simd::tests ......... AVX2 ln lanes == scalar Real::ln bits (specials,
+#                             subnormals, reduction and band edges, every
+#                             lane position); AVX2 root/edge integration ==
+#                             the scalar reference at every tail (0-9
+#                             patterns), chunk offset and finishing block,
+#                             pp and tip children, s in {4,20,61}, f32/f64
 #   cpu tests/simd_parity ... pp and sp kernels (row-major and transposed
-#                             wide entries) == scalar bit for bit on every
-#                             table, f32/f64, s in {2,4,20,61}, gaps
+#                             wide entries), root and edge integration ==
+#                             scalar bit for bit on every table, f32/f64,
+#                             s in {2,4,20,61}, gaps; a scaled run's lnL and
+#                             site bits equal across tables
 #   cpu tests/alloc_free .... warm scaled traversal allocates 0 bytes on
 #                             CPU-SSE and a 2-thread pool, s = 4 and s = 61
 #   core tests/read_frame_alloc  a header claiming MAX_PAYLOAD then 10 bytes
@@ -75,7 +91,13 @@
 #                             wide_state_partials_are_bit_identical_across_
 #                             back_ends (codon and amino acid, scaled or not,
 #                             f32/f64: every internal partials buffer of all
-#                             11 implementations == CPU-serial bit for bit)
+#                             11 implementations == CPU-serial bit for bit);
+#                             root_and_edge_lnl_are_bit_identical_across_
+#                             back_ends (root and edge lnL and site bits of
+#                             all 11 implementations and a 4-way partitioned
+#                             instance over four of them, s in {4,20,61} x
+#                             f32/f64 x scaled/unscaled; OpenCL-x86 only on
+#                             a host with FMA)
 #   tests/hazard_lists ...... operation lists with WAW+WAR rewrites, a WAR
 #                             after an earlier call and one scale target
 #                             written twice: all 11 implementations x
@@ -167,8 +189,8 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q --workspace
 # The computation-mode differential matrix, the hazard lists, the memo matrix-store
-# properties, the fault matrix, the SIMD kernel parity suite, the
-# cross-back-end partials bit-identity, the allocation-free hot-path
+# properties, the fault matrix, the one ln and the SIMD kernel parity suite,
+# the cross-back-end partials and lnL bit-identity, the allocation-free hot-path
 # guard, the rescale tile-boundary and bounds checks, and the observability suite,
 # named explicitly so a regression in any is attributable at a glance.
 cargo test -q --test differential
@@ -177,6 +199,8 @@ cargo test -q -p beagle-core --test matrix_proptests
 cargo test -q --test failover
 cargo test -q --test rejected_calls
 cargo test -q --test robustness
+cargo test -q -p beagle-core --lib real::
+cargo test -q -p beagle-cpu --lib simd::
 cargo test -q -p beagle-cpu --test simd_parity
 cargo test -q --test cross_backend
 cargo test -q -p beagle-cpu --test alloc_free

@@ -1,7 +1,11 @@
 //! Workspace integration: every registered implementation must produce the
 //! same likelihood for the same problem — the core guarantee of BEAGLE's
-//! uniform API across heterogeneous hardware.
+//! uniform API across heterogeneous hardware. Partials and root and edge
+//! log-likelihoods are the same bits on every implementation: the kernels
+//! share one FMA chain per partial, one site sum, one logarithm and one
+//! reduction.
 
+use beagle::core::multi::{ChildSelection, PartitionedInstance};
 use beagle::harness::{full_manager, ModelKind, Problem, Scenario};
 use beagle::prelude::*;
 
@@ -362,8 +366,8 @@ fn internal_partials(
 /// scalar kernel's FMA chain per destination lane, and the simulated CUDA
 /// and OpenCL devices run it in `child_sum` with FMA on (the simulated
 /// tips carry no gaps; OpenCL-x86 counts only on a host with FMA). The
-/// log-likelihoods may still differ in the last bits: the vectorized root
-/// integration sums in another order.
+/// log-likelihoods built on them are bit-identical too; see
+/// `root_and_edge_lnl_are_bit_identical_across_back_ends`.
 #[test]
 fn wide_state_partials_are_bit_identical_across_back_ends() {
     let manager = full_manager();
@@ -403,6 +407,121 @@ fn wide_state_partials_are_bit_identical_across_back_ends() {
                         "{required} not compared: {compared:?}"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Root and edge log-likelihoods (the totals and every site value) of one
+/// traversal, as bits: the root, then an edge from the root to a tip and
+/// one to an internal node.
+fn integration_bits(p: &Problem, inst: &mut dyn BeagleInstance, scaled: bool) -> Vec<u64> {
+    let root = p.tree.root();
+    let mut out = vec![p.evaluate(inst, scaled).to_bits()];
+    out.extend(
+        inst.get_site_log_likelihoods()
+            .unwrap()
+            .iter()
+            .map(|x| x.to_bits()),
+    );
+    let scaling = if scaled {
+        ScalingMode::cumulative(inst.config().scale_buffer_count - 1)
+    } else {
+        ScalingMode::None
+    };
+    let internal = p.operations(false)[0].destination;
+    for child in [0, internal] {
+        let lnl = inst
+            .integrate_edge(
+                BufferId(root),
+                BufferId(child),
+                BufferId(child),
+                BufferId(0),
+                BufferId(0),
+                scaling,
+            )
+            .unwrap();
+        out.push(lnl.to_bits());
+        out.extend(
+            inst.get_site_log_likelihoods()
+                .unwrap()
+                .iter()
+                .map(|x| x.to_bits()),
+        );
+    }
+    out
+}
+
+/// Root and edge lnL bits are equal on every implementation (and a 4-way
+/// partitioned instance over four different implementations), for
+/// s ∈ {4, 20, 61} × f32/f64 × scaled/unscaled: every back-end forms site
+/// values with the one site sum and the one `Real::ln`, and totals them
+/// with the one reduction. OpenCL-x86 fuses its partials only where the
+/// host has FMA, so it counts only on such a host.
+#[test]
+fn root_and_edge_lnl_are_bit_identical_across_back_ends() {
+    let manager = full_manager();
+    for (model, patterns, categories, seed) in [
+        (ModelKind::Nucleotide, 203, 4, 21),
+        (ModelKind::AminoAcid, 61, 3, 22),
+        (ModelKind::Codon, 29, 2, 23),
+    ] {
+        let p = Problem::generate(&Scenario {
+            model,
+            taxa: 7,
+            patterns,
+            categories,
+            seed,
+        });
+        for precision in [Flags::PRECISION_DOUBLE, Flags::PRECISION_SINGLE] {
+            for scaled in [false, true] {
+                let what = format!("{model:?} {precision:?} scaled={scaled}");
+                let mut expect: Option<Vec<u64>> = None;
+                let mut compared = Vec::new();
+                for name in manager.implementation_names() {
+                    if name == "OpenCL-x86" && !beagle::cpu::avx2_available() {
+                        continue;
+                    }
+                    let Ok(mut inst) =
+                        manager.create_instance_by_name(&name, &p.config(), precision)
+                    else {
+                        continue;
+                    };
+                    p.load(inst.as_mut());
+                    let got = integration_bits(&p, inst.as_mut(), scaled);
+                    match &expect {
+                        None => expect = Some(got),
+                        Some(e) => assert!(
+                            &got == e,
+                            "{name} {what}: lnL bits differ from {}",
+                            compared[0]
+                        ),
+                    }
+                    compared.push(name);
+                }
+                for required in ["CPU-serial", "CPU-SSE", "CUDA", "OpenCL-GPU"] {
+                    assert!(
+                        model == ModelKind::Codon && required == "CPU-SSE"
+                            || compared.iter().any(|n| n.starts_with(required)),
+                        "{required} not compared for {what}: {compared:?}"
+                    );
+                }
+                let children: Vec<_> = compared
+                    .iter()
+                    .rev()
+                    .cycle()
+                    .take(4)
+                    .map(|name| ChildSelection::named(name, Flags::NONE, precision))
+                    .collect();
+                let spec = InstanceSpec::with_config(p.config()).require(precision);
+                let mut multi =
+                    PartitionedInstance::create(&manager, &spec, &children, &[1.0, 2.0, 1.0, 3.0])
+                        .unwrap();
+                p.load(&mut multi);
+                assert!(
+                    integration_bits(&p, &mut multi, scaled) == expect.unwrap(),
+                    "4-way partitioned {what}: lnL bits differ"
+                );
             }
         }
     }
